@@ -52,7 +52,6 @@ from .chain import (
 from .errors import (
     ConfigError,
     DomainError,
-    InfeasibleInclusionError,
     MiningTimeoutError,
     ParameterError,
     SolverLimitError,
@@ -77,6 +76,7 @@ from .mech import (
     miner_utility,
     run_mechanism,
     spec_from_config,
+    spec_from_fields,
     spec_to_config,
     update_base_fee,
 )

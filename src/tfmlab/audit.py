@@ -327,14 +327,14 @@ def _expected_miner_utility(spec, m, capacity, fakes, trials, seed, **run_kwargs
     return float(utils.mean()), se
 
 
-def _named_overrides(spec: MechanismSpec) -> List[Tuple[str, dict]]:
-    """Rule-level deviations the miner controls, as run_mechanism overrides."""
+def _named_overrides(spec: MechanismSpec) -> List[Tuple[str, MechanismSpec, dict]]:
+    """Rule-level deviations the miner controls: a name, the spec it plays and
+    its run_mechanism keyword arguments."""
     if spec.allocation is AllocationKind.SOFTMAX:
-        return [("greedy_instead_of_sampling", {"_alloc": AllocationKind.OPTIMAL})]
+        greedy = replace(spec, allocation=AllocationKind.OPTIMAL, gamma=None)
+        return [("greedy_instead_of_sampling", greedy, {})]
     if spec.allocation is AllocationKind.SPLIT_BLOCK:
-        return [("leave_reserved_section_empty", {"splitblock_demote": False})]
-    if spec.allocation is AllocationKind.RTFM:
-        return [("publish_empty_uniform_set", {"_rtfm_empty_rand": True})]
+        return [("leave_reserved_section_empty", spec, {"splitblock_demote": False})]
     return []
 
 
@@ -357,6 +357,8 @@ def search_mic_deviation(
     beyond the statistical margin to produce a violation; a satisfied verdict
     is only ever relative to these bounds.
     """
+    if fake_budget < 0:
+        raise ParameterError(f"fake_budget must be non-negative, got {fake_budget}")
     if fake_budget > 4 or len(fake_bid_grid) > 8:
         raise SolverLimitError("search bounded to fake_budget <= 4 and a grid of <= 8 bids")
     grid = list(fake_bid_grid)
@@ -366,35 +368,23 @@ def search_mic_deviation(
     honest, honest_se = _expected_miner_utility(spec, m, capacity, (), trials, seed)
 
     next_id = max((tx.id for tx in m), default=-1) + 1
-    candidates: List[Tuple[dict, Sequence[Transaction], dict]] = [({}, (), {})]
+    fake_sets: List[Tuple[dict, Sequence[Transaction]]] = [({}, ())]
     for k in range(1, fake_budget + 1):
         for combo in combinations_with_replacement(sorted(set(grid)), k):
             fakes = tuple(
                 Transaction(next_id + j, fake_size, b, b, fake=True) for j, b in enumerate(combo)
             )
-            candidates.append(({"fake_bids": list(combo)}, fakes, {}))
-    base_candidates = list(candidates)
-    for name, kwargs in _named_overrides(spec):
-        for desc, fakes, _ in base_candidates:
-            merged = dict(desc)
-            merged["override"] = name
-            candidates.append((merged, fakes, kwargs))
+            fake_sets.append(({"fake_bids": list(combo)}, fakes))
+    # (witness, spec, fakes, run_mechanism kwargs); the honest rule itself is not a deviation
+    candidates = [(desc, spec, fakes, {}) for desc, fakes in fake_sets[1:]]
+    for name, run_spec, kwargs in _named_overrides(spec):
+        candidates += [(dict(desc, override=name), run_spec, fakes, kwargs)
+                       for desc, fakes in fake_sets]
 
-    best = None
-    for desc, fakes, kwargs in candidates:
-        if not desc:
-            continue  # the honest baseline itself
-        run_spec = spec
-        run_kwargs = dict(kwargs)
-        if run_kwargs.pop("_alloc", None) is AllocationKind.OPTIMAL:
-            run_spec = replace(spec, allocation=AllocationKind.OPTIMAL, gamma=None)
-        if run_kwargs.pop("_rtfm_empty_rand", False):
-            # an empty zero-pay set changes nothing the miner earns
-            value, se = _expected_miner_utility(spec, m, capacity, fakes, trials, seed)
-        else:
-            value, se = _expected_miner_utility(run_spec, m, capacity, fakes, trials, seed,
-                                                **run_kwargs)
-        if best is None or value > best[0]:
+    best = (honest, 0.0, None)
+    for desc, run_spec, fakes, kwargs in candidates:
+        value, se = _expected_miner_utility(run_spec, m, capacity, fakes, trials, seed, **kwargs)
+        if value > best[0]:
             best = (value, se, desc)
 
     gain = best[0] - honest
@@ -422,14 +412,12 @@ def empirical_cof(
     capacity,
     trials: int,
     seed: int,
-    stratified: bool = True,
 ) -> CofReport:
     """Monte-Carlo cost of fairness against the exact revenue optimum.
 
     For the randomized two-set rule the branch draws are stratified across
-    trials by default (exactly proportional branch counts), which estimates
-    the same mean with far less noise; pass ``stratified=False`` for plain
-    independent tosses.
+    trials (exactly proportional branch counts), which estimates the same
+    mean with far less noise than independent tosses.
     """
     opt_alloc = optimal_allocate(m, capacity, exact=len(m) <= EXHAUSTIVE_LIMIT)
     opt = allocation_value(m, opt_alloc)
@@ -441,7 +429,7 @@ def empirical_cof(
     utils = np.empty(n_runs)
     for i in range(n_runs):
         toss = None
-        if spec.allocation is AllocationKind.RTFM and stratified:
+        if spec.allocation is AllocationKind.RTFM:
             toss = 0 if (i + 0.5) / n_runs < spec.phi else 1
         out = run_mechanism(spec, m, capacity, seed=_trial_seed(seed, i), rtfm_toss=toss)
         utils[i] = out.miner_utility

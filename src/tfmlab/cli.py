@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence
 
 from . import audit as audit_mod
@@ -23,25 +24,22 @@ from .errors import (
 from .experiments import (
     emit_csv,
     experiment_from_fields,
-    parse_config_text,
     plot_data_table,
     run_rtfm_sweep,
     run_stfm_sweep,
 )
+from .mech import CONFIG_KEYS, MECHANISM, POOL, AllocationKind, config_value, parse_config_text
 from .txpool import sample_mempool
 
 _ERRORS = (ConfigError, ParameterError, DomainError, SolverLimitError, MiningTimeoutError, OSError)
-
-
-def _load_fields(path: str):
-    with open(path) as fh:
-        return parse_config_text(fh.read())
+_PROPERTIES = ("zti", "monotonicity", "uic", "mic", "cof")
 
 
 def _config_with_overrides(args):
-    fields = _load_fields(args.config)
+    with open(args.config) as fh:
+        fields = parse_config_text(fh.read())
     if args.seed is not None:
-        fields["seed"] = str(args.seed)
+        fields["seed"] = args.seed
     if getattr(args, "out", None):
         fields["out"] = args.out
     return fields
@@ -67,46 +65,35 @@ def _cmd_sweep_rtfm(args) -> int:
 
 def _cmd_sweep_stfm(args) -> int:
     cfg = experiment_from_fields(_config_with_overrides(args))
-    _write_rows(run_stfm_sweep(cfg, jobs=args.jobs), args)
+    _write_rows(run_stfm_sweep(cfg), args)
     return 0
-
-
-def _floats(text: str):
-    return [float(v) for v in text.split(",") if v.strip()]
 
 
 def _cmd_audit(args) -> int:
     fields = _config_with_overrides(args)
-    prop = args.property or fields.get("property")
-    if prop not in ("zti", "monotonicity", "uic", "mic", "cof"):
+    get = partial(config_value, fields)
+    prop = args.property or get("property")
+    if prop not in _PROPERTIES:
         raise ConfigError(f"unknown audit property {prop!r}")
-    cfg = experiment_from_fields({k: v for k, v in fields.items()
-                                  if k not in ("property", "trials", "target_tx", "user",
-                                               "epsilons", "bid_grid", "fake_budget",
-                                               "fake_bid_grid", "alpha_target", "phi_ratio",
-                                               "gamma_lo", "gamma_hi")})
+    cfg = experiment_from_fields(fields)
     m = sample_mempool(cfg.n, cfg.bid_dist, cfg.size_dist, seed=cfg.seed)
-    trials = int(fields.get("trials", 1000))
+    trials = get("trials")  # the schema default, 1000, is the audit's
     spec = cfg.mechanism
 
     if prop == "zti":
         report = audit_mod.estimate_zti(spec, m, cfg.capacity, trials, cfg.seed)
     elif prop == "monotonicity":
-        target = int(fields.get("target_tx", 0))
-        eps = _floats(fields.get("epsilons", "1"))
-        report = audit_mod.estimate_monotonicity(spec, m, target, eps, trials, cfg.seed,
-                                                 capacity=cfg.capacity)
+        report = audit_mod.estimate_monotonicity(spec, m, get("target_tx"), get("epsilons"),
+                                                 trials, cfg.seed, capacity=cfg.capacity)
     elif prop == "uic":
-        user = int(fields.get("user", 0))
+        user = get("user")
         theta = m.get(user).valuation
-        grid = _floats(fields["bid_grid"]) if "bid_grid" in fields else sorted(
+        grid = fields["bid_grid"] if "bid_grid" in fields else sorted(
             {theta * f for f in (0.5, 0.8, 1.0, 1.2)})
         report = audit_mod.check_uic(spec, m, cfg.capacity, user, grid, trials, cfg.seed)
     elif prop == "mic":
-        budget = int(fields.get("fake_budget", 2))
-        grid = _floats(fields.get("fake_bid_grid", "0,1"))
-        report = audit_mod.search_mic_deviation(spec, m, cfg.capacity, budget, grid, cfg.seed,
-                                                trials=trials)
+        report = audit_mod.search_mic_deviation(spec, m, cfg.capacity, get("fake_budget"),
+                                                get("fake_bid_grid"), cfg.seed, trials=trials)
     else:
         cof = audit_mod.empirical_cof(spec, m, cfg.capacity, trials, cfg.seed)
         print(f"opt_utility={cof.opt_utility:.9g}")
@@ -144,22 +131,21 @@ def _cmd_mine_demo(args) -> int:
 
 def _cmd_tune_gamma(args) -> int:
     fields = _config_with_overrides(args)
-    kept = {k: v for k, v in fields.items()
-            if k in ("n", "capacity", "bids", "sizes", "seed", "allocation", "payment",
-                     "burning", "gamma", "phi", "lambda", "alpha", "delta")}
+    get = partial(config_value, fields)
+    kept = {k: v for k, v in fields.items() if CONFIG_KEYS[k].section in (MECHANISM, POOL)}
     # the tuner searches the temperature itself; any placeholder validates
-    if kept.get("allocation") == "softmax":
-        kept.setdefault("gamma", "1")
+    if kept.get("allocation") is AllocationKind.SOFTMAX:
+        kept.setdefault("gamma", 1.0)
     cfg = experiment_from_fields(kept)
     m = sample_mempool(cfg.n, cfg.bid_dist, cfg.size_dist, seed=cfg.seed)
     gamma = audit_mod.tune_gamma(
         m,
         cfg.capacity,
-        alpha_target=float(fields.get("alpha_target", 0.1)),
-        phi_ratio=float(fields.get("phi_ratio", 2.0)),
-        gamma_lo=float(fields.get("gamma_lo", 0.1)),
-        gamma_hi=float(fields.get("gamma_hi", 50.0)),
-        trials=int(fields.get("trials", 500)),
+        alpha_target=get("alpha_target"),
+        phi_ratio=get("phi_ratio"),
+        gamma_lo=get("gamma_lo"),
+        gamma_hi=get("gamma_hi"),
+        trials=fields.get("trials", 500),  # tune-gamma's own default, not the audit's 1000
         seed=cfg.seed,
     )
     print(f"gamma_star={gamma:.6g}")
@@ -189,13 +175,11 @@ def build_parser():
     p = sub.add_parser("sweep-stfm", help="temperature/size-ratio sweep for the softmax mechanism")
     add_common(p)
     p.add_argument("--plot-data", default=None, help="also write a gnuplot table here")
-    p.add_argument("--jobs", type=int, default=1, help="max concurrent sweep cells")
     p.set_defaults(func=_cmd_sweep_stfm)
 
     p = sub.add_parser("audit", help="run a property auditor against a config")
     add_common(p)
-    p.add_argument("--property", choices=["zti", "monotonicity", "uic", "mic", "cof"],
-                   default=None)
+    p.add_argument("--property", choices=_PROPERTIES, default=None)
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("mine-demo", help="mine a short chain and print the toss log")

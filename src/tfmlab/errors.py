@@ -17,9 +17,5 @@ class MiningTimeoutError(RuntimeError):
     """The nonce search exhausted its trial budget without mining a block."""
 
 
-class InfeasibleInclusionError(ValueError):
-    """A transaction was included that the payment rule cannot price."""
-
-
 class ConfigError(ValueError):
     """An experiment or mechanism config is malformed."""

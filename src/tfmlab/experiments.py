@@ -10,15 +10,26 @@ bias, an unbiased variance-reduction that leaves per-run mechanics untouched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .alloc import allocation_value, optimal_allocate
-from .errors import ConfigError, ParameterError
-from .mech import AllocationKind, MechanismSpec, run_mechanism, spec_from_config
-from .txpool import BidDistribution, parse_distribution, sample_mempool
+from .errors import ConfigError
+from .mech import (
+    CONFIG_KEYS,
+    POOL,
+    SWEEP,
+    AllocationKind,
+    MechanismOutcome,
+    MechanismSpec,
+    config_value,
+    parse_config_text,
+    run_mechanism,
+    spec_from_fields,
+)
+from .txpool import BidDistribution, Mempool, sample_mempool
 
 CSV_HEADER = "sweep_value,normalized_revenue,revenue_stderr,zero_fee_fraction,zff_stderr,cof,zfi"
 
@@ -26,17 +37,17 @@ CSV_HEADER = "sweep_value,normalized_revenue,revenue_stderr,zero_fee_fraction,zf
 @dataclass(frozen=True)
 class ExperimentConfig:
     mechanism: MechanismSpec
-    n: int = 1000
-    capacity: float = 100.0
-    bid_dist: BidDistribution = field(default_factory=lambda: BidDistribution.censored_gaussian(4, 3))
-    size_dist: BidDistribution = field(default_factory=lambda: BidDistribution.constant(1))
-    sweep_param: str = "phi"
-    sweep_values: Tuple[float, ...] = tuple(round(0.1 * i, 1) for i in range(11))
-    runs: int = 1000
-    seed: int = 0
-    output_path: str = ""
-    size_ratio: float = 10.0
-    stratified_toss: bool = True
+    n: int = CONFIG_KEYS["n"].default
+    capacity: float = CONFIG_KEYS["capacity"].default
+    bid_dist: BidDistribution = CONFIG_KEYS["bids"].default
+    size_dist: BidDistribution = CONFIG_KEYS["sizes"].default
+    sweep_param: str = CONFIG_KEYS["sweep_param"].default
+    sweep_values: Tuple[float, ...] = CONFIG_KEYS["sweep_values"].default
+    runs: int = CONFIG_KEYS["runs"].default
+    seed: int = CONFIG_KEYS["seed"].default
+    output_path: str = CONFIG_KEYS["out"].default
+    size_ratio: float = CONFIG_KEYS["size_ratio"].default
+    stratified_toss: bool = CONFIG_KEYS["stratified_toss"].default
 
     def __post_init__(self) -> None:
         if not self.sweep_values:
@@ -67,6 +78,19 @@ def _mean_se(values: np.ndarray) -> Tuple[float, float]:
     return mean, se
 
 
+def _block_stats(m: Mempool, out: MechanismOutcome) -> Tuple[float, float, float]:
+    """Zero-bid inclusions over the pool size, zero-bid share of the block's
+    size, and zero-payment inclusions over the pool size."""
+    sel = out.allocation.selected_set
+    total = out.allocation.total_size
+    zero_count = sum(1 for tx in m if tx.bid == 0 and tx.id in sel)
+    zero_size = sum(tx.size for tx in m if tx.bid == 0 and tx.id in sel)
+    zero_pay = sum(1 for t in sel if out.payment_per_unit[t] == 0)
+    n = len(m)
+    return (zero_count / n if n else 0.0, zero_size / total if total > 0 else 0.0,
+            zero_pay / n if n else 0.0)
+
+
 def run_rtfm_sweep(cfg: ExperimentConfig) -> List[SweepRow]:
     """Sweep the branch bias of the randomized two-set mechanism.
 
@@ -89,16 +113,9 @@ def run_rtfm_sweep(cfg: ExperimentConfig) -> List[SweepRow]:
         stats: Dict[str, float] = {}
         for branch in (0, 1):
             out = run_mechanism(cfg.mechanism, m, cfg.capacity, seed=[cfg.seed, r], rtfm_toss=branch)
-            sel = out.allocation.selected_set
-            zero_count = sum(1 for tx in m if tx.bid == 0 and tx.id in sel)
-            zero_size = sum(tx.size for tx in m if tx.bid == 0 and tx.id in sel)
-            zero_pay = sum(1 for t in sel if out.payment_per_unit[t] == 0)
-            total = out.allocation.total_size
             tag = "rand" if branch == 0 else "opt"
             stats[f"norm_{tag}"] = out.miner_utility / opt_value if opt_value > 0 else 0.0
-            stats[f"zff_{tag}"] = zero_count / cfg.n if cfg.n else 0.0
-            stats[f"zfi_{tag}"] = zero_size / total if total > 0 else 0.0
-            stats[f"zpf_{tag}"] = zero_pay / cfg.n if cfg.n else 0.0
+            stats[f"zff_{tag}"], stats[f"zfi_{tag}"], stats[f"zpf_{tag}"] = _block_stats(m, out)
         per_run.append(stats)
 
     toss_rng = np.random.default_rng([cfg.seed, 7])
@@ -141,42 +158,28 @@ def _stfm_cell(cfg: ExperimentConfig, value: float) -> SweepRow:
         capacity = m.total_size() / ratio
         out = run_mechanism(spec, m, capacity, seed=[cfg.seed, r, 1])
         greedy_value = allocation_value(m, optimal_allocate(m, capacity, exact=False))
-        sel = out.allocation.selected_set
-        total = out.allocation.total_size
-        zero_size = sum(tx.size for tx in m if tx.bid == 0 and tx.id in sel)
-        zero_count = sum(1 for tx in m if tx.bid == 0 and tx.id in sel)
-        zero_pay = sum(1 for t in sel if out.payment_per_unit[t] == 0)
         util = out.miner_utility
         cofs[r] = greedy_value / util if util > 0 else math.inf
         norms[r] = util / greedy_value if greedy_value > 0 else 0.0
-        zfis[r] = zero_size / total if total > 0 else 0.0
-        zffs[r] = zero_count / cfg.n if cfg.n else 0.0
-        zpfs[r] = zero_pay / cfg.n if cfg.n else 0.0
+        zffs[r], zfis[r], zpfs[r] = _block_stats(m, out)
     norm_mean, norm_se = _mean_se(norms)
     zff_mean, zff_se = _mean_se(zffs)
     return SweepRow(value, norm_mean, norm_se, zff_mean, zff_se,
                     float(cofs.mean()), float(zfis.mean()), float(zpfs.mean()))
 
 
-def run_stfm_sweep(cfg: ExperimentConfig, jobs: int = 1) -> List[SweepRow]:
+def run_stfm_sweep(cfg: ExperimentConfig) -> List[SweepRow]:
     """Sweep temperature (or pool-to-block size ratio) for the softmax rule.
 
     Per run the pool is drawn fresh, capacity is total pool size over the
     ratio, and the empirical cost of fairness is the greedy revenue over the
     softmax revenue.  The zero-fee inclusion measure is the share of realized
-    block size occupied by zero-bid transactions.  Cells are independent;
-    with ``jobs > 1`` they run on a thread pool, and rows always come back
-    in sweep order.
+    block size occupied by zero-bid transactions.
     """
     if cfg.mechanism.allocation is not AllocationKind.SOFTMAX:
         raise ConfigError("run_stfm_sweep needs a softmax mechanism")
     if cfg.sweep_param not in ("gamma", "size_ratio"):
         raise ConfigError("run_stfm_sweep sweeps gamma or size_ratio")
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda v: _stfm_cell(cfg, v), cfg.sweep_values))
     return [_stfm_cell(cfg, value) for value in cfg.sweep_values]
 
 
@@ -215,73 +218,22 @@ def plot_data_table(rows: Sequence[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-_MECH_KEYS = {"allocation", "payment", "burning", "gamma", "phi", "lambda", "alpha", "delta"}
-_EXP_KEYS = {"n", "capacity", "bids", "sizes", "sweep_param", "sweep_values", "runs", "seed",
-             "out", "size_ratio", "stratified_toss"}
-# audit-only keys ride along in the same file format
-_AUDIT_KEYS = {"property", "trials", "target_tx", "user", "epsilons", "bid_grid",
-               "fake_budget", "fake_bid_grid", "alpha_target", "phi_ratio",
-               "gamma_lo", "gamma_hi"}
+# config keys whose ExperimentConfig attribute has another name
+_ATTRIBUTES = {"bids": "bid_dist", "sizes": "size_dist", "out": "output_path"}
 
 
-def parse_config_text(text: str) -> Dict[str, str]:
-    """Flat ``key = value`` lines; comments with '#'; unknown keys rejected."""
-    fields: Dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"malformed config line {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key in fields:
-            raise ConfigError(f"duplicate config key {key!r}")
-        fields[key] = value
-    unknown = set(fields) - _MECH_KEYS - _EXP_KEYS - _AUDIT_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return fields
-
-
-def experiment_from_fields(fields: Dict[str, str]) -> ExperimentConfig:
-    sweep_param = fields.get("sweep_param", "phi")
-    sweep_values: Tuple[float, ...]
-    if "sweep_values" in fields:
-        try:
-            sweep_values = tuple(float(v) for v in fields["sweep_values"].split(",") if v.strip())
-        except ValueError as exc:
-            raise ConfigError(f"malformed sweep_values {fields['sweep_values']!r}") from exc
-    else:
-        sweep_values = ExperimentConfig.__dataclass_fields__["sweep_values"].default
-
-    mech_lines = [f"{k}={fields[k]}" for k in _MECH_KEYS if k in fields]
-    mech_fields = {k: fields[k] for k in _MECH_KEYS if k in fields}
+def experiment_from_fields(fields: Dict[str, object]) -> ExperimentConfig:
+    """ExperimentConfig from parsed config fields; omitted keys keep their defaults."""
+    sweep_values = config_value(fields, "sweep_values")
+    mech_fields = dict(fields)
     # when the swept parameter defines the mechanism, seed it from the grid
-    if mech_fields.get("allocation") == "rtfm" and "phi" not in mech_fields and sweep_param == "phi":
-        mech_lines.append(f"phi={sweep_values[0]}")
-    if mech_fields.get("allocation") == "softmax" and "gamma" not in mech_fields and sweep_param == "gamma":
-        mech_lines.append(f"gamma={sweep_values[0]}")
-    mechanism = spec_from_config("\n".join(mech_lines) + "\n")
-
-    try:
-        return ExperimentConfig(
-            mechanism=mechanism,
-            n=int(fields.get("n", 1000)),
-            capacity=float(fields.get("capacity", 100.0)),
-            bid_dist=parse_distribution(fields["bids"]) if "bids" in fields
-            else BidDistribution.censored_gaussian(4, 3),
-            size_dist=parse_distribution(fields["sizes"]) if "sizes" in fields
-            else BidDistribution.constant(1),
-            sweep_param=sweep_param,
-            sweep_values=sweep_values,
-            runs=int(fields.get("runs", 1000)),
-            seed=int(fields.get("seed", 0)),
-            output_path=fields.get("out", ""),
-            size_ratio=float(fields.get("size_ratio", 10.0)),
-            stratified_toss=fields.get("stratified_toss", "true").lower() != "false",
-        )
-    except (ValueError, ParameterError) as exc:
-        raise ConfigError(str(exc)) from exc
+    swept = {AllocationKind.RTFM: "phi", AllocationKind.SOFTMAX: "gamma"}.get(
+        fields.get("allocation"))
+    if swept == config_value(fields, "sweep_param") and sweep_values:
+        mech_fields.setdefault(swept, sweep_values[0])
+    settings = {_ATTRIBUTES.get(k, k): v for k, v in fields.items()
+                if CONFIG_KEYS[k].section in (POOL, SWEEP)}
+    return ExperimentConfig(spec_from_fields(mech_fields), **settings)
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:

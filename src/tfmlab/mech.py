@@ -17,13 +17,17 @@ Payment rules:
 The split-block rule prices its reserved section at the posted constant
 ``delta`` and the randomized two-set rule pays nothing on the uniformly
 sampled branch.
+
+The flat ``key = value`` config format lives here too: one table of keys,
+:data:`CONFIG_KEYS`, and one parser serve :func:`spec_from_config`, the
+sweep experiments and every CLI subcommand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Callable, Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .alloc import (
     EXHAUSTIVE_LIMIT,
@@ -37,8 +41,15 @@ from .alloc import (
     stfm_allocate,
     uniform_allocate,
 )
-from .errors import ConfigError, InfeasibleInclusionError, ParameterError
-from .txpool import Mempool, SeedLike, Transaction, resolve_rng
+from .errors import ConfigError, ParameterError
+from .txpool import (
+    BidDistribution,
+    Mempool,
+    SeedLike,
+    Transaction,
+    parse_distribution,
+    resolve_rng,
+)
 
 
 class AllocationKind(Enum):
@@ -227,10 +238,6 @@ def _price_included(spec: MechanismSpec, pool_by_id, included_ids, sections=None
         elif spec.payment is PaymentKind.SECOND_PRICE:
             p[t], q[t] = lowest_winning, 0.0
         else:
-            if tx.bid < spec.base_fee:
-                raise InfeasibleInclusionError(
-                    f"transaction {t} bids {tx.bid} below the base fee {spec.base_fee}"
-                )
             p[t], q[t] = tx.bid - spec.base_fee, spec.base_fee
     delta = spec.split.delta if spec.split else 0.0
     for t in posted_ids:
@@ -336,11 +343,6 @@ def run_mechanism(
     return MechanismOutcome(allocation, p, q, u_miner, users, toss)
 
 
-_ALLOC_NAMES = {k.value: k for k in AllocationKind}
-_PAY_NAMES = {k.value: k for k in PaymentKind}
-_BURN_NAMES = {k.value: k for k in BurnKind}
-
-
 def spec_to_config(spec: MechanismSpec) -> str:
     """Flat ``key=value`` text for a mechanism spec."""
     lines = [f"allocation={spec.allocation.value}", f"payment={spec.payment.value}",
@@ -357,46 +359,118 @@ def spec_to_config(spec: MechanismSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def spec_from_config(text: str) -> MechanismSpec:
-    """Parse the flat key=value mechanism format; unknown keys are rejected."""
-    fields: Dict[str, str] = {}
+# ---------------------------------------------------------------------------
+# The flat ``key = value`` config format, shared by every subcommand
+
+MECHANISM, POOL, SWEEP, AUDIT = "mechanism", "pool", "sweep", "audit"
+
+
+def _float_list(text: str) -> Tuple[float, ...]:
+    return tuple(float(v) for v in text.split(",") if v.strip())
+
+
+def _bool(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return text.lower() == "true"
+
+
+class ConfigKey(NamedTuple):
+    section: str
+    parse: Callable[[str], object]
+    default: object = None
+
+
+# Every key the format knows: its section, how its value parses, and its
+# default (None where the key has no default or the default is derived).
+CONFIG_KEYS: Dict[str, ConfigKey] = {
+    "allocation": ConfigKey(MECHANISM, AllocationKind),
+    "payment": ConfigKey(MECHANISM, PaymentKind, PaymentKind.FIRST_PRICE),
+    "burning": ConfigKey(MECHANISM, BurnKind),  # posted under posted-price payment, else none
+    "gamma": ConfigKey(MECHANISM, float),
+    "phi": ConfigKey(MECHANISM, float),
+    "lambda": ConfigKey(MECHANISM, float),
+    "alpha": ConfigKey(MECHANISM, float),
+    "delta": ConfigKey(MECHANISM, float, 0.0),
+    "n": ConfigKey(POOL, int, 1000),
+    "capacity": ConfigKey(POOL, float, 100.0),
+    "bids": ConfigKey(POOL, parse_distribution, BidDistribution.censored_gaussian(4, 3)),
+    "sizes": ConfigKey(POOL, parse_distribution, BidDistribution.constant(1)),
+    "seed": ConfigKey(POOL, int, 0),
+    "sweep_param": ConfigKey(SWEEP, str, "phi"),
+    "sweep_values": ConfigKey(SWEEP, _float_list, tuple(round(0.1 * i, 1) for i in range(11))),
+    "runs": ConfigKey(SWEEP, int, 1000),
+    "out": ConfigKey(SWEEP, str, ""),
+    "size_ratio": ConfigKey(SWEEP, float, 10.0),
+    "stratified_toss": ConfigKey(SWEEP, _bool, True),
+    "property": ConfigKey(AUDIT, str),
+    "trials": ConfigKey(AUDIT, int, 1000),
+    "target_tx": ConfigKey(AUDIT, int, 0),
+    "user": ConfigKey(AUDIT, int, 0),
+    "epsilons": ConfigKey(AUDIT, _float_list, (1.0,)),
+    "bid_grid": ConfigKey(AUDIT, _float_list),  # around the user's valuation
+    "fake_budget": ConfigKey(AUDIT, int, 2),
+    "fake_bid_grid": ConfigKey(AUDIT, _float_list, (0.0, 1.0)),
+    "alpha_target": ConfigKey(AUDIT, float, 0.1),
+    "phi_ratio": ConfigKey(AUDIT, float, 2.0),
+    "gamma_lo": ConfigKey(AUDIT, float, 0.1),
+    "gamma_hi": ConfigKey(AUDIT, float, 50.0),
+}
+
+
+def parse_config_text(text: str) -> Dict[str, object]:
+    """Typed fields of a flat ``key = value`` config; ``#`` starts a comment.
+
+    Malformed lines, duplicate keys, keys missing from :data:`CONFIG_KEYS`
+    and values that do not parse as their key's type raise ConfigError.
+    """
+    fields: Dict[str, object] = {}
     for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"malformed config line {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key in fields:
             raise ConfigError(f"duplicate config key {key!r}")
-        fields[key] = value
-    known = {"allocation", "payment", "burning", "gamma", "phi", "lambda", "alpha", "delta"}
-    unknown = set(fields) - known
-    if unknown:
-        raise ConfigError(f"unknown mechanism config keys: {sorted(unknown)}")
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+        try:
+            fields[key] = CONFIG_KEYS[key].parse(value)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from exc
+    return fields
+
+
+def config_value(fields: Dict[str, object], key: str):
+    """The parsed value of `key`, or its schema default when the config omits it."""
+    return fields.get(key, CONFIG_KEYS[key].default)
+
+
+def spec_from_fields(fields: Dict[str, object]) -> MechanismSpec:
+    """Build a spec from parsed config fields; keys of other sections are ignored."""
     if "allocation" not in fields:
         raise ConfigError("config is missing the allocation key")
-    alloc = _ALLOC_NAMES.get(fields["allocation"])
-    if alloc is None:
-        raise ConfigError(f"unknown allocation {fields['allocation']!r}")
-    payment = _PAY_NAMES.get(fields.get("payment", "fpa"))
-    if payment is None:
-        raise ConfigError(f"unknown payment {fields.get('payment')!r}")
-    default_burn = "posted" if payment is PaymentKind.POSTED_PRICE else "none"
-    burning = _BURN_NAMES.get(fields.get("burning", default_burn))
-    if burning is None:
-        raise ConfigError(f"unknown burning {fields.get('burning')!r}")
-
-    def fval(key):
-        return float(fields[key]) if key in fields else None
-
-    split = None
-    if alloc is AllocationKind.SPLIT_BLOCK:
-        if "alpha" not in fields:
-            raise ConfigError("splitblock config needs alpha")
-        split = SplitBlockConfig(float(fields["alpha"]), float(fields.get("delta", 0.0)))
+    split_block = fields["allocation"] is AllocationKind.SPLIT_BLOCK
+    if split_block and "alpha" not in fields:
+        raise ConfigError("splitblock config needs alpha")
+    payment = config_value(fields, "payment")
+    default_burn = BurnKind.POSTED_PRICE if payment is PaymentKind.POSTED_PRICE else BurnKind.NONE
     try:
-        return MechanismSpec(alloc, payment, burning, gamma=fval("gamma"), phi=fval("phi"),
-                             split=split, base_fee=fval("lambda"))
+        split = (SplitBlockConfig(fields["alpha"], config_value(fields, "delta"))
+                 if split_block else None)
+        return MechanismSpec(fields["allocation"], payment, fields.get("burning", default_burn),
+                             gamma=fields.get("gamma"), phi=fields.get("phi"), split=split,
+                             base_fee=fields.get("lambda"))
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def spec_from_config(text: str) -> MechanismSpec:
+    """Parse a config that holds only mechanism keys."""
+    fields = parse_config_text(text)
+    other = sorted(k for k in fields if CONFIG_KEYS[k].section != MECHANISM)
+    if other:
+        raise ConfigError(f"not mechanism config keys: {other}")
+    return spec_from_fields(fields)

@@ -26,11 +26,6 @@ def resolve_rng(seed: SeedLike) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def spawn_rng(seed: int, index: int) -> np.random.Generator:
-    """Derive an independent child generator for trial batch `index`."""
-    return np.random.default_rng([int(seed), int(index)])
-
-
 @dataclass(frozen=True)
 class Transaction:
     """One bid-bearing unit of block space.
@@ -265,7 +260,10 @@ def parse_distribution(text: str) -> BidDistribution:
         args = [float(p) for p in body.split(",")] if body else []
     except ValueError as exc:
         raise ParameterError(f"malformed distribution spec {text!r}") from exc
-    return makers[kind](*args)
+    try:
+        return makers[kind](*args)
+    except TypeError as exc:  # wrong parameter count
+        raise ParameterError(f"malformed distribution spec {text!r}") from exc
 
 
 def sample_mempool(

@@ -180,7 +180,26 @@ def test_mic_softmax_prefers_greedy_override():
     assert report.witness["override"] == "greedy_instead_of_sampling"
 
 
+@pytest.mark.parametrize("spec", [MechanismSpec.first_price(), MechanismSpec.rtfm(0.4)],
+                         ids=["first_price", "rtfm"])
+def test_mic_without_fakes_and_overrides_is_clean(spec):
+    """Budget 0 plays only the named overrides; a rule with none has nothing to beat honesty."""
+    report = search_mic_deviation(spec, unit_pool([5, 3, 2]), 2.0, fake_budget=0,
+                                  fake_bid_grid=[0.0, 1.0], seed=2)
+    assert report.verdict is Verdict.SATISFIED
+
+
+def test_mic_budget_zero_still_plays_named_overrides():
+    report = search_mic_deviation(MechanismSpec.stfm(1.0), unit_pool([5, 5, 4, 4, 0, 0]), 2.0,
+                                  fake_budget=0, fake_bid_grid=[0.0], seed=2, trials=2000)
+    assert report.verdict is Verdict.VIOLATED
+    assert report.witness["override"] == "greedy_instead_of_sampling"
+    assert "fake_bids" not in report.witness
+
+
 def test_mic_search_bounds():
+    with pytest.raises(ParameterError):
+        search_mic_deviation(MechanismSpec.first_price(), unit_pool([1]), 1.0, -1, [0.0], 0)
     with pytest.raises(SolverLimitError):
         search_mic_deviation(MechanismSpec.first_price(), unit_pool([1]), 1.0, 5, [0.0], 0)
     with pytest.raises(SolverLimitError):

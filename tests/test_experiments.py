@@ -1,3 +1,6 @@
+import glob
+import os
+
 import pytest
 
 from tfmlab import (
@@ -17,6 +20,9 @@ from tfmlab.experiments import (
     parse_config_text,
     plot_data_table,
 )
+from tfmlab.mech import AUDIT, CONFIG_KEYS, MECHANISM, POOL, SWEEP, AllocationKind
+
+DEMOS = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
 
 
 def small_rtfm_cfg(**kw):
@@ -68,20 +74,6 @@ def test_stfm_sweep_cof_grows_with_temperature():
     cofs = [row.empirical_cof for row in rows]
     assert cofs[0] < cofs[1] < cofs[2]
     assert all(row.empirical_cof >= 1.0 - 1e-9 for row in rows)
-
-
-def test_stfm_sweep_jobs_do_not_change_rows():
-    cfg = ExperimentConfig(
-        mechanism=MechanismSpec.stfm(2.0),
-        n=50,
-        bid_dist=BidDistribution.exponential(1),
-        size_dist=BidDistribution.exponential(1),
-        sweep_param="size_ratio",
-        sweep_values=(1.3, 2.0, 4.0),
-        runs=20,
-        seed=9,
-    )
-    assert run_stfm_sweep(cfg, jobs=1) == run_stfm_sweep(cfg, jobs=2)
 
 
 def test_stfm_sweep_cof_shrinks_as_blocks_grow():
@@ -162,12 +154,52 @@ def test_config_parsing_and_unknown_keys():
         parse_config_text("allocation rtfm\n")
     with pytest.raises(ConfigError):
         parse_config_text("n = 5\nn = 6\n")
+    for line in ("n = 1e3", "stratified_toss = maybe", "sweep_values = 0,x", "bids = uniform(1)",
+                 "bids = gamma(1,2)", "seed = "):
+        with pytest.raises(ConfigError):
+            parse_config_text(f"allocation = rtfm\n{line}\n")
 
 
 def test_config_infers_swept_mechanism_parameter():
     cfg = experiment_from_fields(parse_config_text(
         "allocation = rtfm\nsweep_param = phi\nsweep_values = 0,1\nruns = 5\n"))
     assert cfg.mechanism.phi == 0.0
+    cfg = experiment_from_fields(parse_config_text(
+        "allocation = softmax\nsweep_param = gamma\nsweep_values = 0.5,5\nruns = 5\n"))
+    assert cfg.mechanism.gamma == 0.5
+
+
+def test_config_values_are_typed_and_defaults_come_from_the_schema():
+    fields = parse_config_text("allocation = rtfm  # two-set\nphi = 0.5\n"
+                               "stratified_toss = FALSE\nsweep_values = 0, 0.5,\n")
+    assert fields["allocation"] is AllocationKind.RTFM
+    assert fields["stratified_toss"] is False and fields["sweep_values"] == (0.0, 0.5)
+    cfg = experiment_from_fields(fields)
+    assert cfg.n == CONFIG_KEYS["n"].default and cfg.bid_dist == CONFIG_KEYS["bids"].default
+    assert parse_config_text("stratified_toss = True\n")["stratified_toss"] is True
+
+
+# the subcommand that reads each shipped config, and the sections it reads
+DEMO_CONFIGS = {
+    "bias_sweep.cfg": ("sweep-rtfm", {MECHANISM, POOL, SWEEP}),
+    "temperature_sweep.cfg": ("sweep-stfm", {MECHANISM, POOL, SWEEP}),
+    "zti_audit.cfg": ("audit", {MECHANISM, POOL, SWEEP, AUDIT}),
+    "tune_gamma.cfg": ("tune-gamma", {MECHANISM, POOL, AUDIT}),
+}
+
+
+def test_every_demo_config_loads_through_the_schema():
+    shipped = sorted(os.path.basename(p) for p in glob.glob(os.path.join(DEMOS, "*.cfg")))
+    assert shipped == sorted(DEMO_CONFIGS)
+    for name, (command, sections) in DEMO_CONFIGS.items():
+        with open(os.path.join(DEMOS, name)) as fh:
+            fields = parse_config_text(fh.read())
+        assert {CONFIG_KEYS[k].section for k in fields} <= sections, name
+        cfg = experiment_from_fields(fields)
+        if command == "sweep-rtfm":
+            assert cfg.mechanism.allocation is AllocationKind.RTFM
+        if command in ("sweep-stfm", "tune-gamma"):
+            assert cfg.mechanism.allocation is AllocationKind.SOFTMAX
 
 
 # ---------------------------------------------------------------------------
@@ -263,3 +295,18 @@ def test_cli_tune_gamma(tmp_path, capsys):
     ))
     assert cli_main(["tune-gamma", "--config", cfg]) == 0
     assert "gamma_star=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command,line", [
+    ("audit", "trials = abc"),
+    ("audit", "epsilons = 1,x"),
+    ("sweep-rtfm", "stratified_toss = maybe"),
+    ("tune-gamma", "bids = uniform(1)"),
+])
+def test_cli_malformed_value_exits_2_without_traceback(tmp_path, capsys, command, line):
+    cfg = write_cfg(tmp_path, "allocation = rtfm\nphi = 0.5\nn = 10\ncapacity = 4\nruns = 2\n"
+                              f"sweep_values = 0.5\n{line}\n")
+    extra = ["--property", "monotonicity"] if command == "audit" else []
+    assert cli_main([command, "--config", cfg] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and line.split()[0] in err and "Traceback" not in err

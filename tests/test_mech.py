@@ -17,6 +17,7 @@ from tfmlab import (
     run_mechanism,
     sample_mempool,
     spec_from_config,
+    spec_from_fields,
     spec_to_config,
     update_base_fee,
 )
@@ -185,3 +186,18 @@ def test_spec_config_rejects_unknown_keys():
         spec_from_config("allocation=warp\n")
     with pytest.raises(ConfigError):
         spec_from_config("payment=fpa\n")
+    with pytest.raises(ConfigError, match="not mechanism"):
+        spec_from_config("allocation = rtfm\nphi = 0.5\nn = 100\n")
+    for text in ("allocation = optimal\npayment = dutch", "allocation = rtfm\nphi = half",
+                 "allocation = splitblock\nalpha = x", "allocation = splitblock\nalpha = 2",
+                 "allocation = optimal\nburning = sometimes"):
+        with pytest.raises(ConfigError):
+            spec_from_config(text)
+
+
+def test_spec_config_accepts_inline_comments_like_the_sweep_parser():
+    from tfmlab.experiments import parse_config_text
+
+    text = "allocation = rtfm  # two-set\nphi = 0.5\n"
+    assert spec_from_config(text) == MechanismSpec.rtfm(0.5)
+    assert spec_from_fields(parse_config_text(text)) == MechanismSpec.rtfm(0.5)
