@@ -70,7 +70,6 @@ from .mech import (
     BurnKind,
     MechanismOutcome,
     MechanismSpec,
-    MechType,
     PaymentKind,
     is_excessively_low,
     miner_utility,

@@ -50,7 +50,6 @@ class AllocationResult:
     selected: tuple
     total_size: float
     capacity: float
-    rule_tag: str
     sections: Mapping[int, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -136,19 +135,18 @@ def optimal_allocate(
     capacity,
     payment_per_unit: Optional[Mapping[int, float]] = None,
     burn_per_unit: Optional[Mapping[int, float]] = None,
-    exact: bool = True,
-    exhaustive_limit: int = EXHAUSTIVE_LIMIT,
-    rule_tag: str = "optimal",
+    exact: Optional[bool] = None,
 ) -> AllocationResult:
     """Revenue-maximizing feasible selection (knapsack).
 
     Payment defaults to each transaction's bid and burn to zero.  Exact mode
-    solves the knapsack outright and is limited to `exhaustive_limit`
-    candidates; greedy mode ranks by payment per unit size.  Transactions
-    with non-positive objective weight are never selected, and value ties
-    resolve to the lowest-id set.
+    solves the knapsack outright and is limited to ``EXHAUSTIVE_LIMIT``
+    candidates; greedy mode ranks by payment per unit size.  By default the
+    knapsack is exact for pools of at most ``EXHAUSTIVE_LIMIT`` transactions
+    and greedy above.  Transactions with non-positive objective weight are
+    never selected, and value ties resolve to the lowest-id set.
     """
-    if capacity < 0:
+    if not capacity >= 0:
         raise ParameterError(f"capacity must be non-negative, got {capacity}")
     w = _weights(m, payment_per_unit, burn_per_unit)
     candidates = [
@@ -156,17 +154,18 @@ def optimal_allocate(
         for tx in m
         if w[tx.id] > 0 and tx.size <= capacity
     ]
+    if exact is None:
+        exact = len(m) <= EXHAUSTIVE_LIMIT
+    if exact and len(candidates) > EXHAUSTIVE_LIMIT:
+        raise SolverLimitError(
+            f"exact knapsack limited to {EXHAUSTIVE_LIMIT} candidates, got "
+            f"{len(candidates)}; call with exact=False for the greedy rule"
+        )
+    candidates.sort(key=lambda it: (-(it[2] / it[1]), it[0]))
     if exact:
-        if len(candidates) > exhaustive_limit:
-            raise SolverLimitError(
-                f"exact knapsack limited to {exhaustive_limit} candidates, got "
-                f"{len(candidates)}; call with exact=False for the greedy rule"
-            )
-        candidates.sort(key=lambda it: (-(it[2] / it[1]), it[0]))
         _, chosen = _exact_knapsack(candidates, capacity)
         selected = tuple(sorted(chosen))
     else:
-        candidates.sort(key=lambda it: (-(it[2] / it[1]), it[0]))
         total = 0
         picked = []
         for tid, size, _ in candidates:
@@ -176,7 +175,7 @@ def optimal_allocate(
         selected = tuple(sorted(picked))
     sizes = {tx.id: tx.size for tx in m}
     total_size = sum(sizes[t] for t in selected)
-    return AllocationResult(selected, total_size, capacity, rule_tag)
+    return AllocationResult(selected, total_size, capacity)
 
 
 def allocation_value(m: Mempool, result: AllocationResult, payment_per_unit=None, burn_per_unit=None):
@@ -187,7 +186,7 @@ def allocation_value(m: Mempool, result: AllocationResult, payment_per_unit=None
 
 def uniform_allocate(m: Mempool, capacity, seed: SeedLike) -> AllocationResult:
     """Uniformly sample transactions until nothing left fits."""
-    if capacity < 0:
+    if not capacity >= 0:
         raise ParameterError(f"capacity must be non-negative, got {capacity}")
     rng = resolve_rng(seed)
     txs = m.transactions
@@ -199,7 +198,7 @@ def uniform_allocate(m: Mempool, capacity, seed: SeedLike) -> AllocationResult:
         if total + tx.size <= capacity:
             picked.append(tx.id)
             total += tx.size
-    return AllocationResult(tuple(picked), total, capacity, "uniform")
+    return AllocationResult(tuple(picked), total, capacity)
 
 
 def stfm_first_draw_distribution(m: Mempool, gamma: float) -> Dict[int, float]:
@@ -229,12 +228,12 @@ def stfm_allocate(m: Mempool, capacity, gamma: float, seed: SeedLike) -> Allocat
     """
     if not gamma > 0:
         raise ParameterError(f"gamma must be positive, got {gamma}")
-    if capacity < 0:
+    if not capacity >= 0:
         raise ParameterError(f"capacity must be non-negative, got {capacity}")
     rng = resolve_rng(seed)
     n = len(m)
     if n == 0:
-        return AllocationResult((), 0, capacity, "softmax")
+        return AllocationResult((), 0, capacity)
     keys = m.bids() / gamma + rng.gumbel(size=n)
     order = np.argsort(-keys, kind="stable")
     txs = m.transactions
@@ -250,7 +249,7 @@ def stfm_allocate(m: Mempool, capacity, gamma: float, seed: SeedLike) -> Allocat
         if total + tx.size <= capacity:
             picked.append(tx.id)
             total += tx.size
-    return AllocationResult(tuple(picked), total, capacity, "softmax")
+    return AllocationResult(tuple(picked), total, capacity)
 
 
 @dataclass(frozen=True)
@@ -285,7 +284,6 @@ def splitblock_allocate(
     seed: SeedLike = 0,
     demote_to_posted: Optional[bool] = None,
     alpha_payment: Optional[Mapping[int, float]] = None,
-    exact: Optional[bool] = None,
 ) -> AllocationResult:
     """Two-section allocation: posted-fee section first, then the paid section.
 
@@ -297,7 +295,7 @@ def splitblock_allocate(
     never demotes, so an underfilled section stays underfilled.  The paid
     section is then solved as a knapsack over the remaining transactions.
     """
-    if capacity < 0:
+    if not capacity >= 0:
         raise ParameterError(f"capacity must be non-negative, got {capacity}")
     rng = resolve_rng(seed)
     if demote_to_posted is None:
@@ -336,11 +334,7 @@ def splitblock_allocate(
                 total_posted += tx.size
 
     paid_pool = Mempool([tx for tx in m if tx.id not in placed and tx.bid != cfg.delta])
-    if exact is None:
-        exact = len(paid_pool) <= EXHAUSTIVE_LIMIT
-    paid = optimal_allocate(
-        paid_pool, cap_paid, payment_per_unit=alpha_payment, exact=exact, rule_tag="splitblock"
-    )
+    paid = optimal_allocate(paid_pool, cap_paid, payment_per_unit=alpha_payment)
     for tid in paid.selected:
         sections[tid] = SECTION_ALPHA
 
@@ -349,7 +343,7 @@ def splitblock_allocate(
         all_txs[tx.id] = tx
     selected = tuple(sorted(sections))
     total_size = sum(all_txs[t].size for t in selected)
-    return AllocationResult(selected, total_size, capacity, "splitblock", sections)
+    return AllocationResult(selected, total_size, capacity, sections)
 
 
 @dataclass(frozen=True)
@@ -370,19 +364,17 @@ def _set_root(m: Mempool, result: AllocationResult) -> bytes:
     return chain.merkle_root(leaves)
 
 
-def rtfm_sample(m: Mempool, capacity, seed: SeedLike, exact: Optional[bool] = None) -> RtfmSample:
+def rtfm_sample(m: Mempool, capacity, seed: SeedLike) -> RtfmSample:
     """Draw the zero-pay uniform set and the revenue-optimal set, with roots."""
     rng = resolve_rng(seed)
     rand_res = uniform_allocate(m, capacity, rng)
-    if exact is None:
-        exact = len(m) <= EXHAUSTIVE_LIMIT
-    opt_res = optimal_allocate(m, capacity, exact=exact)
+    opt_res = optimal_allocate(m, capacity)
     rand_res = AllocationResult(
-        rand_res.selected, rand_res.total_size, capacity, "rtfm",
+        rand_res.selected, rand_res.total_size, capacity,
         {t: SECTION_RAND for t in rand_res.selected},
     )
     opt_res = AllocationResult(
-        opt_res.selected, opt_res.total_size, capacity, "rtfm",
+        opt_res.selected, opt_res.total_size, capacity,
         {t: SECTION_OPT for t in opt_res.selected},
     )
     return RtfmSample(rand_res, opt_res, _set_root(m, rand_res), _set_root(m, opt_res))

@@ -20,13 +20,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .alloc import (
-    EXHAUSTIVE_LIMIT,
     allocation_value,
     optimal_allocate,
     stfm_allocate,
     stfm_first_draw_distribution,
 )
 from .errors import DomainError, ParameterError, SolverLimitError
+from .experiments import _mean_se
 from .mech import AllocationKind, MechanismSpec, PaymentKind, run_mechanism
 from .txpool import Mempool, Transaction, zero_fee_subset
 
@@ -84,6 +84,25 @@ def _trial_seed(seed: int, i: int) -> list:
     return [int(seed), int(i)]
 
 
+def _replay(run, trials: int, seed: int) -> Tuple[list, bool]:
+    """Results of ``run(rng)`` over up to `trials` runs, and whether the rule drew.
+
+    Run i gets ``np.random.default_rng(_trial_seed(seed, i))`` and passes it
+    to run_mechanism as the seed, its only source of randomness.  So when run
+    0 leaves its generator's state unchanged, the rule drew nothing, every
+    seed gives the same outcome, and the replay stops after that one run.
+    """
+    if trials < 1:
+        raise ParameterError("trials must be at least 1")
+    rng = np.random.default_rng(_trial_seed(seed, 0))
+    state = rng.bit_generator.state
+    results = [run(rng)]
+    if rng.bit_generator.state == state:
+        return results, False
+    results += [run(np.random.default_rng(_trial_seed(seed, i))) for i in range(1, trials)]
+    return results, True
+
+
 # ---------------------------------------------------------------------------
 # Zero-fee inclusion
 
@@ -91,11 +110,11 @@ def _trial_seed(seed: int, i: int) -> list:
 def estimate_zti(spec: MechanismSpec, m: Mempool, capacity, trials: int, seed: int) -> PropertyReport:
     """Can a zero-bid transaction ever enter the block?
 
-    Analytic zero-probability certificates (posted-price filtering, a
-    deterministic revenue-maximizing rule, an oversized transaction against
-    the reserved section) yield Violated outright; otherwise the mechanism is
-    replayed `trials` times and Satisfied requires every feasible zero-bid
-    transaction to appear at least once.
+    Analytic zero-probability certificates (posted-price filtering, an
+    oversized transaction against the reserved section) yield Violated
+    outright, and so does one run of a rule that draws nothing and leaves a
+    zero bid out; a rule that draws is replayed `trials` times, and Satisfied
+    requires every feasible zero-bid transaction to appear at least once.
     """
     if trials < 1:
         raise ParameterError("trials must be at least 1")
@@ -112,16 +131,6 @@ def estimate_zti(spec: MechanismSpec, m: Mempool, capacity, trials: int, seed: i
              "tx_ids": [tx.id for tx in zeros]},
             0, "analytic certificate",
         )
-    if spec.allocation is AllocationKind.OPTIMAL:
-        outcome = run_mechanism(spec, m, capacity, seed=_trial_seed(seed, 0))
-        excluded = [tx.id for tx in zeros if tx.id not in outcome.allocation.selected_set]
-        if excluded:
-            return PropertyReport(
-                "zti", Verdict.VIOLATED,
-                {"certificate": "deterministic revenue-maximizing allocation excludes zero bids",
-                 "tx_ids": excluded},
-                1, "analytic certificate over one deterministic run",
-            )
     if spec.allocation is AllocationKind.SPLIT_BLOCK:
         reserved_cap = spec.split.one_minus_alpha_capacity(capacity)
         oversized = [tx.id for tx in zeros if tx.size > reserved_cap]
@@ -133,23 +142,32 @@ def estimate_zti(spec: MechanismSpec, m: Mempool, capacity, trials: int, seed: i
                 0, "analytic certificate",
             )
 
-    feasible = [tx.id for tx in zeros if tx.size <= capacity]
-    counts = {tid: 0 for tid in feasible}
-    for i in range(trials):
-        outcome = run_mechanism(spec, m, capacity, seed=_trial_seed(seed, i))
-        for tid in feasible:
-            if tid in outcome.allocation.selected_set:
-                counts[tid] += 1
+    def included_zeros(rng) -> tuple:
+        block = run_mechanism(spec, m, capacity, seed=rng).allocation.selected_set
+        return tuple(tx.id for tx in zeros if tx.id in block)
+
+    blocks, drew = _replay(included_zeros, trials, seed)
+    excluded = [tx.id for tx in zeros if tx.id not in blocks[0]]
+    if excluded and not drew:
+        return PropertyReport(
+            "zti", Verdict.VIOLATED,
+            {"certificate": "the rule draws no randomness, so every seed leaves these zero bids "
+                            "out of the block",
+             "tx_ids": excluded},
+            1, "certificate over one run that drew no randomness",
+        )
+    runs = len(blocks)
+    counts = {tx.id: sum(tx.id in b for b in blocks) for tx in zeros if tx.size <= capacity}
     missing = [tid for tid, c in counts.items() if c == 0]
     if not missing:
         return PropertyReport(
-            "zti", Verdict.SATISFIED, None, trials,
-            f"every feasible zero-bid transaction appeared at least once in {trials} runs",
+            "zti", Verdict.SATISFIED, None, runs,
+            f"every feasible zero-bid transaction appeared at least once in {runs} runs",
         )
     return PropertyReport(
         "zti", Verdict.INCONCLUSIVE,
-        {"never_included": missing, "frequencies": {t: c / trials for t, c in counts.items()}},
-        trials,
+        {"never_included": missing, "frequencies": {t: c / runs for t, c in counts.items()}},
+        runs,
         "some zero-bid transactions never appeared; no analytic zero-probability certificate",
     )
 
@@ -225,31 +243,31 @@ def estimate_monotonicity(
 
     base_bid = m.get(target_tx).bid
 
-    def inclusion_rate(bid) -> Tuple[float, float]:
+    def inclusion_rate(bid) -> Tuple[float, float, int]:
         pool = m.with_bid(target_tx, bid)
-        hits = 0
-        for i in range(trials):
-            out = run_mechanism(spec, pool, capacity, seed=_trial_seed(seed, i))
-            hits += target_tx in out.allocation.selected_set
-        p = hits / trials
-        return p, math.sqrt(p * (1 - p) / trials)
+        hits, _ = _replay(
+            lambda rng: target_tx in run_mechanism(spec, pool, capacity, seed=rng).allocation.selected_set,
+            trials, seed)
+        p = sum(hits) / len(hits)
+        return p, math.sqrt(p * (1 - p) / len(hits)), len(hits)
 
-    p0, se0 = inclusion_rate(base_bid)
+    p0, se0, runs = inclusion_rate(base_bid)
     increases = []
     for eps in epsilons:
-        p1, se1 = inclusion_rate(base_bid + eps)
+        p1, se1, runs1 = inclusion_rate(base_bid + eps)
+        runs = max(runs, runs1)
         margin = 2 * math.sqrt(se0 ** 2 + se1 ** 2)
         if p1 - p0 < -margin:
             return PropertyReport(
                 "monotonicity", Verdict.VIOLATED,
                 {"epsilon": eps, "rate_at_bid": p0, "rate_at_bid_plus_eps": p1},
-                trials, "estimated inclusion dropped by more than two pooled standard errors",
+                runs, "estimated inclusion dropped by more than two pooled standard errors",
             )
         increases.append(p1 - p0 > margin)
     if all(increases):
-        return PropertyReport("monotonicity", Verdict.SATISFIED, None, trials,
+        return PropertyReport("monotonicity", Verdict.SATISFIED, None, runs,
                               "every epsilon raised inclusion by more than two pooled standard errors")
-    return PropertyReport("monotonicity", Verdict.INCONCLUSIVE, None, trials,
+    return PropertyReport("monotonicity", Verdict.INCONCLUSIVE, None, runs,
                           "differences inside the two-standard-error margin")
 
 
@@ -272,20 +290,17 @@ def check_uic(
     theta = m.get(user).valuation
     if not any(b == theta for b in bid_grid):
         raise ParameterError("bid grid must contain the truthful bid (the valuation)")
-    deterministic = spec.mech_type.value == "deterministic"
-    n_runs = 1 if deterministic else trials
 
     means: Dict[float, float] = {}
     ses: Dict[float, float] = {}
+    n_runs = 0
     for b in bid_grid:
         pool = m.with_bid(user, b)
-        utils = []
-        for i in range(n_runs):
-            out = run_mechanism(spec, pool, capacity, seed=_trial_seed(seed, i))
-            utils.append(out.user_utilities[user])
-        arr = np.asarray(utils, dtype=float)
-        means[b] = float(arr.mean())
-        ses[b] = float(arr.std(ddof=1) / math.sqrt(n_runs)) if n_runs > 1 else 0.0
+        utils, _ = _replay(
+            lambda rng: run_mechanism(spec, pool, capacity, seed=rng).user_utilities[user],
+            trials, seed)
+        means[b], ses[b] = _mean_se(utils)
+        n_runs = max(n_runs, len(utils))
 
     truthful = means[theta]
     best_bid = max(bid_grid, key=lambda b: means[b])
@@ -315,16 +330,10 @@ def _expected_miner_utility(spec, m, capacity, fakes, trials, seed, **run_kwargs
         out = run_mechanism(spec, m, capacity, fakes=fakes, seed=_trial_seed(seed, 0),
                             rtfm_toss=1, **run_kwargs)
         return (1 - spec.phi) * out.miner_utility, 0.0
-    if spec.mech_type.value == "deterministic" and spec.allocation is AllocationKind.OPTIMAL:
-        out = run_mechanism(spec, m, capacity, fakes=fakes, seed=_trial_seed(seed, 0), **run_kwargs)
-        return out.miner_utility, 0.0
-    n_runs = trials
-    utils = np.empty(n_runs)
-    for i in range(n_runs):
-        out = run_mechanism(spec, m, capacity, fakes=fakes, seed=_trial_seed(seed, i), **run_kwargs)
-        utils[i] = out.miner_utility
-    se = float(utils.std(ddof=1) / math.sqrt(n_runs)) if n_runs > 1 else 0.0
-    return float(utils.mean()), se
+    utils, _ = _replay(
+        lambda rng: run_mechanism(spec, m, capacity, fakes=fakes, seed=rng, **run_kwargs).miner_utility,
+        trials, seed)
+    return _mean_se(utils)
 
 
 def _named_overrides(spec: MechanismSpec) -> List[Tuple[str, MechanismSpec, dict]]:
@@ -419,22 +428,22 @@ def empirical_cof(
     trials (exactly proportional branch counts), which estimates the same
     mean with far less noise than independent tosses.
     """
-    opt_alloc = optimal_allocate(m, capacity, exact=len(m) <= EXHAUSTIVE_LIMIT)
-    opt = allocation_value(m, opt_alloc)
+    opt = allocation_value(m, optimal_allocate(m, capacity))
     if not opt > 0:
         raise DomainError("cost of fairness undefined: the optimal revenue is zero")
 
-    deterministic = spec.mech_type.value == "deterministic"
-    n_runs = 1 if deterministic else trials
-    utils = np.empty(n_runs)
-    for i in range(n_runs):
-        toss = None
-        if spec.allocation is AllocationKind.RTFM:
-            toss = 0 if (i + 0.5) / n_runs < spec.phi else 1
-        out = run_mechanism(spec, m, capacity, seed=_trial_seed(seed, i), rtfm_toss=toss)
-        utils[i] = out.miner_utility
+    if trials < 1:
+        raise ParameterError("trials must be at least 1")
+    if spec.allocation is AllocationKind.RTFM:
+        # the zero-pay branch earns nothing and no seed changes the paying branch
+        paying = run_mechanism(spec, m, capacity, seed=_trial_seed(seed, 0), rtfm_toss=1).miner_utility
+        utils = [0.0 if (i + 0.5) / trials < spec.phi else paying for i in range(trials)]
+    else:
+        utils, _ = _replay(lambda rng: run_mechanism(spec, m, capacity, seed=rng).miner_utility,
+                           trials, seed)
+    utils = np.asarray(utils, dtype=float)
     mean = float(utils.mean())
-    cov = float(utils.std(ddof=1) / mean) if n_runs > 1 and mean > 0 else None
+    cov = float(utils.std(ddof=1) / mean) if len(utils) > 1 and mean > 0 else None
     cof = opt / mean if mean > 0 else math.inf
 
     closed: Optional[float] = None
@@ -553,7 +562,7 @@ def tune_gamma(
     if math.isinf(phi_ratio):
         return gamma_lo
 
-    opt_set = optimal_allocate(m, capacity, exact=len(m) <= EXHAUSTIVE_LIMIT).selected_set
+    opt_set = optimal_allocate(m, capacity).selected_set
     zero_ids = {tx.id for tx in m if tx.bid == 0}
     sizes = {tx.id: tx.size for tx in m}
 

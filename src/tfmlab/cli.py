@@ -28,7 +28,7 @@ from .experiments import (
     run_rtfm_sweep,
     run_stfm_sweep,
 )
-from .mech import CONFIG_KEYS, MECHANISM, POOL, AllocationKind, config_value, parse_config_text
+from .mech import AllocationKind, config_value, parse_config_text, spec_from_fields
 from .txpool import sample_mempool
 
 _ERRORS = (ConfigError, ParameterError, DomainError, SolverLimitError, MiningTimeoutError, OSError)
@@ -75,27 +75,27 @@ def _cmd_audit(args) -> int:
     prop = args.property or get("property")
     if prop not in _PROPERTIES:
         raise ConfigError(f"unknown audit property {prop!r}")
-    cfg = experiment_from_fields(fields)
-    m = sample_mempool(cfg.n, cfg.bid_dist, cfg.size_dist, seed=cfg.seed)
+    spec = spec_from_fields(fields)  # as stated: no parameter comes from a sweep grid
+    seed, capacity = get("seed"), get("capacity")
+    m = sample_mempool(get("n"), get("bids"), get("sizes"), seed=seed)
     trials = get("trials")  # the schema default, 1000, is the audit's
-    spec = cfg.mechanism
 
     if prop == "zti":
-        report = audit_mod.estimate_zti(spec, m, cfg.capacity, trials, cfg.seed)
+        report = audit_mod.estimate_zti(spec, m, capacity, trials, seed)
     elif prop == "monotonicity":
         report = audit_mod.estimate_monotonicity(spec, m, get("target_tx"), get("epsilons"),
-                                                 trials, cfg.seed, capacity=cfg.capacity)
+                                                 trials, seed, capacity=capacity)
     elif prop == "uic":
         user = get("user")
         theta = m.get(user).valuation
         grid = fields["bid_grid"] if "bid_grid" in fields else sorted(
             {theta * f for f in (0.5, 0.8, 1.0, 1.2)})
-        report = audit_mod.check_uic(spec, m, cfg.capacity, user, grid, trials, cfg.seed)
+        report = audit_mod.check_uic(spec, m, capacity, user, grid, trials, seed)
     elif prop == "mic":
-        report = audit_mod.search_mic_deviation(spec, m, cfg.capacity, get("fake_budget"),
-                                                get("fake_bid_grid"), cfg.seed, trials=trials)
+        report = audit_mod.search_mic_deviation(spec, m, capacity, get("fake_budget"),
+                                                get("fake_bid_grid"), seed, trials=trials)
     else:
-        cof = audit_mod.empirical_cof(spec, m, cfg.capacity, trials, cfg.seed)
+        cof = audit_mod.empirical_cof(spec, m, capacity, trials, seed)
         print(f"opt_utility={cof.opt_utility:.9g}")
         print(f"mech_utility_mean={cof.mech_utility_mean:.9g}")
         print(f"cof={cof.cof:.9g}")
@@ -132,21 +132,19 @@ def _cmd_mine_demo(args) -> int:
 def _cmd_tune_gamma(args) -> int:
     fields = _config_with_overrides(args)
     get = partial(config_value, fields)
-    kept = {k: v for k, v in fields.items() if CONFIG_KEYS[k].section in (MECHANISM, POOL)}
     # the tuner searches the temperature itself; any placeholder validates
-    if kept.get("allocation") is AllocationKind.SOFTMAX:
-        kept.setdefault("gamma", 1.0)
-    cfg = experiment_from_fields(kept)
-    m = sample_mempool(cfg.n, cfg.bid_dist, cfg.size_dist, seed=cfg.seed)
+    if fields.get("allocation") is AllocationKind.SOFTMAX:
+        fields.setdefault("gamma", 1.0)
+    spec_from_fields(fields)  # validates the mechanism as stated
     gamma = audit_mod.tune_gamma(
-        m,
-        cfg.capacity,
+        sample_mempool(get("n"), get("bids"), get("sizes"), seed=get("seed")),
+        get("capacity"),
         alpha_target=get("alpha_target"),
         phi_ratio=get("phi_ratio"),
         gamma_lo=get("gamma_lo"),
         gamma_hi=get("gamma_hi"),
         trials=fields.get("trials", 500),  # tune-gamma's own default, not the audit's 1000
-        seed=cfg.seed,
+        seed=get("seed"),
     )
     print(f"gamma_star={gamma:.6g}")
     return 0

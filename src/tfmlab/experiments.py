@@ -72,7 +72,8 @@ class SweepRow:
     zero_payment_fraction: float = 0.0
 
 
-def _mean_se(values: np.ndarray) -> Tuple[float, float]:
+def _mean_se(values) -> Tuple[float, float]:
+    values = np.asarray(values, dtype=float)
     mean = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
     return mean, se

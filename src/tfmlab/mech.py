@@ -30,7 +30,6 @@ from enum import Enum
 from typing import Callable, Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .alloc import (
-    EXHAUSTIVE_LIMIT,
     AllocationResult,
     SECTION_ONE_MINUS_ALPHA,
     SECTION_OPT,
@@ -71,11 +70,6 @@ class BurnKind(Enum):
     POSTED_PRICE = "posted"
 
 
-class MechType(Enum):
-    DETERMINISTIC = "deterministic"
-    RANDOMIZED = "randomized"
-
-
 @dataclass(frozen=True)
 class MechanismSpec:
     """Complete description of a fee mechanism."""
@@ -102,12 +96,6 @@ class MechanismSpec:
         if self.payment is PaymentKind.POSTED_PRICE:
             if self.base_fee is None or self.base_fee < 0:
                 raise ParameterError("posted-price payment needs base_fee >= 0")
-
-    @property
-    def mech_type(self) -> MechType:
-        if self.allocation in (AllocationKind.SOFTMAX, AllocationKind.RTFM, AllocationKind.UNIFORM):
-            return MechType.RANDOMIZED
-        return MechType.DETERMINISTIC
 
     # Common mechanisms, by their usual names.
     @classmethod
@@ -210,10 +198,6 @@ def _posted_eligible(pool: Mempool, lam: float) -> Mempool:
     return Mempool([tx for tx in pool if tx.bid >= lam])
 
 
-def _auto_exact(pool: Mempool) -> bool:
-    return len(pool) <= EXHAUSTIVE_LIMIT
-
-
 def _objective_payment(spec: MechanismSpec, pool: Mempool) -> Optional[Dict[int, float]]:
     if spec.payment is PaymentKind.POSTED_PRICE:
         return {tx.id: tx.bid - spec.base_fee for tx in pool}
@@ -252,7 +236,6 @@ def run_mechanism(
     fakes: Sequence[Transaction] = (),
     seed: SeedLike = 0,
     rtfm_toss: Optional[int] = None,
-    exact: Optional[bool] = None,
     splitblock_demote: Optional[bool] = None,
 ) -> MechanismOutcome:
     """Execute one block of the mechanism over the pool plus miner fakes.
@@ -279,10 +262,7 @@ def run_mechanism(
 
     if spec.allocation is AllocationKind.OPTIMAL:
         cand = _posted_eligible(pool, lam) if lam is not None else pool
-        use_exact = _auto_exact(cand) if exact is None else exact
-        allocation = optimal_allocate(
-            cand, capacity, payment_per_unit=_objective_payment(spec, cand), exact=use_exact
-        )
+        allocation = optimal_allocate(cand, capacity, payment_per_unit=_objective_payment(spec, cand))
     elif spec.allocation is AllocationKind.UNIFORM:
         cand = _posted_eligible(pool, lam) if lam is not None else pool
         allocation = uniform_allocate(cand, capacity, rng)
@@ -298,7 +278,7 @@ def run_mechanism(
             real_pool = m
         allocation = splitblock_allocate(
             real_pool, capacity, spec.split, fake_fill=fakes, seed=rng,
-            demote_to_posted=splitblock_demote, alpha_payment=alpha_pay, exact=exact,
+            demote_to_posted=splitblock_demote, alpha_payment=alpha_pay,
         )
         sections = allocation.sections
     elif spec.allocation is AllocationKind.RTFM:
@@ -308,19 +288,14 @@ def run_mechanism(
         if toss == 0:
             raw = uniform_allocate(pool, capacity, rng)
             allocation = AllocationResult(
-                raw.selected, raw.total_size, capacity, "rtfm",
-                {t: SECTION_RAND for t in raw.selected},
+                raw.selected, raw.total_size, capacity, {t: SECTION_RAND for t in raw.selected}
             )
         else:
             rng.permutation(len(pool))  # keep the seed stream aligned across branches
             cand = _posted_eligible(pool, lam) if lam is not None else pool
-            use_exact = _auto_exact(cand) if exact is None else exact
-            raw = optimal_allocate(
-                cand, capacity, payment_per_unit=_objective_payment(spec, cand), exact=use_exact
-            )
+            raw = optimal_allocate(cand, capacity, payment_per_unit=_objective_payment(spec, cand))
             allocation = AllocationResult(
-                raw.selected, raw.total_size, capacity, "rtfm",
-                {t: SECTION_OPT for t in raw.selected},
+                raw.selected, raw.total_size, capacity, {t: SECTION_OPT for t in raw.selected}
             )
     else:  # pragma: no cover
         raise ParameterError(f"unknown allocation kind {spec.allocation}")

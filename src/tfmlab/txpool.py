@@ -18,6 +18,10 @@ from .errors import ParameterError
 
 SeedLike = Union[int, Sequence[int], np.random.Generator]
 
+# Rejection rounds before a truncated Gaussian's mean counts as too far below
+# zero: 1000 draws at 3.5 sd below need about 33,000, at 8 sd about 10^15.
+_TRUNCATED_GAUSSIAN_ROUNDS = 100_000
+
 
 def resolve_rng(seed: SeedLike) -> np.random.Generator:
     """Return a PCG64 generator; pass-through if one is given."""
@@ -44,12 +48,12 @@ class Transaction:
     def __post_init__(self) -> None:
         if self.id < 0:
             raise ParameterError(f"transaction id must be non-negative, got {self.id}")
-        if not self.size > 0:
-            raise ParameterError(f"transaction size must be positive, got {self.size}")
-        if self.bid < 0:
-            raise ParameterError(f"bid must be non-negative, got {self.bid}")
-        if self.valuation < 0:
-            raise ParameterError(f"valuation must be non-negative, got {self.valuation}")
+        if not 0 < self.size < math.inf:
+            raise ParameterError(f"transaction size must be positive and finite, got {self.size}")
+        if not 0 <= self.bid < math.inf:
+            raise ParameterError(f"bid must be non-negative and finite, got {self.bid}")
+        if not 0 <= self.valuation < math.inf:
+            raise ParameterError(f"valuation must be non-negative and finite, got {self.valuation}")
 
     @property
     def total_fee(self):
@@ -92,6 +96,8 @@ class Mempool:
         return self._txs
 
     def get(self, tx_id: int) -> Transaction:
+        if tx_id not in self._by_id:
+            raise ParameterError(f"unknown transaction id {tx_id}")
         return self._by_id[tx_id]
 
     def ids(self) -> tuple:
@@ -149,32 +155,30 @@ class BidDistribution:
 
     @classmethod
     def uniform(cls, lo: float, hi: float) -> "BidDistribution":
-        if lo < 0 or hi < lo:
-            raise ParameterError(f"uniform bounds need 0 <= lo <= hi, got ({lo}, {hi})")
+        if not 0 <= lo <= hi < math.inf:
+            raise ParameterError(f"uniform bounds need 0 <= lo <= hi < inf, got ({lo}, {hi})")
         return cls("uniform", (float(lo), float(hi)))
 
     @classmethod
     def truncated_gaussian(cls, mean: float, sd: float) -> "BidDistribution":
-        if not sd > 0:
-            raise ParameterError(f"sd must be positive, got {sd}")
+        _check_gaussian(mean, sd)
         return cls("truncated_gaussian", (float(mean), float(sd)))
 
     @classmethod
     def censored_gaussian(cls, mean: float, sd: float) -> "BidDistribution":
-        if not sd > 0:
-            raise ParameterError(f"sd must be positive, got {sd}")
+        _check_gaussian(mean, sd)
         return cls("censored_gaussian", (float(mean), float(sd)))
 
     @classmethod
     def exponential(cls, rate: float) -> "BidDistribution":
-        if not rate > 0:
-            raise ParameterError(f"rate must be positive, got {rate}")
+        if not 0 < rate < math.inf:
+            raise ParameterError(f"rate must be positive and finite, got {rate}")
         return cls("exponential", (float(rate),))
 
     @classmethod
     def constant(cls, v: float) -> "BidDistribution":
-        if v < 0:
-            raise ParameterError(f"constant value must be non-negative, got {v}")
+        if not 0 <= v < math.inf:
+            raise ParameterError(f"constant value must be non-negative and finite, got {v}")
         return cls("constant", (float(v),))
 
     @classmethod
@@ -192,10 +196,17 @@ class BidDistribution:
         if self.kind == "truncated_gaussian":
             mean, sd = self.params
             out = rng.normal(mean, sd, n)
-            bad = out < 0
-            while bad.any():
-                out[bad] = rng.normal(mean, sd, int(bad.sum()))
-                bad = out < 0
+            bad = np.flatnonzero(out < 0)
+            rounds = 0
+            while bad.size:
+                if rounds == _TRUNCATED_GAUSSIAN_ROUNDS:
+                    raise ParameterError(
+                        f"truncated_gaussian({mean:g},{sd:g}): {bad.size} of {n} draws still "
+                        f"negative after {rounds} rounds; the mean lies too far below zero")
+                redraw = rng.normal(mean, sd, bad.size)
+                out[bad] = redraw
+                bad = bad[redraw < 0]
+                rounds += 1
             return out
         if self.kind == "censored_gaussian":
             mean, sd = self.params
@@ -232,6 +243,13 @@ class BidDistribution:
             return f"zero_inflated({self.params[0]:g},{self.inner.spec_string()})"
         inside = ",".join(f"{p:g}" for p in self.params)
         return f"{self.kind}({inside})"
+
+
+def _check_gaussian(mean: float, sd: float) -> None:
+    if not 0 < sd < math.inf:
+        raise ParameterError(f"sd must be positive and finite, got {sd}")
+    if not -math.inf < mean < math.inf:
+        raise ParameterError(f"mean must be finite, got {mean}")
 
 
 def parse_distribution(text: str) -> BidDistribution:

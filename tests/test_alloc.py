@@ -108,6 +108,31 @@ def test_exact_limit_error():
         optimal_allocate(m, 5.0, exact=True)
 
 
+def test_default_knapsack_is_exact_up_to_the_limit_and_greedy_above():
+    # greedy takes the densest item (3, 2) and then nothing fits; exact takes the two others
+    items = [(3, 2), (2.8, 1.5), (2.8, 1.5)]
+    m = pool(items)
+    assert optimal_allocate(m, 3.0).selected == optimal_allocate(m, 3.0, exact=True).selected == (1, 2)
+    assert optimal_allocate(m, 3.0, exact=False).selected == (0,)
+    big = pool(items + [(0.1, 5)] * 22)  # 25 transactions: one past the limit
+    assert optimal_allocate(big, 3.0).selected == optimal_allocate(big, 3.0, exact=False).selected
+    with pytest.raises(SolverLimitError):
+        optimal_allocate(big, 30.0, exact=True)
+
+
+@pytest.mark.parametrize("allocate", [
+    lambda m, c: optimal_allocate(m, c),
+    lambda m, c: uniform_allocate(m, c, seed=0),
+    lambda m, c: stfm_allocate(m, c, 1.0, seed=0),
+    lambda m, c: splitblock_allocate(m, c, SplitBlockConfig(0.5), seed=0),
+], ids=["optimal", "uniform", "softmax", "splitblock"])
+def test_allocators_reject_a_nan_or_negative_capacity(allocate):
+    m = pool([3, 0, 1], sizes_equal=True)
+    for capacity in (math.nan, -1.0):
+        with pytest.raises(ParameterError):
+            allocate(m, capacity)
+
+
 def test_optimal_never_selects_zero_weight():
     m = pool([0, 0, 3], sizes_equal=True)
     res = optimal_allocate(m, 3.0, exact=True)
@@ -401,4 +426,4 @@ def test_infeasible_allocation_rejected():
     from tfmlab.alloc import AllocationResult
 
     with pytest.raises(ParameterError):
-        AllocationResult((0,), 5.0, 4.0, "main")
+        AllocationResult((0,), 5.0, 4.0)

@@ -72,6 +72,15 @@ def test_zti_splitblock_satisfied_when_sizes_fit():
     assert report.verdict is Verdict.SATISFIED
 
 
+def test_zti_splitblock_that_draws_nothing_is_violated():
+    # the one posted-fee bidder always fills the one reserved slot, so the zero bid never enters
+    report = estimate_zti(MechanismSpec.split_block(0.5, delta=1.0), unit_pool([5, 0, 3, 1]),
+                          2.0, 100, 1)
+    assert report.verdict is Verdict.VIOLATED
+    assert report.witness["tx_ids"] == [1]
+    assert report.trials == 1
+
+
 # ---------------------------------------------------------------------------
 # monotonicity
 
@@ -138,6 +147,45 @@ def test_uic_rtfm_inherits_payment_rule_verdict():
     m2 = unit_pool([2, 5])
     report = check_uic(spec, m2, 1.0, user=1, bid_grid=[3.0, 5.0], trials=3000, seed=0)
     assert report.verdict is Verdict.VIOLATED
+
+
+@pytest.mark.parametrize("seed", [42, 876866727, 13])
+def test_uic_split_block_underbidding_to_the_posted_fee(seed):
+    """Six posted-fee bids of 1 share two reserved slots at random, so a user
+    valuing 3 gains about 0.72 in expectation by bidding 1 and nothing by
+    bidding 3: one run cannot show this."""
+    m = Mempool([Transaction(i, 1.0, 1.0, 3.0) for i in range(6)]
+                + [Transaction(6, 1.0, 5.0, 5.0)])
+    report = check_uic(MechanismSpec.split_block(0.5, delta=1.0), m, 4.0, user=0,
+                       bid_grid=[1.0, 3.0], trials=500, seed=seed)
+    assert report.verdict is Verdict.VIOLATED
+    assert report.witness["deviating_bid"] == 1.0
+    assert report.trials == 500
+
+
+def test_audit_run_count_follows_whether_the_rule_draws():
+    """One run where the rule draws nothing from its seed, `trials` runs where it draws."""
+    plain = unit_pool([2, 3, 5])
+    posted_fee_pair = unit_pool([2, 1, 1, 3])
+    cases = [
+        (MechanismSpec.first_price(), plain, 1),
+        (MechanismSpec.eip1559(1.0), plain, 1),
+        (MechanismSpec.split_block(0.5, delta=1.0), plain, 1),  # no posted-fee bidder
+        (MechanismSpec.uniform(), plain, 50),
+        (MechanismSpec.stfm(1.0), plain, 50),
+        (MechanismSpec.rtfm(0.5), plain, 50),
+        (MechanismSpec.split_block(0.5, delta=1.0), posted_fee_pair, 50),
+    ]
+    for spec, m, runs in cases:
+        report = check_uic(spec, m, 2.0, user=0, bid_grid=[2.0], trials=50, seed=0)
+        assert report.trials == runs, spec
+
+
+def test_audits_need_a_trial():
+    with pytest.raises(ParameterError):
+        check_uic(MechanismSpec.first_price(), unit_pool([2, 5]), 1.0, 1, [5.0], 0, 0)
+    with pytest.raises(ParameterError):
+        empirical_cof(MechanismSpec.rtfm(0.5), unit_pool([2, 5]), 1.0, 0, 0)
 
 
 def test_uic_grid_must_contain_truthful_bid():
@@ -238,6 +286,13 @@ def test_cof_rtfm_matches_mixture():
     assert report.cof == pytest.approx(2.0, rel=0.05)
     assert report.closed_form == pytest.approx(2.0)
     assert report.cov == pytest.approx(1.0, rel=0.1)
+
+
+def test_cof_rtfm_on_a_single_transaction_is_the_mixture():
+    # neither branch draws on a one-transaction pool; the stratified tosses still mix them
+    report = empirical_cof(MechanismSpec.rtfm(0.5), unit_pool([4]), 2.0, trials=400, seed=3)
+    assert report.mech_utility_mean == 2.0
+    assert report.cof == report.closed_form == 2.0
 
 
 def test_cof_deterministic_optimal_is_one():

@@ -302,6 +302,8 @@ def test_cli_tune_gamma(tmp_path, capsys):
     ("audit", "epsilons = 1,x"),
     ("sweep-rtfm", "stratified_toss = maybe"),
     ("tune-gamma", "bids = uniform(1)"),
+    ("sweep-rtfm", "bids = uniform(0,inf)"),
+    ("audit", "sizes = exponential(nan)"),
 ])
 def test_cli_malformed_value_exits_2_without_traceback(tmp_path, capsys, command, line):
     cfg = write_cfg(tmp_path, "allocation = rtfm\nphi = 0.5\nn = 10\ncapacity = 4\nruns = 2\n"
@@ -310,3 +312,19 @@ def test_cli_malformed_value_exits_2_without_traceback(tmp_path, capsys, command
     assert cli_main([command, "--config", cfg] + extra) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and line.split()[0] in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("allocation,key", [("rtfm", "phi"), ("softmax", "gamma")])
+def test_cli_audit_needs_the_mechanism_parameter_stated(tmp_path, capsys, allocation, key):
+    """A sweep seeds phi or gamma from its grid; an audit must not audit phi = 0 silently."""
+    cfg = write_cfg(tmp_path, f"allocation = {allocation}\nn = 20\ncapacity = 5\nseed = 1\n")
+    assert cli_main(["audit", "--property", "cof", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err and "Traceback" not in err
+
+
+def test_cli_audit_unknown_user_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "allocation = optimal\nn = 20\ncapacity = 5\nuser = 500\n")
+    assert cli_main(["audit", "--property", "uic", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "500" in err and "Traceback" not in err

@@ -7,7 +7,6 @@ from tfmlab import (
     BidDistribution,
     ConfigError,
     MechanismSpec,
-    MechType,
     Mempool,
     ParameterError,
     PaymentKind,
@@ -143,14 +142,6 @@ def test_is_excessively_low():
     assert is_excessively_low(6.0, m, 3.0)          # nothing valued above the fee
     assert is_excessively_low(4.0, m, 3.0)          # demand 3 fits capacity 3
     assert not is_excessively_low(0.0, m, 2.0)      # demand 3 exceeds capacity 2
-
-
-def test_mech_type_classification():
-    assert MechanismSpec.first_price().mech_type is MechType.DETERMINISTIC
-    assert MechanismSpec.split_block(0.5).mech_type is MechType.DETERMINISTIC
-    assert MechanismSpec.stfm(1.0).mech_type is MechType.RANDOMIZED
-    assert MechanismSpec.rtfm(0.5).mech_type is MechType.RANDOMIZED
-    assert MechanismSpec.uniform().mech_type is MechType.RANDOMIZED
 
 
 def test_spec_validation():

@@ -75,6 +75,23 @@ def test_truncated_gaussian_has_no_zero_atom():
     assert not np.any(draws == 0.0)
 
 
+def test_truncated_gaussian_far_below_zero_raises_instead_of_looping():
+    with pytest.raises(ParameterError, match="too far below zero"):
+        BidDistribution.truncated_gaussian(-8, 1).sample(np.random.default_rng(0), 10)
+
+
+@pytest.mark.parametrize("mean,sd,n", [(5, 4, 5000), (-3, 1, 1000)])
+def test_truncated_gaussian_round_bound_leaves_draws_unchanged(mean, sd, n):
+    """The bounded loop gives the same draws as rejecting until none is
+    negative, also where that takes thousands of rounds (mean -3 sd)."""
+    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    draws = BidDistribution.truncated_gaussian(mean, sd).sample(rng, n)
+    ref = ref_rng.normal(mean, sd, n)
+    while (ref < 0).any():
+        ref[ref < 0] = ref_rng.normal(mean, sd, int((ref < 0).sum()))
+    assert np.array_equal(draws, ref)
+
+
 def test_zero_inflated_atom():
     dist = BidDistribution.zero_inflated(0.3, BidDistribution.uniform(0, 5))
     draws = dist.sample(np.random.default_rng(3), 200_000)
@@ -89,6 +106,14 @@ def test_zero_inflated_atom():
     lambda: BidDistribution.exponential(0),
     lambda: BidDistribution.constant(-2),
     lambda: BidDistribution.zero_inflated(1.5, BidDistribution.constant(1)),
+    lambda: BidDistribution.uniform(0, math.inf),
+    lambda: BidDistribution.uniform(math.nan, 1),
+    lambda: BidDistribution.truncated_gaussian(math.nan, 1),
+    lambda: BidDistribution.censored_gaussian(4, math.inf),
+    lambda: BidDistribution.censored_gaussian(-math.inf, 1),
+    lambda: BidDistribution.exponential(math.inf),
+    lambda: BidDistribution.constant(math.nan),
+    lambda: BidDistribution.zero_inflated(math.nan, BidDistribution.constant(1)),
 ])
 def test_invalid_distribution_parameters(bad):
     with pytest.raises(ParameterError):
@@ -113,6 +138,10 @@ def test_transaction_invariants():
         Transaction(0, 1.0, -1.0, 1.0)
     with pytest.raises(ParameterError):
         Transaction(0, 1.0, 1.0, -1.0)
+    for size, bid, valuation in [(1.0, math.nan, 1.0), (1.0, math.inf, 1.0), (math.nan, 1.0, 1.0),
+                                 (math.inf, 1.0, 1.0), (1.0, 1.0, math.nan), (1.0, 1.0, math.inf)]:
+        with pytest.raises(ParameterError):
+            Transaction(0, size, bid, valuation)
     tx = Transaction(0, 2.0, 3.0, 3.0)
     assert tx.total_fee == 6.0
 
