@@ -4,17 +4,26 @@ Every rule returns an :class:`AllocationResult` that respects the feasibility
 constraint ``sum(size) <= capacity``.  Randomized rules take an explicit seed
 (or generator) and are pure functions of their inputs.
 
-Sampling notes:
+Sampling notes: the greedy knapsack, the uniform rule and the softmax rule
+are one walk over an order of the pool's rows, keeping every row that still
+fits.  Only the order differs:
 
-* ``uniform_allocate`` draws a random permutation and walks it, keeping every
-  transaction that still fits.  By exchangeability this is identical in
-  distribution to repeatedly picking a uniformly random transaction among the
-  ones that still fit.
-* ``stfm_allocate`` orders transactions by perturbed score ``bid/gamma +
-  Gumbel`` and walks that order the same way.  The Gumbel-key order realizes
-  sequential softmax sampling without replacement, and conditioning each pick
-  on "still fits" preserves that equivalence, so the sampler matches the
-  re-normalize-after-each-draw procedure while staying O(n log n).
+* greedy: a stable sort by objective weight per unit size, highest first,
+  lowest id first among ties;
+* uniform: a random permutation.  By exchangeability, walking it is identical
+  in distribution to repeatedly picking a uniformly random transaction among
+  the ones that still fit;
+* softmax: the Gumbel-top-k order of the keys ``bid/gamma + Gumbel`` (Kool,
+  van Hoof & Welling, ICML 2019).  It realizes sequential softmax sampling
+  without replacement, and conditioning each pick on "still fits" preserves
+  that equivalence, so the sampler matches the re-normalize-after-each-draw
+  procedure while staying O(n log n).
+
+The walk cuts the prefix that fits from the cumulative sizes along the order,
+then steps through the rest one row at a time and stops once the smallest
+size still ahead no longer fits; with equal sizes nothing after the cut fits.
+Its running total adds sizes in walk order, exactly as a ``total += size``
+loop would.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ import numpy as np
 
 from . import chain
 from .errors import DomainError, ParameterError, SolverLimitError
-from .txpool import Mempool, SeedLike, Transaction, resolve_rng
+from .txpool import Mempool, PoolColumns, SeedLike, Transaction, resolve_rng
 
 EXHAUSTIVE_LIMIT = 24
 
@@ -71,17 +80,59 @@ class AllocationResult:
         return len(self.selected)
 
 
-def _weights(m: Mempool, payment, burn) -> Dict[int, object]:
-    """Per-transaction objective weight: s*p for real txs, -s*q for fakes."""
-    w = {}
-    for tx in m:
-        try:
-            p = tx.bid if payment is None else payment[tx.id]
-            q = 0 if burn is None else burn[tx.id]
-        except KeyError as exc:
-            raise ParameterError(f"payment/burn undefined for transaction {exc}") from exc
-        w[tx.id] = -tx.size * q if tx.fake else tx.size * p
+def _weights(c: PoolColumns, payment, burn) -> np.ndarray:
+    """Objective weight of each row: s*p for real txs, -s*q for fakes.
+
+    `payment` and `burn` hold one per-unit value per row, in pool order;
+    payment defaults to the bid and burn to zero.
+    """
+    p = c.bids if payment is None else _per_row(payment, c)
+    w = c.sizes * p
+    if np.count_nonzero(c.fake):
+        q = 0 if burn is None else _per_row(burn, c)
+        w = np.where(c.fake, -c.sizes * q, w)
     return w
+
+
+def _per_row(values, c: PoolColumns) -> np.ndarray:
+    values = np.asarray(values)
+    if values.shape != c.ids.shape:
+        raise ParameterError(f"payment/burn needs one value per pool row ({len(c.ids)}), "
+                             f"got shape {values.shape}")
+    return values
+
+
+def _walk(sizes: np.ndarray, order: np.ndarray, capacity, total=0):
+    """Walk the rows of `order`, keeping each one that still fits.
+
+    Returns the kept rows, in walk order, and `total` plus their sizes added
+    in that order.  The prefix that fits is cut from the cumulative sizes;
+    the rest is walked one row at a time until the smallest size still ahead
+    no longer fits.
+    """
+    if not len(order):
+        return order, total
+    s = sizes[order]
+    running = np.concatenate(([total], s)).cumsum()[1:] if total else s.cumsum()
+    cut = int(np.count_nonzero(running <= capacity))  # sizes are positive: a prefix
+    if cut:
+        total = running.item(cut - 1)
+    rest = s[cut + 1:]  # the row at `cut` did not fit
+    if not len(rest) or total + np.minimum.reduce(rest) > capacity:
+        return order[:cut], total
+    smallest_ahead = np.minimum.accumulate(rest[::-1])[::-1]
+    # where even the current total cannot take the smallest size ahead, no later row fits
+    stop = int(np.count_nonzero(total + smallest_ahead <= capacity))
+    kept = []
+    for pos, (size, low) in enumerate(zip(rest[:stop].tolist(), smallest_ahead[:stop].tolist())):
+        if total + low > capacity:
+            break
+        if total + size <= capacity:
+            kept.append(pos)
+            total += size
+    if kept:
+        return np.concatenate((order[:cut], order[cut + 1:][kept])), total
+    return order[:cut], total
 
 
 def _exact_knapsack(items, capacity):
@@ -133,13 +184,15 @@ def _exact_knapsack(items, capacity):
 def optimal_allocate(
     m: Mempool,
     capacity,
-    payment_per_unit: Optional[Mapping[int, float]] = None,
-    burn_per_unit: Optional[Mapping[int, float]] = None,
+    payment_per_unit: Optional[Sequence] = None,
+    burn_per_unit: Optional[Sequence] = None,
     exact: Optional[bool] = None,
 ) -> AllocationResult:
     """Revenue-maximizing feasible selection (knapsack).
 
-    Payment defaults to each transaction's bid and burn to zero.  Exact mode
+    `payment_per_unit` and `burn_per_unit` give one value per pool row, in
+    pool order.  Payment defaults to each transaction's bid and burn to
+    zero.  Exact mode
     solves the knapsack outright and is limited to ``EXHAUSTIVE_LIMIT``
     candidates; greedy mode ranks by payment per unit size.  By default the
     knapsack is exact for pools of at most ``EXHAUSTIVE_LIMIT`` transactions
@@ -148,40 +201,32 @@ def optimal_allocate(
     """
     if not capacity >= 0:
         raise ParameterError(f"capacity must be non-negative, got {capacity}")
-    w = _weights(m, payment_per_unit, burn_per_unit)
-    candidates = [
-        (tx.id, tx.size, w[tx.id])
-        for tx in m
-        if w[tx.id] > 0 and tx.size <= capacity
-    ]
+    c = m.columns
+    w = _weights(c, payment_per_unit, burn_per_unit)
+    # candidates by weight per unit size, highest first, then lowest id
+    order = np.lexsort((c.ids, -(w / c.sizes)))
+    order = order[(w[order] > 0) & (c.sizes[order] <= capacity)]
     if exact is None:
         exact = len(m) <= EXHAUSTIVE_LIMIT
-    if exact and len(candidates) > EXHAUSTIVE_LIMIT:
+    if exact and len(order) > EXHAUSTIVE_LIMIT:
         raise SolverLimitError(
             f"exact knapsack limited to {EXHAUSTIVE_LIMIT} candidates, got "
-            f"{len(candidates)}; call with exact=False for the greedy rule"
+            f"{len(order)}; call with exact=False for the greedy rule"
         )
-    candidates.sort(key=lambda it: (-(it[2] / it[1]), it[0]))
     if exact:
-        _, chosen = _exact_knapsack(candidates, capacity)
-        selected = tuple(sorted(chosen))
-    else:
-        total = 0
-        picked = []
-        for tid, size, _ in candidates:
-            if total + size <= capacity:
-                picked.append(tid)
-                total += size
-        selected = tuple(sorted(picked))
-    sizes = {tx.id: tx.size for tx in m}
-    total_size = sum(sizes[t] for t in selected)
-    return AllocationResult(selected, total_size, capacity)
+        ids, sizes = c.ids[order].tolist(), c.sizes[order].tolist()
+        _, chosen = _exact_knapsack(list(zip(ids, sizes, w[order].tolist())), capacity)
+        size_of = dict(zip(ids, sizes))
+        return AllocationResult(chosen, sum(size_of[t] for t in chosen), capacity)
+    rows, _ = _walk(c.sizes, order, capacity)
+    rows = rows[c.ids[rows].argsort()]
+    return AllocationResult(tuple(c.ids[rows].tolist()), sum(c.sizes[rows].tolist()), capacity)
 
 
 def allocation_value(m: Mempool, result: AllocationResult, payment_per_unit=None, burn_per_unit=None):
     """Objective value of a selection under the same weighting as Eq.-style revenue."""
-    w = _weights(m, payment_per_unit, burn_per_unit)
-    return sum(w[t] for t in result.selected)
+    w = _weights(m.columns, payment_per_unit, burn_per_unit)
+    return sum(w[m.rows_of(result.selected)].tolist())
 
 
 def uniform_allocate(m: Mempool, capacity, seed: SeedLike) -> AllocationResult:
@@ -189,16 +234,8 @@ def uniform_allocate(m: Mempool, capacity, seed: SeedLike) -> AllocationResult:
     if not capacity >= 0:
         raise ParameterError(f"capacity must be non-negative, got {capacity}")
     rng = resolve_rng(seed)
-    txs = m.transactions
-    order = rng.permutation(len(txs))
-    total = 0
-    picked = []
-    for idx in order:
-        tx = txs[idx]
-        if total + tx.size <= capacity:
-            picked.append(tx.id)
-            total += tx.size
-    return AllocationResult(tuple(picked), total, capacity)
+    rows, total = _walk(m.columns.sizes, rng.permutation(len(m)), capacity)
+    return AllocationResult(tuple(m.columns.ids[rows].tolist()), total, capacity)
 
 
 def stfm_first_draw_distribution(m: Mempool, gamma: float) -> Dict[int, float]:
@@ -216,7 +253,7 @@ def stfm_first_draw_distribution(m: Mempool, gamma: float) -> Dict[int, float]:
     z -= z.max()  # max-shift keeps exp() in range for large bid/gamma
     expz = np.exp(z)
     probs = expz / expz.sum()
-    return {tx.id: float(p) for tx, p in zip(m, probs)}
+    return dict(zip(m.ids(), probs.tolist()))
 
 
 def stfm_allocate(m: Mempool, capacity, gamma: float, seed: SeedLike) -> AllocationResult:
@@ -234,22 +271,11 @@ def stfm_allocate(m: Mempool, capacity, gamma: float, seed: SeedLike) -> Allocat
     n = len(m)
     if n == 0:
         return AllocationResult((), 0, capacity)
-    keys = m.bids() / gamma + rng.gumbel(size=n)
-    order = np.argsort(-keys, kind="stable")
-    txs = m.transactions
-    sizes = m.sizes()
-    # smallest size still ahead of each walk position, for early exit
-    suffix_min = np.minimum.accumulate(sizes[order][::-1])[::-1]
-    total = 0.0
-    picked = []
-    for pos, idx in enumerate(order):
-        if total + suffix_min[pos] > capacity:
-            break
-        tx = txs[idx]
-        if total + tx.size <= capacity:
-            picked.append(tx.id)
-            total += tx.size
-    return AllocationResult(tuple(picked), total, capacity)
+    c = m.columns
+    keys = c.bids.astype(float, copy=False) / gamma + rng.gumbel(size=n)
+    # the walk runs in floats whatever the size column holds
+    rows, total = _walk(c.sizes.astype(float, copy=False), (-keys).argsort(kind="stable"), capacity)
+    return AllocationResult(tuple(c.ids[rows].tolist()), float(total), capacity)
 
 
 @dataclass(frozen=True)
@@ -283,7 +309,7 @@ def splitblock_allocate(
     fake_fill: Optional[Sequence[Transaction]] = None,
     seed: SeedLike = 0,
     demote_to_posted: Optional[bool] = None,
-    alpha_payment: Optional[Mapping[int, float]] = None,
+    alpha_payment: Optional[Sequence] = None,
 ) -> AllocationResult:
     """Two-section allocation: posted-fee section first, then the paid section.
 
@@ -293,7 +319,8 @@ def splitblock_allocate(
     delta > 0) any real transaction may stand in at the posted fee when
     explicit delta bids run short, lowest bids first; the zero-fee variant
     never demotes, so an underfilled section stays underfilled.  The paid
-    section is then solved as a knapsack over the remaining transactions.
+    section is then solved as a knapsack over the remaining transactions,
+    weighted by `alpha_payment` (one value per row of `m`) when given.
     """
     if not capacity >= 0:
         raise ParameterError(f"capacity must be non-negative, got {capacity}")
@@ -303,47 +330,36 @@ def splitblock_allocate(
     cap_posted = cfg.one_minus_alpha_capacity(capacity)
     cap_paid = cfg.alpha_capacity(capacity)
 
-    sections: Dict[int, str] = {}
-    placed = set()
-    total_posted = 0
-
-    fakes = list(fake_fill or ())
-    for tx in fakes:
-        # a fake must offer the posted fee to pass for a reserved-section entry
-        if tx.bid == cfg.delta and total_posted + tx.size <= cap_posted:
-            sections[tx.id] = SECTION_ONE_MINUS_ALPHA
-            placed.add(tx.id)
-            total_posted += tx.size
-
-    posted_pool = [tx for tx in m if tx.bid == cfg.delta and tx.id not in placed]
-    for idx in rng.permutation(len(posted_pool)):
-        tx = posted_pool[idx]
-        if total_posted + tx.size <= cap_posted:
-            sections[tx.id] = SECTION_ONE_MINUS_ALPHA
-            placed.add(tx.id)
-            total_posted += tx.size
-
+    n = len(m)
+    pool = m.extend(fake_fill or ())  # m's rows, then the fakes
+    c = pool.columns
+    # a fake must offer the posted fee to pass for a reserved-section entry
+    reserved, total_posted = _walk(c.sizes, n + (c.bids[n:] == cfg.delta).nonzero()[0], cap_posted)
+    posted = (c.bids[:n] == cfg.delta).nonzero()[0]
+    rows, total_posted = _walk(c.sizes, posted[rng.permutation(len(posted))], cap_posted,
+                               total_posted)
+    reserved = np.concatenate((reserved, rows))
+    placed = np.zeros(n, dtype=bool)
+    placed[rows] = True
     if demote_to_posted:
-        leftovers = sorted(
-            (tx for tx in m if tx.id not in placed), key=lambda tx: (tx.bid, tx.id)
-        )
-        for tx in leftovers:
-            if total_posted + tx.size <= cap_posted:
-                sections[tx.id] = SECTION_ONE_MINUS_ALPHA
-                placed.add(tx.id)
-                total_posted += tx.size
+        left = (~placed).nonzero()[0]
+        rows, total_posted = _walk(c.sizes, left[np.lexsort((c.ids[left], c.bids[left]))],
+                                   cap_posted, total_posted)
+        reserved = np.concatenate((reserved, rows))
+        placed[rows] = True
 
-    paid_pool = Mempool([tx for tx in m if tx.id not in placed and tx.bid != cfg.delta])
-    paid = optimal_allocate(paid_pool, cap_paid, payment_per_unit=alpha_payment)
-    for tid in paid.selected:
-        sections[tid] = SECTION_ALPHA
+    # the paid section is the knapsack over the rest: a zero payment keeps a row out
+    paid_rows = ~placed & (c.bids[:n] != cfg.delta)
+    payment = c.bids[:n] if alpha_payment is None else np.asarray(alpha_payment)
+    paid = optimal_allocate(m, cap_paid, payment_per_unit=np.where(paid_rows, payment, 0),
+                            exact=np.count_nonzero(paid_rows) <= EXHAUSTIVE_LIMIT)
 
-    all_txs = {tx.id: tx for tx in m}
-    for tx in fakes:
-        all_txs[tx.id] = tx
-    selected = tuple(sorted(sections))
-    total_size = sum(all_txs[t].size for t in selected)
-    return AllocationResult(selected, total_size, capacity, sections)
+    sections: Dict[int, str] = dict.fromkeys(c.ids[reserved].tolist(), SECTION_ONE_MINUS_ALPHA)
+    sections.update(dict.fromkeys(paid.selected, SECTION_ALPHA))
+    chosen = np.concatenate((reserved, m.rows_of(paid.selected)))
+    chosen = chosen[c.ids[chosen].argsort()]
+    return AllocationResult(tuple(c.ids[chosen].tolist()), sum(c.sizes[chosen].tolist()), capacity,
+                            sections)
 
 
 @dataclass(frozen=True)
@@ -357,8 +373,7 @@ class RtfmSample:
 
 
 def _set_root(m: Mempool, result: AllocationResult) -> bytes:
-    chosen = result.selected_set
-    leaves = [tx.canonical_bytes() for tx in m if tx.id in chosen]
+    leaves = m.canonical_bytes(np.sort(m.rows_of(result.selected)))  # in pool order
     if not leaves:
         leaves = [b"empty"]
     return chain.merkle_root(leaves)
@@ -369,23 +384,19 @@ def rtfm_sample(m: Mempool, capacity, seed: SeedLike) -> RtfmSample:
     rng = resolve_rng(seed)
     rand_res = uniform_allocate(m, capacity, rng)
     opt_res = optimal_allocate(m, capacity)
-    rand_res = AllocationResult(
-        rand_res.selected, rand_res.total_size, capacity,
-        {t: SECTION_RAND for t in rand_res.selected},
-    )
-    opt_res = AllocationResult(
-        opt_res.selected, opt_res.total_size, capacity,
-        {t: SECTION_OPT for t in opt_res.selected},
-    )
+    rand_res = AllocationResult(rand_res.selected, rand_res.total_size, capacity,
+                                dict.fromkeys(rand_res.selected, SECTION_RAND))
+    opt_res = AllocationResult(opt_res.selected, opt_res.total_size, capacity,
+                               dict.fromkeys(opt_res.selected, SECTION_OPT))
     return RtfmSample(rand_res, opt_res, _set_root(m, rand_res), _set_root(m, opt_res))
 
 
 def allocation_to_csv(m: Mempool, result: AllocationResult, path: str) -> None:
     """Write `id,section,size,bid` for every selected transaction."""
-    lookup = {tx.id: tx for tx in m}
+    c = m.columns
+    rows = m.rows_of(result.selected)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "section", "size", "bid"])
-        for tid in result.selected:
-            tx = lookup[tid]
-            writer.writerow([tid, result.section_of(tid), repr(float(tx.size)), repr(float(tx.bid))])
+        for tid, size, bid in zip(result.selected, c.sizes[rows].tolist(), c.bids[rows].tolist()):
+            writer.writerow([tid, result.section_of(tid), repr(float(size)), repr(float(bid))])

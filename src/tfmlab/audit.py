@@ -324,16 +324,16 @@ def check_uic(
 
 
 def _expected_miner_utility(spec, m, capacity, fakes, trials, seed, **run_kwargs):
-    """Mean and standard error; exact (se 0) wherever the rule allows it."""
+    """Mean, standard error and the runs made; exact (se 0) wherever the rule allows it."""
     if spec.allocation is AllocationKind.RTFM:
         # two-point mixture: the zero-pay branch contributes nothing
         out = run_mechanism(spec, m, capacity, fakes=fakes, seed=_trial_seed(seed, 0),
                             rtfm_toss=1, **run_kwargs)
-        return (1 - spec.phi) * out.miner_utility, 0.0
+        return (1 - spec.phi) * out.miner_utility, 0.0, 1
     utils, _ = _replay(
         lambda rng: run_mechanism(spec, m, capacity, fakes=fakes, seed=rng, **run_kwargs).miner_utility,
         trials, seed)
-    return _mean_se(utils)
+    return (*_mean_se(utils), len(utils))
 
 
 def _named_overrides(spec: MechanismSpec) -> List[Tuple[str, MechanismSpec, dict]]:
@@ -364,7 +364,8 @@ def search_mic_deviation(
     against the honest rule, alongside the named rule-level deviations the
     mechanism exposes.  A deviation must beat the honest expected utility
     beyond the statistical margin to produce a violation; a satisfied verdict
-    is only ever relative to these bounds.
+    is only ever relative to these bounds.  The report's `trials` is the most
+    runs the honest rule or any candidate took.
     """
     if fake_budget < 0:
         raise ParameterError(f"fake_budget must be non-negative, got {fake_budget}")
@@ -374,7 +375,7 @@ def search_mic_deviation(
     if spec.allocation is AllocationKind.SPLIT_BLOCK and spec.split.delta not in grid:
         grid.append(spec.split.delta)
 
-    honest, honest_se = _expected_miner_utility(spec, m, capacity, (), trials, seed)
+    honest, honest_se, n_runs = _expected_miner_utility(spec, m, capacity, (), trials, seed)
 
     next_id = max((tx.id for tx in m), default=-1) + 1
     fake_sets: List[Tuple[dict, Sequence[Transaction]]] = [({}, ())]
@@ -392,7 +393,9 @@ def search_mic_deviation(
 
     best = (honest, 0.0, None)
     for desc, run_spec, fakes, kwargs in candidates:
-        value, se = _expected_miner_utility(run_spec, m, capacity, fakes, trials, seed, **kwargs)
+        value, se, runs = _expected_miner_utility(run_spec, m, capacity, fakes, trials, seed,
+                                                  **kwargs)
+        n_runs = max(n_runs, runs)
         if value > best[0]:
             best = (value, se, desc)
 
@@ -402,10 +405,10 @@ def search_mic_deviation(
         witness = dict(best[2])
         witness.update({"expected_utility": best[0], "honest_utility": honest,
                         "expected_gain": gain})
-        return PropertyReport("mic", Verdict.VIOLATED, witness, trials,
+        return PropertyReport("mic", Verdict.VIOLATED, witness, n_runs,
                               "a bounded deviation beats the honest rule beyond the margin")
     return PropertyReport(
-        "mic", Verdict.SATISFIED, None, trials,
+        "mic", Verdict.SATISFIED, None, n_runs,
         f"no deviation within fake_budget={fake_budget} and the bid grid beats honesty "
         "(verdict relative to the search bounds)",
     )

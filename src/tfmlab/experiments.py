@@ -82,13 +82,14 @@ def _mean_se(values) -> Tuple[float, float]:
 def _block_stats(m: Mempool, out: MechanismOutcome) -> Tuple[float, float, float]:
     """Zero-bid inclusions over the pool size, zero-bid share of the block's
     size, and zero-payment inclusions over the pool size."""
-    sel = out.allocation.selected_set
+    c = m.columns
+    rows = m.rows_of(out.allocation.selected)
+    zero = np.sort(rows[c.bids[rows] == 0])  # pool order
+    zero_size = sum(c.sizes[zero].tolist())
+    zero_pay = list(out.payment_per_unit.values()).count(0)
     total = out.allocation.total_size
-    zero_count = sum(1 for tx in m if tx.bid == 0 and tx.id in sel)
-    zero_size = sum(tx.size for tx in m if tx.bid == 0 and tx.id in sel)
-    zero_pay = sum(1 for t in sel if out.payment_per_unit[t] == 0)
     n = len(m)
-    return (zero_count / n if n else 0.0, zero_size / total if total > 0 else 0.0,
+    return (len(zero) / n if n else 0.0, zero_size / total if total > 0 else 0.0,
             zero_pay / n if n else 0.0)
 
 

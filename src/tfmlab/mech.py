@@ -25,9 +25,13 @@ sweep experiments and every CLI subcommand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property, reduce
+from operator import add
 from typing import Callable, Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .alloc import (
     AllocationResult,
@@ -44,8 +48,10 @@ from .errors import ConfigError, ParameterError
 from .txpool import (
     BidDistribution,
     Mempool,
+    PoolColumns,
     SeedLike,
     Transaction,
+    as_column,
     parse_distribution,
     resolve_rng,
 )
@@ -145,14 +151,60 @@ class MechanismSpec:
         return cls(AllocationKind.RTFM, payment, burn, phi=phi, base_fee=base_fee)
 
 
-@dataclass(frozen=True)
+class _PricedBlock(NamedTuple):
+    """A block's prices as arrays, from which an outcome builds its dicts."""
+
+    columns: PoolColumns  # of the pool with the miner's fakes appended
+    rows: np.ndarray  # the included rows, in block order
+    payment: np.ndarray  # per unit, for each included row
+    burn: np.ndarray
+    reserved: Optional[np.ndarray]  # split block's posted-fee section, for each included row
+    real: int  # the first `real` rows are the pool's own transactions
+
+    def by_id(self, values: np.ndarray) -> Dict[int, float]:
+        """`values` by included id, the main section first, then the reserved one."""
+        rows = self.rows
+        if self.reserved is not None:
+            listed = self.reserved.argsort(kind="stable")
+            rows, values = rows[listed], values[listed]
+        return dict(zip(self.columns.ids[rows].tolist(), values.tolist()))
+
+    def user_utilities(self) -> Dict[int, float]:
+        c, rows = self.columns, self.rows
+        gain = (c.valuations[rows] - self.payment - self.burn) * c.sizes[rows]
+        real = rows < self.real
+        users = dict.fromkeys(c.ids[:self.real].tolist(), 0.0)
+        users.update(zip(c.ids[rows[real]].tolist(), gain[real].tolist()))
+        return users
+
+
+@dataclass(frozen=True, eq=False)
 class MechanismOutcome:
+    """One block of a mechanism.
+
+    `payment_per_unit` and `burn_per_unit` map each included id to its price
+    per unit (the main section first, then split block's reserved section),
+    and `user_utilities` maps every real pool id to the user's utility.  The
+    three dicts are built from the block's price arrays on first read and
+    cached: most audit runs read only the block and the miner's utility.
+    """
+
     allocation: AllocationResult
-    payment_per_unit: Dict[int, float]
-    burn_per_unit: Dict[int, float]
     miner_utility: float
-    user_utilities: Dict[int, float]
-    coin_toss: Optional[int] = None
+    coin_toss: Optional[int]
+    _priced: _PricedBlock = field(repr=False)
+
+    @cached_property
+    def payment_per_unit(self) -> Dict[int, float]:
+        return self._priced.by_id(self._priced.payment)
+
+    @cached_property
+    def burn_per_unit(self) -> Dict[int, float]:
+        return self._priced.by_id(self._priced.burn)
+
+    @cached_property
+    def user_utilities(self) -> Dict[int, float]:
+        return self._priced.user_utilities()
 
 
 @dataclass(frozen=True)
@@ -177,56 +229,60 @@ def update_base_fee(state: BaseFeeState, block_total_size, capacity_target) -> B
 
 def is_excessively_low(lam: float, m: Mempool, capacity) -> bool:
     """True when all demand valued above the base fee already fits the block."""
-    demand = sum(tx.size for tx in m if tx.valuation > lam)
-    return demand <= capacity
+    c = m.columns
+    return sum(c.sizes[c.valuations > lam].tolist()) <= capacity
+
+
+def _block_income(sizes: np.ndarray, p: np.ndarray, q: np.ndarray, fake: np.ndarray) -> float:
+    """Fee income ``size * p`` of the real rows minus burn ``size * q`` of the
+    fake rows, each summed in block order from 0.0."""
+    if not np.count_nonzero(fake):
+        return reduce(add, (sizes * p).tolist(), 0.0)
+    return (reduce(add, (sizes * p)[~fake].tolist(), 0.0)
+            - reduce(add, (sizes * q)[fake].tolist(), 0.0))
 
 
 def miner_utility(block_txs: Iterable[Transaction], fakes: frozenset, p: Dict[int, float],
                   q: Dict[int, float]) -> float:
     """Fee income from included real transactions minus burn on included fakes."""
-    revenue = 0.0
-    burn_cost = 0.0
-    for tx in block_txs:
-        if tx.id in fakes or tx.fake:
-            burn_cost += tx.size * q.get(tx.id, 0.0)
-        else:
-            revenue += tx.size * p[tx.id]
-    return revenue - burn_cost
+    block = Mempool(block_txs).columns
+    ids = block.ids.tolist()
+    fake = block.fake | np.array([t in fakes for t in ids], dtype=bool)
+    per_unit = as_column([q.get(t, 0.0) if f else p[t] for t, f in zip(ids, fake.tolist())])
+    return _block_income(block.sizes, per_unit, per_unit, fake)
+
+
+def _filled(value, n: int) -> np.ndarray:
+    """`n` copies of `value`, which keeps its Python type unless it is a float."""
+    return np.full(n, value, dtype=float if type(value) is float else object)
 
 
 def _posted_eligible(pool: Mempool, lam: float) -> Mempool:
-    return Mempool([tx for tx in pool if tx.bid >= lam])
+    return pool.take(pool.columns.bids >= lam)
 
 
-def _objective_payment(spec: MechanismSpec, pool: Mempool) -> Optional[Dict[int, float]]:
+def _objective_payment(spec: MechanismSpec, pool: Mempool) -> Optional[np.ndarray]:
     if spec.payment is PaymentKind.POSTED_PRICE:
-        return {tx.id: tx.bid - spec.base_fee for tx in pool}
+        return pool.columns.bids - spec.base_fee
     return None  # rank by bid
 
 
-def _price_included(spec: MechanismSpec, pool_by_id, included_ids, sections=None):
-    """Payment and burn per unit for every included transaction."""
-    p: Dict[int, float] = {}
-    q: Dict[int, float] = {}
-    main_ids = list(included_ids)
-    posted_ids = []
-    if sections:
-        main_ids = [t for t in included_ids if sections.get(t) != SECTION_ONE_MINUS_ALPHA]
-        posted_ids = [t for t in included_ids if sections.get(t) == SECTION_ONE_MINUS_ALPHA]
-    if spec.payment is PaymentKind.SECOND_PRICE and main_ids:
-        lowest_winning = min(pool_by_id[t].bid for t in main_ids)
-    for t in main_ids:
-        tx = pool_by_id[t]
-        if spec.payment is PaymentKind.FIRST_PRICE:
-            p[t], q[t] = tx.bid, 0.0
-        elif spec.payment is PaymentKind.SECOND_PRICE:
-            p[t], q[t] = lowest_winning, 0.0
-        else:
-            p[t], q[t] = tx.bid - spec.base_fee, spec.base_fee
-    delta = spec.split.delta if spec.split else 0.0
-    for t in posted_ids:
-        p[t], q[t] = delta, 0.0
-    return p, q
+def _price_included(spec: MechanismSpec, c: PoolColumns, rows: np.ndarray,
+                    reserved: Optional[np.ndarray]):
+    """Payment and burn per unit of the included `rows`, in that order;
+    `reserved` marks the rows in split block's posted-fee section."""
+    bids = c.bids[rows]
+    n = len(rows)
+    if spec.payment is PaymentKind.FIRST_PRICE:
+        p, q = bids, np.zeros(n)
+    elif spec.payment is PaymentKind.SECOND_PRICE:
+        main = (bids if reserved is None else bids[~reserved]).tolist()
+        p, q = _filled(min(main) if main else 0.0, n), np.zeros(n)
+    else:
+        p, q = bids - spec.base_fee, _filled(spec.base_fee, n)
+    if reserved is None:
+        return p, q
+    return np.where(reserved, _filled(spec.split.delta, n), p), np.where(reserved, 0.0, q)
 
 
 def run_mechanism(
@@ -253,8 +309,6 @@ def run_mechanism(
             raise ParameterError(f"fake transaction id {tx.id} collides with the mempool")
     rng = resolve_rng(seed)
     pool = m.extend(fakes) if fakes else m
-    pool_by_id = {tx.id: tx for tx in pool}
-    fake_ids = frozenset(tx.id for tx in fakes)
     lam = spec.base_fee if spec.payment is PaymentKind.POSTED_PRICE else None
 
     toss: Optional[int] = None
@@ -271,11 +325,11 @@ def run_mechanism(
         allocation = stfm_allocate(cand, capacity, spec.gamma, rng)
     elif spec.allocation is AllocationKind.SPLIT_BLOCK:
         alpha_pay = None
+        real_pool = m
         if lam is not None:
-            alpha_pay = {tx.id: tx.bid - lam for tx in m if tx.bid >= lam}
-            real_pool = Mempool([tx for tx in m if tx.bid >= lam or tx.bid == spec.split.delta])
-        else:
-            real_pool = m
+            bids = m.columns.bids
+            real_pool = m.take((bids >= lam) | (bids == spec.split.delta))
+            alpha_pay = _objective_payment(spec, real_pool)
         allocation = splitblock_allocate(
             real_pool, capacity, spec.split, fake_fill=fakes, seed=rng,
             demote_to_posted=splitblock_demote, alpha_payment=alpha_pay,
@@ -287,35 +341,29 @@ def run_mechanism(
             toss = 0 if rng.random() < spec.phi else 1
         if toss == 0:
             raw = uniform_allocate(pool, capacity, rng)
-            allocation = AllocationResult(
-                raw.selected, raw.total_size, capacity, {t: SECTION_RAND for t in raw.selected}
-            )
+            allocation = AllocationResult(raw.selected, raw.total_size, capacity,
+                                          dict.fromkeys(raw.selected, SECTION_RAND))
         else:
             rng.permutation(len(pool))  # keep the seed stream aligned across branches
             cand = _posted_eligible(pool, lam) if lam is not None else pool
             raw = optimal_allocate(cand, capacity, payment_per_unit=_objective_payment(spec, cand))
-            allocation = AllocationResult(
-                raw.selected, raw.total_size, capacity, {t: SECTION_OPT for t in raw.selected}
-            )
+            allocation = AllocationResult(raw.selected, raw.total_size, capacity,
+                                          dict.fromkeys(raw.selected, SECTION_OPT))
     else:  # pragma: no cover
         raise ParameterError(f"unknown allocation kind {spec.allocation}")
 
+    c = pool.columns
+    selected = allocation.selected
+    rows = pool.rows_of(selected)
+    reserved = None
+    if sections:
+        reserved = np.array([sections[t] == SECTION_ONE_MINUS_ALPHA for t in selected], dtype=bool)
     if toss == 0:
-        p = {t: 0.0 for t in allocation.selected}
-        q = {t: 0.0 for t in allocation.selected}
+        p = q = np.zeros(len(rows))
     else:
-        p, q = _price_included(spec, pool_by_id, allocation.selected, sections)
-
-    block_txs = [pool_by_id[t] for t in allocation.selected]
-    u_miner = miner_utility(block_txs, fake_ids, p, q)
-    users: Dict[int, float] = {}
-    included = allocation.selected_set
-    for tx in m:
-        if tx.id in included:
-            users[tx.id] = (tx.valuation - p[tx.id] - q[tx.id]) * tx.size
-        else:
-            users[tx.id] = 0.0
-    return MechanismOutcome(allocation, p, q, u_miner, users, toss)
+        p, q = _price_included(spec, c, rows, reserved)
+    u_miner = _block_income(c.sizes[rows], p, q, c.fake[rows])
+    return MechanismOutcome(allocation, u_miner, toss, _PricedBlock(c, rows, p, q, reserved, len(m)))
 
 
 def spec_to_config(spec: MechanismSpec) -> str:

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -61,74 +61,183 @@ class Transaction:
 
     def canonical_bytes(self) -> bytes:
         """Broadcast encoding used as a Merkle leaf (id, size, bid only)."""
-        return f"{self.id}|{self.size!r}|{self.bid!r}".encode("ascii")
+        return _leaf(self.id, self.size, self.bid)
+
+
+def _leaf(tx_id, size, bid) -> bytes:
+    return f"{tx_id}|{size!r}|{bid!r}".encode("ascii")
+
+
+def as_column(values: Sequence) -> np.ndarray:
+    """A float64 array when every value is a Python float, else an object
+    array holding the values as given (ints, Fractions), so that arithmetic
+    on the column is the arithmetic of the values themselves."""
+    if all(type(v) is float for v in values):
+        return np.array(values, dtype=float)
+    col = np.empty(len(values), dtype=object)
+    col[:] = values
+    return col
+
+
+class PoolColumns(NamedTuple):
+    """A pool's rows as aligned, read-only numpy columns, in pool order.
+
+    `ids` is int64 and `fake` is bool; `sizes`, `bids` and `valuations` are
+    columns as made by :func:`as_column`.
+    """
+
+    ids: np.ndarray
+    sizes: np.ndarray
+    bids: np.ndarray
+    valuations: np.ndarray
+    fake: np.ndarray
 
 
 class Mempool:
-    """Insertion-ordered collection of transactions with unique ids."""
+    """Insertion-ordered collection of transactions with unique ids.
 
-    __slots__ = ("_txs", "_by_id", "capacity_hint")
+    The pool is held as numpy columns, :class:`PoolColumns` (``ids``,
+    ``sizes``, ``bids``, ``valuations`` and the ``fake`` mask, one entry per
+    row), and the allocators and the mechanism read only those.  A
+    :class:`Transaction` is a row view: the views are built when a caller
+    iterates the pool, calls :meth:`get` or reads :attr:`transactions`, and
+    are cached.  A pool constructed from transactions keeps them as its views
+    and builds its columns once, on first use.
+    """
+
+    __slots__ = ("_txs", "_cols", "_rows", "_extended", "capacity_hint")
 
     def __init__(self, transactions: Iterable[Transaction], capacity_hint: Optional[float] = None):
         txs = tuple(transactions)
-        by_id = {}
-        for tx in txs:
-            if tx.id in by_id:
+        rows = {}
+        for row, tx in enumerate(txs):
+            if tx.id in rows:
                 raise ParameterError(f"duplicate transaction id {tx.id}")
-            by_id[tx.id] = tx
+            rows[tx.id] = row
         if capacity_hint is not None and not capacity_hint > 0:
             raise ParameterError("capacity_hint must be positive when given")
         self._txs = txs
-        self._by_id = by_id
+        self._cols = None
+        self._rows = rows
+        self._extended = None
         self.capacity_hint = capacity_hint
 
-    def __iter__(self) -> Iterator[Transaction]:
-        return iter(self._txs)
+    @classmethod
+    def _from_columns(cls, cols: PoolColumns, capacity_hint: Optional[float] = None) -> "Mempool":
+        """A pool over validated columns whose ids are unique."""
+        for col in cols:
+            col.flags.writeable = False
+        pool = cls.__new__(cls)
+        pool._txs = None
+        pool._cols = cols
+        pool._rows = None
+        pool._extended = None
+        pool.capacity_hint = capacity_hint
+        return pool
 
-    def __len__(self) -> int:
-        return len(self._txs)
-
-    def __contains__(self, tx_id: int) -> bool:
-        return tx_id in self._by_id
+    @property
+    def columns(self) -> PoolColumns:
+        if self._cols is None:
+            txs = self._txs
+            self._cols = PoolColumns(
+                np.array([tx.id for tx in txs], dtype=np.int64),
+                as_column([tx.size for tx in txs]),
+                as_column([tx.bid for tx in txs]),
+                as_column([tx.valuation for tx in txs]),
+                np.array([tx.fake for tx in txs], dtype=bool),
+            )
+            for col in self._cols:
+                col.flags.writeable = False
+        return self._cols
 
     @property
     def transactions(self) -> tuple:
+        if self._txs is None:
+            c = self._cols
+            self._txs = tuple(map(Transaction, c.ids.tolist(), c.sizes.tolist(), c.bids.tolist(),
+                                  c.valuations.tolist(), c.fake.tolist()))
         return self._txs
 
+    def _row_of(self) -> dict:
+        if self._rows is None:
+            ids = self._cols.ids.tolist()
+            self._rows = dict(zip(ids, range(len(ids))))
+        return self._rows
+
+    def __iter__(self) -> Iterator[Transaction]:
+        return iter(self.transactions)
+
+    def __len__(self) -> int:
+        return len(self._txs) if self._txs is not None else len(self._cols.ids)
+
+    def __contains__(self, tx_id: int) -> bool:
+        return tx_id in self._row_of()
+
+    def rows_of(self, tx_ids: Iterable[int]) -> np.ndarray:
+        """Row positions of the given ids, in the order given."""
+        row_of = self._row_of()
+        try:
+            return np.array([row_of[t] for t in tx_ids], dtype=np.intp)
+        except KeyError as exc:
+            raise ParameterError(f"unknown transaction id {exc.args[0]}") from None
+
     def get(self, tx_id: int) -> Transaction:
-        if tx_id not in self._by_id:
-            raise ParameterError(f"unknown transaction id {tx_id}")
-        return self._by_id[tx_id]
+        return self.transactions[self.rows_of((tx_id,))[0]]
 
     def ids(self) -> tuple:
-        return tuple(tx.id for tx in self._txs)
+        return tuple(self._row_of())
 
     def total_size(self):
-        return sum(tx.size for tx in self._txs)
+        return sum(self.columns.sizes.tolist())
 
     def bids(self) -> np.ndarray:
-        return np.array([tx.bid for tx in self._txs], dtype=float)
+        return np.array(self.columns.bids, dtype=float)
 
     def sizes(self) -> np.ndarray:
-        return np.array([tx.size for tx in self._txs], dtype=float)
+        return np.array(self.columns.sizes, dtype=float)
+
+    def canonical_bytes(self, rows) -> list:
+        """Merkle leaves (:meth:`Transaction.canonical_bytes`) of `rows`, in that order."""
+        c = self.columns
+        return list(map(_leaf, c.ids[rows].tolist(), c.sizes[rows].tolist(), c.bids[rows].tolist()))
+
+    def take(self, rows) -> "Mempool":
+        """Copy of the pool keeping `rows` (positions or a boolean mask), in that order."""
+        return Mempool._from_columns(PoolColumns(*(col[rows] for col in self.columns)),
+                                     self.capacity_hint)
 
     def with_bid(self, tx_id: int, bid) -> "Mempool":
         """Copy of the pool with one transaction's bid replaced."""
-        if tx_id not in self._by_id:
-            raise ParameterError(f"unknown transaction id {tx_id}")
-        out = []
-        for tx in self._txs:
-            if tx.id == tx_id:
-                tx = Transaction(tx.id, tx.size, bid, tx.valuation, tx.fake)
-            out.append(tx)
-        return Mempool(out, self.capacity_hint)
+        replace(self.get(tx_id), bid=bid)  # raises for a bid no transaction may carry
+        c = self.columns
+        bids = c.bids.astype(float if c.bids.dtype == float and type(bid) is float else object)
+        bids[self.rows_of((tx_id,))] = bid
+        return Mempool._from_columns(c._replace(bids=bids), self.capacity_hint)
 
     def extend(self, extra: Iterable[Transaction]) -> "Mempool":
-        """Copy of the pool with extra transactions appended."""
-        return Mempool(list(self._txs) + list(extra), self.capacity_hint)
+        """Copy of the pool with extra transactions appended.
+
+        The last extension is cached, since audits replay one pool with the
+        same miner fakes many times."""
+        extra = tuple(extra)
+        if not extra:
+            return self
+        last = self._extended
+        if last is not None and len(last[0]) == len(extra) \
+                and all(a is b for a, b in zip(last[0], extra)):
+            return last[1]
+        more = Mempool(extra)
+        for tx_id in more._row_of():
+            if tx_id in self:
+                raise ParameterError(f"duplicate transaction id {tx_id}")
+        pool = Mempool._from_columns(
+            PoolColumns(*map(np.concatenate, zip(self.columns, more.columns))),
+            self.capacity_hint)
+        self._extended = (extra, pool)
+        return pool
 
     def __repr__(self) -> str:
-        return f"Mempool({len(self._txs)} txs)"
+        return f"Mempool({len(self)} txs)"
 
 
 def zero_fee_subset(m: Mempool) -> list:
@@ -307,11 +416,14 @@ def sample_mempool(
         val_draw = bid_draw
     else:
         val_draw = valuations.sample(rng, n)
-    txs = [
-        Transaction(i, float(size_draw[i]), float(bid_draw[i]), float(val_draw[i]))
-        for i in range(n)
-    ]
-    return Mempool(txs)
+    valid = ((size_draw < math.inf) & (bid_draw >= 0) & (bid_draw < math.inf)
+             & (val_draw >= 0) & (val_draw < math.inf))
+    if not valid.all():
+        row = int(np.argmin(valid))
+        # the first invalid row, as a transaction, raises that row's error
+        Transaction(row, float(size_draw[row]), float(bid_draw[row]), float(val_draw[row]))
+    return Mempool._from_columns(PoolColumns(
+        np.arange(n, dtype=np.int64), size_draw, bid_draw, val_draw, np.zeros(n, dtype=bool)))
 
 
 def mempool_to_csv(m: Mempool, path: str) -> None:
@@ -319,8 +431,9 @@ def mempool_to_csv(m: Mempool, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "size", "bid", "valuation"])
-        for tx in m:
-            writer.writerow([tx.id, repr(float(tx.size)), repr(float(tx.bid)), repr(float(tx.valuation))])
+        c = m.columns
+        for row in zip(c.ids.tolist(), c.sizes.tolist(), c.bids.tolist(), c.valuations.tolist()):
+            writer.writerow([row[0]] + [repr(float(v)) for v in row[1:]])
 
 
 def mempool_from_csv(path: str) -> Mempool:

@@ -245,6 +245,19 @@ def test_mic_budget_zero_still_plays_named_overrides():
     assert "fake_bids" not in report.witness
 
 
+@pytest.mark.parametrize("spec, runs", [
+    (MechanismSpec.first_price(), 1),
+    (MechanismSpec.eip1559(1.0), 1),
+    (MechanismSpec.rtfm(0.4), 1),  # the exact two-point mixture of one paying run
+    (MechanismSpec.uniform(), 40),
+    (MechanismSpec.stfm(1.0), 40),
+], ids=["first_price", "eip1559", "rtfm", "uniform", "softmax"])
+def test_mic_reports_the_runs_it_made(spec, runs):
+    report = search_mic_deviation(spec, unit_pool([5, 3, 2, 0]), 2.0, fake_budget=1,
+                                  fake_bid_grid=[0.0, 5.0], seed=2, trials=40)
+    assert report.trials == runs
+
+
 def test_mic_search_bounds():
     with pytest.raises(ParameterError):
         search_mic_deviation(MechanismSpec.first_price(), unit_pool([1]), 1.0, -1, [0.0], 0)
