@@ -82,6 +82,7 @@ from .mech import (
 from .txpool import (
     BidDistribution,
     Mempool,
+    PoolColumns,
     Transaction,
     mempool_from_csv,
     mempool_to_csv,

@@ -192,9 +192,9 @@ def optimal_allocate(
 
     `payment_per_unit` and `burn_per_unit` give one value per pool row, in
     pool order.  Payment defaults to each transaction's bid and burn to
-    zero.  Exact mode
-    solves the knapsack outright and is limited to ``EXHAUSTIVE_LIMIT``
-    candidates; greedy mode ranks by payment per unit size.  By default the
+    zero.  Exact mode solves the knapsack outright and is limited to
+    ``EXHAUSTIVE_LIMIT`` candidates; greedy mode ranks by payment per unit
+    size and walks that order, keeping what fits.  By default the
     knapsack is exact for pools of at most ``EXHAUSTIVE_LIMIT`` transactions
     and greedy above.  Transactions with non-positive objective weight are
     never selected, and value ties resolve to the lowest-id set.
@@ -272,9 +272,11 @@ def stfm_allocate(m: Mempool, capacity, gamma: float, seed: SeedLike) -> Allocat
     if n == 0:
         return AllocationResult((), 0, capacity)
     c = m.columns
-    keys = c.bids.astype(float, copy=False) / gamma + rng.gumbel(size=n)
+    keys = rng.gumbel(size=n)
+    keys += c.bids.astype(float, copy=False) / gamma
+    order = np.negative(keys, out=keys).argsort(kind="stable")
     # the walk runs in floats whatever the size column holds
-    rows, total = _walk(c.sizes.astype(float, copy=False), (-keys).argsort(kind="stable"), capacity)
+    rows, total = _walk(c.sizes.astype(float, copy=False), order, capacity)
     return AllocationResult(tuple(c.ids[rows].tolist()), float(total), capacity)
 
 
@@ -333,23 +335,23 @@ def splitblock_allocate(
     n = len(m)
     pool = m.extend(fake_fill or ())  # m's rows, then the fakes
     c = pool.columns
+    at_fee = c.bids == cfg.delta
     # a fake must offer the posted fee to pass for a reserved-section entry
-    reserved, total_posted = _walk(c.sizes, n + (c.bids[n:] == cfg.delta).nonzero()[0], cap_posted)
-    posted = (c.bids[:n] == cfg.delta).nonzero()[0]
-    rows, total_posted = _walk(c.sizes, posted[rng.permutation(len(posted))], cap_posted,
-                               total_posted)
-    reserved = np.concatenate((reserved, rows))
+    fake_rows, total_posted = _walk(c.sizes, n + at_fee[n:].nonzero()[0], cap_posted)
+    posted = at_fee[:n].nonzero()[0]
+    order = posted[rng.permutation(len(posted))]
+    if demote_to_posted:
+        # then every other transaction, lowest bids first; a posted-fee row that did
+        # not fit above cannot fit later, since the total only grows
+        rest = (~at_fee[:n]).nonzero()[0]
+        order = np.concatenate((order, rest[np.lexsort((c.ids[rest], c.bids[rest]))]))
+    rows, total_posted = _walk(c.sizes, order, cap_posted, total_posted)
+    reserved = np.concatenate((fake_rows, rows))
     placed = np.zeros(n, dtype=bool)
     placed[rows] = True
-    if demote_to_posted:
-        left = (~placed).nonzero()[0]
-        rows, total_posted = _walk(c.sizes, left[np.lexsort((c.ids[left], c.bids[left]))],
-                                   cap_posted, total_posted)
-        reserved = np.concatenate((reserved, rows))
-        placed[rows] = True
 
     # the paid section is the knapsack over the rest: a zero payment keeps a row out
-    paid_rows = ~placed & (c.bids[:n] != cfg.delta)
+    paid_rows = ~(placed | at_fee[:n])
     payment = c.bids[:n] if alpha_payment is None else np.asarray(alpha_payment)
     paid = optimal_allocate(m, cap_paid, payment_per_unit=np.where(paid_rows, payment, 0),
                             exact=np.count_nonzero(paid_rows) <= EXHAUSTIVE_LIMIT)

@@ -99,7 +99,9 @@ def _replay(run, trials: int, seed: int) -> Tuple[list, bool]:
     results = [run(rng)]
     if rng.bit_generator.state == state:
         return results, False
-    results += [run(np.random.default_rng(_trial_seed(seed, i))) for i in range(1, trials)]
+    # Generator(PCG64(s)) is what default_rng(s) builds, with less call overhead
+    results += [run(np.random.Generator(np.random.PCG64(_trial_seed(seed, i))))
+                for i in range(1, trials)]
     return results, True
 
 

@@ -51,7 +51,6 @@ from .txpool import (
     PoolColumns,
     SeedLike,
     Transaction,
-    as_column,
     parse_distribution,
     resolve_rng,
 )
@@ -248,7 +247,8 @@ def miner_utility(block_txs: Iterable[Transaction], fakes: frozenset, p: Dict[in
     block = Mempool(block_txs).columns
     ids = block.ids.tolist()
     fake = block.fake | np.array([t in fakes for t in ids], dtype=bool)
-    per_unit = as_column([q.get(t, 0.0) if f else p[t] for t, f in zip(ids, fake.tolist())])
+    per_unit = np.array([q.get(t, 0.0) if f else p[t] for t, f in zip(ids, fake.tolist())],
+                        dtype=object)
     return _block_income(block.sizes, per_unit, per_unit, fake)
 
 
@@ -363,7 +363,8 @@ def run_mechanism(
     else:
         p, q = _price_included(spec, c, rows, reserved)
     u_miner = _block_income(c.sizes[rows], p, q, c.fake[rows])
-    return MechanismOutcome(allocation, u_miner, toss, _PricedBlock(c, rows, p, q, reserved, len(m)))
+    return MechanismOutcome(allocation, u_miner, toss,
+                            _PricedBlock(c, rows, p, q, reserved, len(m)))
 
 
 def spec_to_config(spec: MechanismSpec) -> str:

@@ -68,7 +68,7 @@ def _leaf(tx_id, size, bid) -> bytes:
     return f"{tx_id}|{size!r}|{bid!r}".encode("ascii")
 
 
-def as_column(values: Sequence) -> np.ndarray:
+def _column(values: Sequence) -> np.ndarray:
     """A float64 array when every value is a Python float, else an object
     array holding the values as given (ints, Fractions), so that arithmetic
     on the column is the arithmetic of the values themselves."""
@@ -83,7 +83,8 @@ class PoolColumns(NamedTuple):
     """A pool's rows as aligned, read-only numpy columns, in pool order.
 
     `ids` is int64 and `fake` is bool; `sizes`, `bids` and `valuations` are
-    columns as made by :func:`as_column`.
+    float64 when every value is a Python float, and object arrays holding the
+    values as given (ints, Fractions) otherwise.
     """
 
     ids: np.ndarray
@@ -141,9 +142,9 @@ class Mempool:
             txs = self._txs
             self._cols = PoolColumns(
                 np.array([tx.id for tx in txs], dtype=np.int64),
-                as_column([tx.size for tx in txs]),
-                as_column([tx.bid for tx in txs]),
-                as_column([tx.valuation for tx in txs]),
+                _column([tx.size for tx in txs]),
+                _column([tx.bid for tx in txs]),
+                _column([tx.valuation for tx in txs]),
                 np.array([tx.fake for tx in txs], dtype=bool),
             )
             for col in self._cols:

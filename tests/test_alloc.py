@@ -1,8 +1,11 @@
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfmlab import (
     DomainError,
@@ -20,6 +23,8 @@ from tfmlab import (
     stfm_first_draw_distribution,
     uniform_allocate,
 )
+from tfmlab.alloc import _walk
+from tfmlab.txpool import _column
 
 
 def pool(pairs, sizes_equal=None):
@@ -359,6 +364,17 @@ def test_splitblock_fakes_take_the_reserved_section():
     assert res.section_of(100) == "one_minus_alpha"
     assert res.section_of(101) == "one_minus_alpha"
     assert all(res.section_of(i) == "alpha" for i in range(5))
+    with pytest.raises(ParameterError):  # a fake may not reuse a pool id
+        splitblock_allocate(m, 8.0, SplitBlockConfig(0.75, delta=1.0),
+                            fake_fill=[Transaction(4, 1.0, 1.0, 1.0, fake=True)], seed=0)
+
+
+def test_payment_arrays_need_one_value_per_row():
+    m = pool([2, 3, 4], sizes_equal=True)
+    res = optimal_allocate(m, 2.0, payment_per_unit=np.array([5.0, 0.0, 1.0]))
+    assert res.selected == (0, 2)
+    with pytest.raises(ParameterError):
+        optimal_allocate(m, 2.0, payment_per_unit=[1.0, 2.0])
 
 
 def test_splitblock_underfilled_reserved_section_is_allowed():
@@ -427,3 +443,26 @@ def test_infeasible_allocation_rejected():
 
     with pytest.raises(ParameterError):
         AllocationResult((0,), 5.0, 4.0)
+
+
+def _walk_by_loop(sizes, order, capacity, total):
+    kept = []
+    for row in order:
+        if total + sizes[row] <= capacity:
+            kept.append(row)
+            total += sizes[row]
+    return kept, total
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(st.floats(0.01, 4.0), st.sampled_from([1, Fraction(1, 3), 0.5])),
+                max_size=30),
+       st.floats(0, 20), st.sampled_from([0, 0.75, Fraction(2, 3)]), st.integers(0, 2**32 - 1))
+def test_walk_matches_the_sequential_loop(sizes, capacity, start, seed):
+    """The cut-then-walk keeps the rows, and adds the sizes in the order, of a plain loop."""
+    column = _column(sizes)
+    order = np.random.default_rng(seed).permutation(len(sizes))
+    rows, total = _walk(column, order, capacity, start)
+    kept, expected = _walk_by_loop(sizes, order.tolist(), capacity, start)
+    assert rows.tolist() == kept
+    assert repr(total) == repr(expected)

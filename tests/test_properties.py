@@ -24,7 +24,7 @@ from tfmlab import (
     run_mechanism,
     splitblock_allocate,
 )
-from tfmlab.alloc import EXHAUSTIVE_LIMIT, SECTION_RAND
+from tfmlab.alloc import EXHAUSTIVE_LIMIT, SECTION_ONE_MINUS_ALPHA, SECTION_RAND
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -105,7 +105,8 @@ def test_payments_non_negative_and_burns_only_under_the_posted_price(case):
 @given(instances())
 def test_truthful_users_gain_nothing_negative_under_the_posted_price(case):
     m, fakes, capacity, seed, spec = case
-    if spec.payment is not PaymentKind.POSTED_PRICE or spec.allocation is AllocationKind.SPLIT_BLOCK:
+    if spec.payment is not PaymentKind.POSTED_PRICE \
+            or spec.allocation is AllocationKind.SPLIT_BLOCK:
         return  # split block charges its reserved section the separate fee delta
     out = run_mechanism(spec, m, capacity, fakes=fakes, seed=seed)
     assert set(out.user_utilities) == {tx.id for tx in m}
@@ -135,7 +136,7 @@ def test_fraction_bids_give_fraction_payments(case):
     for t, p in out.payment_per_unit.items():
         if out.allocation.section_of(t) == SECTION_RAND:
             continue  # the zero-pay branch of the two-set rule pays the float 0.0
-        if spec.allocation is AllocationKind.SPLIT_BLOCK and out.allocation.section_of(t) != "alpha":
+        if out.allocation.section_of(t) == SECTION_ONE_MINUS_ALPHA:
             continue  # the reserved section pays the spec's own delta
         assert isinstance(p, Fraction), (t, p)
     result = optimal_allocate(m, capacity)

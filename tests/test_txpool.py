@@ -171,3 +171,43 @@ def test_mempool_csv_round_trip(tmp_path):
     assert back.ids() == m.ids()
     assert all(a.bid == b.bid and a.size == b.size and a.valuation == b.valuation
                for a, b in zip(m, back))
+
+
+def test_mempool_columns_and_cached_row_views():
+    m = sample_mempool(30, BidDistribution.uniform(0, 5), BidDistribution.exponential(1), seed=4)
+    c = m.columns
+    assert c.ids.tolist() == list(range(30)) and c.sizes.dtype == float
+    assert not c.bids.flags.writeable
+    first = m.get(7)
+    assert m.get(7) is first and m.transactions[7] is first
+    assert type(first.bid) is float and first.bid == c.bids[7]
+    assert [tx.id for tx in m.take(c.bids > 2.5)] == c.ids[c.bids > 2.5].tolist()
+    assert m.rows_of((9, 2)).tolist() == [9, 2]
+    with pytest.raises(ParameterError):
+        m.rows_of((30,))
+
+
+def test_exact_values_keep_object_columns():
+    from fractions import Fraction
+
+    txs = [Transaction(5, 1, Fraction(1, 3), Fraction(2, 3)), Transaction(2, 2, Fraction(3), 1)]
+    m = Mempool(txs)
+    assert m.columns.bids.dtype == object and m.columns.sizes.tolist() == [1, 2]
+    assert m.total_size() == 3 and type(m.total_size()) is int
+    assert list(m) == txs and m.get(2) is txs[1]
+    assert m.with_bid(5, Fraction(1, 2)).get(5).bid == Fraction(1, 2)
+
+
+def test_with_bid_and_extend_validate_like_transactions():
+    m = Mempool([Transaction(i, 1.0, 2.0, 2.0) for i in range(3)])
+    assert m.with_bid(1, 4.0).bids().tolist() == [2.0, 4.0, 2.0]
+    assert m.bids().tolist() == [2.0, 2.0, 2.0]
+    with pytest.raises(ParameterError):
+        m.with_bid(1, -1.0)
+    with pytest.raises(ParameterError):
+        m.with_bid(9, 1.0)
+    fakes = (Transaction(10, 1.0, 0.0, 0.0, fake=True),)
+    assert m.extend(fakes) is m.extend(fakes)
+    assert m.extend(fakes).columns.fake.tolist() == [False, False, False, True]
+    with pytest.raises(ParameterError):
+        m.extend([Transaction(2, 1.0, 0.0, 0.0, fake=True)])
