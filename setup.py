@@ -12,7 +12,6 @@ setup(
         Extension(
             "tfmlab._noncesearch",
             sources=["src/tfmlab/_noncesearch.c"],
-            libraries=["crypto"],
             optional=True,
         )
     ]

@@ -318,9 +318,10 @@ def splitblock_allocate(
     The reserved ``1 - alpha`` section is filled by uniform sampling from the
     posted-fee transactions (bid == delta); a deviating miner's `fake_fill`
     entries take those slots first.  With ``demote_to_posted`` (default for
-    delta > 0) any real transaction may stand in at the posted fee when
-    explicit delta bids run short, lowest bids first; the zero-fee variant
-    never demotes, so an underfilled section stays underfilled.  The paid
+    delta > 0) any real transaction bidding at least delta may stand in at
+    the posted fee when explicit delta bids run short, lowest bids first, so
+    no one pays more than their bid; the zero-fee variant never demotes, so
+    an underfilled section stays underfilled.  The paid
     section is then solved as a knapsack over the remaining transactions,
     weighted by `alpha_payment` (one value per row of `m`) when given.
     """
@@ -341,9 +342,10 @@ def splitblock_allocate(
     posted = at_fee[:n].nonzero()[0]
     order = posted[rng.permutation(len(posted))]
     if demote_to_posted:
-        # then every other transaction, lowest bids first; a posted-fee row that did
-        # not fit above cannot fit later, since the total only grows
-        rest = (~at_fee[:n]).nonzero()[0]
+        # then every other transaction that bids at least the posted fee, lowest bids
+        # first; a posted-fee row that did not fit above cannot fit later, since the
+        # total only grows
+        rest = (~at_fee[:n] & (c.bids[:n] >= cfg.delta)).nonzero()[0]
         order = np.concatenate((order, rest[np.lexsort((c.ids[rest], c.bids[rest]))]))
     rows, total_posted = _walk(c.sizes, order, cap_posted, total_posted)
     reserved = np.concatenate((fake_rows, rows))

@@ -9,16 +9,22 @@ threshold ``floor(phi_num * target / phi_den)`` is computed in exact integer
 arithmetic; a mined hash below it confirms the uniformly sampled set (toss 0),
 anything else confirms the optimal set (toss 1).
 
-Nonce scanning prefers the small C helper `_noncesearch.c` (OpenSSL,
-releases the GIL) and falls back to pure hashlib with identical nonces and
-hashes.  An installed package carries the helper as `tfmlab._noncesearch`.
-Run from a source tree, the helper is compiled on first import with the
-system C compiler into a per-user cache, ``$XDG_CACHE_HOME/tfmlab/`` or
-``~/.cache/tfmlab/``, in a subdirectory named by the SHA-256 of the C source,
-and later imports load it from there.  When no helper can be built (no
-compiler, no OpenSSL or Python header, a failed compile, an unwritable cache)
-one warning goes to the ``tfmlab`` logger and mining uses hashlib, which is
-much slower and holds the GIL, so `mine_many` workers do not help it.
+Nonce scanning prefers the small C helper `_noncesearch.c`, which carries
+its own SHA-256 compression and releases the GIL, and falls back to pure
+hashlib with identical nonces and hashes.  The helper hashes nonces in pairs
+and picks its compression when it loads: a two-lane SHA-NI one on x86 CPUs
+with the SHA extensions, a portable scalar one elsewhere; its ``BACKEND``
+names which.  An installed package carries the helper as
+`tfmlab._noncesearch`.  Run from a source tree, the helper is compiled on
+first import with the system C compiler into a per-user cache,
+``$XDG_CACHE_HOME/tfmlab/`` or ``~/.cache/tfmlab/``, in a subdirectory named
+by the SHA-256 of the C source, and later imports load it from there.  When
+no helper can be built (no compiler or Python header, a failed compile, an
+unwritable cache) one warning goes to the ``tfmlab`` logger and mining uses
+hashlib, which is much slower and holds the GIL, so `mine_many` workers do
+not help it.  A failed compile leaves a ``build-failed`` file with the
+reason in that subdirectory; later imports repeat the warning from it
+without running the compiler again, until the file is deleted.
 """
 
 from __future__ import annotations
@@ -58,21 +64,30 @@ def _load_extension(path: Path) -> ModuleType:
     return module
 
 
+def _missing_build_tool() -> Optional[str]:
+    """Why no C helper can be compiled here at all, or None."""
+    import sysconfig
+
+    if (shutil.which("cc") or shutil.which("gcc")) is None:
+        return "no C compiler (cc or gcc) on PATH"
+    include = sysconfig.get_paths()["include"]
+    if not os.path.isfile(os.path.join(include, "Python.h")):
+        return f"Python.h not found in {include}"
+    return None
+
+
 def _compile_noncesearch(source: Path, dest: Path) -> Optional[str]:
     """Compile `source` into the extension module `dest`; the reason on failure.
 
-    The compiler writes a temporary file in dest's directory that is renamed
-    over `dest`, so concurrent builds never expose a partial module.
+    Needs the tools `_missing_build_tool` checks for.  The compiler writes a
+    temporary file in dest's directory that is renamed over `dest`, so
+    concurrent builds never expose a partial module.
     """
     import subprocess  # build-only imports, kept off the warm import path
     import sysconfig
 
     compiler = shutil.which("cc") or shutil.which("gcc")
-    if compiler is None:
-        return "no C compiler (cc or gcc) on PATH"
     include = sysconfig.get_paths()["include"]
-    if not os.path.isfile(os.path.join(include, "Python.h")):
-        return f"Python.h not found in {include}"
     try:
         dest.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(prefix=".build-", suffix=dest.suffix, dir=dest.parent)
@@ -81,15 +96,10 @@ def _compile_noncesearch(source: Path, dest: Path) -> Optional[str]:
         return f"cache directory {dest.parent} is not writable ({exc})"
     try:
         proc = subprocess.run(
-            [compiler, "-shared", "-fPIC", "-O2", "-I", include, str(source),
-             "-o", tmp, "-lcrypto"],
+            [compiler, "-shared", "-fPIC", "-O2", "-I", include, str(source), "-o", tmp],
             capture_output=True, text=True, timeout=300,
         )
         if proc.returncode != 0:
-            if "openssl/sha.h" in proc.stderr:
-                return "OpenSSL header openssl/sha.h not found"
-            if "-lcrypto" in proc.stderr:
-                return "OpenSSL library libcrypto not found"
             first = next(iter(proc.stderr.strip().splitlines()), f"exit code {proc.returncode}")
             return f"compile failed: {first}"
         os.replace(tmp, dest)
@@ -105,7 +115,8 @@ def _cached_noncesearch() -> Optional[ModuleType]:
     """The C nonce search from the per-user cache, built there if missing.
 
     Returns None, after one warning on the ``tfmlab`` logger, when it cannot
-    be built or loaded.
+    be built or loaded.  A failed build is recorded beside the module, so
+    later calls warn with the recorded reason instead of compiling again.
     """
     try:
         digest = hashlib.sha256(_NONCESEARCH_SOURCE.read_bytes()).hexdigest()
@@ -114,17 +125,32 @@ def _cached_noncesearch() -> Optional[ModuleType]:
     else:
         suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
         built = _cache_dir() / digest / ("_noncesearch" + suffix)
+        failed = built.with_name("build-failed")
         if built.is_file():
             try:
                 return _load_extension(built)
             except ImportError:
                 pass  # damaged or foreign file: build it again
-        reason = _compile_noncesearch(_NONCESEARCH_SOURCE, built)
-        if reason is None:
-            try:
-                return _load_extension(built)
-            except ImportError as exc:
-                reason = f"built module does not load ({exc})"
+        try:
+            recorded = failed.read_text().strip()
+        except OSError:
+            recorded = ""  # no failed build on record
+        if recorded:
+            reason = f"{recorded} (recorded in {failed}; delete it to retry)"
+        else:
+            reason = _missing_build_tool()
+            if reason is None:
+                reason = _compile_noncesearch(_NONCESEARCH_SOURCE, built)
+                if reason is None:
+                    try:
+                        return _load_extension(built)
+                    except ImportError as exc:
+                        reason = f"built module does not load ({exc})"
+                try:
+                    failed.parent.mkdir(parents=True, exist_ok=True)
+                    failed.write_text(reason + "\n")
+                except OSError:
+                    pass  # unwritable cache: the next process tries again
     _log.warning("C nonce search unavailable: %s; mining falls back to hashlib, "
                  "which is much slower", reason)
     return None
@@ -262,10 +288,12 @@ def coin_toss(block_hash: bytes, difficulty: Difficulty) -> int:
 
 
 def _search_python(prefix: bytes, start: int, max_trials: int, target32: bytes):
+    midstate = hashlib.sha256(prefix)  # hashed once, copied per nonce
     nonce = start
     for _ in range(max_trials):
-        nb = nonce.to_bytes(8, "big")
-        digest = hashlib.sha256(prefix + nb).digest()
+        h = midstate.copy()
+        h.update(nonce.to_bytes(8, "big"))
+        digest = h.digest()
         if digest < target32:
             return nonce, digest
         nonce = (nonce + 1) & 0xFFFFFFFFFFFFFFFF

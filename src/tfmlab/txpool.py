@@ -21,6 +21,8 @@ SeedLike = Union[int, Sequence[int], np.random.Generator]
 # Rejection rounds before a truncated Gaussian's mean counts as too far below
 # zero: 1000 draws at 3.5 sd below need about 33,000, at 8 sd about 10^15.
 _TRUNCATED_GAUSSIAN_ROUNDS = 100_000
+# Chance of finishing within those rounds below which sampling fails up front.
+_TRUNCATED_GAUSSIAN_MIN_SUCCESS = 1e-9
 
 
 def resolve_rng(seed: SeedLike) -> np.random.Generator:
@@ -305,6 +307,16 @@ class BidDistribution:
             return rng.uniform(lo, hi, n)
         if self.kind == "truncated_gaussian":
             mean, sd = self.params
+            # one draw stays negative through every round with probability `stuck`;
+            # fail at once where all n draws would almost surely not clear the bound
+            accept = 0.5 * math.erfc(-mean / (sd * math.sqrt(2.0)))
+            stuck = (1.0 - accept) ** (_TRUNCATED_GAUSSIAN_ROUNDS + 1)
+            if (1.0 - stuck) ** n < _TRUNCATED_GAUSSIAN_MIN_SUCCESS:
+                raise ParameterError(
+                    f"truncated_gaussian({mean:g},{sd:g}): a draw is non-negative with "
+                    f"probability {accept:.3g}, so {n} draws would almost surely not all be "
+                    f"within {_TRUNCATED_GAUSSIAN_ROUNDS} rounds; the mean lies too far below "
+                    "zero")
             out = rng.normal(mean, sd, n)
             bad = np.flatnonzero(out < 0)
             rounds = 0

@@ -138,11 +138,86 @@ def test_python_and_c_search_agree():
         assert chain_mod._noncesearch.search(prefix, wrap_start, 1 << 16, easy32) == py_wrap
 
 
+needs_helper = pytest.mark.skipif(chain_mod._noncesearch is None,
+                                  reason="the C nonce search is not available")
+KERNELS = ["search", "_search_portable"]
+
+
+def _digests(prefix, count):
+    return [hash_bytes(prefix + n.to_bytes(8, "big")) for n in range(count)]
+
+
+def test_helper_names_its_backend():
+    if chain_mod._noncesearch is not None:
+        assert chain_mod._noncesearch.BACKEND in ("sha-ni-x2", "portable")
+
+
+@needs_helper
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("length", [0, 40, 47, 48, 55, 56, 60, 63, 64, 104, 120])
+def test_kernel_agrees_with_hashlib_for_one_and_two_final_blocks(kernel, length):
+    search = getattr(chain_mod._noncesearch, kernel)
+    prefix = bytes((7 * i + length) % 256 for i in range(length))
+    for start in (0, 9, (1 << 64) - 1):
+        for bits, trials in ((256, 3), (250, 2000), (1, 101)):
+            target32 = ((1 << bits) - 1).to_bytes(32, "big")
+            assert search(prefix, start, trials, target32) == \
+                chain_mod._search_python(prefix, start, trials, target32)
+
+
+@needs_helper
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_kernel_returns_the_first_hit_of_a_pair(kernel):
+    search = getattr(chain_mod._noncesearch, kernel)
+    prefix = next(p for p in (bytes([i]) * 104 for i in range(256))
+                  if _digests(p, 2)[1] < _digests(p, 2)[0])
+    d0, d1 = _digests(prefix, 2)
+    both = (int.from_bytes(d0, "big") + 1).to_bytes(32, "big")
+    assert search(prefix, 0, 2, both) == (0, d0)
+    second = (int.from_bytes(d1, "big") + 1).to_bytes(32, "big")
+    assert search(prefix, 0, 2, second) == (1, d1)
+    assert search(prefix, 0, 1, second) is None
+    assert search(prefix, 1, 1, second) == (1, d1)
+    assert search(prefix, 0, 0, both) is None
+
+
+@needs_helper
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_kernel_stops_exactly_at_an_odd_budget(kernel):
+    search = getattr(chain_mod._noncesearch, kernel)
+    prefix = bytes(range(104))
+    digests = _digests(prefix, 256)
+    # nonces whose digest is below every earlier one, at odd and even offsets
+    records = [n for n in range(1, 256) if digests[n] < min(digests[:n])]
+    for n in (next(n for n in records if n % 2), next(n for n in records if n % 2 == 0)):
+        target32 = (int.from_bytes(digests[n], "big") + 1).to_bytes(32, "big")
+        assert search(prefix, 0, n, target32) is None
+        assert search(prefix, 0, n + 1, target32) == (n, digests[n])
+
+
+@needs_helper
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_kernel_pairs_straddle_the_nonce_wrap(kernel):
+    search = getattr(chain_mod._noncesearch, kernel)
+    last = (1 << 64) - 1
+
+    def wrap_digests(p):
+        return hash_bytes(p + last.to_bytes(8, "big")), hash_bytes(p + bytes(8))
+
+    prefix = next(p for p in (bytes([i]) * 104 for i in range(256))
+                  if wrap_digests(p)[1] < wrap_digests(p)[0])
+    top, zero = wrap_digests(prefix)
+    both = (int.from_bytes(top, "big") + 1).to_bytes(32, "big")
+    assert search(prefix, last, 2, both) == (last, top)
+    after_wrap = (int.from_bytes(zero, "big") + 1).to_bytes(32, "big")
+    assert search(prefix, last, 2, after_wrap) == (0, zero)
+    assert search(prefix, last, 1, after_wrap) is None
+
+
 needs_build_tools = pytest.mark.skipif(
     (shutil.which("cc") or shutil.which("gcc")) is None
-    or not os.path.isfile("/usr/include/openssl/sha.h")
     or not os.path.isfile(os.path.join(sysconfig.get_paths()["include"], "Python.h")),
-    reason="needs a C compiler, openssl/sha.h and Python.h",
+    reason="needs a C compiler and Python.h",
 )
 
 
@@ -172,6 +247,29 @@ def test_noncesearch_without_compiler_falls_back_with_warning(tmp_path, monkeypa
     with caplog.at_level(logging.WARNING, logger="tfmlab"):
         assert chain_mod._cached_noncesearch() is None
     assert "no C compiler" in caplog.text and "hashlib" in caplog.text
+    # a missing compiler is not recorded: a later run with one builds
+    assert not list(tmp_path.glob("tfmlab/*/build-failed"))
+
+
+def test_failed_build_is_recorded_and_not_retried(tmp_path, monkeypatch, caplog):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(chain_mod, "_missing_build_tool", lambda: None)
+    calls = []
+
+    def failing_compile(source, dest):
+        calls.append(dest)
+        return "compile failed: synthetic error"
+
+    monkeypatch.setattr(chain_mod, "_compile_noncesearch", failing_compile)
+    with caplog.at_level(logging.WARNING, logger="tfmlab"):
+        assert chain_mod._cached_noncesearch() is None
+    assert len(calls) == 1 and "synthetic error" in caplog.text
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="tfmlab"):
+        assert chain_mod._cached_noncesearch() is None
+    assert len(calls) == 1
+    assert caplog.text.count("C nonce search unavailable") == 1
+    assert "synthetic error" in caplog.text and "build-failed" in caplog.text
 
 
 @needs_build_tools

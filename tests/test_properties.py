@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tfmlab import (
-    AllocationKind,
     MechanismSpec,
     Mempool,
     PaymentKind,
@@ -104,10 +103,8 @@ def test_payments_non_negative_and_burns_only_under_the_posted_price(case):
 @PROPERTY_SETTINGS
 @given(instances())
 def test_truthful_users_gain_nothing_negative_under_the_posted_price(case):
+    # every mechanism, split block included: a demoted row pays delta <= its bid
     m, fakes, capacity, seed, spec = case
-    if spec.payment is not PaymentKind.POSTED_PRICE \
-            or spec.allocation is AllocationKind.SPLIT_BLOCK:
-        return  # split block charges its reserved section the separate fee delta
     out = run_mechanism(spec, m, capacity, fakes=fakes, seed=seed)
     assert set(out.user_utilities) == {tx.id for tx in m}
     assert all(u >= 0 for u in out.user_utilities.values())

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -78,6 +79,14 @@ def test_truncated_gaussian_has_no_zero_atom():
 def test_truncated_gaussian_far_below_zero_raises_instead_of_looping():
     with pytest.raises(ParameterError, match="too far below zero"):
         BidDistribution.truncated_gaussian(-8, 1).sample(np.random.default_rng(0), 10)
+
+
+@pytest.mark.parametrize("mean,n", [(-8, 1000), (-8, 1), (-5, 1000)])
+def test_hopeless_truncated_gaussian_fails_at_once(mean, n):
+    started = time.perf_counter()
+    with pytest.raises(ParameterError, match="too far below zero"):
+        BidDistribution.truncated_gaussian(mean, 1).sample(np.random.default_rng(0), n)
+    assert time.perf_counter() - started < 0.5
 
 
 @pytest.mark.parametrize("mean,sd,n", [(5, 4, 5000), (-3, 1, 1000)])
