@@ -1,27 +1,41 @@
 """Byte-identity pins for seeded outputs.
 
 Each test hashes an output that a fixed seed determines completely: sweep CSV
-bytes, a mempool CSV, Merkle roots and the exact ``repr`` of mechanism
-outcomes (values, their Python types and dict order).  A changed digest means
-a seeded output moved; the change that moves it must say which one and why.
+bytes, a mempool CSV, Merkle roots, the exact ``repr`` of mechanism
+outcomes (values, their Python types and dict order), audit report text and
+CLI audit output.  A changed digest means a seeded output moved; the change
+that moves it must say which one and why.
 """
 
 import hashlib
+import os
+
+import pytest
 
 from tfmlab import (
     BidDistribution,
     ExperimentConfig,
     MechanismSpec,
     Mempool,
+    PaymentKind,
     Transaction,
+    check_uic,
     emit_csv,
+    empirical_cof,
+    estimate_monotonicity,
+    estimate_zti,
     run_mechanism,
     run_rtfm_sweep,
     run_stfm_sweep,
     sample_mempool,
+    search_mic_deviation,
+    tune_gamma,
 )
 from tfmlab.alloc import rtfm_sample
+from tfmlab.cli import main as cli_main
 from tfmlab.txpool import mempool_to_csv
+
+DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
 
 RTFM_SWEEP_CSV = "e73e520b1533523588f1f314b835e5a19f2fa86800d28903a519a48794cfac4b"
 STFM_SWEEP_CSV = "d39bc49ab108f7f6c7dd54ad8a94d9ce413a4018af85aa4ab673dea14cdbe226"
@@ -29,6 +43,30 @@ MEMPOOL_CSV = "912c06eb83798326b4037c641b612ad5a7e93ac81f75f88b9eea0d03fa67eec6"
 RTFM_ROOTS = "da477b7940092a68fad6df08d5859c5b0cfdcee179a400c3eac946cd035a7852"
 EIP1559_OUTCOME = "db4455f7eed6367c56c66dee2fa091826638560fd32e0f5ecf77afa13d56f831"
 SPLIT_BLOCK_OUTCOME = "c88db28e12666ba8aa61dc2812b7608ba134be0bb7a8109e50231b18097077ca"
+SMALL_RTFM_SWEEP_CSV = "516b6b9bf268d25345ca9d8a0c732e02acea5e9498dd3fc025c01d28dd85b17f"
+POSTED_RTFM_SWEEP_CSV = "575478fd3e1c0c9e43e057ce45f91449f85f963ef6c20a044eb58f4afdc153a5"
+TUNE_GAMMA_REPR = "12323955d6fc5c6f0f6514e3c96e8786afd89f74ee958e2c56e7fa9cad1eaf20"
+CLI_AUDIT_OUTPUT = "eb7665aef0456454cba2f2bb5c3993aa5c2b66aeadbb26e85fb659979f7b9b9e"
+AUDIT_DIGESTS = {
+    "zti.softmax": "d84807e120a7a6290b0065e670fe5c8f7a90d5930c526e423b93ff76a161d31f",
+    "zti.uniform": "5f3d9b6e8687de8111cdd76b46e9d323dbf7d938ee7035abba716ae37c5d84e2",
+    "zti.rtfm": "8a88d73139734ce2a801935722d580badbc61d3e0c0870e8b809959772e2f0c9",
+    "zti.split_block_sampling": "900066f7d65c1ab46a0517b09785012ebf732530a396efff2eb9e879fd542754",
+    "monotonicity.softmax": "19112d00047844730e665fc386ec79b0708b87c20f7dfc420aa3b22204ed2730",
+    "monotonicity.uniform": "19112d00047844730e665fc386ec79b0708b87c20f7dfc420aa3b22204ed2730",
+    "monotonicity.rtfm": "19112d00047844730e665fc386ec79b0708b87c20f7dfc420aa3b22204ed2730",
+    "monotonicity.split_block": "3bcb1ba795b5fdbbe0b0f67d42b8e6b05ee3a3b70453c7be33f2613ba6614c47",
+    "uic.split_block_reproducer": "c0de54a2dc56312a91c12850a160e8e05c76c73f3ddbd8f351a625abaced9c49",
+    "uic.eip1559": "e334a5a47a335a6a59e4809b27a2dd61b81d70b0a1c02e9de25044599cb3fef7",
+    "uic.softmax": "87a2bed720999ebb67dc9e99fecc8c60da7500d7ca0f74b9090618bad558b116",
+    "mic.split_block_posted_fee": "596db01b706b6c80afd6d4440907cecaa0908c1969e9b930032bad4024014fb0",
+    "mic.first_price": "70fbbfb7bb87c5619ee709f648762931d2b0897c50e1bf361a385682ffb7b6d8",
+    "mic.rtfm": "70fbbfb7bb87c5619ee709f648762931d2b0897c50e1bf361a385682ffb7b6d8",
+    "mic.softmax_greedy_override": "f1ca0fdc1490614c3359c211e060bb45222ad3cc56938b3deab617028c2b5f69",
+    "cof.softmax": "90ca5e9234b979e0670bcd7833ed9c77f3b21db9efa81fbd396ad4b4a960398a",
+    "cof.split_block": "721b7fc919215abae6351dceb94d06e1886660e890421551f4edf7b334e357cd",
+    "cof.rtfm": "a593315c6bab3d2bf185287683b387bee68dfad43db9cbe647e1a1fcb993bda2",
+}
 
 
 def _sha256_file(path) -> str:
@@ -102,3 +140,119 @@ def test_split_block_outcome_with_fakes():
     fakes = [Transaction(20, 1.0, 1.0, 1.0, fake=True), Transaction(21, 1.0, 0.0, 0.0, fake=True)]
     out = run_mechanism(MechanismSpec.split_block(0.5, delta=1), m, 8.0, fakes=fakes, seed=9)
     assert _sha256_repr(_outcome_repr(out)) == SPLIT_BLOCK_OUTCOME
+
+
+def _unit(bids):
+    return Mempool([Transaction(i, 1.0, float(b), float(b)) for i, b in enumerate(bids)])
+
+
+FAIRNESS_POOL = _unit([0, 0, 1, 2])
+# few runs over many zero bids leave some out, so the zti reports carry frequencies
+ZERO_POOL = _unit([0, 0, 0, 0, 0, 0, 3, 4, 5])
+# zero-fee split block samples its reserved section among the zero bids
+SAMPLING_SPLIT_POOL = Mempool([Transaction(i, 1.0 + 0.5 * (i % 2), b, b)
+                               for i, b in enumerate([0, 3, 0, 5, 0, 2, 0, 4, 0, 1])])
+# split block with a posted fee: under-bidding to the fee pays in expectation
+UIC_REPRODUCER = Mempool([Transaction(i, 1.0, 1.0, 3.0) for i in range(6)]
+                         + [Transaction(6, 1.0, 5.0, 5.0)])
+COF_POOL = _unit([5 + (i % 7) for i in range(16)] + [0, 0, 0, 0])
+
+# name -> a seeded audit; a PropertyReport's text, or a CofReport's repr
+AUDITS = {
+    "zti.softmax": lambda: estimate_zti(MechanismSpec.stfm(1.0), ZERO_POOL, 2.0, 30, 42),
+    "zti.uniform": lambda: estimate_zti(MechanismSpec.uniform(), ZERO_POOL, 2.0, 4, 42),
+    "zti.rtfm": lambda: estimate_zti(MechanismSpec.rtfm(0.5), ZERO_POOL, 2.0, 6, 42),
+    "zti.split_block_sampling": lambda: estimate_zti(
+        MechanismSpec.split_block(0.5), SAMPLING_SPLIT_POOL, 4.0, 3, 42),
+    "monotonicity.softmax": lambda: estimate_monotonicity(
+        MechanismSpec.stfm(1.0), FAIRNESS_POOL, 3, [0.5, 1.0], 200, 42, capacity=2.0,
+        use_certificates=False),
+    "monotonicity.uniform": lambda: estimate_monotonicity(
+        MechanismSpec.uniform(), FAIRNESS_POOL, 3, [1.0], 200, 42, capacity=2.0,
+        use_certificates=False),
+    "monotonicity.rtfm": lambda: estimate_monotonicity(
+        MechanismSpec.rtfm(0.5), FAIRNESS_POOL, 2, [1.0, 2.0], 200, 42, capacity=2.0,
+        use_certificates=False),
+    # a zero bid shares the reserved section; a small raise moves it into the paid one
+    "monotonicity.split_block": lambda: estimate_monotonicity(
+        MechanismSpec.split_block(0.5), SAMPLING_SPLIT_POOL, 0, [0.5], 200, 42, capacity=4.0,
+        use_certificates=False),
+    "uic.split_block_reproducer": lambda: check_uic(
+        MechanismSpec.split_block(0.5, delta=1.0), UIC_REPRODUCER, 4.0, 0, [1.0, 3.0], 500, 42),
+    "uic.eip1559": lambda: check_uic(
+        MechanismSpec.eip1559(2.0), _unit([5, 5, 5, 3]), 2.0, 3, [2.0, 3.0, 5.0], 1, 42),
+    "uic.softmax": lambda: check_uic(
+        MechanismSpec.stfm(1.0), _unit([4, 3, 3, 2, 0]), 2.0, 1, [1.5, 2.5, 3.0, 4.0], 300, 42),
+    "mic.split_block_posted_fee": lambda: search_mic_deviation(
+        MechanismSpec.split_block(0.75, delta=1.0), _unit([2, 3, 4, 5, 6]), 8.0,
+        fake_budget=2, fake_bid_grid=[0.0, 1.0], seed=42),
+    "mic.first_price": lambda: search_mic_deviation(
+        MechanismSpec.first_price(), _unit([5, 3, 2]), 2.0, 2, [0.0, 1.0, 5.0], seed=42),
+    "mic.rtfm": lambda: search_mic_deviation(
+        MechanismSpec.rtfm(0.4), _unit([5, 3, 2]), 2.0, 2, [0.0, 1.0, 5.0], seed=42),
+    "mic.softmax_greedy_override": lambda: search_mic_deviation(
+        MechanismSpec.stfm(1.0), _unit([5, 5, 4, 4, 0, 0]), 2.0, 2, [0.0, 5.0], seed=42,
+        trials=2000),
+    "cof.softmax": lambda: empirical_cof(MechanismSpec.stfm(2.0), COF_POOL, 8.0, 300, 42),
+    "cof.split_block": lambda: empirical_cof(MechanismSpec.split_block(0.5), COF_POOL, 8.0, 300,
+                                             42),
+    "cof.rtfm": lambda: empirical_cof(MechanismSpec.rtfm(0.3), COF_POOL, 8.0, 300, 42),
+}
+
+
+def _audit_bytes(name: str) -> bytes:
+    report = AUDITS[name]()
+    text = repr(report) if name.startswith("cof.") else report.to_text()
+    return text.encode()
+
+
+@pytest.mark.parametrize("name", sorted(AUDITS))
+def test_audit_report_bytes(name):
+    assert hashlib.sha256(_audit_bytes(name)).hexdigest() == AUDIT_DIGESTS[name]
+
+
+def _tune_gamma_demo_shape():
+    """tune_gamma on the pool, interval and trials of demos/tune_gamma.cfg."""
+    m = sample_mempool(60, BidDistribution.zero_inflated(0.3, BidDistribution.uniform(0, 5)),
+                       BidDistribution.constant(1), seed=3)
+    return tune_gamma(m, 15.0, alpha_target=0.2, phi_ratio=2.0, gamma_lo=0.1, gamma_hi=50.0,
+                      trials=400, seed=3)
+
+
+def test_tune_gamma_repr():
+    assert _sha256_repr(_tune_gamma_demo_shape()) == TUNE_GAMMA_REPR
+
+
+def _cli_audit_output(capsys) -> bytes:
+    """`tfmlab audit` stdout for all five properties on demos/zti_audit.cfg."""
+    out = []
+    for prop in ("zti", "monotonicity", "uic", "mic", "cof"):
+        assert cli_main(["audit", "--config", os.path.join(DEMOS, "zti_audit.cfg"),
+                         "--property", prop]) == 0
+        out.append(capsys.readouterr().out)
+    return "".join(out).encode()
+
+
+def test_cli_audit_output_on_the_demo_config(capsys):
+    assert hashlib.sha256(_cli_audit_output(capsys)).hexdigest() == CLI_AUDIT_OUTPUT
+
+
+def _rtfm_sweep_csv(tmp_path, n, payment=PaymentKind.FIRST_PRICE, base_fee=None):
+    cfg = ExperimentConfig(
+        mechanism=MechanismSpec.rtfm(0.5, payment, base_fee), n=n, capacity=6.0,
+        bid_dist=BidDistribution.zero_inflated(0.2, BidDistribution.uniform(0, 5)),
+        size_dist=BidDistribution.uniform(0.5, 1.5),
+        sweep_values=(0.0, 0.25, 0.5, 0.75, 1.0), runs=40, seed=13,
+    )
+    path = tmp_path / f"rtfm_{n}.csv"
+    emit_csv(run_rtfm_sweep(cfg), str(path))
+    return _sha256_file(path)
+
+
+def test_rtfm_sweep_csv_bytes_with_exact_small_pools(tmp_path):
+    # below EXHAUSTIVE_LIMIT the paying branch is exact and the sweep's optimum greedy
+    assert _rtfm_sweep_csv(tmp_path, 20) == SMALL_RTFM_SWEEP_CSV
+
+
+def test_rtfm_sweep_csv_bytes_under_the_posted_price(tmp_path):
+    assert _rtfm_sweep_csv(tmp_path, 40, PaymentKind.POSTED_PRICE, 1.0) == POSTED_RTFM_SWEEP_CSV
