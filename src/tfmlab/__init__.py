@@ -60,19 +60,16 @@ from .experiments import (
     ExperimentConfig,
     SweepRow,
     emit_csv,
-    load_experiment_config,
     run_rtfm_sweep,
     run_stfm_sweep,
 )
 from .mech import (
     AllocationKind,
     BaseFeeState,
-    BurnKind,
     MechanismOutcome,
     MechanismSpec,
     PaymentKind,
     is_excessively_low,
-    miner_utility,
     run_mechanism,
     spec_from_config,
     spec_from_fields,

@@ -233,8 +233,7 @@ def uniform_allocate(m: Mempool, capacity, seed: SeedLike) -> AllocationResult:
     """Uniformly sample transactions until nothing left fits."""
     if not capacity >= 0:
         raise ParameterError(f"capacity must be non-negative, got {capacity}")
-    rng = resolve_rng(seed)
-    rows, total = _walk(m.columns.sizes, rng.permutation(len(m)), capacity)
+    rows, total = _walk(m.columns.sizes, resolve_rng(seed).permutation(len(m)), capacity)
     return AllocationResult(tuple(m.columns.ids[rows].tolist()), total, capacity)
 
 
@@ -256,6 +255,18 @@ def stfm_first_draw_distribution(m: Mempool, gamma: float) -> Dict[int, float]:
     return dict(zip(m.ids(), probs.tolist()))
 
 
+def _softmax_walk(sizes: np.ndarray, scaled_bids: np.ndarray, gumbel: np.ndarray, capacity):
+    """The rows a walk over the Gumbel-top-k order keeps, and their total.
+
+    The keys are ``scaled_bids + gumbel`` with ``scaled_bids = bid / gamma``
+    and `sizes` as floats.  The noise does not depend on gamma, so one draw
+    of it serves every temperature.
+    """
+    keys = gumbel + scaled_bids
+    order = np.negative(keys, out=keys).argsort(kind="stable")
+    return _walk(sizes, order, capacity)
+
+
 def stfm_allocate(m: Mempool, capacity, gamma: float, seed: SeedLike) -> AllocationResult:
     """Sample a feasible block through softmax-with-temperature over bids.
 
@@ -272,11 +283,10 @@ def stfm_allocate(m: Mempool, capacity, gamma: float, seed: SeedLike) -> Allocat
     if n == 0:
         return AllocationResult((), 0, capacity)
     c = m.columns
-    keys = rng.gumbel(size=n)
-    keys += c.bids.astype(float, copy=False) / gamma
-    order = np.negative(keys, out=keys).argsort(kind="stable")
     # the walk runs in floats whatever the size column holds
-    rows, total = _walk(c.sizes.astype(float, copy=False), order, capacity)
+    rows, total = _softmax_walk(c.sizes.astype(float, copy=False),
+                                c.bids.astype(float, copy=False) / gamma, rng.gumbel(size=n),
+                                capacity)
     return AllocationResult(tuple(c.ids[rows].tolist()), float(total), capacity)
 
 
@@ -304,6 +314,69 @@ class SplitBlockConfig:
         return capacity - self.alpha * capacity
 
 
+def _prepare_splitblock(
+    m: Mempool,
+    capacity,
+    cfg: SplitBlockConfig,
+    fake_fill: Sequence[Transaction] = (),
+    demote_to_posted: Optional[bool] = None,
+    alpha_payment: Optional[Sequence] = None,
+):
+    """The pool `m` with `fake_fill` appended, and the split-block draw over it.
+
+    ``draw(rng)`` returns the block's rows of that pool in ascending id,
+    their total size, the section of each selected id and a mask of the rows
+    in the reserved section.  The paid section's knapsack depends only on the
+    rows the reserved section took, so a draw solves it once per such set.
+    """
+    if not capacity >= 0:
+        raise ParameterError(f"capacity must be non-negative, got {capacity}")
+    if demote_to_posted is None:
+        demote_to_posted = cfg.delta > 0
+    cap_posted = cfg.one_minus_alpha_capacity(capacity)
+    cap_paid = cfg.alpha_capacity(capacity)
+
+    n = len(m)
+    pool = m.extend(fake_fill or ())  # m's rows, then the fakes
+    c = pool.columns
+    at_fee = c.bids == cfg.delta
+    # a fake must offer the posted fee to pass for a reserved-section entry
+    fake_rows, fake_total = _walk(c.sizes, n + at_fee[n:].nonzero()[0], cap_posted)
+    posted = at_fee[:n].nonzero()[0]
+    demoted = posted[:0]
+    if demote_to_posted:
+        # then every other transaction that bids at least the posted fee, lowest bids
+        # first; a posted-fee row that did not fit above cannot fit later, since the
+        # total only grows
+        rest = (~at_fee[:n] & (c.bids[:n] >= cfg.delta)).nonzero()[0]
+        demoted = rest[np.lexsort((c.ids[rest], c.bids[rest]))]
+    payment = c.bids[:n] if alpha_payment is None else np.asarray(alpha_payment)
+    paid_rows_of: Dict[bytes, np.ndarray] = {}  # the placed rows' mask -> paid rows
+
+    def draw(rng: np.random.Generator):
+        order = np.concatenate((posted[rng.permutation(len(posted))], demoted))
+        rows, _ = _walk(c.sizes, order, cap_posted, fake_total)
+        reserved = np.concatenate((fake_rows, rows))
+        placed = np.zeros(n, dtype=bool)
+        placed[rows] = True
+        key = placed.tobytes()
+        if key not in paid_rows_of:
+            # the paid section is the knapsack over the rest: a zero payment keeps a row out
+            open_rows = ~(placed | at_fee[:n])
+            paid = optimal_allocate(m, cap_paid, payment_per_unit=np.where(open_rows, payment, 0),
+                                    exact=np.count_nonzero(open_rows) <= EXHAUSTIVE_LIMIT)
+            paid_rows_of[key] = m.rows_of(paid.selected)
+        paid = paid_rows_of[key]
+        sections: Dict[int, str] = dict.fromkeys(c.ids[reserved].tolist(), SECTION_ONE_MINUS_ALPHA)
+        sections.update(dict.fromkeys(c.ids[paid].tolist(), SECTION_ALPHA))
+        chosen = np.concatenate((reserved, paid))
+        by_id = c.ids[chosen].argsort()
+        chosen = chosen[by_id]
+        return chosen, sum(c.sizes[chosen].tolist()), sections, by_id < len(reserved)
+
+    return pool, draw
+
+
 def splitblock_allocate(
     m: Mempool,
     capacity,
@@ -325,45 +398,9 @@ def splitblock_allocate(
     section is then solved as a knapsack over the remaining transactions,
     weighted by `alpha_payment` (one value per row of `m`) when given.
     """
-    if not capacity >= 0:
-        raise ParameterError(f"capacity must be non-negative, got {capacity}")
-    rng = resolve_rng(seed)
-    if demote_to_posted is None:
-        demote_to_posted = cfg.delta > 0
-    cap_posted = cfg.one_minus_alpha_capacity(capacity)
-    cap_paid = cfg.alpha_capacity(capacity)
-
-    n = len(m)
-    pool = m.extend(fake_fill or ())  # m's rows, then the fakes
-    c = pool.columns
-    at_fee = c.bids == cfg.delta
-    # a fake must offer the posted fee to pass for a reserved-section entry
-    fake_rows, total_posted = _walk(c.sizes, n + at_fee[n:].nonzero()[0], cap_posted)
-    posted = at_fee[:n].nonzero()[0]
-    order = posted[rng.permutation(len(posted))]
-    if demote_to_posted:
-        # then every other transaction that bids at least the posted fee, lowest bids
-        # first; a posted-fee row that did not fit above cannot fit later, since the
-        # total only grows
-        rest = (~at_fee[:n] & (c.bids[:n] >= cfg.delta)).nonzero()[0]
-        order = np.concatenate((order, rest[np.lexsort((c.ids[rest], c.bids[rest]))]))
-    rows, total_posted = _walk(c.sizes, order, cap_posted, total_posted)
-    reserved = np.concatenate((fake_rows, rows))
-    placed = np.zeros(n, dtype=bool)
-    placed[rows] = True
-
-    # the paid section is the knapsack over the rest: a zero payment keeps a row out
-    paid_rows = ~(placed | at_fee[:n])
-    payment = c.bids[:n] if alpha_payment is None else np.asarray(alpha_payment)
-    paid = optimal_allocate(m, cap_paid, payment_per_unit=np.where(paid_rows, payment, 0),
-                            exact=np.count_nonzero(paid_rows) <= EXHAUSTIVE_LIMIT)
-
-    sections: Dict[int, str] = dict.fromkeys(c.ids[reserved].tolist(), SECTION_ONE_MINUS_ALPHA)
-    sections.update(dict.fromkeys(paid.selected, SECTION_ALPHA))
-    chosen = np.concatenate((reserved, m.rows_of(paid.selected)))
-    chosen = chosen[c.ids[chosen].argsort()]
-    return AllocationResult(tuple(c.ids[chosen].tolist()), sum(c.sizes[chosen].tolist()), capacity,
-                            sections)
+    pool, draw = _prepare_splitblock(m, capacity, cfg, fake_fill, demote_to_posted, alpha_payment)
+    rows, total, sections, _ = draw(resolve_rng(seed))
+    return AllocationResult(tuple(pool.columns.ids[rows].tolist()), total, capacity, sections)
 
 
 @dataclass(frozen=True)

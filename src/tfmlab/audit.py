@@ -14,23 +14,25 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from itertools import combinations_with_replacement
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .alloc import (
+    _softmax_walk,
     allocation_value,
     optimal_allocate,
-    stfm_allocate,
     stfm_first_draw_distribution,
 )
 from .errors import DomainError, ParameterError, SolverLimitError
 from .experiments import _mean_se
-from .mech import AllocationKind, MechanismSpec, PaymentKind, run_mechanism
+from .mech import AllocationKind, MechanismSpec, PaymentKind, _prepare
 from .txpool import Mempool, Transaction, zero_fee_subset
 
 _TOL = 1e-9
+_PCG64_STATE = (1 << 128) - 1
 
 
 class Verdict(Enum):
@@ -80,28 +82,58 @@ def reports_to_csv(reports: Sequence[PropertyReport], path: str) -> None:
                              "" if r.witness is None else repr(r.witness)])
 
 
-def _trial_seed(seed: int, i: int) -> list:
-    return [int(seed), int(i)]
+def _trial_rng(seed: int, i: int) -> np.random.Generator:
+    """Trial i's generator, as ``np.random.default_rng([seed, i])`` builds it."""
+    return np.random.Generator(np.random.PCG64([int(seed), int(i)]))
 
 
-def _replay(run, trials: int, seed: int) -> Tuple[list, bool]:
+class _TrialStreams:
+    """The trial generators of one audit call that replays several arms.
+
+    The first use of trial i seeds its generator through numpy, as
+    :func:`_trial_rng` does, and records its PCG64 state and increment,
+    packed into one int; a later arm of the same call gets the trial's
+    stream back by restoring them into one reused generator, which costs a
+    fraction of the seeding.  A generator is good until the next trial is
+    asked for.
+    """
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self._start: List[int] = []  # trial i's PCG64 ``state | inc << 128``
+        self._rng: Optional[np.random.Generator] = None
+
+    def __call__(self, i: int) -> np.random.Generator:
+        if i < len(self._start):
+            packed = self._start[i]
+            self._rng.bit_generator.state = {
+                "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                "state": {"state": packed & _PCG64_STATE, "inc": packed >> 128}}
+            return self._rng
+        rng = self._rng = _trial_rng(self.seed, i)
+        if i == len(self._start):
+            pcg = rng.bit_generator.state["state"]
+            self._start.append(pcg["state"] | pcg["inc"] << 128)
+        return rng
+
+
+def _replay(run, trials: int, streams) -> Tuple[list, bool]:
     """Results of ``run(rng)`` over up to `trials` runs, and whether the rule drew.
 
-    Run i gets ``np.random.default_rng(_trial_seed(seed, i))`` and passes it
-    to run_mechanism as the seed, its only source of randomness.  So when run
-    0 leaves its generator's state unchanged, the rule drew nothing, every
-    seed gives the same outcome, and the replay stops after that one run.
+    Run i gets ``streams(i)``, trial i's generator (a :class:`_TrialStreams`,
+    or :func:`_trial_rng` bound to the seed for a single arm), as its only
+    source of randomness.  So when run 0 leaves its generator's state
+    unchanged, the rule drew nothing, every seed gives the same outcome, and
+    the replay stops after that one run.
     """
     if trials < 1:
         raise ParameterError("trials must be at least 1")
-    rng = np.random.default_rng(_trial_seed(seed, 0))
+    rng = streams(0)
     state = rng.bit_generator.state
     results = [run(rng)]
     if rng.bit_generator.state == state:
         return results, False
-    # Generator(PCG64(s)) is what default_rng(s) builds, with less call overhead
-    results += [run(np.random.Generator(np.random.PCG64(_trial_seed(seed, i))))
-                for i in range(1, trials)]
+    results += [run(streams(i)) for i in range(1, trials)]
     return results, True
 
 
@@ -144,11 +176,14 @@ def estimate_zti(spec: MechanismSpec, m: Mempool, capacity, trials: int, seed: i
                 0, "analytic certificate",
             )
 
-    def included_zeros(rng) -> tuple:
-        block = run_mechanism(spec, m, capacity, seed=rng).allocation.selected_set
-        return tuple(tx.id for tx in zeros if tx.id in block)
+    step = _prepare(spec, m, capacity)
+    zero_rows = list(zip(m.rows_of(tx.id for tx in zeros).tolist(), (tx.id for tx in zeros)))
 
-    blocks, drew = _replay(included_zeros, trials, seed)
+    def included_zeros(rng) -> tuple:
+        block = set(step(rng).rows.tolist())
+        return tuple(tid for row, tid in zero_rows if row in block)
+
+    blocks, drew = _replay(included_zeros, trials, partial(_trial_rng, seed))
     excluded = [tx.id for tx in zeros if tx.id not in blocks[0]]
     if excluded and not drew:
         return PropertyReport(
@@ -178,36 +213,19 @@ def estimate_zti(spec: MechanismSpec, m: Mempool, capacity, trials: int, seed: i
 # Monotonicity
 
 
-def _monotonicity_certificate(spec: MechanismSpec) -> Optional[Tuple[Verdict, dict, str]]:
-    if spec.allocation is AllocationKind.UNIFORM:
-        return (
-            Verdict.VIOLATED,
-            {"certificate": "uniform sampling gives every transaction the same inclusion "
-                            "probability at any bid, so raising a bid cannot raise it"},
-            "analytic certificate",
-        )
-    if spec.allocation is AllocationKind.SOFTMAX:
-        return (
-            Verdict.SATISFIED,
-            {"certificate": "softmax weight exp(bid/gamma) strictly increases with the bid "
-                            "at every sampling stage"},
-            "analytic certificate",
-        )
-    if spec.allocation is AllocationKind.RTFM:
-        return (
-            Verdict.SATISFIED,
-            {"certificate": "uniform branch is bid-independent and the optimal branch's "
-                            "inclusion is non-decreasing in the bid"},
-            "analytic certificate",
-        )
-    if spec.allocation in (AllocationKind.OPTIMAL, AllocationKind.SPLIT_BLOCK):
-        return (
-            Verdict.SATISFIED,
-            {"certificate": "knapsack objective weight grows with the bid, so a higher bid "
-                            "only ever enters (never leaves) the revenue-maximizing set"},
-            "analytic certificate",
-        )
-    return None
+_KNAPSACK_MONOTONE = (Verdict.SATISFIED, "knapsack objective weight grows with the bid, so a "
+                      "higher bid only ever enters (never leaves) the revenue-maximizing set")
+# each allocation rule's analytic monotonicity verdict and its certificate
+_MONOTONICITY_CERTIFICATES = {
+    AllocationKind.UNIFORM: (Verdict.VIOLATED, "uniform sampling gives every transaction the same "
+                             "inclusion probability at any bid, so raising a bid cannot raise it"),
+    AllocationKind.SOFTMAX: (Verdict.SATISFIED, "softmax weight exp(bid/gamma) strictly increases "
+                             "with the bid at every sampling stage"),
+    AllocationKind.RTFM: (Verdict.SATISFIED, "uniform branch is bid-independent and the optimal "
+                          "branch's inclusion is non-decreasing in the bid"),
+    AllocationKind.OPTIMAL: _KNAPSACK_MONOTONE,
+    AllocationKind.SPLIT_BLOCK: _KNAPSACK_MONOTONE,
+}
 
 
 def estimate_monotonicity(
@@ -217,7 +235,7 @@ def estimate_monotonicity(
     epsilons: Sequence[float],
     trials: int,
     seed: int,
-    capacity=None,
+    capacity,
     use_certificates: bool = True,
 ) -> PropertyReport:
     """Does the target's inclusion probability rise with its bid?
@@ -232,24 +250,19 @@ def estimate_monotonicity(
         raise ParameterError("trials must be at least 1")
     if any(e <= 0 for e in epsilons):
         raise ParameterError("epsilons must be positive")
-    if capacity is None:
-        capacity = m.capacity_hint
-    if capacity is None:
-        raise ParameterError("capacity required (argument or mempool capacity_hint)")
 
     if use_certificates:
-        cert = _monotonicity_certificate(spec)
-        if cert is not None:
-            verdict, witness, note = cert
-            return PropertyReport("monotonicity", verdict, witness, 0, note)
+        verdict, certificate = _MONOTONICITY_CERTIFICATES[spec.allocation]
+        return PropertyReport("monotonicity", verdict, {"certificate": certificate}, 0,
+                              "analytic certificate")
 
     base_bid = m.get(target_tx).bid
+    target_row = int(m.rows_of((target_tx,))[0])
+    streams = _TrialStreams(seed)
 
     def inclusion_rate(bid) -> Tuple[float, float, int]:
-        pool = m.with_bid(target_tx, bid)
-        hits, _ = _replay(
-            lambda rng: target_tx in run_mechanism(spec, pool, capacity, seed=rng).allocation.selected_set,
-            trials, seed)
+        step = _prepare(spec, m.with_bid(target_tx, bid), capacity)
+        hits, _ = _replay(lambda rng: target_row in step(rng).rows.tolist(), trials, streams)
         p = sum(hits) / len(hits)
         return p, math.sqrt(p * (1 - p) / len(hits)), len(hits)
 
@@ -296,11 +309,10 @@ def check_uic(
     means: Dict[float, float] = {}
     ses: Dict[float, float] = {}
     n_runs = 0
+    streams = _TrialStreams(seed)
     for b in bid_grid:
-        pool = m.with_bid(user, b)
-        utils, _ = _replay(
-            lambda rng: run_mechanism(spec, pool, capacity, seed=rng).user_utilities[user],
-            trials, seed)
+        step = _prepare(spec, m.with_bid(user, b), capacity)
+        utils, _ = _replay(lambda rng: step(rng).user_utilities()[user], trials, streams)
         means[b], ses[b] = _mean_se(utils)
         n_runs = max(n_runs, len(utils))
 
@@ -325,22 +337,19 @@ def check_uic(
 # Miner incentive compatibility
 
 
-def _expected_miner_utility(spec, m, capacity, fakes, trials, seed, **run_kwargs):
+def _expected_miner_utility(spec, m, capacity, fakes, trials, streams, **prepare_kwargs):
     """Mean, standard error and the runs made; exact (se 0) wherever the rule allows it."""
+    step = _prepare(spec, m, capacity, fakes, **prepare_kwargs)
     if spec.allocation is AllocationKind.RTFM:
         # two-point mixture: the zero-pay branch contributes nothing
-        out = run_mechanism(spec, m, capacity, fakes=fakes, seed=_trial_seed(seed, 0),
-                            rtfm_toss=1, **run_kwargs)
-        return (1 - spec.phi) * out.miner_utility, 0.0, 1
-    utils, _ = _replay(
-        lambda rng: run_mechanism(spec, m, capacity, fakes=fakes, seed=rng, **run_kwargs).miner_utility,
-        trials, seed)
+        return (1 - spec.phi) * step(streams(0), 1).miner_utility, 0.0, 1
+    utils, _ = _replay(lambda rng: step(rng).miner_utility, trials, streams)
     return (*_mean_se(utils), len(utils))
 
 
 def _named_overrides(spec: MechanismSpec) -> List[Tuple[str, MechanismSpec, dict]]:
     """Rule-level deviations the miner controls: a name, the spec it plays and
-    its run_mechanism keyword arguments."""
+    its keyword arguments to the mechanism."""
     if spec.allocation is AllocationKind.SOFTMAX:
         greedy = replace(spec, allocation=AllocationKind.OPTIMAL, gamma=None)
         return [("greedy_instead_of_sampling", greedy, {})]
@@ -377,7 +386,8 @@ def search_mic_deviation(
     if spec.allocation is AllocationKind.SPLIT_BLOCK and spec.split.delta not in grid:
         grid.append(spec.split.delta)
 
-    honest, honest_se, n_runs = _expected_miner_utility(spec, m, capacity, (), trials, seed)
+    streams = _TrialStreams(seed)
+    honest, honest_se, n_runs = _expected_miner_utility(spec, m, capacity, (), trials, streams)
 
     next_id = max((tx.id for tx in m), default=-1) + 1
     fake_sets: List[Tuple[dict, Sequence[Transaction]]] = [({}, ())]
@@ -387,7 +397,7 @@ def search_mic_deviation(
                 Transaction(next_id + j, fake_size, b, b, fake=True) for j, b in enumerate(combo)
             )
             fake_sets.append(({"fake_bids": list(combo)}, fakes))
-    # (witness, spec, fakes, run_mechanism kwargs); the honest rule itself is not a deviation
+    # (witness, spec, fakes, mechanism kwargs); the honest rule itself is not a deviation
     candidates = [(desc, spec, fakes, {}) for desc, fakes in fake_sets[1:]]
     for name, run_spec, kwargs in _named_overrides(spec):
         candidates += [(dict(desc, override=name), run_spec, fakes, kwargs)
@@ -395,7 +405,7 @@ def search_mic_deviation(
 
     best = (honest, 0.0, None)
     for desc, run_spec, fakes, kwargs in candidates:
-        value, se, runs = _expected_miner_utility(run_spec, m, capacity, fakes, trials, seed,
+        value, se, runs = _expected_miner_utility(run_spec, m, capacity, fakes, trials, streams,
                                                   **kwargs)
         n_runs = max(n_runs, runs)
         if value > best[0]:
@@ -439,13 +449,14 @@ def empirical_cof(
 
     if trials < 1:
         raise ParameterError("trials must be at least 1")
+    step = _prepare(spec, m, capacity)
+    streams = partial(_trial_rng, seed)
     if spec.allocation is AllocationKind.RTFM:
         # the zero-pay branch earns nothing and no seed changes the paying branch
-        paying = run_mechanism(spec, m, capacity, seed=_trial_seed(seed, 0), rtfm_toss=1).miner_utility
+        paying = step(streams(0), 1).miner_utility
         utils = [0.0 if (i + 0.5) / trials < spec.phi else paying for i in range(trials)]
     else:
-        utils, _ = _replay(lambda rng: run_mechanism(spec, m, capacity, seed=rng).miner_utility,
-                           trials, seed)
+        utils, _ = _replay(lambda rng: step(rng).miner_utility, trials, streams)
     utils = np.asarray(utils, dtype=float)
     mean = float(utils.mean())
     cov = float(utils.std(ddof=1) / mean) if len(utils) > 1 and mean > 0 else None
@@ -567,19 +578,28 @@ def tune_gamma(
     if math.isinf(phi_ratio):
         return gamma_lo
 
-    opt_set = optimal_allocate(m, capacity).selected_set
-    zero_ids = {tx.id for tx in m if tx.bid == 0}
-    sizes = {tx.id: tx.size for tx in m}
+    opt_rows = set(m.rows_of(optimal_allocate(m, capacity).selected).tolist())
+    c = m.columns
+    zero = (c.bids == 0).tolist()
+    sizes = c.sizes.tolist()
+    # softmax sampling as stfm_allocate does it; trial i's Gumbel noise is the
+    # same at every gamma, so it is drawn once
+    walk_sizes = c.sizes.astype(float, copy=False)
+    bids = c.bids.astype(float, copy=False)
+    noise = np.empty((trials, len(m)))
+    for i in range(trials):
+        noise[i] = _trial_rng(seed, i).gumbel(size=len(m))
 
     def estimate(gamma: float) -> Tuple[float, float]:
         hits_cof = 0
         hits_zf = 0
-        for i in range(trials):
-            res = stfm_allocate(m, capacity, gamma, _trial_seed(seed, i))
-            hits_cof += res.selected_set == opt_set
-            total = res.total_size
+        scaled = bids / gamma
+        for gumbel in noise:
+            rows, total = _softmax_walk(walk_sizes, scaled, gumbel, capacity)
+            rows = rows.tolist()
+            hits_cof += set(rows) == opt_rows
             if total > 0:
-                zf = sum(sizes[t] for t in res.selected if t in zero_ids)
+                zf = sum(sizes[r] for r in rows if zero[r])
                 hits_zf += zf / total >= alpha_target
             else:
                 hits_zf += alpha_target == 0

@@ -210,10 +210,6 @@ class Difficulty:
                 f"toss bias must satisfy 0 <= num <= den, got {self.phi_num}/{self.phi_den}"
             )
 
-    @classmethod
-    def from_phi(cls, phi_num: int, phi_den: int, target: int = DEFAULT_TARGET) -> "Difficulty":
-        return cls(target, phi_num, phi_den)
-
     @property
     def phi(self) -> float:
         return self.phi_num / self.phi_den

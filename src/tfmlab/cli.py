@@ -1,15 +1,19 @@
 """Command-line experiment runner.
 
-Subcommands: ``sweep-rtfm``, ``sweep-stfm``, ``audit``, ``mine-demo`` and
-``tune-gamma``.  Exit codes: 0 on success, 1 on usage errors, 2 on runtime
-errors (bad config, IO failures, infeasible searches).
+Subcommands: ``sweep-rtfm``, ``sweep-stfm``, ``audit``, ``mine-demo``,
+``tune-gamma`` and ``info``.  Exit codes: 0 on success, 1 on usage errors, 2
+on runtime errors (bad config, IO failures, infeasible searches).
 """
 
 from __future__ import annotations
 
+import os
+import platform
 import sys
+import time
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 from typing import Optional, Sequence
 
 from . import audit as audit_mod
@@ -150,6 +154,30 @@ def _cmd_tune_gamma(args) -> int:
     return 0
 
 
+def _cmd_info(args) -> int:
+    import numpy
+
+    from . import __version__
+
+    helper = chain._noncesearch  # None when mining falls back to hashlib
+    backend, path, trials = "hashlib", "", 1 << 16
+    if helper is not None:
+        path, trials = helper.__file__, 1 << 20
+        where = "packaged" if Path(path).parent == Path(chain.__file__).parent else "cached"
+        backend = f"{where} C ({helper.BACKEND})"
+    # `trials` nonces of one header, against a target no digest meets
+    prefix = chain.BlockHeader(bytes(32), bytes(32), bytes(32), 0, 0).prefix_bytes()
+    start = time.perf_counter()
+    chain._search(prefix, 0, trials, 1)
+    rate = trials / (time.perf_counter() - start) / 1e6
+    for key, value in (("version", __version__), ("hash_backend", backend),
+                       ("hash_helper_path", path), ("hash_rate_mhs", f"{rate:.3g}"),
+                       ("python", platform.python_version()), ("numpy", numpy.__version__),
+                       ("nproc", os.cpu_count())):
+        print(f"{key}={value}")
+    return 0
+
+
 def build_parser():
     import argparse
 
@@ -192,6 +220,9 @@ def build_parser():
     p = sub.add_parser("tune-gamma", help="search the smallest acceptable softmax temperature")
     add_common(p)
     p.set_defaults(func=_cmd_tune_gamma)
+
+    p = sub.add_parser("info", help="print the version, hash backend and rate, Python, numpy, nproc")
+    p.set_defaults(func=_cmd_info)
 
     return parser
 

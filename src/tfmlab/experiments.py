@@ -15,7 +15,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .alloc import allocation_value, optimal_allocate
+from .alloc import EXHAUSTIVE_LIMIT, allocation_value, optimal_allocate
 from .errors import ConfigError
 from .mech import (
     CONFIG_KEYS,
@@ -24,8 +24,11 @@ from .mech import (
     AllocationKind,
     MechanismOutcome,
     MechanismSpec,
+    PaymentKind,
+    _outcome,
+    _prepare,
     config_value,
-    parse_config_text,
+    parse_config_text,  # noqa: F401 (re-exported: the sweep configs' parser)
     run_mechanism,
     spec_from_fields,
 )
@@ -108,17 +111,25 @@ def run_rtfm_sweep(cfg: ExperimentConfig) -> List[SweepRow]:
         raise ConfigError("run_rtfm_sweep sweeps phi")
 
     runs = cfg.runs
-    per_run: List[Dict[str, float]] = []
+    # normalized revenue, zero-fee fraction, zero-fee inclusion and zero-payment
+    # fraction, by branch (0 = zero-pay uniform set, 1 = optimal set) and run
+    stats = np.empty((4, 2, runs))
     for r in range(runs):
         m = sample_mempool(cfg.n, cfg.bid_dist, cfg.size_dist, seed=[cfg.seed, r])
-        opt_value = allocation_value(m, optimal_allocate(m, cfg.capacity, exact=False))
-        stats: Dict[str, float] = {}
-        for branch in (0, 1):
-            out = run_mechanism(cfg.mechanism, m, cfg.capacity, seed=[cfg.seed, r], rtfm_toss=branch)
-            tag = "rand" if branch == 0 else "opt"
-            stats[f"norm_{tag}"] = out.miner_utility / opt_value if opt_value > 0 else 0.0
-            stats[f"zff_{tag}"], stats[f"zfi_{tag}"], stats[f"zpf_{tag}"] = _block_stats(m, out)
-        per_run.append(stats)
+        step = _prepare(cfg.mechanism, m, cfg.capacity)
+        # the optimal branch draws only the stream-aligning permutation, which it
+        # does not use, so one generator serves both branches
+        rng = np.random.default_rng([cfg.seed, r])
+        outs = [_outcome(step(rng, branch), cfg.capacity) for branch in (0, 1)]
+        # the paying branch's knapsack is the greedy optimum unless it is exact (a
+        # small pool) or weighs bids less the posted fee
+        if len(m) > EXHAUSTIVE_LIMIT and cfg.mechanism.payment is not PaymentKind.POSTED_PRICE:
+            opt_value = allocation_value(m, outs[1].allocation)
+        else:
+            opt_value = allocation_value(m, optimal_allocate(m, cfg.capacity, exact=False))
+        for branch, out in enumerate(outs):
+            norm = out.miner_utility / opt_value if opt_value > 0 else 0.0
+            stats[:, branch, r] = (norm, *_block_stats(m, out))
 
     toss_rng = np.random.default_rng([cfg.seed, 7])
     rows: List[SweepRow] = []
@@ -129,11 +140,7 @@ def run_rtfm_sweep(cfg: ExperimentConfig) -> List[SweepRow]:
             is_rand = np.array([(r + 0.5) / runs < phi for r in range(runs)])
         else:
             is_rand = toss_rng.random(runs) < phi
-        tags = np.where(is_rand, 0, 1)
-        norm = np.array([per_run[r]["norm_rand" if t == 0 else "norm_opt"] for r, t in enumerate(tags)])
-        zff = np.array([per_run[r]["zff_rand" if t == 0 else "zff_opt"] for r, t in enumerate(tags)])
-        zfi = np.array([per_run[r]["zfi_rand" if t == 0 else "zfi_opt"] for r, t in enumerate(tags)])
-        zpf = np.array([per_run[r]["zpf_rand" if t == 0 else "zpf_opt"] for r, t in enumerate(tags)])
+        norm, zff, zfi, zpf = stats[:, np.where(is_rand, 0, 1), np.arange(runs)]
         norm_mean, norm_se = _mean_se(norm)
         zff_mean, zff_se = _mean_se(zff)
         cof = 1.0 / norm_mean if norm_mean > 0 else math.inf
@@ -236,8 +243,3 @@ def experiment_from_fields(fields: Dict[str, object]) -> ExperimentConfig:
     settings = {_ATTRIBUTES.get(k, k): v for k, v in fields.items()
                 if CONFIG_KEYS[k].section in (POOL, SWEEP)}
     return ExperimentConfig(spec_from_fields(mech_fields), **settings)
-
-
-def load_experiment_config(path: str) -> ExperimentConfig:
-    with open(path) as fh:
-        return experiment_from_fields(parse_config_text(fh.read()))

@@ -16,7 +16,17 @@ Payment rules:
 
 The split-block rule prices its reserved section at the posted constant
 ``delta`` and the randomized two-set rule pays nothing on the uniformly
-sampled branch.
+sampled branch.  The burn follows the payment rule: only the posted price
+burns.
+
+The allocation rules form one table, ``_RULES``, from
+:class:`AllocationKind` to a rule; the two branches of the two-set rule are
+the uniform and knapsack rules.  ``_prepare`` checks the fakes, appends them
+to the pool, picks the candidates and does the rule's per-arm work once (the
+knapsack solve, the weights); the step it returns runs one trial with
+exactly the generator calls of :func:`run_mechanism`, which is itself
+prepare, step and wrap.  Audits replay many trials of one arm through the
+step.
 
 The flat ``key = value`` config format lives here too: one table of keys,
 :data:`CONFIG_KEYS`, and one parser serve :func:`spec_from_config`, the
@@ -27,22 +37,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from operator import add
-from typing import Callable, Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .alloc import (
     AllocationResult,
-    SECTION_ONE_MINUS_ALPHA,
     SECTION_OPT,
     SECTION_RAND,
     SplitBlockConfig,
+    _prepare_splitblock,
+    _softmax_walk,
+    _walk,
     optimal_allocate,
-    splitblock_allocate,
-    stfm_allocate,
-    uniform_allocate,
 )
 from .errors import ConfigError, ParameterError
 from .txpool import (
@@ -70,18 +79,12 @@ class PaymentKind(Enum):
     POSTED_PRICE = "posted"
 
 
-class BurnKind(Enum):
-    NONE = "none"
-    POSTED_PRICE = "posted"
-
-
 @dataclass(frozen=True)
 class MechanismSpec:
     """Complete description of a fee mechanism."""
 
     allocation: AllocationKind
     payment: PaymentKind = PaymentKind.FIRST_PRICE
-    burning: BurnKind = BurnKind.NONE
     gamma: Optional[float] = None
     phi: Optional[float] = None
     split: Optional[SplitBlockConfig] = None
@@ -96,8 +99,6 @@ class MechanismSpec:
                 raise ParameterError("randomized two-set allocation needs phi in [0, 1]")
         if self.allocation is AllocationKind.SPLIT_BLOCK and self.split is None:
             raise ParameterError("split-block allocation needs a SplitBlockConfig")
-        if self.burning is BurnKind.POSTED_PRICE and self.payment is not PaymentKind.POSTED_PRICE:
-            raise ParameterError("posted-price burning requires posted-price payment")
         if self.payment is PaymentKind.POSTED_PRICE:
             if self.base_fee is None or self.base_fee < 0:
                 raise ParameterError("posted-price payment needs base_fee >= 0")
@@ -113,24 +114,14 @@ class MechanismSpec:
 
     @classmethod
     def eip1559(cls, base_fee: float) -> "MechanismSpec":
-        return cls(
-            AllocationKind.OPTIMAL,
-            PaymentKind.POSTED_PRICE,
-            BurnKind.POSTED_PRICE,
-            base_fee=base_fee,
-        )
+        return cls(AllocationKind.OPTIMAL, PaymentKind.POSTED_PRICE, base_fee=base_fee)
 
     @classmethod
     def split_block(cls, alpha: float, delta: float = 0.0, base_fee: Optional[float] = None) -> "MechanismSpec":
         """BitcoinF-style split block; delta=0 is the zero-fee variant."""
         if base_fee:
-            return cls(
-                AllocationKind.SPLIT_BLOCK,
-                PaymentKind.POSTED_PRICE,
-                BurnKind.POSTED_PRICE,
-                split=SplitBlockConfig(alpha, delta),
-                base_fee=base_fee,
-            )
+            return cls(AllocationKind.SPLIT_BLOCK, PaymentKind.POSTED_PRICE,
+                       split=SplitBlockConfig(alpha, delta), base_fee=base_fee)
         return cls(AllocationKind.SPLIT_BLOCK, split=SplitBlockConfig(alpha, delta))
 
     @classmethod
@@ -140,25 +131,31 @@ class MechanismSpec:
     @classmethod
     def stfm(cls, gamma: float, payment: PaymentKind = PaymentKind.FIRST_PRICE,
              base_fee: Optional[float] = None) -> "MechanismSpec":
-        burn = BurnKind.POSTED_PRICE if payment is PaymentKind.POSTED_PRICE else BurnKind.NONE
-        return cls(AllocationKind.SOFTMAX, payment, burn, gamma=gamma, base_fee=base_fee)
+        return cls(AllocationKind.SOFTMAX, payment, gamma=gamma, base_fee=base_fee)
 
     @classmethod
     def rtfm(cls, phi: float, payment: PaymentKind = PaymentKind.FIRST_PRICE,
              base_fee: Optional[float] = None) -> "MechanismSpec":
-        burn = BurnKind.POSTED_PRICE if payment is PaymentKind.POSTED_PRICE else BurnKind.NONE
-        return cls(AllocationKind.RTFM, payment, burn, phi=phi, base_fee=base_fee)
+        return cls(AllocationKind.RTFM, payment, phi=phi, base_fee=base_fee)
 
 
-class _PricedBlock(NamedTuple):
-    """A block's prices as arrays, from which an outcome builds its dicts."""
+class _Block(NamedTuple):
+    """One block of a prepared mechanism, with its prices as arrays.
+
+    Audits read a trial's block directly; :func:`run_mechanism` wraps it in a
+    :class:`MechanismOutcome`, which builds its dicts from it.
+    """
 
     columns: PoolColumns  # of the pool with the miner's fakes appended
     rows: np.ndarray  # the included rows, in block order
+    total: object  # their total size, summed as the allocation rule sums it
+    sections: Optional[Dict[int, str]]  # split block's section of each included id
     payment: np.ndarray  # per unit, for each included row
     burn: np.ndarray
     reserved: Optional[np.ndarray]  # split block's posted-fee section, for each included row
     real: int  # the first `real` rows are the pool's own transactions
+    toss: Optional[int]  # the two-set rule's branch
+    miner_utility: float
 
     def by_id(self, values: np.ndarray) -> Dict[int, float]:
         """`values` by included id, the main section first, then the reserved one."""
@@ -191,7 +188,7 @@ class MechanismOutcome:
     allocation: AllocationResult
     miner_utility: float
     coin_toss: Optional[int]
-    _priced: _PricedBlock = field(repr=False)
+    _priced: _Block = field(repr=False)
 
     @cached_property
     def payment_per_unit(self) -> Dict[int, float]:
@@ -241,30 +238,9 @@ def _block_income(sizes: np.ndarray, p: np.ndarray, q: np.ndarray, fake: np.ndar
             - reduce(add, (sizes * q)[fake].tolist(), 0.0))
 
 
-def miner_utility(block_txs: Iterable[Transaction], fakes: frozenset, p: Dict[int, float],
-                  q: Dict[int, float]) -> float:
-    """Fee income from included real transactions minus burn on included fakes."""
-    block = Mempool(block_txs).columns
-    ids = block.ids.tolist()
-    fake = block.fake | np.array([t in fakes for t in ids], dtype=bool)
-    per_unit = np.array([q.get(t, 0.0) if f else p[t] for t, f in zip(ids, fake.tolist())],
-                        dtype=object)
-    return _block_income(block.sizes, per_unit, per_unit, fake)
-
-
 def _filled(value, n: int) -> np.ndarray:
     """`n` copies of `value`, which keeps its Python type unless it is a float."""
     return np.full(n, value, dtype=float if type(value) is float else object)
-
-
-def _posted_eligible(pool: Mempool, lam: float) -> Mempool:
-    return pool.take(pool.columns.bids >= lam)
-
-
-def _objective_payment(spec: MechanismSpec, pool: Mempool) -> Optional[np.ndarray]:
-    if spec.payment is PaymentKind.POSTED_PRICE:
-        return pool.columns.bids - spec.base_fee
-    return None  # rank by bid
 
 
 def _price_included(spec: MechanismSpec, c: PoolColumns, rows: np.ndarray,
@@ -285,6 +261,156 @@ def _price_included(spec: MechanismSpec, c: PoolColumns, rows: np.ndarray,
     return np.where(reserved, _filled(spec.split.delta, n), p), np.where(reserved, 0.0, q)
 
 
+class _Arm(NamedTuple):
+    """What the trials of one arm share: the spec, the pool, the capacity and the fakes."""
+
+    spec: MechanismSpec
+    m: Mempool
+    pool: Mempool  # m with the fakes appended
+    capacity: object
+    kept: np.ndarray  # the candidate rows: under a posted price, those bidding at least the fee
+    fakes: Sequence[Transaction]
+    splitblock_demote: Optional[bool]
+
+    def block(self, rows: np.ndarray, total, toss: Optional[int] = None, sections=None,
+              reserved: Optional[np.ndarray] = None) -> _Block:
+        """The block of `rows`, priced; the two-set rule's zero-pay branch prices nothing."""
+        c = self.pool.columns
+        if toss == 0:
+            p = q = np.zeros(len(rows))
+        else:
+            p, q = _price_included(self.spec, c, rows, reserved)
+        return _Block(c, rows, total, sections, p, q, reserved, len(self.m), toss,
+                      _block_income(c.sizes[rows], p, q, c.fake[rows]))
+
+
+def _objective(spec: MechanismSpec, pool: Mempool) -> Optional[np.ndarray]:
+    """The knapsack's payment per unit: the bid less a posted base fee, else the bid."""
+    return pool.columns.bids - spec.base_fee if spec.payment is PaymentKind.POSTED_PRICE else None
+
+
+# The allocation rules.  A rule does the work its arm's trials share once and
+# returns the draw of one trial, ``draw(rng) -> _Block``, which makes only the
+# rule's generator calls.
+
+
+def _knapsack_rule(arm: _Arm, toss: Optional[int] = None):
+    """The revenue-optimal set of the candidates, the same in every trial."""
+    cand = arm.pool.take(arm.kept)
+    result = optimal_allocate(cand, arm.capacity, payment_per_unit=_objective(arm.spec, cand))
+    block = arm.block(arm.pool.rows_of(result.selected), result.total_size, toss)
+    return lambda rng: block
+
+
+def _uniform_rule(arm: _Arm, toss: Optional[int] = None):
+    """A uniformly random permutation of the candidates, walked."""
+    kept = arm.kept
+    sizes = arm.pool.columns.sizes[kept]
+
+    def draw(rng):
+        rows, total = _walk(sizes, rng.permutation(len(sizes)), arm.capacity)
+        return arm.block(kept[rows], total, toss)
+    return draw
+
+
+def _softmax_rule(arm: _Arm):
+    """The Gumbel-top-k order of the candidates' keys ``bid/gamma + Gumbel``, walked."""
+    kept, c = arm.kept, arm.pool.columns
+    # the walk runs in floats whatever the size column holds
+    sizes = c.sizes[kept].astype(float, copy=False)
+    scaled = c.bids[kept].astype(float, copy=False) / arm.spec.gamma
+    if not len(kept):  # nothing to sample, and no draw made
+        empty = arm.block(kept, 0)
+        return lambda rng: empty
+
+    def draw(rng):
+        rows, total = _softmax_walk(sizes, scaled, rng.gumbel(size=len(kept)), arm.capacity)
+        return arm.block(kept[rows], float(total))
+    return draw
+
+
+def _split_block_rule(arm: _Arm):
+    """The reserved section sampled from the posted-fee bids, then the paid knapsack."""
+    spec, m = arm.spec, arm.m
+    real = np.arange(len(m))
+    if spec.payment is PaymentKind.POSTED_PRICE:
+        bids = m.columns.bids
+        real = np.flatnonzero((bids >= spec.base_fee) | (bids == spec.split.delta))
+    real_pool = m.take(real)
+    _, draw_rows = _prepare_splitblock(real_pool, arm.capacity, spec.split, arm.fakes,
+                                       arm.splitblock_demote, _objective(spec, real_pool))
+    # the rows of the split pool (the kept real rows, then the fakes) in the arm's pool
+    to_pool = np.concatenate((real, np.arange(len(m), len(arm.pool))))
+
+    def draw(rng):
+        rows, total, sections, reserved = draw_rows(rng)
+        return arm.block(to_pool[rows], total, sections=sections, reserved=reserved)
+    return draw
+
+
+def _two_set_rule(arm: _Arm):
+    """A biased toss between the zero-pay uniform set (0) and the optimal set (1).
+
+    The optimal branch draws the uniform branch's permutation too, which keeps
+    the generator stream aligned across branches; its knapsack is solved the
+    first time the branch is taken.  Its draw takes the toss to pin it.
+    """
+    rand = _uniform_rule(arm._replace(kept=np.arange(len(arm.pool))), toss=0)
+    paying = cache(lambda: _knapsack_rule(arm, toss=1)(None))
+
+    def draw(rng, toss=None):
+        if toss is None:
+            toss = 0 if rng.random() < arm.spec.phi else 1
+        if toss == 0:
+            return rand(rng)
+        rng.permutation(len(arm.pool))
+        return paying()
+    return draw
+
+
+_RULES = {
+    AllocationKind.OPTIMAL: _knapsack_rule,
+    AllocationKind.UNIFORM: _uniform_rule,
+    AllocationKind.SOFTMAX: _softmax_rule,
+    AllocationKind.SPLIT_BLOCK: _split_block_rule,
+    AllocationKind.RTFM: _two_set_rule,
+}
+
+
+def _prepare(spec: MechanismSpec, m: Mempool, capacity, fakes: Sequence[Transaction] = (),
+             splitblock_demote: Optional[bool] = None):
+    """The step of one trial of the mechanism over the pool plus miner fakes.
+
+    Checks the inputs and does the work the trials share once.  Then
+    ``step(rng, toss=None)`` makes exactly the generator calls that
+    :func:`run_mechanism` makes and returns the block; `toss` pins the
+    two-set rule's branch.
+    """
+    for tx in fakes:
+        if not tx.fake:
+            raise ParameterError(f"fake transaction {tx.id} must carry fake=True")
+        if tx.id in m:
+            raise ParameterError(f"fake transaction id {tx.id} collides with the mempool")
+    if not capacity >= 0:
+        raise ParameterError(f"capacity must be non-negative, got {capacity}")
+    pool = m.extend(fakes)
+    kept = np.arange(len(pool))
+    if spec.payment is PaymentKind.POSTED_PRICE:
+        kept = np.flatnonzero(pool.columns.bids >= spec.base_fee)
+    draw = _RULES[spec.allocation](_Arm(spec, m, pool, capacity, kept, fakes, splitblock_demote))
+    return draw if spec.allocation is AllocationKind.RTFM else lambda rng, toss=None: draw(rng)
+
+
+def _outcome(block: _Block, capacity) -> MechanismOutcome:
+    """The outcome of one prepared step's block."""
+    selected = tuple(block.columns.ids[block.rows].tolist())
+    sections = block.sections
+    if block.toss is not None:
+        sections = dict.fromkeys(selected, SECTION_RAND if block.toss == 0 else SECTION_OPT)
+    return MechanismOutcome(AllocationResult(selected, block.total, capacity, sections or {}),
+                            block.miner_utility, block.toss, block)
+
+
 def run_mechanism(
     spec: MechanismSpec,
     m: Mempool,
@@ -302,75 +428,15 @@ def run_mechanism(
     two-set rule, `rtfm_toss` can pin the branch (0 = zero-pay uniform set,
     1 = optimal set) instead of drawing it from the seed.
     """
-    for tx in fakes:
-        if not tx.fake:
-            raise ParameterError(f"fake transaction {tx.id} must carry fake=True")
-        if tx.id in m:
-            raise ParameterError(f"fake transaction id {tx.id} collides with the mempool")
-    rng = resolve_rng(seed)
-    pool = m.extend(fakes) if fakes else m
-    lam = spec.base_fee if spec.payment is PaymentKind.POSTED_PRICE else None
-
-    toss: Optional[int] = None
-    sections = None
-
-    if spec.allocation is AllocationKind.OPTIMAL:
-        cand = _posted_eligible(pool, lam) if lam is not None else pool
-        allocation = optimal_allocate(cand, capacity, payment_per_unit=_objective_payment(spec, cand))
-    elif spec.allocation is AllocationKind.UNIFORM:
-        cand = _posted_eligible(pool, lam) if lam is not None else pool
-        allocation = uniform_allocate(cand, capacity, rng)
-    elif spec.allocation is AllocationKind.SOFTMAX:
-        cand = _posted_eligible(pool, lam) if lam is not None else pool
-        allocation = stfm_allocate(cand, capacity, spec.gamma, rng)
-    elif spec.allocation is AllocationKind.SPLIT_BLOCK:
-        alpha_pay = None
-        real_pool = m
-        if lam is not None:
-            bids = m.columns.bids
-            real_pool = m.take((bids >= lam) | (bids == spec.split.delta))
-            alpha_pay = _objective_payment(spec, real_pool)
-        allocation = splitblock_allocate(
-            real_pool, capacity, spec.split, fake_fill=fakes, seed=rng,
-            demote_to_posted=splitblock_demote, alpha_payment=alpha_pay,
-        )
-        sections = allocation.sections
-    elif spec.allocation is AllocationKind.RTFM:
-        toss = rtfm_toss
-        if toss is None:
-            toss = 0 if rng.random() < spec.phi else 1
-        if toss == 0:
-            raw = uniform_allocate(pool, capacity, rng)
-            allocation = AllocationResult(raw.selected, raw.total_size, capacity,
-                                          dict.fromkeys(raw.selected, SECTION_RAND))
-        else:
-            rng.permutation(len(pool))  # keep the seed stream aligned across branches
-            cand = _posted_eligible(pool, lam) if lam is not None else pool
-            raw = optimal_allocate(cand, capacity, payment_per_unit=_objective_payment(spec, cand))
-            allocation = AllocationResult(raw.selected, raw.total_size, capacity,
-                                          dict.fromkeys(raw.selected, SECTION_OPT))
-    else:  # pragma: no cover
-        raise ParameterError(f"unknown allocation kind {spec.allocation}")
-
-    c = pool.columns
-    selected = allocation.selected
-    rows = pool.rows_of(selected)
-    reserved = None
-    if sections:
-        reserved = np.array([sections[t] == SECTION_ONE_MINUS_ALPHA for t in selected], dtype=bool)
-    if toss == 0:
-        p = q = np.zeros(len(rows))
-    else:
-        p, q = _price_included(spec, c, rows, reserved)
-    u_miner = _block_income(c.sizes[rows], p, q, c.fake[rows])
-    return MechanismOutcome(allocation, u_miner, toss,
-                            _PricedBlock(c, rows, p, q, reserved, len(m)))
+    if rtfm_toss not in (None, 0, 1):
+        raise ParameterError(f"rtfm_toss must be 0, 1 or None, got {rtfm_toss!r}")
+    step = _prepare(spec, m, capacity, fakes, splitblock_demote)
+    return _outcome(step(resolve_rng(seed), rtfm_toss), capacity)
 
 
 def spec_to_config(spec: MechanismSpec) -> str:
     """Flat ``key=value`` text for a mechanism spec."""
-    lines = [f"allocation={spec.allocation.value}", f"payment={spec.payment.value}",
-             f"burning={spec.burning.value}"]
+    lines = [f"allocation={spec.allocation.value}", f"payment={spec.payment.value}"]
     if spec.gamma is not None:
         lines.append(f"gamma={spec.gamma:g}")
     if spec.phi is not None:
@@ -410,7 +476,6 @@ class ConfigKey(NamedTuple):
 CONFIG_KEYS: Dict[str, ConfigKey] = {
     "allocation": ConfigKey(MECHANISM, AllocationKind),
     "payment": ConfigKey(MECHANISM, PaymentKind, PaymentKind.FIRST_PRICE),
-    "burning": ConfigKey(MECHANISM, BurnKind),  # posted under posted-price payment, else none
     "gamma": ConfigKey(MECHANISM, float),
     "phi": ConfigKey(MECHANISM, float),
     "lambda": ConfigKey(MECHANISM, float),
@@ -479,12 +544,10 @@ def spec_from_fields(fields: Dict[str, object]) -> MechanismSpec:
     split_block = fields["allocation"] is AllocationKind.SPLIT_BLOCK
     if split_block and "alpha" not in fields:
         raise ConfigError("splitblock config needs alpha")
-    payment = config_value(fields, "payment")
-    default_burn = BurnKind.POSTED_PRICE if payment is PaymentKind.POSTED_PRICE else BurnKind.NONE
     try:
         split = (SplitBlockConfig(fields["alpha"], config_value(fields, "delta"))
                  if split_block else None)
-        return MechanismSpec(fields["allocation"], payment, fields.get("burning", default_burn),
+        return MechanismSpec(fields["allocation"], config_value(fields, "payment"),
                              gamma=fields.get("gamma"), phi=fields.get("phi"), split=split,
                              base_fee=fields.get("lambda"))
     except ParameterError as exc:

@@ -108,25 +108,21 @@ class Mempool:
     and builds its columns once, on first use.
     """
 
-    __slots__ = ("_txs", "_cols", "_rows", "_extended", "capacity_hint")
+    __slots__ = ("_txs", "_cols", "_rows")
 
-    def __init__(self, transactions: Iterable[Transaction], capacity_hint: Optional[float] = None):
+    def __init__(self, transactions: Iterable[Transaction]):
         txs = tuple(transactions)
         rows = {}
         for row, tx in enumerate(txs):
             if tx.id in rows:
                 raise ParameterError(f"duplicate transaction id {tx.id}")
             rows[tx.id] = row
-        if capacity_hint is not None and not capacity_hint > 0:
-            raise ParameterError("capacity_hint must be positive when given")
         self._txs = txs
         self._cols = None
         self._rows = rows
-        self._extended = None
-        self.capacity_hint = capacity_hint
 
     @classmethod
-    def _from_columns(cls, cols: PoolColumns, capacity_hint: Optional[float] = None) -> "Mempool":
+    def _from_columns(cls, cols: PoolColumns) -> "Mempool":
         """A pool over validated columns whose ids are unique."""
         for col in cols:
             col.flags.writeable = False
@@ -134,8 +130,6 @@ class Mempool:
         pool._txs = None
         pool._cols = cols
         pool._rows = None
-        pool._extended = None
-        pool.capacity_hint = capacity_hint
         return pool
 
     @property
@@ -206,8 +200,7 @@ class Mempool:
 
     def take(self, rows) -> "Mempool":
         """Copy of the pool keeping `rows` (positions or a boolean mask), in that order."""
-        return Mempool._from_columns(PoolColumns(*(col[rows] for col in self.columns)),
-                                     self.capacity_hint)
+        return Mempool._from_columns(PoolColumns(*(col[rows] for col in self.columns)))
 
     def with_bid(self, tx_id: int, bid) -> "Mempool":
         """Copy of the pool with one transaction's bid replaced."""
@@ -215,29 +208,19 @@ class Mempool:
         c = self.columns
         bids = c.bids.astype(float if c.bids.dtype == float and type(bid) is float else object)
         bids[self.rows_of((tx_id,))] = bid
-        return Mempool._from_columns(c._replace(bids=bids), self.capacity_hint)
+        return Mempool._from_columns(c._replace(bids=bids))
 
     def extend(self, extra: Iterable[Transaction]) -> "Mempool":
-        """Copy of the pool with extra transactions appended.
-
-        The last extension is cached, since audits replay one pool with the
-        same miner fakes many times."""
+        """Copy of the pool with extra transactions appended."""
         extra = tuple(extra)
         if not extra:
             return self
-        last = self._extended
-        if last is not None and len(last[0]) == len(extra) \
-                and all(a is b for a, b in zip(last[0], extra)):
-            return last[1]
         more = Mempool(extra)
         for tx_id in more._row_of():
             if tx_id in self:
                 raise ParameterError(f"duplicate transaction id {tx_id}")
-        pool = Mempool._from_columns(
-            PoolColumns(*map(np.concatenate, zip(self.columns, more.columns))),
-            self.capacity_hint)
-        self._extended = (extra, pool)
-        return pool
+        return Mempool._from_columns(
+            PoolColumns(*map(np.concatenate, zip(self.columns, more.columns))))
 
     def __repr__(self) -> str:
         return f"Mempool({len(self)} txs)"

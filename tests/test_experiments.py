@@ -328,3 +328,23 @@ def test_cli_audit_unknown_user_exits_2(tmp_path, capsys):
     assert cli_main(["audit", "--property", "uic", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "500" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["sweep-rtfm", "audit", "tune-gamma"])
+def test_cli_config_that_sets_burning_exits_2(tmp_path, capsys, command):
+    # the burn follows the payment rule, so there is no burning key to set
+    cfg = write_cfg(tmp_path, "allocation = rtfm\nphi = 0.5\npayment = posted\nlambda = 1\n"
+                              "burning = none\nn = 10\ncapacity = 4\nruns = 2\n")
+    extra = ["--property", "cof"] if command == "audit" else []
+    assert cli_main([command, "--config", cfg] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "burning" in err and "Traceback" not in err
+
+
+def test_cli_info_names_version_backend_and_machine(capsys):
+    assert cli_main(["info"]) == 0
+    fields = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert list(fields) == ["version", "hash_backend", "hash_helper_path", "hash_rate_mhs",
+                            "python", "numpy", "nproc"]
+    assert fields["hash_backend"] == "hashlib" or fields["hash_backend"].endswith(")")
+    assert float(fields["hash_rate_mhs"]) > 0 and int(fields["nproc"]) >= 1

@@ -12,7 +12,6 @@ from tfmlab import (
     PaymentKind,
     Transaction,
     is_excessively_low,
-    miner_utility,
     run_mechanism,
     sample_mempool,
     spec_from_config,
@@ -101,14 +100,6 @@ def test_deterministic_specs_repeat_exactly():
         assert a.miner_utility == b.miner_utility
 
 
-def test_miner_utility_examples():
-    real = Transaction(0, 1.0, 5.0, 5.0)
-    fake = Transaction(1, 1.0, 0.0, 0.0, fake=True)
-    assert miner_utility([real, fake], frozenset({1}), {0: 5.0}, {1: 2.0}) == 3.0
-    assert miner_utility([], frozenset(), {}, {}) == 0.0
-    assert miner_utility([fake], frozenset({1}), {}, {1: 0.0}) == 0.0
-
-
 def test_fakes_route_payment_back_to_miner():
     m = unit_pool([5, 4])
     fakes = [Transaction(10, 1.0, 6.0, 6.0, fake=True)]
@@ -149,9 +140,8 @@ def test_spec_validation():
         MechanismSpec(AllocationKind.SOFTMAX)  # missing gamma
     with pytest.raises(ParameterError):
         MechanismSpec(AllocationKind.RTFM, phi=1.5)
-    with pytest.raises(ParameterError):
-        MechanismSpec(AllocationKind.OPTIMAL, PaymentKind.FIRST_PRICE,
-                      burning=__import__("tfmlab").BurnKind.POSTED_PRICE)
+    with pytest.raises(TypeError):  # the burn follows the payment rule; there is no knob
+        MechanismSpec(AllocationKind.OPTIMAL, PaymentKind.FIRST_PRICE, burning="posted")
     with pytest.raises(ParameterError):
         MechanismSpec(AllocationKind.OPTIMAL, PaymentKind.POSTED_PRICE)  # missing lambda
 
@@ -186,9 +176,40 @@ def test_spec_config_rejects_unknown_keys():
             spec_from_config(text)
 
 
+@pytest.mark.parametrize("value", ["none", "posted"])
+def test_burning_is_not_a_config_key(value):
+    # the burn follows the payment rule: posted price burns the base fee, nothing else burns
+    with pytest.raises(ConfigError, match="unknown config key 'burning'"):
+        spec_from_config(f"allocation = optimal\npayment = posted\nlambda = 1\nburning = {value}\n")
+    out = run_mechanism(spec_from_config("allocation = optimal\npayment = posted\nlambda = 1\n"),
+                        unit_pool([3, 2]), 2.0)
+    assert out.burn_per_unit == {0: 1.0, 1: 1.0}
+    assert "burning" not in spec_to_config(MechanismSpec.eip1559(1.0))
+
+
 def test_spec_config_accepts_inline_comments_like_the_sweep_parser():
     from tfmlab.experiments import parse_config_text
 
     text = "allocation = rtfm  # two-set\nphi = 0.5\n"
     assert spec_from_config(text) == MechanismSpec.rtfm(0.5)
     assert spec_from_fields(parse_config_text(text)) == MechanismSpec.rtfm(0.5)
+
+
+def test_one_prepared_split_block_step_serves_every_trial():
+    # the posted-fee rows' order decides whether the demoted bids 2 and 3 still
+    # fit the reserved section, and with them what is left for the paid knapsack
+    from tfmlab.mech import _prepare
+
+    m = Mempool([Transaction(0, 2.5, 1.0, 1.0), Transaction(1, 1.0, 1.0, 1.0),
+                 Transaction(2, 1.0, 1.0, 1.0), Transaction(3, 1.0, 2.0, 2.0),
+                 Transaction(4, 1.0, 3.0, 3.0), Transaction(5, 2.0, 4.0, 4.0)])
+    spec = MechanismSpec.split_block(0.5, delta=1.0)
+    step = _prepare(spec, m, 8.0)
+    blocks = set()
+    for seed in range(12):
+        block = step(np.random.default_rng(seed))
+        out = run_mechanism(spec, m, 8.0, seed=seed)
+        assert tuple(block.columns.ids[block.rows].tolist()) == out.allocation.selected
+        assert block.miner_utility == out.miner_utility
+        blocks.add(out.allocation.selected)
+    assert len(blocks) > 1

@@ -12,7 +12,10 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from tfmlab import (
+    AllocationKind,
     MechanismSpec,
     Mempool,
     PaymentKind,
@@ -24,6 +27,7 @@ from tfmlab import (
     splitblock_allocate,
 )
 from tfmlab.alloc import EXHAUSTIVE_LIMIT, SECTION_ONE_MINUS_ALPHA, SECTION_RAND
+from tfmlab.mech import _prepare
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -108,6 +112,38 @@ def test_truthful_users_gain_nothing_negative_under_the_posted_price(case):
     out = run_mechanism(spec, m, capacity, fakes=fakes, seed=seed)
     assert set(out.user_utilities) == {tx.id for tx in m}
     assert all(u >= 0 for u in out.user_utilities.values())
+
+
+@st.composite
+def prepared_cases(draw):
+    """Every allocation kind under every payment rule, a pinned toss and demotion."""
+    m, fakes, capacity, seed, _ = draw(instances())
+    kind = draw(st.sampled_from(list(AllocationKind)))
+    payment = draw(st.sampled_from(list(PaymentKind)))
+    fee = draw(st.integers(0, 12).map(lambda k: k / 4)) if payment is PaymentKind.POSTED_PRICE \
+        else None
+    split = SplitBlockConfig(0.5, draw(st.sampled_from([0.0, 1.0])))
+    spec = MechanismSpec(kind, payment, gamma=1.5, phi=0.5, split=split, base_fee=fee)
+    toss = draw(st.sampled_from([None, 0, 1]))
+    demote = draw(st.sampled_from([None, False, True]))
+    return m, fakes, capacity, seed, spec, toss, demote
+
+
+@PROPERTY_SETTINGS
+@given(prepared_cases())
+def test_a_prepared_step_replays_run_mechanism(case):
+    # audits prepare an arm once and step it once per trial
+    m, fakes, capacity, seed, spec, toss, demote = case
+    step = _prepare(spec, m, capacity, fakes, splitblock_demote=demote)
+    for trial in range(3):
+        stepped, ran = np.random.default_rng([seed, trial]), np.random.default_rng([seed, trial])
+        block = step(stepped, toss)
+        out = run_mechanism(spec, m, capacity, fakes=fakes, seed=ran, rtfm_toss=toss,
+                            splitblock_demote=demote)
+        assert tuple(block.columns.ids[block.rows].tolist()) == out.allocation.selected
+        assert repr(block.miner_utility) == repr(out.miner_utility)
+        assert block.toss == out.coin_toss
+        assert stepped.bit_generator.state == ran.bit_generator.state
 
 
 fraction_bids = st.builds(Fraction, st.integers(0, 12), st.integers(1, 4))

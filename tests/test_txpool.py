@@ -216,7 +216,7 @@ def test_with_bid_and_extend_validate_like_transactions():
     with pytest.raises(ParameterError):
         m.with_bid(9, 1.0)
     fakes = (Transaction(10, 1.0, 0.0, 0.0, fake=True),)
-    assert m.extend(fakes) is m.extend(fakes)
+    assert m.extend(()) is m
     assert m.extend(fakes).columns.fake.tolist() == [False, False, False, True]
     with pytest.raises(ParameterError):
         m.extend([Transaction(2, 1.0, 0.0, 0.0, fake=True)])
