@@ -19,11 +19,12 @@ fits.  Only the order differs:
   that equivalence, so the sampler matches the re-normalize-after-each-draw
   procedure while staying O(n log n).
 
-The walk cuts the prefix that fits from the cumulative sizes along the order,
-then steps through the rest one row at a time and stops once the smallest
-size still ahead no longer fits; with equal sizes nothing after the cut fits.
-Its running total adds sizes in walk order, exactly as a ``total += size``
-loop would.
+The walk steps through an order of up to ``_SHORT_WALK`` rows one row at a
+time.  On a longer order it cuts the prefix that fits from the cumulative
+sizes, then steps through the rest and stops once the smallest size still
+ahead no longer fits; with equal sizes nothing after the cut fits.  Its
+running total adds sizes in walk order, exactly as a ``total += size`` loop
+would.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .errors import DomainError, ParameterError, SolverLimitError
 from .txpool import Mempool, PoolColumns, SeedLike, Transaction, resolve_rng
 
 EXHAUSTIVE_LIMIT = 24
+_SHORT_WALK = 32  # up to this length a plain loop beats numpy's per-call cost
 
 SECTION_MAIN = "main"
 SECTION_ALPHA = "alpha"
@@ -106,13 +108,19 @@ def _walk(sizes: np.ndarray, order: np.ndarray, capacity, total=0):
     """Walk the rows of `order`, keeping each one that still fits.
 
     Returns the kept rows, in walk order, and `total` plus their sizes added
-    in that order.  The prefix that fits is cut from the cumulative sizes;
-    the rest is walked one row at a time until the smallest size still ahead
-    no longer fits.
+    in that order.  A short order is walked one row at a time.  On a longer
+    one the prefix that fits is cut from the cumulative sizes and the rest is
+    walked one row at a time until the smallest size still ahead no longer
+    fits.
     """
-    if not len(order):
-        return order, total
     s = sizes[order]
+    if len(s) <= _SHORT_WALK:
+        kept = []
+        for pos, size in enumerate(s.tolist()):
+            if total + size <= capacity:
+                kept.append(pos)
+                total += size
+        return order[kept], total
     running = np.concatenate(([total], s)).cumsum()[1:] if total else s.cumsum()
     cut = int(np.count_nonzero(running <= capacity))  # sizes are positive: a prefix
     if cut:
@@ -233,7 +241,8 @@ def uniform_allocate(m: Mempool, capacity, seed: SeedLike) -> AllocationResult:
     """Uniformly sample transactions until nothing left fits."""
     if not capacity >= 0:
         raise ParameterError(f"capacity must be non-negative, got {capacity}")
-    rows, total = _walk(m.columns.sizes, resolve_rng(seed).permutation(len(m)), capacity)
+    rng = resolve_rng(seed)
+    rows, total = _walk(m.columns.sizes, rng.permutation(len(m)), capacity)
     return AllocationResult(tuple(m.columns.ids[rows].tolist()), total, capacity)
 
 

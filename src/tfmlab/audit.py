@@ -14,7 +14,6 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import partial
 from itertools import combinations_with_replacement
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -28,7 +27,7 @@ from .alloc import (
 )
 from .errors import DomainError, ParameterError, SolverLimitError
 from .experiments import _mean_se
-from .mech import AllocationKind, MechanismSpec, PaymentKind, _prepare
+from .mech import AllocationKind, MechanismSpec, PaymentKind, _prepare, run_mechanism
 from .txpool import Mempool, Transaction, zero_fee_subset
 
 _TOL = 1e-9
@@ -82,49 +81,47 @@ def reports_to_csv(reports: Sequence[PropertyReport], path: str) -> None:
                              "" if r.witness is None else repr(r.witness)])
 
 
-def _trial_rng(seed: int, i: int) -> np.random.Generator:
-    """Trial i's generator, as ``np.random.default_rng([seed, i])`` builds it."""
-    return np.random.Generator(np.random.PCG64([int(seed), int(i)]))
-
-
 class _TrialStreams:
-    """The trial generators of one audit call that replays several arms.
+    """The trial generators of one audit call.
 
-    The first use of trial i seeds its generator through numpy, as
-    :func:`_trial_rng` does, and records its PCG64 state and increment,
-    packed into one int; a later arm of the same call gets the trial's
-    stream back by restoring them into one reused generator, which costs a
-    fraction of the seeding.  A generator is good until the next trial is
-    asked for.
+    Trial i's generator is the one ``np.random.default_rng([seed, i])``
+    builds.  Its first use seeds it through numpy and, when the call
+    `replays` the trial, records its PCG64 state and increment, packed into
+    one int; a later arm of the same call gets the trial's stream back by
+    restoring them into one reused generator, which costs a fraction of the
+    seeding.  A generator is good until the next trial is asked for.
     """
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, replays: bool = True):
         self.seed = seed
+        self.replays = replays
         self._start: List[int] = []  # trial i's PCG64 ``state | inc << 128``
         self._rng: Optional[np.random.Generator] = None
+        self._pcg = {"state": 0, "inc": 0}  # refilled at each restore
+        self._state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                       "state": self._pcg}
 
     def __call__(self, i: int) -> np.random.Generator:
         if i < len(self._start):
             packed = self._start[i]
-            self._rng.bit_generator.state = {
-                "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                "state": {"state": packed & _PCG64_STATE, "inc": packed >> 128}}
+            self._pcg["state"], self._pcg["inc"] = packed & _PCG64_STATE, packed >> 128
+            self._rng.bit_generator.state = self._state
             return self._rng
-        rng = self._rng = _trial_rng(self.seed, i)
-        if i == len(self._start):
+        # Generator(PCG64(s)) is what default_rng(s) builds, with less call overhead
+        rng = self._rng = np.random.Generator(np.random.PCG64([int(self.seed), int(i)]))
+        if self.replays and i == len(self._start):
             pcg = rng.bit_generator.state["state"]
             self._start.append(pcg["state"] | pcg["inc"] << 128)
         return rng
 
 
-def _replay(run, trials: int, streams) -> Tuple[list, bool]:
+def _replay(run, trials: int, streams: _TrialStreams) -> Tuple[list, bool]:
     """Results of ``run(rng)`` over up to `trials` runs, and whether the rule drew.
 
-    Run i gets ``streams(i)``, trial i's generator (a :class:`_TrialStreams`,
-    or :func:`_trial_rng` bound to the seed for a single arm), as its only
-    source of randomness.  So when run 0 leaves its generator's state
-    unchanged, the rule drew nothing, every seed gives the same outcome, and
-    the replay stops after that one run.
+    Run i gets ``streams(i)``, trial i's generator, as its only source of
+    randomness.  So when run 0 leaves its generator's state unchanged, the
+    rule drew nothing, every seed gives the same outcome, and the replay
+    stops after that one run.
     """
     if trials < 1:
         raise ParameterError("trials must be at least 1")
@@ -176,14 +173,12 @@ def estimate_zti(spec: MechanismSpec, m: Mempool, capacity, trials: int, seed: i
                 0, "analytic certificate",
             )
 
-    step = _prepare(spec, m, capacity)
-    zero_rows = list(zip(m.rows_of(tx.id for tx in zeros).tolist(), (tx.id for tx in zeros)))
-
     def included_zeros(rng) -> tuple:
-        block = set(step(rng).rows.tolist())
-        return tuple(tid for row, tid in zero_rows if row in block)
+        # one arm, so each trial is one call of the mechanism itself
+        block = run_mechanism(spec, m, capacity, seed=rng).allocation.selected
+        return tuple(tx.id for tx in zeros if tx.id in block)
 
-    blocks, drew = _replay(included_zeros, trials, partial(_trial_rng, seed))
+    blocks, drew = _replay(included_zeros, trials, _TrialStreams(seed, replays=False))
     excluded = [tx.id for tx in zeros if tx.id not in blocks[0]]
     if excluded and not drew:
         return PropertyReport(
@@ -449,14 +444,14 @@ def empirical_cof(
 
     if trials < 1:
         raise ParameterError("trials must be at least 1")
-    step = _prepare(spec, m, capacity)
-    streams = partial(_trial_rng, seed)
+    streams = _TrialStreams(seed, replays=False)
     if spec.allocation is AllocationKind.RTFM:
         # the zero-pay branch earns nothing and no seed changes the paying branch
-        paying = step(streams(0), 1).miner_utility
+        paying = run_mechanism(spec, m, capacity, seed=streams(0), rtfm_toss=1).miner_utility
         utils = [0.0 if (i + 0.5) / trials < spec.phi else paying for i in range(trials)]
     else:
-        utils, _ = _replay(lambda rng: step(rng).miner_utility, trials, streams)
+        utils, _ = _replay(lambda rng: run_mechanism(spec, m, capacity, seed=rng).miner_utility,
+                           trials, streams)
     utils = np.asarray(utils, dtype=float)
     mean = float(utils.mean())
     cov = float(utils.std(ddof=1) / mean) if len(utils) > 1 and mean > 0 else None
@@ -582,19 +577,18 @@ def tune_gamma(
     c = m.columns
     zero = (c.bids == 0).tolist()
     sizes = c.sizes.tolist()
-    # softmax sampling as stfm_allocate does it; trial i's Gumbel noise is the
-    # same at every gamma, so it is drawn once
+    # softmax sampling as stfm_allocate does it; trial i's Gumbel noise does not
+    # depend on gamma, so every gamma replays the trial's stream
     walk_sizes = c.sizes.astype(float, copy=False)
     bids = c.bids.astype(float, copy=False)
-    noise = np.empty((trials, len(m)))
-    for i in range(trials):
-        noise[i] = _trial_rng(seed, i).gumbel(size=len(m))
+    streams = _TrialStreams(seed)
 
     def estimate(gamma: float) -> Tuple[float, float]:
         hits_cof = 0
         hits_zf = 0
         scaled = bids / gamma
-        for gumbel in noise:
+        for i in range(trials):
+            gumbel = streams(i).gumbel(size=len(m))
             rows, total = _softmax_walk(walk_sizes, scaled, gumbel, capacity)
             rows = rows.tolist()
             hits_cof += set(rows) == opt_rows

@@ -25,8 +25,6 @@ from .mech import (
     MechanismOutcome,
     MechanismSpec,
     PaymentKind,
-    _outcome,
-    _prepare,
     config_value,
     parse_config_text,  # noqa: F401 (re-exported: the sweep configs' parser)
     run_mechanism,
@@ -116,11 +114,8 @@ def run_rtfm_sweep(cfg: ExperimentConfig) -> List[SweepRow]:
     stats = np.empty((4, 2, runs))
     for r in range(runs):
         m = sample_mempool(cfg.n, cfg.bid_dist, cfg.size_dist, seed=[cfg.seed, r])
-        step = _prepare(cfg.mechanism, m, cfg.capacity)
-        # the optimal branch draws only the stream-aligning permutation, which it
-        # does not use, so one generator serves both branches
-        rng = np.random.default_rng([cfg.seed, r])
-        outs = [_outcome(step(rng, branch), cfg.capacity) for branch in (0, 1)]
+        outs = [run_mechanism(cfg.mechanism, m, cfg.capacity, seed=[cfg.seed, r], rtfm_toss=branch)
+                for branch in (0, 1)]
         # the paying branch's knapsack is the greedy optimum unless it is exact (a
         # small pool) or weighs bids less the posted fee
         if len(m) > EXHAUSTIVE_LIMIT and cfg.mechanism.payment is not PaymentKind.POSTED_PRICE:

@@ -23,10 +23,12 @@ The allocation rules form one table, ``_RULES``, from
 :class:`AllocationKind` to a rule; the two branches of the two-set rule are
 the uniform and knapsack rules.  ``_prepare`` checks the fakes, appends them
 to the pool, picks the candidates and does the rule's per-arm work once (the
-knapsack solve, the weights); the step it returns runs one trial with
+knapsack solve, the scaled bids); the step it returns runs one trial with
 exactly the generator calls of :func:`run_mechanism`, which is itself
-prepare, step and wrap.  Audits replay many trials of one arm through the
-step.
+prepare, step and wrap.  The audits that compare several arms of one call
+(monotonicity, user and miner incentive compatibility) prepare each arm once
+and replay its step; the single-arm audits call :func:`run_mechanism` once
+per trial, and the sweeps once per run and branch.
 
 The flat ``key = value`` config format lives here too: one table of keys,
 :data:`CONFIG_KEYS`, and one parser serve :func:`spec_from_config`, the
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache, cached_property, reduce
+from functools import cached_property, reduce
 from operator import add
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
@@ -50,8 +52,8 @@ from .alloc import (
     SplitBlockConfig,
     _prepare_splitblock,
     _softmax_walk,
-    _walk,
     optimal_allocate,
+    uniform_allocate,
 )
 from .errors import ConfigError, ParameterError
 from .txpool import (
@@ -234,8 +236,15 @@ def _block_income(sizes: np.ndarray, p: np.ndarray, q: np.ndarray, fake: np.ndar
     fake rows, each summed in block order from 0.0."""
     if not np.count_nonzero(fake):
         return reduce(add, (sizes * p).tolist(), 0.0)
-    return (reduce(add, (sizes * p)[~fake].tolist(), 0.0)
-            - reduce(add, (sizes * q)[fake].tolist(), 0.0))
+    # blocks with fakes are the miner-deviation audits' small ones, where one
+    # loop beats three masked numpy passes
+    income = burn = 0.0
+    for size, pay, cost, is_fake in zip(sizes.tolist(), p.tolist(), q.tolist(), fake.tolist()):
+        if is_fake:
+            burn += size * cost
+        else:
+            income += size * pay
+    return income - burn
 
 
 def _filled(value, n: int) -> np.ndarray:
@@ -269,6 +278,7 @@ class _Arm(NamedTuple):
     pool: Mempool  # m with the fakes appended
     capacity: object
     kept: np.ndarray  # the candidate rows: under a posted price, those bidding at least the fee
+    cand: Mempool  # the pool's candidate rows
     fakes: Sequence[Transaction]
     splitblock_demote: Optional[bool]
 
@@ -290,40 +300,40 @@ def _objective(spec: MechanismSpec, pool: Mempool) -> Optional[np.ndarray]:
 
 
 # The allocation rules.  A rule does the work its arm's trials share once and
-# returns the draw of one trial, ``draw(rng) -> _Block``, which makes only the
-# rule's generator calls.
+# returns the draw of one trial, ``draw(rng, toss=None) -> _Block``, which makes
+# only the rule's generator calls; `toss` pins the two-set rule's branch and
+# every other rule ignores it.
 
 
-def _knapsack_rule(arm: _Arm, toss: Optional[int] = None):
+def _knapsack_rule(arm: _Arm, branch: Optional[int] = None):
     """The revenue-optimal set of the candidates, the same in every trial."""
-    cand = arm.pool.take(arm.kept)
+    cand = arm.cand
     result = optimal_allocate(cand, arm.capacity, payment_per_unit=_objective(arm.spec, cand))
-    block = arm.block(arm.pool.rows_of(result.selected), result.total_size, toss)
-    return lambda rng: block
+    block = arm.block(arm.pool.rows_of(result.selected), result.total_size, branch)
+    return lambda rng, toss=None: block
 
 
-def _uniform_rule(arm: _Arm, toss: Optional[int] = None):
-    """A uniformly random permutation of the candidates, walked."""
-    kept = arm.kept
-    sizes = arm.pool.columns.sizes[kept]
+def _uniform_rule(arm: _Arm, branch: Optional[int] = None, cand: Optional[Mempool] = None):
+    """The uniform allocator over the candidates, or over `cand` when given."""
+    cand = arm.cand if cand is None else cand
 
-    def draw(rng):
-        rows, total = _walk(sizes, rng.permutation(len(sizes)), arm.capacity)
-        return arm.block(kept[rows], total, toss)
+    def draw(rng, toss=None):
+        result = uniform_allocate(cand, arm.capacity, rng)
+        return arm.block(arm.pool.rows_of(result.selected), result.total_size, branch)
     return draw
 
 
 def _softmax_rule(arm: _Arm):
     """The Gumbel-top-k order of the candidates' keys ``bid/gamma + Gumbel``, walked."""
-    kept, c = arm.kept, arm.pool.columns
+    kept, c = arm.kept, arm.cand.columns
     # the walk runs in floats whatever the size column holds
-    sizes = c.sizes[kept].astype(float, copy=False)
-    scaled = c.bids[kept].astype(float, copy=False) / arm.spec.gamma
+    sizes = c.sizes.astype(float, copy=False)
+    scaled = c.bids.astype(float, copy=False) / arm.spec.gamma
     if not len(kept):  # nothing to sample, and no draw made
         empty = arm.block(kept, 0)
-        return lambda rng: empty
+        return lambda rng, toss=None: empty
 
-    def draw(rng):
+    def draw(rng, toss=None):
         rows, total = _softmax_walk(sizes, scaled, rng.gumbel(size=len(kept)), arm.capacity)
         return arm.block(kept[rows], float(total))
     return draw
@@ -342,7 +352,7 @@ def _split_block_rule(arm: _Arm):
     # the rows of the split pool (the kept real rows, then the fakes) in the arm's pool
     to_pool = np.concatenate((real, np.arange(len(m), len(arm.pool))))
 
-    def draw(rng):
+    def draw(rng, toss=None):
         rows, total, sections, reserved = draw_rows(rng)
         return arm.block(to_pool[rows], total, sections=sections, reserved=reserved)
     return draw
@@ -353,10 +363,10 @@ def _two_set_rule(arm: _Arm):
 
     The optimal branch draws the uniform branch's permutation too, which keeps
     the generator stream aligned across branches; its knapsack is solved the
-    first time the branch is taken.  Its draw takes the toss to pin it.
+    first time the branch is taken.
     """
-    rand = _uniform_rule(arm._replace(kept=np.arange(len(arm.pool))), toss=0)
-    paying = cache(lambda: _knapsack_rule(arm, toss=1)(None))
+    rand = _uniform_rule(arm, branch=0, cand=arm.pool)
+    paying = []
 
     def draw(rng, toss=None):
         if toss is None:
@@ -364,7 +374,9 @@ def _two_set_rule(arm: _Arm):
         if toss == 0:
             return rand(rng)
         rng.permutation(len(arm.pool))
-        return paying()
+        if not paying:
+            paying.append(_knapsack_rule(arm, branch=1)(None))
+        return paying[0]
     return draw
 
 
@@ -393,22 +405,13 @@ def _prepare(spec: MechanismSpec, m: Mempool, capacity, fakes: Sequence[Transact
             raise ParameterError(f"fake transaction id {tx.id} collides with the mempool")
     if not capacity >= 0:
         raise ParameterError(f"capacity must be non-negative, got {capacity}")
-    pool = m.extend(fakes)
+    pool = cand = m.extend(fakes)
     kept = np.arange(len(pool))
     if spec.payment is PaymentKind.POSTED_PRICE:
         kept = np.flatnonzero(pool.columns.bids >= spec.base_fee)
-    draw = _RULES[spec.allocation](_Arm(spec, m, pool, capacity, kept, fakes, splitblock_demote))
-    return draw if spec.allocation is AllocationKind.RTFM else lambda rng, toss=None: draw(rng)
-
-
-def _outcome(block: _Block, capacity) -> MechanismOutcome:
-    """The outcome of one prepared step's block."""
-    selected = tuple(block.columns.ids[block.rows].tolist())
-    sections = block.sections
-    if block.toss is not None:
-        sections = dict.fromkeys(selected, SECTION_RAND if block.toss == 0 else SECTION_OPT)
-    return MechanismOutcome(AllocationResult(selected, block.total, capacity, sections or {}),
-                            block.miner_utility, block.toss, block)
+        cand = pool.take(kept)
+    return _RULES[spec.allocation](_Arm(spec, m, pool, capacity, kept, cand, fakes,
+                                        splitblock_demote))
 
 
 def run_mechanism(
@@ -430,8 +433,13 @@ def run_mechanism(
     """
     if rtfm_toss not in (None, 0, 1):
         raise ParameterError(f"rtfm_toss must be 0, 1 or None, got {rtfm_toss!r}")
-    step = _prepare(spec, m, capacity, fakes, splitblock_demote)
-    return _outcome(step(resolve_rng(seed), rtfm_toss), capacity)
+    block = _prepare(spec, m, capacity, fakes, splitblock_demote)(resolve_rng(seed), rtfm_toss)
+    selected = tuple(block.columns.ids[block.rows].tolist())
+    sections = block.sections
+    if block.toss is not None:
+        sections = dict.fromkeys(selected, SECTION_RAND if block.toss == 0 else SECTION_OPT)
+    return MechanismOutcome(AllocationResult(selected, block.total, capacity, sections or {}),
+                            block.miner_utility, block.toss, block)
 
 
 def spec_to_config(spec: MechanismSpec) -> str:

@@ -456,10 +456,10 @@ def _walk_by_loop(sizes, order, capacity, total):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.one_of(st.floats(0.01, 4.0), st.sampled_from([1, Fraction(1, 3), 0.5])),
-                max_size=30),
+                max_size=80),
        st.floats(0, 20), st.sampled_from([0, 0.75, Fraction(2, 3)]), st.integers(0, 2**32 - 1))
 def test_walk_matches_the_sequential_loop(sizes, capacity, start, seed):
-    """The cut-then-walk keeps the rows, and adds the sizes in the order, of a plain loop."""
+    """Short and long orders keep the rows, and add the sizes in the order, of a plain loop."""
     column = _column(sizes)
     order = np.random.default_rng(seed).permutation(len(sizes))
     rows, total = _walk(column, order, capacity, start)
