@@ -211,16 +211,54 @@ def test_audit_report_bytes(name):
     assert hashlib.sha256(_audit_bytes(name)).hexdigest() == AUDIT_DIGESTS[name]
 
 
-def _tune_gamma_demo_shape():
+def _tune_gamma_demo_shape(seed=3):
     """tune_gamma on the pool, interval and trials of demos/tune_gamma.cfg."""
     m = sample_mempool(60, BidDistribution.zero_inflated(0.3, BidDistribution.uniform(0, 5)),
                        BidDistribution.constant(1), seed=3)
     return tune_gamma(m, 15.0, alpha_target=0.2, phi_ratio=2.0, gamma_lo=0.1, gamma_hi=50.0,
-                      trials=400, seed=3)
+                      trials=400, seed=seed)
 
 
 def test_tune_gamma_repr():
     assert _sha256_repr(_tune_gamma_demo_shape()) == TUNE_GAMMA_REPR
+
+
+# The pins above seed one uint32 word; trial i's stream is seeded from the words
+# of [seed, i], so these also cover seed 0 and a seed of two words.
+OTHER_SEED_AUDITS = {
+    "zti.softmax": lambda seed: estimate_zti(MechanismSpec.stfm(1.0), ZERO_POOL, 2.0, 30,
+                                             seed).to_text(),
+    # the two-set rule's paying branch draws nothing, so this one reads the same at any seed
+    "cof.rtfm": lambda seed: repr(empirical_cof(MechanismSpec.rtfm(0.3), COF_POOL, 8.0, 300,
+                                                seed)),
+    "cof.softmax": lambda seed: repr(empirical_cof(MechanismSpec.stfm(2.0), COF_POOL, 8.0, 300,
+                                                   seed)),
+    "tune_gamma": lambda seed: repr(_tune_gamma_demo_shape(seed)),
+}
+OTHER_SEED_DIGESTS = {
+    ("zti.softmax", 0):
+        "5181ec5cfc213a056ea8ad97ed474c3b1c54d28fb6ee71eb02539e4239220e75",
+    ("zti.softmax", 2**40 + 3):
+        "c24a16c014059c40bc7acea6ab24ad5beb724cb7e521dd5c1ab7628b82a96d3a",
+    ("cof.rtfm", 0):
+        "a593315c6bab3d2bf185287683b387bee68dfad43db9cbe647e1a1fcb993bda2",
+    ("cof.rtfm", 2**40 + 3):
+        "a593315c6bab3d2bf185287683b387bee68dfad43db9cbe647e1a1fcb993bda2",
+    ("cof.softmax", 0):
+        "a7ab1b8a520ff76d231b9ff04a981c27d59728cd8252cb8e18e52fb4c83d1d3c",
+    ("cof.softmax", 2**40 + 3):
+        "68178e4a948388b131b7c9e77d5fb2390e0169aa7264f9b0dddfbf2761018e7a",
+    ("tune_gamma", 0):
+        "07f4167f3050bcc676e10ebe4a14c6744e56cfbb73eafdbf1d24480c54989a6a",
+    ("tune_gamma", 2**40 + 3):
+        "87bfeddd7f69c4d8f36b06a5b6e365e727d076149604a82c3ed7a9128e0779be",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(OTHER_SEED_DIGESTS))
+def test_audit_bytes_at_seed_0_and_a_two_word_seed(name, seed):
+    text = OTHER_SEED_AUDITS[name](seed)
+    assert hashlib.sha256(text.encode()).hexdigest() == OTHER_SEED_DIGESTS[name, seed]
 
 
 def _cli_audit_output(capsys) -> bytes:
