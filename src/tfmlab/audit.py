@@ -28,7 +28,7 @@ from .alloc import (
 from .errors import DomainError, ParameterError, SolverLimitError
 from .experiments import _mean_se
 from .mech import AllocationKind, MechanismSpec, PaymentKind, _prepare, run_mechanism
-from .txpool import Mempool, Transaction, zero_fee_subset
+from .txpool import Mempool, Transaction, _check_seed, zero_fee_subset
 
 _TOL = 1e-9
 _PCG64_STATE = (1 << 128) - 1
@@ -81,38 +81,112 @@ def reports_to_csv(reports: Sequence[PropertyReport], path: str) -> None:
                              "" if r.witness is None else repr(r.witness)])
 
 
+# numpy's SeedSequence hash (pool size 4) and PCG64's multiplier
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = 0xFFFFFFFF
+_BATCH = 1024  # most trials one vectorized pass seeds, which bounds its arrays
+# where generate_state(4, uint64)'s uint32 words 0..7 go in a little-endian
+# ``seed | seq << 128``: its uint64 word 0 is the seed's high half, word 2 the seq's
+_STATE_WORD_PLACES = (2, 3, 0, 1, 6, 7, 4, 5)
+
+
+def _hashmix(value, const: int, mult: int):
+    """One SeedSequence hash of uint32 words (ints or an array), and the next constant."""
+    const_next = const * mult & _MASK32
+    value = (value ^ const) * const_next & _MASK32
+    return value ^ value >> 16, const_next
+
+
+def _mix(x, y):
+    value = ((x * _MIX_MULT_L & _MASK32) - (y * _MIX_MULT_R & _MASK32)) & _MASK32
+    return value ^ value >> 16
+
+
+def _pcg64_starts(seed_words: List[int], lo: int, hi: int) -> List[int]:
+    """The packed PCG64 starts ``state | inc << 128`` of trials lo, ..., hi - 1.
+
+    Trial i's start is the one ``np.random.PCG64([seed, i])`` seeds: numpy's
+    SeedSequence mixes the entropy words ``seed_words + [i]`` into a pool of
+    four, ``generate_state(4, uint64)`` hashes the pool into a 128-bit seed
+    and sequence, and PCG64's set_seed steps them into a state and an
+    increment.  The uint32 hash runs once over all the trials' words (on a
+    plain int while there is one trial); the 128-bit step runs per trial.
+    """
+    if hi > 1 << 32:
+        raise ParameterError("an audit call replays at most 2**32 trials")
+    index = lo if hi - lo == 1 else np.arange(lo, hi, dtype=np.uint32)
+    entropy = seed_words + [index] + [0] * (_POOL_SIZE - 1 - len(seed_words))
+    const = _INIT_A
+    pool = []
+    for word in entropy[:_POOL_SIZE]:
+        word, const = _hashmix(word, const, _MULT_A)
+        pool.append(word)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                word, const = _hashmix(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], word)
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            hashed, const = _hashmix(word, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], hashed)
+    rows = np.empty((hi - lo, 8), dtype="<u4")
+    const = _INIT_B
+    for k, place in enumerate(_STATE_WORD_PLACES):
+        rows[:, place], const = _hashmix(pool[k % _POOL_SIZE], const, _MULT_B)
+    data = rows.tobytes()
+    del pool, rows
+    starts = []
+    for at in range(0, len(data), 32):
+        seed_seq = int.from_bytes(data[at:at + 32], "little")
+        inc = ((seed_seq >> 128) << 1 | 1) & _PCG64_STATE
+        state = ((seed_seq & _PCG64_STATE) + inc) * _PCG64_MULT + inc & _PCG64_STATE
+        starts.append(state | inc << 128)
+    return starts
+
+
 class _TrialStreams:
     """The trial generators of one audit call.
 
-    Trial i's generator is the one ``np.random.default_rng([seed, i])``
-    builds.  Its first use seeds it through numpy and, when the call
-    `replays` the trial, records its PCG64 state and increment, packed into
-    one int; a later arm of the same call gets the trial's stream back by
-    restoring them into one reused generator, which costs a fraction of the
-    seeding.  A generator is good until the next trial is asked for.
+    Trial i's stream is the one ``np.random.default_rng([seed, i])`` builds,
+    but no trial is seeded through numpy: :func:`_pcg64_starts` computes the
+    trials' PCG64 starts, a batch of them in one vectorized pass, and asking
+    for trial i restores its start into one reused generator.  A batch holds
+    the trials asked for: ``prepare(trials)`` before a loop over them, or
+    trial i alone.  numpy's own seeding is the oracle the tests check the
+    starts against.  A generator is good until the next trial is asked for.
     """
 
-    def __init__(self, seed: int, replays: bool = True):
-        self.seed = seed
-        self.replays = replays
+    def __init__(self, seed: int):
+        seed = _check_seed(seed)
+        self._words = [seed & _MASK32]  # the seed's uint32 words, as SeedSequence splits it
+        while seed > _MASK32:
+            seed >>= 32
+            self._words.append(seed & _MASK32)
         self._start: List[int] = []  # trial i's PCG64 ``state | inc << 128``
-        self._rng: Optional[np.random.Generator] = None
+        self._rng: Optional[np.random.Generator] = None  # made with the first batch
         self._pcg = {"state": 0, "inc": 0}  # refilled at each restore
         self._state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
                        "state": self._pcg}
 
+    def prepare(self, trials: int) -> None:
+        """Compute the starts of trials 0, ..., trials - 1 not yet known."""
+        if self._rng is None:
+            self._rng = np.random.Generator(np.random.PCG64(0))  # its state is always restored
+        for lo in range(len(self._start), trials, _BATCH):
+            self._start += _pcg64_starts(self._words, lo, min(lo + _BATCH, trials))
+
     def __call__(self, i: int) -> np.random.Generator:
-        if i < len(self._start):
-            packed = self._start[i]
-            self._pcg["state"], self._pcg["inc"] = packed & _PCG64_STATE, packed >> 128
-            self._rng.bit_generator.state = self._state
-            return self._rng
-        # Generator(PCG64(s)) is what default_rng(s) builds, with less call overhead
-        rng = self._rng = np.random.Generator(np.random.PCG64([int(self.seed), int(i)]))
-        if self.replays and i == len(self._start):
-            pcg = rng.bit_generator.state["state"]
-            self._start.append(pcg["state"] | pcg["inc"] << 128)
-        return rng
+        if i >= len(self._start):
+            self.prepare(i + 1)
+        packed = self._start[i]
+        self._pcg["state"], self._pcg["inc"] = packed & _PCG64_STATE, packed >> 128
+        self._rng.bit_generator.state = self._state
+        return self._rng
 
 
 def _replay(run, trials: int, streams: _TrialStreams) -> Tuple[list, bool]:
@@ -130,6 +204,7 @@ def _replay(run, trials: int, streams: _TrialStreams) -> Tuple[list, bool]:
     results = [run(rng)]
     if rng.bit_generator.state == state:
         return results, False
+    streams.prepare(trials)
     results += [run(streams(i)) for i in range(1, trials)]
     return results, True
 
@@ -149,6 +224,7 @@ def estimate_zti(spec: MechanismSpec, m: Mempool, capacity, trials: int, seed: i
     """
     if trials < 1:
         raise ParameterError("trials must be at least 1")
+    streams = _TrialStreams(seed)
     zeros = zero_fee_subset(m)
     if not zeros:
         raise ParameterError("mempool has no zero-bid transaction to audit")
@@ -178,7 +254,7 @@ def estimate_zti(spec: MechanismSpec, m: Mempool, capacity, trials: int, seed: i
         block = run_mechanism(spec, m, capacity, seed=rng).allocation.selected
         return tuple(tx.id for tx in zeros if tx.id in block)
 
-    blocks, drew = _replay(included_zeros, trials, _TrialStreams(seed, replays=False))
+    blocks, drew = _replay(included_zeros, trials, streams)
     excluded = [tx.id for tx in zeros if tx.id not in blocks[0]]
     if excluded and not drew:
         return PropertyReport(
@@ -245,6 +321,7 @@ def estimate_monotonicity(
         raise ParameterError("trials must be at least 1")
     if any(e <= 0 for e in epsilons):
         raise ParameterError("epsilons must be positive")
+    streams = _TrialStreams(seed)
 
     if use_certificates:
         verdict, certificate = _MONOTONICITY_CERTIFICATES[spec.allocation]
@@ -253,7 +330,6 @@ def estimate_monotonicity(
 
     base_bid = m.get(target_tx).bid
     target_row = int(m.rows_of((target_tx,))[0])
-    streams = _TrialStreams(seed)
 
     def inclusion_rate(bid) -> Tuple[float, float, int]:
         step = _prepare(spec, m.with_bid(target_tx, bid), capacity)
@@ -300,11 +376,11 @@ def check_uic(
     theta = m.get(user).valuation
     if not any(b == theta for b in bid_grid):
         raise ParameterError("bid grid must contain the truthful bid (the valuation)")
+    streams = _TrialStreams(seed)
 
     means: Dict[float, float] = {}
     ses: Dict[float, float] = {}
     n_runs = 0
-    streams = _TrialStreams(seed)
     for b in bid_grid:
         step = _prepare(spec, m.with_bid(user, b), capacity)
         utils, _ = _replay(lambda rng: step(rng).user_utilities()[user], trials, streams)
@@ -377,11 +453,11 @@ def search_mic_deviation(
         raise ParameterError(f"fake_budget must be non-negative, got {fake_budget}")
     if fake_budget > 4 or len(fake_bid_grid) > 8:
         raise SolverLimitError("search bounded to fake_budget <= 4 and a grid of <= 8 bids")
+    streams = _TrialStreams(seed)
     grid = list(fake_bid_grid)
     if spec.allocation is AllocationKind.SPLIT_BLOCK and spec.split.delta not in grid:
         grid.append(spec.split.delta)
 
-    streams = _TrialStreams(seed)
     honest, honest_se, n_runs = _expected_miner_utility(spec, m, capacity, (), trials, streams)
 
     next_id = max((tx.id for tx in m), default=-1) + 1
@@ -438,13 +514,13 @@ def empirical_cof(
     trials (exactly proportional branch counts), which estimates the same
     mean with far less noise than independent tosses.
     """
+    streams = _TrialStreams(seed)
     opt = allocation_value(m, optimal_allocate(m, capacity))
     if not opt > 0:
         raise DomainError("cost of fairness undefined: the optimal revenue is zero")
 
     if trials < 1:
         raise ParameterError("trials must be at least 1")
-    streams = _TrialStreams(seed, replays=False)
     if spec.allocation is AllocationKind.RTFM:
         # the zero-pay branch earns nothing and no seed changes the paying branch
         paying = run_mechanism(spec, m, capacity, seed=streams(0), rtfm_toss=1).miner_utility
@@ -511,7 +587,7 @@ def stfm_worstcase_draw_ratio(n: int, c: int, b: float, gamma: float, trials: in
     probs = stfm_first_draw_distribution(m, gamma)
     p = np.array([probs[tx.id] for tx in m])
     bids = m.bids()
-    rng = np.random.default_rng([int(seed)])
+    rng = np.random.default_rng([_check_seed(seed)])
     draws = rng.choice(len(p), size=trials, p=p)
     per_draw = bids[draws]
     mean_draw = float(per_draw.mean())
@@ -570,6 +646,7 @@ def tune_gamma(
         raise ParameterError("need 0 < gamma_lo < gamma_hi")
     if trials < 1:
         raise ParameterError("trials must be at least 1")
+    streams = _TrialStreams(seed)
     if math.isinf(phi_ratio):
         return gamma_lo
 
@@ -581,7 +658,7 @@ def tune_gamma(
     # depend on gamma, so every gamma replays the trial's stream
     walk_sizes = c.sizes.astype(float, copy=False)
     bids = c.bids.astype(float, copy=False)
-    streams = _TrialStreams(seed)
+    streams.prepare(trials)
 
     def estimate(gamma: float) -> Tuple[float, float]:
         hits_cof = 0

@@ -32,7 +32,13 @@ from .experiments import (
     run_rtfm_sweep,
     run_stfm_sweep,
 )
-from .mech import AllocationKind, config_value, parse_config_text, spec_from_fields
+from .mech import (
+    AllocationKind,
+    config_value,
+    parse_config_text,
+    parse_config_value,
+    spec_from_fields,
+)
 from .txpool import sample_mempool
 
 _ERRORS = (ConfigError, ParameterError, DomainError, SolverLimitError, MiningTimeoutError, OSError)
@@ -43,7 +49,7 @@ def _config_with_overrides(args):
     with open(args.config) as fh:
         fields = parse_config_text(fh.read())
     if args.seed is not None:
-        fields["seed"] = args.seed
+        fields["seed"] = parse_config_value("seed", args.seed)
     if getattr(args, "out", None):
         fields["out"] = args.out
     return fields
@@ -190,7 +196,8 @@ def build_parser():
     def add_common(p, needs_config=True):
         if needs_config:
             p.add_argument("--config", required=True, help="flat key=value config file")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--seed", default=None,
+                       help="override the config seed (a non-negative integer)")
         p.add_argument("--out", default=None, help="output path")
 
     p = sub.add_parser("sweep-rtfm", help="bias sweep for the randomized two-set mechanism")

@@ -467,6 +467,13 @@ def _float_list(text: str) -> Tuple[float, ...]:
     return tuple(float(v) for v in text.split(",") if v.strip())
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise ValueError("expected a non-negative integer")
+    return seed
+
+
 def _bool(text: str) -> bool:
     if text.lower() not in ("true", "false"):
         raise ValueError("expected true or false")
@@ -493,7 +500,7 @@ CONFIG_KEYS: Dict[str, ConfigKey] = {
     "capacity": ConfigKey(POOL, float, 100.0),
     "bids": ConfigKey(POOL, parse_distribution, BidDistribution.censored_gaussian(4, 3)),
     "sizes": ConfigKey(POOL, parse_distribution, BidDistribution.constant(1)),
-    "seed": ConfigKey(POOL, int, 0),
+    "seed": ConfigKey(POOL, _seed, 0),
     "sweep_param": ConfigKey(SWEEP, str, "phi"),
     "sweep_values": ConfigKey(SWEEP, _float_list, tuple(round(0.1 * i, 1) for i in range(11))),
     "runs": ConfigKey(SWEEP, int, 1000),
@@ -533,11 +540,16 @@ def parse_config_text(text: str) -> Dict[str, object]:
             raise ConfigError(f"duplicate config key {key!r}")
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        try:
-            fields[key] = CONFIG_KEYS[key].parse(value)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from exc
+        fields[key] = parse_config_value(key, value)
     return fields
+
+
+def parse_config_value(key: str, value: str):
+    """`value` parsed as config key `key`'s type; a value that does not parse raises ConfigError."""
+    try:
+        return CONFIG_KEYS[key].parse(value)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from exc
 
 
 def config_value(fields: Dict[str, object], key: str):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -25,10 +26,26 @@ _TRUNCATED_GAUSSIAN_ROUNDS = 100_000
 _TRUNCATED_GAUSSIAN_MIN_SUCCESS = 1e-9
 
 
+def _check_seed(seed) -> int:
+    """`seed` as an int; a negative or non-integral seed raises ParameterError."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = -1
+    if value < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
+    return value
+
+
 def resolve_rng(seed: SeedLike) -> np.random.Generator:
-    """Return a PCG64 generator; pass-through if one is given."""
+    """Return a PCG64 generator; pass-through if one is given.
+
+    An int seed, or each int of a sequence, must be a non-negative integer.
+    """
     if isinstance(seed, np.random.Generator):
         return seed
+    for value in seed if isinstance(seed, (list, tuple, np.ndarray)) else (seed,):
+        _check_seed(value)
     return np.random.default_rng(seed)
 
 

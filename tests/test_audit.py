@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from tfmlab import (
@@ -186,6 +187,31 @@ def test_audits_need_a_trial():
         check_uic(MechanismSpec.first_price(), unit_pool([2, 5]), 1.0, 1, [5.0], 0, 0)
     with pytest.raises(ParameterError):
         empirical_cof(MechanismSpec.rtfm(0.5), unit_pool([2, 5]), 1.0, 0, 0)
+
+
+BAD_SEEDS = [-1, -2**40, 1.5, 2.0, "3", None]
+# every public audit that takes a seed, on inputs it would otherwise accept
+SEEDED_AUDITS = {
+    "zti": lambda seed: estimate_zti(MechanismSpec.stfm(1.0), ZPOOL, 2.0, 10, seed),
+    "monotonicity": lambda seed: estimate_monotonicity(MechanismSpec.stfm(1.0), ZPOOL, 3, [1.0],
+                                                       10, seed, capacity=2.0),
+    "uic": lambda seed: check_uic(MechanismSpec.first_price(), unit_pool([2, 5]), 1.0, 1, [5.0],
+                                  10, seed),
+    "mic": lambda seed: search_mic_deviation(MechanismSpec.first_price(), unit_pool([5, 3]), 1.0,
+                                             1, [0.0], seed, trials=10),
+    "cof": lambda seed: empirical_cof(MechanismSpec.rtfm(0.5), unit_pool([2, 5]), 1.0, 10, seed),
+    "tune_gamma": lambda seed: tune_gamma(unit_pool([0, 0, 1, 2]), 2.0, 0.2, 2.0, 0.1, 50.0, 10,
+                                          seed),
+    "worstcase_draw_ratio": lambda seed: stfm_worstcase_draw_ratio(10, 2, 5.0, 1.0, 10, seed),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_AUDITS))
+def test_audits_reject_negative_and_non_integral_seeds(name):
+    for seed in BAD_SEEDS:
+        with pytest.raises(ParameterError, match="seed"):
+            SEEDED_AUDITS[name](seed)
+    SEEDED_AUDITS[name](np.int64(2**40 + 3))  # any integral type
 
 
 def test_uic_grid_must_contain_truthful_bid():

@@ -314,6 +314,38 @@ def test_cli_malformed_value_exits_2_without_traceback(tmp_path, capsys, command
     assert err.startswith("error:") and line.split()[0] in err and "Traceback" not in err
 
 
+SEEDED_COMMANDS = {
+    "sweep-rtfm": ["--config", os.path.join(DEMOS, "bias_sweep.cfg")],
+    "sweep-stfm": ["--config", os.path.join(DEMOS, "temperature_sweep.cfg")],
+    "audit": ["--config", os.path.join(DEMOS, "zti_audit.cfg"), "--property", "zti"],
+    "tune-gamma": ["--config", os.path.join(DEMOS, "tune_gamma.cfg")],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEEDED_COMMANDS))
+@pytest.mark.parametrize("seed", ["-1", "-2", "1.5", "x"])
+def test_cli_seed_option_outside_the_model_exits_2(capsys, command, seed):
+    assert cli_main([command, *SEEDED_COMMANDS[command], "--seed", seed]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", sorted(SEEDED_COMMANDS))
+def test_cli_config_seed_outside_the_model_exits_2(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, "allocation = rtfm\nphi = 0.5\nn = 10\ncapacity = 4\nruns = 2\n"
+                              "sweep_param = phi\nseed = -1\n")
+    extra = ["--property", "cof"] if command == "audit" else []
+    assert cli_main([command, "--config", cfg] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err and "Traceback" not in err
+
+
+def test_cli_mine_demo_keeps_any_integer_seed(capsys):
+    # a chain's nonce search seeds random.Random, which takes negative seeds
+    assert cli_main(["mine-demo", "--blocks", "2", "--seed", "-5", "--target-bits", "250"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+
+
 @pytest.mark.parametrize("allocation,key", [("rtfm", "phi"), ("softmax", "gamma")])
 def test_cli_audit_needs_the_mechanism_parameter_stated(tmp_path, capsys, allocation, key):
     """A sweep seeds phi or gamma from its grid; an audit must not audit phi = 0 silently."""

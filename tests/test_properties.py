@@ -13,11 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import numpy as np
+import pytest
 
 from tfmlab import (
     AllocationKind,
     MechanismSpec,
     Mempool,
+    ParameterError,
     PaymentKind,
     SplitBlockConfig,
     Transaction,
@@ -27,6 +29,7 @@ from tfmlab import (
     splitblock_allocate,
 )
 from tfmlab.alloc import EXHAUSTIVE_LIMIT, SECTION_ONE_MINUS_ALPHA, SECTION_RAND
+from tfmlab.audit import _BATCH, _TrialStreams, _pcg64_starts, _replay
 from tfmlab.mech import _prepare
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -179,3 +182,47 @@ def test_fraction_bids_give_fraction_payments(case):
         split = splitblock_allocate(m, capacity, SplitBlockConfig(alpha), seed=seed)
         assert split.total_size <= capacity
         assert isinstance(split.total_size, (int, Fraction))
+
+
+def _seeds_of(words):
+    """Seeds that numpy's SeedSequence splits into exactly `words` uint32 words."""
+    return st.integers(0 if words == 1 else 1 << 32 * (words - 1), (1 << 32 * words) - 1)
+
+
+@pytest.mark.parametrize("words", [1, 2, 3, 4, 5])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_trial_streams_start_where_numpy_seeds_them(words, data):
+    # audits ask for trial 0 alone, then for the rest: check both sides of every cut
+    seed = data.draw(_seeds_of(words))
+    trials = data.draw(st.integers(2, 3 * _BATCH + 3).filter(lambda n: n & (n - 1)))
+    cut = data.draw(st.integers(1, trials))
+    streams = _TrialStreams(seed)
+    streams(0)
+    streams.prepare(cut)
+    streams.prepare(trials)
+    assert len(streams._start) == trials
+    cuts = {cut, trials} | set(range(1, cut, _BATCH)) | set(range(cut, trials, _BATCH))
+    for i in sorted({0, 1} | {c + d for c in cuts for d in (-1, 0)} - {trials}):
+        expected = np.random.default_rng([seed, i]).bit_generator.state
+        assert streams(i).bit_generator.state == expected, (seed, i)
+
+
+def test_trial_starts_reach_the_last_uint32_index():
+    for seed in (0, 2**40 + 3, 2**100 + 1):
+        words = _TrialStreams(seed)._words
+        starts = _pcg64_starts(words, 2**32 - 3, 2**32)
+        for i, packed in zip(range(2**32 - 3, 2**32), starts):
+            pcg = np.random.PCG64([seed, i]).state["state"]
+            assert packed == pcg["state"] | pcg["inc"] << 128
+    with pytest.raises(ParameterError):
+        _pcg64_starts([0], 2**32 - 1, 2**32 + 1)
+
+
+@pytest.mark.parametrize("seed", [0, 2**40 + 3])
+def test_a_rule_that_draws_nothing_runs_and_seeds_one_trial(seed):
+    streams = _TrialStreams(seed)
+    results, drew = _replay(lambda rng: "same", 500, streams)
+    assert results == ["same"] and not drew and len(streams._start) == 1
+    results, drew = _replay(lambda rng: rng.random(), 500, streams)
+    assert len(results) == 500 and drew and len(streams._start) == 500

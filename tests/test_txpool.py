@@ -16,6 +16,7 @@ from tfmlab import (
     sample_mempool,
     zero_fee_subset,
 )
+from tfmlab.txpool import resolve_rng
 
 
 def test_sample_mempool_empty():
@@ -41,6 +42,19 @@ def test_sample_mempool_censored_pool():
     assert all(tx.size == 1.0 for tx in m)
     assert all(tx.bid >= 0 for tx in m)
     assert len(zero_fee_subset(m)) > 0
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "7", None, [3, -1], (0.5,), np.array([1.0])])
+def test_seeds_must_be_non_negative_integers(seed):
+    with pytest.raises(ParameterError, match="seed"):
+        resolve_rng(seed)
+    with pytest.raises(ParameterError, match="seed"):
+        sample_mempool(5, BidDistribution.constant(1), BidDistribution.constant(1), seed=seed)
+
+
+def test_integral_seeds_of_any_type_seed_as_numpy_does():
+    for seed in (0, np.uint32(5), 2**100 + 1, [1, 2], (np.int64(3), 4), np.array([5, 6])):
+        assert resolve_rng(seed).random() == np.random.default_rng(seed).random()
 
 
 def test_sample_mempool_constant():
