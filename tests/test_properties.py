@@ -29,7 +29,7 @@ from tfmlab import (
     splitblock_allocate,
 )
 from tfmlab.alloc import EXHAUSTIVE_LIMIT, SECTION_ONE_MINUS_ALPHA, SECTION_RAND
-from tfmlab.audit import _BATCH, _TrialStreams, _pcg64_starts, _replay
+from tfmlab.audit import _BATCH, _START_BYTES, _TrialStreams, _pcg64_starts, _replay
 from tfmlab.mech import _prepare
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -201,7 +201,7 @@ def test_trial_streams_start_where_numpy_seeds_them(words, data):
     streams(0)
     streams.prepare(cut)
     streams.prepare(trials)
-    assert len(streams._start) == trials
+    assert len(streams._start) == trials * _START_BYTES
     cuts = {cut, trials} | set(range(1, cut, _BATCH)) | set(range(cut, trials, _BATCH))
     for i in sorted({0, 1} | {c + d for c in cuts for d in (-1, 0)} - {trials}):
         expected = np.random.default_rng([seed, i]).bit_generator.state
@@ -212,9 +212,9 @@ def test_trial_starts_reach_the_last_uint32_index():
     for seed in (0, 2**40 + 3, 2**100 + 1):
         words = _TrialStreams(seed)._words
         starts = _pcg64_starts(words, 2**32 - 3, 2**32)
-        for i, packed in zip(range(2**32 - 3, 2**32), starts):
+        for i, row in zip(range(2**32 - 3, 2**32), starts):
             pcg = np.random.PCG64([seed, i]).state["state"]
-            assert packed == pcg["state"] | pcg["inc"] << 128
+            assert int.from_bytes(row.tobytes(), "little") == pcg["state"] | pcg["inc"] << 128
     with pytest.raises(ParameterError):
         _pcg64_starts([0], 2**32 - 1, 2**32 + 1)
 
@@ -223,6 +223,6 @@ def test_trial_starts_reach_the_last_uint32_index():
 def test_a_rule_that_draws_nothing_runs_and_seeds_one_trial(seed):
     streams = _TrialStreams(seed)
     results, drew = _replay(lambda rng: "same", 500, streams)
-    assert results == ["same"] and not drew and len(streams._start) == 1
+    assert results == ["same"] and not drew and len(streams._start) == _START_BYTES
     results, drew = _replay(lambda rng: rng.random(), 500, streams)
-    assert len(results) == 500 and drew and len(streams._start) == 500
+    assert len(results) == 500 and drew and len(streams._start) == 500 * _START_BYTES
