@@ -29,7 +29,8 @@ from tfmlab import (
     splitblock_allocate,
 )
 from tfmlab.alloc import EXHAUSTIVE_LIMIT, SECTION_ONE_MINUS_ALPHA, SECTION_RAND
-from tfmlab.audit import _BATCH, _START_BYTES, _TrialStreams, _pcg64_starts, _replay
+from tfmlab._streams import _BATCH, _START_BYTES, _TrialStreams, _pcg64_starts
+from tfmlab.audit import _replay
 from tfmlab.mech import _prepare
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
