@@ -29,7 +29,7 @@ from .errors import DomainError, ParameterError, SolverLimitError
 from .experiments import _mean_se
 from .mech import AllocationKind, MechanismSpec, PaymentKind, _prepare, run_mechanism
 from ._streams import _TrialStreams
-from .txpool import Mempool, Transaction, _check_seed, zero_fee_subset
+from .txpool import Mempool, Transaction, resolve_rng, zero_fee_subset
 
 _TOL = 1e-9
 
@@ -479,7 +479,7 @@ def stfm_worstcase_draw_ratio(n: int, c: int, b: float, gamma: float, trials: in
     probs = stfm_first_draw_distribution(m, gamma)
     p = np.array([probs[tx.id] for tx in m])
     bids = m.bids()
-    rng = np.random.default_rng([_check_seed(seed)])
+    rng = resolve_rng([seed])
     draws = rng.choice(len(p), size=trials, p=p)
     per_draw = bids[draws]
     mean_draw = float(per_draw.mean())
