@@ -45,6 +45,7 @@ EIP1559_OUTCOME = "db4455f7eed6367c56c66dee2fa091826638560fd32e0f5ecf77afa13d56f
 SPLIT_BLOCK_OUTCOME = "c88db28e12666ba8aa61dc2812b7608ba134be0bb7a8109e50231b18097077ca"
 SMALL_RTFM_SWEEP_CSV = "516b6b9bf268d25345ca9d8a0c732e02acea5e9498dd3fc025c01d28dd85b17f"
 POSTED_RTFM_SWEEP_CSV = "575478fd3e1c0c9e43e057ce45f91449f85f963ef6c20a044eb58f4afdc153a5"
+UNSTRATIFIED_RTFM_SWEEP_CSV = "e83c61d6e557004491b3e807e8c0e047dbe914cc92215df055a5b308eacd8c84"
 TUNE_GAMMA_REPR = "12323955d6fc5c6f0f6514e3c96e8786afd89f74ee958e2c56e7fa9cad1eaf20"
 CLI_AUDIT_OUTPUT = "eb7665aef0456454cba2f2bb5c3993aa5c2b66aeadbb26e85fb659979f7b9b9e"
 AUDIT_DIGESTS = {
@@ -275,12 +276,14 @@ def test_cli_audit_output_on_the_demo_config(capsys):
     assert hashlib.sha256(_cli_audit_output(capsys)).hexdigest() == CLI_AUDIT_OUTPUT
 
 
-def _rtfm_sweep_csv(tmp_path, n, payment=PaymentKind.FIRST_PRICE, base_fee=None):
+def _rtfm_sweep_csv(tmp_path, n, payment=PaymentKind.FIRST_PRICE, base_fee=None,
+                    stratified_toss=True):
     cfg = ExperimentConfig(
         mechanism=MechanismSpec.rtfm(0.5, payment, base_fee), n=n, capacity=6.0,
         bid_dist=BidDistribution.zero_inflated(0.2, BidDistribution.uniform(0, 5)),
         size_dist=BidDistribution.uniform(0.5, 1.5),
         sweep_values=(0.0, 0.25, 0.5, 0.75, 1.0), runs=40, seed=13,
+        stratified_toss=stratified_toss,
     )
     path = tmp_path / f"rtfm_{n}.csv"
     emit_csv(run_rtfm_sweep(cfg), str(path))
@@ -294,3 +297,8 @@ def test_rtfm_sweep_csv_bytes_with_exact_small_pools(tmp_path):
 
 def test_rtfm_sweep_csv_bytes_under_the_posted_price(tmp_path):
     assert _rtfm_sweep_csv(tmp_path, 40, PaymentKind.POSTED_PRICE, 1.0) == POSTED_RTFM_SWEEP_CSV
+
+
+def test_rtfm_sweep_csv_bytes_with_independent_tosses(tmp_path):
+    # each grid value tosses every run from default_rng([seed, 7])
+    assert _rtfm_sweep_csv(tmp_path, 40, stratified_toss=False) == UNSTRATIFIED_RTFM_SWEEP_CSV
