@@ -82,24 +82,24 @@ class AllocationResult:
         return len(self.selected)
 
 
-def _weights(c: PoolColumns, payment, burn) -> np.ndarray:
-    """Objective weight of each row: s*p for real txs, -s*q for fakes.
+def _weights(c: PoolColumns, payment=None) -> np.ndarray:
+    """Objective weight of each row: s*p for real txs, and a zero burn for fakes.
 
-    `payment` and `burn` hold one per-unit value per row, in pool order;
-    payment defaults to the bid and burn to zero.
+    `payment` holds one per-unit value per row, in pool order, and defaults
+    to the bid.
     """
     p = c.bids if payment is None else _per_row(payment, c)
     w = c.sizes * p
     if np.count_nonzero(c.fake):
-        q = 0 if burn is None else _per_row(burn, c)
-        w = np.where(c.fake, -c.sizes * q, w)
+        # -size * 0 keeps the pool's number type: a Fraction zero, or the float -0.0
+        w = np.where(c.fake, -c.sizes * 0, w)
     return w
 
 
 def _per_row(values, c: PoolColumns) -> np.ndarray:
     values = np.asarray(values)
     if values.shape != c.ids.shape:
-        raise ParameterError(f"payment/burn needs one value per pool row ({len(c.ids)}), "
+        raise ParameterError(f"payment needs one value per pool row ({len(c.ids)}), "
                              f"got shape {values.shape}")
     return values
 
@@ -193,14 +193,13 @@ def optimal_allocate(
     m: Mempool,
     capacity,
     payment_per_unit: Optional[Sequence] = None,
-    burn_per_unit: Optional[Sequence] = None,
     exact: Optional[bool] = None,
 ) -> AllocationResult:
     """Revenue-maximizing feasible selection (knapsack).
 
-    `payment_per_unit` and `burn_per_unit` give one value per pool row, in
-    pool order.  Payment defaults to each transaction's bid and burn to
-    zero.  Exact mode solves the knapsack outright and is limited to
+    `payment_per_unit` gives one value per pool row, in pool order, and
+    defaults to each transaction's bid; a fake row weighs nothing.  Exact
+    mode solves the knapsack outright and is limited to
     ``EXHAUSTIVE_LIMIT`` candidates; greedy mode ranks by payment per unit
     size and walks that order, keeping what fits.  By default the
     knapsack is exact for pools of at most ``EXHAUSTIVE_LIMIT`` transactions
@@ -210,7 +209,7 @@ def optimal_allocate(
     if not capacity >= 0:
         raise ParameterError(f"capacity must be non-negative, got {capacity}")
     c = m.columns
-    w = _weights(c, payment_per_unit, burn_per_unit)
+    w = _weights(c, payment_per_unit)
     # candidates by weight per unit size, highest first, then lowest id
     order = np.lexsort((c.ids, -(w / c.sizes)))
     order = order[(w[order] > 0) & (c.sizes[order] <= capacity)]
@@ -231,9 +230,9 @@ def optimal_allocate(
     return AllocationResult(tuple(c.ids[rows].tolist()), sum(c.sizes[rows].tolist()), capacity)
 
 
-def allocation_value(m: Mempool, result: AllocationResult, payment_per_unit=None, burn_per_unit=None):
-    """Objective value of a selection under the same weighting as Eq.-style revenue."""
-    w = _weights(m.columns, payment_per_unit, burn_per_unit)
+def allocation_value(m: Mempool, result: AllocationResult):
+    """Objective value of a selection: its size-weighted bids, fakes weighing nothing."""
+    w = _weights(m.columns)
     return sum(w[m.rows_of(result.selected)].tolist())
 
 
@@ -304,11 +303,14 @@ class SplitBlockConfig:
     """Split-block rule parameters: paid fraction `alpha`, posted fee `delta`.
 
     ``delta == 0`` is the zero-fee variant where the reserved section only
-    admits zero-bid transactions.
+    admits zero-bid transactions.  `demote` lets any transaction bidding at
+    least delta stand in at the posted fee when explicit delta bids run
+    short; the default None demotes exactly when ``delta > 0``.
     """
 
     alpha: float
     delta: float = 0.0
+    demote: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if not 0 < self.alpha <= 1:
@@ -328,20 +330,18 @@ def _prepare_splitblock(
     capacity,
     cfg: SplitBlockConfig,
     fake_fill: Sequence[Transaction] = (),
-    demote_to_posted: Optional[bool] = None,
-    alpha_payment: Optional[Sequence] = None,
+    payment: Optional[np.ndarray] = None,
 ):
     """The pool `m` with `fake_fill` appended, and the split-block draw over it.
 
-    ``draw(rng)`` returns the block's rows of that pool in ascending id,
-    their total size, the section of each selected id and a mask of the rows
-    in the reserved section.  The paid section's knapsack depends only on the
+    The paid section's knapsack weighs `payment` (one value per row of `m`),
+    by default the bids.  ``draw(rng)`` returns the block's rows of that pool
+    in ascending id, their total size, the section of each selected id and a
+    mask of the rows in the reserved section.  The paid section's knapsack depends only on the
     rows the reserved section took, so a draw solves it once per such set.
     """
     if not capacity >= 0:
         raise ParameterError(f"capacity must be non-negative, got {capacity}")
-    if demote_to_posted is None:
-        demote_to_posted = cfg.delta > 0
     cap_posted = cfg.one_minus_alpha_capacity(capacity)
     cap_paid = cfg.alpha_capacity(capacity)
 
@@ -353,13 +353,14 @@ def _prepare_splitblock(
     fake_rows, fake_total = _walk(c.sizes, n + at_fee[n:].nonzero()[0], cap_posted)
     posted = at_fee[:n].nonzero()[0]
     demoted = posted[:0]
-    if demote_to_posted:
+    if (cfg.delta > 0) if cfg.demote is None else cfg.demote:
         # then every other transaction that bids at least the posted fee, lowest bids
         # first; a posted-fee row that did not fit above cannot fit later, since the
         # total only grows
         rest = (~at_fee[:n] & (c.bids[:n] >= cfg.delta)).nonzero()[0]
         demoted = rest[np.lexsort((c.ids[rest], c.bids[rest]))]
-    payment = c.bids[:n] if alpha_payment is None else np.asarray(alpha_payment)
+    if payment is None:
+        payment = c.bids[:n]
     paid_rows_of: Dict[bytes, np.ndarray] = {}  # the placed rows' mask -> paid rows
 
     def draw(rng: np.random.Generator):
@@ -392,22 +393,19 @@ def splitblock_allocate(
     cfg: SplitBlockConfig,
     fake_fill: Optional[Sequence[Transaction]] = None,
     seed: SeedLike = 0,
-    demote_to_posted: Optional[bool] = None,
-    alpha_payment: Optional[Sequence] = None,
 ) -> AllocationResult:
     """Two-section allocation: posted-fee section first, then the paid section.
 
     The reserved ``1 - alpha`` section is filled by uniform sampling from the
     posted-fee transactions (bid == delta); a deviating miner's `fake_fill`
-    entries take those slots first.  With ``demote_to_posted`` (default for
+    entries take those slots first.  With ``cfg.demote`` (by default for
     delta > 0) any real transaction bidding at least delta may stand in at
     the posted fee when explicit delta bids run short, lowest bids first, so
     no one pays more than their bid; the zero-fee variant never demotes, so
-    an underfilled section stays underfilled.  The paid
-    section is then solved as a knapsack over the remaining transactions,
-    weighted by `alpha_payment` (one value per row of `m`) when given.
+    an underfilled section stays underfilled.  The paid section is then
+    solved as a knapsack over the remaining transactions.
     """
-    pool, draw = _prepare_splitblock(m, capacity, cfg, fake_fill, demote_to_posted, alpha_payment)
+    pool, draw = _prepare_splitblock(m, capacity, cfg, fake_fill)
     rows, total, sections, _ = draw(resolve_rng(seed))
     return AllocationResult(tuple(pool.columns.ids[rows].tolist()), total, capacity, sections)
 

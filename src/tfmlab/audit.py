@@ -300,9 +300,9 @@ def check_uic(
 # Miner incentive compatibility
 
 
-def _expected_miner_utility(spec, m, capacity, fakes, trials, streams, **prepare_kwargs):
+def _expected_miner_utility(spec, m, capacity, fakes, trials, streams):
     """Mean, standard error and the runs made; exact (se 0) wherever the rule allows it."""
-    step = _prepare(spec, m, capacity, fakes, **prepare_kwargs)
+    step = _prepare(spec, m, capacity, fakes)
     if spec.allocation is AllocationKind.RTFM:
         # two-point mixture: the zero-pay branch contributes nothing
         return (1 - spec.phi) * step(streams(0), 1).miner_utility, 0.0, 1
@@ -310,14 +310,14 @@ def _expected_miner_utility(spec, m, capacity, fakes, trials, streams, **prepare
     return (*_mean_se(utils), len(utils))
 
 
-def _named_overrides(spec: MechanismSpec) -> List[Tuple[str, MechanismSpec, dict]]:
-    """Rule-level deviations the miner controls: a name, the spec it plays and
-    its keyword arguments to the mechanism."""
+def _named_overrides(spec: MechanismSpec) -> List[Tuple[str, MechanismSpec]]:
+    """Rule-level deviations the miner controls: a name and the spec it plays."""
     if spec.allocation is AllocationKind.SOFTMAX:
-        greedy = replace(spec, allocation=AllocationKind.OPTIMAL, gamma=None)
-        return [("greedy_instead_of_sampling", greedy, {})]
+        return [("greedy_instead_of_sampling",
+                 replace(spec, allocation=AllocationKind.OPTIMAL, gamma=None))]
     if spec.allocation is AllocationKind.SPLIT_BLOCK:
-        return [("leave_reserved_section_empty", spec, {"splitblock_demote": False})]
+        return [("leave_reserved_section_empty",
+                 replace(spec, split=replace(spec.split, demote=False)))]
     return []
 
 
@@ -329,11 +329,10 @@ def search_mic_deviation(
     fake_bid_grid: Sequence[float],
     seed: int,
     trials: int = 2000,
-    fake_size: float = 1.0,
 ) -> PropertyReport:
     """Exhaustively search bounded fake-transaction and rule deviations.
 
-    Every multiset of up to `fake_budget` fakes over the bid grid (the
+    Every multiset of up to `fake_budget` unit-size fakes over the bid grid (the
     split-block posted fee is added to the grid automatically) is played
     against the honest rule, alongside the named rule-level deviations the
     mechanism exposes.  A deviation must beat the honest expected utility
@@ -357,19 +356,17 @@ def search_mic_deviation(
     for k in range(1, fake_budget + 1):
         for combo in combinations_with_replacement(sorted(set(grid)), k):
             fakes = tuple(
-                Transaction(next_id + j, fake_size, b, b, fake=True) for j, b in enumerate(combo)
+                Transaction(next_id + j, 1.0, b, b, fake=True) for j, b in enumerate(combo)
             )
             fake_sets.append(({"fake_bids": list(combo)}, fakes))
-    # (witness, spec, fakes, mechanism kwargs); the honest rule itself is not a deviation
-    candidates = [(desc, spec, fakes, {}) for desc, fakes in fake_sets[1:]]
-    for name, run_spec, kwargs in _named_overrides(spec):
-        candidates += [(dict(desc, override=name), run_spec, fakes, kwargs)
-                       for desc, fakes in fake_sets]
+    # (witness, spec, fakes); the honest rule itself is not a deviation
+    candidates = [(desc, spec, fakes) for desc, fakes in fake_sets[1:]]
+    for name, run_spec in _named_overrides(spec):
+        candidates += [(dict(desc, override=name), run_spec, fakes) for desc, fakes in fake_sets]
 
     best = (honest, 0.0, None)
-    for desc, run_spec, fakes, kwargs in candidates:
-        value, se, runs = _expected_miner_utility(run_spec, m, capacity, fakes, trials, streams,
-                                                  **kwargs)
+    for desc, run_spec, fakes in candidates:
+        value, se, runs = _expected_miner_utility(run_spec, m, capacity, fakes, trials, streams)
         n_runs = max(n_runs, runs)
         if value > best[0]:
             best = (value, se, desc)
@@ -413,13 +410,13 @@ def empirical_cof(
 
     if trials < 1:
         raise ParameterError("trials must be at least 1")
+    step = _prepare(spec, m, capacity)
     if spec.allocation is AllocationKind.RTFM:
         # the zero-pay branch earns nothing and no seed changes the paying branch
-        paying = run_mechanism(spec, m, capacity, seed=streams(0), rtfm_toss=1).miner_utility
+        paying = step(streams(0), 1).miner_utility
         utils = [0.0 if (i + 0.5) / trials < spec.phi else paying for i in range(trials)]
     else:
-        utils, _ = _replay(lambda rng: run_mechanism(spec, m, capacity, seed=rng).miner_utility,
-                           trials, streams)
+        utils, _ = _replay(lambda rng: step(rng).miner_utility, trials, streams)
     utils = np.asarray(utils, dtype=float)
     mean = float(utils.mean())
     cov = float(utils.std(ddof=1) / mean) if len(utils) > 1 and mean > 0 else None
@@ -522,7 +519,6 @@ def tune_gamma(
     gamma_hi: float,
     trials: int,
     seed: int,
-    rel_tol: float = 1e-3,
 ) -> float:
     """Smallest temperature whose optimal-set odds are acceptably low.
 
@@ -530,7 +526,8 @@ def tune_gamma(
     softmax sampler reproduces the exact revenue-optimal set (pr_cof) and the
     probability that zero-bid transactions occupy at least `alpha_target` of
     the realized block (pr_zf), then bisects for the smallest gamma in
-    ``[gamma_lo, gamma_hi]`` with ``pr_cof / pr_zf <= phi_ratio``.
+    ``[gamma_lo, gamma_hi]`` with ``pr_cof / pr_zf <= phi_ratio``, to a
+    relative tolerance of 1e-3.
     """
     if not 0 <= alpha_target <= 1:
         raise ParameterError("alpha_target must lie in [0, 1]")
@@ -581,7 +578,7 @@ def tune_gamma(
             raise DomainError("zero-fee block share never reaches the target on this interval")
         raise DomainError("no gamma on the interval meets the requested ratio")
     lo, hi = gamma_lo, gamma_hi
-    while hi / lo > 1 + rel_tol:
+    while hi / lo > 1 + 1e-3:
         mid = math.sqrt(lo * hi)
         if ratio(mid) <= phi_ratio:
             hi = mid

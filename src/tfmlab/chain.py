@@ -41,7 +41,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from types import ModuleType
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 from .errors import DomainError, MiningTimeoutError, ParameterError
 
@@ -335,24 +335,18 @@ def mine_chain(
     k: int,
     difficulty: Difficulty,
     seed: int,
-    genesis_hash: bytes = b"\x00" * 32,
-    roots: Optional[Iterable[Tuple[bytes, bytes]]] = None,
     max_trials: int = DEFAULT_MAX_TRIALS,
 ) -> List[MinedBlock]:
     """Mine `k` blocks in sequence, each linking to its predecessor.
 
-    Per-height Merkle roots may be supplied; by default each height gets
-    distinct placeholder roots derived from the height.
+    The first links to an all-zero genesis hash; each height gets distinct
+    placeholder roots derived from the height.
     """
     blocks: List[MinedBlock] = []
-    parent = genesis_hash
-    root_iter = iter(roots) if roots is not None else None
+    parent = bytes(32)
     for h in range(k):
-        if root_iter is None:
-            root_rand = hash_bytes(b"rand" + h.to_bytes(8, "big"))
-            root_opt = hash_bytes(b"opt" + h.to_bytes(8, "big"))
-        else:
-            root_rand, root_opt = next(root_iter)
+        root_rand = hash_bytes(b"rand" + h.to_bytes(8, "big"))
+        root_opt = hash_bytes(b"opt" + h.to_bytes(8, "big"))
         block = mine_block(parent, root_rand, root_opt, difficulty, seed=seed + h, height=h,
                            max_trials=max_trials)
         blocks.append(block)
@@ -364,11 +358,10 @@ def mine_many(
     count: int,
     difficulty: Difficulty,
     seed: int,
-    parent_hash: bytes = b"\x00" * 32,
     max_trials: int = DEFAULT_MAX_TRIALS,
     workers: int = 1,
 ) -> List[MinedBlock]:
-    """Mine `count` independent blocks (distinct roots, shared parent).
+    """Mine `count` independent blocks (distinct roots, the all-zero parent hash).
 
     Results are ordered by block index regardless of scheduling, so the output
     is deterministic for any worker count.  The C search loop releases the
@@ -379,7 +372,7 @@ def mine_many(
         root_rand = hash_bytes(b"rand" + i.to_bytes(8, "big"))
         root_opt = hash_bytes(b"opt" + i.to_bytes(8, "big"))
         return mine_block(
-            parent_hash, root_rand, root_opt, difficulty,
+            bytes(32), root_rand, root_opt, difficulty,
             seed=seed + i, height=i, max_trials=max_trials,
         )
 

@@ -22,15 +22,15 @@ from .mech import (
     POOL,
     SWEEP,
     AllocationKind,
-    MechanismOutcome,
     MechanismSpec,
     PaymentKind,
+    _Block,
+    _prepare,
     config_value,
     parse_config_text,  # noqa: F401 (re-exported: the sweep configs' parser)
-    run_mechanism,
     spec_from_fields,
 )
-from .txpool import BidDistribution, Mempool, sample_mempool
+from .txpool import BidDistribution, Mempool, resolve_rng, sample_mempool
 
 CSV_HEADER = "sweep_value,normalized_revenue,revenue_stderr,zero_fee_fraction,zff_stderr,cof,zfi"
 
@@ -80,15 +80,13 @@ def _mean_se(values) -> Tuple[float, float]:
     return mean, se
 
 
-def _block_stats(m: Mempool, out: MechanismOutcome) -> Tuple[float, float, float]:
+def _block_stats(m: Mempool, block: _Block) -> Tuple[float, float, float]:
     """Zero-bid inclusions over the pool size, zero-bid share of the block's
     size, and zero-payment inclusions over the pool size."""
-    c = m.columns
-    rows = m.rows_of(out.allocation.selected)
+    c, rows, total = m.columns, block.rows, block.total
     zero = np.sort(rows[c.bids[rows] == 0])  # pool order
     zero_size = sum(c.sizes[zero].tolist())
-    zero_pay = list(out.payment_per_unit.values()).count(0)
-    total = out.allocation.total_size
+    zero_pay = block.payment.tolist().count(0)
     n = len(m)
     return (len(zero) / n if n else 0.0, zero_size / total if total > 0 else 0.0,
             zero_pay / n if n else 0.0)
@@ -97,9 +95,9 @@ def _block_stats(m: Mempool, out: MechanismOutcome) -> Tuple[float, float, float
 def run_rtfm_sweep(cfg: ExperimentConfig) -> List[SweepRow]:
     """Sweep the branch bias of the randomized two-set mechanism.
 
-    Each run draws a fresh mempool and evaluates both branches once; a grid
-    value then mixes the per-run branch outcomes according to its toss
-    pattern.  Normalized revenue is miner utility over the exact optimum for
+    Each run draws a fresh mempool, prepares the mechanism over it once and
+    steps both branches, each from the run's seed; a grid value then mixes
+    the per-run branch outcomes according to its toss pattern.  Normalized revenue is miner utility over the exact optimum for
     that run's pool; the zero-fee fraction counts confirmed zero-bid
     transactions against the mempool size.
     """
@@ -114,17 +112,18 @@ def run_rtfm_sweep(cfg: ExperimentConfig) -> List[SweepRow]:
     stats = np.empty((4, 2, runs))
     for r in range(runs):
         m = sample_mempool(cfg.n, cfg.bid_dist, cfg.size_dist, seed=[cfg.seed, r])
-        outs = [run_mechanism(cfg.mechanism, m, cfg.capacity, seed=[cfg.seed, r], rtfm_toss=branch)
-                for branch in (0, 1)]
+        step = _prepare(cfg.mechanism, m, cfg.capacity)
+        blocks = [step(resolve_rng([cfg.seed, r]), branch) for branch in (0, 1)]
         # the paying branch's knapsack is the greedy optimum unless it is exact (a
         # small pool) or weighs bids less the posted fee
         if len(m) > EXHAUSTIVE_LIMIT and cfg.mechanism.payment is not PaymentKind.POSTED_PRICE:
-            opt_value = allocation_value(m, outs[1].allocation)
+            c, rows = m.columns, blocks[1].rows
+            opt_value = sum((c.sizes[rows] * c.bids[rows]).tolist())
         else:
             opt_value = allocation_value(m, optimal_allocate(m, cfg.capacity, exact=False))
-        for branch, out in enumerate(outs):
-            norm = out.miner_utility / opt_value if opt_value > 0 else 0.0
-            stats[:, branch, r] = (norm, *_block_stats(m, out))
+        for branch, block in enumerate(blocks):
+            norm = block.miner_utility / opt_value if opt_value > 0 else 0.0
+            stats[:, branch, r] = (norm, *_block_stats(m, block))
 
     toss_rng = np.random.default_rng([cfg.seed, 7])
     rows: List[SweepRow] = []
@@ -160,12 +159,12 @@ def _stfm_cell(cfg: ExperimentConfig, value: float) -> SweepRow:
     for r in range(cfg.runs):
         m = sample_mempool(cfg.n, cfg.bid_dist, cfg.size_dist, seed=[cfg.seed, r])
         capacity = m.total_size() / ratio
-        out = run_mechanism(spec, m, capacity, seed=[cfg.seed, r, 1])
+        block = _prepare(spec, m, capacity)(resolve_rng([cfg.seed, r, 1]))
         greedy_value = allocation_value(m, optimal_allocate(m, capacity, exact=False))
-        util = out.miner_utility
+        util = block.miner_utility
         cofs[r] = greedy_value / util if util > 0 else math.inf
         norms[r] = util / greedy_value if greedy_value > 0 else 0.0
-        zffs[r], zfis[r], zpfs[r] = _block_stats(m, out)
+        zffs[r], zfis[r], zpfs[r] = _block_stats(m, block)
     norm_mean, norm_se = _mean_se(norms)
     zff_mean, zff_se = _mean_se(zffs)
     return SweepRow(value, norm_mean, norm_se, zff_mean, zff_se,

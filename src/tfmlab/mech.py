@@ -21,14 +21,15 @@ burns.
 
 The allocation rules form one table, ``_RULES``, from
 :class:`AllocationKind` to a rule; the two branches of the two-set rule are
-the uniform and knapsack rules.  ``_prepare`` checks the fakes, appends them
-to the pool, picks the candidates and does the rule's per-arm work once (the
-knapsack solve, the scaled bids); the step it returns runs one trial with
-exactly the generator calls of :func:`run_mechanism`, which is itself
-prepare, step and wrap.  The audits that compare several arms of one call
-(monotonicity, user and miner incentive compatibility) prepare each arm once
-and replay its step; the single-arm audits call :func:`run_mechanism` once
-per trial, and the sweeps once per run and branch.
+the uniform and knapsack rules.  The spec alone describes an arm: a
+rule-level deviation such as split block's demotion is a field of the spec
+(:attr:`SplitBlockConfig.demote`), not an extra argument.  ``_prepare`` checks
+the fakes, appends them to the pool, picks the candidates and does the rule's
+per-arm work once (the knapsack solve, the scaled bids); the step it returns
+runs one trial with exactly the generator calls of :func:`run_mechanism`,
+which is itself prepare, step and wrap.  The audits, the cost of fairness and
+the sweeps prepare an arm and step it, reading the block's arrays; only the
+zero-fee inclusion audit calls :func:`run_mechanism`, once per trial.
 
 The flat ``key = value`` config format lives here too: one table of keys,
 :data:`CONFIG_KEYS`, and one parser serve :func:`spec_from_config`, the
@@ -144,8 +145,8 @@ class MechanismSpec:
 class _Block(NamedTuple):
     """One block of a prepared mechanism, with its prices as arrays.
 
-    Audits read a trial's block directly; :func:`run_mechanism` wraps it in a
-    :class:`MechanismOutcome`, which builds its dicts from it.
+    Audits and sweeps read a trial's block directly; :func:`run_mechanism`
+    wraps it in a :class:`MechanismOutcome`, which builds its dicts from it.
     """
 
     columns: PoolColumns  # of the pool with the miner's fakes appended
@@ -280,7 +281,6 @@ class _Arm(NamedTuple):
     kept: np.ndarray  # the candidate rows: under a posted price, those bidding at least the fee
     cand: Mempool  # the pool's candidate rows
     fakes: Sequence[Transaction]
-    splitblock_demote: Optional[bool]
 
     def block(self, rows: np.ndarray, total, toss: Optional[int] = None, sections=None,
               reserved: Optional[np.ndarray] = None) -> _Block:
@@ -348,7 +348,7 @@ def _split_block_rule(arm: _Arm):
         real = np.flatnonzero((bids >= spec.base_fee) | (bids == spec.split.delta))
     real_pool = m.take(real)
     _, draw_rows = _prepare_splitblock(real_pool, arm.capacity, spec.split, arm.fakes,
-                                       arm.splitblock_demote, _objective(spec, real_pool))
+                                       _objective(spec, real_pool))
     # the rows of the split pool (the kept real rows, then the fakes) in the arm's pool
     to_pool = np.concatenate((real, np.arange(len(m), len(arm.pool))))
 
@@ -389,8 +389,7 @@ _RULES = {
 }
 
 
-def _prepare(spec: MechanismSpec, m: Mempool, capacity, fakes: Sequence[Transaction] = (),
-             splitblock_demote: Optional[bool] = None):
+def _prepare(spec: MechanismSpec, m: Mempool, capacity, fakes: Sequence[Transaction] = ()):
     """The step of one trial of the mechanism over the pool plus miner fakes.
 
     Checks the inputs and does the work the trials share once.  Then
@@ -410,8 +409,7 @@ def _prepare(spec: MechanismSpec, m: Mempool, capacity, fakes: Sequence[Transact
     if spec.payment is PaymentKind.POSTED_PRICE:
         kept = np.flatnonzero(pool.columns.bids >= spec.base_fee)
         cand = pool.take(kept)
-    return _RULES[spec.allocation](_Arm(spec, m, pool, capacity, kept, cand, fakes,
-                                        splitblock_demote))
+    return _RULES[spec.allocation](_Arm(spec, m, pool, capacity, kept, cand, fakes))
 
 
 def run_mechanism(
@@ -421,7 +419,6 @@ def run_mechanism(
     fakes: Sequence[Transaction] = (),
     seed: SeedLike = 0,
     rtfm_toss: Optional[int] = None,
-    splitblock_demote: Optional[bool] = None,
 ) -> MechanismOutcome:
     """Execute one block of the mechanism over the pool plus miner fakes.
 
@@ -433,7 +430,7 @@ def run_mechanism(
     """
     if rtfm_toss not in (None, 0, 1):
         raise ParameterError(f"rtfm_toss must be 0, 1 or None, got {rtfm_toss!r}")
-    block = _prepare(spec, m, capacity, fakes, splitblock_demote)(resolve_rng(seed), rtfm_toss)
+    block = _prepare(spec, m, capacity, fakes)(resolve_rng(seed), rtfm_toss)
     selected = tuple(block.columns.ids[block.rows].tolist())
     sections = block.sections
     if block.toss is not None:
@@ -452,6 +449,8 @@ def spec_to_config(spec: MechanismSpec) -> str:
     if spec.base_fee is not None:
         lines.append(f"lambda={spec.base_fee:g}")
     if spec.split is not None:
+        if spec.split.demote is not None:
+            raise ParameterError("the config format has no key for split-block demotion")
         lines.append(f"alpha={spec.split.alpha:g}")
         lines.append(f"delta={spec.split.delta:g}")
     return "\n".join(lines) + "\n"

@@ -353,6 +353,9 @@ def test_splitblock_posted_fee_demotion():
     res = splitblock_allocate(m, 8.0, SplitBlockConfig(0.75, delta=1.0), seed=0)
     assert res.sections == {0: "one_minus_alpha", 1: "one_minus_alpha",
                             2: "alpha", 3: "alpha", 4: "alpha"}
+    # without demotion the reserved section stays empty and the paid one takes all five
+    res = splitblock_allocate(m, 8.0, SplitBlockConfig(0.75, delta=1.0, demote=False), seed=0)
+    assert res.sections == dict.fromkeys(range(5), "alpha")
 
 
 def test_splitblock_fakes_take_the_reserved_section():

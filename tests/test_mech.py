@@ -10,6 +10,7 @@ from tfmlab import (
     Mempool,
     ParameterError,
     PaymentKind,
+    SplitBlockConfig,
     Transaction,
     is_excessively_low,
     run_mechanism,
@@ -158,6 +159,13 @@ def test_spec_config_round_trip():
         assert spec_from_config(spec_to_config(spec)) == spec
     text = spec_to_config(MechanismSpec.stfm(2.0))
     assert "allocation=softmax" in text and "gamma=2" in text
+
+
+def test_spec_to_config_rejects_a_demotion_the_format_cannot_state():
+    for demote in (False, True):
+        spec = MechanismSpec(AllocationKind.SPLIT_BLOCK, split=SplitBlockConfig(0.5, 1.0, demote))
+        with pytest.raises(ParameterError, match="demotion"):
+            spec_to_config(spec)
 
 
 def test_spec_config_rejects_unknown_keys():

@@ -126,24 +126,23 @@ def prepared_cases(draw):
     payment = draw(st.sampled_from(list(PaymentKind)))
     fee = draw(st.integers(0, 12).map(lambda k: k / 4)) if payment is PaymentKind.POSTED_PRICE \
         else None
-    split = SplitBlockConfig(0.5, draw(st.sampled_from([0.0, 1.0])))
+    split = SplitBlockConfig(0.5, draw(st.sampled_from([0.0, 1.0])),
+                             draw(st.sampled_from([None, False, True])))
     spec = MechanismSpec(kind, payment, gamma=1.5, phi=0.5, split=split, base_fee=fee)
     toss = draw(st.sampled_from([None, 0, 1]))
-    demote = draw(st.sampled_from([None, False, True]))
-    return m, fakes, capacity, seed, spec, toss, demote
+    return m, fakes, capacity, seed, spec, toss
 
 
 @PROPERTY_SETTINGS
 @given(prepared_cases())
 def test_a_prepared_step_replays_run_mechanism(case):
     # audits prepare an arm once and step it once per trial
-    m, fakes, capacity, seed, spec, toss, demote = case
-    step = _prepare(spec, m, capacity, fakes, splitblock_demote=demote)
+    m, fakes, capacity, seed, spec, toss = case
+    step = _prepare(spec, m, capacity, fakes)
     for trial in range(3):
         stepped, ran = np.random.default_rng([seed, trial]), np.random.default_rng([seed, trial])
         block = step(stepped, toss)
-        out = run_mechanism(spec, m, capacity, fakes=fakes, seed=ran, rtfm_toss=toss,
-                            splitblock_demote=demote)
+        out = run_mechanism(spec, m, capacity, fakes=fakes, seed=ran, rtfm_toss=toss)
         assert tuple(block.columns.ids[block.rows].tolist()) == out.allocation.selected
         assert repr(block.miner_utility) == repr(out.miner_utility)
         assert block.toss == out.coin_toss
