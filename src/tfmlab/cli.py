@@ -55,27 +55,19 @@ def _config_with_overrides(args):
     return fields
 
 
-def _write_rows(rows, args) -> None:
-    out = getattr(args, "out", "") or ""
-    if out:
-        emit_csv(rows, out)
-        print(f"wrote {len(rows)} sweep rows to {out}")
+def _cmd_sweep(args) -> int:
+    """Run the subcommand's sweep; the CSV goes to the config's `out` (which
+    --out overrides), else a table goes to standard output."""
+    cfg = experiment_from_fields(_config_with_overrides(args))
+    rows = args.sweep(cfg)
+    if cfg.output_path:
+        emit_csv(rows, cfg.output_path)
+        print(f"wrote {len(rows)} sweep rows to {cfg.output_path}")
     else:
         print(plot_data_table(rows), end="")
-    if getattr(args, "plot_data", None):
+    if args.plot_data:
         with open(args.plot_data, "w") as fh:
             fh.write(plot_data_table(rows))
-
-
-def _cmd_sweep_rtfm(args) -> int:
-    cfg = experiment_from_fields(_config_with_overrides(args))
-    _write_rows(run_rtfm_sweep(cfg), args)
-    return 0
-
-
-def _cmd_sweep_stfm(args) -> int:
-    cfg = experiment_from_fields(_config_with_overrides(args))
-    _write_rows(run_stfm_sweep(cfg), args)
     return 0
 
 
@@ -193,22 +185,21 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command")
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="flat key=value config file")
+    def add_common(p, writes_file=False):
+        p.add_argument("--config", required=True, help="flat key=value config file")
         p.add_argument("--seed", default=None,
                        help="override the config seed (a non-negative integer)")
-        p.add_argument("--out", default=None, help="output path")
+        if writes_file:
+            p.add_argument("--out", default=None, help="output path; overrides the config's out")
 
-    p = sub.add_parser("sweep-rtfm", help="bias sweep for the randomized two-set mechanism")
-    add_common(p)
-    p.add_argument("--plot-data", default=None, help="also write a gnuplot table here")
-    p.set_defaults(func=_cmd_sweep_rtfm)
-
-    p = sub.add_parser("sweep-stfm", help="temperature/size-ratio sweep for the softmax mechanism")
-    add_common(p)
-    p.add_argument("--plot-data", default=None, help="also write a gnuplot table here")
-    p.set_defaults(func=_cmd_sweep_stfm)
+    for name, sweep, about in (
+            ("sweep-rtfm", run_rtfm_sweep, "bias sweep for the randomized two-set mechanism"),
+            ("sweep-stfm", run_stfm_sweep,
+             "temperature/size-ratio sweep for the softmax mechanism")):
+        p = sub.add_parser(name, help=about)
+        add_common(p, writes_file=True)
+        p.add_argument("--plot-data", default=None, help="also write a gnuplot table here")
+        p.set_defaults(func=_cmd_sweep, sweep=sweep)
 
     p = sub.add_parser("audit", help="run a property auditor against a config")
     add_common(p)

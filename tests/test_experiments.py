@@ -255,6 +255,26 @@ def test_cli_sweep_stfm(tmp_path):
     assert len(out.read_text().splitlines()) == 3
 
 
+def test_cli_sweep_writes_to_the_config_out_key_unless_out_overrides_it(tmp_path, capsys):
+    from_cfg, from_flag = tmp_path / "fromcfg.csv", tmp_path / "flag.csv"
+    cfg = write_cfg(tmp_path, RTFM_CFG + f"out = {from_cfg}\n")
+    assert cli_main(["sweep-rtfm", "--config", cfg]) == 0
+    assert from_cfg.read_text().splitlines()[0] == CSV_HEADER
+    assert f"wrote 3 sweep rows to {from_cfg}" in capsys.readouterr().out
+    from_cfg.unlink()
+    assert cli_main(["sweep-rtfm", "--config", cfg, "--out", str(from_flag)]) == 0
+    assert from_flag.exists() and not from_cfg.exists()
+
+
+@pytest.mark.parametrize("command", ["audit", "tune-gamma"])
+def test_cli_out_is_a_usage_error_where_nothing_is_written(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, "allocation = softmax\ngamma = 1\nn = 10\ntrials = 5\n")
+    out = tmp_path / "report.txt"
+    assert cli_main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_audit_zti_posted_price(tmp_path, capsys):
     cfg = write_cfg(tmp_path, (
         "allocation = optimal\npayment = posted\nlambda = 1.0\nn = 40\ncapacity = 8\n"
