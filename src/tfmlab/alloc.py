@@ -317,6 +317,8 @@ class SplitBlockConfig:
             raise ParameterError(f"alpha must lie in (0, 1], got {self.alpha}")
         if self.delta < 0:
             raise ParameterError(f"delta must be non-negative, got {self.delta}")
+        if self.demote not in (None, False, True):
+            raise ParameterError(f"demote must be None, False or True, got {self.demote!r}")
 
     def alpha_capacity(self, capacity):
         return self.alpha * capacity

@@ -356,6 +356,8 @@ def test_splitblock_posted_fee_demotion():
     # without demotion the reserved section stays empty and the paid one takes all five
     res = splitblock_allocate(m, 8.0, SplitBlockConfig(0.75, delta=1.0, demote=False), seed=0)
     assert res.sections == dict.fromkeys(range(5), "alpha")
+    with pytest.raises(ParameterError):
+        SplitBlockConfig(0.75, delta=1.0, demote="no")
 
 
 def test_splitblock_fakes_take_the_reserved_section():
