@@ -83,7 +83,7 @@ class AllocationResult:
 
 
 def _weights(c: PoolColumns, payment=None) -> np.ndarray:
-    """Objective weight of each row: s*p for real txs, and a zero burn for fakes.
+    """Objective weight of each row: s*p for real txs, zero for fakes.
 
     `payment` holds one per-unit value per row, in pool order, and defaults
     to the bid.
