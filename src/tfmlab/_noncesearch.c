@@ -7,22 +7,33 @@
  * nonce, or None if `max_trials` nonces miss.
  *
  * The SHA-256 compression (NIST FIPS 180-4) is implemented here, so the
- * module needs only a C compiler and Python.h.  The state after the
- * prefix's whole 64-byte blocks (the midstate) is computed once; each
- * nonce is written into a pre-padded copy of the final one or two blocks,
- * and only those are compressed.  Nonces are hashed in pairs n, n+1:
+ * module needs only a C compiler and Python.h.  Once per search, tail_init
+ * computes the state after the prefix's whole 64-byte blocks (the
+ * midstate), pre-pads the final one or two blocks, and runs the rounds of
+ * the first final block that come before its first nonce word; every
+ * kernel starts from there.  For a 104-byte block header the nonce is
+ * words 10-11 of the final block, so only rounds 10-63 run per nonce.
  *
- *   - on x86 CPUs with the SHA extensions, by a two-lane SHA-NI
- *     compression that interleaves both messages, so the two dependency
- *     chains share the SHA unit (Gulley et al., Intel white paper, 2013);
- *   - elsewhere, by a portable scalar compression, one lane after the other.
+ * A kernel hashes a group of consecutive nonces per call.  On loading, the
+ * module picks the first kernel the CPU offers, in this order:
  *
- * Both feed the same search loop, which checks lane n before lane n+1 and
- * ignores the second lane of a pair that would pass `max_trials`.  BACKEND
- * names the path `search` uses ("sha-ni-x2" or "portable");
- * _search_portable always takes the scalar path, for tests.  The GIL is
- * released while scanning, so callers may mine several blocks from one
- * thread pool.
+ *   - "avx512-x16": 16 nonces per call, one per 32-bit lane of AVX-512F
+ *     vectors (multi-buffer SHA-256, Guilford et al., Intel, 2012);
+ *   - "sha-ni-x2": 2 nonces per call through the SHA extensions, the two
+ *     dependency chains interleaved (Gulley et al., Intel, 2013); it starts
+ *     at the 4-round group that holds the first nonce word;
+ *   - "avx2-x8": the AVX-512 kernel's body on 8-lane AVX2 vectors;
+ *   - "portable": the same body on one uint32_t lane, in plain C.
+ *
+ * The round and schedule body is written once, over a lane type V and its
+ * operations, and instantiated for 1, 8 and 16 lanes.  Every kernel feeds
+ * the same search loop, which checks lanes in nonce order, ignores lanes
+ * beyond `max_trials`, and reads a lane's full digest only when its first
+ * word is at most the target's.  BACKEND names the kernel `search` uses;
+ * _search_avx512_x16, _search_sha_ni_x2, _search_avx2_x8 and
+ * _search_portable run search on one kernel, for tests, and exist only
+ * where the CPU offers that kernel.  The GIL is released while scanning,
+ * so callers may mine several blocks from one thread pool.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -32,9 +43,11 @@
 #include <string.h>
 
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
-#define HAVE_SHA_NI 1
+#define HAVE_X86 1
 #include <immintrin.h>
 #endif
+
+#define MAX_LANES 16
 
 static const uint32_t K256[64] = {
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
@@ -53,19 +66,25 @@ static const uint32_t H0[8] = {
 
 /* What every trial of one search shares. */
 typedef struct {
-    uint32_t mid[8];   /* state after the prefix's whole 64-byte blocks */
-    uint32_t w[32];    /* final block(s) as big-endian words, nonce bytes zero */
-    int nblocks;       /* 1 or 2 final blocks */
-    int at;            /* byte offset of the nonce in the final blocks */
-#ifdef HAVE_SHA_NI
+    uint32_t mid[8];    /* state after the prefix's whole 64-byte blocks */
+    uint32_t w[32];     /* final block(s) as big-endian words, nonce bytes zero */
+    int nblocks;        /* 1 or 2 final blocks */
+    int at;             /* byte offset of the nonce in the final blocks */
+    int first;          /* first word holding nonce bytes: at / 4, below 16 */
+    uint32_t early[8];  /* state after rounds 0..first-1 of the first final
+                           block, rotated as the round macros keep it */
+    uint32_t group_state[8]; /* state a..h after the 4-round groups before
+                                `first`, where the SHA-NI kernel starts */
+#ifdef HAVE_X86
     /* pshufb masks placing the nonce's bytes, from a little-endian 64-bit
        lane, into each group of four words; 0x80 leaves a byte zero */
     unsigned char nonce_mask[8][16];
 #endif
 } Tail;
 
-/* Digests of nonces n and n+1 (mod 2^64) as eight big-endian words each. */
-typedef void (*hash2_fn)(const Tail *t, uint64_t n, uint32_t dig[2][8]);
+/* Digests of nonces n, n+1, ... (mod 2^64), one per lane: word k of lane
+   l's digest goes to dig[k][l]. */
+typedef void (*hash_fn)(const Tail *t, uint64_t n, uint32_t dig[8][MAX_LANES]);
 
 static uint32_t
 load_be32(const unsigned char *p)
@@ -73,62 +92,202 @@ load_be32(const unsigned char *p)
     return ((uint32_t)p[0] << 24) | ((uint32_t)p[1] << 16) | ((uint32_t)p[2] << 8) | p[3];
 }
 
-/* ---- portable scalar compression ---- */
+/* ---- one round and schedule body for every lane width ----
+ *
+ * These macros use a lane type V and the operations V_SET1, V_ADD, V_OR,
+ * V_XOR3, V_ROR, V_SHR, V_SLL, V_SRL (shift by a count below 32), V_CH,
+ * V_MAJ, V_LOAD and V_STORE, which each instantiation defines.  The state
+ * is an array s[8] kept rotated: after round i, word k (a..h) of the state
+ * is s[(k - i) & 7], so a round moves no data, and after all 64 rounds
+ * s[k] is word k again.  The message schedule is a ring w[16].
+ */
+#define S_(s, k, i) (s)[((k) - (i)) & 7]
+#define BSIG0(x) V_XOR3(V_ROR(x, 2), V_ROR(x, 13), V_ROR(x, 22))
+#define BSIG1(x) V_XOR3(V_ROR(x, 6), V_ROR(x, 11), V_ROR(x, 25))
+#define SSIG0(x) V_XOR3(V_ROR(x, 7), V_ROR(x, 18), V_SHR(x, 3))
+#define SSIG1(x) V_XOR3(V_ROR(x, 17), V_ROR(x, 19), V_SHR(x, 10))
 
-#define ROR(x, n) (((x) >> (n)) | ((x) << (32 - (n))))
+/* Round i, with schedule word w[i & 15]. */
+#define ROUND(s, w, i)                                                          \
+    do {                                                                        \
+        V a_ = S_(s, 0, i), e_ = S_(s, 4, i);                                   \
+        V t1_ = V_ADD(V_ADD(S_(s, 7, i), BSIG1(e_)),                            \
+                      V_ADD(V_CH(e_, S_(s, 5, i), S_(s, 6, i)),                 \
+                            V_ADD(V_SET1(K256[i]), (w)[(i) & 15])));            \
+        V t2_ = V_ADD(BSIG0(a_), V_MAJ(a_, S_(s, 1, i), S_(s, 2, i)));          \
+        S_(s, 3, i) = V_ADD(S_(s, 3, i), t1_);                                  \
+        S_(s, 7, i) = V_ADD(t1_, t2_);                                          \
+    } while (0)
 
-static void
-compress_portable(uint32_t st[8], const uint32_t block[16])
-{
-    uint32_t w[64];
-    uint32_t a = st[0], b = st[1], c = st[2], d = st[3];
-    uint32_t e = st[4], f = st[5], g = st[6], h = st[7];
-    int i;
+/* Schedule word i >= 16, in place of word i - 16. */
+#define SCHEDULE(w, i)                                                          \
+    do {                                                                        \
+        V x15_ = (w)[((i) - 15) & 15], x2_ = (w)[((i) - 2) & 15];               \
+        (w)[(i) & 15] = V_ADD(V_ADD((w)[(i) & 15], SSIG0(x15_)),               \
+                              V_ADD((w)[((i) - 7) & 15], SSIG1(x2_)));          \
+    } while (0)
 
-    memcpy(w, block, 16 * sizeof(uint32_t));
-    for (i = 16; i < 64; i++) {
-        uint32_t s0 = ROR(w[i - 15], 7) ^ ROR(w[i - 15], 18) ^ (w[i - 15] >> 3);
-        uint32_t s1 = ROR(w[i - 2], 17) ^ ROR(w[i - 2], 19) ^ (w[i - 2] >> 10);
-        w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-    }
-    for (i = 0; i < 64; i++) {
-        uint32_t t1 = h + (ROR(e, 6) ^ ROR(e, 11) ^ ROR(e, 25)) + ((e & f) ^ (~e & g)) + K256[i] + w[i];
-        uint32_t t2 = (ROR(a, 2) ^ ROR(a, 13) ^ ROR(a, 22)) + ((a & b) ^ (a & c) ^ (b & c));
-        h = g;
-        g = f;
-        f = e;
-        e = d + t1;
-        d = c;
-        c = b;
-        b = a;
-        a = t1 + t2;
-    }
-    st[0] += a; st[1] += b; st[2] += c; st[3] += d;
-    st[4] += e; st[5] += f; st[6] += g; st[7] += h;
+#define SROUND(s, w, i) do { SCHEDULE(w, i); ROUND(s, w, i); } while (0)
+#define SROUND4(s, w, i) \
+    do { SROUND(s, w, i); SROUND(s, w, (i) + 1); SROUND(s, w, (i) + 2); SROUND(s, w, (i) + 3); } while (0)
+#define SROUND16(s, w, i) \
+    do { SROUND4(s, w, i); SROUND4(s, w, (i) + 4); SROUND4(s, w, (i) + 8); SROUND4(s, w, (i) + 12); } while (0)
+
+/* Rounds from..63 of one block, unrolled: a jump into the first sixteen. */
+#define ROUNDS_FROM(s, w, from)                                                 \
+    do {                                                                        \
+        switch (from) {                                                         \
+        case 0: ROUND(s, w, 0);   case 1: ROUND(s, w, 1);                       \
+        case 2: ROUND(s, w, 2);   case 3: ROUND(s, w, 3);                       \
+        case 4: ROUND(s, w, 4);   case 5: ROUND(s, w, 5);                       \
+        case 6: ROUND(s, w, 6);   case 7: ROUND(s, w, 7);                       \
+        case 8: ROUND(s, w, 8);   case 9: ROUND(s, w, 9);                       \
+        case 10: ROUND(s, w, 10); case 11: ROUND(s, w, 11);                     \
+        case 12: ROUND(s, w, 12); case 13: ROUND(s, w, 13);                     \
+        case 14: ROUND(s, w, 14); case 15: ROUND(s, w, 15);                     \
+        }                                                                       \
+        SROUND16(s, w, 16); SROUND16(s, w, 32); SROUND16(s, w, 48);             \
+    } while (0)
+
+/* w[k] |= nw[k - first] for the nonce words of the first final block; a
+   jump on `first` keeps every index of w a constant. */
+#define NONCE_CASE(w, nw, k)                                                    \
+    case k:                                                                     \
+        (w)[k] = V_OR((w)[k], (nw)[0]);                                         \
+        if ((k) + 1 < 16)                                                       \
+            (w)[((k) + 1) & 15] = V_OR((w)[((k) + 1) & 15], (nw)[1]);           \
+        if ((k) + 2 < 16)                                                       \
+            (w)[((k) + 2) & 15] = V_OR((w)[((k) + 2) & 15], (nw)[2]);           \
+        break;
+#define INSERT_NONCE(w, nw, first)                                              \
+    do {                                                                        \
+        switch (first) {                                                        \
+        NONCE_CASE(w, nw, 0) NONCE_CASE(w, nw, 1) NONCE_CASE(w, nw, 2)          \
+        NONCE_CASE(w, nw, 3) NONCE_CASE(w, nw, 4) NONCE_CASE(w, nw, 5)          \
+        NONCE_CASE(w, nw, 6) NONCE_CASE(w, nw, 7) NONCE_CASE(w, nw, 8)          \
+        NONCE_CASE(w, nw, 9) NONCE_CASE(w, nw, 10) NONCE_CASE(w, nw, 11)        \
+        NONCE_CASE(w, nw, 12) NONCE_CASE(w, nw, 13) NONCE_CASE(w, nw, 14)       \
+        NONCE_CASE(w, nw, 15)                                                   \
+        }                                                                       \
+    } while (0)
+
+#define UNROLL _Pragma("GCC unroll 16")
+
+/* A kernel hashing LANES consecutive nonces per call.  Lane l takes nonce
+   n + l; its nonce words are the lane's high and low 32 bits shifted to the
+   nonce's byte offset, ORed into words first..first+2 of the final blocks
+   (words 16 and 17 are the second block's 0 and 1). */
+#define DEFINE_LANES_KERNEL(name, target)                                       \
+static target void                                                              \
+name(const Tail *t, uint64_t n, uint32_t dig[8][MAX_LANES])                     \
+{                                                                               \
+    uint32_t lo_[LANES], hi_[LANES];                                            \
+    V s[8], w[16], nw[3], base[8], lo, hi, zero = V_SET1(0);                    \
+    int i, b, sh = 8 * (t->at % 4), first = t->first;                           \
+                                                                                \
+    for (i = 0; i < LANES; i++) {                                               \
+        lo_[i] = (uint32_t)(n + (uint64_t)i);                                   \
+        hi_[i] = (uint32_t)((n + (uint64_t)i) >> 32);                           \
+    }                                                                           \
+    lo = V_LOAD(lo_);                                                           \
+    hi = V_LOAD(hi_);                                                           \
+    nw[0] = V_SRL(hi, sh);                                                      \
+    nw[1] = V_OR(V_SLL(V_SLL(hi, 31 - sh), 1), V_SRL(lo, sh));                  \
+    nw[2] = V_SLL(V_SLL(lo, 31 - sh), 1);                                       \
+    UNROLL for (i = 0; i < 8; i++) {                                            \
+        s[i] = V_SET1(t->early[i]);                                             \
+        base[i] = V_SET1(t->mid[i]);                                            \
+    }                                                                           \
+    for (b = 0; b < t->nblocks; b++) {                                          \
+        UNROLL for (i = 0; i < 16; i++)                                         \
+            w[i] = V_SET1(t->w[16 * b + i]);                                    \
+        if (b == 0) {                                                           \
+            INSERT_NONCE(w, nw, first);                                         \
+        } else {                                                                \
+            w[0] = V_OR(w[0], first == 14 ? nw[2] : first == 15 ? nw[1] : zero); \
+            w[1] = V_OR(w[1], first == 15 ? nw[2] : zero);                      \
+        }                                                                       \
+        ROUNDS_FROM(s, w, b ? 0 : first);                                       \
+        UNROLL for (i = 0; i < 8; i++)                                          \
+            s[i] = base[i] = V_ADD(s[i], base[i]);                              \
+    }                                                                           \
+    UNROLL for (i = 0; i < 8; i++)                                              \
+        V_STORE(dig[i], base[i]);                                               \
 }
 
-static void
-hash2_portable(const Tail *t, uint64_t n, uint32_t dig[2][8])
-{
-    int lane, k, b;
+#ifdef HAVE_X86
 
-    for (lane = 0; lane < 2; lane++, n++) {
-        uint32_t w[32];
-        memcpy(w, t->w, (size_t)t->nblocks * 16 * sizeof(uint32_t));
-        /* nonce bytes at offsets at..at+7: word k holds bytes 4k..4k+3 */
-        for (k = t->at / 4; k <= (t->at + 7) / 4; k++) {
-            int shift = 32 + 8 * t->at - 32 * k; /* right shift of n, negative: left */
-            w[k] |= shift >= 0 ? (uint32_t)(n >> shift) : (uint32_t)(n << -shift);
-        }
-        memcpy(dig[lane], t->mid, sizeof(t->mid));
-        for (b = 0; b < t->nblocks; b++)
-            compress_portable(dig[lane], w + 16 * b);
-    }
-}
+/* ---- 8 lanes of AVX2 ---- */
+
+#define V __m256i
+#define LANES 8
+#define V_SET1(x) _mm256_set1_epi32((int)(x))
+#define V_ADD(a, b) _mm256_add_epi32(a, b)
+#define V_OR(a, b) _mm256_or_si256(a, b)
+#define V_XOR3(a, b, c) _mm256_xor_si256(_mm256_xor_si256(a, b), c)
+#define V_ROR(x, c) _mm256_or_si256(_mm256_srli_epi32(x, c), _mm256_slli_epi32(x, 32 - (c)))
+#define V_SHR(x, c) _mm256_srli_epi32(x, c)
+#define V_SLL(x, c) _mm256_sll_epi32(x, _mm_cvtsi32_si128(c))
+#define V_SRL(x, c) _mm256_srl_epi32(x, _mm_cvtsi32_si128(c))
+#define V_CH(e, f, g) _mm256_xor_si256(g, _mm256_and_si256(e, _mm256_xor_si256(f, g)))
+#define V_MAJ(a, b, c) \
+    _mm256_or_si256(_mm256_and_si256(a, b), _mm256_and_si256(c, _mm256_or_si256(a, b)))
+#define V_LOAD(p) _mm256_loadu_si256((const __m256i *)(p))
+#define V_STORE(p, x) _mm256_storeu_si256((__m256i *)(p), x)
+
+DEFINE_LANES_KERNEL(hash_avx2_x8, __attribute__((target("avx2"))))
+
+#undef V
+#undef LANES
+#undef V_SET1
+#undef V_ADD
+#undef V_OR
+#undef V_XOR3
+#undef V_ROR
+#undef V_SHR
+#undef V_SLL
+#undef V_SRL
+#undef V_CH
+#undef V_MAJ
+#undef V_LOAD
+#undef V_STORE
+
+/* ---- 16 lanes of AVX-512F: native rotates and three-input logic ---- */
+
+#define V __m512i
+#define LANES 16
+#define V_SET1(x) _mm512_set1_epi32((int)(x))
+#define V_ADD(a, b) _mm512_add_epi32(a, b)
+#define V_OR(a, b) _mm512_or_si512(a, b)
+#define V_XOR3(a, b, c) _mm512_ternarylogic_epi32(a, b, c, 0x96)
+#define V_ROR(x, c) _mm512_ror_epi32(x, c)
+#define V_SHR(x, c) _mm512_srli_epi32(x, c)
+#define V_SLL(x, c) _mm512_sll_epi32(x, _mm_cvtsi32_si128(c))
+#define V_SRL(x, c) _mm512_srl_epi32(x, _mm_cvtsi32_si128(c))
+#define V_CH(e, f, g) _mm512_ternarylogic_epi32(e, f, g, 0xCA)
+#define V_MAJ(a, b, c) _mm512_ternarylogic_epi32(a, b, c, 0xE8)
+#define V_LOAD(p) _mm512_loadu_si512(p)
+#define V_STORE(p, x) _mm512_storeu_si512(p, x)
+
+DEFINE_LANES_KERNEL(hash_avx512_x16, __attribute__((target("avx512f"))))
+
+#undef V
+#undef LANES
+#undef V_SET1
+#undef V_ADD
+#undef V_OR
+#undef V_XOR3
+#undef V_ROR
+#undef V_SHR
+#undef V_SLL
+#undef V_SRL
+#undef V_CH
+#undef V_MAJ
+#undef V_LOAD
+#undef V_STORE
 
 /* ---- two-lane SHA-NI compression ---- */
 
-#ifdef HAVE_SHA_NI
 #define SHA_NI __attribute__((target("sha,sse4.1")))
 
 /* Four rounds of both lanes with schedule words wa, wb and constants K256[4g..4g+3]. */
@@ -143,17 +302,17 @@ hash2_portable(const Tail *t, uint64_t n, uint32_t dig[2][8])
     } while (0)
 
 /* Next four schedule words in place of the oldest group w4, from w3, w2, w1. */
-#define SCHEDULE(w4, w3, w2, w1) \
+#define SCHEDULE4(w4, w3, w2, w1) \
     (w4) = _mm_sha256msg2_epu32( \
         _mm_add_epi32(_mm_sha256msg1_epu32((w4), (w3)), _mm_alignr_epi8((w1), (w2), 4)), (w1))
 
 /* Schedule and run rounds for groups g..g+3 of both lanes. */
 #define GROUPS4(g)                                                          \
     do {                                                                    \
-        SCHEDULE(a0, a1, a2, a3); SCHEDULE(b0, b1, b2, b3); ROUNDS4(a0, b0, (g));     \
-        SCHEDULE(a1, a2, a3, a0); SCHEDULE(b1, b2, b3, b0); ROUNDS4(a1, b1, (g) + 1); \
-        SCHEDULE(a2, a3, a0, a1); SCHEDULE(b2, b3, b0, b1); ROUNDS4(a2, b2, (g) + 2); \
-        SCHEDULE(a3, a0, a1, a2); SCHEDULE(b3, b0, b1, b2); ROUNDS4(a3, b3, (g) + 3); \
+        SCHEDULE4(a0, a1, a2, a3); SCHEDULE4(b0, b1, b2, b3); ROUNDS4(a0, b0, (g));     \
+        SCHEDULE4(a1, a2, a3, a0); SCHEDULE4(b1, b2, b3, b0); ROUNDS4(a1, b1, (g) + 1); \
+        SCHEDULE4(a2, a3, a0, a1); SCHEDULE4(b2, b3, b0, b1); ROUNDS4(a2, b2, (g) + 2); \
+        SCHEDULE4(a3, a0, a1, a2); SCHEDULE4(b3, b0, b1, b2); ROUNDS4(a3, b3, (g) + 3); \
     } while (0)
 
 /* state words A..H to the {ABEF, CDGH} layout of sha256rnds2 */
@@ -166,38 +325,46 @@ to_abef_cdgh(__m128i out[2], const uint32_t v[8])
     out[1] = _mm_blend_epi16(efgh, dcba, 0xF0);
 }
 
-/* One block for each lane; st[lane] = {ABEF, CDGH}, msg[lane] = the
-   block's sixteen words in four groups. */
+/* 4-round groups from..15 of one block for each lane, in place;
+   st[lane] = {ABEF, CDGH}, msg[lane] = the block's sixteen words in four
+   groups.  Groups before `from` (at most 3) are skipped, not their words. */
 static inline SHA_NI void
-compress_sha_ni_x2(__m128i st[2][2], const __m128i msg[2][4])
+rounds_sha_ni_x2(__m128i st[2][2], const __m128i msg[2][4], int from)
 {
     __m128i abef_a = st[0][0], cdgh_a = st[0][1], abef_b = st[1][0], cdgh_b = st[1][1];
     __m128i a0 = msg[0][0], a1 = msg[0][1], a2 = msg[0][2], a3 = msg[0][3];
     __m128i b0 = msg[1][0], b1 = msg[1][1], b2 = msg[1][2], b3 = msg[1][3];
 
-    ROUNDS4(a0, b0, 0);
-    ROUNDS4(a1, b1, 1);
-    ROUNDS4(a2, b2, 2);
+    if (from <= 0)
+        ROUNDS4(a0, b0, 0);
+    if (from <= 1)
+        ROUNDS4(a1, b1, 1);
+    if (from <= 2)
+        ROUNDS4(a2, b2, 2);
     ROUNDS4(a3, b3, 3);
     GROUPS4(4);
     GROUPS4(8);
     GROUPS4(12);
 
-    st[0][0] = _mm_add_epi32(st[0][0], abef_a);
-    st[0][1] = _mm_add_epi32(st[0][1], cdgh_a);
-    st[1][0] = _mm_add_epi32(st[1][0], abef_b);
-    st[1][1] = _mm_add_epi32(st[1][1], cdgh_b);
+    st[0][0] = abef_a;
+    st[0][1] = cdgh_a;
+    st[1][0] = abef_b;
+    st[1][1] = cdgh_b;
 }
 
 static SHA_NI void
-hash2_sha_ni(const Tail *t, uint64_t n, uint32_t dig[2][8])
+hash_sha_ni_x2(const Tail *t, uint64_t n, uint32_t dig[8][MAX_LANES])
 {
-    __m128i st[2][2], msg[2][4];
-    int lane, j, b;
+    __m128i st[2][2], base[2][2], msg[2][4];
+    uint32_t out[8];
+    int lane, j, b, k;
 
-    to_abef_cdgh(st[0], t->mid);
+    to_abef_cdgh(st[0], t->group_state);
+    to_abef_cdgh(base[0], t->mid);
     st[1][0] = st[0][0];
     st[1][1] = st[0][1];
+    base[1][0] = base[0][0];
+    base[1][1] = base[0][1];
 
     for (b = 0; b < t->nblocks; b++) {
         for (lane = 0; lane < 2; lane++) {
@@ -207,22 +374,82 @@ hash2_sha_ni(const Tail *t, uint64_t n, uint32_t dig[2][8])
                     _mm_loadu_si128((const __m128i *)(t->w + 16 * b + 4 * j)),
                     _mm_shuffle_epi8(nonce, _mm_loadu_si128((const __m128i *)t->nonce_mask[4 * b + j])));
         }
-        compress_sha_ni_x2(st, msg);
+        rounds_sha_ni_x2(st, msg, b ? 0 : t->first / 4);
+        for (lane = 0; lane < 2; lane++)
+            for (j = 0; j < 2; j++)
+                st[lane][j] = base[lane][j] = _mm_add_epi32(st[lane][j], base[lane][j]);
     }
 
     for (lane = 0; lane < 2; lane++) {
-        __m128i feba = _mm_shuffle_epi32(st[lane][0], 0x1B);
-        __m128i dchg = _mm_shuffle_epi32(st[lane][1], 0xB1);
-        _mm_storeu_si128((__m128i *)dig[lane], _mm_blend_epi16(feba, dchg, 0xF0));
-        _mm_storeu_si128((__m128i *)(dig[lane] + 4), _mm_alignr_epi8(dchg, feba, 8));
+        __m128i feba = _mm_shuffle_epi32(base[lane][0], 0x1B);
+        __m128i dchg = _mm_shuffle_epi32(base[lane][1], 0xB1);
+        _mm_storeu_si128((__m128i *)out, _mm_blend_epi16(feba, dchg, 0xF0));
+        _mm_storeu_si128((__m128i *)(out + 4), _mm_alignr_epi8(dchg, feba, 8));
+        for (k = 0; k < 8; k++)
+            dig[k][lane] = out[k];
     }
 }
-#endif /* HAVE_SHA_NI */
 
-/* ---- search ---- */
+static int cpu_avx512(void) { return __builtin_cpu_supports("avx512f"); }
+static int cpu_sha_ni(void) { return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1"); }
+static int cpu_avx2(void) { return __builtin_cpu_supports("avx2"); }
+#endif /* HAVE_X86 */
 
-static hash2_fn hash2_best = hash2_portable;
-static const char *backend_name = "portable";
+/* ---- scalar lanes: set-up compressions and the portable kernel ---- */
+
+#define V uint32_t
+#define LANES 1
+#define V_SET1(x) (x)
+#define V_ADD(a, b) ((a) + (b))
+#define V_OR(a, b) ((a) | (b))
+#define V_XOR3(a, b, c) ((a) ^ (b) ^ (c))
+#define V_ROR(x, c) (((x) >> (c)) | ((x) << (32 - (c))))
+#define V_SHR(x, c) ((x) >> (c))
+#define V_SLL(x, c) ((x) << (c))
+#define V_SRL(x, c) ((x) >> (c))
+#define V_CH(e, f, g) ((g) ^ ((e) & ((f) ^ (g))))
+#define V_MAJ(a, b, c) (((a) & (b)) | ((c) & ((a) | (b))))
+#define V_LOAD(p) ((p)[0])
+#define V_STORE(p, x) ((p)[0] = (x))
+
+/* Rounds from..to-1 of a block whose words 0..15 are w; rounds 16 and on
+   overwrite w with the schedule. */
+static void
+rounds(uint32_t s[8], uint32_t w[16], int from, int to)
+{
+    int i;
+
+    for (i = from; i < to; i++) {
+        if (i >= 16)
+            SCHEDULE(w, i);
+        ROUND(s, w, i);
+    }
+}
+
+DEFINE_LANES_KERNEL(hash_portable, )
+
+/* ---- kernels and the search ---- */
+
+typedef struct {
+    const char *name;     /* BACKEND value */
+    const char *method;   /* the module function that searches with it alone */
+    hash_fn hash;
+    int lanes;            /* nonces per call */
+    int (*offered)(void); /* whether this CPU runs it; NULL: always */
+} Kernel;
+
+/* in the order PyInit prefers them */
+static const Kernel kernels[] = {
+#ifdef HAVE_X86
+    {"avx512-x16", "_search_avx512_x16", hash_avx512_x16, 16, cpu_avx512},
+    {"sha-ni-x2", "_search_sha_ni_x2", hash_sha_ni_x2, 2, cpu_sha_ni},
+    {"avx2-x8", "_search_avx2_x8", hash_avx2_x8, 8, cpu_avx2},
+#endif
+    {"portable", "_search_portable", hash_portable, 1, NULL},
+};
+#define NKERNELS ((int)(sizeof(kernels) / sizeof(kernels[0])))
+
+static const Kernel *best; /* set by PyInit, the first kernel offered */
 
 static void
 tail_init(Tail *t, const unsigned char *prefix, Py_ssize_t len)
@@ -236,12 +463,17 @@ tail_init(Tail *t, const unsigned char *prefix, Py_ssize_t len)
 
     memcpy(t->mid, H0, sizeof(H0));
     for (off = 0; off < head; off += 64) {
+        uint32_t s[8];
+        memcpy(s, t->mid, sizeof(s));
         for (k = 0; k < 16; k++)
             words[k] = load_be32(prefix + off + 4 * k);
-        compress_portable(t->mid, words);
+        rounds(s, words, 0, 64);
+        for (k = 0; k < 8; k++)
+            t->mid[k] += s[k];
     }
 
     t->at = (int)(len - head);
+    t->first = t->at / 4;
     t->nblocks = t->at + 8 + 1 + 8 <= 64 ? 1 : 2;
     memcpy(block, prefix + head, (size_t)t->at);
     block[t->at + 8] = 0x80;
@@ -250,7 +482,16 @@ tail_init(Tail *t, const unsigned char *prefix, Py_ssize_t len)
     for (k = 0; k < 16 * t->nblocks; k++)
         t->w[k] = load_be32(block + 4 * k);
 
-#ifdef HAVE_SHA_NI
+    /* the rounds before the first nonce word; words below `first` hold no
+       nonce byte, and rounds below 16 leave w as it is */
+    memcpy(t->early, t->mid, sizeof(t->mid));
+    memcpy(words, t->w, sizeof(words));
+    rounds(t->early, words, 0, t->first / 4 * 4);
+    for (k = 0; k < 8; k++)
+        t->group_state[k] = S_(t->early, k, t->first / 4 * 4);
+    rounds(t->early, words, t->first / 4 * 4, t->first);
+
+#ifdef HAVE_X86
     /* byte L of group j is byte 3 - L%4 of word 4j + L/4; the nonce's
        big-endian byte i sits at offset at + i and is byte 7 - i of its lane */
     for (int j = 0; j < 8; j++)
@@ -273,33 +514,35 @@ below(const uint32_t dig[8], const uint32_t tgt[8])
 
 /* First nonce from *nonce within max_trials whose digest is below tgt. */
 static int
-scan(const Tail *t, hash2_fn hash2, const uint32_t tgt[8], uint64_t *nonce,
+scan(const Tail *t, const Kernel *kernel, const uint32_t tgt[8], uint64_t *nonce,
      unsigned long long max_trials, uint32_t out[8])
 {
-    uint32_t dig[2][8];
+    uint32_t dig[8][MAX_LANES];
     uint64_t n = *nonce;
     unsigned long long left = max_trials;
-    int lane;
+    int lane, lanes, k;
 
     while (left > 0) {
-        hash2(t, n, dig);
-        for (lane = 0; lane < 2 && (unsigned long long)lane < left; lane++) {
-            if (below(dig[lane], tgt)) {
+        kernel->hash(t, n, dig);
+        lanes = left < (unsigned long long)kernel->lanes ? (int)left : kernel->lanes;
+        for (lane = 0; lane < lanes; lane++) {
+            if (dig[0][lane] > tgt[0])
+                continue;
+            for (k = 0; k < 8; k++)
+                out[k] = dig[k][lane];
+            if (below(out, tgt)) {
                 *nonce = n + (uint64_t)lane;
-                memcpy(out, dig[lane], sizeof(dig[lane]));
                 return 1;
             }
         }
-        if (left <= 2)
-            break;
-        left -= 2;
-        n += 2; /* uint64 wraps */
+        left -= (unsigned long long)lanes;
+        n += (uint64_t)lanes; /* uint64 wraps */
     }
     return 0;
 }
 
 static PyObject *
-search_with(PyObject *args, hash2_fn hash2)
+search_with(PyObject *args, const Kernel *kernel)
 {
     Py_buffer prefix, target;
     unsigned long long start, max_trials;
@@ -323,7 +566,7 @@ search_with(PyObject *args, hash2_fn hash2)
 
     Py_BEGIN_ALLOW_THREADS
     tail_init(&tail, (const unsigned char *)prefix.buf, prefix.len);
-    found = scan(&tail, hash2, tgt, &nonce, max_trials, dig);
+    found = scan(&tail, kernel, tgt, &nonce, max_trials, dig);
     Py_END_ALLOW_THREADS
 
     PyBuffer_Release(&prefix);
@@ -339,22 +582,23 @@ search_with(PyObject *args, hash2_fn hash2)
 static PyObject *
 search(PyObject *self, PyObject *args)
 {
-    return search_with(args, hash2_best);
+    return search_with(args, best);
 }
 
+/* search on one kernel; `self` is its index in kernels[] */
 static PyObject *
-search_portable(PyObject *self, PyObject *args)
+search_kernel(PyObject *self, PyObject *args)
 {
-    return search_with(args, hash2_portable);
+    return search_with(args, &kernels[PyLong_AsLong(self)]);
 }
 
 static PyMethodDef methods[] = {
     {"search", search, METH_VARARGS,
      "search(prefix, start_nonce, max_trials, target) -> (nonce, digest) | None"},
-    {"_search_portable", search_portable, METH_VARARGS,
-     "search() on the portable scalar compression, whatever the CPU"},
     {NULL, NULL, 0, NULL},
 };
+
+static PyMethodDef kernel_methods[NKERNELS];
 
 static struct PyModuleDef moduledef = {
     PyModuleDef_HEAD_INIT, "_noncesearch", NULL, -1, methods,
@@ -363,17 +607,33 @@ static struct PyModuleDef moduledef = {
 PyMODINIT_FUNC
 PyInit__noncesearch(void)
 {
-    PyObject *module;
+    PyObject *module, *index, *fn;
+    int i;
 
-#ifdef HAVE_SHA_NI
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1")) {
-        hash2_best = hash2_sha_ni;
-        backend_name = "sha-ni-x2";
-    }
-#endif
     module = PyModule_Create(&moduledef);
-    if (module != NULL && PyModule_AddStringConstant(module, "BACKEND", backend_name) < 0) {
+    if (module == NULL)
+        return NULL;
+#ifdef HAVE_X86
+    __builtin_cpu_init();
+#endif
+    for (i = NKERNELS - 1; i >= 0; i--) {
+        if (kernels[i].offered != NULL && !kernels[i].offered())
+            continue;
+        best = &kernels[i];
+        kernel_methods[i].ml_name = kernels[i].method;
+        kernel_methods[i].ml_meth = search_kernel;
+        kernel_methods[i].ml_flags = METH_VARARGS;
+        kernel_methods[i].ml_doc = "search() on this kernel alone";
+        index = PyLong_FromLong(i);
+        fn = index == NULL ? NULL : PyCFunction_NewEx(&kernel_methods[i], index, NULL);
+        Py_XDECREF(index);
+        if (fn == NULL || PyModule_AddObject(module, kernels[i].method, fn) < 0) {
+            Py_XDECREF(fn);
+            Py_DECREF(module);
+            return NULL;
+        }
+    }
+    if (PyModule_AddStringConstant(module, "BACKEND", best->name) < 0) {
         Py_DECREF(module);
         return NULL;
     }

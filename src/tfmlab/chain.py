@@ -11,10 +11,12 @@ anything else confirms the optimal set (toss 1).
 
 Nonce scanning prefers the small C helper `_noncesearch.c`, which carries
 its own SHA-256 compression and releases the GIL, and falls back to pure
-hashlib with identical nonces and hashes.  The helper hashes nonces in pairs
-and picks its compression when it loads: a two-lane SHA-NI one on x86 CPUs
-with the SHA extensions, a portable scalar one elsewhere; its ``BACKEND``
-names which.  An installed package carries the helper as
+hashlib with identical nonces and hashes.  The helper hashes a group of
+consecutive nonces per call, from the state after the rounds that come
+before the nonce, and picks its kernel when it loads, the first the CPU
+offers of ``avx512-x16`` (16 nonces per call), ``sha-ni-x2`` (2, through
+the SHA extensions), ``avx2-x8`` (8) and ``portable`` (1, plain C); its
+``BACKEND`` names which.  An installed package carries the helper as
 `tfmlab._noncesearch`.  Run from a source tree, the helper is compiled on
 first import with the system C compiler into a per-user cache,
 ``$XDG_CACHE_HOME/tfmlab/`` or ``~/.cache/tfmlab/``, in a subdirectory named

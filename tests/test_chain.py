@@ -149,7 +149,8 @@ def _digests(prefix, count):
 
 def test_helper_names_its_backend():
     if chain_mod._noncesearch is not None:
-        assert chain_mod._noncesearch.BACKEND in ("sha-ni-x2", "portable")
+        assert chain_mod._noncesearch.BACKEND in ("avx512-x16", "sha-ni-x2", "avx2-x8",
+                                                  "portable")
 
 
 @needs_helper
@@ -212,6 +213,103 @@ def test_kernel_pairs_straddle_the_nonce_wrap(kernel):
     after_wrap = (int.from_bytes(zero, "big") + 1).to_bytes(32, "big")
     assert search(prefix, last, 2, after_wrap) == (0, zero)
     assert search(prefix, last, 1, after_wrap) is None
+
+
+# every kernel of the helper, in the order it prefers them
+KERNEL_NAMES = ["avx512-x16", "sha-ni-x2", "avx2-x8", "portable"]
+
+
+def _kernel_search(name):
+    """The helper's search on kernel `name` alone; skips where the CPU lacks it."""
+    if chain_mod._noncesearch is None:
+        pytest.skip("the C nonce search is not available")
+    search = getattr(chain_mod._noncesearch, "_search_" + name.replace("-", "_"), None)
+    if search is None:
+        pytest.skip(f"this CPU does not offer the {name} kernel")
+    return search
+
+
+def _first_hit(prefix, start, digests, target):
+    """(nonce, digest) of the first of `digests` (nonces start, start+1, ...) below target."""
+    for k, digest in enumerate(digests):
+        if digest < target:
+            return (start + k) % (1 << 64), digest
+    return None
+
+
+def _run_digests(prefix, start, count):
+    return [hash_bytes(prefix + ((start + k) % (1 << 64)).to_bytes(8, "big"))
+            for k in range(count)]
+
+
+def _above(digest):
+    return (int.from_bytes(digest, "big") + 1).to_bytes(32, "big")
+
+
+@needs_helper
+def test_backend_is_the_first_kernel_the_cpu_offers():
+    offered = [name for name in KERNEL_NAMES
+               if hasattr(chain_mod._noncesearch, "_search_" + name.replace("-", "_"))]
+    assert offered[-1] == "portable"
+    assert chain_mod._noncesearch.BACKEND == offered[0]
+
+
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+def test_every_kernel_agrees_with_hashlib_at_every_nonce_offset(name):
+    # prefix lengths 0-127 put the nonce at every byte offset of one and of two final blocks
+    search = _kernel_search(name)
+    for length in range(128):
+        prefix = bytes((7 * i + length) % 256 for i in range(length))
+        for start in (0, (1 << 32) - 3, (1 << 64) - 5):
+            for bits, trials in ((256, 1), (251, 33), (1, 17)):
+                target32 = ((1 << bits) - 1).to_bytes(32, "big")
+                assert search(prefix, start, trials, target32) == \
+                    chain_mod._search_python(prefix, start, trials, target32), (length, start, bits)
+
+
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+def test_every_kernel_stops_exactly_at_each_budget(name):
+    search = _kernel_search(name)
+    prefix = bytes(range(104))
+    for budget in [*range(1, 18), 31, 32, 33]:
+        digests = _run_digests(prefix, 0, budget + 1)
+        # a target just above each digest, the one past the budget included
+        for digest in digests:
+            target = _above(digest)
+            assert search(prefix, 0, budget, target) == \
+                _first_hit(prefix, 0, digests[:budget], target), (budget, digest.hex())
+
+
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+def test_every_kernel_returns_the_first_of_two_hits_in_one_group(name):
+    search = _kernel_search(name)
+
+    def two_hits(p):
+        # an aligned pair i, i+1 in nonces 2..15, both below every earlier digest
+        digests = _run_digests(p, 0, 16)
+        for i in range(2, 16, 2):
+            if digests[i] < min(digests[:i]) and digests[i + 1] < digests[i]:
+                return i, digests
+        return None
+
+    prefix, (i, digests) = next((p, found) for p in (bytes([k]) * 104 for k in range(256))
+                                if (found := two_hits(p)) is not None)
+    assert search(prefix, 0, 16, _above(digests[i])) == (i, digests[i])
+    assert search(prefix, 0, 16, _above(digests[i + 1])) == (i + 1, digests[i + 1])
+    assert search(prefix, 0, i + 1, _above(digests[i + 1])) is None
+    assert search(prefix, i + 1, 15 - i, _above(digests[i])) == (i + 1, digests[i + 1])
+
+
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+@pytest.mark.parametrize("start", [(1 << 32) - 5, (1 << 64) - 5])
+def test_every_kernel_carries_the_nonce_across_a_word_in_one_group(name, start):
+    # the low nonce word wraps five nonces in: into the high word, or past 2^64 to zero
+    search = _kernel_search(name)
+    prefix = bytes(range(104))
+    digests = _run_digests(prefix, start, 16)
+    for digest in digests:
+        target = _above(digest)
+        assert search(prefix, start, 16, target) == _first_hit(prefix, start, digests, target)
 
 
 needs_build_tools = pytest.mark.skipif(
