@@ -59,6 +59,25 @@ class ExperimentConfig:
             raise ConfigError("runs must be at least 1")
         if self.sweep_param not in ("phi", "gamma", "size_ratio"):
             raise ConfigError(f"unknown sweep_param {self.sweep_param!r}")
+        # the grid of the sweep this config runs, checked before any run
+        kind = self.mechanism.allocation
+        if kind is AllocationKind.RTFM and self.sweep_param == "phi":
+            for phi in self.sweep_values:
+                if not 0 <= phi <= 1:
+                    raise ConfigError(f"phi sweep values must lie in [0, 1], got {phi}")
+        elif kind is AllocationKind.SOFTMAX and self.sweep_param != "phi":
+            for value in self.sweep_values:
+                gamma, ratio = self._softmax_cell(value)
+                if not gamma or gamma <= 0:
+                    raise ConfigError("softmax sweep needs a positive gamma")
+                if ratio <= 0:
+                    raise ConfigError("size ratio must be positive")
+
+    def _softmax_cell(self, value: float) -> Tuple[float, float]:
+        """The temperature and size ratio of a softmax sweep's cell at `value`."""
+        gamma = value if self.sweep_param == "gamma" else self.mechanism.gamma
+        ratio = value if self.sweep_param == "size_ratio" else self.size_ratio
+        return gamma, ratio
 
 
 @dataclass(frozen=True)
@@ -127,9 +146,7 @@ def run_rtfm_sweep(cfg: ExperimentConfig) -> List[SweepRow]:
 
     toss_rng = np.random.default_rng([cfg.seed, 7])
     rows: List[SweepRow] = []
-    for idx, phi in enumerate(cfg.sweep_values):
-        if not 0 <= phi <= 1:
-            raise ConfigError(f"phi sweep values must lie in [0, 1], got {phi}")
+    for phi in cfg.sweep_values:
         if cfg.stratified_toss:
             is_rand = np.array([(r + 0.5) / runs < phi for r in range(runs)])
         else:
@@ -144,12 +161,7 @@ def run_rtfm_sweep(cfg: ExperimentConfig) -> List[SweepRow]:
 
 
 def _stfm_cell(cfg: ExperimentConfig, value: float) -> SweepRow:
-    gamma = value if cfg.sweep_param == "gamma" else cfg.mechanism.gamma
-    ratio = value if cfg.sweep_param == "size_ratio" else cfg.size_ratio
-    if not gamma or gamma <= 0:
-        raise ConfigError("softmax sweep needs a positive gamma")
-    if ratio <= 0:
-        raise ConfigError("size ratio must be positive")
+    gamma, ratio = cfg._softmax_cell(value)
     cofs = np.empty(cfg.runs)
     norms = np.empty(cfg.runs)
     zffs = np.empty(cfg.runs)

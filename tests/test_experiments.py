@@ -13,6 +13,7 @@ from tfmlab import (
     run_rtfm_sweep,
     run_stfm_sweep,
 )
+from tfmlab import experiments
 from tfmlab.cli import main as cli_main
 from tfmlab.experiments import (
     CSV_HEADER,
@@ -253,6 +254,29 @@ def test_cli_sweep_stfm(tmp_path):
     out = tmp_path / "stfm.csv"
     assert cli_main(["sweep-stfm", "--config", cfg, "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 3
+
+
+STFM_CFG = "allocation = softmax\nn = 60\nbids = uniform(0,5)\nsizes = exponential(1)\nruns = 10\n"
+
+
+@pytest.mark.parametrize("command, grid, message", [
+    ("sweep-rtfm", RTFM_CFG.replace("sweep_values = 0,0.5,1", "sweep_values = 0,0.5,1.5"),
+     "phi sweep values must lie in [0, 1], got 1.5"),
+    ("sweep-stfm", STFM_CFG + "sweep_param = gamma\nsweep_values = 0.5,-1\n",
+     "softmax sweep needs a positive gamma"),
+    ("sweep-stfm", STFM_CFG + "gamma = 1\nsweep_param = size_ratio\nsweep_values = 4,0\n",
+     "size ratio must be positive"),
+], ids=["phi", "gamma", "size_ratio"])
+def test_cli_rejects_a_bad_sweep_grid_before_any_run(tmp_path, capsys, monkeypatch, command,
+                                                     grid, message):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a sweep run started")
+
+    monkeypatch.setattr(experiments, "sample_mempool", no_run)
+    out = tmp_path / "sweep.csv"
+    assert cli_main([command, "--config", write_cfg(tmp_path, grid), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_sweep_writes_to_the_config_out_key_unless_out_overrides_it(tmp_path, capsys):
