@@ -149,28 +149,8 @@ load_be32(const unsigned char *p)
         SROUND16(s, w, 16); SROUND16(s, w, 32); SROUND16(s, w, 48);             \
     } while (0)
 
-/* w[k] |= nw[k - first] for the nonce words of the first final block; a
-   jump on `first` keeps every index of w a constant. */
-#define NONCE_CASE(w, nw, k)                                                    \
-    case k:                                                                     \
-        (w)[k] = V_OR((w)[k], (nw)[0]);                                         \
-        if ((k) + 1 < 16)                                                       \
-            (w)[((k) + 1) & 15] = V_OR((w)[((k) + 1) & 15], (nw)[1]);           \
-        if ((k) + 2 < 16)                                                       \
-            (w)[((k) + 2) & 15] = V_OR((w)[((k) + 2) & 15], (nw)[2]);           \
-        break;
-#define INSERT_NONCE(w, nw, first)                                              \
-    do {                                                                        \
-        switch (first) {                                                        \
-        NONCE_CASE(w, nw, 0) NONCE_CASE(w, nw, 1) NONCE_CASE(w, nw, 2)          \
-        NONCE_CASE(w, nw, 3) NONCE_CASE(w, nw, 4) NONCE_CASE(w, nw, 5)          \
-        NONCE_CASE(w, nw, 6) NONCE_CASE(w, nw, 7) NONCE_CASE(w, nw, 8)          \
-        NONCE_CASE(w, nw, 9) NONCE_CASE(w, nw, 10) NONCE_CASE(w, nw, 11)        \
-        NONCE_CASE(w, nw, 12) NONCE_CASE(w, nw, 13) NONCE_CASE(w, nw, 14)       \
-        NONCE_CASE(w, nw, 15)                                                   \
-        }                                                                       \
-    } while (0)
-
+/* the small loops below index the state array; unrolled, every index is a
+   constant and the state stays in registers */
 #define UNROLL _Pragma("GCC unroll 16")
 
 /* A kernel hashing LANES consecutive nonces per call.  Lane l takes nonce
@@ -182,7 +162,7 @@ static target void                                                              
 name(const Tail *t, uint64_t n, uint32_t dig[8][MAX_LANES])                     \
 {                                                                               \
     uint32_t lo_[LANES], hi_[LANES];                                            \
-    V s[8], w[16], nw[3], base[8], lo, hi, zero = V_SET1(0);                    \
+    V s[8], w[16], nw[3], base[8], lo, hi;                                      \
     int i, b, sh = 8 * (t->at % 4), first = t->first;                           \
                                                                                 \
     for (i = 0; i < LANES; i++) {                                               \
@@ -201,11 +181,10 @@ name(const Tail *t, uint64_t n, uint32_t dig[8][MAX_LANES])                     
     for (b = 0; b < t->nblocks; b++) {                                          \
         UNROLL for (i = 0; i < 16; i++)                                         \
             w[i] = V_SET1(t->w[16 * b + i]);                                    \
-        if (b == 0) {                                                           \
-            INSERT_NONCE(w, nw, first);                                         \
-        } else {                                                                \
-            w[0] = V_OR(w[0], first == 14 ? nw[2] : first == 15 ? nw[1] : zero); \
-            w[1] = V_OR(w[1], first == 15 ? nw[2] : zero);                      \
+        for (i = 0; i < 3; i++) {                                               \
+            int k = first + i - 16 * b;                                         \
+            if (0 <= k && k < 16)                                               \
+                w[k] = V_OR(w[k], nw[i]);                                       \
         }                                                                       \
         ROUNDS_FROM(s, w, b ? 0 : first);                                       \
         UNROLL for (i = 0; i < 8; i++)                                          \
