@@ -8,6 +8,7 @@ that moves it must say which one and why.
 """
 
 import hashlib
+from fractions import Fraction
 import os
 
 import pytest
@@ -302,3 +303,110 @@ def test_rtfm_sweep_csv_bytes_under_the_posted_price(tmp_path):
 def test_rtfm_sweep_csv_bytes_with_independent_tosses(tmp_path):
     # each grid value tosses every run from default_rng([seed, 7])
     assert _rtfm_sweep_csv(tmp_path, 40, stratified_toss=False) == UNSTRATIFIED_RTFM_SWEEP_CSV
+
+
+# Softmax audit paths the pins above leave out: unequal sizes (walks that go on past
+# the cut of the cumulative sizes, on pools below and above the walk's short length),
+# second-price and posted-price payment with fakes, Fraction columns, posted-price arms
+# with no candidates, and tune_gamma on unequal and Fraction sizes.
+MIXED_POOL = Mempool([Transaction(i, 0.5 + (i * 7 % 5) / 4, float(b), float(b) + 1.0)
+                      for i, b in enumerate([4, 0, 3, 5, 1, 0, 2, 6, 3, 1])])
+LONG_MIXED_POOL = sample_mempool(40, BidDistribution.zero_inflated(0.2,
+                                                                 BidDistribution.uniform(0, 6)),
+                                 BidDistribution.exponential(1), seed=8,
+                                 valuations=BidDistribution.uniform(0, 8))
+FRACTION_POOL = Mempool([Transaction(i, Fraction(1 + i % 3, 2), Fraction(b, 2), Fraction(b + 1, 2))
+                         for i, b in enumerate([6, 0, 3, 9, 2, 5, 1])])
+SECOND_PRICE = PaymentKind.SECOND_PRICE
+POSTED = PaymentKind.POSTED_PRICE
+
+SOFTMAX_AUDITS = {
+    "mic.softmax_mixed_sizes": lambda: search_mic_deviation(
+        MechanismSpec.stfm(1.0), MIXED_POOL, 3.0, 2, [0.0, 2.0], seed=42, trials=300),
+    "mic.softmax_second_price_fakes": lambda: search_mic_deviation(
+        MechanismSpec.stfm(1.0, SECOND_PRICE), _unit([5, 4, 3, 1, 0]), 3.0, 2, [0.0, 3.0],
+        seed=42, trials=300),
+    "mic.softmax_posted_fakes": lambda: search_mic_deviation(
+        MechanismSpec.stfm(1.0, POSTED, 1.0), MIXED_POOL, 3.0, 2, [0.0, 1.0, 3.0], seed=42,
+        trials=300),
+    "mic.softmax_fractions": lambda: search_mic_deviation(
+        MechanismSpec.stfm(1.5), FRACTION_POOL, Fraction(5, 2), 2, [0.0, 2.0], seed=42,
+        trials=200),
+    "mic.softmax_posted_fractions": lambda: search_mic_deviation(
+        MechanismSpec.stfm(1.5, POSTED, Fraction(1, 2)), FRACTION_POOL, Fraction(5, 2), 1,
+        [0.0, 2.0], seed=42, trials=200),
+    "mic.softmax_posted_no_candidates": lambda: search_mic_deviation(
+        MechanismSpec.stfm(1.0, POSTED, 10.0), _unit([2, 3, 4]), 2.0, 1, [0.0, 1.0], seed=42),
+    "uic.softmax_second_price": lambda: check_uic(
+        MechanismSpec.stfm(1.0, SECOND_PRICE), MIXED_POOL, 3.0, 2, [1.0, 3.0, 4.0, 5.0], 300, 42),
+    "uic.softmax_posted": lambda: check_uic(
+        MechanismSpec.stfm(1.0, POSTED, 1.0), MIXED_POOL, 3.0, 2, [1.0, 3.0, 4.0, 5.0], 300, 42),
+    "uic.softmax_fractions": lambda: check_uic(
+        MechanismSpec.stfm(1.5, SECOND_PRICE), FRACTION_POOL, Fraction(5, 2), 2,
+        [Fraction(1, 2), Fraction(2), Fraction(5, 2)], 200, 42),
+    "uic.softmax_posted_no_candidates": lambda: check_uic(
+        MechanismSpec.stfm(1.0, POSTED, 10.0), _unit([2, 3, 4]), 2.0, 0, [1.0, 2.0, 3.0], 100,
+        42),
+    "cof.softmax_mixed_sizes": lambda: empirical_cof(
+        MechanismSpec.stfm(2.0), LONG_MIXED_POOL, 10.0, 200, 42),
+    "cof.softmax_posted_fractions": lambda: empirical_cof(
+        MechanismSpec.stfm(1.5, POSTED, Fraction(1, 2)), FRACTION_POOL, Fraction(5, 2), 200, 42),
+    "monotonicity.softmax_mixed_sizes": lambda: estimate_monotonicity(
+        MechanismSpec.stfm(1.0), LONG_MIXED_POOL, 5, [0.5, 2.0], 200, 42, capacity=10.0,
+        use_certificates=False),
+    "monotonicity.softmax_fractions": lambda: estimate_monotonicity(
+        MechanismSpec.stfm(1.5), FRACTION_POOL, 4, [Fraction(1, 2)], 200, 42,
+        capacity=Fraction(5, 2), use_certificates=False),
+    "tune_gamma.mixed_sizes": lambda: tune_gamma(
+        sample_mempool(60, BidDistribution.zero_inflated(0.3, BidDistribution.uniform(0, 5)),
+                       BidDistribution.exponential(1), seed=3),
+        15.0, alpha_target=0.2, phi_ratio=2.0, gamma_lo=0.1, gamma_hi=50.0, trials=300,
+        seed=42),
+    "tune_gamma.fractions": lambda: tune_gamma(
+        FRACTION_POOL, Fraction(5, 2), alpha_target=0.2, phi_ratio=1.0, gamma_lo=0.1,
+        gamma_hi=50.0, trials=300, seed=42),
+}
+SOFTMAX_DIGESTS = {
+    "cof.softmax_mixed_sizes":
+        "6e825fd1021c40b7617bd475046b296be17efd1a17decb893052e5a43c7e1fae",
+    "cof.softmax_posted_fractions":
+        "40da1993accbdbd40e1903b9f5c61626fd8eb8bd220d5788aadae565ae0792a1",
+    "mic.softmax_fractions":
+        "9bf69caa3111cf71881602fbfcbbade771dd6ee997a82aa1dfec9038e70e57cd",
+    "mic.softmax_mixed_sizes":
+        "ad030d6c2cc22e1f1fd807e487507dce767f48f1d3d6500e79e3ba71dc0a378c",
+    "mic.softmax_posted_fakes":
+        "b32c29fd3d7d3a85133a7b106220de95660d0e1258639896f6849dbe13f8a1b0",
+    "mic.softmax_posted_fractions":
+        "a18229d12c9f673073d1d05015b1df390bf78efec2d6f5a874ebb1dcfdf30bb3",
+    "mic.softmax_posted_no_candidates":
+        "c1eb5c40d28bea4d91354c35f150f2af98cf0dc3887139ba7c881ba556b6a995",
+    "mic.softmax_second_price_fakes":
+        "ed10f12ca285af9a545d24cb10a9491013f4345c354237039c2cce13b9c97697",
+    "monotonicity.softmax_fractions":
+        "e18c1029e55da0c7d289ab357e2e732b7bb40d0b72bbaf73dad03781d60422b4",
+    "monotonicity.softmax_mixed_sizes":
+        "19112d00047844730e665fc386ec79b0708b87c20f7dfc420aa3b22204ed2730",
+    "tune_gamma.fractions":
+        "a725967899951ec9558c90fb77dda756339569085a9bb5e8d2aae1bf5ce09edb",
+    "tune_gamma.mixed_sizes":
+        "bde93d3e0b974c1001c7dcb8035bc2934c724030e49e4216418eed3b6feddc12",
+    "uic.softmax_fractions":
+        "3240ef1975806b11b6dfa55f24f8a07b0d2e49ba8a12d4a106ef1429f270d4b5",
+    "uic.softmax_posted":
+        "035efad07d68517b3741842f472f584f530e6093378f393c3d549e44cd397562",
+    "uic.softmax_posted_no_candidates":
+        "e334a5a47a335a6a59e4809b27a2dd61b81d70b0a1c02e9de25044599cb3fef7",
+    "uic.softmax_second_price":
+        "64c17696e0431d8db23674d37dbc66a29b34ff949cf167fd23991563fad6c87c",
+}
+
+
+def _softmax_audit_text(name: str) -> str:
+    report = SOFTMAX_AUDITS[name]()
+    return report.to_text() if hasattr(report, "to_text") else repr(report)
+
+
+@pytest.mark.parametrize("name", sorted(SOFTMAX_AUDITS))
+def test_softmax_audit_bytes(name):
+    assert hashlib.sha256(_softmax_audit_text(name).encode()).hexdigest() == SOFTMAX_DIGESTS[name]
