@@ -114,7 +114,8 @@ class _TrialStreams:
     restores its start into one reused generator.  The starts computed are
     those of the trials asked for, ``prepare(trials)`` before a loop over
     them or trial i alone, at most ``_BATCH`` of them a pass.  A generator
-    is good until the next trial is asked for.
+    is good until the next trial is asked for.  ``gumbel(trials, n)`` draws
+    the Gumbel noise of every trial once for the whole audit call.
     """
 
     def __init__(self, seed: int):
@@ -128,6 +129,7 @@ class _TrialStreams:
         self._pcg = {"state": 0, "inc": 0}  # refilled at each restore
         self._state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
                        "state": self._pcg}
+        self._gumbel = np.empty((0, 0))  # the widest Gumbel matrix drawn so far
 
     def prepare(self, trials: int) -> None:
         """Compute the starts of trials 0, ..., trials - 1 not yet known."""
@@ -144,3 +146,15 @@ class _TrialStreams:
         self._pcg["state"], self._pcg["inc"] = packed & _PCG64_STATE, packed >> 128
         self._rng.bit_generator.state = self._state
         return self._rng
+
+    def gumbel(self, trials: int, n: int) -> np.ndarray:
+        """A trials x n matrix whose row i is ``default_rng([seed, i]).gumbel(size=n)``.
+
+        numpy draws one value per double, in order, so its first k columns are
+        ``gumbel(size=k)``: the widest matrix asked for is kept, and sliced."""
+        rows, cols = max(trials, self._gumbel.shape[0]), max(n, self._gumbel.shape[1])
+        if (rows, cols) != self._gumbel.shape:
+            self.prepare(rows)
+            draws = [self(i).gumbel(size=cols) for i in range(rows)]
+            self._gumbel = np.array(draws).reshape(rows, cols)
+        return self._gumbel[:trials, :n]

@@ -71,10 +71,6 @@ class AllocationResult:
                 f"infeasible allocation: total size {self.total_size} > capacity {self.capacity}"
             )
 
-    @property
-    def selected_set(self) -> frozenset:
-        return frozenset(self.selected)
-
     def section_of(self, tx_id: int) -> str:
         return self.sections.get(tx_id, SECTION_MAIN)
 
@@ -141,6 +137,31 @@ def _walk(sizes: np.ndarray, order: np.ndarray, capacity, total=0):
     if kept:
         return np.concatenate((order[:cut], order[cut + 1:][kept])), total
     return order[:cut], total
+
+
+def _running(values: np.ndarray) -> np.ndarray:
+    """Each row's running sums from a zero of its own type, as a ``+=`` loop makes them."""
+    zero = np.zeros((len(values), 1), values.dtype)
+    return np.concatenate((zero, values), axis=1).cumsum(axis=1)
+
+
+def _walk_rows(sizes: np.ndarray, orders: np.ndarray, capacity):
+    """:func:`_walk` over each row of `orders`: the kept positions of each, and its total.
+
+    Each row's prefix that fits is cut from its cumulative sizes; a row with room
+    for a later size finishes on :func:`_walk`.  With equal sizes none has."""
+    s = sizes[orders]
+    trials, k = s.shape
+    running = _running(s)
+    kept = running[:, 1:] <= capacity  # sizes are positive: a prefix of each row
+    cut = np.count_nonzero(kept, axis=1)
+    total = running[np.arange(trials), cut]
+    # the row at `cut` did not fit; the smallest size after it
+    smallest = np.where(np.arange(k) > cut[:, None], s, np.inf).min(axis=1, initial=np.inf)
+    for t in np.flatnonzero((total + smallest <= capacity) & (cut < k)):
+        rest, total[t] = _walk(s[t], np.arange(cut[t] + 1, k), capacity, total.item(t))
+        kept[t, rest] = True
+    return kept, total
 
 
 def _exact_knapsack(items, capacity):
@@ -273,6 +294,13 @@ def _softmax_walk(sizes: np.ndarray, scaled_bids: np.ndarray, gumbel: np.ndarray
     keys = gumbel + scaled_bids
     order = np.negative(keys, out=keys).argsort(kind="stable")
     return _walk(sizes, order, capacity)
+
+
+def _softmax_rows(sizes: np.ndarray, scaled_bids: np.ndarray, gumbel: np.ndarray, capacity):
+    """:func:`_softmax_walk` over each row of `gumbel`: orders, kept positions, totals."""
+    keys = gumbel + scaled_bids
+    orders = np.negative(keys, out=keys).argsort(axis=1, kind="stable")
+    return (orders, *_walk_rows(sizes, orders, capacity))
 
 
 def stfm_allocate(m: Mempool, capacity, gamma: float, seed: SeedLike) -> AllocationResult:

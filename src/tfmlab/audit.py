@@ -10,7 +10,6 @@ that can be replayed through :func:`tfmlab.mech.run_mechanism`.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -20,14 +19,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .alloc import (
-    _softmax_walk,
+    _running,
+    _softmax_rows,
     allocation_value,
     optimal_allocate,
     stfm_first_draw_distribution,
 )
 from .errors import DomainError, ParameterError, SolverLimitError
 from .experiments import _mean_se
-from .mech import AllocationKind, MechanismSpec, PaymentKind, _prepare, run_mechanism
+from .mech import AllocationKind, MechanismSpec, PaymentKind, _TRIAL_RULES, _prepare, run_mechanism
 from ._streams import _TrialStreams
 from .txpool import Mempool, Transaction, resolve_rng, zero_fee_subset
 
@@ -72,25 +72,14 @@ class CofReport:
     cov: Optional[float] = None
 
 
-def reports_to_csv(reports: Sequence[PropertyReport], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["property", "verdict", "trials", "note", "witness"])
-        for r in reports:
-            writer.writerow([r.property_name, r.verdict.value, r.trials, r.confidence_note,
-                             "" if r.witness is None else repr(r.witness)])
-
-
 def _replay(run, trials: int, streams: _TrialStreams) -> Tuple[list, bool]:
     """Results of ``run(rng)`` over up to `trials` runs, and whether the rule drew.
 
     Run i gets ``streams(i)``, trial i's generator, as its only source of
     randomness.  So when run 0 leaves its generator's state unchanged, the
     rule drew nothing, every seed gives the same outcome, and the replay
-    stops after that one run.
+    stops after that one run.  Callers check that `trials` is at least 1.
     """
-    if trials < 1:
-        raise ParameterError("trials must be at least 1")
     rng = streams(0)
     state = rng.bit_generator.state
     results = [run(rng)]
@@ -99,6 +88,20 @@ def _replay(run, trials: int, streams: _TrialStreams) -> Tuple[list, bool]:
     streams.prepare(trials)
     results += [run(streams(i)) for i in range(1, trials)]
     return results, True
+
+
+def _replay_arm(spec, m, capacity, trials: int, streams: _TrialStreams, read, read_all=None,
+                fakes=()) -> list:
+    """`read` of each block :func:`_replay` runs of the arm, or, where the arm
+    steps every trial at once (``_TRIAL_RULES``), `read_all` (by default
+    `read`) of the blocks of all trials, drawn from ``streams.gumbel``."""
+    if trials < 1:
+        raise ParameterError("trials must be at least 1")
+    step_all = _prepare(spec, m, capacity, fakes, _TRIAL_RULES)
+    if step_all is None:
+        step = _prepare(spec, m, capacity, fakes)
+        return _replay(lambda rng: read(step(rng)), trials, streams)[0]
+    return (read_all or read)(step_all(lambda k: streams.gumbel(trials, k))).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +227,9 @@ def estimate_monotonicity(
     target_row = int(m.rows_of((target_tx,))[0])
 
     def inclusion_rate(bid) -> Tuple[float, float, int]:
-        step = _prepare(spec, m.with_bid(target_tx, bid), capacity)
-        hits, _ = _replay(lambda rng: target_row in step(rng).rows.tolist(), trials, streams)
+        hits = _replay_arm(spec, m.with_bid(target_tx, bid), capacity, trials, streams,
+                           lambda block: target_row in block.rows.tolist(),
+                           lambda blocks: blocks.included[:, target_row])
         p = sum(hits) / len(hits)
         return p, math.sqrt(p * (1 - p) / len(hits)), len(hits)
 
@@ -274,8 +278,9 @@ def check_uic(
     ses: Dict[float, float] = {}
     n_runs = 0
     for b in bid_grid:
-        step = _prepare(spec, m.with_bid(user, b), capacity)
-        utils, _ = _replay(lambda rng: step(rng).user_utilities()[user], trials, streams)
+        utils = _replay_arm(spec, m.with_bid(user, b), capacity, trials, streams,
+                            lambda block: block.user_utilities()[user],
+                            lambda blocks: blocks.user_utility[:, m.rows_of((user,))[0]])
         means[b], ses[b] = _mean_se(utils)
         n_runs = max(n_runs, len(utils))
 
@@ -302,11 +307,12 @@ def check_uic(
 
 def _expected_miner_utility(spec, m, capacity, fakes, trials, streams):
     """Mean, standard error and the runs made; exact (se 0) wherever the rule allows it."""
-    step = _prepare(spec, m, capacity, fakes)
     if spec.allocation is AllocationKind.RTFM:
         # two-point mixture: the zero-pay branch contributes nothing
+        step = _prepare(spec, m, capacity, fakes)
         return (1 - spec.phi) * step(streams(0), 1).miner_utility, 0.0, 1
-    utils, _ = _replay(lambda rng: step(rng).miner_utility, trials, streams)
+    utils = _replay_arm(spec, m, capacity, trials, streams, lambda b: b.miner_utility,
+                        fakes=fakes)
     return (*_mean_se(utils), len(utils))
 
 
@@ -349,6 +355,8 @@ def search_mic_deviation(
     if spec.allocation is AllocationKind.SPLIT_BLOCK and spec.split.delta not in grid:
         grid.append(spec.split.delta)
 
+    if spec.allocation is AllocationKind.SOFTMAX:  # every arm reads the widest arm's noise
+        streams.gumbel(trials, len(m) + fake_budget)
     honest, honest_se, n_runs = _expected_miner_utility(spec, m, capacity, (), trials, streams)
 
     next_id = max((tx.id for tx in m), default=-1) + 1
@@ -410,13 +418,12 @@ def empirical_cof(
 
     if trials < 1:
         raise ParameterError("trials must be at least 1")
-    step = _prepare(spec, m, capacity)
     if spec.allocation is AllocationKind.RTFM:
         # the zero-pay branch earns nothing and no seed changes the paying branch
-        paying = step(streams(0), 1).miner_utility
+        paying = _prepare(spec, m, capacity)(streams(0), 1).miner_utility
         utils = [0.0 if (i + 0.5) / trials < spec.phi else paying for i in range(trials)]
     else:
-        utils, _ = _replay(lambda rng: step(rng).miner_utility, trials, streams)
+        utils = _replay_arm(spec, m, capacity, trials, streams, lambda b: b.miner_utility)
     utils = np.asarray(utils, dtype=float)
     mean = float(utils.mean())
     cov = float(utils.std(ddof=1) / mean) if len(utils) > 1 and mean > 0 else None
@@ -430,9 +437,9 @@ def empirical_cof(
     elif spec.allocation is AllocationKind.SPLIT_BLOCK and spec.split.delta == 0 and equal_sizes:
         closed = 1.0 / spec.split.alpha
     elif spec.allocation is AllocationKind.SOFTMAX and equal_sizes:
-        c = int(capacity // sizes[0])
-        if c >= 1:
-            closed = stfm_cof_bound(len(m), c, float(m.bids().max()), spec.gamma)
+        c = capacity // sizes.item(0)  # the bound holds for blocks of 1 to n rows
+        if 1 <= c <= len(m):
+            closed = stfm_cof_bound(len(m), int(c), float(m.bids().max()), spec.gamma)
     return CofReport(opt, mean, cof, closed, cov)
 
 
@@ -531,50 +538,41 @@ def tune_gamma(
     """
     if not 0 <= alpha_target <= 1:
         raise ParameterError("alpha_target must lie in [0, 1]")
-    if not 0 < gamma_lo < gamma_hi:
-        raise ParameterError("need 0 < gamma_lo < gamma_hi")
+    if not 0 < gamma_lo < gamma_hi < math.inf:
+        raise ParameterError("need 0 < gamma_lo < gamma_hi < inf")
+    if math.isnan(phi_ratio):
+        raise ParameterError("phi_ratio must be a number, got nan")
     if trials < 1:
         raise ParameterError("trials must be at least 1")
     streams = _TrialStreams(seed)
     if math.isinf(phi_ratio):
         return gamma_lo
 
-    opt_rows = set(m.rows_of(optimal_allocate(m, capacity).selected).tolist())
     c = m.columns
-    zero = (c.bids == 0).tolist()
-    sizes = c.sizes.tolist()
-    # softmax sampling as stfm_allocate does it; trial i's Gumbel noise does not
-    # depend on gamma, so every gamma replays the trial's stream
+    opt = np.isin(np.arange(len(m)), m.rows_of(optimal_allocate(m, capacity).selected))
+    zero_sizes = np.where(c.bids == 0, c.sizes, 0)  # in the size column's own number type
+    # softmax sampling as stfm_allocate does it, every trial at once; the Gumbel
+    # noise does not depend on gamma, so every gamma walks the same draws
     walk_sizes = c.sizes.astype(float, copy=False)
     bids = c.bids.astype(float, copy=False)
-    streams.prepare(trials)
-
-    def estimate(gamma: float) -> Tuple[float, float]:
-        hits_cof = 0
-        hits_zf = 0
-        scaled = bids / gamma
-        for i in range(trials):
-            gumbel = streams(i).gumbel(size=len(m))
-            rows, total = _softmax_walk(walk_sizes, scaled, gumbel, capacity)
-            rows = rows.tolist()
-            hits_cof += set(rows) == opt_rows
-            if total > 0:
-                zf = sum(sizes[r] for r in rows if zero[r])
-                hits_zf += zf / total >= alpha_target
-            else:
-                hits_zf += alpha_target == 0
-        return hits_cof / trials, hits_zf / trials
+    gumbel = streams.gumbel(trials, len(m))
 
     def ratio(gamma: float) -> float:
-        pr_cof, pr_zf = estimate(gamma)
-        return pr_cof / pr_zf if pr_zf > 0 else math.inf
+        """pr_cof / pr_zf at `gamma`, infinite where pr_zf is 0."""
+        orders, kept, total = _softmax_rows(walk_sizes, bids / gamma, gumbel, capacity)
+        hits_cof = np.count_nonzero((kept == opt[orders]).all(axis=1))
+        # the zero-bid rows' sizes summed in block order, as a sum() over the block
+        zf = _running(np.where(kept, zero_sizes[orders], 0))[:, -1]
+        filled = total > 0
+        hits_zf = np.count_nonzero(zf[filled] / total[filled] >= alpha_target)
+        hits_zf += np.count_nonzero(~filled) if alpha_target == 0 else 0
+        return (int(hits_cof) / trials) / (int(hits_zf) / trials) if hits_zf else math.inf
 
     if ratio(gamma_lo) <= phi_ratio:
         return gamma_lo
     r_hi = ratio(gamma_hi)
     if r_hi > phi_ratio:
-        _, pr_zf_hi = estimate(gamma_hi)
-        if pr_zf_hi == 0:
+        if r_hi == math.inf:
             raise DomainError("zero-fee block share never reaches the target on this interval")
         raise DomainError("no gamma on the interval meets the requested ratio")
     lo, hi = gamma_lo, gamma_hi

@@ -10,7 +10,7 @@ bias, an unbiased variance-reduction that leaves per-run mechanics untouched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -162,11 +162,7 @@ def run_rtfm_sweep(cfg: ExperimentConfig) -> List[SweepRow]:
 
 def _stfm_cell(cfg: ExperimentConfig, value: float) -> SweepRow:
     gamma, ratio = cfg._softmax_cell(value)
-    cofs = np.empty(cfg.runs)
-    norms = np.empty(cfg.runs)
-    zffs = np.empty(cfg.runs)
-    zfis = np.empty(cfg.runs)
-    zpfs = np.empty(cfg.runs)
+    cofs, norms, zffs, zfis, zpfs = np.empty((5, cfg.runs))
     spec = replace(cfg.mechanism, gamma=gamma)
     for r in range(cfg.runs):
         m = sample_mempool(cfg.n, cfg.bid_dist, cfg.size_dist, seed=[cfg.seed, r])
@@ -198,24 +194,13 @@ def run_stfm_sweep(cfg: ExperimentConfig) -> List[SweepRow]:
     return [_stfm_cell(cfg, value) for value in cfg.sweep_values]
 
 
-def _fmt(v: float) -> str:
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return format(v, ".9g")
-
-
 def emit_csv(rows: Sequence[SweepRow], path: str) -> None:
     """Write the sweep table; identical config and seed give identical bytes."""
     try:
         with open(path, "w", newline="") as fh:
             fh.write(CSV_HEADER + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in (
-                    row.sweep_value, row.normalized_miner_revenue, row.revenue_stderr,
-                    row.zero_fee_fraction, row.zff_stderr, row.empirical_cof, row.zfi,
-                )) + "\n")
+            for row in rows:  # every field but the zero-payment fraction
+                fh.write(",".join(format(v, ".9g") for v in astuple(row)[:-1]) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write sweep CSV to {path}: {exc}") from exc
 
@@ -224,12 +209,7 @@ def plot_data_table(rows: Sequence[SweepRow]) -> str:
     """Gnuplot-friendly whitespace table, including the zero-payment column."""
     lines = ["# sweep_value normalized_revenue revenue_stderr zero_fee_fraction "
              "zff_stderr cof zfi zero_payment_fraction"]
-    for row in rows:
-        lines.append(" ".join(_fmt(v) for v in (
-            row.sweep_value, row.normalized_miner_revenue, row.revenue_stderr,
-            row.zero_fee_fraction, row.zff_stderr, row.empirical_cof, row.zfi,
-            row.zero_payment_fraction,
-        )))
+    lines += [" ".join(format(v, ".9g") for v in astuple(row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 

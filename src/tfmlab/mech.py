@@ -52,6 +52,8 @@ from .alloc import (
     SECTION_RAND,
     SplitBlockConfig,
     _prepare_splitblock,
+    _running,
+    _softmax_rows,
     _softmax_walk,
     optimal_allocate,
     uniform_allocate,
@@ -175,6 +177,15 @@ class _Block(NamedTuple):
         users = dict.fromkeys(c.ids[:self.real].tolist(), 0.0)
         users.update(zip(c.ids[rows[real]].tolist(), gain[real].tolist()))
         return users
+
+
+class _Blocks(NamedTuple):
+    """The blocks of every trial of a prepared arm, one row of each array a trial."""
+
+    included: np.ndarray  # a column per pool row, the fakes last
+    total: np.ndarray
+    miner_utility: np.ndarray
+    user_utility: np.ndarray  # a column per real row, 0.0 where the row is left out
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,6 +350,41 @@ def _softmax_rule(arm: _Arm):
     return draw
 
 
+def _softmax_trials(arm: _Arm):
+    """The softmax rule's step of every trial at once, or None unless its prices are floats.
+
+    ``step(gumbel_of)`` walks ``gumbel_of(k)``, a row of noise over the k candidates per
+    trial, into the blocks :func:`_softmax_rule` draws from those trials' streams, bit for
+    bit: prices as :func:`_price_included` sets them, income and burn folded in block order
+    as :func:`_block_income` folds them.  With no candidates it draws nothing: one block.
+    """
+    spec, kept, c, n = arm.spec, arm.kept, arm.pool.columns, len(arm.m)
+    fee = spec.base_fee if spec.payment is PaymentKind.POSTED_PRICE else 0.0
+    if type(fee) is not float or object in (c.sizes.dtype, c.bids.dtype, c.valuations.dtype):
+        return None  # a Fraction or int keeps its own arithmetic on the one-trial step
+    sizes, scaled = c.sizes[kept], c.bids[kept] / spec.gamma
+
+    def step(gumbel_of) -> _Blocks:
+        gumbel = gumbel_of(len(kept)) if len(kept) else np.zeros((1, 0))  # one empty block
+        orders, taken, total = _softmax_rows(sizes, scaled, gumbel, arm.capacity)
+        rows = kept[orders]
+        bids, size = c.bids[rows], c.sizes[rows]
+        p = bids - fee
+        if spec.payment is PaymentKind.SECOND_PRICE:  # the lowest included bid, fakes too
+            p = np.where(taken, bids, np.inf).min(axis=1, initial=np.inf, keepdims=True)
+            p[p == np.inf] = 0.0
+        real, fake = taken & ~c.fake[rows], taken & c.fake[rows]
+        income = _running(np.where(real, size * p, 0.0))[:, -1]
+        burn = _running(np.where(fake, size * fee, 0.0))[:, -1]
+        included = np.zeros((len(total), len(c.ids)), bool)
+        np.put_along_axis(included, rows, taken, axis=1)
+        users = np.zeros(included.shape)
+        np.put_along_axis(users, rows, np.where(real, (c.valuations[rows] - p - fee) * size, 0.0),
+                          axis=1)
+        return _Blocks(included, total, income - burn, users[:, :n])
+    return step
+
+
 def _split_block_rule(arm: _Arm):
     """The reserved section sampled from the posted-fee bids, then the paid knapsack."""
     spec, m = arm.spec, arm.m
@@ -389,14 +435,22 @@ _RULES = {
 }
 
 
-def _prepare(spec: MechanismSpec, m: Mempool, capacity, fakes: Sequence[Transaction] = ()):
+# the rules whose trials can also be stepped all at once
+_TRIAL_RULES = {AllocationKind.SOFTMAX: _softmax_trials}
+
+
+def _prepare(spec: MechanismSpec, m: Mempool, capacity, fakes: Sequence[Transaction] = (),
+             rules=_RULES):
     """The step of one trial of the mechanism over the pool plus miner fakes.
 
     Checks the inputs and does the work the trials share once.  Then
     ``step(rng, toss=None)`` makes exactly the generator calls that
     :func:`run_mechanism` makes and returns the block; `toss` pins the
-    two-set rule's branch.
+    two-set rule's branch.  With ``rules=_TRIAL_RULES`` it is instead the
+    step of every trial at once, or None where the rule has none.
     """
+    if spec.allocation not in rules:
+        return None
     for tx in fakes:
         if not tx.fake:
             raise ParameterError(f"fake transaction {tx.id} must carry fake=True")
@@ -409,7 +463,7 @@ def _prepare(spec: MechanismSpec, m: Mempool, capacity, fakes: Sequence[Transact
     if spec.payment is PaymentKind.POSTED_PRICE:
         kept = np.flatnonzero(pool.columns.bids >= spec.base_fee)
         cand = pool.take(kept)
-    return _RULES[spec.allocation](_Arm(spec, m, pool, capacity, kept, cand, fakes))
+    return rules[spec.allocation](_Arm(spec, m, pool, capacity, kept, cand, fakes))
 
 
 def run_mechanism(

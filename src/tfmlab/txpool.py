@@ -74,10 +74,6 @@ class Transaction:
         if not 0 <= self.valuation < math.inf:
             raise ParameterError(f"valuation must be non-negative and finite, got {self.valuation}")
 
-    @property
-    def total_fee(self):
-        return self.size * self.bid
-
     def canonical_bytes(self) -> bytes:
         """Broadcast encoding used as a Merkle leaf (id, size, bid only)."""
         return _leaf(self.id, self.size, self.bid)

@@ -182,7 +182,7 @@ def test_uniform_keeps_filling_with_smaller_sizes():
     # capacity 2: the size-3 transaction never fits, both unit ones always do
     for s in range(50):
         res = uniform_allocate(m, 2.0, seed=s)
-        assert res.selected_set == {1, 2}
+        assert set(res.selected) == {1, 2}
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +267,7 @@ def test_stfm_allocate_feasible_and_exhaustive():
         res = stfm_allocate(m, capacity, 1.0, seed=s)
         assert res.total_size <= capacity
         # nothing left fits
-        leftover = [tx.size for tx in m if tx.id not in res.selected_set]
+        leftover = [tx.size for tx in m if tx.id not in set(res.selected)]
         assert all(res.total_size + sz > capacity for sz in leftover)
 
 
@@ -330,7 +330,7 @@ def test_splitblock_zero_fee_example():
         res = splitblock_allocate(m, 4.0, cfg, seed=s)
         assert res.section_of(0) == "alpha"
         assert res.section_of(1) == "alpha"
-        included_zeros = [t for t in (2, 3, 4) if t in res.selected_set]
+        included_zeros = [t for t in (2, 3, 4) if t in set(res.selected)]
         assert len(included_zeros) == 2
         for t in included_zeros:
             zero_counts[t] += 1
@@ -343,7 +343,7 @@ def test_splitblock_oversized_zero_bid_never_included():
     m = Mempool([Transaction(0, 1.0, 5.0, 5.0), Transaction(1, 3.0, 0.0, 0.0)])
     for s in range(200):
         res = splitblock_allocate(m, 4.0, SplitBlockConfig(0.5), seed=s)
-        assert 1 not in res.selected_set
+        assert 1 not in set(res.selected)
 
 
 def test_splitblock_posted_fee_demotion():
@@ -385,7 +385,7 @@ def test_payment_arrays_need_one_value_per_row():
 def test_splitblock_underfilled_reserved_section_is_allowed():
     m = pool([5, 4], sizes_equal=True)  # no zero bids to reserve
     res = splitblock_allocate(m, 4.0, SplitBlockConfig(0.5), seed=3)
-    assert res.selected_set == {0, 1}
+    assert set(res.selected) == {0, 1}
     assert all(res.section_of(t) == "alpha" for t in res.selected)
 
 
@@ -396,7 +396,7 @@ def test_splitblock_underfilled_reserved_section_is_allowed():
 def test_rtfm_single_tx():
     m = pool([3], sizes_equal=True)
     sample = rtfm_sample(m, 1.0, seed=0)
-    assert sample.rand_set.selected_set == sample.opt_set.selected_set == {0}
+    assert set(sample.rand_set.selected) == set(sample.opt_set.selected) == {0}
     assert sample.rand_root == sample.opt_root
 
 

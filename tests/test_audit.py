@@ -24,7 +24,6 @@ from tfmlab import (
     stfm_worstcase_instance,
     tune_gamma,
 )
-from tfmlab.audit import reports_to_csv
 
 
 def unit_pool(bids):
@@ -334,6 +333,16 @@ def test_cof_rtfm_on_a_single_transaction_is_the_mixture():
     assert report.cof == report.closed_form == 2.0
 
 
+@pytest.mark.parametrize("capacity", [7.0, math.inf])
+def test_cof_softmax_block_larger_than_the_pool_has_no_closed_form(capacity):
+    # the softmax bound holds for blocks of 1 to n rows; past n the audit still runs
+    report = empirical_cof(MechanismSpec.stfm(1.0), unit_pool([5, 4, 3, 2, 1, 0]), capacity,
+                           50, 1)
+    assert report.cof == 1.0 and report.closed_form is None
+    assert empirical_cof(MechanismSpec.stfm(1.0), unit_pool([5, 4, 3, 2, 1, 0]), 6.0, 50,
+                         1).closed_form == stfm_cof_bound(6, 6, 5.0, 1.0)
+
+
 def test_cof_deterministic_optimal_is_one():
     report = empirical_cof(MechanismSpec.first_price(), unit_pool([5, 4, 3]), 2.0, 1, 0)
     assert report.cof == pytest.approx(1.0)
@@ -425,16 +434,22 @@ def test_tune_gamma_validation():
         tune_gamma(tuning_pool(), 10.0, 2.0, 2.0, 0.1, 1.0, 10, 0)
 
 
+@pytest.mark.parametrize("phi_ratio, gamma_lo, gamma_hi", [
+    (2.0, 0.1, math.inf), (2.0, math.inf, math.inf), (2.0, math.nan, 50.0),
+    (2.0, 0.1, math.nan), (math.nan, 0.1, 50.0),
+])
+def test_tune_gamma_rejects_an_infinite_bound_or_a_nan_ratio(phi_ratio, gamma_lo, gamma_hi):
+    # an infinite bound once kept the bisection at an infinite midpoint forever, and a
+    # NaN ratio compared false everywhere and settled on gamma_hi
+    with pytest.raises(ParameterError):
+        tune_gamma(tuning_pool(), 10.0, 0.2, phi_ratio, gamma_lo, gamma_hi, 10, 0)
+
+
 # ---------------------------------------------------------------------------
 # report serialization
 
 
-def test_report_serialization(tmp_path):
+def test_report_serialization():
     report = estimate_zti(MechanismSpec.eip1559(1.0), ZPOOL, 2.0, 10, 0)
     text = report.to_text()
     assert "property=zti" in text and "verdict=violated" in text
-    path = tmp_path / "reports.csv"
-    reports_to_csv([report], str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "property,verdict,trials,note,witness"
-    assert len(lines) == 2

@@ -1,5 +1,7 @@
 import glob
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -24,6 +26,7 @@ from tfmlab.experiments import (
 from tfmlab.mech import AUDIT, CONFIG_KEYS, MECHANISM, POOL, SWEEP, AllocationKind
 
 DEMOS = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 def small_rtfm_cfg(**kw):
@@ -339,6 +342,19 @@ def test_cli_tune_gamma(tmp_path, capsys):
     ))
     assert cli_main(["tune-gamma", "--config", cfg]) == 0
     assert "gamma_star=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line", ["gamma_hi = inf", "phi_ratio = nan"])
+def test_cli_tune_gamma_rejects_an_infinite_bound_or_a_nan_ratio(tmp_path, line):
+    # run in a child with a timeout, so that a bisection that never ends fails the test
+    with open(os.path.join(DEMOS, "tune_gamma.cfg")) as fh:
+        text = fh.read().replace(line.split()[0] + " = ", "# was ")
+    cfg = write_cfg(tmp_path, f"{text}{line}\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "tfmlab.cli", "tune-gamma", "--config", cfg],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("command,line", [

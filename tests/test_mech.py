@@ -105,9 +105,9 @@ def test_fakes_route_payment_back_to_miner():
     m = unit_pool([5, 4])
     fakes = [Transaction(10, 1.0, 6.0, 6.0, fake=True)]
     out = run_mechanism(MechanismSpec.uniform(), m, 3.0, fakes=fakes, seed=2)
-    assert 10 in out.allocation.selected_set
+    assert 10 in set(out.allocation.selected)
     # the fake's first-price payment does not count as revenue
-    assert out.miner_utility == sum(m.get(t).bid for t in out.allocation.selected_set & {0, 1})
+    assert out.miner_utility == sum(m.get(t).bid for t in set(out.allocation.selected) & {0, 1})
 
 
 def test_fake_validation():

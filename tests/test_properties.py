@@ -28,10 +28,10 @@ from tfmlab import (
     run_mechanism,
     splitblock_allocate,
 )
-from tfmlab.alloc import EXHAUSTIVE_LIMIT, SECTION_ONE_MINUS_ALPHA, SECTION_RAND
+from tfmlab.alloc import EXHAUSTIVE_LIMIT, SECTION_ONE_MINUS_ALPHA, SECTION_RAND, _walk, _walk_rows
 from tfmlab._streams import _BATCH, _START_BYTES, _TrialStreams, _pcg64_starts
 from tfmlab.audit import _replay
-from tfmlab.mech import _prepare
+from tfmlab.mech import _TRIAL_RULES, _prepare
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -226,3 +226,100 @@ def test_a_rule_that_draws_nothing_runs_and_seeds_one_trial(seed):
     assert results == ["same"] and not drew and len(streams._start) == _START_BYTES
     results, drew = _replay(lambda rng: rng.random(), 500, streams)
     assert len(results) == 500 and drew and len(streams._start) == 500 * _START_BYTES
+
+
+# ---------------------------------------------------------------------------
+# Every softmax trial at once: the Gumbel matrix, the row-wise walk and the
+# batched step, each against its one-trial oracle
+
+
+@pytest.mark.parametrize("words", [1, 2])
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_gumbel_rows_are_the_trial_streams_draws(words, data):
+    seed = data.draw(_seeds_of(words))
+    n = data.draw(st.integers(0, 12))
+    gumbel = _TrialStreams(seed).gumbel(3001, n)
+    assert gumbel.shape == (3001, n)
+    for i in (0, 1023, 1024, 3000):
+        expected = np.random.default_rng([seed, i]).gumbel(size=n)
+        assert gumbel[i].tobytes() == expected.tobytes(), (seed, i)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 2**64 - 1), st.integers(1, 40), st.integers(0, 12), st.integers(0, 12))
+def test_a_gumbel_prefix_is_the_shorter_draw(seed, trials, k, extra):
+    # an arm over k candidates reads the first k columns of the widest arm's draw
+    narrow = _TrialStreams(seed).gumbel(trials, k).copy()
+    streams = _TrialStreams(seed)
+    wide = streams.gumbel(trials, k + extra)
+    assert streams.gumbel(trials, k).tobytes() == narrow.tobytes()
+    assert wide[:, :k].tobytes() == narrow.tobytes()
+    for i in (0, trials - 1):
+        assert narrow[i].tobytes() == np.random.default_rng([seed, i]).gumbel(size=k).tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.one_of(sizes, st.floats(0.01, 4.0)), max_size=70),
+       st.integers(1, 4), st.one_of(st.integers(0, 60).map(lambda k: k / 2), st.just(math.inf)),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_the_row_walk_is_the_walk_of_each_row(row_sizes, trials, capacity, unit, seed):
+    column = np.ones(len(row_sizes)) if unit else np.array(row_sizes, dtype=float)
+    rng = np.random.default_rng(seed)
+    orders = np.array([rng.permutation(len(column)) for _ in range(trials)]).reshape(trials, -1)
+    kept, totals = _walk_rows(column, orders, capacity)
+    for order, row_kept, total in zip(orders, kept, totals):
+        rows, expected = _walk(column, order, capacity)
+        assert order[row_kept].tolist() == rows.tolist()
+        assert repr(float(total)) == repr(float(expected))
+
+
+@st.composite
+def softmax_arms(draw):
+    """A float pool, fakes and capacity under every payment rule of the softmax rule.
+
+    Bids in thirds make the folds of income round, so that they must be made
+    in block order to match.
+    """
+    m, fakes, capacity, seed, _ = draw(instances())
+    if draw(st.booleans()):
+        m = Mempool([Transaction(tx.id, tx.size, tx.bid / 3, tx.valuation / 3) for tx in m])
+    capacity = draw(st.one_of(st.just(capacity), st.just(math.inf)))
+    payment = draw(st.sampled_from(list(PaymentKind)))
+    fee = draw(quarters) if payment is PaymentKind.POSTED_PRICE else None
+    return m, fakes, capacity, seed, MechanismSpec.stfm(draw(st.sampled_from([0.5, 1.5, 4.0])),
+                                                         payment, fee)
+
+
+@PROPERTY_SETTINGS
+@given(softmax_arms())
+def test_the_batched_softmax_step_is_each_trials_draw(case):
+    m, fakes, capacity, seed, spec = case
+    pool = m.extend(fakes)
+    trials = 5
+    gumbel = np.array([np.random.default_rng([seed, t]).gumbel(size=len(pool))
+                       for t in range(trials)]).reshape(trials, -1)
+    blocks = _prepare(spec, m, capacity, fakes, _TRIAL_RULES)(lambda k: gumbel[:, :k])
+    step = _prepare(spec, m, capacity, fakes)
+    drew = len(blocks.total) == trials
+    assert drew or len(blocks.total) == 1
+    for t in range(len(blocks.total)):
+        block = step(np.random.default_rng([seed, t]))
+        included = np.zeros(len(pool), dtype=bool)
+        included[block.rows] = True
+        assert blocks.included[t].tolist() == included.tolist()
+        assert repr(blocks.total.item(t)) == repr(float(block.total))
+        assert repr(blocks.miner_utility.item(t)) == repr(block.miner_utility)
+        users = block.user_utilities()
+        assert [repr(u) for u in blocks.user_utility[t].tolist()] == \
+            [repr(users[tx_id]) for tx_id in m.ids()]
+
+
+def test_only_softmax_over_float_columns_steps_every_trial_at_once():
+    floats = Mempool([Transaction(i, 1.0, float(i), float(i)) for i in range(4)])
+    fractions = Mempool([Transaction(i, 1, Fraction(i), Fraction(i)) for i in range(4)])
+    assert _prepare(MechanismSpec.stfm(1.0), floats, 2.0, rules=_TRIAL_RULES) is not None
+    for spec, m in ((MechanismSpec.stfm(1.0), fractions),
+                    (MechanismSpec.stfm(1.0, PaymentKind.POSTED_PRICE, 1), floats),
+                    (MechanismSpec.uniform(), floats)):
+        assert _prepare(spec, m, 2.0, rules=_TRIAL_RULES) is None

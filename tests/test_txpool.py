@@ -165,8 +165,6 @@ def test_transaction_invariants():
                                  (math.inf, 1.0, 1.0), (1.0, 1.0, math.nan), (1.0, 1.0, math.inf)]:
         with pytest.raises(ParameterError):
             Transaction(0, size, bid, valuation)
-    tx = Transaction(0, 2.0, 3.0, 3.0)
-    assert tx.total_fee == 6.0
 
 
 def test_mempool_rejects_duplicate_ids():
