@@ -114,8 +114,7 @@ class _TrialStreams:
     restores its start into one reused generator.  The starts computed are
     those of the trials asked for, ``prepare(trials)`` before a loop over
     them or trial i alone, at most ``_BATCH`` of them a pass.  A generator
-    is good until the next trial is asked for.  ``gumbel(trials, n)`` draws
-    the Gumbel noise of every trial once for the whole audit call.
+    is good until the next trial is asked for.
     """
 
     def __init__(self, seed: int):
@@ -155,6 +154,7 @@ class _TrialStreams:
         rows, cols = max(trials, self._gumbel.shape[0]), max(n, self._gumbel.shape[1])
         if (rows, cols) != self._gumbel.shape:
             self.prepare(rows)
-            draws = [self(i).gumbel(size=cols) for i in range(rows)]
-            self._gumbel = np.array(draws).reshape(rows, cols)
+            self._gumbel = np.empty((rows, cols))
+            for i in range(rows):
+                self._gumbel[i] = self(i).gumbel(size=cols)
         return self._gumbel[:trials, :n]

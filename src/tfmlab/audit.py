@@ -32,6 +32,7 @@ from ._streams import _TrialStreams
 from .txpool import Mempool, Transaction, resolve_rng, zero_fee_subset
 
 _TOL = 1e-9
+_CHUNK = 8192  # draws a batched step takes at a time, which keeps its working arrays small
 
 
 class Verdict(Enum):
@@ -55,9 +56,7 @@ class PropertyReport:
             f"trials={self.trials}",
             f"note={self.confidence_note}",
         ]
-        if self.witness is not None:
-            for key in sorted(self.witness):
-                lines.append(f"witness.{key}={self.witness[key]}")
+        lines += [f"witness.{key}={self.witness[key]}" for key in sorted(self.witness or ())]
         return "\n".join(lines) + "\n"
 
 
@@ -90,6 +89,12 @@ def _replay(run, trials: int, streams: _TrialStreams) -> Tuple[list, bool]:
     return results, True
 
 
+def _chunks(gumbel: np.ndarray):
+    """The rows of `gumbel`, in slices of at most _CHUNK draws or of one row."""
+    rows = max(1, _CHUNK // max(1, gumbel.shape[1]))
+    return (gumbel[lo:lo + rows] for lo in range(0, len(gumbel), rows))
+
+
 def _replay_arm(spec, m, capacity, trials: int, streams: _TrialStreams, read, read_all=None,
                 fakes=()) -> list:
     """`read` of each block :func:`_replay` runs of the arm, or, where the arm
@@ -101,7 +106,8 @@ def _replay_arm(spec, m, capacity, trials: int, streams: _TrialStreams, read, re
     if step_all is None:
         step = _prepare(spec, m, capacity, fakes)
         return _replay(lambda rng: read(step(rng)), trials, streams)[0]
-    return (read_all or read)(step_all(lambda k: streams.gumbel(trials, k))).tolist()
+    read_all, gumbel = read_all or read, streams.gumbel(trials, len(m) + len(fakes))
+    return [value for chunk in _chunks(gumbel) for value in read_all(step_all(chunk)).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -559,13 +565,15 @@ def tune_gamma(
 
     def ratio(gamma: float) -> float:
         """pr_cof / pr_zf at `gamma`, infinite where pr_zf is 0."""
-        orders, kept, total = _softmax_rows(walk_sizes, bids / gamma, gumbel, capacity)
-        hits_cof = np.count_nonzero((kept == opt[orders]).all(axis=1))
-        # the zero-bid rows' sizes summed in block order, as a sum() over the block
-        zf = _running(np.where(kept, zero_sizes[orders], 0))[:, -1]
-        filled = total > 0
-        hits_zf = np.count_nonzero(zf[filled] / total[filled] >= alpha_target)
-        hits_zf += np.count_nonzero(~filled) if alpha_target == 0 else 0
+        hits_cof = hits_zf = 0
+        for chunk in _chunks(gumbel):
+            orders, kept, total = _softmax_rows(walk_sizes, bids / gamma, chunk, capacity)
+            hits_cof += np.count_nonzero((kept == opt[orders]).all(axis=1))
+            # the zero-bid rows' sizes summed in block order, as a sum() over the block
+            zf = _running(np.where(kept, zero_sizes[orders], 0))[:, -1]
+            filled = total > 0
+            hits_zf += np.count_nonzero(zf[filled] / total[filled] >= alpha_target)
+            hits_zf += np.count_nonzero(~filled) if alpha_target == 0 else 0
         return (int(hits_cof) / trials) / (int(hits_zf) / trials) if hits_zf else math.inf
 
     if ratio(gamma_lo) <= phi_ratio:

@@ -351,27 +351,24 @@ def _softmax_rule(arm: _Arm):
 
 
 def _softmax_trials(arm: _Arm):
-    """The softmax rule's step of every trial at once, or None unless its prices are floats.
-
-    ``step(gumbel_of)`` walks ``gumbel_of(k)``, a row of noise over the k candidates per
-    trial, into the blocks :func:`_softmax_rule` draws from those trials' streams, bit for
-    bit: prices as :func:`_price_included` sets them, income and burn folded in block order
-    as :func:`_block_income` folds them.  With no candidates it draws nothing: one block.
-    """
+    """The softmax rule's step of many trials at once: each row of ``step(gumbel)``'s noise
+    (its first k columns for k candidates) gives the block :func:`_softmax_rule` draws from
+    that trial's stream, bit for bit, priced as :func:`_price_included` and
+    :func:`_block_income` price it.  None where the rule draws nothing, or where Fractions
+    or ints must keep their own arithmetic on the one-trial step."""
     spec, kept, c, n = arm.spec, arm.kept, arm.pool.columns, len(arm.m)
     fee = spec.base_fee if spec.payment is PaymentKind.POSTED_PRICE else 0.0
-    if type(fee) is not float or object in (c.sizes.dtype, c.bids.dtype, c.valuations.dtype):
-        return None  # a Fraction or int keeps its own arithmetic on the one-trial step
+    if not len(kept) or type(fee) is not float or \
+            object in (c.sizes.dtype, c.bids.dtype, c.valuations.dtype):
+        return None
     sizes, scaled = c.sizes[kept], c.bids[kept] / spec.gamma
 
-    def step(gumbel_of) -> _Blocks:
-        gumbel = gumbel_of(len(kept)) if len(kept) else np.zeros((1, 0))  # one empty block
-        orders, taken, total = _softmax_rows(sizes, scaled, gumbel, arm.capacity)
+    def step(gumbel: np.ndarray) -> _Blocks:
+        orders, taken, total = _softmax_rows(sizes, scaled, gumbel[:, :len(kept)], arm.capacity)
         rows = kept[orders]
-        bids, size = c.bids[rows], c.sizes[rows]
-        p = bids - fee
+        size, p = c.sizes[rows], c.bids[rows] - fee
         if spec.payment is PaymentKind.SECOND_PRICE:  # the lowest included bid, fakes too
-            p = np.where(taken, bids, np.inf).min(axis=1, initial=np.inf, keepdims=True)
+            p = np.where(taken, c.bids[rows], np.inf).min(axis=1, initial=np.inf, keepdims=True)
             p[p == np.inf] = 0.0
         real, fake = taken & ~c.fake[rows], taken & c.fake[rows]
         income = _running(np.where(real, size * p, 0.0))[:, -1]

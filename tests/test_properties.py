@@ -24,9 +24,13 @@ from tfmlab import (
     SplitBlockConfig,
     Transaction,
     allocation_value,
+    audit,
+    check_uic,
     optimal_allocate,
     run_mechanism,
+    search_mic_deviation,
     splitblock_allocate,
+    tune_gamma,
 )
 from tfmlab.alloc import EXHAUSTIVE_LIMIT, SECTION_ONE_MINUS_ALPHA, SECTION_RAND, _walk, _walk_rows
 from tfmlab._streams import _BATCH, _START_BYTES, _TrialStreams, _pcg64_starts
@@ -299,11 +303,16 @@ def test_the_batched_softmax_step_is_each_trials_draw(case):
     trials = 5
     gumbel = np.array([np.random.default_rng([seed, t]).gumbel(size=len(pool))
                        for t in range(trials)]).reshape(trials, -1)
-    blocks = _prepare(spec, m, capacity, fakes, _TRIAL_RULES)(lambda k: gumbel[:, :k])
+    step_all = _prepare(spec, m, capacity, fakes, _TRIAL_RULES)
     step = _prepare(spec, m, capacity, fakes)
-    drew = len(blocks.total) == trials
-    assert drew or len(blocks.total) == 1
-    for t in range(len(blocks.total)):
+    if step_all is None:  # no candidates: the one-trial step draws nothing, and runs once
+        rng = np.random.default_rng([seed, 0])
+        state = rng.bit_generator.state
+        assert not len(step(rng).rows) and rng.bit_generator.state == state
+        return
+    blocks = step_all(gumbel)
+    assert len(blocks.total) == trials
+    for t in range(trials):
         block = step(np.random.default_rng([seed, t]))
         included = np.zeros(len(pool), dtype=bool)
         included[block.rows] = True
@@ -323,3 +332,20 @@ def test_only_softmax_over_float_columns_steps_every_trial_at_once():
                     (MechanismSpec.stfm(1.0, PaymentKind.POSTED_PRICE, 1), floats),
                     (MechanismSpec.uniform(), floats)):
         assert _prepare(spec, m, 2.0, rules=_TRIAL_RULES) is None
+
+
+@pytest.mark.parametrize("chunk", [1, 24, 100])
+def test_batched_audits_read_the_same_in_any_chunks(monkeypatch, chunk):
+    # the batched step takes the trials a slice of at most _CHUNK draws at a time
+    m = Mempool([Transaction(i, 0.5 + (i % 3) / 2, float(b), float(b) + 1.0)
+                 for i, b in enumerate([4, 0, 3, 5, 1, 0, 2, 6])])
+    runs = {
+        "mic": lambda: search_mic_deviation(MechanismSpec.stfm(1.0, PaymentKind.SECOND_PRICE),
+                                            m, 3.0, 2, [0.0, 2.0], seed=5, trials=300).to_text(),
+        "uic": lambda: check_uic(MechanismSpec.stfm(1.0), m, 3.0, 2, [1.0, 3.0, 4.0], 300,
+                                 5).to_text(),
+        "tune": lambda: repr(tune_gamma(m, 3.0, 0.2, 2.0, 0.1, 50.0, 300, 5)),
+    }
+    expected = {name: run() for name, run in runs.items()}
+    monkeypatch.setattr(audit, "_CHUNK", chunk)
+    assert {name: run() for name, run in runs.items()} == expected
