@@ -18,7 +18,13 @@ from typing import Optional, Sequence
 
 from . import audit as audit_mod
 from . import chain
-from .errors import ConfigError, DomainError, MiningTimeoutError, ParameterError, SolverLimitError
+from .errors import (
+    ConfigError,
+    DomainError,
+    MiningTimeoutError,
+    ParameterError,
+    SolverLimitError,
+)
 from .experiments import (
     emit_csv,
     experiment_from_fields,
@@ -92,9 +98,13 @@ def _cmd_audit(args) -> int:
                                                 get("fake_bid_grid"), seed, trials=trials)
     else:
         cof = audit_mod.empirical_cof(spec, m, capacity, trials, seed)
-        for key, value in vars(cof).items():  # in field order; closed_form and cov may be None
-            if value is not None:
-                print(f"{key}={value:.9g}")
+        print(f"opt_utility={cof.opt_utility:.9g}")
+        print(f"mech_utility_mean={cof.mech_utility_mean:.9g}")
+        print(f"cof={cof.cof:.9g}")
+        if cof.closed_form is not None:
+            print(f"closed_form={cof.closed_form:.9g}")
+        if cof.cov is not None:
+            print(f"cov={cof.cov:.9g}")
         return 0
     print(report.to_text(), end="")
     return 0

@@ -162,7 +162,11 @@ def run_rtfm_sweep(cfg: ExperimentConfig) -> List[SweepRow]:
 
 def _stfm_cell(cfg: ExperimentConfig, value: float) -> SweepRow:
     gamma, ratio = cfg._softmax_cell(value)
-    cofs, norms, zffs, zfis, zpfs = np.empty((5, cfg.runs))
+    cofs = np.empty(cfg.runs)
+    norms = np.empty(cfg.runs)
+    zffs = np.empty(cfg.runs)
+    zfis = np.empty(cfg.runs)
+    zpfs = np.empty(cfg.runs)
     spec = replace(cfg.mechanism, gamma=gamma)
     for r in range(cfg.runs):
         m = sample_mempool(cfg.n, cfg.bid_dist, cfg.size_dist, seed=[cfg.seed, r])
