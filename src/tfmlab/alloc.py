@@ -24,7 +24,8 @@ time.  On a longer order it cuts the prefix that fits from the cumulative
 sizes, then steps through the rest and stops once the smallest size still
 ahead no longer fits; with equal sizes nothing after the cut fits.  Its
 running total adds sizes in walk order, exactly as a ``total += size`` loop
-would.
+would.  ``_walk_rows`` walks many orders at once, one a row, with the same
+cut and the same sums.
 """
 
 from __future__ import annotations

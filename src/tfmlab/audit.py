@@ -56,7 +56,9 @@ class PropertyReport:
             f"trials={self.trials}",
             f"note={self.confidence_note}",
         ]
-        lines += [f"witness.{key}={self.witness[key]}" for key in sorted(self.witness or ())]
+        if self.witness is not None:
+            for key in sorted(self.witness):
+                lines.append(f"witness.{key}={self.witness[key]}")
         return "\n".join(lines) + "\n"
 
 
@@ -573,7 +575,8 @@ def tune_gamma(
             zf = _running(np.where(kept, zero_sizes[orders], 0))[:, -1]
             filled = total > 0
             hits_zf += np.count_nonzero(zf[filled] / total[filled] >= alpha_target)
-            hits_zf += np.count_nonzero(~filled) if alpha_target == 0 else 0
+            if alpha_target == 0:
+                hits_zf += np.count_nonzero(~filled)
         return (int(hits_cof) / trials) / (int(hits_zf) / trials) if hits_zf else math.inf
 
     if ratio(gamma_lo) <= phi_ratio:

@@ -29,7 +29,9 @@ per-arm work once (the knapsack solve, the scaled bids); the step it returns
 runs one trial with exactly the generator calls of :func:`run_mechanism`,
 which is itself prepare, step and wrap.  The audits, the cost of fairness and
 the sweeps prepare an arm and step it, reading the block's arrays; only the
-zero-fee inclusion audit calls :func:`run_mechanism`, once per trial.
+zero-fee inclusion audit calls :func:`run_mechanism`, once per trial.  The
+softmax rule also has a step over many trials at once, in ``_TRIAL_RULES``,
+which the audits take wherever its prices are floats.
 
 The flat ``key = value`` config format lives here too: one table of keys,
 :data:`CONFIG_KEYS`, and one parser serve :func:`spec_from_config`, the
