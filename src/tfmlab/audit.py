@@ -27,12 +27,13 @@ from .alloc import (
 )
 from .errors import DomainError, ParameterError, SolverLimitError
 from .experiments import _mean_se
-from .mech import AllocationKind, MechanismSpec, PaymentKind, _TRIAL_RULES, _prepare, run_mechanism
+from .mech import AllocationKind, MechanismSpec, PaymentKind, _prepare, run_mechanism
 from ._streams import _TrialStreams
+from ._trials import _TRIAL_RULES
 from .txpool import Mempool, Transaction, resolve_rng, zero_fee_subset
 
 _TOL = 1e-9
-_CHUNK = 8192  # draws a batched step takes at a time, which keeps its working arrays small
+_CHUNK = 4096  # draws a batched step takes at a time, which keeps its working arrays small
 
 
 class Verdict(Enum):

@@ -30,7 +30,7 @@ runs one trial with exactly the generator calls of :func:`run_mechanism`,
 which is itself prepare, step and wrap.  The audits, the cost of fairness and
 the sweeps prepare an arm and step it, reading the block's arrays; only the
 zero-fee inclusion audit calls :func:`run_mechanism`, once per trial.  The
-softmax rule also has a step over many trials at once, in ``_TRIAL_RULES``,
+softmax rule also has a step over many trials at once, in :mod:`._trials`,
 which the audits take wherever its prices are floats.
 
 The flat ``key = value`` config format lives here too: one table of keys,
@@ -54,8 +54,6 @@ from .alloc import (
     SECTION_RAND,
     SplitBlockConfig,
     _prepare_splitblock,
-    _running,
-    _softmax_rows,
     _softmax_walk,
     optimal_allocate,
     uniform_allocate,
@@ -179,15 +177,6 @@ class _Block(NamedTuple):
         users = dict.fromkeys(c.ids[:self.real].tolist(), 0.0)
         users.update(zip(c.ids[rows[real]].tolist(), gain[real].tolist()))
         return users
-
-
-class _Blocks(NamedTuple):
-    """The blocks of every trial of a prepared arm, one row of each array a trial."""
-
-    included: np.ndarray  # a column per pool row, the fakes last
-    total: np.ndarray
-    miner_utility: np.ndarray
-    user_utility: np.ndarray  # a column per real row, 0.0 where the row is left out
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,38 +341,6 @@ def _softmax_rule(arm: _Arm):
     return draw
 
 
-def _softmax_trials(arm: _Arm):
-    """The softmax rule's step of many trials at once: each row of ``step(gumbel)``'s noise
-    (its first k columns for k candidates) gives the block :func:`_softmax_rule` draws from
-    that trial's stream, bit for bit, priced as :func:`_price_included` and
-    :func:`_block_income` price it.  None where the rule draws nothing, or where Fractions
-    or ints must keep their own arithmetic on the one-trial step."""
-    spec, kept, c, n = arm.spec, arm.kept, arm.pool.columns, len(arm.m)
-    fee = spec.base_fee if spec.payment is PaymentKind.POSTED_PRICE else 0.0
-    if not len(kept) or type(fee) is not float or \
-            object in (c.sizes.dtype, c.bids.dtype, c.valuations.dtype):
-        return None
-    sizes, scaled = c.sizes[kept], c.bids[kept] / spec.gamma
-
-    def step(gumbel: np.ndarray) -> _Blocks:
-        orders, taken, total = _softmax_rows(sizes, scaled, gumbel[:, :len(kept)], arm.capacity)
-        rows = kept[orders]
-        size, p = c.sizes[rows], c.bids[rows] - fee
-        if spec.payment is PaymentKind.SECOND_PRICE:  # the lowest included bid, fakes too
-            p = np.where(taken, c.bids[rows], np.inf).min(axis=1, initial=np.inf, keepdims=True)
-            p[p == np.inf] = 0.0
-        real, fake = taken & ~c.fake[rows], taken & c.fake[rows]
-        income = _running(np.where(real, size * p, 0.0))[:, -1]
-        burn = _running(np.where(fake, size * fee, 0.0))[:, -1]
-        included = np.zeros((len(total), len(c.ids)), bool)
-        np.put_along_axis(included, rows, taken, axis=1)
-        users = np.zeros(included.shape)
-        np.put_along_axis(users, rows, np.where(real, (c.valuations[rows] - p - fee) * size, 0.0),
-                          axis=1)
-        return _Blocks(included, total, income - burn, users[:, :n])
-    return step
-
-
 def _split_block_rule(arm: _Arm):
     """The reserved section sampled from the posted-fee bids, then the paid knapsack."""
     spec, m = arm.spec, arm.m
@@ -434,10 +391,6 @@ _RULES = {
 }
 
 
-# the rules whose trials can also be stepped all at once
-_TRIAL_RULES = {AllocationKind.SOFTMAX: _softmax_trials}
-
-
 def _prepare(spec: MechanismSpec, m: Mempool, capacity, fakes: Sequence[Transaction] = (),
              rules=_RULES):
     """The step of one trial of the mechanism over the pool plus miner fakes.
@@ -445,8 +398,8 @@ def _prepare(spec: MechanismSpec, m: Mempool, capacity, fakes: Sequence[Transact
     Checks the inputs and does the work the trials share once.  Then
     ``step(rng, toss=None)`` makes exactly the generator calls that
     :func:`run_mechanism` makes and returns the block; `toss` pins the
-    two-set rule's branch.  With ``rules=_TRIAL_RULES`` it is instead the
-    step of every trial at once, or None where the rule has none.
+    two-set rule's branch.  With ``rules=_trials._TRIAL_RULES`` it is instead
+    the step of every trial at once, or None where the rule has none.
     """
     if spec.allocation not in rules:
         return None

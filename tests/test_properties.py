@@ -35,7 +35,8 @@ from tfmlab import (
 from tfmlab.alloc import EXHAUSTIVE_LIMIT, SECTION_ONE_MINUS_ALPHA, SECTION_RAND, _walk, _walk_rows
 from tfmlab._streams import _BATCH, _START_BYTES, _TrialStreams, _pcg64_starts
 from tfmlab.audit import _replay
-from tfmlab.mech import _TRIAL_RULES, _prepare
+from tfmlab.mech import _prepare
+from tfmlab._trials import _TRIAL_RULES
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
