@@ -34,6 +34,19 @@
  * _search_portable run search on one kernel, for tests, and exist only
  * where the CPU offers that kernel.  The GIL is released while scanning,
  * so callers may mine several blocks from one thread pool.
+ *
+ * merkle_root(leaves) returns the 32-byte root of the binary SHA-256 tree
+ * over a non-empty sequence of bytes-like leaves: every leaf is hashed, then
+ * each level, a parent hashing the concatenation of its two children and a
+ * lone last node being paired with itself.  Leaves of any length are padded
+ * to one or more blocks; an internal node is one data block and the fixed
+ * padding block.  It runs two messages per rounds_sha_ni_x2 call, and the
+ * module defines it only where the CPU offers the SHA extensions.
+ *
+ * float_leaves(ids, sizes, bids) takes buffers of int64 ids and float64
+ * sizes and bids, as many of each, and returns the list of Merkle leaves
+ * b"{id}|{size!r}|{bid!r}", the doubles written as float.__repr__ writes
+ * them (PyOS_double_to_string with 'r' and Py_DTSF_ADD_DOT_0).
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -331,6 +344,16 @@ rounds_sha_ni_x2(__m128i st[2][2], const __m128i msg[2][4], int from)
     st[1][1] = cdgh_b;
 }
 
+/* the {ABEF, CDGH} layout back to state words A..H */
+static inline SHA_NI void
+from_abef_cdgh(uint32_t v[8], const __m128i st[2])
+{
+    __m128i feba = _mm_shuffle_epi32(st[0], 0x1B);
+    __m128i dchg = _mm_shuffle_epi32(st[1], 0xB1);
+    _mm_storeu_si128((__m128i *)v, _mm_blend_epi16(feba, dchg, 0xF0));
+    _mm_storeu_si128((__m128i *)(v + 4), _mm_alignr_epi8(dchg, feba, 8));
+}
+
 static SHA_NI void
 hash_sha_ni_x2(const Tail *t, uint64_t n, uint32_t dig[8][MAX_LANES])
 {
@@ -360,13 +383,166 @@ hash_sha_ni_x2(const Tail *t, uint64_t n, uint32_t dig[8][MAX_LANES])
     }
 
     for (lane = 0; lane < 2; lane++) {
-        __m128i feba = _mm_shuffle_epi32(base[lane][0], 0x1B);
-        __m128i dchg = _mm_shuffle_epi32(base[lane][1], 0xB1);
-        _mm_storeu_si128((__m128i *)out, _mm_blend_epi16(feba, dchg, 0xF0));
-        _mm_storeu_si128((__m128i *)(out + 4), _mm_alignr_epi8(dchg, feba, 8));
+        from_abef_cdgh(out, base[lane]);
         for (k = 0; k < 8; k++)
             dig[k][lane] = out[k];
     }
+}
+
+/* ---- Merkle trees on the two-lane SHA-NI compression ---- */
+
+typedef struct {
+    const unsigned char *p;
+    Py_ssize_t len;
+} Msg;
+
+/* big-endian words to and from little-endian lanes */
+#define BSWAP32X4(x) \
+    _mm_shuffle_epi8((x), _mm_set_epi8(12, 13, 14, 15, 8, 9, 10, 11, 4, 5, 6, 7, 0, 1, 2, 3))
+
+static Py_ssize_t
+msg_blocks(Py_ssize_t len)
+{
+    return (len + 8) / 64 + 1; /* the data, the 0x80 byte and the 8-byte length */
+}
+
+/* Block b of m's padded message, as four groups of big-endian words. */
+static inline SHA_NI void
+load_block(__m128i out[4], const Msg *m, Py_ssize_t b)
+{
+    unsigned char pad[64];
+    const unsigned char *src = pad;
+    Py_ssize_t left = m->len - 64 * b;
+    uint64_t bits = (uint64_t)m->len * 8;
+    int j;
+
+    if (left >= 64) {
+        src = m->p + 64 * b;
+    } else {
+        memset(pad, 0, sizeof(pad));
+        if (left > 0)
+            memcpy(pad, m->p + 64 * b, (size_t)left);
+        if (left >= 0)
+            pad[left] = 0x80;
+        if (b == msg_blocks(m->len) - 1)
+            for (j = 0; j < 8; j++)
+                pad[63 - j] = (unsigned char)(bits >> (8 * j));
+    }
+    for (j = 0; j < 4; j++)
+        out[j] = BSWAP32X4(_mm_loadu_si128((const __m128i *)(src + 16 * j)));
+}
+
+/* SHA-256 of msgs[0..n-1] into out, 32 bytes each, two messages per
+   rounds_sha_ni_x2 call.  A lane that finishes its message takes the next
+   one, so messages of any mix of lengths keep both lanes busy; when one is
+   left, the idle lane repeats its blocks and is discarded. */
+static SHA_NI void
+sha256_many(const Msg *msgs, Py_ssize_t n, unsigned char *out)
+{
+    __m128i init[2], st[2][2], prev[2][2], msg[2][4];
+    Py_ssize_t cur[2], blk[2] = {0, 0}, next = 0;
+    uint32_t v[8];
+    int lane, j;
+
+    to_abef_cdgh(init, H0);
+    for (lane = 0; lane < 2; lane++) {
+        cur[lane] = next < n ? next++ : -1;
+        st[lane][0] = init[0];
+        st[lane][1] = init[1];
+    }
+    while (cur[0] >= 0) { /* lane 0 is idle only when no message is left */
+        for (lane = 0; lane < 2; lane++) {
+            int from = cur[lane] >= 0 ? lane : 0;
+            load_block(msg[lane], &msgs[cur[from]], blk[from]);
+            prev[lane][0] = st[lane][0];
+            prev[lane][1] = st[lane][1];
+        }
+        rounds_sha_ni_x2(st, msg, 0);
+        for (lane = 0; lane < 2; lane++) {
+            if (cur[lane] < 0)
+                continue;
+            for (j = 0; j < 2; j++)
+                st[lane][j] = _mm_add_epi32(st[lane][j], prev[lane][j]);
+            if (++blk[lane] < msg_blocks(msgs[cur[lane]].len))
+                continue;
+            from_abef_cdgh(v, st[lane]);
+            for (j = 0; j < 2; j++)
+                _mm_storeu_si128((__m128i *)(out + 32 * cur[lane] + 16 * j),
+                                 BSWAP32X4(_mm_loadu_si128((const __m128i *)(v + 4 * j))));
+            cur[lane] = next < n ? next++ : -1;
+            blk[lane] = 0;
+            st[lane][0] = init[0];
+            st[lane][1] = init[1];
+        }
+        if (cur[0] < 0 && cur[1] >= 0) { /* keep the last message on lane 0 */
+            cur[0] = cur[1];
+            blk[0] = blk[1];
+            st[0][0] = st[1][0];
+            st[0][1] = st[1][1];
+            cur[1] = -1;
+        }
+    }
+}
+
+/* merkle_root(leaves): see the header comment */
+static PyObject *
+merkle_root_sha_ni(PyObject *self, PyObject *arg)
+{
+    PyObject *seq, *root = NULL;
+    Py_buffer *views = NULL;
+    Msg *msgs = NULL;
+    unsigned char *level = NULL, *a, *b, *swap;
+    Py_ssize_t n, i, got = 0;
+
+    seq = PySequence_Fast(arg, "leaves must be a sequence");
+    if (seq == NULL)
+        return NULL;
+    n = PySequence_Fast_GET_SIZE(seq);
+    if (n == 0) {
+        PyErr_SetString(PyExc_ValueError, "no leaves");
+        goto done;
+    }
+    views = PyMem_Calloc((size_t)n, sizeof(Py_buffer));
+    msgs = PyMem_Malloc((size_t)n * sizeof(Msg));
+    /* two levels of digests, each with room for a duplicated last node */
+    level = PyMem_Malloc((size_t)(n + 1) * 64);
+    if (views == NULL || msgs == NULL || level == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (got = 0; got < n; got++) {
+        if (PyObject_GetBuffer(PySequence_Fast_GET_ITEM(seq, got), &views[got], PyBUF_SIMPLE) < 0)
+            goto done;
+        msgs[got].p = views[got].buf;
+        msgs[got].len = views[got].len;
+    }
+
+    a = level;
+    b = level + (n + 1) * 32;
+    sha256_many(msgs, n, a);
+    while (n > 1) {
+        if (n % 2)
+            memcpy(a + 32 * n, a + 32 * (n - 1), 32); /* a lone node pairs with itself */
+        n = (n + 1) / 2;
+        for (i = 0; i < n; i++) {
+            msgs[i].p = a + 64 * i;
+            msgs[i].len = 64;
+        }
+        sha256_many(msgs, n, b);
+        swap = a;
+        a = b;
+        b = swap;
+    }
+    root = PyBytes_FromStringAndSize((const char *)a, 32);
+
+done:
+    for (i = 0; i < got; i++)
+        PyBuffer_Release(&views[i]);
+    PyMem_Free(views);
+    PyMem_Free(msgs);
+    PyMem_Free(level);
+    Py_DECREF(seq);
+    return root;
 }
 
 static int cpu_avx512(void) { return __builtin_cpu_supports("avx512f"); }
@@ -571,11 +747,79 @@ search_kernel(PyObject *self, PyObject *args)
     return search_with(args, &kernels[PyLong_AsLong(self)]);
 }
 
+/* float_leaves(ids, sizes, bids): see the header comment */
+static PyObject *
+float_leaves(PyObject *self, PyObject *args)
+{
+    Py_buffer ids, sizes, bids;
+    PyObject *list = NULL, *leaf;
+    Py_ssize_t n, i;
+
+    if (!PyArg_ParseTuple(args, "y*y*y*", &ids, &sizes, &bids))
+        return NULL;
+    n = ids.len / 8;
+    if (ids.len % 8 != 0 || sizes.len != ids.len || bids.len != ids.len) {
+        PyErr_SetString(PyExc_ValueError, "ids, sizes and bids must hold as many 8-byte items");
+        goto done;
+    }
+    list = PyList_New(n);
+    for (i = 0; list != NULL && i < n; i++) {
+        char buf[96], digits[24], *size, *bid = NULL, *at = buf;
+        int64_t id;
+        uint64_t mag;
+        double x;
+        int k = 0;
+
+        memcpy(&id, (const char *)ids.buf + 8 * i, 8);
+        mag = id < 0 ? 0 - (uint64_t)id : (uint64_t)id;
+        do
+            digits[k++] = (char)('0' + mag % 10);
+        while ((mag /= 10) != 0);
+        if (id < 0)
+            *at++ = '-';
+        while (k > 0)
+            *at++ = digits[--k];
+        memcpy(&x, (const char *)sizes.buf + 8 * i, 8);
+        size = PyOS_double_to_string(x, 'r', 0, Py_DTSF_ADD_DOT_0, NULL);
+        memcpy(&x, (const char *)bids.buf + 8 * i, 8);
+        if (size != NULL)
+            bid = PyOS_double_to_string(x, 'r', 0, Py_DTSF_ADD_DOT_0, NULL);
+        leaf = NULL;
+        if (bid != NULL) { /* a repr is at most 24 characters */
+            *at++ = '|';
+            at += strlen(strcpy(at, size));
+            *at++ = '|';
+            at += strlen(strcpy(at, bid));
+            leaf = PyBytes_FromStringAndSize(buf, at - buf);
+        }
+        PyMem_Free(size);
+        PyMem_Free(bid);
+        if (leaf == NULL)
+            Py_CLEAR(list);
+        else
+            PyList_SET_ITEM(list, i, leaf);
+    }
+
+done:
+    PyBuffer_Release(&ids);
+    PyBuffer_Release(&sizes);
+    PyBuffer_Release(&bids);
+    return list;
+}
+
 static PyMethodDef methods[] = {
     {"search", search, METH_VARARGS,
      "search(prefix, start_nonce, max_trials, target) -> (nonce, digest) | None"},
+    {"float_leaves", float_leaves, METH_VARARGS,
+     "float_leaves(ids, sizes, bids) -> [b'id|size!r|bid!r', ...]"},
     {NULL, NULL, 0, NULL},
 };
+
+#ifdef HAVE_X86
+static PyMethodDef merkle_method = {
+    "merkle_root", merkle_root_sha_ni, METH_O, "merkle_root(leaves) -> 32-byte root",
+};
+#endif
 
 static PyMethodDef kernel_methods[NKERNELS];
 
@@ -612,6 +856,16 @@ PyInit__noncesearch(void)
             return NULL;
         }
     }
+#ifdef HAVE_X86
+    if (cpu_sha_ni()) {
+        fn = PyCFunction_NewEx(&merkle_method, NULL, NULL);
+        if (fn == NULL || PyModule_AddObject(module, "merkle_root", fn) < 0) {
+            Py_XDECREF(fn);
+            Py_DECREF(module);
+            return NULL;
+        }
+    }
+#endif
     if (PyModule_AddStringConstant(module, "BACKEND", best->name) < 0) {
         Py_DECREF(module);
         return NULL;

@@ -27,6 +27,11 @@ hashlib, which is much slower and holds the GIL, so `mine_many` workers do
 not help it.  A failed compile leaves a ``build-failed`` file with the
 reason in that subdirectory; later imports repeat the warning from it
 without running the compiler again, until the file is deleted.
+
+`merkle_root` hashes the whole tree in one call to the helper's
+``merkle_root`` where the CPU has the SHA extensions (the helper defines it
+only there), and otherwise on hashlib (`_merkle_root_hashlib`), which stays
+as the fallback and the test oracle; both give the same root.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from types import ModuleType
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
 from .errors import DomainError, MiningTimeoutError, ParameterError
 
@@ -179,16 +184,28 @@ def hash_bytes(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-def merkle_root(leaves: Sequence[bytes]) -> bytes:
+# the helper's whole-tree Merkle root, present only where the CPU has SHA-NI
+_merkle_root_c = getattr(_noncesearch, "merkle_root", None)
+
+
+def merkle_root(leaves: Iterable[bytes]) -> bytes:
     """Root of the binary hash tree over `leaves` (in order).
 
     Leaf nodes are the hashes of the leaf byte strings, each parent hashes the
     concatenation of its children, and a lone node at the end of a level is
     paired with itself.
     """
+    leaves = list(leaves)
     if not leaves:
         raise DomainError("merkle root of an empty leaf list is undefined")
-    level: List[bytes] = [hash_bytes(leaf) for leaf in leaves]
+    if _merkle_root_c is not None:
+        return _merkle_root_c(leaves)
+    return _merkle_root_hashlib(leaves)
+
+
+def _merkle_root_hashlib(leaves: List[bytes]) -> bytes:
+    """merkle_root on hashlib, for a non-empty list: the fallback and the test oracle."""
+    level = [hash_bytes(leaf) for leaf in leaves]
     while len(level) > 1:
         if len(level) % 2:
             level.append(level[-1])

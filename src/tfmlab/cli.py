@@ -168,8 +168,10 @@ def _cmd_info(args) -> int:
     start = time.perf_counter()
     chain._search(prefix, 0, trials, 1)
     rate = trials / (time.perf_counter() - start) / 1e6
+    merkle = "hashlib" if chain._merkle_root_c is None else "C (sha-ni-x2)"
     for key, value in (("version", __version__), ("hash_backend", backend),
-                       ("hash_helper_path", path), ("hash_rate_mhs", f"{rate:.3g}"),
+                       ("hash_helper_path", path), ("merkle_backend", merkle),
+                       ("hash_rate_mhs", f"{rate:.3g}"),
                        ("python", platform.python_version()), ("numpy", numpy.__version__),
                        ("nproc", os.cpu_count())):
         print(f"{key}={value}")

@@ -15,6 +15,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
+from . import chain
 from .errors import ParameterError
 
 SeedLike = Union[int, Sequence[int], np.random.Generator]
@@ -81,6 +82,10 @@ class Transaction:
 
 def _leaf(tx_id, size, bid) -> bytes:
     return f"{tx_id}|{size!r}|{bid!r}".encode("ascii")
+
+
+# _leaf over int64 ids and float64 sizes and bids, from the C helper
+_float_leaves = getattr(chain._noncesearch, "float_leaves", None)
 
 
 def _column(values: Sequence) -> np.ndarray:
@@ -209,7 +214,10 @@ class Mempool:
     def canonical_bytes(self, rows) -> list:
         """Merkle leaves (:meth:`Transaction.canonical_bytes`) of `rows`, in that order."""
         c = self.columns
-        return list(map(_leaf, c.ids[rows].tolist(), c.sizes[rows].tolist(), c.bids[rows].tolist()))
+        ids, sizes, bids = c.ids[rows], c.sizes[rows], c.bids[rows]
+        if _float_leaves is not None and sizes.dtype == float and bids.dtype == float:
+            return _float_leaves(*map(np.ascontiguousarray, (ids, sizes, bids)))
+        return list(map(_leaf, ids.tolist(), sizes.tolist(), bids.tolist()))
 
     def take(self, rows) -> "Mempool":
         """Copy of the pool keeping `rows` (positions or a boolean mask), in that order."""

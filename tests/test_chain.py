@@ -405,3 +405,42 @@ def test_toss_frequency_at_easy_target():
     zeros = sum(b.toss == 0 for b in blocks)
     se = math.sqrt(0.25 * 0.75 / len(blocks))
     assert abs(zeros / len(blocks) - 0.25) < 4 * se
+
+
+@pytest.mark.parametrize("c_entry", [True, False], ids=["default", "hashlib"])
+def test_merkle_root_takes_any_iterable_and_an_empty_one_is_a_domain_error(c_entry, monkeypatch):
+    if not c_entry:
+        monkeypatch.setattr(chain_mod, "_merkle_root_c", None)
+    with pytest.raises(DomainError):
+        merkle_root(iter([]))
+    with pytest.raises(DomainError):
+        merkle_root(())
+    leaves = [b"a", b"b", b"c"]
+    assert merkle_root(iter(leaves)) == merkle_root(tuple(leaves)) == \
+        chain_mod._merkle_root_hashlib(leaves)
+
+
+needs_merkle_c = pytest.mark.skipif(chain_mod._merkle_root_c is None,
+                                    reason="the C Merkle root needs the helper on a SHA-NI CPU")
+MERKLE_LEAF_LENGTHS = [0, 1, 55, 56, 63, 64, 119, 120, 200]  # one, two and three blocks
+
+
+@needs_merkle_c
+@pytest.mark.parametrize("n", range(1, 71))
+def test_c_merkle_root_agrees_with_hashlib_for_every_tree_shape(n):
+    leaves = [bytes((31 * i + k) % 256 for k in range(MERKLE_LEAF_LENGTHS[i % 9]))
+              for i in range(n)]
+    assert chain_mod._merkle_root_c(leaves) == chain_mod._merkle_root_hashlib(leaves)
+
+
+@needs_merkle_c
+def test_c_merkle_root_mixes_leaf_lengths_and_buffer_types():
+    leaves = [bytes(range(length)) for length in MERKLE_LEAF_LENGTHS]
+    for order in (leaves, leaves[::-1], leaves[1::2] + leaves[::2]):
+        assert chain_mod._merkle_root_c(order) == chain_mod._merkle_root_hashlib(order)
+    views = [bytearray(b"left"), memoryview(bytes(range(100)))[3:70], b"right"]
+    assert chain_mod._merkle_root_c(views) == chain_mod._merkle_root_hashlib(views)
+    with pytest.raises(TypeError):
+        chain_mod._merkle_root_c([b"a", "b"])
+    with pytest.raises(TypeError):
+        chain_mod._merkle_root_hashlib([b"a", "b"])

@@ -436,7 +436,8 @@ def test_cli_config_that_sets_burning_exits_2(tmp_path, capsys, command):
 def test_cli_info_names_version_backend_and_machine(capsys):
     assert cli_main(["info"]) == 0
     fields = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
-    assert list(fields) == ["version", "hash_backend", "hash_helper_path", "hash_rate_mhs",
-                            "python", "numpy", "nproc"]
+    assert list(fields) == ["version", "hash_backend", "hash_helper_path", "merkle_backend",
+                            "hash_rate_mhs", "python", "numpy", "nproc"]
+    assert fields["merkle_backend"] in ("C (sha-ni-x2)", "hashlib")
     assert fields["hash_backend"] == "hashlib" or fields["hash_backend"].endswith(")")
     assert float(fields["hash_rate_mhs"]) > 0 and int(fields["nproc"]) >= 1

@@ -1,5 +1,7 @@
 import math
+import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from tfmlab import (
     sample_mempool,
     zero_fee_subset,
 )
+from tfmlab import txpool
 from tfmlab.txpool import resolve_rng
 
 
@@ -232,3 +235,33 @@ def test_with_bid_and_extend_validate_like_transactions():
     assert m.extend(fakes).columns.fake.tolist() == [False, False, False, True]
     with pytest.raises(ParameterError):
         m.extend([Transaction(2, 1.0, 0.0, 0.0, fake=True)])
+
+
+LEAF_VALUES = [0.0, 5e-324, 0.1, 1 / 3, 1e16, 1e22, 123456789.0, sys.float_info.max]
+
+
+@pytest.mark.skipif(txpool._float_leaves is None, reason="the C helper is not available")
+def test_c_leaf_encoder_matches_the_python_leaf_byte_for_byte(monkeypatch):
+    rows = [(i, s, b) for i in (0, 2**62) for s in LEAF_VALUES for b in LEAF_VALUES]
+    ids, sizes, bids = zip(*rows)
+    leaves = txpool._float_leaves(np.array(ids, dtype=np.int64), np.array(sizes), np.array(bids))
+    assert leaves == [txpool._leaf(*row) for row in rows]
+
+    calls = []
+    c_leaves = txpool._float_leaves
+    monkeypatch.setattr(txpool, "_float_leaves", lambda *cols: calls.append(cols) or c_leaves(*cols))
+    m = Mempool([Transaction(i, s, b, b) for i, s, b in zip((0, 2**62), LEAF_VALUES[1:3],
+                                                              LEAF_VALUES[6:8])])
+    assert m.canonical_bytes(np.array([1, 0])) == [tx.canonical_bytes() for tx in m][::-1]
+    assert len(calls) == 1
+
+
+def test_int_and_fraction_pools_keep_the_python_leaf(monkeypatch):
+    def no_c_leaves(*columns):
+        raise AssertionError("object columns must not reach the C leaf encoder")
+
+    monkeypatch.setattr(txpool, "_float_leaves", no_c_leaves)
+    pools = [Mempool([Transaction(0, 2, 3, 3), Transaction(7, 1, 0, 0)]),
+             Mempool([Transaction(0, 1.5, Fraction(1, 3), 1.0), Transaction(2**62, 0.1, 2.0, 2.0)])]
+    for m in pools:
+        assert m.canonical_bytes(np.arange(len(m))) == [tx.canonical_bytes() for tx in m]
