@@ -21,11 +21,15 @@ fits.  Only the order differs:
 
 The walk steps through an order of up to ``_SHORT_WALK`` rows one row at a
 time.  On a longer order it cuts the prefix that fits from the cumulative
-sizes, then steps through the rest and stops once the smallest size still
-ahead no longer fits; with equal sizes nothing after the cut fits.  Its
-running total adds sizes in walk order, exactly as a ``total += size`` loop
-would.  ``_walk_rows`` walks many orders at once, one a row, with the same
-cut and the same sums.
+sizes; with equal sizes nothing after the cut fits.  Past the cut it filters
+the rows ahead to those that fit at the running total, keeps the first and
+filters again at the new total: the total only grows and IEEE addition
+rounds monotonically, so a row that does not fit never fits later.  Once a
+filter removes less than half of what it tested, the rows left are stepped
+through one at a time, so an order in which most rows fit costs no more
+than the loop.  The running total adds sizes in walk order, exactly as a
+``total += size`` loop would.  ``_walk_rows`` walks many orders at once, one
+a row, with the same cut and the same sums.
 """
 
 from __future__ import annotations
@@ -106,38 +110,45 @@ def _walk(sizes: np.ndarray, order: np.ndarray, capacity, total=0):
 
     Returns the kept rows, in walk order, and `total` plus their sizes added
     in that order.  A short order is walked one row at a time.  On a longer
-    one the prefix that fits is cut from the cumulative sizes and the rest is
-    walked one row at a time until the smallest size still ahead no longer
-    fits.
+    one the prefix that fits is cut from the cumulative sizes, and the rest
+    is filtered down to the rows that fit at the running total, once per
+    kept row, until a filter removes less than half of what it tested; the
+    rows left are walked one at a time.
     """
     s = sizes[order]
     if len(s) <= _SHORT_WALK:
-        kept = []
-        for pos, size in enumerate(s.tolist()):
-            if total + size <= capacity:
-                kept.append(pos)
-                total += size
-        return order[kept], total
+        return _walk_loop(s, order, capacity, total)
     running = np.concatenate(([total], s)).cumsum()[1:] if total else s.cumsum()
     cut = int(np.count_nonzero(running <= capacity))  # sizes are positive: a prefix
     if cut:
         total = running.item(cut - 1)
     rest = s[cut + 1:]  # the row at `cut` did not fit
-    if not len(rest) or total + np.minimum.reduce(rest) > capacity:
-        return order[:cut], total
-    smallest_ahead = np.minimum.accumulate(rest[::-1])[::-1]
-    # where even the current total cannot take the smallest size ahead, no later row fits
-    stop = int(np.count_nonzero(total + smallest_ahead <= capacity))
+    # the total only grows and rounding is monotone, so a row that does not fit
+    # now never fits later: each filter keeps the rows still worth testing
+    ahead = np.flatnonzero(total + rest <= capacity)
     kept = []
-    for pos, (size, low) in enumerate(zip(rest[:stop].tolist(), smallest_ahead[:stop].tolist())):
-        if total + low > capacity:
+    while len(ahead):
+        kept.append(ahead.item(0))
+        total += rest.item(kept[-1])
+        tested = ahead[1:]
+        ahead = tested[total + rest[tested] <= capacity]
+        if 2 * len(ahead) > len(tested):
+            tail, total = _walk_loop(rest[ahead], ahead, capacity, total)
+            kept.extend(tail.tolist())
             break
-        if total + size <= capacity:
-            kept.append(pos)
-            total += size
     if kept:
         return np.concatenate((order[:cut], order[cut + 1:][kept])), total
     return order[:cut], total
+
+
+def _walk_loop(s: np.ndarray, rows: np.ndarray, capacity, total):
+    """The `rows`, of sizes `s`, that a plain ``total += size`` loop keeps, and its total."""
+    kept = []
+    for pos, size in enumerate(s.tolist()):
+        if total + size <= capacity:
+            kept.append(pos)
+            total += size
+    return rows[kept], total
 
 
 def _running(values: np.ndarray) -> np.ndarray:
@@ -230,26 +241,33 @@ def optimal_allocate(
     """
     if not capacity >= 0:
         raise ParameterError(f"capacity must be non-negative, got {capacity}")
-    c = m.columns
+    rows, total = _optimal_rows(m.columns, capacity, payment_per_unit, exact)
+    return AllocationResult(tuple(m.columns.ids[rows].tolist()), total, capacity)
+
+
+def _optimal_rows(c: PoolColumns, capacity, payment_per_unit=None, exact=None):
+    """:func:`optimal_allocate`'s selection as pool rows in ascending id, and their total size."""
     w = _weights(c, payment_per_unit)
     # candidates by weight per unit size, highest first, then lowest id
     order = np.lexsort((c.ids, -(w / c.sizes)))
     order = order[(w[order] > 0) & (c.sizes[order] <= capacity)]
     if exact is None:
-        exact = len(m) <= EXHAUSTIVE_LIMIT
+        exact = len(c.ids) <= EXHAUSTIVE_LIMIT
     if exact and len(order) > EXHAUSTIVE_LIMIT:
         raise SolverLimitError(
             f"exact knapsack limited to {EXHAUSTIVE_LIMIT} candidates, got "
             f"{len(order)}; call with exact=False for the greedy rule"
         )
     if exact:
-        ids, sizes = c.ids[order].tolist(), c.sizes[order].tolist()
-        _, chosen = _exact_knapsack(list(zip(ids, sizes, w[order].tolist())), capacity)
-        size_of = dict(zip(ids, sizes))
-        return AllocationResult(chosen, sum(size_of[t] for t in chosen), capacity)
-    rows, _ = _walk(c.sizes, order, capacity)
-    rows = rows[c.ids[rows].argsort()]
-    return AllocationResult(tuple(c.ids[rows].tolist()), sum(c.sizes[rows].tolist()), capacity)
+        ids = c.ids[order].tolist()
+        _, chosen = _exact_knapsack(list(zip(ids, c.sizes[order].tolist(), w[order].tolist())),
+                                    capacity)
+        row_of = dict(zip(ids, order.tolist()))
+        rows = np.array([row_of[t] for t in chosen], dtype=order.dtype)
+    else:
+        rows, _ = _walk(c.sizes, order, capacity)
+        rows = rows[c.ids[rows].argsort()]
+    return rows, sum(c.sizes[rows].tolist())
 
 
 def allocation_value(m: Mempool, result: AllocationResult):

@@ -15,7 +15,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .alloc import EXHAUSTIVE_LIMIT, allocation_value, optimal_allocate
+from .alloc import EXHAUSTIVE_LIMIT, _optimal_rows, allocation_value, optimal_allocate
 from .errors import ConfigError
 from .mech import (
     CONFIG_KEYS,
@@ -57,6 +57,12 @@ class ExperimentConfig:
             raise ConfigError("sweep_values must be finite")
         if self.runs < 1:
             raise ConfigError("runs must be at least 1")
+        if self.n < 1:
+            raise ConfigError(f"n must be at least 1, got {self.n}")
+        if not 0 < self.capacity < math.inf:
+            raise ConfigError(f"capacity must be positive and finite, got {self.capacity}")
+        if not math.isfinite(self.size_ratio):
+            raise ConfigError(f"size_ratio must be finite, got {self.size_ratio}")
         if self.sweep_param not in ("phi", "gamma", "size_ratio"):
             raise ConfigError(f"unknown sweep_param {self.sweep_param!r}")
         # the grid of the sweep this config runs, checked before any run
@@ -111,6 +117,17 @@ def _block_stats(m: Mempool, block: _Block) -> Tuple[float, float, float]:
             zero_pay / n if n else 0.0)
 
 
+def _revenue(m: Mempool, rows: np.ndarray) -> float:
+    """:func:`allocation_value` of a fake-free selection given as rows in ascending id."""
+    c = m.columns
+    return sum((c.sizes[rows] * c.bids[rows]).tolist())
+
+
+def _greedy_value(m: Mempool, capacity) -> float:
+    """``allocation_value(m, optimal_allocate(m, capacity, exact=False))`` of a fake-free pool."""
+    return _revenue(m, _optimal_rows(m.columns, capacity, exact=False)[0])
+
+
 def run_rtfm_sweep(cfg: ExperimentConfig) -> List[SweepRow]:
     """Sweep the branch bias of the randomized two-set mechanism.
 
@@ -136,8 +153,7 @@ def run_rtfm_sweep(cfg: ExperimentConfig) -> List[SweepRow]:
         # the paying branch's knapsack is the greedy optimum unless it is exact (a
         # small pool) or weighs bids less the posted fee
         if len(m) > EXHAUSTIVE_LIMIT and cfg.mechanism.payment is not PaymentKind.POSTED_PRICE:
-            c, rows = m.columns, blocks[1].rows
-            opt_value = sum((c.sizes[rows] * c.bids[rows]).tolist())
+            opt_value = _revenue(m, blocks[1].rows)
         else:
             opt_value = allocation_value(m, optimal_allocate(m, cfg.capacity, exact=False))
         for branch, block in enumerate(blocks):
@@ -172,7 +188,7 @@ def _stfm_cell(cfg: ExperimentConfig, value: float) -> SweepRow:
         m = sample_mempool(cfg.n, cfg.bid_dist, cfg.size_dist, seed=[cfg.seed, r])
         capacity = m.total_size() / ratio
         block = _prepare(spec, m, capacity)(resolve_rng([cfg.seed, r, 1]))
-        greedy_value = allocation_value(m, optimal_allocate(m, capacity, exact=False))
+        greedy_value = _greedy_value(m, capacity)
         util = block.miner_utility
         cofs[r] = greedy_value / util if util > 0 else math.inf
         norms[r] = util / greedy_value if greedy_value > 0 else 0.0

@@ -23,7 +23,7 @@ from tfmlab import (
     stfm_first_draw_distribution,
     uniform_allocate,
 )
-from tfmlab.alloc import _walk
+from tfmlab.alloc import _optimal_rows, _walk
 from tfmlab.txpool import _column
 
 
@@ -471,3 +471,67 @@ def test_walk_matches_the_sequential_loop(sizes, capacity, start, seed):
     kept, expected = _walk_by_loop(sizes, order.tolist(), capacity, start)
     assert rows.tolist() == kept
     assert repr(total) == repr(expected)
+
+
+def _long_order(shape):
+    """Integer sizes, an order and a capacity of 1000 rows.
+
+    "softmax" and "greedy" are the softmax sweep's two orders over exponential
+    sizes at a tenth of the pool's size.  The other two defeat a filter per
+    kept row: past the cut, tiny rows alternate with rows that fit only until
+    the next tiny one is kept, or every row after one misfit fits.
+    """
+    rng = np.random.default_rng(13)
+    if shape in ("softmax", "greedy"):
+        sizes = np.ceil(rng.exponential(1000, 1000)).astype(int)
+        bids = rng.uniform(0, 5, 1000)
+        if shape == "softmax":
+            order = np.argsort(-(bids / 2 + rng.gumbel(size=1000)), kind="stable")
+        else:
+            order = np.lexsort((np.arange(1000), -bids))
+        return sizes, order, int(sizes.sum()) // 10
+    if shape == "alternating":
+        sizes = np.array([500_000] * 100 + [10**8] + [2, 999_999] * 449 + [2])
+        return sizes, np.arange(1000), 51_000_000
+    sizes = np.array([1000] * 100 + [10**5] + [1] * 899)
+    return sizes, np.arange(1000), 100_900
+
+
+@pytest.mark.parametrize("start", [0, 0.75, Fraction(2, 3)])
+@pytest.mark.parametrize("kind", [float, int, Fraction])
+@pytest.mark.parametrize("shape", ["softmax", "greedy", "alternating", "misfit_then_fit"])
+def test_long_walks_match_the_sequential_loop(shape, kind, start):
+    sizes, order, capacity = _long_order(shape)
+    if kind is float:
+        sizes, capacity = [s / 1000 for s in sizes.tolist()], capacity / 1000
+    elif kind is Fraction:
+        sizes, capacity = [Fraction(s, 1000) for s in sizes.tolist()], Fraction(capacity, 1000)
+    else:
+        sizes = sizes.tolist()
+    column = _column(sizes)
+    assert column.dtype == (float if kind is float else object)
+    rows, total = _walk(column, order, capacity, start)
+    kept, expected = _walk_by_loop(sizes, order.tolist(), capacity, start)
+    assert rows.tolist() == kept
+    assert repr(total) == repr(expected)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("seed", range(4))
+def test_optimal_allocate_selects_the_ids_of_the_row_core(exact, seed):
+    rng = np.random.default_rng(seed)
+    n = 16 if exact else 300
+    ids = rng.permutation(4 * n)[:n].tolist()  # not in row order
+    txs = [Transaction(tid, float(rng.exponential(1)), float(rng.uniform(0, 5)),
+                       float(rng.uniform(0, 5)), fake=bool(rng.random() < 0.2)) for tid in ids]
+    m = Mempool(txs)
+    capacity = m.total_size() / 3
+    c = m.columns
+    for payment in (None, c.bids - 1.5):  # the bids, and the bids less a posted fee
+        result = optimal_allocate(m, capacity, payment_per_unit=payment, exact=exact)
+        rows, total = _optimal_rows(c, capacity, payment, exact)
+        assert result.selected == tuple(c.ids[rows].tolist())
+        assert rows.tolist() == m.rows_of(result.selected).tolist()
+        assert list(result.selected) == sorted(result.selected)
+        assert not c.fake[rows].any()
+        assert repr(result.total_size) == repr(total)

@@ -1,4 +1,5 @@
 import glob
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,9 @@ from tfmlab import (
     ExperimentConfig,
     MechanismSpec,
     SweepRow,
+    allocation_value,
     emit_csv,
+    optimal_allocate,
     run_rtfm_sweep,
     run_stfm_sweep,
 )
@@ -24,6 +27,7 @@ from tfmlab.experiments import (
     plot_data_table,
 )
 from tfmlab.mech import AUDIT, CONFIG_KEYS, MECHANISM, POOL, SWEEP, AllocationKind
+from tfmlab.txpool import sample_mempool
 
 DEMOS = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -60,6 +64,34 @@ def test_rtfm_sweep_rejects_wrong_mechanism():
         run_rtfm_sweep(small_rtfm_cfg(mechanism=MechanismSpec.stfm(1.0)))
     with pytest.raises(ConfigError):
         run_rtfm_sweep(small_rtfm_cfg(sweep_param="gamma", sweep_values=(1.0,)))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("n", 0, "n must be at least 1"),
+    ("n", -2, "n must be at least 1"),
+    ("size_ratio", math.inf, "size_ratio must be finite"),
+    ("size_ratio", math.nan, "size_ratio must be finite"),
+    ("capacity", 0.0, "capacity must be positive and finite"),
+    ("capacity", math.inf, "capacity must be positive and finite"),
+    ("capacity", math.nan, "capacity must be positive and finite"),
+])
+def test_config_rejects_a_degenerate_pool_or_block(field, value, message):
+    """Each would give a table of empty blocks, or fail only once runs start."""
+    with pytest.raises(ConfigError, match=message):
+        small_rtfm_cfg(**{field: value})
+    with pytest.raises(ConfigError, match=message):
+        small_rtfm_cfg(**{field: value}, mechanism=MechanismSpec.stfm(1.0),
+                       sweep_param="gamma", sweep_values=(1.0,))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("ratio", [10.0, 4.0, 1.5])
+def test_stfm_greedy_comparator_is_the_public_greedy_value(seed, ratio):
+    m = sample_mempool(1000, BidDistribution.uniform(0, 5), BidDistribution.exponential(1),
+                       seed=[seed, 3])
+    capacity = m.total_size() / ratio
+    expected = allocation_value(m, optimal_allocate(m, capacity, exact=False))
+    assert repr(experiments._greedy_value(m, capacity)) == repr(expected)
 
 
 def test_stfm_sweep_cof_grows_with_temperature():
@@ -269,7 +301,19 @@ STFM_CFG = "allocation = softmax\nn = 60\nbids = uniform(0,5)\nsizes = exponenti
      "softmax sweep needs a positive gamma"),
     ("sweep-stfm", STFM_CFG + "gamma = 1\nsweep_param = size_ratio\nsweep_values = 4,0\n",
      "size ratio must be positive"),
-], ids=["phi", "gamma", "size_ratio"])
+    ("sweep-stfm", STFM_CFG + "sweep_param = gamma\nsweep_values = 1\nsize_ratio = inf\n",
+     "size_ratio must be finite, got inf"),
+    ("sweep-stfm", STFM_CFG + "sweep_param = gamma\nsweep_values = 1\nsize_ratio = nan\n",
+     "size_ratio must be finite, got nan"),
+    ("sweep-stfm", STFM_CFG.replace("n = 60", "n = 0") + "sweep_param = gamma\nsweep_values = 1\n",
+     "n must be at least 1, got 0"),
+    ("sweep-rtfm", RTFM_CFG.replace("n = 50", "n = 0"), "n must be at least 1, got 0"),
+    ("sweep-rtfm", RTFM_CFG.replace("capacity = 8", "capacity = 0"),
+     "capacity must be positive and finite, got 0.0"),
+    ("sweep-rtfm", RTFM_CFG.replace("capacity = 8", "capacity = inf"),
+     "capacity must be positive and finite, got inf"),
+], ids=["phi", "gamma", "size_ratio", "size_ratio_inf", "size_ratio_nan", "stfm_n_0", "rtfm_n_0",
+        "capacity_0", "capacity_inf"])
 def test_cli_rejects_a_bad_sweep_grid_before_any_run(tmp_path, capsys, monkeypatch, command,
                                                      grid, message):
     def no_run(*args, **kwargs):
