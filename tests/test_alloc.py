@@ -474,12 +474,14 @@ def test_walk_matches_the_sequential_loop(sizes, capacity, start, seed):
 
 
 def _long_order(shape):
-    """Integer sizes, an order and a capacity of 1000 rows.
+    """Integer sizes, an order and a capacity.
 
-    "softmax" and "greedy" are the softmax sweep's two orders over exponential
-    sizes at a tenth of the pool's size.  The other two defeat a filter per
-    kept row: past the cut, tiny rows alternate with rows that fit only until
-    the next tiny one is kept, or every row after one misfit fits.
+    "softmax" and "greedy" are the softmax sweep's two orders over 1000
+    exponential sizes at a tenth of the pool's size.  The next two defeat a
+    filter per kept row: past the cut, tiny rows alternate with rows that fit
+    only until the next tiny one is kept, or every row after one misfit fits.
+    In "exact_fit" a filter keeps the row that fills the block exactly, and
+    in "exact_fit_at_cut" the first filter does.
     """
     rng = np.random.default_rng(13)
     if shape in ("softmax", "greedy"):
@@ -493,13 +495,20 @@ def _long_order(shape):
     if shape == "alternating":
         sizes = np.array([500_000] * 100 + [10**8] + [2, 999_999] * 449 + [2])
         return sizes, np.arange(1000), 51_000_000
-    sizes = np.array([1000] * 100 + [10**5] + [1] * 899)
-    return sizes, np.arange(1000), 100_900
+    if shape == "misfit_then_fit":
+        sizes = np.array([1000] * 100 + [10**5] + [1] * 899)
+        return sizes, np.arange(1000), 100_900
+    if shape == "exact_fit":
+        sizes = np.array([10] * 100 + [1000, 4, 9, 9, 9, 6, 1, 1])
+    else:
+        sizes = np.array([10] * 100 + [1000, 10, 1])
+    return sizes, np.arange(len(sizes)), 1010
 
 
 @pytest.mark.parametrize("start", [0, 0.75, Fraction(2, 3)])
 @pytest.mark.parametrize("kind", [float, int, Fraction])
-@pytest.mark.parametrize("shape", ["softmax", "greedy", "alternating", "misfit_then_fit"])
+@pytest.mark.parametrize("shape", ["softmax", "greedy", "alternating", "misfit_then_fit",
+                                   "exact_fit", "exact_fit_at_cut"])
 def test_long_walks_match_the_sequential_loop(shape, kind, start):
     sizes, order, capacity = _long_order(shape)
     if kind is float:
