@@ -32,7 +32,7 @@ from tfmlab import (
     search_mic_deviation,
     tune_gamma,
 )
-from tfmlab.alloc import rtfm_sample
+from tfmlab.alloc import SplitBlockConfig, rtfm_sample, splitblock_allocate
 from tfmlab.cli import main as cli_main
 from tfmlab.txpool import mempool_to_csv
 
@@ -44,6 +44,7 @@ MEMPOOL_CSV = "912c06eb83798326b4037c641b612ad5a7e93ac81f75f88b9eea0d03fa67eec6"
 RTFM_ROOTS = "da477b7940092a68fad6df08d5859c5b0cfdcee179a400c3eac946cd035a7852"
 EIP1559_OUTCOME = "db4455f7eed6367c56c66dee2fa091826638560fd32e0f5ecf77afa13d56f831"
 SPLIT_BLOCK_OUTCOME = "c88db28e12666ba8aa61dc2812b7608ba134be0bb7a8109e50231b18097077ca"
+POSTED_SPLIT_BLOCK = "24bf5aa2b92c7945445efed16a3a0452218ee6cebefbbe82df55c97da1694b96"
 SMALL_RTFM_SWEEP_CSV = "516b6b9bf268d25345ca9d8a0c732e02acea5e9498dd3fc025c01d28dd85b17f"
 POSTED_RTFM_SWEEP_CSV = "575478fd3e1c0c9e43e057ce45f91449f85f963ef6c20a044eb58f4afdc153a5"
 UNSTRATIFIED_RTFM_SWEEP_CSV = "e83c61d6e557004491b3e807e8c0e047dbe914cc92215df055a5b308eacd8c84"
@@ -142,6 +143,24 @@ def test_split_block_outcome_with_fakes():
     fakes = [Transaction(20, 1.0, 1.0, 1.0, fake=True), Transaction(21, 1.0, 0.0, 0.0, fake=True)]
     out = run_mechanism(MechanismSpec.split_block(0.5, delta=1), m, 8.0, fakes=fakes, seed=9)
     assert _sha256_repr(_outcome_repr(out)) == SPLIT_BLOCK_OUTCOME
+
+
+def test_split_block_under_a_posted_price_with_fakes():
+    # bids below the fee (0.0, 0.5, 1.5), at delta (1.0), at the fee (2.0) and above
+    # both; one fake at delta, one above the fee and one at zero
+    bids = [1.0, 3.0, 0.5, 1.0, 2.0, 4.5, 1.5, 1.0, 6.0, 1.0, 2.5, 0.0]
+    m = Mempool([Transaction(i, 0.5 + 0.25 * (i % 4), b, b + 1.5) for i, b in enumerate(bids)])
+    fakes = [Transaction(30, 1.0, 1.0, 1.0, fake=True), Transaction(31, 0.75, 3.0, 3.0, fake=True),
+             Transaction(32, 0.5, 0.0, 0.0, fake=True)]
+    pinned = []
+    for seed in (3, 5, 9):  # seed 9 demotes the bid at the fee into the reserved section
+        out = run_mechanism(MechanismSpec.split_block(0.5, delta=1.0, base_fee=2.0), m, 6.0,
+                            fakes=fakes, seed=seed)
+        res = splitblock_allocate(m, 6.0, SplitBlockConfig(0.5, 1.0), fake_fill=fakes, seed=seed)
+        pinned.append((_outcome_repr(out), out.allocation.total_size,
+                       sorted(out.allocation.sections.items()),
+                       res.selected, res.total_size, sorted(res.sections.items())))
+    assert _sha256_repr(pinned) == POSTED_SPLIT_BLOCK
 
 
 def _unit(bids):
