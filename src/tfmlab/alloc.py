@@ -30,11 +30,17 @@ through one at a time, so an order in which most rows fit costs no more
 than the loop.  The running total adds sizes in walk order, exactly as a
 ``total += size`` loop would.  ``_walk_rows`` walks many orders at once, one
 a row, with the same cut and the same sums.
+
+Inside the package the rules exchange rows of one pool, not ids.  Ids appear
+only where an :class:`AllocationResult` is built for a caller, and
+``_sections`` names their sections from split block's reserved-row mask or
+the two-set rule's toss.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence
 
@@ -362,8 +368,8 @@ class SplitBlockConfig:
     def __post_init__(self) -> None:
         if not 0 < self.alpha <= 1:
             raise ParameterError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.delta < 0:
-            raise ParameterError(f"delta must be non-negative, got {self.delta}")
+        if not 0 <= self.delta < math.inf:
+            raise ParameterError(f"delta must be non-negative and finite, got {self.delta}")
         if self.demote not in (None, False, True):
             raise ParameterError(f"demote must be None, False or True, got {self.demote!r}")
 
@@ -374,66 +380,68 @@ class SplitBlockConfig:
         return capacity - self.alpha * capacity
 
 
-def _prepare_splitblock(
-    m: Mempool,
-    capacity,
-    cfg: SplitBlockConfig,
-    fake_fill: Sequence[Transaction] = (),
-    payment: Optional[np.ndarray] = None,
-):
-    """The pool `m` with `fake_fill` appended, and the split-block draw over it.
+def _prepare_splitblock(c: PoolColumns, real: np.ndarray, fakes: np.ndarray, capacity,
+                        cfg: SplitBlockConfig, payment: Optional[np.ndarray] = None):
+    """The split-block draw over the pool of columns `c`: its candidate `real` rows and
+    the miner's `fakes` rows, each in pool order.
 
-    The paid section's knapsack weighs `payment` (one value per row of `m`),
-    by default the bids.  ``draw(rng)`` returns the block's rows of that pool
-    in ascending id, their total size, the section of each selected id and a
-    mask of the rows in the reserved section.  The paid section's knapsack depends only on the
-    rows the reserved section took, so a draw solves it once per such set.
+    The paid section's knapsack weighs `payment` (one value per row of `c`), by
+    default the bids.  ``draw(rng)`` returns the block's rows of `c` in ascending
+    id, their total size and a mask of the rows in the reserved section.  The
+    paid section's knapsack depends only on the real rows the reserved section
+    left open, so a draw solves it once per such set.
     """
     if not capacity >= 0:
         raise ParameterError(f"capacity must be non-negative, got {capacity}")
     cap_posted = cfg.one_minus_alpha_capacity(capacity)
     cap_paid = cfg.alpha_capacity(capacity)
 
-    n = len(m)
-    pool = m.extend(fake_fill or ())  # m's rows, then the fakes
-    c = pool.columns
     at_fee = c.bids == cfg.delta
     # a fake must offer the posted fee to pass for a reserved-section entry
-    fake_rows, fake_total = _walk(c.sizes, n + at_fee[n:].nonzero()[0], cap_posted)
-    posted = at_fee[:n].nonzero()[0]
+    fake_rows, fake_total = _walk(c.sizes, fakes[at_fee[fakes]], cap_posted)
+    posted = real[at_fee[real]]
     demoted = posted[:0]
     if (cfg.delta > 0) if cfg.demote is None else cfg.demote:
         # then every other transaction that bids at least the posted fee, lowest bids
         # first; a posted-fee row that did not fit above cannot fit later, since the
         # total only grows
-        rest = (~at_fee[:n] & (c.bids[:n] >= cfg.delta)).nonzero()[0]
+        rest = real[~at_fee[real] & (c.bids[real] >= cfg.delta)]
         demoted = rest[np.lexsort((c.ids[rest], c.bids[rest]))]
-    if payment is None:
-        payment = c.bids[:n]
-    paid_rows_of: Dict[bytes, np.ndarray] = {}  # the placed rows' mask -> paid rows
+    payment = c.bids if payment is None else payment
+    # the rows the paid section may take: the real rows off the posted fee, less
+    # those the reserved section took
+    payable = np.zeros(len(c.ids), dtype=bool)
+    payable[real] = ~at_fee[real]
+    paid_rows_of: Dict[bytes, np.ndarray] = {}  # the open rows' mask -> paid rows
 
     def draw(rng: np.random.Generator):
         order = np.concatenate((posted[rng.permutation(len(posted))], demoted))
         rows, _ = _walk(c.sizes, order, cap_posted, fake_total)
-        reserved = np.concatenate((fake_rows, rows))
-        placed = np.zeros(n, dtype=bool)
-        placed[rows] = True
-        key = placed.tobytes()
+        free = payable.copy()
+        free[rows] = False
+        key = free.tobytes()
         if key not in paid_rows_of:
             # the paid section is the knapsack over the rest: a zero payment keeps a row out
-            open_rows = ~(placed | at_fee[:n])
-            paid = optimal_allocate(m, cap_paid, payment_per_unit=np.where(open_rows, payment, 0),
-                                    exact=np.count_nonzero(open_rows) <= EXHAUSTIVE_LIMIT)
-            paid_rows_of[key] = m.rows_of(paid.selected)
-        paid = paid_rows_of[key]
-        sections: Dict[int, str] = dict.fromkeys(c.ids[reserved].tolist(), SECTION_ONE_MINUS_ALPHA)
-        sections.update(dict.fromkeys(c.ids[paid].tolist(), SECTION_ALPHA))
-        chosen = np.concatenate((reserved, paid))
+            paid_rows_of[key], _ = _optimal_rows(c, cap_paid, np.where(free, payment, 0),
+                                                 exact=np.count_nonzero(free) <= EXHAUSTIVE_LIMIT)
+        chosen = np.concatenate((fake_rows, rows, paid_rows_of[key]))
         by_id = c.ids[chosen].argsort()
         chosen = chosen[by_id]
-        return chosen, sum(c.sizes[chosen].tolist()), sections, by_id < len(reserved)
+        return chosen, sum(c.sizes[chosen].tolist()), by_id < len(fake_rows) + len(rows)
 
-    return pool, draw
+    return draw
+
+
+def _sections(selected: tuple, reserved: Optional[np.ndarray] = None,
+              toss: Optional[int] = None) -> Dict[int, str]:
+    """The section of each `selected` id: split block's by its `reserved` mask, the
+    two-set rule's by its `toss`, and none for every other rule."""
+    if reserved is not None:
+        return dict(zip(selected, (SECTION_ONE_MINUS_ALPHA if r else SECTION_ALPHA
+                                   for r in reserved.tolist())))
+    if toss is None:
+        return {}
+    return dict.fromkeys(selected, SECTION_RAND if toss == 0 else SECTION_OPT)
 
 
 def splitblock_allocate(
@@ -454,9 +462,11 @@ def splitblock_allocate(
     an underfilled section stays underfilled.  The paid section is then
     solved as a knapsack over the remaining transactions.
     """
-    pool, draw = _prepare_splitblock(m, capacity, cfg, fake_fill)
-    rows, total, sections, _ = draw(resolve_rng(seed))
-    return AllocationResult(tuple(pool.columns.ids[rows].tolist()), total, capacity, sections)
+    c, n = m.extend(fake_fill or ()).columns, len(m)
+    draw = _prepare_splitblock(c, np.arange(n), np.arange(n, len(c.ids)), capacity, cfg)
+    rows, total, reserved = draw(resolve_rng(seed))
+    selected = tuple(c.ids[rows].tolist())
+    return AllocationResult(selected, total, capacity, _sections(selected, reserved))
 
 
 @dataclass(frozen=True)
@@ -469,23 +479,23 @@ class RtfmSample:
     opt_root: bytes
 
 
-def _set_root(m: Mempool, result: AllocationResult) -> bytes:
-    leaves = m.canonical_bytes(np.sort(m.rows_of(result.selected)))  # in pool order
-    if not leaves:
-        leaves = [b"empty"]
-    return chain.merkle_root(leaves)
+def _committed(m: Mempool, rows: np.ndarray, total, capacity, toss: int):
+    """The set of `rows` as the two-set rule's branch `toss` commits it, and its root."""
+    selected = tuple(m.columns.ids[rows].tolist())
+    leaves = m.canonical_bytes(np.sort(rows)) or [b"empty"]  # in pool order
+    return (AllocationResult(selected, total, capacity, _sections(selected, toss=toss)),
+            chain.merkle_root(leaves))
 
 
 def rtfm_sample(m: Mempool, capacity, seed: SeedLike) -> RtfmSample:
     """Draw the zero-pay uniform set and the revenue-optimal set, with roots."""
     rng = resolve_rng(seed)
-    rand_res = uniform_allocate(m, capacity, rng)
-    opt_res = optimal_allocate(m, capacity)
-    rand_res = AllocationResult(rand_res.selected, rand_res.total_size, capacity,
-                                dict.fromkeys(rand_res.selected, SECTION_RAND))
-    opt_res = AllocationResult(opt_res.selected, opt_res.total_size, capacity,
-                               dict.fromkeys(opt_res.selected, SECTION_OPT))
-    return RtfmSample(rand_res, opt_res, _set_root(m, rand_res), _set_root(m, opt_res))
+    if not capacity >= 0:
+        raise ParameterError(f"capacity must be non-negative, got {capacity}")
+    rand, rand_root = _committed(m, *_walk(m.columns.sizes, rng.permutation(len(m)), capacity),
+                                 capacity, 0)
+    opt, opt_root = _committed(m, *_optimal_rows(m.columns, capacity), capacity, 1)
+    return RtfmSample(rand, opt, rand_root, opt_root)
 
 
 def allocation_to_csv(m: Mempool, result: AllocationResult, path: str) -> None:

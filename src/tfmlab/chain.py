@@ -361,6 +361,8 @@ def mine_chain(
     The first links to an all-zero genesis hash; each height gets distinct
     placeholder roots derived from the height.
     """
+    if k < 0:
+        raise ParameterError(f"block count must be non-negative, got {k}")
     blocks: List[MinedBlock] = []
     parent = bytes(32)
     for h in range(k):
@@ -386,6 +388,8 @@ def mine_many(
     is deterministic for any worker count.  The C search loop releases the
     GIL, letting a thread pool use several cores.
     """
+    if count < 0:
+        raise ParameterError(f"block count must be non-negative, got {count}")
 
     def job(i: int) -> MinedBlock:
         root_rand = hash_bytes(b"rand" + i.to_bytes(8, "big"))

@@ -111,14 +111,21 @@ def _cmd_audit(args) -> int:
 
 
 def _parse_phi(text: str) -> Fraction:
-    phi = Fraction(text)
+    try:
+        phi = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"--phi must be a fraction such as 1/4, got {text!r}") from None
     if not 0 <= phi <= 1:
-        raise ConfigError(f"phi must lie in [0, 1], got {text}")
+        raise ConfigError(f"--phi must lie in [0, 1], got {text}")
     return phi
 
 
 def _cmd_mine_demo(args) -> int:
     phi = _parse_phi(args.phi)
+    if not 0 <= args.target_bits <= 256:
+        raise ConfigError(f"--target-bits must lie in [0, 256], got {args.target_bits}")
+    if args.blocks < 0:
+        raise ConfigError(f"--blocks must be non-negative, got {args.blocks}")
     difficulty = chain.Difficulty(1 << args.target_bits, phi.numerator, phi.denominator)
     blocks = chain.mine_chain(args.blocks, difficulty, seed=args.seed or 0)
     log = chain.chain_log(blocks)

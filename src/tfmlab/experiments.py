@@ -15,7 +15,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .alloc import EXHAUSTIVE_LIMIT, _optimal_rows, allocation_value, optimal_allocate
+from .alloc import EXHAUSTIVE_LIMIT, _optimal_rows
 from .errors import ConfigError
 from .mech import (
     CONFIG_KEYS,
@@ -155,7 +155,7 @@ def run_rtfm_sweep(cfg: ExperimentConfig) -> List[SweepRow]:
         if len(m) > EXHAUSTIVE_LIMIT and cfg.mechanism.payment is not PaymentKind.POSTED_PRICE:
             opt_value = _revenue(m, blocks[1].rows)
         else:
-            opt_value = allocation_value(m, optimal_allocate(m, cfg.capacity, exact=False))
+            opt_value = _greedy_value(m, cfg.capacity)
         for branch, block in enumerate(blocks):
             norm = block.miner_utility / opt_value if opt_value > 0 else 0.0
             stats[:, branch, r] = (norm, *_block_stats(m, block))

@@ -27,11 +27,13 @@ rule-level deviation such as split block's demotion is a field of the spec
 the fakes, appends them to the pool, picks the candidates and does the rule's
 per-arm work once (the knapsack solve, the scaled bids); the step it returns
 runs one trial with exactly the generator calls of :func:`run_mechanism`,
-which is itself prepare, step and wrap.  The audits, the cost of fairness and
-the sweeps prepare an arm and step it, reading the block's arrays; only the
-zero-fee inclusion audit calls :func:`run_mechanism`, once per trial.  The
-softmax rule also has a step over many trials at once, in :mod:`._trials`,
-which the audits take wherever its prices are floats.
+which is itself prepare, step and wrap.  Every rule steps on rows of the
+arm's pool (the user's pool, then the fakes); only the wrap turns them into
+ids.  The audits, the cost of fairness and the sweeps prepare an arm and
+step it, reading the block's arrays; only the zero-fee inclusion audit calls
+:func:`run_mechanism`, once per trial.  The softmax rule also has a step
+over many trials at once, in :mod:`._trials`, which the audits take wherever
+its prices are floats.
 
 The flat ``key = value`` config format lives here too: one table of keys,
 :data:`CONFIG_KEYS`, and one parser serve :func:`spec_from_config`, the
@@ -40,6 +42,7 @@ sweep experiments and every CLI subcommand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, reduce
@@ -50,12 +53,11 @@ import numpy as np
 
 from .alloc import (
     AllocationResult,
-    SECTION_OPT,
-    SECTION_RAND,
     SplitBlockConfig,
+    _optimal_rows,
     _prepare_splitblock,
+    _sections,
     _softmax_walk,
-    optimal_allocate,
     uniform_allocate,
 )
 from .errors import ConfigError, ParameterError
@@ -97,16 +99,16 @@ class MechanismSpec:
 
     def __post_init__(self) -> None:
         if self.allocation is AllocationKind.SOFTMAX:
-            if self.gamma is None or not self.gamma > 0:
-                raise ParameterError("softmax allocation needs gamma > 0")
+            if self.gamma is None or not 0 < self.gamma < math.inf:
+                raise ParameterError(f"softmax needs a finite gamma > 0, got {self.gamma}")
         if self.allocation is AllocationKind.RTFM:
             if self.phi is None or not 0 <= self.phi <= 1:
                 raise ParameterError("randomized two-set allocation needs phi in [0, 1]")
         if self.allocation is AllocationKind.SPLIT_BLOCK and self.split is None:
             raise ParameterError("split-block allocation needs a SplitBlockConfig")
         if self.payment is PaymentKind.POSTED_PRICE:
-            if self.base_fee is None or self.base_fee < 0:
-                raise ParameterError("posted-price payment needs base_fee >= 0")
+            if self.base_fee is None or not 0 <= self.base_fee < math.inf:
+                raise ParameterError(f"posted price needs finite lambda >= 0, got {self.base_fee}")
 
     # Common mechanisms, by their usual names.
     @classmethod
@@ -154,7 +156,6 @@ class _Block(NamedTuple):
     columns: PoolColumns  # of the pool with the miner's fakes appended
     rows: np.ndarray  # the included rows, in block order
     total: object  # their total size, summed as the allocation rule sums it
-    sections: Optional[Dict[int, str]]  # split block's section of each included id
     payment: np.ndarray  # per unit, for each included row
     burn: np.ndarray
     reserved: Optional[np.ndarray]  # split block's posted-fee section, for each included row
@@ -216,8 +217,8 @@ class BaseFeeState:
     step: float = 0.125
 
     def __post_init__(self) -> None:
-        if self.lam < 0:
-            raise ParameterError("base fee must be non-negative")
+        if not 0 <= self.lam < math.inf:
+            raise ParameterError(f"base fee must be non-negative and finite, got {self.lam}")
         if not 0 < self.step < 1:
             raise ParameterError("step must lie in (0, 1)")
 
@@ -274,7 +275,7 @@ def _price_included(spec: MechanismSpec, c: PoolColumns, rows: np.ndarray,
 
 
 class _Arm(NamedTuple):
-    """What the trials of one arm share: the spec, the pool, the capacity and the fakes."""
+    """What the trials of one arm share: the spec, the pool and the capacity."""
 
     spec: MechanismSpec
     m: Mempool
@@ -282,17 +283,16 @@ class _Arm(NamedTuple):
     capacity: object
     kept: np.ndarray  # the candidate rows: under a posted price, those bidding at least the fee
     cand: Mempool  # the pool's candidate rows
-    fakes: Sequence[Transaction]
 
-    def block(self, rows: np.ndarray, total, toss: Optional[int] = None, sections=None,
-              reserved: Optional[np.ndarray] = None) -> _Block:
+    def block(self, rows: np.ndarray, total, reserved: Optional[np.ndarray] = None,
+              toss: Optional[int] = None) -> _Block:
         """The block of `rows`, priced; the two-set rule's zero-pay branch prices nothing."""
         c = self.pool.columns
         if toss == 0:
             p = q = np.zeros(len(rows))
         else:
             p, q = _price_included(self.spec, c, rows, reserved)
-        return _Block(c, rows, total, sections, p, q, reserved, len(self.m), toss,
+        return _Block(c, rows, total, p, q, reserved, len(self.m), toss,
                       _block_income(c.sizes[rows], p, q, c.fake[rows]))
 
 
@@ -309,9 +309,8 @@ def _objective(spec: MechanismSpec, pool: Mempool) -> Optional[np.ndarray]:
 
 def _knapsack_rule(arm: _Arm, branch: Optional[int] = None):
     """The revenue-optimal set of the candidates, the same in every trial."""
-    cand = arm.cand
-    result = optimal_allocate(cand, arm.capacity, payment_per_unit=_objective(arm.spec, cand))
-    block = arm.block(arm.pool.rows_of(result.selected), result.total_size, branch)
+    rows, total = _optimal_rows(arm.cand.columns, arm.capacity, _objective(arm.spec, arm.cand))
+    block = arm.block(arm.kept[rows], total, toss=branch)
     return lambda rng, toss=None: block
 
 
@@ -321,7 +320,7 @@ def _uniform_rule(arm: _Arm, branch: Optional[int] = None, cand: Optional[Mempoo
 
     def draw(rng, toss=None):
         result = uniform_allocate(cand, arm.capacity, rng)
-        return arm.block(arm.pool.rows_of(result.selected), result.total_size, branch)
+        return arm.block(arm.pool.rows_of(result.selected), result.total_size, toss=branch)
     return draw
 
 
@@ -343,21 +342,13 @@ def _softmax_rule(arm: _Arm):
 
 def _split_block_rule(arm: _Arm):
     """The reserved section sampled from the posted-fee bids, then the paid knapsack."""
-    spec, m = arm.spec, arm.m
-    real = np.arange(len(m))
+    spec, c, n = arm.spec, arm.pool.columns, len(arm.m)
+    real = np.arange(n)
     if spec.payment is PaymentKind.POSTED_PRICE:
-        bids = m.columns.bids
-        real = np.flatnonzero((bids >= spec.base_fee) | (bids == spec.split.delta))
-    real_pool = m.take(real)
-    _, draw_rows = _prepare_splitblock(real_pool, arm.capacity, spec.split, arm.fakes,
-                                       _objective(spec, real_pool))
-    # the rows of the split pool (the kept real rows, then the fakes) in the arm's pool
-    to_pool = np.concatenate((real, np.arange(len(m), len(arm.pool))))
-
-    def draw(rng, toss=None):
-        rows, total, sections, reserved = draw_rows(rng)
-        return arm.block(to_pool[rows], total, sections=sections, reserved=reserved)
-    return draw
+        real = real[(c.bids[:n] >= spec.base_fee) | (c.bids[:n] == spec.split.delta)]
+    draw = _prepare_splitblock(c, real, np.arange(n, len(c.ids)), arm.capacity, spec.split,
+                               _objective(spec, arm.pool))
+    return lambda rng, toss=None: arm.block(*draw(rng))
 
 
 def _two_set_rule(arm: _Arm):
@@ -415,7 +406,7 @@ def _prepare(spec: MechanismSpec, m: Mempool, capacity, fakes: Sequence[Transact
     if spec.payment is PaymentKind.POSTED_PRICE:
         kept = np.flatnonzero(pool.columns.bids >= spec.base_fee)
         cand = pool.take(kept)
-    return rules[spec.allocation](_Arm(spec, m, pool, capacity, kept, cand, fakes))
+    return rules[spec.allocation](_Arm(spec, m, pool, capacity, kept, cand))
 
 
 def run_mechanism(
@@ -438,10 +429,8 @@ def run_mechanism(
         raise ParameterError(f"rtfm_toss must be 0, 1 or None, got {rtfm_toss!r}")
     block = _prepare(spec, m, capacity, fakes)(resolve_rng(seed), rtfm_toss)
     selected = tuple(block.columns.ids[block.rows].tolist())
-    sections = block.sections
-    if block.toss is not None:
-        sections = dict.fromkeys(selected, SECTION_RAND if block.toss == 0 else SECTION_OPT)
-    return MechanismOutcome(AllocationResult(selected, block.total, capacity, sections or {}),
+    sections = _sections(selected, block.reserved, block.toss)
+    return MechanismOutcome(AllocationResult(selected, block.total, capacity, sections),
                             block.miner_utility, block.toss, block)
 
 

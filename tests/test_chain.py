@@ -386,6 +386,13 @@ def test_mine_many_is_order_deterministic_across_workers():
     assert one == two
 
 
+@pytest.mark.parametrize("mine", [mine_chain, mine_many])
+def test_a_negative_block_count_is_a_parameter_error(mine):
+    with pytest.raises(ParameterError, match="block count"):
+        mine(-3, EASY, seed=1)
+    assert mine(0, EASY, seed=1) == []
+
+
 def test_chain_links_and_log_format():
     blocks = mine_chain(5, EASY, seed=9)
     for prev, cur in zip(blocks, blocks[1:]):

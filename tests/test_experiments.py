@@ -378,6 +378,32 @@ def test_cli_mine_demo_rejects_bad_phi():
     assert cli_main(["mine-demo", "--blocks", "1", "--phi", "7/2"]) == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--phi", "abc"],
+    ["--phi", "1/0"],
+    ["--target-bits", "-1"],
+    ["--target-bits", "257"],
+    ["--blocks", "-3"],
+], ids=" ".join)
+def test_cli_mine_demo_rejects_a_bad_flag_by_name(capsys, flags):
+    assert cli_main(["mine-demo", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and flags[0] in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("line", ["lambda = nan", "lambda = inf", "delta = inf", "delta = nan"])
+def test_cli_audit_rejects_a_non_finite_mechanism_parameter(tmp_path, capsys, line):
+    key = line.split()[0]
+    mechanism = {"lambda": "allocation = optimal\npayment = posted",
+                 "delta": "allocation = splitblock\nalpha = 0.5"}[key]
+    cfg = write_cfg(tmp_path, f"{mechanism}\n{line}\nn = 10\ncapacity = 4\nseed = 1\n")
+    assert cli_main(["audit", "--property", "zti", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err and "Traceback" not in err
+
+
 def test_cli_tune_gamma(tmp_path, capsys):
     cfg = write_cfg(tmp_path, (
         "allocation = softmax\ngamma = 1\nn = 20\ncapacity = 10\n"

@@ -147,6 +147,26 @@ def test_spec_validation():
         MechanismSpec(AllocationKind.OPTIMAL, PaymentKind.POSTED_PRICE)  # missing lambda
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: MechanismSpec.eip1559(NAN), id="base_fee-nan"),
+    pytest.param(lambda: MechanismSpec.eip1559(INF), id="base_fee-inf"),
+    pytest.param(lambda: MechanismSpec.split_block(0.5, 1.0, base_fee=NAN), id="split-base_fee-nan"),
+    pytest.param(lambda: MechanismSpec.stfm(INF), id="gamma-inf"),
+    pytest.param(lambda: MechanismSpec.split_block(0.5, delta=NAN), id="delta-nan"),
+    pytest.param(lambda: MechanismSpec.split_block(0.5, delta=INF), id="delta-inf"),
+    pytest.param(lambda: SplitBlockConfig(0.5, INF), id="config-delta-inf"),
+    pytest.param(lambda: BaseFeeState(NAN), id="lam-nan"),
+    pytest.param(lambda: BaseFeeState(INF), id="lam-inf"),
+])
+def test_non_finite_mechanism_parameters_are_parameter_errors(make):
+    # each once gave a silent degenerate block: an empty reserved section, an empty block
+    with pytest.raises(ParameterError, match="finite"):
+        make()
+
+
 def test_spec_config_round_trip():
     specs = [
         MechanismSpec.first_price(),
