@@ -40,6 +40,8 @@ DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 RTFM_SWEEP_CSV = "e73e520b1533523588f1f314b835e5a19f2fa86800d28903a519a48794cfac4b"
 STFM_SWEEP_CSV = "d39bc49ab108f7f6c7dd54ad8a94d9ce413a4018af85aa4ab673dea14cdbe226"
+RATIO_STFM_SWEEP_CSV = "2d791f9f213256aa06d82bb9b79f2b259379faa9ba94d425756d046e767d8c2f"
+POSTED_STFM_SWEEP_CSV = "6503c68c446fcc7d8cef099a93579cc9dfbcdb3c33378301cb8210d6c8058b6b"
 MEMPOOL_CSV = "912c06eb83798326b4037c641b612ad5a7e93ac81f75f88b9eea0d03fa67eec6"
 RTFM_ROOTS = "da477b7940092a68fad6df08d5859c5b0cfdcee179a400c3eac946cd035a7852"
 EIP1559_OUTCOME = "db4455f7eed6367c56c66dee2fa091826638560fd32e0f5ecf77afa13d56f831"
@@ -107,6 +109,29 @@ def test_stfm_sweep_csv_bytes_with_unequal_sizes(tmp_path):
     path = tmp_path / "stfm.csv"
     emit_csv(run_stfm_sweep(cfg), str(path))
     assert _sha256_file(path) == STFM_SWEEP_CSV
+
+
+def _stfm_sweep_csv(tmp_path, spec, sweep_param, sweep_values):
+    cfg = ExperimentConfig(
+        mechanism=spec, n=150,
+        bid_dist=BidDistribution.zero_inflated(0.3, BidDistribution.uniform(0, 5)),
+        size_dist=BidDistribution.exponential(1), sweep_param=sweep_param,
+        sweep_values=sweep_values, size_ratio=5.0, runs=20, seed=11,
+    )
+    path = tmp_path / f"stfm_{sweep_param}.csv"
+    emit_csv(run_stfm_sweep(cfg), str(path))
+    return _sha256_file(path)
+
+
+def test_stfm_sweep_csv_bytes_over_size_ratios_with_a_repeated_value(tmp_path):
+    # the repeated ratio must give the same row as its first occurrence
+    assert _stfm_sweep_csv(tmp_path, MechanismSpec.stfm(2.0), "size_ratio",
+                           (2.0, 5.0, 10.0, 5.0)) == RATIO_STFM_SWEEP_CSV
+
+
+def test_stfm_sweep_csv_bytes_under_the_posted_price(tmp_path):
+    spec = MechanismSpec.stfm(1.0, PaymentKind.POSTED_PRICE, 1.0)
+    assert _stfm_sweep_csv(tmp_path, spec, "gamma", (0.5, 2.0, 10.0)) == POSTED_STFM_SWEEP_CSV
 
 
 def test_sampled_mempool_csv_bytes(tmp_path):
