@@ -223,8 +223,8 @@ def estimate_monotonicity(
         raise ParameterError(f"target transaction {target_tx} not in mempool")
     if trials < 1:
         raise ParameterError("trials must be at least 1")
-    if any(e <= 0 for e in epsilons):
-        raise ParameterError("epsilons must be positive")
+    if not all(0 < e < math.inf for e in epsilons):
+        raise ParameterError(f"epsilons must be positive and finite, got {list(epsilons)}")
     streams = _TrialStreams(seed)
 
     if use_certificates:

@@ -147,9 +147,14 @@ def run_rtfm_sweep(cfg: ExperimentConfig) -> List[SweepRow]:
     # fraction, by branch (0 = zero-pay uniform set, 1 = optimal set) and run
     stats = np.empty((4, 2, runs))
     for r in range(runs):
-        m = sample_mempool(cfg.n, cfg.bid_dist, cfg.size_dist, seed=[cfg.seed, r])
+        rng = resolve_rng([cfg.seed, r])
+        start = rng.bit_generator.state
+        m = sample_mempool(cfg.n, cfg.bid_dist, cfg.size_dist, seed=rng)
         step = _prepare(cfg.mechanism, m, cfg.capacity)
-        blocks = [step(resolve_rng([cfg.seed, r]), branch) for branch in (0, 1)]
+        blocks = []
+        for branch in (0, 1):
+            rng.bit_generator.state = start
+            blocks.append(step(rng, branch))
         # the paying branch's knapsack is the greedy optimum unless it is exact (a
         # small pool) or weighs bids less the posted fee
         if len(m) > EXHAUSTIVE_LIMIT and cfg.mechanism.payment is not PaymentKind.POSTED_PRICE:
@@ -176,42 +181,54 @@ def run_rtfm_sweep(cfg: ExperimentConfig) -> List[SweepRow]:
     return rows
 
 
-def _stfm_cell(cfg: ExperimentConfig, value: float) -> SweepRow:
-    gamma, ratio = cfg._softmax_cell(value)
-    cofs = np.empty(cfg.runs)
-    norms = np.empty(cfg.runs)
-    zffs = np.empty(cfg.runs)
-    zfis = np.empty(cfg.runs)
-    zpfs = np.empty(cfg.runs)
-    spec = replace(cfg.mechanism, gamma=gamma)
-    for r in range(cfg.runs):
-        m = sample_mempool(cfg.n, cfg.bid_dist, cfg.size_dist, seed=[cfg.seed, r])
-        capacity = m.total_size() / ratio
-        block = _prepare(spec, m, capacity)(resolve_rng([cfg.seed, r, 1]))
-        greedy_value = _greedy_value(m, capacity)
-        util = block.miner_utility
-        cofs[r] = greedy_value / util if util > 0 else math.inf
-        norms[r] = util / greedy_value if greedy_value > 0 else 0.0
-        zffs[r], zfis[r], zpfs[r] = _block_stats(m, block)
-    norm_mean, norm_se = _mean_se(norms)
-    zff_mean, zff_se = _mean_se(zffs)
-    return SweepRow(value, norm_mean, norm_se, zff_mean, zff_se,
-                    float(cofs.mean()), float(zfis.mean()), float(zpfs.mean()))
-
-
 def run_stfm_sweep(cfg: ExperimentConfig) -> List[SweepRow]:
     """Sweep temperature (or pool-to-block size ratio) for the softmax rule.
 
-    Per run the pool is drawn fresh, capacity is total pool size over the
-    ratio, and the empirical cost of fairness is the greedy revenue over the
-    softmax revenue.  The zero-fee inclusion measure is the share of realized
-    block size occupied by zero-bid transactions.
+    Each run draws its pool, takes its total size, solves the greedy
+    comparator once per distinct size ratio and seeds its generator once;
+    every cell then steps the softmax rule at its temperature from that
+    generator's start, so the Gumbel noise is the same at every γ.  Capacity
+    is total pool size over the ratio, and the empirical cost of fairness is
+    the greedy revenue over the softmax revenue.  The zero-fee inclusion
+    measure is the share of realized block size occupied by zero-bid
+    transactions.
     """
     if cfg.mechanism.allocation is not AllocationKind.SOFTMAX:
         raise ConfigError("run_stfm_sweep needs a softmax mechanism")
     if cfg.sweep_param not in ("gamma", "size_ratio"):
         raise ConfigError("run_stfm_sweep sweeps gamma or size_ratio")
-    return [_stfm_cell(cfg, value) for value in cfg.sweep_values]
+
+    cells = [cfg._softmax_cell(value) for value in cfg.sweep_values]
+    specs = [replace(cfg.mechanism, gamma=gamma) for gamma, _ in cells]
+    # cost of fairness, normalized revenue, zero-fee fraction, zero-fee inclusion
+    # and zero-payment fraction, by cell and run
+    stats = np.empty((5, len(cells), cfg.runs))
+    for r in range(cfg.runs):
+        m = sample_mempool(cfg.n, cfg.bid_dist, cfg.size_dist, seed=[cfg.seed, r])
+        pool_size = m.total_size()
+        greedy: Dict[float, float] = {}
+        rng = resolve_rng([cfg.seed, r, 1])
+        start = rng.bit_generator.state
+        for i, ((_, ratio), spec) in enumerate(zip(cells, specs)):
+            capacity = pool_size / ratio
+            if ratio not in greedy:
+                greedy[ratio] = _greedy_value(m, capacity)
+            greedy_value = greedy[ratio]
+            rng.bit_generator.state = start
+            block = _prepare(spec, m, capacity)(rng)
+            util = block.miner_utility
+            stats[:, i, r] = (greedy_value / util if util > 0 else math.inf,
+                              util / greedy_value if greedy_value > 0 else 0.0,
+                              *_block_stats(m, block))
+
+    rows: List[SweepRow] = []
+    for i, value in enumerate(cfg.sweep_values):
+        cofs, norms, zffs, zfis, zpfs = stats[:, i]
+        norm_mean, norm_se = _mean_se(norms)
+        zff_mean, zff_se = _mean_se(zffs)
+        rows.append(SweepRow(value, norm_mean, norm_se, zff_mean, zff_se,
+                             float(cofs.mean()), float(zfis.mean()), float(zpfs.mean())))
+    return rows
 
 
 def emit_csv(rows: Sequence[SweepRow], path: str) -> None:

@@ -282,7 +282,11 @@ class _Arm(NamedTuple):
     pool: Mempool  # m with the fakes appended
     capacity: object
     kept: np.ndarray  # the candidate rows: under a posted price, those bidding at least the fee
-    cand: Mempool  # the pool's candidate rows
+
+    def candidates(self) -> PoolColumns:
+        """The columns of the candidate rows, copied only when some row is left out."""
+        c = self.pool.columns
+        return c if len(self.kept) == len(c.ids) else PoolColumns(*(col[self.kept] for col in c))
 
     def block(self, rows: np.ndarray, total, reserved: Optional[np.ndarray] = None,
               toss: Optional[int] = None) -> _Block:
@@ -296,9 +300,9 @@ class _Arm(NamedTuple):
                       _block_income(c.sizes[rows], p, q, c.fake[rows]))
 
 
-def _objective(spec: MechanismSpec, pool: Mempool) -> Optional[np.ndarray]:
+def _objective(spec: MechanismSpec, c: PoolColumns) -> Optional[np.ndarray]:
     """The knapsack's payment per unit: the bid less a posted base fee, else the bid."""
-    return pool.columns.bids - spec.base_fee if spec.payment is PaymentKind.POSTED_PRICE else None
+    return c.bids - spec.base_fee if spec.payment is PaymentKind.POSTED_PRICE else None
 
 
 # The allocation rules.  A rule does the work its arm's trials share once and
@@ -309,14 +313,16 @@ def _objective(spec: MechanismSpec, pool: Mempool) -> Optional[np.ndarray]:
 
 def _knapsack_rule(arm: _Arm, branch: Optional[int] = None):
     """The revenue-optimal set of the candidates, the same in every trial."""
-    rows, total = _optimal_rows(arm.cand.columns, arm.capacity, _objective(arm.spec, arm.cand))
+    c = arm.candidates()
+    rows, total = _optimal_rows(c, arm.capacity, _objective(arm.spec, c))
     block = arm.block(arm.kept[rows], total, toss=branch)
     return lambda rng, toss=None: block
 
 
 def _uniform_rule(arm: _Arm, branch: Optional[int] = None, cand: Optional[Mempool] = None):
     """The uniform allocator over the candidates, or over `cand` when given."""
-    cand = arm.cand if cand is None else cand
+    if cand is None:
+        cand = arm.pool if len(arm.kept) == len(arm.pool) else arm.pool.take(arm.kept)
 
     def draw(rng, toss=None):
         result = uniform_allocate(cand, arm.capacity, rng)
@@ -326,7 +332,7 @@ def _uniform_rule(arm: _Arm, branch: Optional[int] = None, cand: Optional[Mempoo
 
 def _softmax_rule(arm: _Arm):
     """The Gumbel-top-k order of the candidates' keys ``bid/gamma + Gumbel``, walked."""
-    kept, c = arm.kept, arm.cand.columns
+    kept, c = arm.kept, arm.candidates()
     # the walk runs in floats whatever the size column holds
     sizes = c.sizes.astype(float, copy=False)
     scaled = c.bids.astype(float, copy=False) / arm.spec.gamma
@@ -347,7 +353,7 @@ def _split_block_rule(arm: _Arm):
     if spec.payment is PaymentKind.POSTED_PRICE:
         real = real[(c.bids[:n] >= spec.base_fee) | (c.bids[:n] == spec.split.delta)]
     draw = _prepare_splitblock(c, real, np.arange(n, len(c.ids)), arm.capacity, spec.split,
-                               _objective(spec, arm.pool))
+                               _objective(spec, c))
     return lambda rng, toss=None: arm.block(*draw(rng))
 
 
@@ -401,12 +407,11 @@ def _prepare(spec: MechanismSpec, m: Mempool, capacity, fakes: Sequence[Transact
             raise ParameterError(f"fake transaction id {tx.id} collides with the mempool")
     if not capacity >= 0:
         raise ParameterError(f"capacity must be non-negative, got {capacity}")
-    pool = cand = m.extend(fakes)
+    pool = m.extend(fakes)
     kept = np.arange(len(pool))
     if spec.payment is PaymentKind.POSTED_PRICE:
         kept = np.flatnonzero(pool.columns.bids >= spec.base_fee)
-        cand = pool.take(kept)
-    return rules[spec.allocation](_Arm(spec, m, pool, capacity, kept, cand))
+    return rules[spec.allocation](_Arm(spec, m, pool, capacity, kept))
 
 
 def run_mechanism(

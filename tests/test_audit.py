@@ -118,6 +118,15 @@ def test_monotonicity_validation():
         estimate_monotonicity(MechanismSpec.uniform(), ZPOOL, 0, [-1.0], 10, 0, capacity=2.0)
 
 
+@pytest.mark.parametrize("epsilon", [0.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("use_certificates", [True, False])
+def test_monotonicity_rejects_an_epsilon_that_is_not_positive_and_finite(epsilon,
+                                                                        use_certificates):
+    with pytest.raises(ParameterError, match="epsilons"):
+        estimate_monotonicity(MechanismSpec.uniform(), ZPOOL, 0, [1.0, epsilon], 10, 0,
+                              capacity=2.0, use_certificates=use_certificates)
+
+
 # ---------------------------------------------------------------------------
 # user incentive compatibility
 

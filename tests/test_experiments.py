@@ -128,6 +128,37 @@ def test_stfm_sweep_cof_shrinks_as_blocks_grow():
     assert cofs[0] < cofs[1] < cofs[2]
 
 
+def _counted(monkeypatch, name):
+    """Calls of experiments.`name`, counted through a wrapper that returns its result."""
+    calls = []
+    original = getattr(experiments, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(experiments, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("sweep_param, values, solves_per_run", [
+    ("gamma", (0.1, 0.5, 2.0, 10.0, 50.0), 1),
+    ("size_ratio", (2.0, 5.0, 10.0, 5.0), 3),
+])
+def test_stfm_sweep_draws_each_pool_once_and_solves_each_ratio_once(
+        monkeypatch, sweep_param, values, solves_per_run):
+    pools = _counted(monkeypatch, "sample_mempool")
+    solves = _counted(monkeypatch, "_optimal_rows")
+    runs = 6
+    cfg = ExperimentConfig(
+        mechanism=MechanismSpec.stfm(1.0), n=30,
+        bid_dist=BidDistribution.uniform(0, 5), size_dist=BidDistribution.exponential(1),
+        sweep_param=sweep_param, sweep_values=values, runs=runs, seed=2,
+    )
+    assert len(run_stfm_sweep(cfg)) == len(values)
+    assert len(pools) == runs
+    assert len(solves) == runs * solves_per_run
+
+
 def test_stfm_zero_fee_share_rises_with_temperature_and_tracks_supply():
     """With a zero-fee atom in the pool, the block's zero-fee share grows
     with temperature and saturates near the pool's zero-fee supply share."""
@@ -402,6 +433,15 @@ def test_cli_audit_rejects_a_non_finite_mechanism_parameter(tmp_path, capsys, li
     assert cli_main(["audit", "--property", "zti", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("epsilons", ["nan", "inf", "1,nan"])
+def test_cli_audit_rejects_a_non_finite_epsilon(tmp_path, capsys, epsilons):
+    cfg = write_cfg(tmp_path, "allocation = optimal\nn = 10\ncapacity = 4\nseed = 1\n"
+                              f"epsilons = {epsilons}\n")
+    assert cli_main(["audit", "--property", "monotonicity", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "epsilons" in err and "Traceback" not in err
 
 
 def test_cli_tune_gamma(tmp_path, capsys):
