@@ -1,10 +1,12 @@
 """Monte-Carlo sweep experiments with deterministic CSV output.
 
 Sweeps share the mempool stream across grid points (common random numbers),
-so per-point estimates move smoothly along the grid.  For the randomized
-two-set mechanism the branch tosses are additionally stratified across runs
-by default: each grid value sees branch counts exactly proportional to its
-bias, an unbiased variance-reduction that leaves per-run mechanics untouched.
+so per-point estimates move smoothly along the grid.  Both sweeps loop over
+runs first: a run draws its pool and seeds its generator once and serves
+every grid value.  For the randomized two-set mechanism the branch tosses are
+additionally stratified across runs by default: each grid value sees branch
+counts exactly proportional to its bias, an unbiased variance-reduction that
+leaves per-run mechanics untouched.
 """
 
 from __future__ import annotations
@@ -198,25 +200,22 @@ def run_stfm_sweep(cfg: ExperimentConfig) -> List[SweepRow]:
     if cfg.sweep_param not in ("gamma", "size_ratio"):
         raise ConfigError("run_stfm_sweep sweeps gamma or size_ratio")
 
-    cells = [cfg._softmax_cell(value) for value in cfg.sweep_values]
-    specs = [replace(cfg.mechanism, gamma=gamma) for gamma, _ in cells]
+    cells = [(replace(cfg.mechanism, gamma=gamma), ratio)
+             for gamma, ratio in map(cfg._softmax_cell, cfg.sweep_values)]
+    ratios = {ratio for _, ratio in cells}
     # cost of fairness, normalized revenue, zero-fee fraction, zero-fee inclusion
     # and zero-payment fraction, by cell and run
     stats = np.empty((5, len(cells), cfg.runs))
     for r in range(cfg.runs):
         m = sample_mempool(cfg.n, cfg.bid_dist, cfg.size_dist, seed=[cfg.seed, r])
         pool_size = m.total_size()
-        greedy: Dict[float, float] = {}
+        greedy = {ratio: _greedy_value(m, pool_size / ratio) for ratio in ratios}
         rng = resolve_rng([cfg.seed, r, 1])
         start = rng.bit_generator.state
-        for i, ((_, ratio), spec) in enumerate(zip(cells, specs)):
-            capacity = pool_size / ratio
-            if ratio not in greedy:
-                greedy[ratio] = _greedy_value(m, capacity)
-            greedy_value = greedy[ratio]
+        for i, (spec, ratio) in enumerate(cells):
             rng.bit_generator.state = start
-            block = _prepare(spec, m, capacity)(rng)
-            util = block.miner_utility
+            block = _prepare(spec, m, pool_size / ratio)(rng)
+            util, greedy_value = block.miner_utility, greedy[ratio]
             stats[:, i, r] = (greedy_value / util if util > 0 else math.inf,
                               util / greedy_value if greedy_value > 0 else 0.0,
                               *_block_stats(m, block))
