@@ -9,6 +9,7 @@ that moves it must say which one and why.
 
 import hashlib
 from fractions import Fraction
+import math
 import os
 
 import pytest
@@ -32,7 +33,13 @@ from tfmlab import (
     search_mic_deviation,
     tune_gamma,
 )
-from tfmlab.alloc import SplitBlockConfig, rtfm_sample, splitblock_allocate
+from tfmlab.alloc import (
+    SplitBlockConfig,
+    optimal_allocate,
+    rtfm_sample,
+    splitblock_allocate,
+    uniform_allocate,
+)
 from tfmlab.cli import main as cli_main
 from tfmlab.txpool import mempool_to_csv
 
@@ -42,6 +49,8 @@ RTFM_SWEEP_CSV = "e73e520b1533523588f1f314b835e5a19f2fa86800d28903a519a48794cfac
 STFM_SWEEP_CSV = "d39bc49ab108f7f6c7dd54ad8a94d9ce413a4018af85aa4ab673dea14cdbe226"
 RATIO_STFM_SWEEP_CSV = "2d791f9f213256aa06d82bb9b79f2b259379faa9ba94d425756d046e767d8c2f"
 POSTED_STFM_SWEEP_CSV = "6503c68c446fcc7d8cef099a93579cc9dfbcdb3c33378301cb8210d6c8058b6b"
+NO_CANDIDATE_STFM_SWEEP_CSV = "7b291789b9467da53ddfd199c1420d7497fd385fb63cad3029d8daa344430533"
+FLOAT_POOL_WALKS = "b1eb77124675d5b4bfefe1d684b7fdd99d19d689c6f906bb2da1c98b4195c7b6"
 MEMPOOL_CSV = "912c06eb83798326b4037c641b612ad5a7e93ac81f75f88b9eea0d03fa67eec6"
 RTFM_ROOTS = "da477b7940092a68fad6df08d5859c5b0cfdcee179a400c3eac946cd035a7852"
 EIP1559_OUTCOME = "db4455f7eed6367c56c66dee2fa091826638560fd32e0f5ecf77afa13d56f831"
@@ -132,6 +141,32 @@ def test_stfm_sweep_csv_bytes_over_size_ratios_with_a_repeated_value(tmp_path):
 def test_stfm_sweep_csv_bytes_under_the_posted_price(tmp_path):
     spec = MechanismSpec.stfm(1.0, PaymentKind.POSTED_PRICE, 1.0)
     assert _stfm_sweep_csv(tmp_path, spec, "gamma", (0.5, 2.0, 10.0)) == POSTED_STFM_SWEEP_CSV
+
+
+def test_stfm_sweep_csv_bytes_when_the_posted_fee_is_above_every_bid(tmp_path):
+    # no row is a candidate, so no block holds anything and no noise is drawn
+    cfg = ExperimentConfig(
+        mechanism=MechanismSpec.stfm(1.0, PaymentKind.POSTED_PRICE, 6.0), n=200,
+        bid_dist=BidDistribution.uniform(0, 5), size_dist=BidDistribution.exponential(1),
+        sweep_param="size_ratio", sweep_values=(2.0, 5.0), runs=10, seed=3,
+    )
+    rows = run_stfm_sweep(cfg)
+    assert [(row.normalized_miner_revenue, row.empirical_cof) for row in rows] == \
+        [(0.0, math.inf)] * 2
+    path = tmp_path / "stfm_no_candidates.csv"
+    emit_csv(rows, str(path))
+    assert _sha256_file(path) == NO_CANDIDATE_STFM_SWEEP_CSV
+
+
+def test_uniform_and_greedy_walks_on_a_float_pool():
+    # a thousand exponential sizes, a tenth of them fitting: most rows are walked past the cut
+    m = sample_mempool(1000, BidDistribution.uniform(0, 5), BidDistribution.exponential(1),
+                       seed=17)
+    capacity = m.total_size() / 10
+    results = [uniform_allocate(m, capacity, seed) for seed in range(3)]
+    results += [optimal_allocate(m, capacity, payment_per_unit=payment, exact=False)
+                for payment in (None, m.columns.bids - 2.5)]
+    assert _sha256_repr([(r.selected, r.total_size) for r in results]) == FLOAT_POOL_WALKS
 
 
 def test_sampled_mempool_csv_bytes(tmp_path):
