@@ -47,6 +47,14 @@
  * sizes and bids, as many of each, and returns the list of Merkle leaves
  * b"{id}|{size!r}|{bid!r}", the doubles written as float.__repr__ writes
  * them (PyOS_double_to_string with 'r' and Py_DTSF_ADD_DOT_0).
+ *
+ * walk(sizes, order, capacity, total, out) is the allocation walk: for each
+ * row of `order` (intp), in that order, it keeps the row when
+ * total + sizes[row] <= capacity and then adds that size to the total, all
+ * in doubles over the float64 `sizes`.  It writes the kept rows into the
+ * intp buffer `out`, which has room for all of `order`, and returns
+ * (kept, total); with nothing kept, the total is the `total` object given.
+ * A row outside `sizes` raises IndexError.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -807,11 +815,58 @@ done:
     return list;
 }
 
+/* walk(sizes, order, capacity, total, out): see the header comment */
+static PyObject *
+walk(PyObject *self, PyObject *args)
+{
+    Py_buffer sizes, order, out;
+    PyObject *start, *result = NULL;
+    double capacity, total, size;
+    Py_ssize_t rows, n, i, row, kept = 0;
+
+    if (!PyArg_ParseTuple(args, "y*y*dOw*", &sizes, &order, &capacity, &start, &out))
+        return NULL;
+    rows = sizes.len / (Py_ssize_t)sizeof(double);
+    n = order.len / (Py_ssize_t)sizeof(Py_ssize_t);
+    if (sizes.len % sizeof(double) != 0 || order.len % sizeof(Py_ssize_t) != 0
+        || out.len < order.len) {
+        PyErr_SetString(PyExc_ValueError,
+                        "walk needs float64 sizes, an intp order and room in out for all of it");
+        goto done;
+    }
+    total = PyFloat_AsDouble(start);
+    if (total == -1.0 && PyErr_Occurred())
+        goto done;
+    for (i = 0; i < n; i++) {
+        memcpy(&row, (const char *)order.buf + i * sizeof(Py_ssize_t), sizeof(Py_ssize_t));
+        if (row < 0 || row >= rows) {
+            PyErr_Format(PyExc_IndexError, "row %zd of the order is outside the %zd sizes",
+                         row, rows);
+            goto done;
+        }
+        memcpy(&size, (const char *)sizes.buf + row * sizeof(double), sizeof(double));
+        if (total + size <= capacity) {
+            memcpy((char *)out.buf + kept * sizeof(Py_ssize_t), &row, sizeof(Py_ssize_t));
+            kept++;
+            total += size;
+        }
+    }
+    result = kept ? Py_BuildValue("nd", kept, total) : Py_BuildValue("nO", kept, start);
+
+done:
+    PyBuffer_Release(&sizes);
+    PyBuffer_Release(&order);
+    PyBuffer_Release(&out);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"search", search, METH_VARARGS,
      "search(prefix, start_nonce, max_trials, target) -> (nonce, digest) | None"},
     {"float_leaves", float_leaves, METH_VARARGS,
      "float_leaves(ids, sizes, bids) -> [b'id|size!r|bid!r', ...]"},
+    {"walk", walk, METH_VARARGS,
+     "walk(sizes, order, capacity, total, out) -> (kept, total)"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -28,8 +28,11 @@ rounds monotonically, so a row that does not fit never fits later.  Once a
 filter removes less than half of what it tested, the rows left are stepped
 through one at a time, so an order in which most rows fit costs no more
 than the loop.  The running total adds sizes in walk order, exactly as a
-``total += size`` loop would.  ``_walk_rows`` walks many orders at once, one
-a row, with the same cut and the same sums.
+``total += size`` loop would.  Where the C helper loaded, that loop itself
+runs in C for float64 sizes and a capacity and start that are doubles
+exactly; the numpy walk serves every other column and is the C loop's test
+oracle.  ``_walk_rows`` walks many orders at once, one a row, with the same
+cut and the same sums.
 
 Inside the package the rules exchange rows of one pool, not ids.  Ids appear
 only where an :class:`AllocationResult` is built for a caller, and
@@ -111,16 +114,34 @@ def _per_row(values, c: PoolColumns) -> np.ndarray:
     return values
 
 
+# _walk's loop over float64 sizes and an intp order, from the C helper
+_walk_c = getattr(chain._noncesearch, "walk", None)
+
+
+def _double(value) -> bool:
+    """Whether `value` is a float, or an int a double holds exactly (magnitude <= 2**53)."""
+    return type(value) is float or (type(value) is int and abs(value) <= 2**53)
+
+
 def _walk(sizes: np.ndarray, order: np.ndarray, capacity, total=0):
     """Walk the rows of `order`, keeping each one that still fits.
 
     Returns the kept rows, in walk order, and `total` plus their sizes added
-    in that order.  A short order is walked one row at a time.  On a longer
-    one the prefix that fits is cut from the cumulative sizes, and the rest
-    is filtered down to the rows that fit at the running total, once per
-    kept row, until a filter removes less than half of what it tested; the
-    rows left are walked one at a time.
+    in that order; with nothing kept, `total` itself.  Float64 sizes, an
+    intp order, and a capacity and `total` that are doubles exactly run the
+    C helper's ``total += size`` loop first.  Everything else (no helper,
+    object columns of ints or Fractions) walks here, which is also the C
+    loop's test oracle.  A short order is walked one row at a time.  On a
+    longer one the prefix that fits is cut from the cumulative sizes, and
+    the rest is filtered down to the rows that fit at the running total,
+    once per kept row, until a filter removes less than half of what it
+    tested; the rows left are walked one at a time.
     """
+    if _walk_c is not None and sizes.dtype == float and order.dtype == np.intp \
+            and _double(capacity) and _double(total):
+        kept = np.empty(len(order), dtype=np.intp)
+        count, total = _walk_c(sizes, order, capacity, total, kept)
+        return kept[:count], total
     s = sizes[order]
     if len(s) <= _SHORT_WALK:
         return _walk_loop(s, order, capacity, total)

@@ -16,8 +16,8 @@ from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
+from . import alloc, chain
 from . import audit as audit_mod
-from . import chain
 from .errors import (
     ConfigError,
     DomainError,
@@ -176,8 +176,10 @@ def _cmd_info(args) -> int:
     chain._search(prefix, 0, trials, 1)
     rate = trials / (time.perf_counter() - start) / 1e6
     merkle = "hashlib" if chain._merkle_root_c is None else "C (sha-ni-x2)"
+    walk = "python" if alloc._walk_c is None else "C"
     for key, value in (("version", __version__), ("hash_backend", backend),
                        ("hash_helper_path", path), ("merkle_backend", merkle),
+                       ("walk_backend", walk),
                        ("hash_rate_mhs", f"{rate:.3g}"),
                        ("python", platform.python_version()), ("numpy", numpy.__version__),
                        ("nproc", os.cpu_count())):

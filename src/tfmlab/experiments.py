@@ -3,10 +3,12 @@
 Sweeps share the mempool stream across grid points (common random numbers),
 so per-point estimates move smoothly along the grid.  Both sweeps loop over
 runs first: a run draws its pool and seeds its generator once and serves
-every grid value.  For the randomized two-set mechanism the branch tosses are
-additionally stratified across runs by default: each grid value sees branch
-counts exactly proportional to its bias, an unbiased variance-reduction that
-leaves per-run mechanics untouched.
+every grid value.  A softmax run also draws its Gumbel noise once, and every
+cell walks and prices from that one array.  For the randomized two-set
+mechanism the branch tosses are additionally stratified across runs by
+default: each grid value sees branch counts exactly proportional to its
+bias, an unbiased variance-reduction that leaves per-run mechanics
+untouched.
 """
 
 from __future__ import annotations
@@ -28,11 +30,15 @@ from .mech import (
     PaymentKind,
     _Block,
     _prepare,
+    _softmax_parts,
     config_value,
     parse_config_text,  # noqa: F401 (re-exported: the sweep configs' parser)
     spec_from_fields,
 )
 from .txpool import BidDistribution, Mempool, resolve_rng, sample_mempool
+
+# the softmax rule as its two parts, noise and block, for the sweep to share one draw
+_SOFTMAX_PARTS = {AllocationKind.SOFTMAX: _softmax_parts}
 
 CSV_HEADER = "sweep_value,normalized_revenue,revenue_stderr,zero_fee_fraction,zff_stderr,cof,zfi"
 
@@ -187,13 +193,16 @@ def run_stfm_sweep(cfg: ExperimentConfig) -> List[SweepRow]:
     """Sweep temperature (or pool-to-block size ratio) for the softmax rule.
 
     Each run draws its pool, takes its total size, solves the greedy
-    comparator once per distinct size ratio and seeds its generator once;
-    every cell then steps the softmax rule at its temperature from that
-    generator's start, so the Gumbel noise is the same at every γ.  Capacity
-    is total pool size over the ratio, and the empirical cost of fairness is
-    the greedy revenue over the softmax revenue.  The zero-fee inclusion
-    measure is the share of realized block size occupied by zero-bid
-    transactions.
+    comparator once per distinct size ratio, and draws its Gumbel noise once
+    from its ``[seed, r, 1]`` generator, one value per candidate (none when a
+    posted fee leaves no candidate).  The candidates are the same in every
+    cell, since a cell varies only γ or the capacity, so every cell walks the
+    softmax rule's order at its own temperature and capacity from that one
+    array and prices it as the rule's step does; nothing is redrawn or
+    restored between cells.  Capacity is total pool size over the ratio, and
+    the empirical cost of fairness is the greedy revenue over the softmax
+    revenue.  The zero-fee inclusion measure is the share of realized block
+    size occupied by zero-bid transactions.
     """
     if cfg.mechanism.allocation is not AllocationKind.SOFTMAX:
         raise ConfigError("run_stfm_sweep needs a softmax mechanism")
@@ -211,10 +220,11 @@ def run_stfm_sweep(cfg: ExperimentConfig) -> List[SweepRow]:
         pool_size = m.total_size()
         greedy = {ratio: _greedy_value(m, pool_size / ratio) for ratio in ratios}
         rng = resolve_rng([cfg.seed, r, 1])
-        start = rng.bit_generator.state
         for i, (spec, ratio) in enumerate(cells):
-            rng.bit_generator.state = start
-            block = _prepare(spec, m, pool_size / ratio)(rng)
+            noise, step = _prepare(spec, m, pool_size / ratio, rules=_SOFTMAX_PARTS)
+            if not i:  # the candidates, and so the noise, are the same in every cell
+                gumbel = noise(rng)
+            block = step(gumbel)
             util, greedy_value = block.miner_utility, greedy[ratio]
             stats[:, i, r] = (greedy_value / util if util > 0 else math.inf,
                               util / greedy_value if greedy_value > 0 else 0.0,

@@ -33,7 +33,9 @@ ids.  The audits, the cost of fairness and the sweeps prepare an arm and
 step it, reading the block's arrays; only the zero-fee inclusion audit calls
 :func:`run_mechanism`, once per trial.  The softmax rule also has a step
 over many trials at once, in :mod:`._trials`, which the audits take wherever
-its prices are floats.
+its prices are floats, and its one-trial step comes in two parts, the noise
+draw and the block from that noise, so that the softmax sweep draws a run's
+noise once for all its cells.
 
 The flat ``key = value`` config format lives here too: one table of keys,
 :data:`CONFIG_KEYS`, and one parser serve :func:`spec_from_config`, the
@@ -330,20 +332,30 @@ def _uniform_rule(arm: _Arm, branch: Optional[int] = None, cand: Optional[Mempoo
     return draw
 
 
-def _softmax_rule(arm: _Arm):
-    """The Gumbel-top-k order of the candidates' keys ``bid/gamma + Gumbel``, walked."""
+def _softmax_parts(arm: _Arm):
+    """The softmax rule's step in two parts: ``noise(rng)`` draws a trial's Gumbel
+    noise, one value per candidate, and ``block(gumbel)`` walks the Gumbel-top-k
+    order of the keys ``bid/gamma + gumbel`` and prices it.  The noise depends
+    only on the number of candidates, so one draw serves every temperature and
+    capacity over the same candidates."""
     kept, c = arm.kept, arm.candidates()
     # the walk runs in floats whatever the size column holds
     sizes = c.sizes.astype(float, copy=False)
     scaled = c.bids.astype(float, copy=False) / arm.spec.gamma
     if not len(kept):  # nothing to sample, and no draw made
         empty = arm.block(kept, 0)
-        return lambda rng, toss=None: empty
+        return (lambda rng: None), (lambda gumbel: empty)
 
-    def draw(rng, toss=None):
-        rows, total = _softmax_walk(sizes, scaled, rng.gumbel(size=len(kept)), arm.capacity)
+    def block(gumbel):
+        rows, total = _softmax_walk(sizes, scaled, gumbel, arm.capacity)
         return arm.block(kept[rows], float(total))
-    return draw
+    return (lambda rng: rng.gumbel(size=len(kept))), block
+
+
+def _softmax_rule(arm: _Arm):
+    """The Gumbel-top-k order of the candidates' keys ``bid/gamma + Gumbel``, walked."""
+    noise, block = _softmax_parts(arm)
+    return lambda rng, toss=None: block(noise(rng))
 
 
 def _split_block_rule(arm: _Arm):

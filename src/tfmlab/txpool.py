@@ -114,6 +114,17 @@ class PoolColumns(NamedTuple):
     fake: np.ndarray
 
 
+def _columns(txs: Sequence[Transaction]) -> PoolColumns:
+    """The columns of `txs`, in that order."""
+    return PoolColumns(
+        np.array([tx.id for tx in txs], dtype=np.int64),
+        _column([tx.size for tx in txs]),
+        _column([tx.bid for tx in txs]),
+        _column([tx.valuation for tx in txs]),
+        np.array([tx.fake for tx in txs], dtype=bool),
+    )
+
+
 class Mempool:
     """Insertion-ordered collection of transactions with unique ids.
 
@@ -153,14 +164,7 @@ class Mempool:
     @property
     def columns(self) -> PoolColumns:
         if self._cols is None:
-            txs = self._txs
-            self._cols = PoolColumns(
-                np.array([tx.id for tx in txs], dtype=np.int64),
-                _column([tx.size for tx in txs]),
-                _column([tx.bid for tx in txs]),
-                _column([tx.valuation for tx in txs]),
-                np.array([tx.fake for tx in txs], dtype=bool),
-            )
+            self._cols = _columns(self._txs)
             for col in self._cols:
                 col.flags.writeable = False
         return self._cols
@@ -236,12 +240,13 @@ class Mempool:
         extra = tuple(extra)
         if not extra:
             return self
-        more = Mempool(extra)
-        for tx_id in more._row_of():
-            if tx_id in self:
-                raise ParameterError(f"duplicate transaction id {tx_id}")
+        row_of, seen = self._row_of(), set()
+        for tx in extra:
+            if tx.id in row_of or tx.id in seen:
+                raise ParameterError(f"duplicate transaction id {tx.id}")
+            seen.add(tx.id)
         return Mempool._from_columns(
-            PoolColumns(*map(np.concatenate, zip(self.columns, more.columns))))
+            PoolColumns(*map(np.concatenate, zip(self.columns, _columns(extra)))))
 
     def __repr__(self) -> str:
         return f"Mempool({len(self)} txs)"

@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tfmlab import (
+    BidDistribution,
     DomainError,
+    ExperimentConfig,
+    MechanismSpec,
     Mempool,
     ParameterError,
     SolverLimitError,
@@ -16,8 +19,11 @@ from tfmlab import (
     Transaction,
     allocation_to_csv,
     allocation_value,
+    alloc,
+    emit_csv,
     optimal_allocate,
     rtfm_sample,
+    run_stfm_sweep,
     splitblock_allocate,
     stfm_allocate,
     stfm_first_draw_distribution,
@@ -473,6 +479,10 @@ def test_walk_matches_the_sequential_loop(sizes, capacity, start, seed):
     assert repr(total) == repr(expected)
 
 
+LONG_ORDERS = ["softmax", "greedy", "alternating", "misfit_then_fit", "exact_fit",
+               "exact_fit_at_cut"]
+
+
 def _long_order(shape):
     """Integer sizes, an order and a capacity.
 
@@ -507,8 +517,7 @@ def _long_order(shape):
 
 @pytest.mark.parametrize("start", [0, 0.75, Fraction(2, 3)])
 @pytest.mark.parametrize("kind", [float, int, Fraction])
-@pytest.mark.parametrize("shape", ["softmax", "greedy", "alternating", "misfit_then_fit",
-                                   "exact_fit", "exact_fit_at_cut"])
+@pytest.mark.parametrize("shape", LONG_ORDERS)
 def test_long_walks_match_the_sequential_loop(shape, kind, start):
     sizes, order, capacity = _long_order(shape)
     if kind is float:
@@ -523,6 +532,84 @@ def test_long_walks_match_the_sequential_loop(shape, kind, start):
     kept, expected = _walk_by_loop(sizes, order.tolist(), capacity, start)
     assert rows.tolist() == kept
     assert repr(total) == repr(expected)
+
+
+needs_c_walk = pytest.mark.skipif(alloc._walk_c is None, reason="the C helper is not available")
+
+
+@needs_c_walk
+@pytest.mark.parametrize("start", [0, 0.75, 3])
+@pytest.mark.parametrize("shape", LONG_ORDERS)
+def test_c_walk_matches_the_python_walk(monkeypatch, shape, start):
+    sizes, order, capacity = _long_order(shape)
+    sizes, capacity = np.asarray(sizes) / 1000, capacity / 1000  # float64 sizes
+    calls = []
+    c_walk = alloc._walk_c
+    monkeypatch.setattr(alloc, "_walk_c", lambda *args: calls.append(args) or c_walk(*args))
+    for rows in (order, order[:20]):  # a long order and a short one
+        got_rows, got_total = _walk(sizes, rows, capacity, start)
+        with monkeypatch.context() as python_only:
+            python_only.setattr(alloc, "_walk_c", None)
+            rows_py, total_py = _walk(sizes, rows, capacity, start)
+        assert got_rows.tolist() == rows_py.tolist()
+        assert repr(got_total) == repr(total_py)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("c_walk", [True, False])
+def test_a_walk_that_keeps_nothing_returns_the_start_total_itself(monkeypatch, c_walk):
+    if not c_walk:
+        monkeypatch.setattr(alloc, "_walk_c", None)
+    elif alloc._walk_c is None:
+        pytest.skip("the C helper is not available")
+    for n in (3, 40):  # a short order and a long one
+        rows, total = _walk(np.full(n, 5.0), np.arange(n), 1.0)
+        assert rows.tolist() == [] and type(total) is int and total == 0
+
+
+@needs_c_walk
+@pytest.mark.parametrize("row", [3, -1, 2**62])
+def test_c_walk_rejects_an_order_row_outside_the_sizes(row):
+    out = np.empty(2, dtype=np.intp)
+    with pytest.raises(IndexError, match="outside the 3 sizes"):
+        alloc._walk_c(np.ones(3), np.array([0, row], dtype=np.intp), 10.0, 0, out)
+    with pytest.raises(ValueError, match="room in out"):
+        alloc._walk_c(np.ones(3), np.arange(3), 10.0, 0, out)
+
+
+def test_walks_a_double_cannot_hold_stay_off_the_c_loop(monkeypatch):
+    def no_c_walk(*args):
+        raise AssertionError("the C walk must not run here")
+
+    monkeypatch.setattr(alloc, "_walk_c", no_c_walk)
+    sizes, order = np.array([0.5, 1.5, 2.5, 0.25]), np.arange(4)
+    cases = [(sizes, order, Fraction(7, 3), 0),  # a Fraction capacity
+             (sizes, order, 2.0, Fraction(1, 3)),  # a Fraction start
+             (sizes, order, 2**60 + 1, 0),  # an int no double holds
+             (sizes, order, 4.0, np.float64(0.5)),  # a numpy start keeps its type
+             (sizes, order.astype(np.int32), 4.0, 0),
+             (_column([1, 2, 3, 1]), order, 4, 0)]  # an int column
+    for s, o, capacity, start in cases:
+        rows, total = _walk(s, o, capacity, start)
+        kept, expected = _walk_by_loop(s.tolist(), o.tolist(), capacity, start)
+        assert rows.tolist() == kept
+        assert repr(total) == repr(expected)
+
+
+@needs_c_walk
+def test_stfm_sweep_csv_bytes_do_not_depend_on_the_walk(monkeypatch, tmp_path):
+    cfg = ExperimentConfig(
+        mechanism=MechanismSpec.stfm(1.0), n=300,
+        bid_dist=BidDistribution.uniform(0, 5), size_dist=BidDistribution.exponential(1),
+        sweep_param="gamma", sweep_values=(0.5, 2.0, 10.0), size_ratio=10.0, runs=8, seed=4,
+    )
+    texts = []
+    for walk in (alloc._walk_c, None):
+        monkeypatch.setattr(alloc, "_walk_c", walk)
+        path = tmp_path / f"{len(texts)}.csv"
+        emit_csv(run_stfm_sweep(cfg), str(path))
+        texts.append(path.read_bytes())
+    assert texts[0] == texts[1]
 
 
 @pytest.mark.parametrize("exact", [True, False])

@@ -11,6 +11,7 @@ from tfmlab import (
     ConfigError,
     ExperimentConfig,
     MechanismSpec,
+    PaymentKind,
     SweepRow,
     allocation_value,
     emit_csv,
@@ -18,7 +19,7 @@ from tfmlab import (
     run_rtfm_sweep,
     run_stfm_sweep,
 )
-from tfmlab import experiments
+from tfmlab import alloc, experiments
 from tfmlab.cli import main as cli_main
 from tfmlab.experiments import (
     CSV_HEADER,
@@ -157,6 +158,39 @@ def test_stfm_sweep_draws_each_pool_once_and_solves_each_ratio_once(
     assert len(run_stfm_sweep(cfg)) == len(values)
     assert len(pools) == runs
     assert len(solves) == runs * solves_per_run
+
+
+@pytest.mark.parametrize("base_fee, draws_per_run", [(None, 1), (6.0, 0)])
+def test_stfm_sweep_draws_each_runs_noise_once_for_every_cell(monkeypatch, base_fee,
+                                                               draws_per_run):
+    # a posted fee above every bid leaves no candidate, and then no noise is drawn
+    draws, blocks = [], []
+    parts = experiments._SOFTMAX_PARTS[AllocationKind.SOFTMAX]
+
+    def counted(arm):
+        noise, block = parts(arm)
+
+        def counted_noise(rng):
+            draws.append(noise(rng))
+            return draws[-1]
+
+        def counted_block(gumbel):
+            blocks.append(gumbel)
+            return block(gumbel)
+        return counted_noise, counted_block
+    monkeypatch.setitem(experiments._SOFTMAX_PARTS, AllocationKind.SOFTMAX, counted)
+    payment = PaymentKind.FIRST_PRICE if base_fee is None else PaymentKind.POSTED_PRICE
+    runs, values = 6, (0.1, 0.5, 2.0, 10.0, 50.0)
+    cfg = ExperimentConfig(
+        mechanism=MechanismSpec.stfm(1.0, payment, base_fee), n=30,
+        bid_dist=BidDistribution.uniform(0, 5), size_dist=BidDistribution.exponential(1),
+        sweep_param="gamma", sweep_values=values, runs=runs, seed=2,
+    )
+    assert len(run_stfm_sweep(cfg)) == len(values)
+    assert len(draws) == runs and len(blocks) == runs * len(values)
+    assert sum(gumbel is not None for gumbel in draws) == runs * draws_per_run
+    # every cell of a run reads its run's one array
+    assert all(blocks[i] is draws[i // len(values)] for i in range(len(blocks)))
 
 
 def test_stfm_zero_fee_share_rises_with_temperature_and_tracks_supply():
@@ -547,7 +581,8 @@ def test_cli_info_names_version_backend_and_machine(capsys):
     assert cli_main(["info"]) == 0
     fields = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
     assert list(fields) == ["version", "hash_backend", "hash_helper_path", "merkle_backend",
-                            "hash_rate_mhs", "python", "numpy", "nproc"]
+                            "walk_backend", "hash_rate_mhs", "python", "numpy", "nproc"]
     assert fields["merkle_backend"] in ("C (sha-ni-x2)", "hashlib")
+    assert fields["walk_backend"] == ("python" if alloc._walk_c is None else "C")
     assert fields["hash_backend"] == "hashlib" or fields["hash_backend"].endswith(")")
     assert float(fields["hash_rate_mhs"]) > 0 and int(fields["nproc"]) >= 1

@@ -237,6 +237,25 @@ def test_with_bid_and_extend_validate_like_transactions():
         m.extend([Transaction(2, 1.0, 0.0, 0.0, fake=True)])
 
 
+def test_extend_rejects_a_duplicate_id_within_the_extra_set_or_against_the_pool():
+    m = Mempool([Transaction(i, 1.0, 2.0, 2.0) for i in range(3)])
+    twice = [Transaction(10, 1.0, 0.0, 0.0, fake=True), Transaction(10, 2.0, 1.0, 1.0, fake=True)]
+    with pytest.raises(ParameterError, match=r"^duplicate transaction id 10$"):
+        m.extend(twice)
+    with pytest.raises(ParameterError, match=r"^duplicate transaction id 2$"):
+        m.extend([Transaction(11, 1.0, 0.0, 0.0, fake=True), Transaction(2, 1.0, 0.0, 0.0)])
+    assert len(m) == 3 and m.ids() == (0, 1, 2)
+    # the appended columns keep the number types of their values, and stay read-only
+    pool = m.extend([Transaction(11, 0.5, 1.0, 1.5, fake=True),
+                     Transaction(12, Fraction(1, 2), 0.0, 0.0, fake=True)])
+    c = pool.columns
+    assert c.ids.tolist() == [0, 1, 2, 11, 12] and c.fake.tolist() == [False] * 3 + [True] * 2
+    assert c.sizes.dtype == object and c.sizes.tolist() == [1.0, 1.0, 1.0, 0.5, Fraction(1, 2)]
+    assert c.bids.dtype == float and c.valuations.tolist() == [2.0, 2.0, 2.0, 1.5, 0.0]
+    assert not any(col.flags.writeable for col in c)
+    assert pool.get(12).size == Fraction(1, 2) and 11 in pool
+
+
 LEAF_VALUES = [0.0, 5e-324, 0.1, 1 / 3, 1e16, 1e22, 123456789.0, sys.float_info.max]
 
 
