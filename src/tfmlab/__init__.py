@@ -12,7 +12,6 @@ from .alloc import (
     AllocationResult,
     RtfmSample,
     SplitBlockConfig,
-    allocation_to_csv,
     allocation_value,
     optimal_allocate,
     rtfm_sample,
@@ -30,7 +29,6 @@ from .audit import (
     estimate_monotonicity,
     estimate_zti,
     rtfm_cov_closed_form,
-    rtfm_cov_ratio,
     search_mic_deviation,
     stfm_cof_bound,
     stfm_worstcase_draw_ratio,

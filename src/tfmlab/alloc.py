@@ -19,20 +19,13 @@ fits.  Only the order differs:
   that equivalence, so the sampler matches the re-normalize-after-each-draw
   procedure while staying O(n log n).
 
-The walk steps through an order of up to ``_SHORT_WALK`` rows one row at a
-time.  On a longer order it cuts the prefix that fits from the cumulative
-sizes; with equal sizes nothing after the cut fits.  Past the cut it filters
-the rows ahead to those that fit at the running total, keeps the first and
-filters again at the new total: the total only grows and IEEE addition
-rounds monotonically, so a row that does not fit never fits later.  Once a
-filter removes less than half of what it tested, the rows left are stepped
-through one at a time, so an order in which most rows fit costs no more
-than the loop.  The running total adds sizes in walk order, exactly as a
-``total += size`` loop would.  Where the C helper loaded, that loop itself
-runs in C for float64 sizes and a capacity and start that are doubles
-exactly; the numpy walk serves every other column and is the C loop's test
-oracle.  ``_walk_rows`` walks many orders at once, one a row, with the same
-cut and the same sums.
+The walk is one ``total += size`` loop: a row is kept when it still fits at
+the running total, so the total adds sizes in walk order.  Where the C helper
+loaded, that loop runs in C for float64 sizes and a capacity and start that
+are doubles exactly; every other column runs the same loop in Python, which
+is also the C loop's test oracle.  ``_walk_rows`` walks many orders at once,
+one a row: it cuts each row's prefix that fits from its cumulative sizes,
+which add in the same order, and finishes a row with room left on the loop.
 
 Inside the package the rules exchange rows of one pool, not ids.  Ids appear
 only where an :class:`AllocationResult` is built for a caller, and
@@ -42,7 +35,6 @@ the two-set rule's toss.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence
@@ -54,7 +46,6 @@ from .errors import DomainError, ParameterError, SolverLimitError
 from .txpool import Mempool, PoolColumns, SeedLike, Transaction, resolve_rng
 
 EXHAUSTIVE_LIMIT = 24
-_SHORT_WALK = 32  # up to this length a plain loop beats numpy's per-call cost
 
 SECTION_MAIN = "main"
 SECTION_ALPHA = "alpha"
@@ -129,53 +120,20 @@ def _walk(sizes: np.ndarray, order: np.ndarray, capacity, total=0):
     Returns the kept rows, in walk order, and `total` plus their sizes added
     in that order; with nothing kept, `total` itself.  Float64 sizes, an
     intp order, and a capacity and `total` that are doubles exactly run the
-    C helper's ``total += size`` loop first.  Everything else (no helper,
-    object columns of ints or Fractions) walks here, which is also the C
-    loop's test oracle.  A short order is walked one row at a time.  On a
-    longer one the prefix that fits is cut from the cumulative sizes, and
-    the rest is filtered down to the rows that fit at the running total,
-    once per kept row, until a filter removes less than half of what it
-    tested; the rows left are walked one at a time.
+    C helper's loop; everything else (no helper, object columns of ints or
+    Fractions) runs the same loop here.
     """
     if _walk_c is not None and sizes.dtype == float and order.dtype == np.intp \
             and _double(capacity) and _double(total):
         kept = np.empty(len(order), dtype=np.intp)
         count, total = _walk_c(sizes, order, capacity, total, kept)
         return kept[:count], total
-    s = sizes[order]
-    if len(s) <= _SHORT_WALK:
-        return _walk_loop(s, order, capacity, total)
-    running = np.concatenate(([total], s)).cumsum()[1:] if total else s.cumsum()
-    cut = int(np.count_nonzero(running <= capacity))  # sizes are positive: a prefix
-    if cut:
-        total = running.item(cut - 1)
-    rest = s[cut + 1:]  # the row at `cut` did not fit
-    # the total only grows and rounding is monotone, so a row that does not fit
-    # now never fits later: each filter keeps the rows still worth testing
-    ahead = np.flatnonzero(total + rest <= capacity)
     kept = []
-    while len(ahead):
-        kept.append(ahead.item(0))
-        total += rest.item(kept[-1])
-        tested = ahead[1:]
-        ahead = tested[total + rest[tested] <= capacity]
-        if 2 * len(ahead) > len(tested):
-            tail, total = _walk_loop(rest[ahead], ahead, capacity, total)
-            kept.extend(tail.tolist())
-            break
-    if kept:
-        return np.concatenate((order[:cut], order[cut + 1:][kept])), total
-    return order[:cut], total
-
-
-def _walk_loop(s: np.ndarray, rows: np.ndarray, capacity, total):
-    """The `rows`, of sizes `s`, that a plain ``total += size`` loop keeps, and its total."""
-    kept = []
-    for pos, size in enumerate(s.tolist()):
+    for pos, size in enumerate(sizes[order].tolist()):
         if total + size <= capacity:
             kept.append(pos)
             total += size
-    return rows[kept], total
+    return order[kept], total
 
 
 def _running(values: np.ndarray) -> np.ndarray:
@@ -517,14 +475,3 @@ def rtfm_sample(m: Mempool, capacity, seed: SeedLike) -> RtfmSample:
                                  capacity, 0)
     opt, opt_root = _committed(m, *_optimal_rows(m.columns, capacity), capacity, 1)
     return RtfmSample(rand, opt, rand_root, opt_root)
-
-
-def allocation_to_csv(m: Mempool, result: AllocationResult, path: str) -> None:
-    """Write `id,section,size,bid` for every selected transaction."""
-    c = m.columns
-    rows = m.rows_of(result.selected)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "section", "size", "bid"])
-        for tid, size, bid in zip(result.selected, c.sizes[rows].tolist(), c.bids[rows].tolist()):
-            writer.writerow([tid, result.section_of(tid), repr(float(size)), repr(float(bid))])

@@ -501,13 +501,6 @@ def stfm_worstcase_draw_ratio(n: int, c: int, b: float, gamma: float, trials: in
     return CofReport(opt, mean_draw, cof, stfm_cof_bound(n, c, b, gamma))
 
 
-def rtfm_cov_ratio(phi: float) -> float:
-    """Squared-CoV ratio of the always-optimal baseline to the two-set rule."""
-    if not 0 < phi < 1:
-        raise DomainError(f"phi must lie strictly inside (0, 1), got {phi}")
-    return phi / (1.0 - phi)
-
-
 def rtfm_cov_closed_form(phi: float) -> float:
     """Closed-form coefficient of variation ``sqrt((1-phi)/phi)``.
 

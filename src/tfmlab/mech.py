@@ -128,7 +128,7 @@ class MechanismSpec:
     @classmethod
     def split_block(cls, alpha: float, delta: float = 0.0, base_fee: Optional[float] = None) -> "MechanismSpec":
         """BitcoinF-style split block; delta=0 is the zero-fee variant."""
-        if base_fee:
+        if base_fee is not None:
             return cls(AllocationKind.SPLIT_BLOCK, PaymentKind.POSTED_PRICE,
                        split=SplitBlockConfig(alpha, delta), base_fee=base_fee)
         return cls(AllocationKind.SPLIT_BLOCK, split=SplitBlockConfig(alpha, delta))

@@ -17,12 +17,12 @@ from tfmlab import (
     SolverLimitError,
     SplitBlockConfig,
     Transaction,
-    allocation_to_csv,
     allocation_value,
     alloc,
     emit_csv,
     optimal_allocate,
     rtfm_sample,
+    run_rtfm_sweep,
     run_stfm_sweep,
     splitblock_allocate,
     stfm_allocate,
@@ -438,17 +438,6 @@ def test_rtfm_deterministic_including_roots():
     assert (a.rand_set.selected != c.rand_set.selected) or (a.rand_root != c.rand_root)
 
 
-def test_allocation_csv_export(tmp_path):
-    m = pool([5, 3, 0, 0, 0], sizes_equal=True)
-    res = splitblock_allocate(m, 4.0, SplitBlockConfig(0.5), seed=1)
-    path = tmp_path / "alloc.csv"
-    allocation_to_csv(m, res, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "id,section,size,bid"
-    assert len(lines) == 1 + len(res.selected)
-    assert {line.split(",")[1] for line in lines[1:]} <= {"alpha", "one_minus_alpha"}
-
-
 def test_infeasible_allocation_rejected():
     from tfmlab.alloc import AllocationResult
 
@@ -487,11 +476,11 @@ def _long_order(shape):
     """Integer sizes, an order and a capacity.
 
     "softmax" and "greedy" are the softmax sweep's two orders over 1000
-    exponential sizes at a tenth of the pool's size.  The next two defeat a
-    filter per kept row: past the cut, tiny rows alternate with rows that fit
-    only until the next tiny one is kept, or every row after one misfit fits.
-    In "exact_fit" a filter keeps the row that fills the block exactly, and
-    in "exact_fit_at_cut" the first filter does.
+    exponential sizes at a tenth of the pool's size.  In "alternating" tiny
+    rows alternate with rows that fit only until the next tiny one is kept,
+    and in "misfit_then_fit" every row after one misfit fits.  "exact_fit"
+    and "exact_fit_at_cut" keep a row that fills the block exactly, late or
+    just after the first misfit.  Each shape holds the C walk to the loop.
     """
     rng = np.random.default_rng(13)
     if shape in ("softmax", "greedy"):
@@ -598,18 +587,42 @@ def test_walks_a_double_cannot_hold_stay_off_the_c_loop(monkeypatch):
 
 @needs_c_walk
 def test_stfm_sweep_csv_bytes_do_not_depend_on_the_walk(monkeypatch, tmp_path):
-    cfg = ExperimentConfig(
-        mechanism=MechanismSpec.stfm(1.0), n=300,
-        bid_dist=BidDistribution.uniform(0, 5), size_dist=BidDistribution.exponential(1),
-        sweep_param="gamma", sweep_values=(0.5, 2.0, 10.0), size_ratio=10.0, runs=8, seed=4,
+    """Every caller of the walk gives the same bytes on the C loop and the Python loop:
+    the softmax sweep, the two-set sweep (greedy and uniform walks), the two-set rule's
+    roots, and split block with fakes, whose walk starts at the fakes' total."""
+    exponential = BidDistribution.exponential(1)
+    stfm = ExperimentConfig(
+        mechanism=MechanismSpec.stfm(1.0), n=300, bid_dist=BidDistribution.uniform(0, 5),
+        size_dist=exponential, sweep_param="gamma", sweep_values=(0.5, 2.0, 10.0),
+        size_ratio=10.0, runs=8, seed=4,
     )
-    texts = []
-    for walk in (alloc._walk_c, None):
+    rtfm = ExperimentConfig(
+        mechanism=MechanismSpec.rtfm(0.5), n=300, capacity=30.0,
+        bid_dist=BidDistribution.uniform(0, 5), size_dist=exponential,
+        sweep_values=(0.0, 0.5, 1.0), runs=8, seed=4,
+    )
+    rng = np.random.default_rng(5)
+    m = Mempool([Transaction(i, float(rng.exponential(1)), bid, bid)
+                 for i, bid in enumerate(rng.choice([0.0, 1.0, 2.0, 3.0], 300).tolist())])
+    fakes = [Transaction(1000 + j, 0.5 + j, 1.0, 1.0, fake=True) for j in range(3)]
+    c_walk, starts = alloc._walk_c, []
+    outputs = []
+    for walk in (lambda *args: starts.append(args[3]) or c_walk(*args), None):
         monkeypatch.setattr(alloc, "_walk_c", walk)
-        path = tmp_path / f"{len(texts)}.csv"
-        emit_csv(run_stfm_sweep(cfg), str(path))
-        texts.append(path.read_bytes())
-    assert texts[0] == texts[1]
+        got = []
+        for run, cfg in ((run_stfm_sweep, stfm), (run_rtfm_sweep, rtfm)):
+            path = tmp_path / f"{len(outputs)}_{len(got)}.csv"
+            emit_csv(run(cfg), str(path))
+            got.append(path.read_bytes())
+        for seed in range(4):
+            sample = rtfm_sample(m, 30.0, seed)
+            got.append((sample.rand_set.selected, repr(sample.rand_set.total_size),
+                        sample.opt_set.selected, sample.rand_root, sample.opt_root))
+            res = splitblock_allocate(m, 30.0, SplitBlockConfig(0.5, 1.0), fakes, seed)
+            got.append((res.selected, repr(res.total_size), sorted(res.sections.items())))
+        outputs.append(got)
+    assert outputs[0] == outputs[1]
+    assert any(start != 0 for start in starts)  # the C loop ran, from a non-zero total too
 
 
 @pytest.mark.parametrize("exact", [True, False])

@@ -17,7 +17,6 @@ from tfmlab import (
     estimate_monotonicity,
     estimate_zti,
     rtfm_cov_closed_form,
-    rtfm_cov_ratio,
     search_mic_deviation,
     stfm_cof_bound,
     stfm_worstcase_draw_ratio,
@@ -387,16 +386,10 @@ def test_stfm_worstcase_draw_ratio_tracks_bound():
 
 
 def test_cov_closed_forms():
-    assert rtfm_cov_ratio(0.2) == pytest.approx(0.25)
     assert rtfm_cov_closed_form(0.5) == pytest.approx(1.0)
     assert rtfm_cov_closed_form(0.2) == pytest.approx(2.0)
     assert rtfm_cov_closed_form(0.999) < 0.05  # vanishes as the bias approaches one
-    # consistency: ratio and closed form describe the same two-point mixture
-    for phi in (0.1, 0.3, 0.7):
-        assert rtfm_cov_closed_form(phi) == pytest.approx(math.sqrt(1 / rtfm_cov_ratio(phi)))
     for bad in (0.0, 1.0, -1, 2):
-        with pytest.raises(DomainError):
-            rtfm_cov_ratio(bad)
         with pytest.raises(DomainError):
             rtfm_cov_closed_form(bad)
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,21 @@ def test_spec_config_round_trip():
         assert spec_from_config(spec_to_config(spec)) == spec
     text = spec_to_config(MechanismSpec.stfm(2.0))
     assert "allocation=softmax" in text and "gamma=2" in text
+
+
+def test_split_block_keeps_a_zero_posted_fee():
+    # a zero fee is still a posted price: it is written as lambda=0, and it pays floats
+    spec = MechanismSpec.split_block(0.5, 1.0, base_fee=0.0)
+    posted = MechanismSpec(AllocationKind.SPLIT_BLOCK, PaymentKind.POSTED_PRICE,
+                           split=SplitBlockConfig(0.5, 1.0), base_fee=0.0)
+    assert spec == posted
+    assert "payment=posted\nlambda=0\n" in spec_to_config(spec)
+    assert spec_from_config(spec_to_config(spec)) == spec
+    m = Mempool([Transaction(i, Fraction(1), Fraction(b), Fraction(b))
+                 for i, b in enumerate([3, 2, 1, 0])])
+    out = run_mechanism(spec, m, 4, seed=0)
+    assert out.allocation.selected == (0, 1, 2)
+    assert [repr(p) for p in out.payment_per_unit.values()] == ["3.0", "1.0", "1.0"]
 
 
 def test_spec_to_config_rejects_a_demotion_the_format_cannot_state():
