@@ -79,7 +79,6 @@ from .txpool import (
     Mempool,
     PoolColumns,
     Transaction,
-    mempool_from_csv,
     mempool_to_csv,
     parse_distribution,
     sample_mempool,

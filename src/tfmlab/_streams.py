@@ -106,19 +106,23 @@ def _pcg64_starts(seed_words: List[int], lo: int, hi: int) -> np.ndarray:
 
 
 class _TrialStreams:
-    """The trial generators of one audit call.
+    """The trial generators of one audit call, which makes `trials` runs at most.
 
     Trial i's stream is the one ``np.random.default_rng([seed, i])`` builds,
     but no trial is seeded through numpy: :func:`_pcg64_starts` computes the
     trials' PCG64 starts in vectorized passes, and asking for trial i
     restores its start into one reused generator.  The starts computed are
-    those of the trials asked for, ``prepare(trials)`` before a loop over
-    them or trial i alone, at most ``_BATCH`` of them a pass.  A generator
-    is good until the next trial is asked for.
+    those of the trials asked for, ``prepare(k)`` before a loop over the
+    first k or trial i alone, at most ``_BATCH`` of them a pass.  A generator
+    is good until the next trial is asked for.  Every audit that replays
+    trials checks its budget here.
     """
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, trials: int):
+        if trials < 1:
+            raise ParameterError("trials must be at least 1")
         seed = _check_seed(seed)
+        self.trials = trials
         self._words = [seed & _MASK32]  # the seed's uint32 words, as SeedSequence splits it
         while seed > _MASK32:
             seed >>= 32
@@ -128,7 +132,7 @@ class _TrialStreams:
         self._pcg = {"state": 0, "inc": 0}  # refilled at each restore
         self._state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
                        "state": self._pcg}
-        self._gumbel = np.empty((0, 0))  # the widest Gumbel matrix drawn so far
+        self._gumbel = np.empty((trials, 0))  # the widest Gumbel matrix drawn so far
 
     def prepare(self, trials: int) -> None:
         """Compute the starts of trials 0, ..., trials - 1 not yet known."""
@@ -146,15 +150,14 @@ class _TrialStreams:
         self._rng.bit_generator.state = self._state
         return self._rng
 
-    def gumbel(self, trials: int, n: int) -> np.ndarray:
+    def gumbel(self, n: int) -> np.ndarray:
         """A trials x n matrix whose row i is ``default_rng([seed, i]).gumbel(size=n)``.
 
         numpy draws one value per double, in order, so its first k columns are
         ``gumbel(size=k)``: the widest matrix asked for is kept, and sliced."""
-        rows, cols = max(trials, self._gumbel.shape[0]), max(n, self._gumbel.shape[1])
-        if (rows, cols) != self._gumbel.shape:
-            self.prepare(rows)
-            self._gumbel = np.empty((rows, cols))
-            for i in range(rows):
-                self._gumbel[i] = self(i).gumbel(size=cols)
-        return self._gumbel[:trials, :n]
+        if n > self._gumbel.shape[1]:
+            self.prepare(self.trials)
+            self._gumbel = np.empty((self.trials, n))
+            for i in range(self.trials):
+                self._gumbel[i] = self(i).gumbel(size=n)
+        return self._gumbel[:, :n]

@@ -1,8 +1,9 @@
 """Audit trials stepped all at once.
 
-A rule here takes the prepared arm of :mod:`.mech` and returns a step over
-many trials, which gives for each trial the block, total and utilities that
-the rule's one-trial step gives from that trial's stream, bit for bit.
+:func:`_softmax_trials` takes a softmax arm of :mod:`.mech` and returns its
+step over many trials, which gives for each trial the block, total and
+utilities that the rule's one-trial step gives from that trial's stream,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .alloc import _running, _softmax_rows
-from .mech import AllocationKind, PaymentKind, _Arm
+from .mech import PaymentKind, _Arm
 
 
 class _Blocks(NamedTuple):
@@ -54,7 +55,3 @@ def _softmax_trials(arm: _Arm):
                           axis=1)
         return _Blocks(included, total, income - burn, users[:, :n])
     return step
-
-
-# the rules whose trials can also be stepped all at once
-_TRIAL_RULES = {AllocationKind.SOFTMAX: _softmax_trials}

@@ -27,9 +27,9 @@ from .alloc import (
 )
 from .errors import DomainError, ParameterError, SolverLimitError
 from .experiments import _mean_se
-from .mech import AllocationKind, MechanismSpec, PaymentKind, _prepare, run_mechanism
+from .mech import AllocationKind, MechanismSpec, PaymentKind, _arm, _prepare, run_mechanism
 from ._streams import _TrialStreams
-from ._trials import _TRIAL_RULES
+from ._trials import _softmax_trials
 from .txpool import Mempool, Transaction, resolve_rng, zero_fee_subset
 
 _TOL = 1e-9
@@ -74,21 +74,21 @@ class CofReport:
     cov: Optional[float] = None
 
 
-def _replay(run, trials: int, streams: _TrialStreams) -> Tuple[list, bool]:
-    """Results of ``run(rng)`` over up to `trials` runs, and whether the rule drew.
+def _replay(run, streams: _TrialStreams) -> Tuple[list, bool]:
+    """Results of ``run(rng)`` over up to ``streams.trials`` runs, and whether the rule drew.
 
     Run i gets ``streams(i)``, trial i's generator, as its only source of
     randomness.  So when run 0 leaves its generator's state unchanged, the
     rule drew nothing, every seed gives the same outcome, and the replay
-    stops after that one run.  Callers check that `trials` is at least 1.
+    stops after that one run.
     """
     rng = streams(0)
     state = rng.bit_generator.state
     results = [run(rng)]
     if rng.bit_generator.state == state:
         return results, False
-    streams.prepare(trials)
-    results += [run(streams(i)) for i in range(1, trials)]
+    streams.prepare(streams.trials)
+    results += [run(streams(i)) for i in range(1, streams.trials)]
     return results, True
 
 
@@ -98,18 +98,16 @@ def _chunks(gumbel: np.ndarray):
     return (gumbel[lo:lo + rows] for lo in range(0, len(gumbel), rows))
 
 
-def _replay_arm(spec, m, capacity, trials: int, streams: _TrialStreams, read, read_all=None,
-                fakes=()) -> list:
-    """`read` of each block :func:`_replay` runs of the arm, or, where the arm
-    steps every trial at once (``_TRIAL_RULES``), `read_all` (by default
-    `read`) of the blocks of all trials, drawn from ``streams.gumbel``."""
-    if trials < 1:
-        raise ParameterError("trials must be at least 1")
-    step_all = _prepare(spec, m, capacity, fakes, _TRIAL_RULES)
+def _replay_arm(spec, m, capacity, streams: _TrialStreams, read, read_all=None, fakes=()) -> list:
+    """`read` of each block :func:`_replay` runs of the arm, or, where a softmax
+    arm steps every trial at once (:func:`._trials._softmax_trials`), `read_all`
+    (by default `read`) of the blocks of all trials, drawn from ``streams.gumbel``."""
+    arm = _arm(spec, m, capacity, fakes)
+    step_all = _softmax_trials(arm) if spec.allocation is AllocationKind.SOFTMAX else None
     if step_all is None:
-        step = _prepare(spec, m, capacity, fakes)
-        return _replay(lambda rng: read(step(rng)), trials, streams)[0]
-    read_all, gumbel = read_all or read, streams.gumbel(trials, len(m) + len(fakes))
+        step = _prepare(arm)
+        return _replay(lambda rng: read(step(rng)), streams)[0]
+    read_all, gumbel = read_all or read, streams.gumbel(len(arm.pool))
     return [value for chunk in _chunks(gumbel) for value in read_all(step_all(chunk)).tolist()]
 
 
@@ -126,9 +124,9 @@ def estimate_zti(spec: MechanismSpec, m: Mempool, capacity, trials: int, seed: i
     zero bid out; a rule that draws is replayed `trials` times, and Satisfied
     requires every feasible zero-bid transaction to appear at least once.
     """
-    if trials < 1:
-        raise ParameterError("trials must be at least 1")
-    streams = _TrialStreams(seed)
+    streams = _TrialStreams(seed, trials)
+    if not capacity >= 0:
+        raise ParameterError(f"capacity must be non-negative, got {capacity}")
     zeros = zero_fee_subset(m)
     if not zeros:
         raise ParameterError("mempool has no zero-bid transaction to audit")
@@ -158,7 +156,7 @@ def estimate_zti(spec: MechanismSpec, m: Mempool, capacity, trials: int, seed: i
         block = run_mechanism(spec, m, capacity, seed=rng).allocation.selected
         return tuple(tx.id for tx in zeros if tx.id in block)
 
-    blocks, drew = _replay(included_zeros, trials, streams)
+    blocks, drew = _replay(included_zeros, streams)
     excluded = [tx.id for tx in zeros if tx.id not in blocks[0]]
     if excluded and not drew:
         return PropertyReport(
@@ -221,11 +219,11 @@ def estimate_monotonicity(
     """
     if target_tx not in m:
         raise ParameterError(f"target transaction {target_tx} not in mempool")
-    if trials < 1:
-        raise ParameterError("trials must be at least 1")
+    streams = _TrialStreams(seed, trials)
     if not all(0 < e < math.inf for e in epsilons):
         raise ParameterError(f"epsilons must be positive and finite, got {list(epsilons)}")
-    streams = _TrialStreams(seed)
+    if not capacity >= 0:
+        raise ParameterError(f"capacity must be non-negative, got {capacity}")
 
     if use_certificates:
         verdict, certificate = _MONOTONICITY_CERTIFICATES[spec.allocation]
@@ -236,7 +234,7 @@ def estimate_monotonicity(
     target_row = int(m.rows_of((target_tx,))[0])
 
     def inclusion_rate(bid) -> Tuple[float, float, int]:
-        hits = _replay_arm(spec, m.with_bid(target_tx, bid), capacity, trials, streams,
+        hits = _replay_arm(spec, m.with_bid(target_tx, bid), capacity, streams,
                            lambda block: target_row in block.rows.tolist(),
                            lambda blocks: blocks.included[:, target_row])
         p = sum(hits) / len(hits)
@@ -281,13 +279,13 @@ def check_uic(
     theta = m.get(user).valuation
     if not any(b == theta for b in bid_grid):
         raise ParameterError("bid grid must contain the truthful bid (the valuation)")
-    streams = _TrialStreams(seed)
+    streams = _TrialStreams(seed, trials)
 
     means: Dict[float, float] = {}
     ses: Dict[float, float] = {}
     n_runs = 0
     for b in bid_grid:
-        utils = _replay_arm(spec, m.with_bid(user, b), capacity, trials, streams,
+        utils = _replay_arm(spec, m.with_bid(user, b), capacity, streams,
                             lambda block: block.user_utilities()[user],
                             lambda blocks: blocks.user_utility[:, m.rows_of((user,))[0]])
         means[b], ses[b] = _mean_se(utils)
@@ -314,14 +312,13 @@ def check_uic(
 # Miner incentive compatibility
 
 
-def _expected_miner_utility(spec, m, capacity, fakes, trials, streams):
+def _expected_miner_utility(spec, m, capacity, fakes, streams):
     """Mean, standard error and the runs made; exact (se 0) wherever the rule allows it."""
     if spec.allocation is AllocationKind.RTFM:
         # two-point mixture: the zero-pay branch contributes nothing
-        step = _prepare(spec, m, capacity, fakes)
+        step = _prepare(_arm(spec, m, capacity, fakes))
         return (1 - spec.phi) * step(streams(0), 1).miner_utility, 0.0, 1
-    utils = _replay_arm(spec, m, capacity, trials, streams, lambda b: b.miner_utility,
-                        fakes=fakes)
+    utils = _replay_arm(spec, m, capacity, streams, lambda b: b.miner_utility, fakes=fakes)
     return (*_mean_se(utils), len(utils))
 
 
@@ -359,14 +356,14 @@ def search_mic_deviation(
         raise ParameterError(f"fake_budget must be non-negative, got {fake_budget}")
     if fake_budget > 4 or len(fake_bid_grid) > 8:
         raise SolverLimitError("search bounded to fake_budget <= 4 and a grid of <= 8 bids")
-    streams = _TrialStreams(seed)
+    streams = _TrialStreams(seed, trials)
     grid = list(fake_bid_grid)
     if spec.allocation is AllocationKind.SPLIT_BLOCK and spec.split.delta not in grid:
         grid.append(spec.split.delta)
 
     if spec.allocation is AllocationKind.SOFTMAX:  # every arm reads the widest arm's noise
-        streams.gumbel(trials, len(m) + fake_budget)
-    honest, honest_se, n_runs = _expected_miner_utility(spec, m, capacity, (), trials, streams)
+        streams.gumbel(len(m) + fake_budget)
+    honest, honest_se, n_runs = _expected_miner_utility(spec, m, capacity, (), streams)
 
     next_id = max((tx.id for tx in m), default=-1) + 1
     fake_sets: List[Tuple[dict, Sequence[Transaction]]] = [({}, ())]
@@ -383,7 +380,7 @@ def search_mic_deviation(
 
     best = (honest, 0.0, None)
     for desc, run_spec, fakes in candidates:
-        value, se, runs = _expected_miner_utility(run_spec, m, capacity, fakes, trials, streams)
+        value, se, runs = _expected_miner_utility(run_spec, m, capacity, fakes, streams)
         n_runs = max(n_runs, runs)
         if value > best[0]:
             best = (value, se, desc)
@@ -420,19 +417,17 @@ def empirical_cof(
     trials (exactly proportional branch counts), which estimates the same
     mean with far less noise than independent tosses.
     """
-    streams = _TrialStreams(seed)
+    streams = _TrialStreams(seed, trials)
     opt = allocation_value(m, optimal_allocate(m, capacity))
     if not opt > 0:
         raise DomainError("cost of fairness undefined: the optimal revenue is zero")
 
-    if trials < 1:
-        raise ParameterError("trials must be at least 1")
     if spec.allocation is AllocationKind.RTFM:
         # the zero-pay branch earns nothing and no seed changes the paying branch
-        paying = _prepare(spec, m, capacity)(streams(0), 1).miner_utility
+        paying = _prepare(_arm(spec, m, capacity))(streams(0), 1).miner_utility
         utils = [0.0 if (i + 0.5) / trials < spec.phi else paying for i in range(trials)]
     else:
-        utils = _replay_arm(spec, m, capacity, trials, streams, lambda b: b.miner_utility)
+        utils = _replay_arm(spec, m, capacity, streams, lambda b: b.miner_utility)
     utils = np.asarray(utils, dtype=float)
     mean = float(utils.mean())
     cov = float(utils.std(ddof=1) / mean) if len(utils) > 1 and mean > 0 else None
@@ -544,9 +539,7 @@ def tune_gamma(
         raise ParameterError("need 0 < gamma_lo < gamma_hi < inf")
     if math.isnan(phi_ratio):
         raise ParameterError("phi_ratio must be a number, got nan")
-    if trials < 1:
-        raise ParameterError("trials must be at least 1")
-    streams = _TrialStreams(seed)
+    streams = _TrialStreams(seed, trials)
     if math.isinf(phi_ratio):
         return gamma_lo
 
@@ -557,7 +550,7 @@ def tune_gamma(
     # noise does not depend on gamma, so every gamma walks the same draws
     walk_sizes = c.sizes.astype(float, copy=False)
     bids = c.bids.astype(float, copy=False)
-    gumbel = streams.gumbel(trials, len(m))
+    gumbel = streams.gumbel(len(m))
 
     def ratio(gamma: float) -> float:
         """pr_cof / pr_zf at `gamma`, infinite where pr_zf is 0."""

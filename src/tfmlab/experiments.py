@@ -29,6 +29,7 @@ from .mech import (
     MechanismSpec,
     PaymentKind,
     _Block,
+    _arm,
     _prepare,
     _softmax_parts,
     config_value,
@@ -36,9 +37,6 @@ from .mech import (
     spec_from_fields,
 )
 from .txpool import BidDistribution, Mempool, resolve_rng, sample_mempool
-
-# the softmax rule as its two parts, noise and block, for the sweep to share one draw
-_SOFTMAX_PARTS = {AllocationKind.SOFTMAX: _softmax_parts}
 
 CSV_HEADER = "sweep_value,normalized_revenue,revenue_stderr,zero_fee_fraction,zff_stderr,cof,zfi"
 
@@ -140,10 +138,11 @@ def run_rtfm_sweep(cfg: ExperimentConfig) -> List[SweepRow]:
     """Sweep the branch bias of the randomized two-set mechanism.
 
     Each run draws a fresh mempool, prepares the mechanism over it once and
-    steps both branches, each from the run's seed; a grid value then mixes
-    the per-run branch outcomes according to its toss pattern.  Normalized revenue is miner utility over the exact optimum for
-    that run's pool; the zero-fee fraction counts confirmed zero-bid
-    transactions against the mempool size.
+    steps both branches from the run's seed; a grid value then mixes the
+    per-run branch outcomes according to its toss pattern.  Normalized
+    revenue is miner utility over the exact optimum for that run's pool; the
+    zero-fee fraction counts confirmed zero-bid transactions against the
+    mempool size.
     """
     if cfg.mechanism.allocation is not AllocationKind.RTFM:
         raise ConfigError("run_rtfm_sweep needs a randomized two-set mechanism")
@@ -158,11 +157,10 @@ def run_rtfm_sweep(cfg: ExperimentConfig) -> List[SweepRow]:
         rng = resolve_rng([cfg.seed, r])
         start = rng.bit_generator.state
         m = sample_mempool(cfg.n, cfg.bid_dist, cfg.size_dist, seed=rng)
-        step = _prepare(cfg.mechanism, m, cfg.capacity)
-        blocks = []
-        for branch in (0, 1):
-            rng.bit_generator.state = start
-            blocks.append(step(rng, branch))
+        step = _prepare(_arm(cfg.mechanism, m, cfg.capacity))
+        rng.bit_generator.state = start
+        # no generator state changes the paying branch's block, so one restore serves both
+        blocks = [step(rng, 0), step(rng, 1)]
         # the paying branch's knapsack is the greedy optimum unless it is exact (a
         # small pool) or weighs bids less the posted fee
         if len(m) > EXHAUSTIVE_LIMIT and cfg.mechanism.payment is not PaymentKind.POSTED_PRICE:
@@ -221,7 +219,7 @@ def run_stfm_sweep(cfg: ExperimentConfig) -> List[SweepRow]:
         greedy = {ratio: _greedy_value(m, pool_size / ratio) for ratio in ratios}
         rng = resolve_rng([cfg.seed, r, 1])
         for i, (spec, ratio) in enumerate(cells):
-            noise, step = _prepare(spec, m, pool_size / ratio, rules=_SOFTMAX_PARTS)
+            noise, step = _softmax_parts(_arm(spec, m, pool_size / ratio))
             if not i:  # the candidates, and so the noise, are the same in every cell
                 gumbel = noise(rng)
             block = step(gumbel)

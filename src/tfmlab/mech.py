@@ -20,22 +20,21 @@ sampled branch.  The burn follows the payment rule: only the posted price
 burns.
 
 The allocation rules form one table, ``_RULES``, from
-:class:`AllocationKind` to a rule; the two branches of the two-set rule are
-the uniform and knapsack rules.  The spec alone describes an arm: a
+:class:`AllocationKind` to a rule.  The spec alone describes an arm: a
 rule-level deviation such as split block's demotion is a field of the spec
-(:attr:`SplitBlockConfig.demote`), not an extra argument.  ``_prepare`` checks
-the fakes, appends them to the pool, picks the candidates and does the rule's
-per-arm work once (the knapsack solve, the scaled bids); the step it returns
-runs one trial with exactly the generator calls of :func:`run_mechanism`,
-which is itself prepare, step and wrap.  Every rule steps on rows of the
-arm's pool (the user's pool, then the fakes); only the wrap turns them into
-ids.  The audits, the cost of fairness and the sweeps prepare an arm and
-step it, reading the block's arrays; only the zero-fee inclusion audit calls
-:func:`run_mechanism`, once per trial.  The softmax rule also has a step
-over many trials at once, in :mod:`._trials`, which the audits take wherever
-its prices are floats, and its one-trial step comes in two parts, the noise
-draw and the block from that noise, so that the softmax sweep draws a run's
-noise once for all its cells.
+(:attr:`SplitBlockConfig.demote`), not an extra argument.  ``_arm`` checks
+the inputs, appends the fakes to the pool and picks the candidates;
+``_prepare`` does the rule's per-arm work once (the knapsack solve, the
+scaled bids) and returns its one-trial step, with exactly the generator
+calls of :func:`run_mechanism`, which is itself arm, prepare, step and
+wrap.  Every rule steps on rows of the arm's pool (the user's pool, then
+the fakes); only the wrap turns them into ids.  The audits, the cost of
+fairness and the sweeps step arms and read the block's arrays; only the
+zero-fee inclusion audit calls :func:`run_mechanism`, once per trial.  A
+softmax arm can also be stepped over many trials at once
+(:mod:`._trials`), which the audits do wherever its prices are floats, or
+in two parts, noise and block (:func:`_softmax_parts`), so that the
+softmax sweep draws a run's noise once for all its cells.
 
 The flat ``key = value`` config format lives here too: one table of keys,
 :data:`CONFIG_KEYS`, and one parser serve :func:`spec_from_config`, the
@@ -60,6 +59,7 @@ from .alloc import (
     _prepare_splitblock,
     _sections,
     _softmax_walk,
+    _walk,
     uniform_allocate,
 )
 from .errors import ConfigError, ParameterError
@@ -313,22 +313,26 @@ def _objective(spec: MechanismSpec, c: PoolColumns) -> Optional[np.ndarray]:
 # every other rule ignores it.
 
 
-def _knapsack_rule(arm: _Arm, branch: Optional[int] = None):
-    """The revenue-optimal set of the candidates, the same in every trial."""
+def _knapsack(arm: _Arm):
+    """The revenue-optimal set of the candidates, as pool rows, and its total size."""
     c = arm.candidates()
     rows, total = _optimal_rows(c, arm.capacity, _objective(arm.spec, c))
-    block = arm.block(arm.kept[rows], total, toss=branch)
+    return arm.kept[rows], total
+
+
+def _knapsack_rule(arm: _Arm):
+    """The revenue-optimal set of the candidates, the same in every trial."""
+    block = arm.block(*_knapsack(arm))
     return lambda rng, toss=None: block
 
 
-def _uniform_rule(arm: _Arm, branch: Optional[int] = None, cand: Optional[Mempool] = None):
-    """The uniform allocator over the candidates, or over `cand` when given."""
-    if cand is None:
-        cand = arm.pool if len(arm.kept) == len(arm.pool) else arm.pool.take(arm.kept)
+def _uniform_rule(arm: _Arm):
+    """The uniform allocator over the candidates."""
+    cand = arm.pool if len(arm.kept) == len(arm.pool) else arm.pool.take(arm.kept)
 
     def draw(rng, toss=None):
         result = uniform_allocate(cand, arm.capacity, rng)
-        return arm.block(arm.pool.rows_of(result.selected), result.total_size, toss=branch)
+        return arm.block(arm.pool.rows_of(result.selected), result.total_size)
     return draw
 
 
@@ -372,21 +376,21 @@ def _split_block_rule(arm: _Arm):
 def _two_set_rule(arm: _Arm):
     """A biased toss between the zero-pay uniform set (0) and the optimal set (1).
 
-    The optimal branch draws the uniform branch's permutation too, which keeps
-    the generator stream aligned across branches; its knapsack is solved the
-    first time the branch is taken.
+    Both branches draw a permutation of the whole pool after the toss, which
+    keeps the generator stream aligned across branches; the zero-pay branch
+    walks it, and the paying branch's knapsack is solved the first time the
+    branch is taken.
     """
-    rand = _uniform_rule(arm, branch=0, cand=arm.pool)
-    paying = []
+    sizes, paying = arm.pool.columns.sizes, []
 
     def draw(rng, toss=None):
         if toss is None:
             toss = 0 if rng.random() < arm.spec.phi else 1
+        order = rng.permutation(len(sizes))
         if toss == 0:
-            return rand(rng)
-        rng.permutation(len(arm.pool))
+            return arm.block(*_walk(sizes, order, arm.capacity), toss=0)
         if not paying:
-            paying.append(_knapsack_rule(arm, branch=1)(None))
+            paying.append(arm.block(*_knapsack(arm), toss=1))
         return paying[0]
     return draw
 
@@ -400,18 +404,8 @@ _RULES = {
 }
 
 
-def _prepare(spec: MechanismSpec, m: Mempool, capacity, fakes: Sequence[Transaction] = (),
-             rules=_RULES):
-    """The step of one trial of the mechanism over the pool plus miner fakes.
-
-    Checks the inputs and does the work the trials share once.  Then
-    ``step(rng, toss=None)`` makes exactly the generator calls that
-    :func:`run_mechanism` makes and returns the block; `toss` pins the
-    two-set rule's branch.  With ``rules=_trials._TRIAL_RULES`` it is instead
-    the step of every trial at once, or None where the rule has none.
-    """
-    if spec.allocation not in rules:
-        return None
+def _arm(spec: MechanismSpec, m: Mempool, capacity, fakes: Sequence[Transaction] = ()) -> _Arm:
+    """The arm of the mechanism over the pool plus miner fakes, its inputs checked."""
     for tx in fakes:
         if not tx.fake:
             raise ParameterError(f"fake transaction {tx.id} must carry fake=True")
@@ -423,7 +417,12 @@ def _prepare(spec: MechanismSpec, m: Mempool, capacity, fakes: Sequence[Transact
     kept = np.arange(len(pool))
     if spec.payment is PaymentKind.POSTED_PRICE:
         kept = np.flatnonzero(pool.columns.bids >= spec.base_fee)
-    return rules[spec.allocation](_Arm(spec, m, pool, capacity, kept))
+    return _Arm(spec, m, pool, capacity, kept)
+
+
+def _prepare(arm: _Arm):
+    """The arm's one-trial draw (see the rules above), its rule's shared work done once."""
+    return _RULES[arm.spec.allocation](arm)
 
 
 def run_mechanism(
@@ -444,7 +443,7 @@ def run_mechanism(
     """
     if rtfm_toss not in (None, 0, 1):
         raise ParameterError(f"rtfm_toss must be 0, 1 or None, got {rtfm_toss!r}")
-    block = _prepare(spec, m, capacity, fakes)(resolve_rng(seed), rtfm_toss)
+    block = _prepare(_arm(spec, m, capacity, fakes))(resolve_rng(seed), rtfm_toss)
     selected = tuple(block.columns.ids[block.rows].tolist())
     sections = _sections(selected, block.reserved, block.toss)
     return MechanismOutcome(AllocationResult(selected, block.total, capacity, sections),

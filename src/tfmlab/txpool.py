@@ -457,12 +457,3 @@ def mempool_to_csv(m: Mempool, path: str) -> None:
         for row in zip(c.ids.tolist(), c.sizes.tolist(), c.bids.tolist(), c.valuations.tolist()):
             writer.writerow([row[0]] + [repr(float(v)) for v in row[1:]])
 
-
-def mempool_from_csv(path: str) -> Mempool:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["id", "size", "bid", "valuation"]:
-            raise ParameterError(f"unexpected mempool CSV header {header!r}")
-        txs = [Transaction(int(r[0]), float(r[1]), float(r[2]), float(r[3])) for r in reader]
-    return Mempool(txs)

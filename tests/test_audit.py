@@ -196,6 +196,34 @@ def test_audits_need_a_trial():
         empirical_cof(MechanismSpec.rtfm(0.5), unit_pool([2, 5]), 1.0, 0, 0)
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+@pytest.mark.parametrize("spec", [MechanismSpec.rtfm(0.4), MechanismSpec.first_price()],
+                         ids=["rtfm", "first_price"])
+def test_a_mic_search_needs_a_trial(spec, trials):
+    # the two-set rule's miner utility is an exact mixture of one run, but the budget still counts
+    with pytest.raises(ParameterError, match="trials must be at least 1"):
+        search_mic_deviation(spec, unit_pool([5, 3, 2]), 2.0, 2, [0.0, 1.0, 5.0], seed=1,
+                             trials=trials)
+
+
+@pytest.mark.parametrize("capacity", [math.nan, -1.0])
+def test_certified_audits_reject_a_capacity_outside_the_model(capacity):
+    with pytest.raises(ParameterError, match="capacity must be non-negative"):
+        estimate_zti(MechanismSpec.eip1559(1.0), ZPOOL, capacity, 10, 0)
+    for spec in (MechanismSpec.first_price(), MechanismSpec.uniform(), MechanismSpec.stfm(1.0),
+                 MechanismSpec.rtfm(0.3), MechanismSpec.split_block(0.5)):
+        with pytest.raises(ParameterError, match="capacity must be non-negative"):
+            estimate_monotonicity(spec, ZPOOL, 3, [1.0], 10, 1, capacity=capacity)
+
+
+def test_certified_audits_take_an_unbounded_block():
+    report = estimate_zti(MechanismSpec.eip1559(1.0), ZPOOL, math.inf, 10, 0)
+    assert report.verdict is Verdict.VIOLATED and report.trials == 0
+    report = estimate_monotonicity(MechanismSpec.uniform(), ZPOOL, 3, [1.0], 10, 1,
+                                   capacity=math.inf)
+    assert report.verdict is Verdict.VIOLATED and report.trials == 0
+
+
 BAD_SEEDS = [-1, -2**40, 1.5, 2.0, "3", None]
 # every public audit that takes a seed, on inputs it would otherwise accept
 SEEDED_AUDITS = {

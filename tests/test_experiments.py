@@ -165,7 +165,7 @@ def test_stfm_sweep_draws_each_runs_noise_once_for_every_cell(monkeypatch, base_
                                                                draws_per_run):
     # a posted fee above every bid leaves no candidate, and then no noise is drawn
     draws, blocks = [], []
-    parts = experiments._SOFTMAX_PARTS[AllocationKind.SOFTMAX]
+    parts = experiments._softmax_parts
 
     def counted(arm):
         noise, block = parts(arm)
@@ -178,7 +178,7 @@ def test_stfm_sweep_draws_each_runs_noise_once_for_every_cell(monkeypatch, base_
             blocks.append(gumbel)
             return block(gumbel)
         return counted_noise, counted_block
-    monkeypatch.setitem(experiments._SOFTMAX_PARTS, AllocationKind.SOFTMAX, counted)
+    monkeypatch.setattr(experiments, "_softmax_parts", counted)
     payment = PaymentKind.FIRST_PRICE if base_fee is None else PaymentKind.POSTED_PRICE
     runs, values = 6, (0.1, 0.5, 2.0, 10.0, 50.0)
     cfg = ExperimentConfig(
@@ -503,6 +503,26 @@ def test_cli_tune_gamma_rejects_an_infinite_bound_or_a_nan_ratio(tmp_path, line)
         lines = lines[1:]  # without the helper, the tfmlab logger warns once first
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "Traceback" not in done.stderr
+
+
+def test_cli_two_set_mic_audit_rejects_zero_trials(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "allocation = rtfm\nphi = 0.4\nn = 10\ncapacity = 4\nseed = 1\n"
+                              "trials = 0\n")
+    assert cli_main(["audit", "--property", "mic", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "trials" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("prop", ["zti", "monotonicity"])
+@pytest.mark.parametrize("capacity", ["nan", "-1"])
+def test_cli_certified_audit_rejects_a_capacity_outside_the_model(tmp_path, capsys, prop,
+                                                                  capacity):
+    with open(os.path.join(DEMOS, "zti_audit.cfg")) as fh:
+        text = fh.read().replace("capacity = ", "# was ")
+    cfg = write_cfg(tmp_path, f"{text}capacity = {capacity}\n")
+    assert cli_main(["audit", "--property", prop, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "capacity" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command,line", [

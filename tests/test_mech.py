@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -20,8 +21,10 @@ from tfmlab import (
     spec_from_config,
     spec_from_fields,
     spec_to_config,
+    uniform_allocate,
     update_base_fee,
 )
+from tfmlab.mech import _arm, _prepare
 
 
 def unit_pool(bids):
@@ -243,13 +246,11 @@ def test_spec_config_accepts_inline_comments_like_the_sweep_parser():
 def test_one_prepared_split_block_step_serves_every_trial():
     # the posted-fee rows' order decides whether the demoted bids 2 and 3 still
     # fit the reserved section, and with them what is left for the paid knapsack
-    from tfmlab.mech import _prepare
-
     m = Mempool([Transaction(0, 2.5, 1.0, 1.0), Transaction(1, 1.0, 1.0, 1.0),
                  Transaction(2, 1.0, 1.0, 1.0), Transaction(3, 1.0, 2.0, 2.0),
                  Transaction(4, 1.0, 3.0, 3.0), Transaction(5, 2.0, 4.0, 4.0)])
     spec = MechanismSpec.split_block(0.5, delta=1.0)
-    step = _prepare(spec, m, 8.0)
+    step = _prepare(_arm(spec, m, 8.0))
     blocks = set()
     for seed in range(12):
         block = step(np.random.default_rng(seed))
@@ -258,3 +259,65 @@ def test_one_prepared_split_block_step_serves_every_trial():
         assert block.miner_utility == out.miner_utility
         blocks.add(out.allocation.selected)
     assert len(blocks) > 1
+
+
+# the two-set rule's step, against the uniform allocator and the knapsack rule it replaces
+TWO_SET_NUMBERS = {"float": float, "int": int, "fraction": lambda v: Fraction(v, 2)}
+
+
+def _two_set_arm(number, posted: bool):
+    """A two-set arm with a fake, over a pool of `number` values, under first or posted price."""
+    m = Mempool([Transaction(i, number(1 + i % 3), number(b), number(b))
+                 for i, b in enumerate([4, 0, 3, 5, 1, 0, 2, 6])])
+    fakes = (Transaction(8, number(1), number(2), number(2), fake=True),)
+    spec = MechanismSpec.rtfm(0.5, PaymentKind.POSTED_PRICE, number(2)) if posted \
+        else MechanismSpec.rtfm(0.5)
+    return _arm(spec, m, number(7), fakes)
+
+
+@pytest.mark.parametrize("posted", [False, True], ids=["first_price", "posted"])
+@pytest.mark.parametrize("number", sorted(TWO_SET_NUMBERS))
+def test_the_two_set_zero_pay_branch_is_the_uniform_allocator_over_the_pool(number, posted):
+    arm = _two_set_arm(TWO_SET_NUMBERS[number], posted)
+    step, ids = _prepare(arm), arm.pool.columns.ids
+    for seed in range(20):
+        stepped, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        block = step(stepped, 0)
+        expected = uniform_allocate(arm.pool, arm.capacity, oracle)
+        assert tuple(ids[block.rows].tolist()) == expected.selected
+        assert block.total == expected.total_size
+        assert type(block.total) is type(expected.total_size)
+        assert block.toss == 0 and not block.payment.any() and not block.burn.any()
+        assert stepped.bit_generator.state == oracle.bit_generator.state
+        # a drawn toss comes first, then the same permutation on either branch
+        stepped, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        block = step(stepped)
+        if oracle.random() < arm.spec.phi:
+            assert block.toss == 0
+            assert tuple(ids[block.rows].tolist()) == \
+                uniform_allocate(arm.pool, arm.capacity, oracle).selected
+        else:
+            assert block.toss == 1
+            oracle.permutation(len(arm.pool))
+        assert stepped.bit_generator.state == oracle.bit_generator.state
+
+
+@pytest.mark.parametrize("posted", [False, True], ids=["first_price", "posted"])
+@pytest.mark.parametrize("number", sorted(TWO_SET_NUMBERS))
+def test_the_two_set_paying_branch_is_one_block_whatever_the_generator(number, posted):
+    arm = _two_set_arm(TWO_SET_NUMBERS[number], posted)
+    step = _prepare(arm)
+    paying = step(np.random.default_rng(0), 1)
+    knapsack = _prepare(arm._replace(spec=replace(arm.spec, allocation=AllocationKind.OPTIMAL,
+                                                  phi=None)))(None)
+    assert paying.toss == 1 and knapsack.toss is None
+    assert paying.rows.tolist() == knapsack.rows.tolist() and paying.total == knapsack.total
+    assert paying.payment.tolist() == knapsack.payment.tolist()
+    assert paying.burn.tolist() == knapsack.burn.tolist()
+    assert repr(paying.miner_utility) == repr(knapsack.miner_utility)
+    for seed in range(1, 10):
+        zero_pay, paid = np.random.default_rng(seed), np.random.default_rng(seed)
+        step(zero_pay, 0)
+        assert step(paid, 1) is paying
+        # both branches make the same generator calls
+        assert zero_pay.bit_generator.state == paid.bit_generator.state

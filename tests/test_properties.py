@@ -35,8 +35,9 @@ from tfmlab import (
 from tfmlab.alloc import EXHAUSTIVE_LIMIT, SECTION_ONE_MINUS_ALPHA, SECTION_RAND, _walk, _walk_rows
 from tfmlab._streams import _BATCH, _START_BYTES, _TrialStreams, _pcg64_starts
 from tfmlab.audit import _replay
-from tfmlab.mech import _prepare
-from tfmlab._trials import _TRIAL_RULES
+from tfmlab.audit import _replay_arm
+from tfmlab.mech import _arm, _prepare
+from tfmlab._trials import _softmax_trials
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -143,7 +144,7 @@ def prepared_cases(draw):
 def test_a_prepared_step_replays_run_mechanism(case):
     # audits prepare an arm once and step it once per trial
     m, fakes, capacity, seed, spec, toss = case
-    step = _prepare(spec, m, capacity, fakes)
+    step = _prepare(_arm(spec, m, capacity, fakes))
     for trial in range(3):
         stepped, ran = np.random.default_rng([seed, trial]), np.random.default_rng([seed, trial])
         block = step(stepped, toss)
@@ -202,7 +203,7 @@ def test_trial_streams_start_where_numpy_seeds_them(words, data):
     seed = data.draw(_seeds_of(words))
     trials = data.draw(st.integers(2, 3 * _BATCH + 3).filter(lambda n: n & (n - 1)))
     cut = data.draw(st.integers(1, trials))
-    streams = _TrialStreams(seed)
+    streams = _TrialStreams(seed, trials)
     streams(0)
     streams.prepare(cut)
     streams.prepare(trials)
@@ -215,7 +216,7 @@ def test_trial_streams_start_where_numpy_seeds_them(words, data):
 
 def test_trial_starts_reach_the_last_uint32_index():
     for seed in (0, 2**40 + 3, 2**100 + 1):
-        words = _TrialStreams(seed)._words
+        words = _TrialStreams(seed, 1)._words
         starts = _pcg64_starts(words, 2**32 - 3, 2**32)
         for i, row in zip(range(2**32 - 3, 2**32), starts):
             pcg = np.random.PCG64([seed, i]).state["state"]
@@ -226,10 +227,10 @@ def test_trial_starts_reach_the_last_uint32_index():
 
 @pytest.mark.parametrize("seed", [0, 2**40 + 3])
 def test_a_rule_that_draws_nothing_runs_and_seeds_one_trial(seed):
-    streams = _TrialStreams(seed)
-    results, drew = _replay(lambda rng: "same", 500, streams)
+    streams = _TrialStreams(seed, 500)
+    results, drew = _replay(lambda rng: "same", streams)
     assert results == ["same"] and not drew and len(streams._start) == _START_BYTES
-    results, drew = _replay(lambda rng: rng.random(), 500, streams)
+    results, drew = _replay(lambda rng: rng.random(), streams)
     assert len(results) == 500 and drew and len(streams._start) == 500 * _START_BYTES
 
 
@@ -244,7 +245,7 @@ def test_a_rule_that_draws_nothing_runs_and_seeds_one_trial(seed):
 def test_gumbel_rows_are_the_trial_streams_draws(words, data):
     seed = data.draw(_seeds_of(words))
     n = data.draw(st.integers(0, 12))
-    gumbel = _TrialStreams(seed).gumbel(3001, n)
+    gumbel = _TrialStreams(seed, 3001).gumbel(n)
     assert gumbel.shape == (3001, n)
     for i in (0, 1023, 1024, 3000):
         expected = np.random.default_rng([seed, i]).gumbel(size=n)
@@ -255,10 +256,10 @@ def test_gumbel_rows_are_the_trial_streams_draws(words, data):
 @given(st.integers(0, 2**64 - 1), st.integers(1, 40), st.integers(0, 12), st.integers(0, 12))
 def test_a_gumbel_prefix_is_the_shorter_draw(seed, trials, k, extra):
     # an arm over k candidates reads the first k columns of the widest arm's draw
-    narrow = _TrialStreams(seed).gumbel(trials, k).copy()
-    streams = _TrialStreams(seed)
-    wide = streams.gumbel(trials, k + extra)
-    assert streams.gumbel(trials, k).tobytes() == narrow.tobytes()
+    narrow = _TrialStreams(seed, trials).gumbel(k).copy()
+    streams = _TrialStreams(seed, trials)
+    wide = streams.gumbel(k + extra)
+    assert streams.gumbel(k).tobytes() == narrow.tobytes()
     assert wide[:, :k].tobytes() == narrow.tobytes()
     for i in (0, trials - 1):
         assert narrow[i].tobytes() == np.random.default_rng([seed, i]).gumbel(size=k).tobytes()
@@ -304,8 +305,8 @@ def test_the_batched_softmax_step_is_each_trials_draw(case):
     trials = 5
     gumbel = np.array([np.random.default_rng([seed, t]).gumbel(size=len(pool))
                        for t in range(trials)]).reshape(trials, -1)
-    step_all = _prepare(spec, m, capacity, fakes, _TRIAL_RULES)
-    step = _prepare(spec, m, capacity, fakes)
+    arm = _arm(spec, m, capacity, fakes)
+    step_all, step = _softmax_trials(arm), _prepare(arm)
     if step_all is None:  # no candidates: the one-trial step draws nothing, and runs once
         rng = np.random.default_rng([seed, 0])
         state = rng.bit_generator.state
@@ -325,14 +326,22 @@ def test_the_batched_softmax_step_is_each_trials_draw(case):
             [repr(users[tx_id]) for tx_id in m.ids()]
 
 
+def _replays_every_trial_at_once(spec, m):
+    """Whether an audit's replay of the arm takes the step of every trial at once."""
+    batched = []
+    _replay_arm(spec, m, 2.0, _TrialStreams(0, 3), lambda block: 0,
+                lambda blocks: batched.append(blocks) or blocks.total)
+    return bool(batched)
+
+
 def test_only_softmax_over_float_columns_steps_every_trial_at_once():
     floats = Mempool([Transaction(i, 1.0, float(i), float(i)) for i in range(4)])
     fractions = Mempool([Transaction(i, 1, Fraction(i), Fraction(i)) for i in range(4)])
-    assert _prepare(MechanismSpec.stfm(1.0), floats, 2.0, rules=_TRIAL_RULES) is not None
+    assert _replays_every_trial_at_once(MechanismSpec.stfm(1.0), floats)
     for spec, m in ((MechanismSpec.stfm(1.0), fractions),
                     (MechanismSpec.stfm(1.0, PaymentKind.POSTED_PRICE, 1), floats),
                     (MechanismSpec.uniform(), floats)):
-        assert _prepare(spec, m, 2.0, rules=_TRIAL_RULES) is None
+        assert not _replays_every_trial_at_once(spec, m)
 
 
 @pytest.mark.parametrize("chunk", [1, 24, 100])

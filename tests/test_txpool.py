@@ -1,3 +1,4 @@
+import csv
 import math
 import sys
 import time
@@ -12,7 +13,6 @@ from tfmlab import (
     Mempool,
     ParameterError,
     Transaction,
-    mempool_from_csv,
     mempool_to_csv,
     parse_distribution,
     sample_mempool,
@@ -191,10 +191,9 @@ def test_mempool_csv_round_trip(tmp_path):
     mempool_to_csv(m, str(path))
     header = path.read_text().splitlines()[0]
     assert header == "id,size,bid,valuation"
-    back = mempool_from_csv(str(path))
-    assert back.ids() == m.ids()
-    assert all(a.bid == b.bid and a.size == b.size and a.valuation == b.valuation
-               for a, b in zip(m, back))
+    with open(path, newline="") as fh:
+        back = [(int(r[0]), *map(float, r[1:])) for r in list(csv.reader(fh))[1:]]
+    assert back == [(tx.id, tx.size, tx.bid, tx.valuation) for tx in m]
 
 
 def test_mempool_columns_and_cached_row_views():
