@@ -14,8 +14,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import ParameterError
-from .txpool import _check_seed
+from .errors import ParameterError, _check_int
 
 _PCG64_STATE = (1 << 128) - 1
 # numpy's SeedSequence hash (pool size 4) and PCG64's multiplier, by uint64 word
@@ -115,14 +114,12 @@ class _TrialStreams:
     those of the trials asked for, ``prepare(k)`` before a loop over the
     first k or trial i alone, at most ``_BATCH`` of them a pass.  A generator
     is good until the next trial is asked for.  Every audit that replays
-    trials checks its budget here.
+    trials checks its budget here, 1 to 2**32 trials, before any start is computed.
     """
 
     def __init__(self, seed: int, trials: int):
-        if trials < 1:
-            raise ParameterError("trials must be at least 1")
-        seed = _check_seed(seed)
-        self.trials = trials
+        self.trials = _check_int("trials", trials, 1, 1 << 32)
+        seed = _check_int("seed", seed)
         self._words = [seed & _MASK32]  # the seed's uint32 words, as SeedSequence splits it
         while seed > _MASK32:
             seed >>= 32

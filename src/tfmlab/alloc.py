@@ -42,7 +42,7 @@ from typing import Dict, Mapping, Optional, Sequence
 import numpy as np
 
 from . import chain
-from .errors import DomainError, ParameterError, SolverLimitError
+from .errors import DomainError, ParameterError, SolverLimitError, _check_capacity, _check_gamma
 from .txpool import Mempool, PoolColumns, SeedLike, Transaction, resolve_rng
 
 EXHAUSTIVE_LIMIT = 24
@@ -224,8 +224,7 @@ def optimal_allocate(
     and greedy above.  Transactions with non-positive objective weight are
     never selected, and value ties resolve to the lowest-id set.
     """
-    if not capacity >= 0:
-        raise ParameterError(f"capacity must be non-negative, got {capacity}")
+    _check_capacity(capacity)
     rows, total = _optimal_rows(m.columns, capacity, payment_per_unit, exact)
     return AllocationResult(tuple(m.columns.ids[rows].tolist()), total, capacity)
 
@@ -263,8 +262,7 @@ def allocation_value(m: Mempool, result: AllocationResult):
 
 def uniform_allocate(m: Mempool, capacity, seed: SeedLike) -> AllocationResult:
     """Uniformly sample transactions until nothing left fits."""
-    if not capacity >= 0:
-        raise ParameterError(f"capacity must be non-negative, got {capacity}")
+    _check_capacity(capacity)
     rng = resolve_rng(seed)
     rows, total = _walk(m.columns.sizes, rng.permutation(len(m)), capacity)
     return AllocationResult(tuple(m.columns.ids[rows].tolist()), total, capacity)
@@ -276,8 +274,7 @@ def stfm_first_draw_distribution(m: Mempool, gamma: float) -> Dict[int, float]:
     Every probability is strictly positive as long as the bid spread over
     gamma stays inside the double-precision exponent range (about 745).
     """
-    if not gamma > 0:
-        raise ParameterError(f"gamma must be positive, got {gamma}")
+    _check_gamma(gamma)
     if len(m) == 0:
         raise DomainError("softmax distribution undefined for an empty mempool")
     bids = m.bids()
@@ -314,10 +311,8 @@ def stfm_allocate(m: Mempool, capacity, gamma: float, seed: SeedLike) -> Allocat
     each pick; only transactions that fit the remaining capacity are eligible,
     and sampling stops once nothing fits.
     """
-    if not gamma > 0:
-        raise ParameterError(f"gamma must be positive, got {gamma}")
-    if not capacity >= 0:
-        raise ParameterError(f"capacity must be non-negative, got {capacity}")
+    _check_gamma(gamma)
+    _check_capacity(capacity)
     rng = resolve_rng(seed)
     n = len(m)
     if n == 0:
@@ -370,8 +365,6 @@ def _prepare_splitblock(c: PoolColumns, real: np.ndarray, fakes: np.ndarray, cap
     paid section's knapsack depends only on the real rows the reserved section
     left open, so a draw solves it once per such set.
     """
-    if not capacity >= 0:
-        raise ParameterError(f"capacity must be non-negative, got {capacity}")
     cap_posted = cfg.one_minus_alpha_capacity(capacity)
     cap_paid = cfg.alpha_capacity(capacity)
 
@@ -411,6 +404,16 @@ def _prepare_splitblock(c: PoolColumns, real: np.ndarray, fakes: np.ndarray, cap
     return draw
 
 
+def _with_fakes(m: Mempool, fakes: Sequence[Transaction]) -> Mempool:
+    """`m` with a miner's `fakes` appended; each must carry ``fake=True`` and an id not in `m`."""
+    for tx in fakes:
+        if not tx.fake:
+            raise ParameterError(f"fake transaction {tx.id} must carry fake=True")
+        if tx.id in m:
+            raise ParameterError(f"fake transaction id {tx.id} collides with the mempool")
+    return m.extend(fakes)
+
+
 def _sections(selected: tuple, reserved: Optional[np.ndarray] = None,
               toss: Optional[int] = None) -> Dict[int, str]:
     """The section of each `selected` id: split block's by its `reserved` mask, the
@@ -439,9 +442,12 @@ def splitblock_allocate(
     the posted fee when explicit delta bids run short, lowest bids first, so
     no one pays more than their bid; the zero-fee variant never demotes, so
     an underfilled section stays underfilled.  The paid section is then
-    solved as a knapsack over the remaining transactions.
+    solved as a knapsack over the remaining transactions.  `fake_fill` entries
+    must carry ``fake=True`` and ids not in `m`, as :func:`.mech.run_mechanism`'s
+    fakes must.
     """
-    c, n = m.extend(fake_fill or ()).columns, len(m)
+    _check_capacity(capacity)
+    c, n = _with_fakes(m, fake_fill or ()).columns, len(m)
     draw = _prepare_splitblock(c, np.arange(n), np.arange(n, len(c.ids)), capacity, cfg)
     rows, total, reserved = draw(resolve_rng(seed))
     selected = tuple(c.ids[rows].tolist())
@@ -469,8 +475,7 @@ def _committed(m: Mempool, rows: np.ndarray, total, capacity, toss: int):
 def rtfm_sample(m: Mempool, capacity, seed: SeedLike) -> RtfmSample:
     """Draw the zero-pay uniform set and the revenue-optimal set, with roots."""
     rng = resolve_rng(seed)
-    if not capacity >= 0:
-        raise ParameterError(f"capacity must be non-negative, got {capacity}")
+    _check_capacity(capacity)
     rand, rand_root = _committed(m, *_walk(m.columns.sizes, rng.permutation(len(m)), capacity),
                                  capacity, 0)
     opt, opt_root = _committed(m, *_optimal_rows(m.columns, capacity), capacity, 1)

@@ -26,6 +26,7 @@ from .alloc import (
     stfm_first_draw_distribution,
 )
 from .errors import DomainError, ParameterError, SolverLimitError
+from .errors import _check_capacity, _check_gamma, _check_int
 from .experiments import _mean_se
 from .mech import AllocationKind, MechanismSpec, PaymentKind, _arm, _prepare, run_mechanism
 from ._streams import _TrialStreams
@@ -125,8 +126,7 @@ def estimate_zti(spec: MechanismSpec, m: Mempool, capacity, trials: int, seed: i
     requires every feasible zero-bid transaction to appear at least once.
     """
     streams = _TrialStreams(seed, trials)
-    if not capacity >= 0:
-        raise ParameterError(f"capacity must be non-negative, got {capacity}")
+    _check_capacity(capacity)
     zeros = zero_fee_subset(m)
     if not zeros:
         raise ParameterError("mempool has no zero-bid transaction to audit")
@@ -220,10 +220,9 @@ def estimate_monotonicity(
     if target_tx not in m:
         raise ParameterError(f"target transaction {target_tx} not in mempool")
     streams = _TrialStreams(seed, trials)
-    if not all(0 < e < math.inf for e in epsilons):
-        raise ParameterError(f"epsilons must be positive and finite, got {list(epsilons)}")
-    if not capacity >= 0:
-        raise ParameterError(f"capacity must be non-negative, got {capacity}")
+    if not epsilons or not all(0 < e < math.inf for e in epsilons):
+        raise ParameterError(f"epsilons must be non-empty, positive and finite, got {list(epsilons)}")
+    _check_capacity(capacity)
 
     if use_certificates:
         verdict, certificate = _MONOTONICITY_CERTIFICATES[spec.allocation]
@@ -352,9 +351,7 @@ def search_mic_deviation(
     is only ever relative to these bounds.  The report's `trials` is the most
     runs the honest rule or any candidate took.
     """
-    if fake_budget < 0:
-        raise ParameterError(f"fake_budget must be non-negative, got {fake_budget}")
-    if fake_budget > 4 or len(fake_bid_grid) > 8:
+    if _check_int("fake_budget", fake_budget) > 4 or len(fake_bid_grid) > 8:
         raise SolverLimitError("search bounded to fake_budget <= 4 and a grid of <= 8 bids")
     streams = _TrialStreams(seed, trials)
     grid = list(fake_bid_grid)
@@ -455,18 +452,17 @@ def stfm_cof_bound(n: int, c: int, b: float, gamma: float) -> float:
     """
     if c == 0:
         raise DomainError("block must hold at least one transaction")
-    if not 1 <= c <= n:
+    if _check_int("c", c, 1) > _check_int("n", n, 1):
         raise ParameterError(f"need 1 <= c <= n, got c={c}, n={n}")
-    if b < 0:
+    if not b >= 0:
         raise ParameterError(f"bid must be non-negative, got {b}")
-    if not gamma > 0:
-        raise ParameterError(f"gamma must be positive, got {gamma}")
+    _check_gamma(gamma)
     return n / c + 1.0 - math.exp(-b / gamma)
 
 
 def stfm_worstcase_instance(n: int, c: int, b: float) -> Mempool:
     """Equal-size pool with `c` transactions at bid `b` and the rest at zero."""
-    if not 1 <= c <= n:
+    if _check_int("c", c, 1) > _check_int("n", n, 1):
         raise ParameterError(f"need 1 <= c <= n, got c={c}, n={n}")
     return Mempool([Transaction(i, 1.0, b if i < c else 0.0, b if i < c else 0.0)
                     for i in range(n)])
@@ -481,8 +477,7 @@ def stfm_worstcase_draw_ratio(n: int, c: int, b: float, gamma: float, trials: in
     ``c * b`` over the mean fee one draw collects -- the quantity the
     closed-form bound of :func:`stfm_cof_bound` models.
     """
-    if trials < 1:
-        raise ParameterError("trials must be at least 1")
+    _check_int("trials", trials, 1)
     m = stfm_worstcase_instance(n, c, b)
     probs = stfm_first_draw_distribution(m, gamma)
     p = np.array([probs[tx.id] for tx in m])

@@ -50,7 +50,7 @@ from pathlib import Path
 from types import ModuleType
 from typing import Iterable, List, Optional
 
-from .errors import DomainError, MiningTimeoutError, ParameterError
+from .errors import DomainError, MiningTimeoutError, ParameterError, _check_int
 
 _log = logging.getLogger("tfmlab")
 
@@ -222,9 +222,8 @@ class Difficulty:
     phi_den: int = 2
 
     def __post_init__(self) -> None:
-        if not 0 < self.target <= 1 << 256:
-            raise ParameterError("target must be a positive 256-bit bound")
-        if self.phi_den <= 0 or not 0 <= self.phi_num <= self.phi_den:
+        _check_int("target", self.target, 1, 1 << 256)
+        if _check_int("phi_num", self.phi_num) > _check_int("phi_den", self.phi_den, 1):
             raise ParameterError(
                 f"toss bias must satisfy 0 <= num <= den, got {self.phi_num}/{self.phi_den}"
             )
@@ -250,10 +249,8 @@ class BlockHeader:
         for name in ("parent_hash", "root_rand", "root_opt"):
             if len(getattr(self, name)) != HASH_BYTES:
                 raise ParameterError(f"{name} must be {HASH_BYTES} bytes")
-        if not 0 <= self.height < 1 << 64:
-            raise ParameterError("height must fit in 64 bits")
-        if not 0 <= self.nonce < 1 << 64:
-            raise ParameterError("nonce must fit in 64 bits")
+        _check_int("height", self.height, 0, (1 << 64) - 1)
+        _check_int("nonce", self.nonce, 0, (1 << 64) - 1)
 
     def prefix_bytes(self) -> bytes:
         """Serialization of everything before the nonce."""
@@ -336,6 +333,7 @@ def mine_block(
     max_trials: int = DEFAULT_MAX_TRIALS,
 ) -> MinedBlock:
     """Scan nonces from a seeded start until the header hash beats the target."""
+    _check_int("max_trials", max_trials, 0, (1 << 64) - 1)  # the C search takes a uint64
     start = random.Random(seed).getrandbits(64)
     template = BlockHeader(parent_hash, root_rand, root_opt, height, 0)
     found = _search(template.prefix_bytes(), start, max_trials, difficulty.target)
@@ -361,8 +359,7 @@ def mine_chain(
     The first links to an all-zero genesis hash; each height gets distinct
     placeholder roots derived from the height.
     """
-    if k < 0:
-        raise ParameterError(f"block count must be non-negative, got {k}")
+    _check_int("block count", k)
     blocks: List[MinedBlock] = []
     parent = bytes(32)
     for h in range(k):
@@ -388,8 +385,8 @@ def mine_many(
     is deterministic for any worker count.  The C search loop releases the
     GIL, letting a thread pool use several cores.
     """
-    if count < 0:
-        raise ParameterError(f"block count must be non-negative, got {count}")
+    _check_int("block count", count)
+    _check_int("workers", workers, 1)
 
     def job(i: int) -> MinedBlock:
         root_rand = hash_bytes(b"rand" + i.to_bytes(8, "big"))

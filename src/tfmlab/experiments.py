@@ -20,7 +20,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .alloc import EXHAUSTIVE_LIMIT, _optimal_rows
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError, _check_int
 from .mech import (
     CONFIG_KEYS,
     POOL,
@@ -61,10 +61,11 @@ class ExperimentConfig:
             raise ConfigError("sweep_values must be non-empty")
         if any(not math.isfinite(v) for v in self.sweep_values):
             raise ConfigError("sweep_values must be finite")
-        if self.runs < 1:
-            raise ConfigError("runs must be at least 1")
-        if self.n < 1:
-            raise ConfigError(f"n must be at least 1, got {self.n}")
+        try:
+            _check_int("runs", self.runs, 1)
+            _check_int("n", self.n, 1)
+        except ParameterError as exc:
+            raise ConfigError(str(exc)) from None
         if not 0 < self.capacity < math.inf:
             raise ConfigError(f"capacity must be positive and finite, got {self.capacity}")
         if not math.isfinite(self.size_ratio):

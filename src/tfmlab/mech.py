@@ -60,9 +60,10 @@ from .alloc import (
     _sections,
     _softmax_walk,
     _walk,
+    _with_fakes,
     uniform_allocate,
 )
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, _check_capacity, _check_gamma, _check_int
 from .txpool import (
     BidDistribution,
     Mempool,
@@ -101,8 +102,7 @@ class MechanismSpec:
 
     def __post_init__(self) -> None:
         if self.allocation is AllocationKind.SOFTMAX:
-            if self.gamma is None or not 0 < self.gamma < math.inf:
-                raise ParameterError(f"softmax needs a finite gamma > 0, got {self.gamma}")
+            _check_gamma(self.gamma)
         if self.allocation is AllocationKind.RTFM:
             if self.phi is None or not 0 <= self.phi <= 1:
                 raise ParameterError("randomized two-set allocation needs phi in [0, 1]")
@@ -227,12 +227,18 @@ class BaseFeeState:
 
 def update_base_fee(state: BaseFeeState, block_total_size, capacity_target) -> BaseFeeState:
     """Raise the base fee by `step` on an over-target block, lower it otherwise."""
+    if not block_total_size >= 0:
+        raise ParameterError(f"block size must be non-negative, got {block_total_size}")
+    _check_capacity(capacity_target)
     factor = 1 + state.step if block_total_size > capacity_target else 1 - state.step
     return BaseFeeState(state.lam * factor, state.step)
 
 
 def is_excessively_low(lam: float, m: Mempool, capacity) -> bool:
     """True when all demand valued above the base fee already fits the block."""
+    if math.isnan(lam):
+        raise ParameterError("base fee lambda must be a number, got nan")
+    _check_capacity(capacity)
     c = m.columns
     return sum(c.sizes[c.valuations > lam].tolist()) <= capacity
 
@@ -406,14 +412,8 @@ _RULES = {
 
 def _arm(spec: MechanismSpec, m: Mempool, capacity, fakes: Sequence[Transaction] = ()) -> _Arm:
     """The arm of the mechanism over the pool plus miner fakes, its inputs checked."""
-    for tx in fakes:
-        if not tx.fake:
-            raise ParameterError(f"fake transaction {tx.id} must carry fake=True")
-        if tx.id in m:
-            raise ParameterError(f"fake transaction id {tx.id} collides with the mempool")
-    if not capacity >= 0:
-        raise ParameterError(f"capacity must be non-negative, got {capacity}")
-    pool = m.extend(fakes)
+    pool = _with_fakes(m, fakes)
+    _check_capacity(capacity)
     kept = np.arange(len(pool))
     if spec.payment is PaymentKind.POSTED_PRICE:
         kept = np.flatnonzero(pool.columns.bids >= spec.base_fee)
@@ -477,13 +477,6 @@ def _float_list(text: str) -> Tuple[float, ...]:
     return tuple(float(v) for v in text.split(",") if v.strip())
 
 
-def _seed(text: str) -> int:
-    seed = int(text)
-    if seed < 0:
-        raise ValueError("expected a non-negative integer")
-    return seed
-
-
 def _bool(text: str) -> bool:
     if text.lower() not in ("true", "false"):
         raise ValueError("expected true or false")
@@ -510,7 +503,7 @@ CONFIG_KEYS: Dict[str, ConfigKey] = {
     "capacity": ConfigKey(POOL, float, 100.0),
     "bids": ConfigKey(POOL, parse_distribution, BidDistribution.censored_gaussian(4, 3)),
     "sizes": ConfigKey(POOL, parse_distribution, BidDistribution.constant(1)),
-    "seed": ConfigKey(POOL, _seed, 0),
+    "seed": ConfigKey(POOL, lambda text: _check_int("seed", int(text)), 0),
     "sweep_param": ConfigKey(SWEEP, str, "phi"),
     "sweep_values": ConfigKey(SWEEP, _float_list, tuple(round(0.1 * i, 1) for i in range(11))),
     "runs": ConfigKey(SWEEP, int, 1000),

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from . import chain
-from .errors import ParameterError
+from .errors import ParameterError, _check_int
 
 SeedLike = Union[int, Sequence[int], np.random.Generator]
 
@@ -27,17 +26,6 @@ _TRUNCATED_GAUSSIAN_ROUNDS = 100_000
 _TRUNCATED_GAUSSIAN_MIN_SUCCESS = 1e-9
 
 
-def _check_seed(seed) -> int:
-    """`seed` as an int; a negative or non-integral seed raises ParameterError."""
-    try:
-        value = operator.index(seed)
-    except TypeError:
-        value = -1
-    if value < 0:
-        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
-    return value
-
-
 def resolve_rng(seed: SeedLike) -> np.random.Generator:
     """Return a PCG64 generator; pass-through if one is given.
 
@@ -46,7 +34,7 @@ def resolve_rng(seed: SeedLike) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     for value in seed if isinstance(seed, (list, tuple, np.ndarray)) else (seed,):
-        _check_seed(value)
+        _check_int("seed", value)
     return np.random.default_rng(seed)
 
 
@@ -56,7 +44,8 @@ class Transaction:
 
     `bid` and `valuation` are per unit of `size`; the total offered fee is
     ``size * bid``.  `fake` marks miner-created entries used to model
-    deviations.
+    deviations.  `id` is an integer below 2**63, as the pool's int64 id
+    column holds it.
     """
 
     id: int
@@ -66,8 +55,7 @@ class Transaction:
     fake: bool = False
 
     def __post_init__(self) -> None:
-        if self.id < 0:
-            raise ParameterError(f"transaction id must be non-negative, got {self.id}")
+        _check_int("transaction id", self.id, 0, 2**63 - 1)
         if not 0 < self.size < math.inf:
             raise ParameterError(f"transaction size must be positive and finite, got {self.size}")
         if not 0 <= self.bid < math.inf:
@@ -309,8 +297,7 @@ class BidDistribution:
         return cls("zero_inflated", (float(weight),), inner=inner)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if n < 0:
-            raise ParameterError("sample count must be non-negative")
+        _check_int("n", n)
         if self.kind == "uniform":
             lo, hi = self.params
             return rng.uniform(lo, hi, n)
@@ -427,8 +414,6 @@ def sample_mempool(
     Valuations default to the bids (truthful pool); pass a separate
     distribution to decouple them for incentive audits.
     """
-    if n < 0:
-        raise ParameterError(f"mempool size must be non-negative, got {n}")
     rng = resolve_rng(seed)
     bid_draw = bids.sample(rng, n)
     size_draw = sizes.sample(rng, n)

@@ -144,6 +144,16 @@ def test_allocators_reject_a_nan_or_negative_capacity(allocate):
             allocate(m, capacity)
 
 
+@pytest.mark.parametrize("gamma", [math.inf, math.nan, 0.0, -1.0, None])
+def test_softmax_helpers_need_a_finite_temperature_above_zero(gamma):
+    # the same rule as MechanismSpec's: an infinite gamma would sample a uniform block
+    m = pool([3, 0, 1], sizes_equal=True)
+    with pytest.raises(ParameterError, match="gamma must be finite and above 0"):
+        stfm_allocate(m, 2.0, gamma, seed=0)
+    with pytest.raises(ParameterError, match="gamma must be finite and above 0"):
+        stfm_first_draw_distribution(m, gamma)
+
+
 def test_optimal_never_selects_zero_weight():
     m = pool([0, 0, 3], sizes_equal=True)
     res = optimal_allocate(m, 3.0, exact=True)
@@ -378,6 +388,14 @@ def test_splitblock_fakes_take_the_reserved_section():
     with pytest.raises(ParameterError):  # a fake may not reuse a pool id
         splitblock_allocate(m, 8.0, SplitBlockConfig(0.75, delta=1.0),
                             fake_fill=[Transaction(4, 1.0, 1.0, 1.0, fake=True)], seed=0)
+
+
+def test_splitblock_fake_fill_must_carry_the_fake_flag():
+    # as run_mechanism's fakes must: an unflagged entry would take a reserved slot as a fake
+    m = pool([0, 0, 3, 4], sizes_equal=True)
+    with pytest.raises(ParameterError, match="must carry fake=True"):
+        splitblock_allocate(m, 4.0, SplitBlockConfig(0.5),
+                            fake_fill=[Transaction(9, 1.0, 0.0, 0.0)])
 
 
 def test_payment_arrays_need_one_value_per_row():

@@ -126,6 +126,14 @@ def test_monotonicity_rejects_an_epsilon_that_is_not_positive_and_finite(epsilon
                               capacity=2.0, use_certificates=use_certificates)
 
 
+@pytest.mark.parametrize("use_certificates", [True, False])
+def test_monotonicity_rejects_an_empty_epsilon_list(use_certificates):
+    # with no epsilon there is no comparison, and no verdict to give
+    with pytest.raises(ParameterError, match="epsilons"):
+        estimate_monotonicity(MechanismSpec.uniform(), ZPOOL, 0, [], 10, 0, capacity=2.0,
+                              use_certificates=use_certificates)
+
+
 # ---------------------------------------------------------------------------
 # user incentive compatibility
 
@@ -204,6 +212,34 @@ def test_a_mic_search_needs_a_trial(spec, trials):
     with pytest.raises(ParameterError, match="trials must be at least 1"):
         search_mic_deviation(spec, unit_pool([5, 3, 2]), 2.0, 2, [0.0, 1.0, 5.0], seed=1,
                              trials=trials)
+
+
+# every audit that takes a trial count, and the search that takes a fake budget
+COUNTED_AUDITS = {
+    "zti": lambda trials: estimate_zti(MechanismSpec.stfm(1.0), ZPOOL, 2.0, trials, 0),
+    "tune_gamma": lambda trials: tune_gamma(ZPOOL, 2.0, 0.2, 2.0, 0.1, 50.0, trials, 0),
+    "cof": lambda trials: empirical_cof(MechanismSpec.rtfm(0.5), unit_pool([2, 5]), 1.0, trials,
+                                        0),
+    "worstcase_draw_ratio": lambda trials: stfm_worstcase_draw_ratio(10, 2, 5.0, 1.0, trials, 0),
+    "fake_budget": lambda budget: search_mic_deviation(MechanismSpec.first_price(),
+                                                       unit_pool([5, 3]), 1.0, budget, [0.0], 0,
+                                                       trials=10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTED_AUDITS))
+@pytest.mark.parametrize("count", [2.5, 2.0, "3", None])
+def test_audit_counts_must_be_whole_numbers(name, count):
+    parameter = "fake_budget" if name == "fake_budget" else "trials"
+    with pytest.raises(ParameterError, match=f"{parameter} must be an integer"):
+        COUNTED_AUDITS[name](count)
+    COUNTED_AUDITS[name](np.int64(2))  # any integral type
+
+
+def test_an_audit_rejects_more_than_two_to_the_32_trials_before_drawing():
+    # first price draws nothing, so only the budget check stands before a verdict
+    with pytest.raises(ParameterError, match="trials must be at most 4294967296"):
+        estimate_zti(MechanismSpec.first_price(), ZPOOL, 2.0, 2**32 + 1, 0)
 
 
 @pytest.mark.parametrize("capacity", [math.nan, -1.0])
@@ -395,6 +431,30 @@ def test_stfm_cof_bound_values():
     assert stfm_cof_bound(100, 10, 2.0, 1.0) == pytest.approx(11 - math.exp(-2), abs=1e-12)
     with pytest.raises(DomainError):
         stfm_cof_bound(10, 0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((3, 1.5, 1.0, 1.0), "c must be an integer"),
+    ((3.0, 1, 1.0, 1.0), "n must be an integer"),
+    ((3, 1, math.nan, 1.0), "bid must be non-negative"),
+    ((3, 1, 1.0, math.nan), "gamma must be finite and above 0"),
+    ((3, 1, 1.0, math.inf), "gamma must be finite and above 0"),
+    ((2, 3, 1.0, 1.0), "need 1 <= c <= n"),
+])
+def test_stfm_cof_bound_rejects_inputs_outside_the_model(args, name):
+    with pytest.raises(ParameterError, match=name):
+        stfm_cof_bound(*args)
+
+
+@pytest.mark.parametrize("n, c, name", [
+    (3, 1.5, "c must be an integer"),
+    (3.0, 1, "n must be an integer"),
+    (3, 0, "c must be at least 1"),
+    (2, 3, "need 1 <= c <= n"),
+])
+def test_stfm_worstcase_instance_rejects_a_block_outside_the_pool(n, c, name):
+    with pytest.raises(ParameterError, match=name):
+        stfm_worstcase_instance(n, c, 1.0)
 
 
 def test_stfm_worstcase_instance_shape():

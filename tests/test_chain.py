@@ -393,6 +393,45 @@ def test_a_negative_block_count_is_a_parameter_error(mine):
     assert mine(0, EASY, seed=1) == []
 
 
+@pytest.mark.parametrize("count", [2.5, 2.0, "2", None])
+@pytest.mark.parametrize("mine", [mine_chain, mine_many])
+def test_a_block_count_is_a_whole_number(mine, count):
+    with pytest.raises(ParameterError, match="block count must be an integer"):
+        mine(count, EASY, seed=1)
+
+
+@pytest.mark.parametrize("workers, error", [(0, "at least 1"), (1.5, "an integer")])
+def test_mine_many_workers_are_a_whole_number_of_at_least_one(workers, error):
+    with pytest.raises(ParameterError, match=f"workers must be {error}"):
+        mine_many(2, EASY, seed=1, workers=workers)
+
+
+@pytest.mark.parametrize("max_trials", [1.5, -1, None, 1 << 64, 1 << 70])
+def test_mine_block_trial_budget_is_a_uint64(max_trials):
+    # the C search would wrap 2**70 to a budget of 0 and -1 to 2**64 - 1
+    with pytest.raises(ParameterError, match="max_trials must be"):
+        mine_block(bytes(32), H(b"r"), H(b"o"), EASY, seed=1, max_trials=max_trials)
+    with pytest.raises(ParameterError, match="max_trials must be"):
+        mine_chain(1, EASY, seed=1, max_trials=max_trials)
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: Difficulty(1 << 250, 0.5, 1), "phi_num must be an integer"),
+    (lambda: Difficulty(1 << 250, 1, 2.0), "phi_den must be an integer"),
+    (lambda: Difficulty(float(1 << 250), 1, 2), "target must be an integer"),
+    (lambda: Difficulty((1 << 256) + 1, 1, 2), "target must be at most"),
+    (lambda: BlockHeader(bytes(32), bytes(32), bytes(32), 1.5, 0), "height must be an integer"),
+    (lambda: BlockHeader(bytes(32), bytes(32), bytes(32), 0, 2.0), "nonce must be an integer"),
+    (lambda: BlockHeader(bytes(32), bytes(32), bytes(32), 1 << 64, 0), "height must be at most"),
+    (lambda: BlockHeader(bytes(32), bytes(32), bytes(32), 0, -1), "nonce must be at least 0"),
+])
+def test_chain_integers_are_whole_numbers_in_range(make, error):
+    # serialize() writes height and nonce as 8-byte integers, and the toss threshold is
+    # exact integer arithmetic
+    with pytest.raises(ParameterError, match=error):
+        make()
+
+
 def test_chain_links_and_log_format():
     blocks = mine_chain(5, EASY, seed=9)
     for prev, cur in zip(blocks, blocks[1:]):

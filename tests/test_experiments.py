@@ -85,6 +85,14 @@ def test_config_rejects_a_degenerate_pool_or_block(field, value, message):
                        sweep_param="gamma", sweep_values=(1.0,))
 
 
+@pytest.mark.parametrize("field", ["runs", "n"])
+@pytest.mark.parametrize("value", [2.5, 2.0, "2", None])
+def test_config_counts_are_whole_numbers(field, value):
+    # a fractional count fails when the config is built, not with a TypeError once runs start
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        small_rtfm_cfg(**{field: value})
+
+
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("ratio", [10.0, 4.0, 1.5])
 def test_stfm_greedy_comparator_is_the_public_greedy_value(seed, ratio):
@@ -473,6 +481,14 @@ def test_cli_audit_rejects_a_non_finite_mechanism_parameter(tmp_path, capsys, li
 def test_cli_audit_rejects_a_non_finite_epsilon(tmp_path, capsys, epsilons):
     cfg = write_cfg(tmp_path, "allocation = optimal\nn = 10\ncapacity = 4\nseed = 1\n"
                               f"epsilons = {epsilons}\n")
+    assert cli_main(["audit", "--property", "monotonicity", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "epsilons" in err and "Traceback" not in err
+
+
+def test_cli_monotonicity_audit_rejects_an_empty_epsilon_list(tmp_path, capsys):
+    with open(os.path.join(DEMOS, "zti_audit.cfg")) as fh:
+        cfg = write_cfg(tmp_path, f"{fh.read()}epsilons =\n")
     assert cli_main(["audit", "--property", "monotonicity", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "epsilons" in err and "Traceback" not in err

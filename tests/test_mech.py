@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -139,6 +140,19 @@ def test_is_excessively_low():
     assert is_excessively_low(6.0, m, 3.0)          # nothing valued above the fee
     assert is_excessively_low(4.0, m, 3.0)          # demand 3 fits capacity 3
     assert not is_excessively_low(0.0, m, 2.0)      # demand 3 exceeds capacity 2
+
+
+def test_base_fee_helpers_reject_nan():
+    # NaN compares false, which would lower the fee and read as an excessively low fee
+    m = unit_pool([5, 5, 5])
+    with pytest.raises(ParameterError, match="block size"):
+        update_base_fee(BaseFeeState(1.0), math.nan, 1.0)
+    with pytest.raises(ParameterError, match="capacity"):
+        update_base_fee(BaseFeeState(1.0), 1.0, math.nan)
+    with pytest.raises(ParameterError, match="lambda"):
+        is_excessively_low(math.nan, m, 1.0)
+    with pytest.raises(ParameterError, match="capacity"):
+        is_excessively_low(1.0, m, math.nan)
 
 
 def test_spec_validation():

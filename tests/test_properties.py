@@ -225,6 +225,18 @@ def test_trial_starts_reach_the_last_uint32_index():
         _pcg64_starts([0], 2**32 - 1, 2**32 + 1)
 
 
+@pytest.mark.parametrize("trials, error", [
+    (2**32 + 1, "trials must be at most 4294967296"),
+    (0, "trials must be at least 1"),
+    (2.5, "trials must be an integer"),
+])
+def test_trial_streams_check_the_budget_when_built(trials, error):
+    # checked here, before an audit would compute 2**32 trial starts and then fail
+    with pytest.raises(ParameterError, match=error):
+        _TrialStreams(0, trials)
+    assert _TrialStreams(0, 2**32).trials == 2**32  # nothing is computed until asked for
+
+
 @pytest.mark.parametrize("seed", [0, 2**40 + 3])
 def test_a_rule_that_draws_nothing_runs_and_seeds_one_trial(seed):
     streams = _TrialStreams(seed, 500)

@@ -170,6 +170,31 @@ def test_transaction_invariants():
             Transaction(0, size, bid, valuation)
 
 
+@pytest.mark.parametrize("tx_id, error", [
+    (1.5, "transaction id must be an integer, got 1.5"),
+    (1.0, "transaction id must be an integer, got 1.0"),
+    ("1", "transaction id must be an integer"),
+    (-1, "transaction id must be at least 0"),
+    (2**63, "transaction id must be at most 9223372036854775807"),
+])
+def test_a_transaction_id_is_an_integer_the_int64_id_column_holds(tx_id, error):
+    # the id column is int64, which would read 1.5 back as id 1 and cannot hold 2**63
+    with pytest.raises(ParameterError, match=error):
+        Mempool([Transaction(tx_id, 1.0, 0.0, 0.0), Transaction(2, 1.0, 1.0, 1.0)])
+    for tx_id in (0, 2**63 - 1, np.int64(7)):
+        assert Mempool([Transaction(tx_id, 1.0, 0.0, 0.0)]).columns.ids.tolist() == [tx_id]
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, "2", None, -1])
+def test_sample_counts_are_non_negative_integers(n):
+    with pytest.raises(ParameterError, match="n must be"):
+        sample_mempool(n, BidDistribution.constant(1), BidDistribution.constant(1), seed=0)
+    with pytest.raises(ParameterError, match="n must be"):
+        BidDistribution.constant(1).sample(np.random.default_rng(0), n)
+    assert len(sample_mempool(np.int64(2), BidDistribution.constant(1),
+                              BidDistribution.constant(1), seed=0)) == 2
+
+
 def test_mempool_rejects_duplicate_ids():
     with pytest.raises(ParameterError):
         Mempool([Transaction(1, 1.0, 0.0, 0.0), Transaction(1, 1.0, 1.0, 1.0)])
