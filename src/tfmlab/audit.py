@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import combinations_with_replacement
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain, combinations_with_replacement
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,8 +75,9 @@ class CofReport:
     cov: Optional[float] = None
 
 
-def _replay(run, streams: _TrialStreams) -> Tuple[list, bool]:
-    """Results of ``run(rng)`` over up to ``streams.trials`` runs, and whether the rule drew.
+def _replay(run, streams: _TrialStreams) -> Tuple[Iterator, bool]:
+    """Results of ``run(rng)`` over up to ``streams.trials`` runs, each made as it is
+    read, and whether the rule drew.
 
     Run i gets ``streams(i)``, trial i's generator, as its only source of
     randomness.  So when run 0 leaves its generator's state unchanged, the
@@ -85,12 +86,11 @@ def _replay(run, streams: _TrialStreams) -> Tuple[list, bool]:
     """
     rng = streams(0)
     state = rng.bit_generator.state
-    results = [run(rng)]
+    first = run(rng)
     if rng.bit_generator.state == state:
-        return results, False
+        return iter((first,)), False
     streams.prepare(streams.trials)
-    results += [run(streams(i)) for i in range(1, streams.trials)]
-    return results, True
+    return chain((first,), (run(streams(i)) for i in range(1, streams.trials))), True
 
 
 def _chunks(gumbel: np.ndarray):
@@ -99,17 +99,28 @@ def _chunks(gumbel: np.ndarray):
     return (gumbel[lo:lo + rows] for lo in range(0, len(gumbel), rows))
 
 
-def _replay_arm(spec, m, capacity, streams: _TrialStreams, read, read_all=None, fakes=()) -> list:
-    """`read` of each block :func:`_replay` runs of the arm, or, where a softmax
-    arm steps every trial at once (:func:`._trials._softmax_trials`), `read_all`
-    (by default `read`) of the blocks of all trials, drawn from ``streams.gumbel``."""
+def _arm_trials(spec, m, capacity, streams: _TrialStreams, read, read_all,
+                fakes=()) -> Tuple[Iterator, bool]:
+    """`read` of each block :func:`_replay` runs of the arm or, where a softmax arm
+    steps every trial at once (:func:`._trials._softmax_trials`), `read_all` of the
+    blocks of each chunk of trials, made as they are read; and whether the rule
+    drew.  The noise is ``streams.gumbel_slices``: the matrix an audit of several
+    arms holds, else slices drawn as they are read."""
     arm = _arm(spec, m, capacity, fakes)
     step_all = _softmax_trials(arm) if spec.allocation is AllocationKind.SOFTMAX else None
     if step_all is None:
         step = _prepare(arm)
-        return _replay(lambda rng: read(step(rng)), streams)[0]
-    read_all, gumbel = read_all or read, streams.gumbel(len(arm.pool))
-    return [value for chunk in _chunks(gumbel) for value in read_all(step_all(chunk)).tolist()]
+        return _replay(lambda rng: read(step(rng)), streams)
+    return (read_all(step_all(chunk)) for gumbel in streams.gumbel_slices(len(arm.kept))
+            for chunk in _chunks(gumbel)), True
+
+
+def _replay_arm(spec, m, capacity, streams: _TrialStreams, read, read_all=None, fakes=()) -> list:
+    """The list of `read` of each block :func:`_arm_trials` steps, or of the values of
+    `read_all` (by default `read`) of the blocks of each chunk of trials."""
+    chunks, _ = _arm_trials(spec, m, capacity, streams, lambda block: (read(block),),
+                            lambda blocks: (read_all or read)(blocks).tolist(), fakes)
+    return [value for chunk in chunks for value in chunk]
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +162,26 @@ def estimate_zti(spec: MechanismSpec, m: Mempool, capacity, trials: int, seed: i
                 0, "analytic certificate",
             )
 
-    def included_zeros(rng) -> tuple:
-        # one arm, so each trial is one call of the mechanism itself
-        block = run_mechanism(spec, m, capacity, seed=rng).allocation.selected
-        return tuple(tx.id for tx in zeros if tx.id in block)
+    hits = np.zeros(len(m), dtype=np.intp)  # the runs that included each row
 
-    blocks, drew = _replay(included_zeros, streams)
-    excluded = [tx.id for tx in zeros if tx.id not in blocks[0]]
+    def tally(rows) -> int:  # one run's block
+        hits[rows] += 1
+        return 1
+
+    def tally_all(blocks) -> int:  # a chunk of runs
+        np.add(hits, blocks.included.sum(axis=0), out=hits)
+        return len(blocks.total)
+
+    if spec.allocation is AllocationKind.UNIFORM:
+        # one run_mechanism a trial: bench/test_bench.py counts them and reads their fills
+        tallies, drew = _replay(lambda rng: tally(m.rows_of(
+            run_mechanism(spec, m, capacity, seed=rng).allocation.selected)), streams)
+    else:
+        tallies, drew = _arm_trials(spec, m, capacity, streams,
+                                    lambda block: tally(block.rows), tally_all)
+    runs = sum(tallies)
+    zero_hits = hits[m.rows_of(tx.id for tx in zeros)].tolist()
+    excluded = [tx.id for tx, c in zip(zeros, zero_hits) if not c]
     if excluded and not drew:
         return PropertyReport(
             "zti", Verdict.VIOLATED,
@@ -166,8 +190,7 @@ def estimate_zti(spec: MechanismSpec, m: Mempool, capacity, trials: int, seed: i
              "tx_ids": excluded},
             1, "certificate over one run that drew no randomness",
         )
-    runs = len(blocks)
-    counts = {tx.id: sum(tx.id in b for b in blocks) for tx in zeros if tx.size <= capacity}
+    counts = {tx.id: c for tx, c in zip(zeros, zero_hits) if tx.size <= capacity}
     missing = [tid for tid, c in counts.items() if c == 0]
     if not missing:
         return PropertyReport(
@@ -231,6 +254,8 @@ def estimate_monotonicity(
 
     base_bid = m.get(target_tx).bid
     target_row = int(m.rows_of((target_tx,))[0])
+    if spec.allocation is AllocationKind.SOFTMAX:  # every bid's arm reads the same noise
+        streams.gumbel(len(m))
 
     def inclusion_rate(bid) -> Tuple[float, float, int]:
         hits = _replay_arm(spec, m.with_bid(target_tx, bid), capacity, streams,
@@ -279,6 +304,8 @@ def check_uic(
     if not any(b == theta for b in bid_grid):
         raise ParameterError("bid grid must contain the truthful bid (the valuation)")
     streams = _TrialStreams(seed, trials)
+    if spec.allocation is AllocationKind.SOFTMAX:  # every bid's arm reads the same noise
+        streams.gumbel(len(m))
 
     means: Dict[float, float] = {}
     ses: Dict[float, float] = {}

@@ -64,6 +64,7 @@ class ExperimentConfig:
         try:
             _check_int("runs", self.runs, 1)
             _check_int("n", self.n, 1)
+            _check_int("seed", self.seed)
         except ParameterError as exc:
             raise ConfigError(str(exc)) from None
         if not 0 < self.capacity < math.inf:

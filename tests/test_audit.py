@@ -1,8 +1,15 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from tfmlab import audit, mech
+from tfmlab._streams import _TrialStreams
+from tfmlab.audit import PropertyReport
+from tfmlab.mech import run_mechanism
+from tfmlab.txpool import zero_fee_subset
 from tfmlab import (
     DomainError,
     MechanismSpec,
@@ -78,6 +85,95 @@ def test_zti_splitblock_that_draws_nothing_is_violated():
     assert report.verdict is Verdict.VIOLATED
     assert report.witness["tx_ids"] == [1]
     assert report.trials == 1
+
+
+def _zti_by_whole_runs(spec, m, capacity, trials, seed) -> str:
+    """estimate_zti's report past its analytic certificates, made the plain way: one
+    run_mechanism call per trial, each on its own stream, through audit._replay."""
+    zeros = zero_fee_subset(m)
+    blocks, drew = audit._replay(
+        lambda rng: run_mechanism(spec, m, capacity, seed=rng).allocation.selected,
+        _TrialStreams(seed, trials))
+    blocks = list(blocks)
+    excluded = [tx.id for tx in zeros if tx.id not in blocks[0]]
+    if excluded and not drew:
+        return PropertyReport(
+            "zti", Verdict.VIOLATED,
+            {"certificate": "the rule draws no randomness, so every seed leaves these zero bids "
+                            "out of the block",
+             "tx_ids": excluded},
+            1, "certificate over one run that drew no randomness").to_text()
+    runs = len(blocks)
+    counts = {tx.id: sum(tx.id in b for b in blocks) for tx in zeros if tx.size <= capacity}
+    missing = [tid for tid, c in counts.items() if c == 0]
+    if not missing:
+        return PropertyReport(
+            "zti", Verdict.SATISFIED, None, runs,
+            f"every feasible zero-bid transaction appeared at least once in {runs} runs").to_text()
+    return PropertyReport(
+        "zti", Verdict.INCONCLUSIVE,
+        {"never_included": missing, "frequencies": {t: c / runs for t, c in counts.items()}},
+        runs,
+        "some zero-bid transactions never appeared; no analytic zero-probability certificate",
+    ).to_text()
+
+
+# sizes that leave room after a block's cut, and a zero bid too large for a 1.0 block
+ZTI_ROWS = [(1.0, 0), (0.5, 0), (1.5, 1), (1.0, 2), (2.0, 0), (0.5, 3)]
+ZTI_FLOATS = Mempool([Transaction(i, s, float(b), b + 1.0) for i, (s, b) in enumerate(ZTI_ROWS)])
+ZTI_FRACTIONS = Mempool([Transaction(i, Fraction(s), Fraction(b), Fraction(b + 1))
+                         for i, (s, b) in enumerate(ZTI_ROWS)])
+
+
+@pytest.mark.parametrize("spec, m, capacity", [
+    (MechanismSpec.stfm(1.0), ZTI_FLOATS, 1.0),  # every trial at once
+    (MechanismSpec.stfm(1.0), ZTI_FLOATS, 3.0),
+    (MechanismSpec.stfm(1.0), ZTI_FRACTIONS, 1.0),  # one trial at a time
+    (MechanismSpec.stfm(1.0), ZTI_FRACTIONS, 3.0),
+    (MechanismSpec.rtfm(0.0), ZTI_FLOATS, 3.0),
+    (MechanismSpec.rtfm(0.3), ZTI_FLOATS, 1.0),
+    (MechanismSpec.rtfm(0.3), ZTI_FLOATS, 3.0),
+    (MechanismSpec.rtfm(1.0), ZTI_FLOATS, 3.0),
+    # reserved sections of 2.25, which every zero bid fits
+    (MechanismSpec.split_block(0.25), ZTI_FLOATS, 3.0),
+    (MechanismSpec.split_block(0.25, base_fee=0.5), ZTI_FLOATS, 3.0),
+    (MechanismSpec.split_block(0.5, delta=1.0), ZTI_FLOATS, 4.5),
+    (MechanismSpec.stfm(1.0, PaymentKind.POSTED_PRICE, 0.0), ZTI_FLOATS, 3.0),
+    (MechanismSpec.rtfm(0.3, PaymentKind.POSTED_PRICE, 0.0), ZTI_FLOATS, 3.0),
+    (MechanismSpec.uniform(), ZTI_FLOATS, 3.0),
+    (MechanismSpec.first_price(), ZTI_FLOATS, 3.0),  # draws nothing
+], ids=["softmax_1", "softmax_3", "softmax_fractions_1", "softmax_fractions_3", "rtfm_0",
+        "rtfm_0.3_1", "rtfm_0.3_3", "rtfm_1", "split_block", "split_block_posted",
+        "split_block_fee", "softmax_posted_0", "rtfm_posted_0", "uniform", "knapsack"])
+@pytest.mark.parametrize("trials", [1, 5, 500])
+@pytest.mark.parametrize("seed", [0, 2**40 + 3])
+def test_zti_reports_what_one_whole_run_per_trial_gives(spec, m, capacity, trials, seed):
+    assert estimate_zti(spec, m, capacity, trials, seed).to_text() == \
+        _zti_by_whole_runs(spec, m, capacity, trials, seed)
+
+
+def test_two_set_zti_solves_the_paying_knapsack_at_most_once(monkeypatch):
+    solves = []
+    optimal_rows = mech._optimal_rows
+    monkeypatch.setattr(mech, "_optimal_rows", lambda *a, **kw: solves.append(1) or
+                        optimal_rows(*a, **kw))
+    report = estimate_zti(MechanismSpec.rtfm(0.3), ZPOOL, 2.0, 3000, 42)
+    assert report.trials == 3000 and len(solves) <= 1
+
+
+@pytest.mark.parametrize("name", ["zti", "cof"])
+def test_single_arm_softmax_audits_draw_their_noise_a_slice_at_a_time(name):
+    m = unit_pool([i % 5 for i in range(500)])
+    trials = 4096
+    run = {"zti": estimate_zti, "cof": empirical_cof}[name]
+    tracemalloc.start()
+    try:
+        run(MechanismSpec.stfm(1.0), m, 50.0, trials, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = trials * len(m) * 8  # the whole trials x rows matrix of float64 noise
+    assert peak < held / 2, (peak, held)
 
 
 # ---------------------------------------------------------------------------

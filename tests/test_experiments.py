@@ -93,6 +93,14 @@ def test_config_counts_are_whole_numbers(field, value):
         small_rtfm_cfg(**{field: value})
 
 
+@pytest.mark.parametrize("seed, message", [(-1, "seed must be at least 0"),
+                                           (2.5, "seed must be an integer")])
+def test_config_checks_the_seed_when_built(seed, message):
+    # such a seed used to build, then fail as a ParameterError from the sweep's first run
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(MechanismSpec.rtfm(0.5), n=10, capacity=2.0, runs=2, seed=seed)
+
+
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("ratio", [10.0, 4.0, 1.5])
 def test_stfm_greedy_comparator_is_the_public_greedy_value(seed, ratio):

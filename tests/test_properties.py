@@ -241,9 +241,9 @@ def test_trial_streams_check_the_budget_when_built(trials, error):
 def test_a_rule_that_draws_nothing_runs_and_seeds_one_trial(seed):
     streams = _TrialStreams(seed, 500)
     results, drew = _replay(lambda rng: "same", streams)
-    assert results == ["same"] and not drew and len(streams._start) == _START_BYTES
+    assert list(results) == ["same"] and not drew and len(streams._start) == _START_BYTES
     results, drew = _replay(lambda rng: rng.random(), streams)
-    assert len(results) == 500 and drew and len(streams._start) == 500 * _START_BYTES
+    assert len(list(results)) == 500 and drew and len(streams._start) == 500 * _START_BYTES
 
 
 # ---------------------------------------------------------------------------
