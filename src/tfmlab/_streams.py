@@ -25,6 +25,7 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT_LO, _PCG64_MULT_HI = 0x4385DF649FCCF645, 0x2360ED051FC65DA4
 _MASK32 = 0xFFFFFFFF
 _BATCH = 1024  # most trials one vectorized pass seeds, which bounds its arrays
+_CHUNK = 4096  # most Gumbel draws a slice holds, which keeps the batched steps' arrays small
 _START_BYTES = 32  # a trial's little-endian ``state | inc << 128``
 # where generate_state(4, uint64)'s uint32 words 0..7 go in a little-endian
 # ``seed | seq << 128``: its uint64 word 0 is the seed's high half, word 2 the seq's
@@ -113,10 +114,9 @@ class _TrialStreams:
     restores its start into one reused generator.  The starts computed are
     those of the trials asked for, ``prepare(k)`` before a loop over the
     first k or trial i alone, at most ``_BATCH`` of them a pass.  A generator
-    is good until the next trial is asked for.  The trials' Gumbel noise is a
-    matrix kept for the whole call (``gumbel``), which an audit asks for when
-    several arms read it, or drawn a slice of trials at a time
-    (``gumbel_slices``).  Every audit that replays trials checks its budget
+    is good until the next trial is asked for.  The trials' Gumbel noise is
+    drawn as it is read, a slice of trials at a time (``gumbel_slices``), and
+    nothing here keeps it.  Every audit that replays trials checks its budget
     here, 1 to 2**32 trials, before any start is computed.
     """
 
@@ -132,7 +132,6 @@ class _TrialStreams:
         self._pcg = {"state": 0, "inc": 0}  # refilled at each restore
         self._state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
                        "state": self._pcg}
-        self._gumbel = np.empty((trials, 0))  # the widest Gumbel matrix kept so far
 
     def prepare(self, trials: int) -> None:
         """Compute the starts of trials 0, ..., trials - 1 not yet known."""
@@ -150,30 +149,14 @@ class _TrialStreams:
         self._rng.bit_generator.state = self._state
         return self._rng
 
-    def _gumbel_rows(self, rows: np.ndarray, lo: int) -> np.ndarray:
-        """`rows` filled with rows lo, lo + 1, ... of the Gumbel matrix."""
-        self.prepare(lo + len(rows))
-        for i, row in enumerate(rows, lo):
-            row[:] = self(i).gumbel(size=len(row))
-        return rows
-
-    def gumbel(self, n: int) -> np.ndarray:
-        """A trials x n matrix whose row i is ``default_rng([seed, i]).gumbel(size=n)``.
-
-        numpy draws one value per double, in order, so its first k columns are
-        ``gumbel(size=k)``: the widest matrix asked for is kept, and sliced."""
-        if n > self._gumbel.shape[1]:
-            self._gumbel = self._gumbel_rows(np.empty((self.trials, n)), 0)
-        return self._gumbel[:, :n]
-
     def gumbel_slices(self, n: int):
-        """The rows of ``gumbel(n)``, a slice at a time: the kept matrix, where one at
-        least n wide was asked for, else slices of at most ``_BATCH`` trials drawn
-        into one buffer as they are read, so that their memory does not grow with
-        the trials.  A slice is good until the next one is read."""
-        if n <= self._gumbel.shape[1]:
-            yield self._gumbel[:, :n]
-            return
-        rows = np.empty((min(_BATCH, self.trials), n))
-        for lo in range(0, self.trials, _BATCH):
-            yield self._gumbel_rows(rows[:self.trials - lo], lo)
+        """The trials' rows ``default_rng([seed, i]).gumbel(size=n)``, drawn as read in
+        slices of at most ``_CHUNK`` draws or one trial.  numpy draws one value per
+        double, in order, so a slice's first k columns are its ``gumbel(size=k)``."""
+        self.prepare(self.trials)
+        step = max(1, _CHUNK // max(1, n))
+        for lo in range(0, self.trials, step):
+            rows = np.empty((min(step, self.trials - lo), n))
+            for i, row in enumerate(rows, lo):
+                row[:] = self(i).gumbel(size=n)
+            yield rows

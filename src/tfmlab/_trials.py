@@ -1,9 +1,10 @@
 """Audit trials stepped all at once.
 
-:func:`_softmax_trials` takes a softmax arm of :mod:`.mech` and returns its
-step over many trials, which gives for each trial the block, total and
-utilities that the rule's one-trial step gives from that trial's stream,
-bit for bit.
+:func:`_softmax_trials` takes an arm of :mod:`.mech` and, where it is a
+softmax arm with candidates, returns its step over a slice of trials' Gumbel
+noise, which gives for each trial the block, total and utilities that the
+rule's one-trial step gives from that trial's stream, bit for bit, whatever
+number types the pool's columns and the posted fee hold.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .alloc import _running, _softmax_rows
-from .mech import PaymentKind, _Arm
+from .alloc import _softmax_rows
+from .mech import AllocationKind, PaymentKind, _Arm
 
 
 class _Blocks(NamedTuple):
@@ -25,33 +26,44 @@ class _Blocks(NamedTuple):
     user_utility: np.ndarray  # a column per real row, 0.0 where the row is left out
 
 
+def _fold(values: np.ndarray) -> np.ndarray:
+    """Each row summed in order from the float 0.0, as ``mech._block_income`` sums a block."""
+    return np.concatenate((np.zeros((len(values), 1)), values), axis=1).cumsum(axis=1)[:, -1]
+
+
 def _softmax_trials(arm: _Arm):
-    """The softmax rule's step of many trials at once: each row of ``step(gumbel)``'s noise
-    (its first k columns for k candidates) gives the block ``mech._softmax_rule`` draws
-    from that trial's stream, priced as ``mech._price_included`` and
-    ``mech._block_income`` price it.  None where the rule draws nothing, or where
-    Fractions or ints must keep their own arithmetic on the one-trial step."""
+    """The softmax rule's step of many trials at once, or None where the arm is no
+    softmax arm or has no candidates (the rule then draws nothing).
+
+    Each row of ``step(gumbel)``'s noise (its first k columns for k candidates)
+    gives the block ``mech._softmax_rule`` draws from that trial's stream: walked
+    in floats, priced in the columns' own number types as ``mech._price_included``
+    prices it, and its income and burn each folded from 0.0 in block order.
+    """
     spec, kept, c, n = arm.spec, arm.kept, arm.pool.columns, len(arm.m)
-    fee = spec.base_fee if spec.payment is PaymentKind.POSTED_PRICE else 0.0
-    if not len(kept) or type(fee) is not float or \
-            object in (c.sizes.dtype, c.bids.dtype, c.valuations.dtype):
+    if spec.allocation is not AllocationKind.SOFTMAX or not len(kept):
         return None
-    sizes, scaled = c.sizes[kept], c.bids[kept] / spec.gamma
+    fee = spec.base_fee if spec.payment is PaymentKind.POSTED_PRICE else 0.0
+    # the walk runs in floats whatever the columns hold, as the one-trial step's does
+    sizes = c.sizes[kept].astype(float)
+    scaled = c.bids[kept].astype(float) / spec.gamma
 
     def step(gumbel: np.ndarray) -> _Blocks:
         orders, taken, total = _softmax_rows(sizes, scaled, gumbel[:, :len(kept)], arm.capacity)
         rows = kept[orders]
-        size, p = c.sizes[rows], c.bids[rows] - fee
+        size, p = c.sizes[rows], c.bids[rows]
         if spec.payment is PaymentKind.SECOND_PRICE:  # the lowest included bid, fakes too
-            p = np.where(taken, c.bids[rows], np.inf).min(axis=1, initial=np.inf, keepdims=True)
+            p = np.where(taken, p, np.inf).min(axis=1, initial=np.inf, keepdims=True)
             p[p == np.inf] = 0.0
+        elif spec.payment is PaymentKind.POSTED_PRICE:
+            p = p - fee
         real, fake = taken & ~c.fake[rows], taken & c.fake[rows]
-        income = _running(np.where(real, size * p, 0.0))[:, -1]
-        burn = _running(np.where(fake, size * fee, 0.0))[:, -1]
+        income = _fold(np.where(real, size * p, 0.0))
+        burn = _fold(np.where(fake, size * fee, 0.0))
         included = np.zeros((len(total), len(c.ids)), bool)
         np.put_along_axis(included, rows, taken, axis=1)
-        users = np.zeros(included.shape)
-        np.put_along_axis(users, rows, np.where(real, (c.valuations[rows] - p - fee) * size, 0.0),
-                          axis=1)
+        gain = np.where(real, (c.valuations[rows] - p - fee) * size, 0.0)
+        users = np.full(included.shape, 0.0, gain.dtype)
+        np.put_along_axis(users, rows, gain, axis=1)
         return _Blocks(included, total, income - burn, users[:, :n])
     return step

@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import chain, combinations_with_replacement
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,13 +29,12 @@ from .alloc import (
 from .errors import DomainError, ParameterError, SolverLimitError
 from .errors import _check_capacity, _check_gamma, _check_int
 from .experiments import _mean_se
-from .mech import AllocationKind, MechanismSpec, PaymentKind, _arm, _prepare, run_mechanism
+from .mech import AllocationKind, MechanismSpec, PaymentKind, _Arm, _arm, _prepare, run_mechanism
 from ._streams import _TrialStreams
 from ._trials import _softmax_trials
 from .txpool import Mempool, Transaction, resolve_rng, zero_fee_subset
 
 _TOL = 1e-9
-_CHUNK = 4096  # draws a batched step takes at a time, which keeps its working arrays small
 
 
 class Verdict(Enum):
@@ -93,34 +93,44 @@ def _replay(run, streams: _TrialStreams) -> Tuple[Iterator, bool]:
     return chain((first,), (run(streams(i)) for i in range(1, streams.trials))), True
 
 
-def _chunks(gumbel: np.ndarray):
-    """The rows of `gumbel`, in slices of at most _CHUNK draws or of one row."""
-    rows = max(1, _CHUNK // max(1, gumbel.shape[1]))
-    return (gumbel[lo:lo + rows] for lo in range(0, len(gumbel), rows))
+def _step_arms(arms: Iterable[_Arm], streams: _TrialStreams, read,
+               read_all) -> List[list]:
+    """For each arm, the values `read` takes of the block of each trial it runs, and
+    whether its rule drew.
+
+    A softmax arm with candidates steps all its trials at once
+    (:func:`._trials._softmax_trials`), into an array of `read_all` of each
+    slice's blocks.  The softmax arms of the call share each slice of
+    ``streams.gumbel_slices`` at the widest of them: all step it before the
+    next is drawn, and an arm over k candidates reads its first k columns, its
+    trials' ``gumbel(size=k)`` draws, since the Gumbel-top-k key takes the
+    same noise at every width.  Every other arm replays through :func:`_replay`
+    as it comes, so that only the softmax arms are held.
+    """
+    arms_values: List[list] = []  # [values, whether the rule drew] of each arm
+    batched = []  # the place, step and width of each softmax arm with candidates
+    for arm in arms:
+        step = _softmax_trials(arm)
+        if step is None:
+            one = _prepare(arm)
+            runs, drew = _replay(lambda rng: read(one(rng)), streams)
+            arms_values.append([list(runs), drew])
+        else:
+            batched.append((len(arms_values), step, len(arm.kept)))
+            arms_values.append([(), True])
+    if batched:
+        done = 0  # trials stepped
+        for gumbel in streams.gumbel_slices(max(width for _, _, width in batched)):
+            for k, step, _ in batched:
+                got = read_all(step(gumbel))
+                if not done:  # every slice of an arm reads values of one type
+                    arms_values[k][0] = np.empty(streams.trials, got.dtype)
+                arms_values[k][0][done:done + len(got)] = got
+            done += len(gumbel)
+    return arms_values
 
 
-def _arm_trials(spec, m, capacity, streams: _TrialStreams, read, read_all,
-                fakes=()) -> Tuple[Iterator, bool]:
-    """`read` of each block :func:`_replay` runs of the arm or, where a softmax arm
-    steps every trial at once (:func:`._trials._softmax_trials`), `read_all` of the
-    blocks of each chunk of trials, made as they are read; and whether the rule
-    drew.  The noise is ``streams.gumbel_slices``: the matrix an audit of several
-    arms holds, else slices drawn as they are read."""
-    arm = _arm(spec, m, capacity, fakes)
-    step_all = _softmax_trials(arm) if spec.allocation is AllocationKind.SOFTMAX else None
-    if step_all is None:
-        step = _prepare(arm)
-        return _replay(lambda rng: read(step(rng)), streams)
-    return (read_all(step_all(chunk)) for gumbel in streams.gumbel_slices(len(arm.kept))
-            for chunk in _chunks(gumbel)), True
-
-
-def _replay_arm(spec, m, capacity, streams: _TrialStreams, read, read_all=None, fakes=()) -> list:
-    """The list of `read` of each block :func:`_arm_trials` steps, or of the values of
-    `read_all` (by default `read`) of the blocks of each chunk of trials."""
-    chunks, _ = _arm_trials(spec, m, capacity, streams, lambda block: (read(block),),
-                            lambda blocks: (read_all or read)(blocks).tolist(), fakes)
-    return [value for chunk in chunks for value in chunk]
+_miner_utility = attrgetter("miner_utility")  # of one block, or of a slice's blocks
 
 
 # ---------------------------------------------------------------------------
@@ -168,18 +178,19 @@ def estimate_zti(spec: MechanismSpec, m: Mempool, capacity, trials: int, seed: i
         hits[rows] += 1
         return 1
 
-    def tally_all(blocks) -> int:  # a chunk of runs
+    def tally_all(blocks) -> np.ndarray:  # a slice of runs, a 1 each
         np.add(hits, blocks.included.sum(axis=0), out=hits)
-        return len(blocks.total)
+        return np.ones(len(blocks.total), int)
 
     if spec.allocation is AllocationKind.UNIFORM:
         # one run_mechanism a trial: bench/test_bench.py counts them and reads their fills
         tallies, drew = _replay(lambda rng: tally(m.rows_of(
             run_mechanism(spec, m, capacity, seed=rng).allocation.selected)), streams)
+        tallies = list(tallies)
     else:
-        tallies, drew = _arm_trials(spec, m, capacity, streams,
-                                    lambda block: tally(block.rows), tally_all)
-    runs = sum(tallies)
+        (tallies, drew), = _step_arms([_arm(spec, m, capacity)], streams,
+                                      lambda block: tally(block.rows), tally_all)
+    runs = len(tallies)
     zero_hits = hits[m.rows_of(tx.id for tx in zeros)].tolist()
     excluded = [tx.id for tx, c in zip(zeros, zero_hits) if not c]
     if excluded and not drew:
@@ -254,20 +265,17 @@ def estimate_monotonicity(
 
     base_bid = m.get(target_tx).bid
     target_row = int(m.rows_of((target_tx,))[0])
-    if spec.allocation is AllocationKind.SOFTMAX:  # every bid's arm reads the same noise
-        streams.gumbel(len(m))
+    arms = [_arm(spec, m.with_bid(target_tx, bid), capacity)
+            for bid in [base_bid] + [base_bid + eps for eps in epsilons]]
+    rates = []  # inclusion rate, its standard error and the runs, at each bid
+    for hits, _ in _step_arms(arms, streams, lambda block: target_row in block.rows.tolist(),
+                              lambda blocks: blocks.included[:, target_row]):
+        p = np.count_nonzero(hits) / len(hits)
+        rates.append((p, math.sqrt(p * (1 - p) / len(hits)), len(hits)))
 
-    def inclusion_rate(bid) -> Tuple[float, float, int]:
-        hits = _replay_arm(spec, m.with_bid(target_tx, bid), capacity, streams,
-                           lambda block: target_row in block.rows.tolist(),
-                           lambda blocks: blocks.included[:, target_row])
-        p = sum(hits) / len(hits)
-        return p, math.sqrt(p * (1 - p) / len(hits)), len(hits)
-
-    p0, se0, runs = inclusion_rate(base_bid)
+    (p0, se0, runs), *raised = rates
     increases = []
-    for eps in epsilons:
-        p1, se1, runs1 = inclusion_rate(base_bid + eps)
+    for eps, (p1, se1, runs1) in zip(epsilons, raised):
         runs = max(runs, runs1)
         margin = 2 * math.sqrt(se0 ** 2 + se1 ** 2)
         if p1 - p0 < -margin:
@@ -304,16 +312,15 @@ def check_uic(
     if not any(b == theta for b in bid_grid):
         raise ParameterError("bid grid must contain the truthful bid (the valuation)")
     streams = _TrialStreams(seed, trials)
-    if spec.allocation is AllocationKind.SOFTMAX:  # every bid's arm reads the same noise
-        streams.gumbel(len(m))
+    row = m.rows_of((user,))[0]
 
     means: Dict[float, float] = {}
     ses: Dict[float, float] = {}
     n_runs = 0
-    for b in bid_grid:
-        utils = _replay_arm(spec, m.with_bid(user, b), capacity, streams,
-                            lambda block: block.user_utilities()[user],
-                            lambda blocks: blocks.user_utility[:, m.rows_of((user,))[0]])
+    arms = [_arm(spec, m.with_bid(user, b), capacity) for b in bid_grid]
+    for b, (utils, _) in zip(bid_grid, _step_arms(arms, streams,
+                                                   lambda block: block.user_utilities()[user],
+                                                   lambda blocks: blocks.user_utility[:, row])):
         means[b], ses[b] = _mean_se(utils)
         n_runs = max(n_runs, len(utils))
 
@@ -336,16 +343,6 @@ def check_uic(
 
 # ---------------------------------------------------------------------------
 # Miner incentive compatibility
-
-
-def _expected_miner_utility(spec, m, capacity, fakes, streams):
-    """Mean, standard error and the runs made; exact (se 0) wherever the rule allows it."""
-    if spec.allocation is AllocationKind.RTFM:
-        # two-point mixture: the zero-pay branch contributes nothing
-        step = _prepare(_arm(spec, m, capacity, fakes))
-        return (1 - spec.phi) * step(streams(0), 1).miner_utility, 0.0, 1
-    utils = _replay_arm(spec, m, capacity, streams, lambda b: b.miner_utility, fakes=fakes)
-    return (*_mean_se(utils), len(utils))
 
 
 def _named_overrides(spec: MechanismSpec) -> List[Tuple[str, MechanismSpec]]:
@@ -385,10 +382,6 @@ def search_mic_deviation(
     if spec.allocation is AllocationKind.SPLIT_BLOCK and spec.split.delta not in grid:
         grid.append(spec.split.delta)
 
-    if spec.allocation is AllocationKind.SOFTMAX:  # every arm reads the widest arm's noise
-        streams.gumbel(len(m) + fake_budget)
-    honest, honest_se, n_runs = _expected_miner_utility(spec, m, capacity, (), streams)
-
     next_id = max((tx.id for tx in m), default=-1) + 1
     fake_sets: List[Tuple[dict, Sequence[Transaction]]] = [({}, ())]
     for k in range(1, fake_budget + 1):
@@ -402,9 +395,19 @@ def search_mic_deviation(
     for name, run_spec in _named_overrides(spec):
         candidates += [(dict(desc, override=name), run_spec, fakes) for desc, fakes in fake_sets]
 
+    arms = (_arm(run_spec, m, capacity, fakes)
+            for _, run_spec, fakes in [({}, spec, ())] + candidates)
+    # each arm's mean miner utility, its standard error and the runs made
+    if spec.allocation is AllocationKind.RTFM:  # exact: the zero-pay branch earns nothing
+        utilities = [((1 - spec.phi) * _prepare(arm)(streams(0), 1).miner_utility, 0.0, 1)
+                     for arm in arms]
+    else:
+        utilities = [(*_mean_se(utils), len(utils))
+                     for utils, _ in _step_arms(arms, streams, _miner_utility, _miner_utility)]
+    (honest, honest_se, n_runs), *played = utilities
+
     best = (honest, 0.0, None)
-    for desc, run_spec, fakes in candidates:
-        value, se, runs = _expected_miner_utility(run_spec, m, capacity, fakes, streams)
+    for (desc, _, _), (value, se, runs) in zip(candidates, played):
         n_runs = max(n_runs, runs)
         if value > best[0]:
             best = (value, se, desc)
@@ -451,7 +454,8 @@ def empirical_cof(
         paying = _prepare(_arm(spec, m, capacity))(streams(0), 1).miner_utility
         utils = [0.0 if (i + 0.5) / trials < spec.phi else paying for i in range(trials)]
     else:
-        utils = _replay_arm(spec, m, capacity, streams, lambda b: b.miner_utility)
+        (utils, _), = _step_arms([_arm(spec, m, capacity)], streams, _miner_utility,
+                                 _miner_utility)
     utils = np.asarray(utils, dtype=float)
     mean = float(utils.mean())
     cov = float(utils.std(ddof=1) / mean) if len(utils) > 1 and mean > 0 else None
@@ -569,16 +573,17 @@ def tune_gamma(
     opt = np.isin(np.arange(len(m)), m.rows_of(optimal_allocate(m, capacity).selected))
     zero_sizes = np.where(c.bids == 0, c.sizes, 0)  # in the size column's own number type
     # softmax sampling as stfm_allocate does it, every trial at once; the Gumbel
-    # noise does not depend on gamma, so every gamma walks the same draws
+    # noise does not depend on gamma, so every gamma walks the same draws, which
+    # the bisection keeps for its whole length
     walk_sizes = c.sizes.astype(float, copy=False)
     bids = c.bids.astype(float, copy=False)
-    gumbel = streams.gumbel(len(m))
+    slices = list(streams.gumbel_slices(len(m)))
 
     def ratio(gamma: float) -> float:
         """pr_cof / pr_zf at `gamma`, infinite where pr_zf is 0."""
         hits_cof = hits_zf = 0
-        for chunk in _chunks(gumbel):
-            orders, kept, total = _softmax_rows(walk_sizes, bids / gamma, chunk, capacity)
+        for gumbel in slices:
+            orders, kept, total = _softmax_rows(walk_sizes, bids / gamma, gumbel, capacity)
             hits_cof += np.count_nonzero((kept == opt[orders]).all(axis=1))
             # the zero-bid rows' sizes summed in block order, as a sum() over the block
             zf = _running(np.where(kept, zero_sizes[orders], 0))[:, -1]

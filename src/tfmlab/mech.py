@@ -32,13 +32,11 @@ the fakes); only the wrap turns them into ids.  The audits, the cost of
 fairness and the sweeps step arms and read the block's arrays; only the
 zero-fee inclusion audit's uniform arm calls :func:`run_mechanism`, once
 per trial, because the benchmark's tracing test counts those calls and reads
-the fills of :func:`~.alloc.uniform_allocate`.  A softmax arm can also be
-stepped over many trials at once (:mod:`._trials`), which the audits do
-wherever its prices are floats, on noise that an audit of several arms
-holds for all of them and a single-arm audit draws a slice of trials at a
-time, so that its memory does not grow with the trials; or in two parts,
-noise and block (:func:`_softmax_parts`), so that the softmax sweep draws a
-run's noise once for all its cells.
+the fills of :func:`~.alloc.uniform_allocate`.  The audits step a softmax arm
+with candidates over many trials at once (:mod:`._trials`), on noise drawn a
+slice of trials at a time that all the softmax arms of a call share; the
+softmax sweep steps it in two parts, noise and block (:func:`_softmax_parts`),
+so that it draws a run's noise once for all its cells.
 
 The flat ``key = value`` config format lives here too: one table of keys,
 :data:`CONFIG_KEYS`, and one parser serve :func:`spec_from_config`, the

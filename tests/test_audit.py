@@ -1,6 +1,8 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ import pytest
 from tfmlab import audit, mech
 from tfmlab._streams import _TrialStreams
 from tfmlab.audit import PropertyReport
-from tfmlab.mech import run_mechanism
+from tfmlab.experiments import _mean_se
+from tfmlab.mech import AllocationKind, run_mechanism
 from tfmlab.txpool import zero_fee_subset
 from tfmlab import (
     DomainError,
@@ -161,18 +164,160 @@ def test_two_set_zti_solves_the_paying_knapsack_at_most_once(monkeypatch):
     assert report.trials == 3000 and len(solves) <= 1
 
 
-@pytest.mark.parametrize("name", ["zti", "cof"])
-def test_single_arm_softmax_audits_draw_their_noise_a_slice_at_a_time(name):
-    m = unit_pool([i % 5 for i in range(500)])
+# ---------------------------------------------------------------------------
+# The audits of several arms against one run_mechanism call per trial
+
+
+def _whole_runs(run, trials, seed) -> list:
+    """``run(rng)`` on ``default_rng([seed, i])`` for each trial i, or on trial 0 alone
+    where that run draws nothing."""
+    rng = np.random.default_rng([seed, 0])
+    state = rng.bit_generator.state
+    first = run(rng)
+    if rng.bit_generator.state == state:
+        return [first]
+    return [first] + [run(np.random.default_rng([seed, i])) for i in range(1, trials)]
+
+
+def _uic_by_whole_runs(spec, m, capacity, user, bid_grid, trials, seed) -> str:
+    """check_uic's report, made from one run_mechanism call per trial at each bid."""
+    stats = {}
+    for b in bid_grid:
+        utils = _whole_runs(lambda rng: run_mechanism(spec, m.with_bid(user, b), capacity,
+                                                      seed=rng).user_utilities[user],
+                            trials, seed)
+        stats[b] = (*_mean_se(utils), len(utils))
+    n_runs = max(runs for _, _, runs in stats.values())
+    theta = m.get(user).valuation
+    best_bid = max(bid_grid, key=lambda b: stats[b][0])
+    gain = stats[best_bid][0] - stats[theta][0]
+    if gain > 2 * math.sqrt(stats[best_bid][1] ** 2 + stats[theta][1] ** 2) + audit._TOL:
+        return PropertyReport(
+            "uic", Verdict.VIOLATED,
+            {"deviating_bid": best_bid, "expected_gain": gain,
+             "truthful_utility": stats[theta][0], "deviating_utility": stats[best_bid][0]},
+            n_runs, "a grid bid beats truthful bidding beyond the margin").to_text()
+    return PropertyReport(
+        "uic", Verdict.SATISFIED, None, n_runs,
+        "no grid bid beats truthful bidding beyond the margin (grid-relative verdict)").to_text()
+
+
+def _mic_by_whole_runs(spec, m, capacity, fake_budget, grid, seed, trials) -> str:
+    """search_mic_deviation's report on a softmax spec, made from one run_mechanism call
+    per trial of the honest rule and of each deviation."""
+    next_id = max(m.ids()) + 1
+    fake_sets = [({}, ())] + [
+        ({"fake_bids": list(combo)},
+         tuple(Transaction(next_id + j, 1.0, b, b, fake=True) for j, b in enumerate(combo)))
+        for k in range(1, fake_budget + 1)
+        for combo in combinations_with_replacement(sorted(set(grid)), k)]
+    greedy = replace(spec, allocation=AllocationKind.OPTIMAL, gamma=None)
+    plays = [(desc, spec, fakes) for desc, fakes in fake_sets] + \
+        [(dict(desc, override="greedy_instead_of_sampling"), greedy, fakes)
+         for desc, fakes in fake_sets]
+    stats = []
+    for desc, run_spec, fakes in plays:
+        utils = _whole_runs(lambda rng: run_mechanism(run_spec, m, capacity, fakes=fakes,
+                                                      seed=rng).miner_utility, trials, seed)
+        stats.append((desc, *_mean_se(utils), len(utils)))
+    n_runs = max(runs for *_, runs in stats)
+    (_, honest, honest_se, _), *deviations = stats
+    best = (honest, 0.0, None)
+    for desc, value, se, _ in deviations:
+        if value > best[0]:
+            best = (value, se, desc)
+    gain = best[0] - honest
+    if gain > 2 * math.sqrt(best[1] ** 2 + honest_se ** 2) + audit._TOL:
+        witness = dict(best[2], expected_utility=best[0], honest_utility=honest,
+                       expected_gain=gain)
+        return PropertyReport("mic", Verdict.VIOLATED, witness, n_runs,
+                              "a bounded deviation beats the honest rule beyond the margin"
+                              ).to_text()
+    return PropertyReport(
+        "mic", Verdict.SATISFIED, None, n_runs,
+        f"no deviation within fake_budget={fake_budget} and the bid grid beats honesty "
+        "(verdict relative to the search bounds)").to_text()
+
+
+def _monotonicity_by_whole_runs(spec, m, target, epsilons, trials, seed, capacity) -> str:
+    """Uncertified estimate_monotonicity's report, made from one run_mechanism call per
+    trial at each bid."""
+    def rate(bid):
+        hits = _whole_runs(lambda rng: target in run_mechanism(
+            spec, m.with_bid(target, bid), capacity, seed=rng).allocation.selected, trials, seed)
+        p = sum(hits) / len(hits)
+        return p, math.sqrt(p * (1 - p) / len(hits)), len(hits)
+
+    base = m.get(target).bid
+    p0, se0, runs = rate(base)
+    increases = []
+    for eps in epsilons:
+        p1, se1, runs1 = rate(base + eps)
+        runs = max(runs, runs1)
+        margin = 2 * math.sqrt(se0 ** 2 + se1 ** 2)
+        if p1 - p0 < -margin:
+            return PropertyReport(
+                "monotonicity", Verdict.VIOLATED,
+                {"epsilon": eps, "rate_at_bid": p0, "rate_at_bid_plus_eps": p1}, runs,
+                "estimated inclusion dropped by more than two pooled standard errors").to_text()
+        increases.append(p1 - p0 > margin)
+    if all(increases):
+        return PropertyReport(
+            "monotonicity", Verdict.SATISFIED, None, runs,
+            "every epsilon raised inclusion by more than two pooled standard errors").to_text()
+    return PropertyReport("monotonicity", Verdict.INCONCLUSIVE, None, runs,
+                          "differences inside the two-standard-error margin").to_text()
+
+
+def _reports_of(name, m, capacity, trials, seed):
+    """The audit's report text and its oracle's.  Under the posted fee the arms of one
+    call differ in width, since a bid below the fee leaves its row out of the candidates."""
+    posted = MechanismSpec.stfm(1.5, PaymentKind.POSTED_PRICE, 0.5)
+    if name == "uic":
+        args = (posted, m, capacity, 1, [type(m.get(1).bid)(b) for b in (0, 1, 2)], trials, seed)
+        return check_uic(*args).to_text(), _uic_by_whole_runs(*args)
+    if name == "mic":
+        args = (MechanismSpec.stfm(1.0), m, capacity, 2, [0.0, 2.0], seed, trials)
+        return search_mic_deviation(*args).to_text(), _mic_by_whole_runs(*args)
+    args = (posted, m, 0, [1, 3], trials, seed, capacity)
+    return (estimate_monotonicity(*args, use_certificates=False).to_text(),
+            _monotonicity_by_whole_runs(*args))
+
+
+@pytest.mark.parametrize("name", ["mic", "monotonicity", "uic"])
+@pytest.mark.parametrize("m, capacity", [(ZTI_FLOATS, 3.0), (ZTI_FRACTIONS, Fraction(3))],
+                         ids=["floats", "fractions"])
+@pytest.mark.parametrize("trials", [1, 5, 300])
+@pytest.mark.parametrize("seed", [2, 5])
+def test_multi_arm_audits_report_what_one_whole_run_per_trial_gives(name, m, capacity, trials,
+                                                                    seed):
+    report, by_whole_runs = _reports_of(name, m, capacity, trials, seed)
+    assert report == by_whole_runs
+
+
+MEMORY_POOL = unit_pool([i % 5 for i in range(200)])
+SOFTMAX_AUDITS = {
+    "zti": lambda trials: estimate_zti(MechanismSpec.stfm(1.0), MEMORY_POOL, 50.0, trials, 3),
+    "cof": lambda trials: empirical_cof(MechanismSpec.stfm(1.0), MEMORY_POOL, 50.0, trials, 3),
+    "mic": lambda trials: search_mic_deviation(MechanismSpec.stfm(1.0), MEMORY_POOL, 50.0, 1,
+                                               [0.0], seed=3, trials=trials),
+    "uic": lambda trials: check_uic(MechanismSpec.stfm(1.0), MEMORY_POOL, 50.0, 1, [1.0, 2.0],
+                                    trials, 3),
+    "monotonicity": lambda trials: estimate_monotonicity(
+        MechanismSpec.stfm(1.0), MEMORY_POOL, 1, [1.0], trials, 3, 50.0, use_certificates=False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOFTMAX_AUDITS))
+def test_softmax_audits_draw_their_noise_a_slice_at_a_time(name):
     trials = 4096
-    run = {"zti": estimate_zti, "cof": empirical_cof}[name]
     tracemalloc.start()
     try:
-        run(MechanismSpec.stfm(1.0), m, 50.0, trials, 3)
+        SOFTMAX_AUDITS[name](trials)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    held = trials * len(m) * 8  # the whole trials x rows matrix of float64 noise
+    held = trials * len(MEMORY_POOL) * 8  # the whole trials x rows matrix of float64 noise
     assert peak < held / 2, (peak, held)
 
 

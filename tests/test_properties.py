@@ -32,10 +32,10 @@ from tfmlab import (
     splitblock_allocate,
     tune_gamma,
 )
+from tfmlab import _streams
 from tfmlab.alloc import EXHAUSTIVE_LIMIT, SECTION_ONE_MINUS_ALPHA, SECTION_RAND, _walk, _walk_rows
-from tfmlab._streams import _BATCH, _START_BYTES, _TrialStreams, _pcg64_starts
-from tfmlab.audit import _replay
-from tfmlab.audit import _replay_arm
+from tfmlab._streams import _BATCH, _CHUNK, _START_BYTES, _TrialStreams, _pcg64_starts
+from tfmlab.audit import _replay, _step_arms
 from tfmlab.mech import _arm, _prepare
 from tfmlab._trials import _softmax_trials
 
@@ -247,8 +247,16 @@ def test_a_rule_that_draws_nothing_runs_and_seeds_one_trial(seed):
 
 
 # ---------------------------------------------------------------------------
-# Every softmax trial at once: the Gumbel matrix, the row-wise walk and the
+# Every softmax trial at once: the Gumbel slices, the row-wise walk and the
 # batched step, each against its one-trial oracle
+
+
+def _gumbel_rows(streams, n):
+    """Every slice of ``streams.gumbel_slices(n)``, stacked, after checking each holds at
+    most _CHUNK draws or one trial."""
+    slices = list(streams.gumbel_slices(n))
+    assert all(s.size <= _CHUNK or len(s) == 1 for s in slices)
+    return np.concatenate(slices)
 
 
 @pytest.mark.parametrize("words", [1, 2])
@@ -257,7 +265,7 @@ def test_a_rule_that_draws_nothing_runs_and_seeds_one_trial(seed):
 def test_gumbel_rows_are_the_trial_streams_draws(words, data):
     seed = data.draw(_seeds_of(words))
     n = data.draw(st.integers(0, 12))
-    gumbel = _TrialStreams(seed, 3001).gumbel(n)
+    gumbel = _gumbel_rows(_TrialStreams(seed, 3001), n)
     assert gumbel.shape == (3001, n)
     for i in (0, 1023, 1024, 3000):
         expected = np.random.default_rng([seed, i]).gumbel(size=n)
@@ -267,11 +275,9 @@ def test_gumbel_rows_are_the_trial_streams_draws(words, data):
 @PROPERTY_SETTINGS
 @given(st.integers(0, 2**64 - 1), st.integers(1, 40), st.integers(0, 12), st.integers(0, 12))
 def test_a_gumbel_prefix_is_the_shorter_draw(seed, trials, k, extra):
-    # an arm over k candidates reads the first k columns of the widest arm's draw
-    narrow = _TrialStreams(seed, trials).gumbel(k).copy()
-    streams = _TrialStreams(seed, trials)
-    wide = streams.gumbel(k + extra)
-    assert streams.gumbel(k).tobytes() == narrow.tobytes()
+    # an arm over k candidates reads the first k columns of the widest arm's slices
+    narrow = _gumbel_rows(_TrialStreams(seed, trials), k)
+    wide = _gumbel_rows(_TrialStreams(seed, trials), k + extra)
     assert wide[:, :k].tobytes() == narrow.tobytes()
     for i in (0, trials - 1):
         assert narrow[i].tobytes() == np.random.default_rng([seed, i]).gumbel(size=k).tobytes()
@@ -292,19 +298,36 @@ def test_the_row_walk_is_the_walk_of_each_row(row_sizes, trials, capacity, unit,
         assert repr(float(total)) == repr(float(expected))
 
 
+def _as(kind, value):
+    """`value`, a multiple of 1/12, as a float, a Fraction or an int rounded up."""
+    if kind is int:
+        return math.ceil(value)
+    return Fraction(value).limit_denominator(12) if kind is Fraction else value
+
+
 @st.composite
 def softmax_arms(draw):
-    """A float pool, fakes and capacity under every payment rule of the softmax rule.
+    """A pool, fakes and capacity of floats, ints or Fractions under every payment rule of
+    the softmax rule, with a float, int or Fraction posted fee.
 
     Bids in thirds make the folds of income round, so that they must be made
     in block order to match.
     """
     m, fakes, capacity, seed, _ = draw(instances())
-    if draw(st.booleans()):
-        m = Mempool([Transaction(tx.id, tx.size, tx.bid / 3, tx.valuation / 3) for tx in m])
-    capacity = draw(st.one_of(st.just(capacity), st.just(math.inf)))
+    kind = draw(st.sampled_from([float, int, Fraction]))
+    third = kind is not int and draw(st.booleans())
+
+    def typed(tx):
+        bid = tx.bid / 3 if third else tx.bid
+        return Transaction(tx.id, _as(kind, tx.size), _as(kind, bid), _as(kind, bid),
+                           fake=tx.fake)
+    m = Mempool([typed(tx) for tx in m])
+    fakes = [typed(tx) for tx in fakes]
+    capacity = draw(st.one_of(st.just(_as(kind, capacity)), st.just(math.inf)))
     payment = draw(st.sampled_from(list(PaymentKind)))
-    fee = draw(quarters) if payment is PaymentKind.POSTED_PRICE else None
+    fee = None
+    if payment is PaymentKind.POSTED_PRICE:
+        fee = _as(draw(st.sampled_from([float, int, Fraction])), draw(quarters))
     return m, fakes, capacity, seed, MechanismSpec.stfm(draw(st.sampled_from([0.5, 1.5, 4.0])),
                                                          payment, fee)
 
@@ -320,6 +343,7 @@ def test_the_batched_softmax_step_is_each_trials_draw(case):
     arm = _arm(spec, m, capacity, fakes)
     step_all, step = _softmax_trials(arm), _prepare(arm)
     if step_all is None:  # no candidates: the one-trial step draws nothing, and runs once
+        assert not len(arm.kept)
         rng = np.random.default_rng([seed, 0])
         state = rng.bit_generator.state
         assert not len(step(rng).rows) and rng.bit_generator.state == state
@@ -332,33 +356,58 @@ def test_the_batched_softmax_step_is_each_trials_draw(case):
         included[block.rows] = True
         assert blocks.included[t].tolist() == included.tolist()
         assert repr(blocks.total.item(t)) == repr(float(block.total))
-        assert repr(blocks.miner_utility.item(t)) == repr(block.miner_utility)
+        miner = blocks.miner_utility.tolist()[t]
+        assert repr(miner) == repr(block.miner_utility)
+        assert type(miner) is type(block.miner_utility)
         users = block.user_utilities()
         assert [repr(u) for u in blocks.user_utility[t].tolist()] == \
             [repr(users[tx_id]) for tx_id in m.ids()]
 
 
-def _replays_every_trial_at_once(spec, m):
-    """Whether an audit's replay of the arm takes the step of every trial at once."""
+def _steps_every_trial_at_once(spec, m):
+    """Whether :func:`audit._step_arms` takes the arm's trials all at once, the runs it
+    makes, and whether the rule drew."""
     batched = []
-    _replay_arm(spec, m, 2.0, _TrialStreams(0, 3), lambda block: 0,
-                lambda blocks: batched.append(blocks) or blocks.total)
-    return bool(batched)
+    (runs, drew), = _step_arms([_arm(spec, m, 2.0)], _TrialStreams(0, 3), lambda block: 0,
+                               lambda blocks: batched.append(blocks) or blocks.total)
+    return bool(batched), len(runs), drew
 
 
-def test_only_softmax_over_float_columns_steps_every_trial_at_once():
+def test_every_softmax_arm_with_candidates_steps_its_trials_at_once():
     floats = Mempool([Transaction(i, 1.0, float(i), float(i)) for i in range(4)])
-    fractions = Mempool([Transaction(i, 1, Fraction(i), Fraction(i)) for i in range(4)])
-    assert _replays_every_trial_at_once(MechanismSpec.stfm(1.0), floats)
-    for spec, m in ((MechanismSpec.stfm(1.0), fractions),
+    fractions = Mempool([Transaction(i, 1, Fraction(i, 3), Fraction(i, 3)) for i in range(4)])
+    for spec, m in ((MechanismSpec.stfm(1.0), floats),
+                    (MechanismSpec.stfm(1.0), fractions),
                     (MechanismSpec.stfm(1.0, PaymentKind.POSTED_PRICE, 1), floats),
-                    (MechanismSpec.uniform(), floats)):
-        assert not _replays_every_trial_at_once(spec, m)
+                    (MechanismSpec.stfm(1.0, PaymentKind.POSTED_PRICE, Fraction(1, 3)), fractions)):
+        assert _steps_every_trial_at_once(spec, m) == (True, 3, True)
+    for spec in (MechanismSpec.uniform(), MechanismSpec.rtfm(0.5), MechanismSpec.first_price(),
+                 MechanismSpec.split_block(0.5)):
+        assert not _steps_every_trial_at_once(spec, floats)[0]
+    # no candidates: the rule draws nothing and runs once
+    no_candidates = MechanismSpec.stfm(1.0, PaymentKind.POSTED_PRICE, 10)
+    assert _steps_every_trial_at_once(no_candidates, fractions) == (False, 1, False)
+
+
+def test_the_softmax_arms_of_one_call_share_each_noise_slice(monkeypatch):
+    m = Mempool([Transaction(i, 1.0, float(i), float(i)) for i in range(4)])
+    fake = [Transaction(9, 1.0, 2.0, 2.0, fake=True)]
+    widths = []
+    slices = _TrialStreams.gumbel_slices
+    monkeypatch.setattr(_TrialStreams, "gumbel_slices",
+                        lambda self, n: widths.append(n) or slices(self, n))
+    arms = [_arm(MechanismSpec.stfm(1.0), m, 2.0, fakes) for fakes in ((), fake)]
+    arms.append(_arm(MechanismSpec.first_price(), m, 2.0, fake))
+    (honest, _), (faked, _), (greedy, drew) = _step_arms(
+        arms, _TrialStreams(0, 300), lambda block: block.miner_utility,
+        lambda blocks: blocks.miner_utility)
+    assert widths == [5] and len(honest) == len(faked) == 300
+    assert len(greedy) == 1 and not drew
 
 
 @pytest.mark.parametrize("chunk", [1, 24, 100])
 def test_batched_audits_read_the_same_in_any_chunks(monkeypatch, chunk):
-    # the batched step takes the trials a slice of at most _CHUNK draws at a time
+    # the batched steps take the trials a noise slice of at most _CHUNK draws at a time
     m = Mempool([Transaction(i, 0.5 + (i % 3) / 2, float(b), float(b) + 1.0)
                  for i, b in enumerate([4, 0, 3, 5, 1, 0, 2, 6])])
     runs = {
@@ -369,5 +418,5 @@ def test_batched_audits_read_the_same_in_any_chunks(monkeypatch, chunk):
         "tune": lambda: repr(tune_gamma(m, 3.0, 0.2, 2.0, 0.1, 50.0, 300, 5)),
     }
     expected = {name: run() for name, run in runs.items()}
-    monkeypatch.setattr(audit, "_CHUNK", chunk)
+    monkeypatch.setattr(_streams, "_CHUNK", chunk)
     assert {name: run() for name, run in runs.items()} == expected
