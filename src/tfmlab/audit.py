@@ -89,7 +89,6 @@ def _replay(run, streams: _TrialStreams) -> Tuple[Iterator, bool]:
     first = run(rng)
     if rng.bit_generator.state == state:
         return iter((first,)), False
-    streams.prepare(streams.trials)
     return chain((first,), (run(streams(i)) for i in range(1, streams.trials))), True
 
 

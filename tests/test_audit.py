@@ -3,12 +3,12 @@ import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from typing import Tuple
 
 import numpy as np
 import pytest
 
 from tfmlab import audit, mech
-from tfmlab._streams import _TrialStreams
 from tfmlab.audit import PropertyReport
 from tfmlab.experiments import _mean_se
 from tfmlab.mech import AllocationKind, run_mechanism
@@ -90,14 +90,23 @@ def test_zti_splitblock_that_draws_nothing_is_violated():
     assert report.trials == 1
 
 
+def _whole_runs(run, trials, seed) -> Tuple[list, bool]:
+    """``run(rng)`` on ``default_rng([seed, i])`` for each trial i, or on trial 0 alone
+    where that run draws nothing, and whether it drew."""
+    rng = np.random.default_rng([seed, 0])
+    state = rng.bit_generator.state
+    first = run(rng)
+    if rng.bit_generator.state == state:
+        return [first], False
+    return [first] + [run(np.random.default_rng([seed, i])) for i in range(1, trials)], True
+
+
 def _zti_by_whole_runs(spec, m, capacity, trials, seed) -> str:
     """estimate_zti's report past its analytic certificates, made the plain way: one
-    run_mechanism call per trial, each on its own stream, through audit._replay."""
+    run_mechanism call per trial, each on numpy's own ``default_rng([seed, i])``."""
     zeros = zero_fee_subset(m)
-    blocks, drew = audit._replay(
-        lambda rng: run_mechanism(spec, m, capacity, seed=rng).allocation.selected,
-        _TrialStreams(seed, trials))
-    blocks = list(blocks)
+    blocks, drew = _whole_runs(
+        lambda rng: run_mechanism(spec, m, capacity, seed=rng).allocation.selected, trials, seed)
     excluded = [tx.id for tx in zeros if tx.id not in blocks[0]]
     if excluded and not drew:
         return PropertyReport(
@@ -126,6 +135,8 @@ ZTI_ROWS = [(1.0, 0), (0.5, 0), (1.5, 1), (1.0, 2), (2.0, 0), (0.5, 3)]
 ZTI_FLOATS = Mempool([Transaction(i, s, float(b), b + 1.0) for i, (s, b) in enumerate(ZTI_ROWS)])
 ZTI_FRACTIONS = Mempool([Transaction(i, Fraction(s), Fraction(b), Fraction(b + 1))
                          for i, (s, b) in enumerate(ZTI_ROWS)])
+ZTI_INTS = Mempool([Transaction(i, math.ceil(s), b, b + 1)  # sizes rounded up
+                    for i, (s, b) in enumerate(ZTI_ROWS)])
 
 
 @pytest.mark.parametrize("spec, m, capacity", [
@@ -168,24 +179,13 @@ def test_two_set_zti_solves_the_paying_knapsack_at_most_once(monkeypatch):
 # The audits of several arms against one run_mechanism call per trial
 
 
-def _whole_runs(run, trials, seed) -> list:
-    """``run(rng)`` on ``default_rng([seed, i])`` for each trial i, or on trial 0 alone
-    where that run draws nothing."""
-    rng = np.random.default_rng([seed, 0])
-    state = rng.bit_generator.state
-    first = run(rng)
-    if rng.bit_generator.state == state:
-        return [first]
-    return [first] + [run(np.random.default_rng([seed, i])) for i in range(1, trials)]
-
-
 def _uic_by_whole_runs(spec, m, capacity, user, bid_grid, trials, seed) -> str:
     """check_uic's report, made from one run_mechanism call per trial at each bid."""
     stats = {}
     for b in bid_grid:
-        utils = _whole_runs(lambda rng: run_mechanism(spec, m.with_bid(user, b), capacity,
-                                                      seed=rng).user_utilities[user],
-                            trials, seed)
+        utils, _ = _whole_runs(lambda rng: run_mechanism(spec, m.with_bid(user, b), capacity,
+                                                         seed=rng).user_utilities[user],
+                               trials, seed)
         stats[b] = (*_mean_se(utils), len(utils))
     n_runs = max(runs for _, _, runs in stats.values())
     theta = m.get(user).valuation
@@ -203,22 +203,31 @@ def _uic_by_whole_runs(spec, m, capacity, user, bid_grid, trials, seed) -> str:
 
 
 def _mic_by_whole_runs(spec, m, capacity, fake_budget, grid, seed, trials) -> str:
-    """search_mic_deviation's report on a softmax spec, made from one run_mechanism call
-    per trial of the honest rule and of each deviation."""
+    """search_mic_deviation's report, made from one run_mechanism call per trial of the
+    honest rule and of each deviation."""
+    grid = list(grid)
+    overrides = []  # the rule-level deviations the miner controls, by name
+    if spec.allocation is AllocationKind.SOFTMAX:
+        overrides = [("greedy_instead_of_sampling",
+                      replace(spec, allocation=AllocationKind.OPTIMAL, gamma=None))]
+    elif spec.allocation is AllocationKind.SPLIT_BLOCK:
+        overrides = [("leave_reserved_section_empty",
+                      replace(spec, split=replace(spec.split, demote=False)))]
+        if spec.split.delta not in grid:
+            grid.append(spec.split.delta)  # the posted fee, as a fake's bid
     next_id = max(m.ids()) + 1
     fake_sets = [({}, ())] + [
         ({"fake_bids": list(combo)},
          tuple(Transaction(next_id + j, 1.0, b, b, fake=True) for j, b in enumerate(combo)))
         for k in range(1, fake_budget + 1)
         for combo in combinations_with_replacement(sorted(set(grid)), k)]
-    greedy = replace(spec, allocation=AllocationKind.OPTIMAL, gamma=None)
     plays = [(desc, spec, fakes) for desc, fakes in fake_sets] + \
-        [(dict(desc, override="greedy_instead_of_sampling"), greedy, fakes)
-         for desc, fakes in fake_sets]
+        [(dict(desc, override=name), override, fakes)
+         for name, override in overrides for desc, fakes in fake_sets]
     stats = []
     for desc, run_spec, fakes in plays:
-        utils = _whole_runs(lambda rng: run_mechanism(run_spec, m, capacity, fakes=fakes,
-                                                      seed=rng).miner_utility, trials, seed)
+        utils, _ = _whole_runs(lambda rng: run_mechanism(run_spec, m, capacity, fakes=fakes,
+                                                         seed=rng).miner_utility, trials, seed)
         stats.append((desc, *_mean_se(utils), len(utils)))
     n_runs = max(runs for *_, runs in stats)
     (_, honest, honest_se, _), *deviations = stats
@@ -243,7 +252,7 @@ def _monotonicity_by_whole_runs(spec, m, target, epsilons, trials, seed, capacit
     """Uncertified estimate_monotonicity's report, made from one run_mechanism call per
     trial at each bid."""
     def rate(bid):
-        hits = _whole_runs(lambda rng: target in run_mechanism(
+        hits, _ = _whole_runs(lambda rng: target in run_mechanism(
             spec, m.with_bid(target, bid), capacity, seed=rng).allocation.selected, trials, seed)
         p = sum(hits) / len(hits)
         return p, math.sqrt(p * (1 - p) / len(hits)), len(hits)
@@ -269,29 +278,59 @@ def _monotonicity_by_whole_runs(spec, m, target, epsilons, trials, seed, capacit
                           "differences inside the two-standard-error margin").to_text()
 
 
-def _reports_of(name, m, capacity, trials, seed):
-    """The audit's report text and its oracle's.  Under the posted fee the arms of one
-    call differ in width, since a bid below the fee leaves its row out of the candidates."""
-    posted = MechanismSpec.stfm(1.5, PaymentKind.POSTED_PRICE, 0.5)
+def _reports_of(name, spec, m, capacity, trials, seed):
+    """The audit's report text on `spec` and its oracle's."""
     if name == "uic":
-        args = (posted, m, capacity, 1, [type(m.get(1).bid)(b) for b in (0, 1, 2)], trials, seed)
+        args = (spec, m, capacity, 1, [type(m.get(1).bid)(b) for b in (0, 1, 2)], trials, seed)
         return check_uic(*args).to_text(), _uic_by_whole_runs(*args)
     if name == "mic":
-        args = (MechanismSpec.stfm(1.0), m, capacity, 2, [0.0, 2.0], seed, trials)
+        args = (spec, m, capacity, 2, [0.0, 2.0], seed, trials)
         return search_mic_deviation(*args).to_text(), _mic_by_whole_runs(*args)
-    args = (posted, m, 0, [1, 3], trials, seed, capacity)
+    args = (spec, m, 0, [1, 3], trials, seed, capacity)
     return (estimate_monotonicity(*args, use_certificates=False).to_text(),
             _monotonicity_by_whole_runs(*args))
 
 
+MULTI_ARM_POOLS = pytest.mark.parametrize(
+    "m, capacity", [(ZTI_FLOATS, 3.0), (ZTI_FRACTIONS, Fraction(3)), (ZTI_INTS, 3)],
+    ids=["floats", "fractions", "ints"])
+
+
 @pytest.mark.parametrize("name", ["mic", "monotonicity", "uic"])
-@pytest.mark.parametrize("m, capacity", [(ZTI_FLOATS, 3.0), (ZTI_FRACTIONS, Fraction(3))],
-                         ids=["floats", "fractions"])
+@MULTI_ARM_POOLS
 @pytest.mark.parametrize("trials", [1, 5, 300])
 @pytest.mark.parametrize("seed", [2, 5])
 def test_multi_arm_audits_report_what_one_whole_run_per_trial_gives(name, m, capacity, trials,
                                                                     seed):
-    report, by_whole_runs = _reports_of(name, m, capacity, trials, seed)
+    # softmax arms, which step every trial at once; under the posted fee the arms of one
+    # call differ in width, since a bid below the fee leaves its row out of the candidates
+    posted = MechanismSpec.stfm(1.5, PaymentKind.POSTED_PRICE, 0.5)
+    spec = MechanismSpec.stfm(1.0) if name == "mic" else posted
+    report, by_whole_runs = _reports_of(name, spec, m, capacity, trials, seed)
+    assert report == by_whole_runs
+
+
+REPLAYED = {  # the rules whose arms replay one fresh trial generator per trial
+    "two_set": MechanismSpec.rtfm(0.3),
+    "split_block": MechanismSpec.split_block(0.25),
+    "split_block_posted": MechanismSpec.split_block(0.25, base_fee=0.5),
+    "split_block_fee": MechanismSpec.split_block(0.25, delta=1.0),  # a fee the grid lacks
+    "uniform": MechanismSpec.uniform(),
+    "knapsack": MechanismSpec.first_price(),
+}
+
+
+@pytest.mark.parametrize("name, rule", [
+    *((name, rule) for name in ("monotonicity", "uic")
+      for rule in ("two_set", "split_block", "split_block_posted", "uniform", "knapsack")),
+    ("mic", "split_block"), ("mic", "split_block_fee"), ("mic", "uniform"),
+])
+@MULTI_ARM_POOLS
+@pytest.mark.parametrize("trials", [1, 5, 300])
+@pytest.mark.parametrize("seed", [2, 5])
+def test_replayed_audits_report_what_one_whole_run_per_trial_gives(name, rule, m, capacity,
+                                                                   trials, seed):
+    report, by_whole_runs = _reports_of(name, REPLAYED[rule], m, capacity, trials, seed)
     assert report == by_whole_runs
 
 

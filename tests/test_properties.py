@@ -34,7 +34,7 @@ from tfmlab import (
 )
 from tfmlab import _streams
 from tfmlab.alloc import EXHAUSTIVE_LIMIT, SECTION_ONE_MINUS_ALPHA, SECTION_RAND, _walk, _walk_rows
-from tfmlab._streams import _BATCH, _CHUNK, _START_BYTES, _TrialStreams, _pcg64_starts
+from tfmlab._streams import _BATCH, _CHUNK, _TrialSeed, _TrialStreams, _trial_words
 from tfmlab.audit import _replay, _step_arms
 from tfmlab.mech import _arm, _prepare
 from tfmlab._trials import _softmax_trials
@@ -202,27 +202,44 @@ def test_trial_streams_start_where_numpy_seeds_them(words, data):
     # audits ask for trial 0 alone, then for the rest: check both sides of every cut
     seed = data.draw(_seeds_of(words))
     trials = data.draw(st.integers(2, 3 * _BATCH + 3).filter(lambda n: n & (n - 1)))
-    cut = data.draw(st.integers(1, trials))
     streams = _TrialStreams(seed, trials)
-    streams(0)
-    streams.prepare(cut)
-    streams.prepare(trials)
-    assert len(streams._start) == trials * _START_BYTES
-    cuts = {cut, trials} | set(range(1, cut, _BATCH)) | set(range(cut, trials, _BATCH))
-    for i in sorted({0, 1} | {c + d for c in cuts for d in (-1, 0)} - {trials}):
+    cuts = {trials} | set(range(1, trials, _BATCH))
+    for i in sorted({c + d for c in cuts for d in (-1, 0)} - {trials}):
         expected = np.random.default_rng([seed, i]).bit_generator.state
         assert streams(i).bit_generator.state == expected, (seed, i)
+    assert sum(map(len, streams._blocks)) == trials
 
 
 def test_trial_starts_reach_the_last_uint32_index():
     for seed in (0, 2**40 + 3, 2**100 + 1):
-        words = _TrialStreams(seed, 1)._words
-        starts = _pcg64_starts(words, 2**32 - 3, 2**32)
-        for i, row in zip(range(2**32 - 3, 2**32), starts):
-            pcg = np.random.PCG64([seed, i]).state["state"]
-            assert int.from_bytes(row.tobytes(), "little") == pcg["state"] | pcg["inc"] << 128
+        words = _trial_words(_TrialStreams(seed, 1)._seed_words, 2**32 - 3, 2**32)
+        for i, row in zip(range(2**32 - 3, 2**32), words):
+            expected = np.random.SeedSequence([seed, i]).generate_state(4, np.uint64)
+            assert row.tolist() == expected.tolist(), (seed, i)
     with pytest.raises(ParameterError):
-        _pcg64_starts([0], 2**32 - 1, 2**32 + 1)
+        _trial_words([0], 2**32 - 1, 2**32 + 1)
+
+
+def test_trial_generators_held_at_once_draw_their_own_streams():
+    seed = 2**40 + 3
+    streams = _TrialStreams(seed, 10)
+    held = [streams(3), streams(4)]
+    expected = [np.random.default_rng([seed, 3]), np.random.default_rng([seed, 4])]
+    for _ in range(3):
+        for rng, oracle in zip(held, expected):
+            assert rng.gumbel(size=2).tobytes() == oracle.gumbel(size=2).tobytes()
+            assert rng.permutation(5).tolist() == oracle.permutation(5).tolist()
+
+
+def test_a_trial_seed_gives_pcg64_its_words_only():
+    words = _trial_words([7], 0, 1)[0]
+    seed = _TrialSeed(words)
+    state = seed.generate_state(4, np.uint64)
+    assert state.dtype == np.uint64 and state.dtype.isnative and state.flags.c_contiguous
+    assert state.tolist() == np.random.SeedSequence([7, 0]).generate_state(4, np.uint64).tolist()
+    for n_words, dtype in ((8, np.uint32), (4, np.uint32), (2, np.uint64)):
+        with pytest.raises(ParameterError):
+            seed.generate_state(n_words, dtype)
 
 
 @pytest.mark.parametrize("trials, error", [
@@ -241,9 +258,9 @@ def test_trial_streams_check_the_budget_when_built(trials, error):
 def test_a_rule_that_draws_nothing_runs_and_seeds_one_trial(seed):
     streams = _TrialStreams(seed, 500)
     results, drew = _replay(lambda rng: "same", streams)
-    assert list(results) == ["same"] and not drew and len(streams._start) == _START_BYTES
+    assert list(results) == ["same"] and not drew and sum(map(len, streams._blocks)) == 1
     results, drew = _replay(lambda rng: rng.random(), streams)
-    assert len(list(results)) == 500 and drew and len(streams._start) == 500 * _START_BYTES
+    assert len(list(results)) == 500 and drew and sum(map(len, streams._blocks)) == 500
 
 
 # ---------------------------------------------------------------------------
