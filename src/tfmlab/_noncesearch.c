@@ -55,11 +55,29 @@
  * intp buffer `out`, which has room for all of `order`, and returns
  * (kept, total); with nothing kept, the total is the `total` object given.
  * A row outside `sizes` raises IndexError.
+ *
+ * draws(kind, words, n, out, toss) makes the draws of many audit trials at
+ * once, one lane of PCG64 state a trial (O'Neill, PCG, HMC-CS-2014-0905).
+ * `words` holds four uint64 words a trial, the ones numpy's PCG64 seeds
+ * itself from (SeedSequence.generate_state(4, np.uint64)), and the lane
+ * runs numpy's set_seed, 128-bit step and XSL-RR output.  Trial t writes
+ * row t of `out`, n values, what its numpy Generator would give:
+ *
+ *   - kind 0, gumbel(size=n), into float64 `out`;
+ *   - kind 1, random() into float64 `toss[t]`, then permutation(n);
+ *   - kind 2, permutation(n);
+ *
+ * a permutation going into intp `out`.  Each call is numpy's: a Gumbel
+ * value is -log(-log(U)) with libm's log and U = 1 - next_double, redrawn
+ * when U is 1; a permutation is the Fisher-Yates shuffle of 0..n-1 that
+ * draws each index by masked rejection on 32-bit halves of the 64-bit
+ * outputs, the low half first, as random_interval does.
  */
 
 #define PY_SSIZE_T_CLEAN
 
 #include <Python.h>
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -860,6 +878,185 @@ done:
     return result;
 }
 
+/* ---- trial draws: one PCG64 lane a trial ---- */
+
+typedef struct {
+    uint64_t hi, lo;         /* the 128-bit state */
+    uint64_t inc_hi, inc_lo; /* the odd increment */
+    uint32_t half;           /* numpy's has_uint32 buffer: a 64-bit output's high half */
+    int has_half;
+} Lane;
+
+#define PCG_MULT_HI 0x2360ED051FC65DA4ULL
+#define PCG_MULT_LO 0x4385DF649FCCF645ULL
+
+/* the high word of the 128-bit product x * y */
+static uint64_t
+mulhi64(uint64_t x, uint64_t y)
+{
+    uint64_t x0 = x & 0xFFFFFFFFu, x1 = x >> 32, y0 = y & 0xFFFFFFFFu, y1 = y >> 32;
+    uint64_t t = x1 * y0 + (x0 * y0 >> 32);
+    uint64_t w = (t & 0xFFFFFFFFu) + x0 * y1;
+
+    return x1 * y1 + (t >> 32) + (w >> 32);
+}
+
+/* state = state * multiplier + inc, modulo 2**128 */
+static void
+lane_step(Lane *s)
+{
+    uint64_t lo = s->lo * PCG_MULT_LO;
+    uint64_t hi = mulhi64(s->lo, PCG_MULT_LO) + s->hi * PCG_MULT_LO + s->lo * PCG_MULT_HI;
+
+    s->lo = lo + s->inc_lo;
+    s->hi = hi + s->inc_hi + (s->lo < lo);
+}
+
+/* numpy's pcg64_set_seed: words 0-1 are the seed's high and low halves,
+   words 2-3 the sequence's */
+static void
+lane_seed(Lane *s, const uint64_t w[4])
+{
+    s->inc_hi = w[2] << 1 | w[3] >> 63;
+    s->inc_lo = w[3] << 1 | 1;
+    s->hi = s->lo = 0;
+    lane_step(s);
+    s->lo += w[1];
+    s->hi += w[0] + (s->lo < w[1]);
+    lane_step(s);
+    s->has_half = 0;
+}
+
+static uint64_t
+lane_next64(Lane *s)
+{
+    uint64_t x;
+    unsigned rot;
+
+    lane_step(s);
+    x = s->hi ^ s->lo;
+    rot = (unsigned)(s->hi >> 58);
+    return x >> rot | x << ((64 - rot) & 63);
+}
+
+static uint32_t
+lane_next32(Lane *s)
+{
+    uint64_t x;
+
+    if (s->has_half) {
+        s->has_half = 0;
+        return s->half;
+    }
+    x = lane_next64(s);
+    s->half = (uint32_t)(x >> 32);
+    s->has_half = 1;
+    return (uint32_t)x;
+}
+
+static double
+lane_double(Lane *s)
+{
+    return (double)(lane_next64(s) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* random_interval: a uniform value in 0..max */
+static uint64_t
+lane_interval(Lane *s, uint64_t max)
+{
+    uint64_t mask = max, value;
+
+    if (max == 0)
+        return 0;
+    mask |= mask >> 1;
+    mask |= mask >> 2;
+    mask |= mask >> 4;
+    mask |= mask >> 8;
+    mask |= mask >> 16;
+    mask |= mask >> 32;
+    if (max <= 0xFFFFFFFFu) {
+        while ((value = (lane_next32(s) & mask)) > max)
+            ;
+    } else {
+        while ((value = (lane_next64(s) & mask)) > max)
+            ;
+    }
+    return value;
+}
+
+/* draws(kind, words, n, out, toss): see the header comment */
+static PyObject *
+draws(PyObject *self, PyObject *args)
+{
+    Py_buffer words, out, toss = {0};
+    PyObject *toss_obj;
+    Py_ssize_t n, trials, item, t, i, j, tmp, *perm;
+    uint64_t w[4];
+    double *gumbel, u;
+    int kind, ok = 0;
+    Lane lane;
+
+    if (!PyArg_ParseTuple(args, "iy*nw*O", &kind, &words, &n, &out, &toss_obj))
+        return NULL;
+    trials = words.len / (Py_ssize_t)sizeof(w);
+    if (kind < 0 || kind > 2 || n < 0 || words.len % (Py_ssize_t)sizeof(w) != 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "draws needs a kind of 0, 1 or 2, n >= 0 and four uint64 words a trial");
+        goto done;
+    }
+    item = kind == 0 ? (Py_ssize_t)sizeof(double) : (Py_ssize_t)sizeof(Py_ssize_t);
+    if ((trials && n > out.len / item / trials) || (uintptr_t)out.buf % item != 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "draws needs an aligned out with room for n values a trial");
+        goto done;
+    }
+    if (kind == 1) {
+        if (PyObject_GetBuffer(toss_obj, &toss, PyBUF_WRITABLE) < 0)
+            goto done;
+        if (toss.len < trials * (Py_ssize_t)sizeof(double)
+            || (uintptr_t)toss.buf % sizeof(double) != 0) {
+            PyErr_SetString(PyExc_ValueError,
+                            "draws needs an aligned toss with room for a value a trial");
+            goto done;
+        }
+    }
+    gumbel = (double *)out.buf;
+    perm = (Py_ssize_t *)out.buf;
+    for (t = 0; t < trials; t++) {
+        memcpy(w, (const char *)words.buf + t * sizeof(w), sizeof(w));
+        lane_seed(&lane, w);
+        if (kind == 0) {
+            for (j = 0; j < n; j++) {
+                do
+                    u = 1.0 - lane_double(&lane);
+                while (!(u < 1.0));
+                gumbel[t * n + j] = 0.0 - log(-log(u));
+            }
+            continue;
+        }
+        if (kind == 1)
+            ((double *)toss.buf)[t] = lane_double(&lane);
+        for (j = 0; j < n; j++)
+            perm[t * n + j] = j;
+        for (i = n - 1; i > 0; i--) {
+            j = (Py_ssize_t)lane_interval(&lane, (uint64_t)i);
+            tmp = perm[t * n + j];
+            perm[t * n + j] = perm[t * n + i];
+            perm[t * n + i] = tmp;
+        }
+    }
+    ok = 1;
+
+done:
+    PyBuffer_Release(&words);
+    PyBuffer_Release(&out);
+    if (toss.obj != NULL)
+        PyBuffer_Release(&toss);
+    if (!ok)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
 static PyMethodDef methods[] = {
     {"search", search, METH_VARARGS,
      "search(prefix, start_nonce, max_trials, target) -> (nonce, digest) | None"},
@@ -867,6 +1064,8 @@ static PyMethodDef methods[] = {
      "float_leaves(ids, sizes, bids) -> [b'id|size!r|bid!r', ...]"},
     {"walk", walk, METH_VARARGS,
      "walk(sizes, order, capacity, total, out) -> (kept, total)"},
+    {"draws", draws, METH_VARARGS,
+     "draws(kind, words, n, out, toss) -> None: audit trials' numpy draws"},
     {NULL, NULL, 0, NULL},
 };
 

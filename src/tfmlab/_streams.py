@@ -4,8 +4,12 @@ Audit trial i draws from the stream ``numpy.random.default_rng([seed, i])``
 builds.  numpy seeds each such stream through its SeedSequence hash, which
 costs more than the trial's draws.  This module hashes the words of many
 trials at once, reproducing the SeedSequence hash in vectorized integer
-arithmetic, and numpy's own PCG64 then seeds each trial's generator from its
-words.  numpy's own seeding is the oracle the tests check the streams against.
+arithmetic.  From those words numpy's own PCG64 seeds a trial's generator,
+for the one-trial steps, and the C helper's ``draws`` entry makes the draws
+of a slice of trials as arrays, for the batched steps: Gumbel rows, tosses
+and permutations, one lane of PCG64 state a trial.  Without the helper the
+same arrays are stacked from each trial's generator.  numpy's own seeding and
+Generator are the oracle the tests check both against.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from typing import List
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from . import chain
 from .errors import ParameterError, _check_int
 
 # numpy's SeedSequence hash, with a pool of four uint32 words
@@ -24,7 +29,11 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 _BATCH = 1024  # most trials one vectorized pass hashes, which bounds its arrays
-_CHUNK = 4096  # most Gumbel draws a slice holds, which keeps the batched steps' arrays small
+_CHUNK = 4096  # most values a slice of draws holds, which keeps the batched steps' arrays small
+# the draws of a trial that a batched step reads, by the C helper's kind numbers
+GUMBEL, TOSS, PERMUTATION = 0, 1, 2
+# the draws of many trials from their words, from the C helper
+_draws_c = getattr(chain._noncesearch, "draws", None)
 
 
 def _hashmix(value, const: int, mult: int):
@@ -90,19 +99,17 @@ class _TrialSeed(ISeedSequence):
 
 
 class _TrialStreams:
-    """The trial generators of one audit call, which makes `trials` runs at most.
+    """The trial streams of one audit call, which makes `trials` runs at most.
 
     Trial i's stream is the one ``np.random.default_rng([seed, i])`` builds,
     but no trial goes through numpy's SeedSequence: :func:`_trial_words`
-    hashes the trials' seeding words in vectorized passes, and asking for
-    trial i builds a new generator whose PCG64 seeds itself from them.  The
-    words are computed as trials are asked for, trial 0 alone first and then
-    at most ``_BATCH`` trials a pass, and are kept for the call.  Each
-    generator is the trial's own, independent of every other.  The trials'
-    Gumbel noise is drawn as it is read, a slice of trials at a time
-    (``gumbel_slices``), and nothing here keeps it.  Every audit that replays
-    trials checks its budget here, 1 to 2**32 trials, before any word is
-    computed.
+    hashes the trials' seeding words in vectorized passes, trial 0 alone first
+    and then at most ``_BATCH`` trials a pass, and keeps them for the call.
+    Asking for trial i builds a new generator whose PCG64 seeds itself from
+    its words; each generator is the trial's own, independent of every other.
+    The batched steps read the trials' draws as arrays instead, a slice of
+    trials at a time (:meth:`slices`).  Every audit that replays trials checks
+    its budget here, 1 to 2**32 trials, before any word is computed.
     """
 
     def __init__(self, seed: int, trials: int):
@@ -115,21 +122,48 @@ class _TrialStreams:
         # the words of trial 0, then of trials 1 + k _BATCH to 1 + (k + 1) _BATCH - 1
         self._blocks: List[np.ndarray] = []
 
-    def __call__(self, i: int) -> np.random.Generator:
-        block, row = divmod(i + _BATCH - 1, _BATCH) if i else (0, 0)
-        while len(self._blocks) <= block:
-            lo = 1 + (len(self._blocks) - 1) * _BATCH if self._blocks else 0
-            hi = min(lo + _BATCH, self.trials) if lo else 1
-            self._blocks.append(_trial_words(self._seed_words, lo, hi))
-        return np.random.Generator(np.random.PCG64(_TrialSeed(self._blocks[block][row])))
+    def _words(self, lo: int, hi: int) -> np.ndarray:
+        """The seeding words of trials lo, ..., hi - 1, from the blocks that hold them."""
+        first, last = (lo + _BATCH - 1) // _BATCH, (hi + _BATCH - 2) // _BATCH
+        while len(self._blocks) <= last:
+            start = 1 + (len(self._blocks) - 1) * _BATCH if self._blocks else 0
+            end = min(start + _BATCH, self.trials) if start else 1
+            self._blocks.append(_trial_words(self._seed_words, start, end))
+        offset = 1 + (first - 1) * _BATCH if first else 0
+        rows = self._blocks[first] if first == last else np.concatenate(self._blocks[first:last + 1])
+        return rows[lo - offset:hi - offset]
 
-    def gumbel_slices(self, n: int):
-        """The trials' rows ``default_rng([seed, i]).gumbel(size=n)``, drawn as read in
-        slices of at most ``_CHUNK`` draws or one trial.  numpy draws one value per
-        double, in order, so a slice's first k columns are its ``gumbel(size=k)``."""
+    def __call__(self, i: int) -> np.random.Generator:
+        return np.random.Generator(np.random.PCG64(_TrialSeed(self._words(i, i + 1)[0])))
+
+    def slices(self, kind: int, n: int):
+        """The trials' draws of `kind` as arrays, made as read in slices of at most
+        ``_CHUNK`` values or one trial: trial i's row is what ``default_rng([seed,
+        i])`` gives for
+
+        - ``GUMBEL``: ``gumbel(size=n)``, a float row;
+        - ``TOSS``: ``random()``, then ``permutation(n)``, a slice being the pair
+          of the tosses and the permutation rows;
+        - ``PERMUTATION``: ``permutation(n)``, an intp row.
+
+        The C helper's lanes make them from the trials' words; without it, each
+        trial's own generator does.  numpy draws a Gumbel value per double, in
+        order, so a Gumbel slice's first k columns are its ``gumbel(size=k)``.
+        """
         step = max(1, _CHUNK // max(1, n))
         for lo in range(0, self.trials, step):
-            rows = np.empty((min(step, self.trials - lo), n))
-            for i, row in enumerate(rows, lo):
-                row[:] = self(i).gumbel(size=n)
-            yield rows
+            hi = min(lo + step, self.trials)
+            out = np.empty((hi - lo, n), float if kind == GUMBEL else np.intp)
+            toss = np.empty(hi - lo) if kind == TOSS else None
+            if _draws_c is not None:
+                _draws_c(kind, self._words(lo, hi), n, out, toss)
+            else:
+                for row, i in enumerate(range(lo, hi)):
+                    rng = self(i)
+                    if kind == GUMBEL:
+                        out[row] = rng.gumbel(size=n)
+                        continue
+                    if kind == TOSS:
+                        toss[row] = rng.random()
+                    out[row] = rng.permutation(n)
+            yield out if toss is None else (toss, out)

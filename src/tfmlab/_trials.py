@@ -1,20 +1,28 @@
 """Audit trials stepped all at once.
 
-:func:`_softmax_trials` takes an arm of :mod:`.mech` and, where it is a
-softmax arm with candidates, returns its step over a slice of trials' Gumbel
-noise, which gives for each trial the block, total and utilities that the
-rule's one-trial step gives from that trial's stream, bit for bit, whatever
-number types the pool's columns and the posted fee hold.
+:func:`_batched` takes an arm of :mod:`.mech` whose rule draws and returns
+the draws its trials read, as :meth:`._streams._TrialStreams.slices` makes
+them, with the rule's step over a slice of trials' draws.  For each trial the
+step gives the block, total and utilities that the rule's one-trial step gives
+from that trial's stream, bit for bit, whatever number types the pool's
+columns and the posted fee hold.  Every step prices its blocks through
+:func:`_priced`, the array form of ``mech._Arm.block``.
+
+``audit._step_arms`` brings here every arm whose one-trial step drew from
+trial 0's generator.  The one arm that draws and stays on the one-trial step,
+``estimate_zti``'s uniform arm, calls ``run_mechanism`` once per trial,
+because the benchmark's tracing test counts those calls.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .alloc import _softmax_rows
-from .mech import AllocationKind, PaymentKind, _Arm
+from .alloc import _running, _softmax_rows, _walk_rows
+from .mech import AllocationKind, PaymentKind, _Arm, _filled, _knapsack, _split_block
+from ._streams import GUMBEL, PERMUTATION, TOSS
 
 
 class _Blocks(NamedTuple):
@@ -31,39 +39,124 @@ def _fold(values: np.ndarray) -> np.ndarray:
     return np.concatenate((np.zeros((len(values), 1)), values), axis=1).cumsum(axis=1)[:, -1]
 
 
-def _softmax_trials(arm: _Arm):
-    """The softmax rule's step of many trials at once, or None where the arm is no
-    softmax arm or has no candidates (the rule then draws nothing).
+def _priced(arm: _Arm, rows: np.ndarray, taken: np.ndarray, total: np.ndarray,
+            reserved: Optional[np.ndarray] = None, pays: bool = True) -> _Blocks:
+    """The blocks made of the pool rows of `rows` where `taken`, in that order, one block
+    a row, priced as ``mech._Arm.block`` prices one block.
 
-    Each row of ``step(gumbel)``'s noise (its first k columns for k candidates)
-    gives the block ``mech._softmax_rule`` draws from that trial's stream: walked
-    in floats, priced in the columns' own number types as ``mech._price_included``
-    prices it, and its income and burn each folded from 0.0 in block order.
+    `reserved` marks split block's posted-fee section, and a two-set block whose
+    toss was 0 `pays` nothing.  The income and the burn are each folded from 0.0
+    in block order, and every price keeps the number type the one-trial step
+    gives it.
     """
-    spec, kept, c, n = arm.spec, arm.kept, arm.pool.columns, len(arm.m)
-    if spec.allocation is not AllocationKind.SOFTMAX or not len(kept):
-        return None
-    fee = spec.base_fee if spec.payment is PaymentKind.POSTED_PRICE else 0.0
+    spec, c = arm.spec, arm.pool.columns
+    size, bids = c.sizes[rows], c.bids[rows]
+    p = q = 0.0  # payment and burn per unit
+    if pays and spec.payment is PaymentKind.SECOND_PRICE:  # the main section's lowest bid
+        main = taken if reserved is None else taken & ~reserved
+        p = np.where(main, bids, np.inf).min(axis=1, initial=np.inf, keepdims=True)
+        p[p == np.inf] = 0.0
+    elif pays and spec.payment is PaymentKind.POSTED_PRICE:
+        p, q = bids - spec.base_fee, _filled(spec.base_fee, bids.shape)
+    elif pays:
+        p = bids
+    if reserved is not None:
+        p = np.where(reserved, _filled(spec.split.delta, bids.shape), p)
+        q = np.where(reserved, 0.0, q)
+    real, fake = taken & ~c.fake[rows], taken & c.fake[rows]
+    income = _fold(np.where(real, size * p, 0.0))
+    burn = _fold(np.where(fake, size * q, 0.0))
+    included = np.zeros((len(rows), len(c.ids)), bool)
+    np.put_along_axis(included, rows, taken, axis=1)
+    gain = np.where(real, (c.valuations[rows] - p - q) * size, 0.0)
+    users = np.full(included.shape, 0.0, gain.dtype)
+    np.put_along_axis(users, rows, gain, axis=1)
+    return _Blocks(included, total, income - burn, users[:, :len(arm.m)])
+
+
+def _softmax(arm: _Arm):
+    """Walk the Gumbel-top-k order of the keys ``bid/gamma + gumbel`` of each trial, in
+    floats; an arm over k candidates reads the first k columns of the Gumbel rows."""
+    kept, c = arm.kept, arm.pool.columns
     # the walk runs in floats whatever the columns hold, as the one-trial step's does
     sizes = c.sizes[kept].astype(float)
-    scaled = c.bids[kept].astype(float) / spec.gamma
+    scaled = c.bids[kept].astype(float) / arm.spec.gamma
 
     def step(gumbel: np.ndarray) -> _Blocks:
         orders, taken, total = _softmax_rows(sizes, scaled, gumbel[:, :len(kept)], arm.capacity)
-        rows = kept[orders]
-        size, p = c.sizes[rows], c.bids[rows]
-        if spec.payment is PaymentKind.SECOND_PRICE:  # the lowest included bid, fakes too
-            p = np.where(taken, p, np.inf).min(axis=1, initial=np.inf, keepdims=True)
-            p[p == np.inf] = 0.0
-        elif spec.payment is PaymentKind.POSTED_PRICE:
-            p = p - fee
-        real, fake = taken & ~c.fake[rows], taken & c.fake[rows]
-        income = _fold(np.where(real, size * p, 0.0))
-        burn = _fold(np.where(fake, size * fee, 0.0))
-        included = np.zeros((len(total), len(c.ids)), bool)
-        np.put_along_axis(included, rows, taken, axis=1)
-        gain = np.where(real, (c.valuations[rows] - p - fee) * size, 0.0)
-        users = np.full(included.shape, 0.0, gain.dtype)
-        np.put_along_axis(users, rows, gain, axis=1)
-        return _Blocks(included, total, income - burn, users[:, :n])
-    return step
+        return _priced(arm, kept[orders], taken, total)
+    return GUMBEL, len(kept), step
+
+
+def _two_set(arm: _Arm):
+    """Walk each permutation whose toss is below phi, paying nothing; every other trial
+    takes the arm's knapsack block, priced once."""
+    sizes = arm.pool.columns.sizes
+    rows, total = arm.shared(_knapsack)
+    paying = _priced(arm, rows[None], np.ones((1, len(rows)), bool), np.array([total]))
+
+    def step(draws) -> _Blocks:
+        toss, perms = draws
+        zero = toss < arm.spec.phi
+        walked = _priced(arm, perms[zero], *_walk_rows(sizes, perms[zero], arm.capacity),
+                         pays=False)
+        merged = []
+        for some, knapsack in zip(walked, paying):
+            both = np.empty((len(zero),) + knapsack.shape[1:], np.result_type(some, knapsack))
+            both[zero], both[~zero] = some, knapsack
+            merged.append(both)
+        return _Blocks(*merged)
+    return TOSS, len(sizes), step
+
+
+def _split_blocks(arm: _Arm):
+    """Walk each permutation of the posted-fee rows, then the demoted rows, into the
+    reserved section from the fakes' total; then take the paid knapsack, solved once per
+    set of rows the reserved section leaves open."""
+    split, c = arm.shared(_split_block), arm.pool.columns
+    by_id = np.argsort(c.ids)  # the block's order
+
+    def step(perms: np.ndarray) -> _Blocks:
+        trials = len(perms)
+        orders = np.concatenate((split.posted[perms], np.broadcast_to(
+            split.demoted, (trials, len(split.demoted)))), axis=1)
+        walked, _ = _walk_rows(c.sizes, orders, split.cap_posted, split.fake_total)
+        reserved = np.zeros((trials, len(c.ids)), bool)
+        reserved[:, split.fake_rows] = True
+        np.put_along_axis(reserved, orders, walked, axis=1)
+        free = split.payable & ~reserved
+        first = {}  # the open rows, as bytes -> the first trial that left them open
+        same = [first.setdefault(open_rows.tobytes(), t) for t, open_rows in enumerate(free)]
+        paid = np.zeros(free.shape, bool)
+        for t in first.values():
+            paid[t, split.paid(free[t])] = True
+        taken = (reserved | paid[same])[:, by_id]
+        total = _running(np.where(taken, c.sizes[by_id], 0))[:, -1]
+        return _priced(arm, np.broadcast_to(by_id, taken.shape), taken, total,
+                       reserved[:, by_id])
+    return PERMUTATION, len(split.posted), step
+
+
+def _uniform(arm: _Arm):
+    """Walk each permutation of the candidates."""
+    sizes = arm.pool.columns.sizes
+
+    def step(perms: np.ndarray) -> _Blocks:
+        orders = arm.kept[perms]
+        return _priced(arm, orders, *_walk_rows(sizes, orders, arm.capacity))
+    return PERMUTATION, len(arm.kept), step
+
+
+# the knapsack rule draws nothing, so it has no batched step
+_BATCHED = {
+    AllocationKind.SOFTMAX: _softmax,
+    AllocationKind.RTFM: _two_set,
+    AllocationKind.SPLIT_BLOCK: _split_blocks,
+    AllocationKind.UNIFORM: _uniform,
+}
+
+
+def _batched(arm: _Arm):
+    """The draw kind the trials of an arm whose rule draws read, its width (values a
+    trial), and the rule's step over a slice of trials' draws."""
+    return _BATCHED[arm.spec.allocation](arm)

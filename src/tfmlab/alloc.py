@@ -136,20 +136,22 @@ def _walk(sizes: np.ndarray, order: np.ndarray, capacity, total=0):
     return order[kept], total
 
 
-def _running(values: np.ndarray) -> np.ndarray:
-    """Each row's running sums from a zero of its own type, as a ``+=`` loop makes them."""
-    zero = np.zeros((len(values), 1), values.dtype)
-    return np.concatenate((zero, values), axis=1).cumsum(axis=1)
+def _running(values: np.ndarray, start=0) -> np.ndarray:
+    """Each row's running sums from `start` in the row's own type, as a ``+=`` loop makes
+    them."""
+    first = np.full((len(values), 1), start, values.dtype)
+    return np.concatenate((first, values), axis=1).cumsum(axis=1)
 
 
-def _walk_rows(sizes: np.ndarray, orders: np.ndarray, capacity):
-    """:func:`_walk` over each row of `orders`: the kept positions of each, and its total.
+def _walk_rows(sizes: np.ndarray, orders: np.ndarray, capacity, total=0):
+    """:func:`_walk` over each row of `orders` from `total`: the kept positions of each,
+    and its total.
 
     Each row's prefix that fits is cut from its cumulative sizes; a row with room
     for a later size finishes on :func:`_walk`.  With equal sizes none has."""
     s = sizes[orders]
     trials, k = s.shape
-    running = _running(s)
+    running = _running(s, total)
     kept = running[:, 1:] <= capacity  # sizes are positive: a prefix of each row
     cut = np.count_nonzero(kept, axis=1)
     total = running[np.arange(trials), cut]
@@ -354,54 +356,62 @@ class SplitBlockConfig:
         return capacity - self.alpha * capacity
 
 
-def _prepare_splitblock(c: PoolColumns, real: np.ndarray, fakes: np.ndarray, capacity,
-                        cfg: SplitBlockConfig, payment: Optional[np.ndarray] = None):
-    """The split-block draw over the pool of columns `c`: its candidate `real` rows and
-    the miner's `fakes` rows, each in pool order.
+class _SplitBlock:
+    """The split-block rule over the pool of columns `c`: its candidate `real` rows and
+    the miner's `fakes` rows, each in pool order, with the work its draws share done once.
 
-    The paid section's knapsack weighs `payment` (one value per row of `c`), by
-    default the bids.  ``draw(rng)`` returns the block's rows of `c` in ascending
-    id, their total size and a mask of the rows in the reserved section.  The
-    paid section's knapsack depends only on the real rows the reserved section
-    left open, so a draw solves it once per such set.
+    The reserved section takes the fakes at the posted fee, then walks a random
+    order of the `posted` rows (the real rows at the fee), then the `demoted`
+    ones, from the fakes' total.  The paid section is the knapsack, weighing
+    `payment` (one value per row of `c`, by default the bids), over the
+    `payable` rows the reserved section left open; it depends only on that set,
+    so :meth:`paid` solves it once per such set.
     """
-    cap_posted = cfg.one_minus_alpha_capacity(capacity)
-    cap_paid = cfg.alpha_capacity(capacity)
 
-    at_fee = c.bids == cfg.delta
-    # a fake must offer the posted fee to pass for a reserved-section entry
-    fake_rows, fake_total = _walk(c.sizes, fakes[at_fee[fakes]], cap_posted)
-    posted = real[at_fee[real]]
-    demoted = posted[:0]
-    if (cfg.delta > 0) if cfg.demote is None else cfg.demote:
-        # then every other transaction that bids at least the posted fee, lowest bids
-        # first; a posted-fee row that did not fit above cannot fit later, since the
-        # total only grows
-        rest = real[~at_fee[real] & (c.bids[real] >= cfg.delta)]
-        demoted = rest[np.lexsort((c.ids[rest], c.bids[rest]))]
-    payment = c.bids if payment is None else payment
-    # the rows the paid section may take: the real rows off the posted fee, less
-    # those the reserved section took
-    payable = np.zeros(len(c.ids), dtype=bool)
-    payable[real] = ~at_fee[real]
-    paid_rows_of: Dict[bytes, np.ndarray] = {}  # the open rows' mask -> paid rows
+    def __init__(self, c: PoolColumns, real: np.ndarray, fakes: np.ndarray, capacity,
+                 cfg: SplitBlockConfig, payment: Optional[np.ndarray] = None):
+        self.c = c
+        self.cap_posted = cfg.one_minus_alpha_capacity(capacity)
+        self.cap_paid = cfg.alpha_capacity(capacity)
+        at_fee = c.bids == cfg.delta
+        # a fake must offer the posted fee to pass for a reserved-section entry
+        self.fake_rows, self.fake_total = _walk(c.sizes, fakes[at_fee[fakes]], self.cap_posted)
+        self.posted = real[at_fee[real]]
+        self.demoted = self.posted[:0]
+        if (cfg.delta > 0) if cfg.demote is None else cfg.demote:
+            # then every other transaction that bids at least the posted fee, lowest bids
+            # first; a posted-fee row that did not fit above cannot fit later, since the
+            # total only grows
+            rest = real[~at_fee[real] & (c.bids[real] >= cfg.delta)]
+            self.demoted = rest[np.lexsort((c.ids[rest], c.bids[rest]))]
+        self.payment = c.bids if payment is None else payment
+        # the real rows off the posted fee, which the paid section may take
+        self.payable = np.zeros(len(c.ids), dtype=bool)
+        self.payable[real] = ~at_fee[real]
+        self._paid_rows_of: Dict[bytes, np.ndarray] = {}  # the open rows' mask -> paid rows
 
-    def draw(rng: np.random.Generator):
-        order = np.concatenate((posted[rng.permutation(len(posted))], demoted))
-        rows, _ = _walk(c.sizes, order, cap_posted, fake_total)
-        free = payable.copy()
-        free[rows] = False
+    def paid(self, free: np.ndarray) -> np.ndarray:
+        """The paid section's rows in ascending id, when the `free` rows are open."""
         key = free.tobytes()
-        if key not in paid_rows_of:
-            # the paid section is the knapsack over the rest: a zero payment keeps a row out
-            paid_rows_of[key], _ = _optimal_rows(c, cap_paid, np.where(free, payment, 0),
-                                                 exact=np.count_nonzero(free) <= EXHAUSTIVE_LIMIT)
-        chosen = np.concatenate((fake_rows, rows, paid_rows_of[key]))
+        if key not in self._paid_rows_of:
+            # the knapsack over the open rows: a zero payment keeps a row out
+            self._paid_rows_of[key], _ = _optimal_rows(
+                self.c, self.cap_paid, np.where(free, self.payment, 0),
+                exact=np.count_nonzero(free) <= EXHAUSTIVE_LIMIT)
+        return self._paid_rows_of[key]
+
+    def draw(self, rng: np.random.Generator):
+        """One block: its rows of `c` in ascending id, their total size and a mask of the
+        rows in the reserved section."""
+        c = self.c
+        order = np.concatenate((self.posted[rng.permutation(len(self.posted))], self.demoted))
+        rows, _ = _walk(c.sizes, order, self.cap_posted, self.fake_total)
+        free = self.payable.copy()
+        free[rows] = False
+        chosen = np.concatenate((self.fake_rows, rows, self.paid(free)))
         by_id = c.ids[chosen].argsort()
         chosen = chosen[by_id]
-        return chosen, sum(c.sizes[chosen].tolist()), by_id < len(fake_rows) + len(rows)
-
-    return draw
+        return chosen, sum(c.sizes[chosen].tolist()), by_id < len(self.fake_rows) + len(rows)
 
 
 def _with_fakes(m: Mempool, fakes: Sequence[Transaction]) -> Mempool:
@@ -448,8 +458,8 @@ def splitblock_allocate(
     """
     _check_capacity(capacity)
     c, n = _with_fakes(m, fake_fill or ()).columns, len(m)
-    draw = _prepare_splitblock(c, np.arange(n), np.arange(n, len(c.ids)), capacity, cfg)
-    rows, total, reserved = draw(resolve_rng(seed))
+    split = _SplitBlock(c, np.arange(n), np.arange(n, len(c.ids)), capacity, cfg)
+    rows, total, reserved = split.draw(resolve_rng(seed))
     selected = tuple(c.ids[rows].tolist())
     return AllocationResult(selected, total, capacity, _sections(selected, reserved))
 

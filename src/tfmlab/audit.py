@@ -30,8 +30,8 @@ from .errors import DomainError, ParameterError, SolverLimitError
 from .errors import _check_capacity, _check_gamma, _check_int
 from .experiments import _mean_se
 from .mech import AllocationKind, MechanismSpec, PaymentKind, _Arm, _arm, _prepare, run_mechanism
-from ._streams import _TrialStreams
-from ._trials import _softmax_trials
+from ._streams import GUMBEL, _TrialStreams
+from ._trials import _batched
 from .txpool import Mempool, Transaction, resolve_rng, zero_fee_subset
 
 _TOL = 1e-9
@@ -75,6 +75,15 @@ class CofReport:
     cov: Optional[float] = None
 
 
+def _first_run(run, streams: _TrialStreams):
+    """``run(streams(0))``, trial 0's result, and whether it moved trial 0's generator:
+    whether the rule drew."""
+    rng = streams(0)
+    state = rng.bit_generator.state
+    first = run(rng)
+    return first, rng.bit_generator.state != state
+
+
 def _replay(run, streams: _TrialStreams) -> Tuple[Iterator, bool]:
     """Results of ``run(rng)`` over up to ``streams.trials`` runs, each made as it is
     read, and whether the rule drew.
@@ -84,10 +93,8 @@ def _replay(run, streams: _TrialStreams) -> Tuple[Iterator, bool]:
     rule drew nothing, every seed gives the same outcome, and the replay
     stops after that one run.
     """
-    rng = streams(0)
-    state = rng.bit_generator.state
-    first = run(rng)
-    if rng.bit_generator.state == state:
+    first, drew = _first_run(run, streams)
+    if not drew:
         return iter((first,)), False
     return chain((first,), (run(streams(i)) for i in range(1, streams.trials))), True
 
@@ -97,35 +104,43 @@ def _step_arms(arms: Iterable[_Arm], streams: _TrialStreams, read,
     """For each arm, the values `read` takes of the block of each trial it runs, and
     whether its rule drew.
 
-    A softmax arm with candidates steps all its trials at once
-    (:func:`._trials._softmax_trials`), into an array of `read_all` of each
-    slice's blocks.  The softmax arms of the call share each slice of
-    ``streams.gumbel_slices`` at the widest of them: all step it before the
-    next is drawn, and an arm over k candidates reads its first k columns, its
-    trials' ``gumbel(size=k)`` draws, since the Gumbel-top-k key takes the
-    same noise at every width.  Every other arm replays through :func:`_replay`
-    as it comes, so that only the softmax arms are held.
+    Each arm's one-trial step runs trial 0 first.  Where that leaves trial 0's
+    generator as it was, the rule drew nothing, every trial gives the same
+    block, and the arm runs that one trial (as :func:`_replay` does).  Every
+    other arm, whatever its rule, steps all its trials at once
+    (:func:`._trials._batched`) into an array of `read_all` of each slice's
+    blocks, on the draws ``streams.slices`` makes: from the C helper's PCG64
+    lanes, or from each trial's own generator without the helper.  Arms that
+    read the same draws share each slice and all step it before the next is
+    made, so every arm that draws is held, with its values, until the last
+    slice.  The softmax arms share Gumbel rows at the widest of them: an arm
+    over k candidates reads the first k columns, its trials'
+    ``gumbel(size=k)``, since the Gumbel-top-k key takes the same noise at
+    every width.  The other arms share the tosses or permutations of one
+    length.  ``estimate_zti``'s uniform arm does not come here: it stays the
+    one path that calls ``run_mechanism`` once per trial, since the
+    benchmark's tracing test counts those calls.
     """
     arms_values: List[list] = []  # [values, whether the rule drew] of each arm
-    batched = []  # the place, step and width of each softmax arm with candidates
+    batched: Dict[tuple, list] = {}  # the draws -> the place, width and step of each arm
     for arm in arms:
-        step = _softmax_trials(arm)
-        if step is None:
-            one = _prepare(arm)
-            runs, drew = _replay(lambda rng: read(one(rng)), streams)
-            arms_values.append([list(runs), drew])
-        else:
-            batched.append((len(arms_values), step, len(arm.kept)))
-            arms_values.append([(), True])
-    if batched:
+        first, drew = _first_run(_prepare(arm), streams)
+        if not drew:
+            arms_values.append([[read(first)], False])
+            continue
+        kind, width, step = _batched(arm)
+        batched.setdefault((kind, width if kind != GUMBEL else None), []).append(
+            (len(arms_values), width, step))
+        arms_values.append([(), True])
+    for (kind, _), steps in batched.items():
         done = 0  # trials stepped
-        for gumbel in streams.gumbel_slices(max(width for _, _, width in batched)):
-            for k, step, _ in batched:
-                got = read_all(step(gumbel))
+        for draws in streams.slices(kind, max(width for _, width, _ in steps)):
+            for k, _, step in steps:
+                got = read_all(step(draws))
                 if not done:  # every slice of an arm reads values of one type
                     arms_values[k][0] = np.empty(streams.trials, got.dtype)
                 arms_values[k][0][done:done + len(got)] = got
-            done += len(gumbel)
+            done += len(got)
     return arms_values
 
 
@@ -576,7 +591,7 @@ def tune_gamma(
     # the bisection keeps for its whole length
     walk_sizes = c.sizes.astype(float, copy=False)
     bids = c.bids.astype(float, copy=False)
-    slices = list(streams.gumbel_slices(len(m)))
+    slices = list(streams.slices(GUMBEL, len(m)))
 
     def ratio(gamma: float) -> float:
         """pr_cof / pr_zf at `gamma`, infinite where pr_zf is 0."""

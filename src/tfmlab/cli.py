@@ -16,7 +16,7 @@ from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import alloc, chain
+from . import _streams, alloc, chain
 from . import audit as audit_mod
 from .errors import (
     ConfigError,
@@ -177,9 +177,10 @@ def _cmd_info(args) -> int:
     rate = trials / (time.perf_counter() - start) / 1e6
     merkle = "hashlib" if chain._merkle_root_c is None else "C (sha-ni-x2)"
     walk = "python" if alloc._walk_c is None else "C"
+    draws = "python" if _streams._draws_c is None else "C"
     for key, value in (("version", __version__), ("hash_backend", backend),
                        ("hash_helper_path", path), ("merkle_backend", merkle),
-                       ("walk_backend", walk),
+                       ("walk_backend", walk), ("draw_backend", draws),
                        ("hash_rate_mhs", f"{rate:.3g}"),
                        ("python", platform.python_version()), ("numpy", numpy.__version__),
                        ("nproc", os.cpu_count())):

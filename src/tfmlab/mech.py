@@ -32,11 +32,13 @@ the fakes); only the wrap turns them into ids.  The audits, the cost of
 fairness and the sweeps step arms and read the block's arrays; only the
 zero-fee inclusion audit's uniform arm calls :func:`run_mechanism`, once
 per trial, because the benchmark's tracing test counts those calls and reads
-the fills of :func:`~.alloc.uniform_allocate`.  The audits step a softmax arm
-with candidates over many trials at once (:mod:`._trials`), on noise drawn a
-slice of trials at a time that all the softmax arms of a call share; the
-softmax sweep steps it in two parts, noise and block (:func:`_softmax_parts`),
-so that it draws a run's noise once for all its cells.
+the fills of :func:`~.alloc.uniform_allocate`.  The audits step every other
+arm whose rule draws over many trials at once (:mod:`._trials`), on draws
+made a slice of trials at a time that the arms of a call share; an arm's
+steps, one-trial or batched, share its knapsack solves (:meth:`_Arm.shared`).
+The softmax sweep steps a softmax arm in two parts, noise and block
+(:func:`_softmax_parts`), so that it draws a run's noise once for all its
+cells.
 
 The flat ``key = value`` config format lives here too: one table of keys,
 :data:`CONFIG_KEYS`, and one parser serve :func:`spec_from_config`, the
@@ -57,8 +59,8 @@ import numpy as np
 from .alloc import (
     AllocationResult,
     SplitBlockConfig,
+    _SplitBlock,
     _optimal_rows,
-    _prepare_splitblock,
     _sections,
     _softmax_walk,
     _walk,
@@ -292,6 +294,14 @@ class _Arm(NamedTuple):
     pool: Mempool  # m with the fakes appended
     capacity: object
     kept: np.ndarray  # the candidate rows: under a posted price, those bidding at least the fee
+    memo: dict  # the work of `shared`, by the function that did it
+
+    def shared(self, make):
+        """``make(self)``, made on the first call and kept for every step of the arm,
+        one-trial or batched, so that a knapsack is solved once per arm."""
+        if make not in self.memo:
+            self.memo[make] = make(self)
+        return self.memo[make]
 
     def candidates(self) -> PoolColumns:
         """The columns of the candidate rows, copied only when some row is left out."""
@@ -322,7 +332,8 @@ def _objective(spec: MechanismSpec, c: PoolColumns) -> Optional[np.ndarray]:
 
 
 def _knapsack(arm: _Arm):
-    """The revenue-optimal set of the candidates, as pool rows, and its total size."""
+    """The revenue-optimal set of the candidates, as pool rows, and its total size; the
+    steps read it through ``arm.shared``, which solves it once per arm."""
     c = arm.candidates()
     rows, total = _optimal_rows(c, arm.capacity, _objective(arm.spec, c))
     return arm.kept[rows], total
@@ -370,15 +381,21 @@ def _softmax_rule(arm: _Arm):
     return lambda rng, toss=None: block(noise(rng))
 
 
-def _split_block_rule(arm: _Arm):
-    """The reserved section sampled from the posted-fee bids, then the paid knapsack."""
+def _split_block(arm: _Arm) -> _SplitBlock:
+    """The split-block rule over the arm's pool: under a posted price, the real rows
+    bidding at least the base fee or exactly the posted fee are its candidates."""
     spec, c, n = arm.spec, arm.pool.columns, len(arm.m)
     real = np.arange(n)
     if spec.payment is PaymentKind.POSTED_PRICE:
         real = real[(c.bids[:n] >= spec.base_fee) | (c.bids[:n] == spec.split.delta)]
-    draw = _prepare_splitblock(c, real, np.arange(n, len(c.ids)), arm.capacity, spec.split,
-                               _objective(spec, c))
-    return lambda rng, toss=None: arm.block(*draw(rng))
+    return _SplitBlock(c, real, np.arange(n, len(c.ids)), arm.capacity, spec.split,
+                       _objective(spec, c))
+
+
+def _split_block_rule(arm: _Arm):
+    """The reserved section sampled from the posted-fee bids, then the paid knapsack."""
+    split = arm.shared(_split_block)
+    return lambda rng, toss=None: arm.block(*split.draw(rng))
 
 
 def _two_set_rule(arm: _Arm):
@@ -398,7 +415,7 @@ def _two_set_rule(arm: _Arm):
         if toss == 0:
             return arm.block(*_walk(sizes, order, arm.capacity), toss=0)
         if not paying:
-            paying.append(arm.block(*_knapsack(arm), toss=1))
+            paying.append(arm.block(*arm.shared(_knapsack), toss=1))
         return paying[0]
     return draw
 
@@ -419,7 +436,7 @@ def _arm(spec: MechanismSpec, m: Mempool, capacity, fakes: Sequence[Transaction]
     kept = np.arange(len(pool))
     if spec.payment is PaymentKind.POSTED_PRICE:
         kept = np.flatnonzero(pool.columns.bids >= spec.base_fee)
-    return _Arm(spec, m, pool, capacity, kept)
+    return _Arm(spec, m, pool, capacity, kept, {})
 
 
 def _prepare(arm: _Arm):

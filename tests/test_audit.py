@@ -8,7 +8,8 @@ from typing import Tuple
 import numpy as np
 import pytest
 
-from tfmlab import audit, mech
+from tfmlab import _streams, audit, mech
+from tfmlab.alloc import allocation_value, optimal_allocate
 from tfmlab.audit import PropertyReport
 from tfmlab.experiments import _mean_se
 from tfmlab.mech import AllocationKind, run_mechanism
@@ -40,6 +41,17 @@ def unit_pool(bids):
 
 
 ZPOOL = unit_pool([0, 0, 1, 2])
+
+
+@pytest.fixture(params=["C", "python"])
+def draw_backend(request, monkeypatch):
+    """The audits' batched draws from the C helper's PCG64 lanes, or stacked from each
+    trial's own numpy generator."""
+    if request.param == "python":
+        monkeypatch.setattr(_streams, "_draws_c", None)
+    elif _streams._draws_c is None:
+        pytest.skip("the C helper is not available")
+    return request.param
 
 
 # ---------------------------------------------------------------------------
@@ -156,12 +168,20 @@ ZTI_INTS = Mempool([Transaction(i, math.ceil(s), b, b + 1)  # sizes rounded up
     (MechanismSpec.rtfm(0.3, PaymentKind.POSTED_PRICE, 0.0), ZTI_FLOATS, 3.0),
     (MechanismSpec.uniform(), ZTI_FLOATS, 3.0),
     (MechanismSpec.first_price(), ZTI_FLOATS, 3.0),  # draws nothing
+    (MechanismSpec.rtfm(0.3), ZTI_FRACTIONS, Fraction(3)),
+    (MechanismSpec.rtfm(0.3), ZTI_INTS, 3),
+    (MechanismSpec.split_block(0.25), ZTI_FRACTIONS, Fraction(3)),
+    (MechanismSpec.split_block(0.25), ZTI_INTS, 3),
+    (MechanismSpec.split_block(0.25, delta=7.0), ZTI_FLOATS, 3.0),  # no posted-fee bidder
 ], ids=["softmax_1", "softmax_3", "softmax_fractions_1", "softmax_fractions_3", "rtfm_0",
         "rtfm_0.3_1", "rtfm_0.3_3", "rtfm_1", "split_block", "split_block_posted",
-        "split_block_fee", "softmax_posted_0", "rtfm_posted_0", "uniform", "knapsack"])
+        "split_block_fee", "softmax_posted_0", "rtfm_posted_0", "uniform", "knapsack",
+        "rtfm_fractions", "rtfm_ints", "split_block_fractions", "split_block_ints",
+        "split_block_no_posted"])
 @pytest.mark.parametrize("trials", [1, 5, 500])
 @pytest.mark.parametrize("seed", [0, 2**40 + 3])
-def test_zti_reports_what_one_whole_run_per_trial_gives(spec, m, capacity, trials, seed):
+def test_zti_reports_what_one_whole_run_per_trial_gives(spec, m, capacity, trials, seed,
+                                                        draw_backend):
     assert estimate_zti(spec, m, capacity, trials, seed).to_text() == \
         _zti_by_whole_runs(spec, m, capacity, trials, seed)
 
@@ -301,7 +321,7 @@ MULTI_ARM_POOLS = pytest.mark.parametrize(
 @pytest.mark.parametrize("trials", [1, 5, 300])
 @pytest.mark.parametrize("seed", [2, 5])
 def test_multi_arm_audits_report_what_one_whole_run_per_trial_gives(name, m, capacity, trials,
-                                                                    seed):
+                                                                    seed, draw_backend):
     # softmax arms, which step every trial at once; under the posted fee the arms of one
     # call differ in width, since a bid below the fee leaves its row out of the candidates
     posted = MechanismSpec.stfm(1.5, PaymentKind.POSTED_PRICE, 0.5)
@@ -310,28 +330,59 @@ def test_multi_arm_audits_report_what_one_whole_run_per_trial_gives(name, m, cap
     assert report == by_whole_runs
 
 
-REPLAYED = {  # the rules whose arms replay one fresh trial generator per trial
+REPLAYED = {  # the rules that step their trials on tosses and permutations, or draw nothing
     "two_set": MechanismSpec.rtfm(0.3),
     "split_block": MechanismSpec.split_block(0.25),
     "split_block_posted": MechanismSpec.split_block(0.25, base_fee=0.5),
     "split_block_fee": MechanismSpec.split_block(0.25, delta=1.0),  # a fee the grid lacks
     "uniform": MechanismSpec.uniform(),
     "knapsack": MechanismSpec.first_price(),
+    # no posted-fee bidder, and one (row 5, which no audit here rebids)
+    "split_block_none_posted": MechanismSpec.split_block(0.25, delta=7.0),
+    "split_block_one_posted": MechanismSpec.split_block(0.25, delta=3.0),
+    # one candidate clears the fee (row 5)
+    "uniform_one_candidate": MechanismSpec(AllocationKind.UNIFORM, PaymentKind.POSTED_PRICE,
+                                           base_fee=3.0),
 }
+NO_DRAW = ("split_block_none_posted", "split_block_one_posted", "uniform_one_candidate")
 
 
 @pytest.mark.parametrize("name, rule", [
     *((name, rule) for name in ("monotonicity", "uic")
       for rule in ("two_set", "split_block", "split_block_posted", "uniform", "knapsack")),
     ("mic", "split_block"), ("mic", "split_block_fee"), ("mic", "uniform"),
+    *((name, rule) for name in ("mic", "uic") for rule in NO_DRAW),
 ])
 @MULTI_ARM_POOLS
 @pytest.mark.parametrize("trials", [1, 5, 300])
 @pytest.mark.parametrize("seed", [2, 5])
 def test_replayed_audits_report_what_one_whole_run_per_trial_gives(name, rule, m, capacity,
-                                                                   trials, seed):
+                                                                   trials, seed, draw_backend):
     report, by_whole_runs = _reports_of(name, REPLAYED[rule], m, capacity, trials, seed)
     assert report == by_whole_runs
+    if rule in NO_DRAW:
+        assert "trials=1\n" in report
+
+
+def _cof_by_whole_runs(spec, m, capacity, trials, seed):
+    """empirical_cof's estimate, from one run_mechanism call per trial."""
+    utils, _ = _whole_runs(lambda rng: run_mechanism(spec, m, capacity, seed=rng).miner_utility,
+                           trials, seed)
+    utils = np.asarray(utils, dtype=float)
+    mean = float(utils.mean())
+    cov = float(utils.std(ddof=1) / mean) if len(utils) > 1 and mean > 0 else None
+    opt = allocation_value(m, optimal_allocate(m, capacity))
+    return opt / mean if mean > 0 else math.inf, mean, cov
+
+
+@pytest.mark.parametrize("rule", ["split_block", "split_block_posted", "split_block_fee",
+                                  "uniform", "split_block_none_posted"])
+@MULTI_ARM_POOLS
+@pytest.mark.parametrize("trials", [1, 5, 300])
+def test_cof_reports_what_one_whole_run_per_trial_gives(rule, m, capacity, trials, draw_backend):
+    report = empirical_cof(REPLAYED[rule], m, capacity, trials, 5)
+    assert repr((report.cof, report.mech_utility_mean, report.cov)) == \
+        repr(_cof_by_whole_runs(REPLAYED[rule], m, capacity, trials, 5))
 
 
 MEMORY_POOL = unit_pool([i % 5 for i in range(200)])

@@ -19,7 +19,7 @@ from tfmlab import (
     run_rtfm_sweep,
     run_stfm_sweep,
 )
-from tfmlab import alloc, chain, experiments
+from tfmlab import _streams, alloc, chain, experiments
 from tfmlab.cli import main as cli_main
 from tfmlab.experiments import (
     CSV_HEADER,
@@ -629,8 +629,16 @@ def test_cli_info_names_version_backend_and_machine(capsys):
     assert cli_main(["info"]) == 0
     fields = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
     assert list(fields) == ["version", "hash_backend", "hash_helper_path", "merkle_backend",
-                            "walk_backend", "hash_rate_mhs", "python", "numpy", "nproc"]
+                            "walk_backend", "draw_backend", "hash_rate_mhs", "python", "numpy",
+                            "nproc"]
     assert fields["merkle_backend"] in ("C (sha-ni-x2)", "hashlib")
     assert fields["walk_backend"] == ("python" if alloc._walk_c is None else "C")
+    assert fields["draw_backend"] == ("python" if _streams._draws_c is None else "C")
     assert fields["hash_backend"] == "hashlib" or fields["hash_backend"].endswith(")")
     assert float(fields["hash_rate_mhs"]) > 0 and int(fields["nproc"]) >= 1
+
+
+def test_cli_info_names_the_python_draw_backend_without_the_c_entry(capsys, monkeypatch):
+    monkeypatch.setattr(_streams, "_draws_c", None)
+    assert cli_main(["info"]) == 0
+    assert "draw_backend=python" in capsys.readouterr().out.splitlines()

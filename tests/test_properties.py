@@ -34,10 +34,11 @@ from tfmlab import (
 )
 from tfmlab import _streams
 from tfmlab.alloc import EXHAUSTIVE_LIMIT, SECTION_ONE_MINUS_ALPHA, SECTION_RAND, _walk, _walk_rows
-from tfmlab._streams import _BATCH, _CHUNK, _TrialSeed, _TrialStreams, _trial_words
+from tfmlab._streams import (
+    _BATCH, _CHUNK, GUMBEL, PERMUTATION, TOSS, _TrialSeed, _TrialStreams, _trial_words)
 from tfmlab.audit import _replay, _step_arms
 from tfmlab.mech import _arm, _prepare
-from tfmlab._trials import _softmax_trials
+from tfmlab._trials import _batched
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -269,9 +270,9 @@ def test_a_rule_that_draws_nothing_runs_and_seeds_one_trial(seed):
 
 
 def _gumbel_rows(streams, n):
-    """Every slice of ``streams.gumbel_slices(n)``, stacked, after checking each holds at
+    """Every slice of ``streams.slices(GUMBEL, n)``, stacked, after checking each holds at
     most _CHUNK draws or one trial."""
-    slices = list(streams.gumbel_slices(n))
+    slices = list(streams.slices(GUMBEL, n))
     assert all(s.size <= _CHUNK or len(s) == 1 for s in slices)
     return np.concatenate(slices)
 
@@ -300,6 +301,106 @@ def test_a_gumbel_prefix_is_the_shorter_draw(seed, trials, k, extra):
         assert narrow[i].tobytes() == np.random.default_rng([seed, i]).gumbel(size=k).tobytes()
 
 
+# ---------------------------------------------------------------------------
+# The trials' draws as arrays: the C helper's PCG64 lanes and the fallback
+# that stacks each trial's own generator, both against numpy's Generator
+
+
+needs_c_draws = pytest.mark.skipif(_streams._draws_c is None,
+                                   reason="the C helper is not available")
+DRAW_SEEDS = [0, 42, 2**32 + 5, 2**64 + 3]  # one, two and three uint32 words
+BOUNDARY_TRIALS = [0, 1, 1023, 1024, 1025, 3000]  # about the _BATCH and _CHUNK cuts
+PERMUTATION_WIDTHS = [0, 1, 2, 3, 5, 33, 60]  # at 5 and 33 about half the masked draws miss
+
+
+def _rows_of(kind, draws):
+    """Each trial's draws in a slice of ``_TrialStreams.slices``, as comparable values."""
+    if kind == GUMBEL:
+        return [row.tobytes() for row in draws]
+    if kind == PERMUTATION:
+        return [(None, row.tolist()) for row in draws]
+    return [(toss, row.tolist()) for toss, row in zip(draws[0].tolist(), draws[1])]
+
+
+def _generator_rows(kind, seed, trials, n):
+    """What ``default_rng([seed, i])`` draws of `kind` for each of `trials`, as _rows_of."""
+    rows = []
+    for i in trials:
+        rng = np.random.default_rng([seed, i])
+        if kind == GUMBEL:
+            rows.append(rng.gumbel(size=n).tobytes())
+        else:
+            toss = rng.random() if kind == TOSS else None
+            rows.append((toss, rng.permutation(n).tolist()))
+    return rows
+
+
+@needs_c_draws
+@pytest.mark.parametrize("seed", DRAW_SEEDS)
+@pytest.mark.parametrize("kind, n", [(GUMBEL, 1), (GUMBEL, 4), (GUMBEL, 60)]
+                         + [(kind, n) for kind in (TOSS, PERMUTATION) for n in PERMUTATION_WIDTHS])
+def test_the_c_draws_are_numpys(seed, kind, n):
+    seed_words = _TrialStreams(seed, 1)._seed_words
+    words = np.concatenate([_trial_words(seed_words, i, i + 1) for i in BOUNDARY_TRIALS])
+    out = np.empty((len(words), n), float if kind == GUMBEL else np.intp)
+    toss = np.empty(len(words)) if kind == TOSS else None
+    _streams._draws_c(kind, words, n, out, toss)
+    got = _rows_of(kind, out if toss is None else (toss, out))
+    assert got == _generator_rows(kind, seed, BOUNDARY_TRIALS, n)
+
+
+@needs_c_draws
+@pytest.mark.parametrize("low", [0, 1, 2047])
+def test_the_c_gumbel_draw_redraws_a_uniform_of_one(low):
+    # invert set_seed and one step so that the first output is `low` < 2**11: its double
+    # is 0.0 and U = 1 - 0.0 is 1, which numpy's random_gumbel draws again
+    mult = 0x2360ED051FC65DA4_4385DF649FCCF645
+    inverse, mask = pow(mult, -1, 1 << 128), (1 << 128) - 1
+    inc = 1  # from sequence words 0 and 0
+    before = (low - inc) * inverse & mask  # the seeded state: one step reaches `low`
+    seed = ((before - inc) * inverse - inc) & mask  # set_seed: (seed + inc) * mult + inc
+    words = np.array([[seed >> 64, seed & (2**64 - 1), 0, 0]], dtype=np.uint64)
+    bits = np.random.PCG64()
+    bits.state = {"bit_generator": "PCG64", "state": {"state": before, "inc": inc},
+                  "has_uint32": 0, "uinteger": 0}
+    assert np.random.PCG64(_TrialSeed(words[0])).state == bits.state
+    out = np.empty((1, 3))
+    _streams._draws_c(GUMBEL, words, 3, out, None)
+    assert bits.random_raw() == low
+    bits.state = np.random.PCG64(_TrialSeed(words[0])).state
+    assert out[0].tobytes() == np.random.Generator(bits).gumbel(size=3).tobytes()
+
+
+@needs_c_draws
+def test_the_c_draws_reject_what_they_cannot_fill():
+    words = _trial_words([7], 0, 2)
+    with pytest.raises(ValueError, match="room for n values"):
+        _streams._draws_c(GUMBEL, words, 3, np.empty((2, 2)), None)
+    with pytest.raises(ValueError, match="room for a value a trial"):
+        _streams._draws_c(TOSS, words, 3, np.empty((2, 3), np.intp), np.empty(1))
+    with pytest.raises(ValueError, match="four uint64 words"):
+        _streams._draws_c(PERMUTATION, words[:, :3].copy(), 3, np.empty((2, 3), np.intp), None)
+    with pytest.raises(ValueError, match="a kind of 0, 1 or 2"):
+        _streams._draws_c(3, words, 3, np.empty((2, 3)), None)
+
+
+@pytest.mark.parametrize("backend", ["C", "python"])
+@pytest.mark.parametrize("kind, n", [(GUMBEL, 4), (TOSS, 5), (PERMUTATION, 33), (PERMUTATION, 0)])
+def test_draw_slices_are_each_trials_draws(monkeypatch, backend, kind, n):
+    if backend == "python":
+        monkeypatch.setattr(_streams, "_draws_c", None)
+    elif _streams._draws_c is None:
+        pytest.skip("the C helper is not available")
+    seed, trials = 2**32 + 5, BOUNDARY_TRIALS[-1] + 1
+    rows = []
+    for draws in _TrialStreams(seed, trials).slices(kind, n):
+        got = _rows_of(kind, draws)
+        assert len(got) * n <= _CHUNK or len(got) == 1
+        rows += got
+    assert len(rows) == trials
+    assert [rows[i] for i in BOUNDARY_TRIALS] == _generator_rows(kind, seed, BOUNDARY_TRIALS, n)
+
+
 @PROPERTY_SETTINGS
 @given(st.lists(st.one_of(sizes, st.floats(0.01, 4.0)), max_size=70),
        st.integers(1, 4), st.one_of(st.integers(0, 60).map(lambda k: k / 2), st.just(math.inf)),
@@ -322,10 +423,14 @@ def _as(kind, value):
     return Fraction(value).limit_denominator(12) if kind is Fraction else value
 
 
+DRAWING_KINDS = [AllocationKind.SOFTMAX, AllocationKind.RTFM, AllocationKind.SPLIT_BLOCK,
+                 AllocationKind.UNIFORM]
+
+
 @st.composite
-def softmax_arms(draw):
+def typed_arms(draw, kinds=DRAWING_KINDS):
     """A pool, fakes and capacity of floats, ints or Fractions under every payment rule of
-    the softmax rule, with a float, int or Fraction posted fee.
+    a rule that draws, with a float, int or Fraction posted fee and split-block delta.
 
     Bids in thirds make the folds of income round, so that they must be made
     in block order to match.
@@ -345,34 +450,48 @@ def softmax_arms(draw):
     fee = None
     if payment is PaymentKind.POSTED_PRICE:
         fee = _as(draw(st.sampled_from([float, int, Fraction])), draw(quarters))
-    return m, fakes, capacity, seed, MechanismSpec.stfm(draw(st.sampled_from([0.5, 1.5, 4.0])),
-                                                         payment, fee)
+    delta = _as(draw(st.sampled_from([float, int, Fraction])), draw(st.sampled_from([0.0, 1.0])))
+    split = SplitBlockConfig(0.5, delta, draw(st.sampled_from([None, False, True])))
+    spec = MechanismSpec(draw(st.sampled_from(kinds)), payment,
+                         gamma=draw(st.sampled_from([0.5, 1.5, 4.0])), phi=0.5, split=split,
+                         base_fee=fee)
+    return m, fakes, capacity, seed, spec
 
 
-@PROPERTY_SETTINGS
-@given(softmax_arms())
-def test_the_batched_softmax_step_is_each_trials_draw(case):
-    m, fakes, capacity, seed, spec = case
+def _numpy_draws(kind, seed, trials, width):
+    """The draws of `kind` that ``default_rng([seed, t])`` makes for trials t = 0, ...,
+    trials - 1, shaped as a slice of ``_TrialStreams.slices`` holds them."""
+    rngs = [np.random.default_rng([seed, t]) for t in range(trials)]
+    if kind == GUMBEL:
+        return np.array([rng.gumbel(size=width) for rng in rngs]).reshape(trials, -1)
+    toss = np.array([rng.random() for rng in rngs]) if kind == TOSS else None
+    perms = np.array([rng.permutation(width) for rng in rngs], dtype=np.intp).reshape(trials, -1)
+    return perms if toss is None else (toss, perms)
+
+
+@pytest.mark.parametrize("rule", DRAWING_KINDS, ids=lambda kind: kind.value)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_the_batched_step_is_each_trials_draw(rule, data):
+    m, fakes, capacity, seed, spec = data.draw(typed_arms([rule]))
     pool = m.extend(fakes)
-    trials = 5
-    gumbel = np.array([np.random.default_rng([seed, t]).gumbel(size=len(pool))
-                       for t in range(trials)]).reshape(trials, -1)
     arm = _arm(spec, m, capacity, fakes)
-    step_all, step = _softmax_trials(arm), _prepare(arm)
-    if step_all is None:  # no candidates: the one-trial step draws nothing, and runs once
-        assert not len(arm.kept)
-        rng = np.random.default_rng([seed, 0])
-        state = rng.bit_generator.state
-        assert not len(step(rng).rows) and rng.bit_generator.state == state
+    step = _prepare(arm)
+    rng = np.random.default_rng([seed, 0])
+    state = rng.bit_generator.state
+    step(rng)
+    if rng.bit_generator.state == state:  # the rule drew nothing: the audits run it once
         return
-    blocks = step_all(gumbel)
+    trials = 5
+    kind, width, step_all = _batched(arm)
+    blocks = step_all(_numpy_draws(kind, seed, trials, width))
     assert len(blocks.total) == trials
     for t in range(trials):
         block = step(np.random.default_rng([seed, t]))
         included = np.zeros(len(pool), dtype=bool)
         included[block.rows] = True
         assert blocks.included[t].tolist() == included.tolist()
-        assert repr(blocks.total.item(t)) == repr(float(block.total))
+        assert blocks.total.tolist()[t] == block.total
         miner = blocks.miner_utility.tolist()[t]
         assert repr(miner) == repr(block.miner_utility)
         assert type(miner) is type(block.miner_utility)
@@ -390,41 +509,53 @@ def _steps_every_trial_at_once(spec, m):
     return bool(batched), len(runs), drew
 
 
-def test_every_softmax_arm_with_candidates_steps_its_trials_at_once():
-    floats = Mempool([Transaction(i, 1.0, float(i), float(i)) for i in range(4)])
+def test_every_arm_that_draws_steps_its_trials_at_once():
+    floats = Mempool([Transaction(i, 1.0, float(i % 3), float(i % 3)) for i in range(4)])
     fractions = Mempool([Transaction(i, 1, Fraction(i, 3), Fraction(i, 3)) for i in range(4)])
     for spec, m in ((MechanismSpec.stfm(1.0), floats),
                     (MechanismSpec.stfm(1.0), fractions),
                     (MechanismSpec.stfm(1.0, PaymentKind.POSTED_PRICE, 1), floats),
-                    (MechanismSpec.stfm(1.0, PaymentKind.POSTED_PRICE, Fraction(1, 3)), fractions)):
-        assert _steps_every_trial_at_once(spec, m) == (True, 3, True)
-    for spec in (MechanismSpec.uniform(), MechanismSpec.rtfm(0.5), MechanismSpec.first_price(),
-                 MechanismSpec.split_block(0.5)):
-        assert not _steps_every_trial_at_once(spec, floats)[0]
-    # no candidates: the rule draws nothing and runs once
-    no_candidates = MechanismSpec.stfm(1.0, PaymentKind.POSTED_PRICE, 10)
-    assert _steps_every_trial_at_once(no_candidates, fractions) == (False, 1, False)
+                    (MechanismSpec.stfm(1.0, PaymentKind.POSTED_PRICE, Fraction(1, 3)), fractions),
+                    (MechanismSpec.uniform(), floats),
+                    (MechanismSpec.rtfm(0.5), fractions),
+                    (MechanismSpec.split_block(0.5), floats),  # two zero bids to sample from
+                    (MechanismSpec.split_block(0.5, delta=1.0), floats.with_bid(0, 1.0))):
+        assert _steps_every_trial_at_once(spec, m) == (True, 3, True), spec
+    # rules that draw nothing run once: the knapsack, softmax without candidates, split
+    # block with 0 or 1 posted-fee bidder and uniform sampling over one candidate
+    for spec, m in ((MechanismSpec.first_price(), floats),
+                    (MechanismSpec.stfm(1.0, PaymentKind.POSTED_PRICE, 10), fractions),
+                    (MechanismSpec.split_block(0.5, delta=5.0), floats),
+                    (MechanismSpec.split_block(0.5, delta=1.0), floats),
+                    (MechanismSpec.uniform(), floats.take(np.arange(1))),
+                    (MechanismSpec(AllocationKind.UNIFORM, PaymentKind.POSTED_PRICE, base_fee=2.0),
+                     floats)):
+        assert _steps_every_trial_at_once(spec, m) == (False, 1, False), spec
 
 
-def test_the_softmax_arms_of_one_call_share_each_noise_slice(monkeypatch):
+def test_the_arms_of_one_call_share_each_slice_of_draws(monkeypatch):
     m = Mempool([Transaction(i, 1.0, float(i), float(i)) for i in range(4)])
     fake = [Transaction(9, 1.0, 2.0, 2.0, fake=True)]
-    widths = []
-    slices = _TrialStreams.gumbel_slices
-    monkeypatch.setattr(_TrialStreams, "gumbel_slices",
-                        lambda self, n: widths.append(n) or slices(self, n))
+    asked = []
+    slices = _TrialStreams.slices
+    monkeypatch.setattr(_TrialStreams, "slices",
+                        lambda self, kind, n: asked.append((kind, n)) or slices(self, kind, n))
     arms = [_arm(MechanismSpec.stfm(1.0), m, 2.0, fakes) for fakes in ((), fake)]
     arms.append(_arm(MechanismSpec.first_price(), m, 2.0, fake))
-    (honest, _), (faked, _), (greedy, drew) = _step_arms(
-        arms, _TrialStreams(0, 300), lambda block: block.miner_utility,
-        lambda blocks: blocks.miner_utility)
-    assert widths == [5] and len(honest) == len(faked) == 300
-    assert len(greedy) == 1 and not drew
+    arms += [_arm(MechanismSpec.uniform(), m.with_bid(0, bid), 2.0) for bid in (0.0, 5.0)]
+    arms.append(_arm(MechanismSpec.uniform(), m, 2.0, fake))
+    arms.append(_arm(MechanismSpec.rtfm(0.5), m, 2.0))
+    values = _step_arms(arms, _TrialStreams(0, 300), lambda block: block.miner_utility,
+                        lambda blocks: blocks.miner_utility)
+    # the softmax arms at the widest, the uniform arms by width, the two-set arm alone
+    assert asked == [(GUMBEL, 5), (PERMUTATION, 4), (PERMUTATION, 5), (TOSS, 4)]
+    assert [(len(runs), drew) for runs, drew in values] == \
+        [(300, True), (300, True), (1, False), (300, True), (300, True), (300, True), (300, True)]
 
 
 @pytest.mark.parametrize("chunk", [1, 24, 100])
 def test_batched_audits_read_the_same_in_any_chunks(monkeypatch, chunk):
-    # the batched steps take the trials a noise slice of at most _CHUNK draws at a time
+    # the batched steps take the trials a slice of at most _CHUNK draws at a time
     m = Mempool([Transaction(i, 0.5 + (i % 3) / 2, float(b), float(b) + 1.0)
                  for i, b in enumerate([4, 0, 3, 5, 1, 0, 2, 6])])
     runs = {
@@ -433,6 +564,12 @@ def test_batched_audits_read_the_same_in_any_chunks(monkeypatch, chunk):
         "uic": lambda: check_uic(MechanismSpec.stfm(1.0), m, 3.0, 2, [1.0, 3.0, 4.0], 300,
                                  5).to_text(),
         "tune": lambda: repr(tune_gamma(m, 3.0, 0.2, 2.0, 0.1, 50.0, 300, 5)),
+        "uic_two_set": lambda: check_uic(MechanismSpec.rtfm(0.4), m, 3.0, 2, [1.0, 3.0, 4.0],
+                                         300, 5).to_text(),
+        "mic_split_block": lambda: search_mic_deviation(
+            MechanismSpec.split_block(0.5), m, 3.0, 2, [0.0, 2.0], seed=5, trials=300).to_text(),
+        "mic_uniform": lambda: search_mic_deviation(
+            MechanismSpec.uniform(), m, 3.0, 1, [0.0, 2.0], seed=5, trials=300).to_text(),
     }
     expected = {name: run() for name, run in runs.items()}
     monkeypatch.setattr(_streams, "_CHUNK", chunk)
