@@ -8,10 +8,12 @@ from that trial's stream, bit for bit, whatever number types the pool's
 columns and the posted fee hold.  Every step prices its blocks through
 :func:`_priced`, the array form of ``mech._Arm.block``.
 
-``audit._step_arms`` brings here every arm whose one-trial step drew from
-trial 0's generator.  The one arm that draws and stays on the one-trial step,
-``estimate_zti``'s uniform arm, calls ``run_mechanism`` once per trial,
-because the benchmark's tracing test counts those calls.
+``audit._step_arms`` brings here every arm for which :func:`_batched`
+returns a step: every arm whose one-trial step moves its generator, as its
+draw kind and width tell (:func:`_draws`).  The one arm that draws and stays
+on the one-trial step, ``estimate_zti``'s uniform arm, calls
+``run_mechanism`` once per trial, because the benchmark's tracing test
+counts those calls.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ def _two_set(arm: _Arm):
     """Walk each permutation whose toss is below phi, paying nothing; every other trial
     takes the arm's knapsack block, priced once."""
     sizes = arm.pool.columns.sizes
-    rows, total = arm.shared(_knapsack)
+    rows, total = _knapsack(arm)
     paying = _priced(arm, rows[None], np.ones((1, len(rows)), bool), np.array([total]))
 
     def step(draws) -> _Blocks:
@@ -113,7 +115,7 @@ def _split_blocks(arm: _Arm):
     """Walk each permutation of the posted-fee rows, then the demoted rows, into the
     reserved section from the fakes' total; then take the paid knapsack, solved once per
     set of rows the reserved section leaves open."""
-    split, c = arm.shared(_split_block), arm.pool.columns
+    split, c = _split_block(arm), arm.pool.columns
     by_id = np.argsort(c.ids)  # the block's order
 
     def step(perms: np.ndarray) -> _Blocks:
@@ -156,7 +158,19 @@ _BATCHED = {
 }
 
 
+def _draws(kind: int, width: int) -> bool:
+    """Whether a trial's one-trial step moves its generator, when it reads `width`
+    values of the draw `kind`: a toss always does, a Gumbel row of any values, and a
+    permutation of at least two (numpy shuffles fewer values without a draw)."""
+    return kind == TOSS or width > (1 if kind == PERMUTATION else 0)
+
+
 def _batched(arm: _Arm):
-    """The draw kind the trials of an arm whose rule draws read, its width (values a
-    trial), and the rule's step over a slice of trials' draws."""
-    return _BATCHED[arm.spec.allocation](arm)
+    """The draw kind the trials of the arm read, its width (values a trial), and the
+    rule's step over a slice of trials' draws; None where the rule draws nothing, so that
+    every trial gives the same block."""
+    rule = _BATCHED.get(arm.spec.allocation)
+    if rule is None:
+        return None
+    kind, width, step = rule(arm)
+    return (kind, width, step) if _draws(kind, width) else None

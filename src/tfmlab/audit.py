@@ -75,15 +75,6 @@ class CofReport:
     cov: Optional[float] = None
 
 
-def _first_run(run, streams: _TrialStreams):
-    """``run(streams(0))``, trial 0's result, and whether it moved trial 0's generator:
-    whether the rule drew."""
-    rng = streams(0)
-    state = rng.bit_generator.state
-    first = run(rng)
-    return first, rng.bit_generator.state != state
-
-
 def _replay(run, streams: _TrialStreams) -> Tuple[Iterator, bool]:
     """Results of ``run(rng)`` over up to ``streams.trials`` runs, each made as it is
     read, and whether the rule drew.
@@ -93,8 +84,10 @@ def _replay(run, streams: _TrialStreams) -> Tuple[Iterator, bool]:
     rule drew nothing, every seed gives the same outcome, and the replay
     stops after that one run.
     """
-    first, drew = _first_run(run, streams)
-    if not drew:
+    rng = streams(0)
+    state = rng.bit_generator.state
+    first = run(rng)
+    if rng.bit_generator.state == state:
         return iter((first,)), False
     return chain((first,), (run(streams(i)) for i in range(1, streams.trials))), True
 
@@ -104,16 +97,15 @@ def _step_arms(arms: Iterable[_Arm], streams: _TrialStreams, read,
     """For each arm, the values `read` takes of the block of each trial it runs, and
     whether its rule drew.
 
-    Each arm's one-trial step runs trial 0 first.  Where that leaves trial 0's
-    generator as it was, the rule drew nothing, every trial gives the same
-    block, and the arm runs that one trial (as :func:`_replay` does).  Every
-    other arm, whatever its rule, steps all its trials at once
-    (:func:`._trials._batched`) into an array of `read_all` of each slice's
-    blocks, on the draws ``streams.slices`` makes: from the C helper's PCG64
-    lanes, or from each trial's own generator without the helper.  Arms that
-    read the same draws share each slice and all step it before the next is
-    made, so every arm that draws is held, with its values, until the last
-    slice.  The softmax arms share Gumbel rows at the widest of them: an arm
+    An arm whose rule draws nothing (:func:`._trials._batched` gives it no
+    step: the knapsack, or a rule over too few rows to draw) gives the same
+    block in every trial, so its one-trial step runs trial 0 alone, as
+    :func:`_replay` does.  Every other arm, whatever its rule, steps all its
+    trials at once into an array of `read_all` of each slice's blocks, on the
+    draws ``streams.slices`` makes: from the C helper's PCG64 lanes, or from
+    each trial's own generator without the helper.  Arms that read the same
+    draws share each slice and all step it before the next is made, so every
+    arm that draws is held, with its values, until the last slice.  The softmax arms share Gumbel rows at the widest of them: an arm
     over k candidates reads the first k columns, its trials'
     ``gumbel(size=k)``, since the Gumbel-top-k key takes the same noise at
     every width.  The other arms share the tosses or permutations of one
@@ -124,11 +116,11 @@ def _step_arms(arms: Iterable[_Arm], streams: _TrialStreams, read,
     arms_values: List[list] = []  # [values, whether the rule drew] of each arm
     batched: Dict[tuple, list] = {}  # the draws -> the place, width and step of each arm
     for arm in arms:
-        first, drew = _first_run(_prepare(arm), streams)
-        if not drew:
-            arms_values.append([[read(first)], False])
+        batch = _batched(arm)
+        if batch is None:
+            arms_values.append([[read(_prepare(arm)(streams(0)))], False])
             continue
-        kind, width, step = _batched(arm)
+        kind, width, step = batch
         batched.setdefault((kind, width if kind != GUMBEL else None), []).append(
             (len(arms_values), width, step))
         arms_values.append([(), True])

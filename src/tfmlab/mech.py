@@ -34,9 +34,8 @@ zero-fee inclusion audit's uniform arm calls :func:`run_mechanism`, once
 per trial, because the benchmark's tracing test counts those calls and reads
 the fills of :func:`~.alloc.uniform_allocate`.  The audits step every other
 arm whose rule draws over many trials at once (:mod:`._trials`), on draws
-made a slice of trials at a time that the arms of a call share; an arm's
-steps, one-trial or batched, share its knapsack solves (:meth:`_Arm.shared`).
-The softmax sweep steps a softmax arm in two parts, noise and block
+made a slice of trials at a time that the arms of a call share.  The softmax
+sweep steps a softmax arm in two parts, noise and block
 (:func:`_softmax_parts`), so that it draws a run's noise once for all its
 cells.
 
@@ -294,14 +293,6 @@ class _Arm(NamedTuple):
     pool: Mempool  # m with the fakes appended
     capacity: object
     kept: np.ndarray  # the candidate rows: under a posted price, those bidding at least the fee
-    memo: dict  # the work of `shared`, by the function that did it
-
-    def shared(self, make):
-        """``make(self)``, made on the first call and kept for every step of the arm,
-        one-trial or batched, so that a knapsack is solved once per arm."""
-        if make not in self.memo:
-            self.memo[make] = make(self)
-        return self.memo[make]
 
     def candidates(self) -> PoolColumns:
         """The columns of the candidate rows, copied only when some row is left out."""
@@ -332,8 +323,7 @@ def _objective(spec: MechanismSpec, c: PoolColumns) -> Optional[np.ndarray]:
 
 
 def _knapsack(arm: _Arm):
-    """The revenue-optimal set of the candidates, as pool rows, and its total size; the
-    steps read it through ``arm.shared``, which solves it once per arm."""
+    """The revenue-optimal set of the candidates, as pool rows, and its total size."""
     c = arm.candidates()
     rows, total = _optimal_rows(c, arm.capacity, _objective(arm.spec, c))
     return arm.kept[rows], total
@@ -394,7 +384,7 @@ def _split_block(arm: _Arm) -> _SplitBlock:
 
 def _split_block_rule(arm: _Arm):
     """The reserved section sampled from the posted-fee bids, then the paid knapsack."""
-    split = arm.shared(_split_block)
+    split = _split_block(arm)
     return lambda rng, toss=None: arm.block(*split.draw(rng))
 
 
@@ -415,7 +405,7 @@ def _two_set_rule(arm: _Arm):
         if toss == 0:
             return arm.block(*_walk(sizes, order, arm.capacity), toss=0)
         if not paying:
-            paying.append(arm.block(*arm.shared(_knapsack), toss=1))
+            paying.append(arm.block(*_knapsack(arm), toss=1))
         return paying[0]
     return draw
 
@@ -436,7 +426,7 @@ def _arm(spec: MechanismSpec, m: Mempool, capacity, fakes: Sequence[Transaction]
     kept = np.arange(len(pool))
     if spec.payment is PaymentKind.POSTED_PRICE:
         kept = np.flatnonzero(pool.columns.bids >= spec.base_fee)
-    return _Arm(spec, m, pool, capacity, kept, {})
+    return _Arm(spec, m, pool, capacity, kept)
 
 
 def _prepare(arm: _Arm):
