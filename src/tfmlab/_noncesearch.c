@@ -56,6 +56,13 @@
  * (kept, total); with nothing kept, the total is the `total` object given.
  * A row outside `sizes` raises IndexError.
  *
+ * walk_rows(sizes, orders, capacity, total, kept, totals) is walk over each
+ * row of the 2-D intp `orders`, every row from the double `total`: it sets
+ * the bool `kept[t, j]` when row t keeps its j-th entry, and writes row t's
+ * total into the float64 `totals[t]`.  Every array is C-contiguous and
+ * aligned, `kept` has the shape of `orders` and `totals` a value a row; any
+ * other dtype, shape or room raises ValueError.
+ *
  * draws(kind, words, n, out, toss) makes the draws of many audit trials at
  * once, one lane of PCG64 state a trial (O'Neill, PCG, HMC-CS-2014-0905).
  * `words` holds four uint64 words a trial, the ones numpy's PCG64 seeds
@@ -878,6 +885,89 @@ done:
     return result;
 }
 
+/* Fill `view` with the buffer of `obj`, an aligned C-contiguous array of `ndim`
+   dimensions whose items are `code`: 'd' a float64, 'n' a signed integer of
+   pointer size (intp), '?' a bool.  Returns 0, or -1 with an exception set. */
+static int
+typed_buffer(PyObject *obj, Py_buffer *view, int writable, char code, int ndim)
+{
+    Py_ssize_t itemsize = code == 'd' ? (Py_ssize_t)sizeof(double)
+                          : code == 'n' ? (Py_ssize_t)sizeof(Py_ssize_t) : 1;
+    const char *format;
+
+    if (PyObject_GetBuffer(obj, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT
+                                          | (writable ? PyBUF_WRITABLE : 0)) < 0)
+        return -1;
+    format = view->format + (view->format[0] == '@' || view->format[0] == '=');
+    if (view->ndim == ndim && view->itemsize == itemsize && format[1] == '\0'
+        && (uintptr_t)view->buf % itemsize == 0
+        && (code == 'n' ? strchr("ilqn", format[0]) != NULL : format[0] == code))
+        return 0;
+    PyBuffer_Release(view);
+    PyErr_SetString(PyExc_ValueError,
+                    "walk_rows needs float64 sizes, a 2-D intp orders, a bool kept of its "
+                    "shape and float64 totals, one a row");
+    return -1;
+}
+
+/* walk_rows(sizes, orders, capacity, total, kept, totals): see the header comment */
+static PyObject *
+walk_rows(PyObject *self, PyObject *args)
+{
+    PyObject *objs[4];
+    Py_buffer sizes = {0}, orders = {0}, kept = {0}, totals = {0};
+    double capacity, start, total, size;
+    Py_ssize_t rows, trials, k, t, j, row;
+    const Py_ssize_t *order;
+    char *keep;
+    int ok = 0;
+
+    if (!PyArg_ParseTuple(args, "OOddOO", &objs[0], &objs[1], &capacity, &start, &objs[2],
+                          &objs[3]))
+        return NULL;
+    if (typed_buffer(objs[0], &sizes, 0, 'd', 1) < 0 || typed_buffer(objs[1], &orders, 0, 'n', 2) < 0
+        || typed_buffer(objs[2], &kept, 1, '?', 2) < 0
+        || typed_buffer(objs[3], &totals, 1, 'd', 1) < 0)
+        goto done;
+    rows = sizes.shape[0];
+    trials = orders.shape[0];
+    k = orders.shape[1];
+    if (kept.shape[0] != trials || kept.shape[1] != k || totals.shape[0] != trials) {
+        PyErr_SetString(PyExc_ValueError,
+                        "walk_rows needs a kept of the orders' shape and a total a row");
+        goto done;
+    }
+    for (t = 0; t < trials; t++) {
+        order = (const Py_ssize_t *)orders.buf + t * k;
+        keep = (char *)kept.buf + t * k;
+        total = start;
+        for (j = 0; j < k; j++) {
+            row = order[j];
+            if (row < 0 || row >= rows) {
+                PyErr_Format(PyExc_IndexError, "row %zd of the orders is outside the %zd sizes",
+                             row, rows);
+                goto done;
+            }
+            size = ((const double *)sizes.buf)[row];
+            keep[j] = total + size <= capacity;
+            if (keep[j])
+                total += size;
+        }
+        ((double *)totals.buf)[t] = total;
+    }
+    ok = 1;
+
+done:
+    /* a view never filled holds no object, which PyBuffer_Release skips */
+    PyBuffer_Release(&sizes);
+    PyBuffer_Release(&orders);
+    PyBuffer_Release(&kept);
+    PyBuffer_Release(&totals);
+    if (!ok)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
 /* ---- trial draws: one PCG64 lane a trial ---- */
 
 typedef struct {
@@ -1064,6 +1154,8 @@ static PyMethodDef methods[] = {
      "float_leaves(ids, sizes, bids) -> [b'id|size!r|bid!r', ...]"},
     {"walk", walk, METH_VARARGS,
      "walk(sizes, order, capacity, total, out) -> (kept, total)"},
+    {"walk_rows", walk_rows, METH_VARARGS,
+     "walk_rows(sizes, orders, capacity, total, kept, totals) -> None: walk each row"},
     {"draws", draws, METH_VARARGS,
      "draws(kind, words, n, out, toss) -> None: audit trials' numpy draws"},
     {NULL, NULL, 0, NULL},

@@ -5,15 +5,17 @@ the draws its trials read, as :meth:`._streams._TrialStreams.slices` makes
 them, with the rule's step over a slice of trials' draws.  For each trial the
 step gives the block, total and utilities that the rule's one-trial step gives
 from that trial's stream, bit for bit, whatever number types the pool's
-columns and the posted fee hold.  Every step prices its blocks through
-:func:`_priced`, the array form of ``mech._Arm.block``.
+columns and the posted fee hold.  Every step walks a slice's orders through
+``alloc._walk_rows``, in one call of the C helper's row walk where the sizes
+are float64, and prices its blocks through :func:`_priced`, the array form
+of ``mech._Arm.block``.
 
 ``audit._step_arms`` brings here every arm for which :func:`_batched`
 returns a step: every arm whose one-trial step moves its generator, as its
 draw kind and width tell (:func:`_draws`).  The one arm that draws and stays
 on the one-trial step, ``estimate_zti``'s uniform arm, calls
 ``run_mechanism`` once per trial, because the benchmark's tracing test
-counts those calls.
+counts those calls; ``run_mechanism`` prepares that arm once and reuses it.
 """
 
 from __future__ import annotations

@@ -24,8 +24,13 @@ the running total, so the total adds sizes in walk order.  Where the C helper
 loaded, that loop runs in C for float64 sizes and a capacity and start that
 are doubles exactly; every other column runs the same loop in Python, which
 is also the C loop's test oracle.  ``_walk_rows`` walks many orders at once,
-one a row: it cuts each row's prefix that fits from its cumulative sizes,
-which add in the same order, and finishes a row with room left on the loop.
+one a row.  Where ``_walk`` would take the C loop, one call of the helper's
+row form walks every row; otherwise numpy cuts each row's prefix that fits
+from its cumulative sizes, which add in the same order, and a row with room
+left finishes on ``_walk``.  The batched softmax step sorts rows of at least
+``_SIMD_SORT_WIDTH`` keys with numpy's default (SIMD) argsort and re-sorts
+stably only the rows that hold equal keys, so its orders are the stable
+sort's.
 
 Inside the package the rules exchange rows of one pool, not ids.  Ids appear
 only where an :class:`AllocationResult` is built for a caller, and
@@ -105,13 +110,24 @@ def _per_row(values, c: PoolColumns) -> np.ndarray:
     return values
 
 
-# _walk's loop over float64 sizes and an intp order, from the C helper
+# the loops of _walk and _walk_rows over float64 sizes and intp orders, from the C helper
 _walk_c = getattr(chain._noncesearch, "walk", None)
+_walk_rows_c = getattr(chain._noncesearch, "walk_rows", None)
+# the narrowest Gumbel rows _softmax_rows sorts with numpy's default (SIMD) argsort; on
+# narrower rows the stable sort is faster than the default one and its check for ties
+_SIMD_SORT_WIDTH = 16
 
 
 def _double(value) -> bool:
     """Whether `value` is a float, or an int a double holds exactly (magnitude <= 2**53)."""
     return type(value) is float or (type(value) is int and abs(value) <= 2**53)
+
+
+def _in_doubles(sizes: np.ndarray, order: np.ndarray, capacity, total) -> bool:
+    """Whether a walk runs in doubles as it would in the numbers given, so on the C loop:
+    float64 sizes, an intp order, and a capacity and start total that are doubles exactly."""
+    return sizes.dtype == float and order.dtype == np.intp and _double(capacity) \
+        and _double(total)
 
 
 def _walk(sizes: np.ndarray, order: np.ndarray, capacity, total=0):
@@ -123,8 +139,7 @@ def _walk(sizes: np.ndarray, order: np.ndarray, capacity, total=0):
     C helper's loop; everything else (no helper, object columns of ints or
     Fractions) runs the same loop here.
     """
-    if _walk_c is not None and sizes.dtype == float and order.dtype == np.intp \
-            and _double(capacity) and _double(total):
+    if _walk_c is not None and _in_doubles(sizes, order, capacity, total):
         kept = np.empty(len(order), dtype=np.intp)
         count, total = _walk_c(sizes, order, capacity, total, kept)
         return kept[:count], total
@@ -147,8 +162,14 @@ def _walk_rows(sizes: np.ndarray, orders: np.ndarray, capacity, total=0):
     """:func:`_walk` over each row of `orders` from `total`: the kept positions of each,
     and its total.
 
-    Each row's prefix that fits is cut from its cumulative sizes; a row with room
-    for a later size finishes on :func:`_walk`.  With equal sizes none has."""
+    Where :func:`_walk` runs the C loop, the C helper walks every row in one
+    call.  Otherwise each row's prefix that fits is cut from its cumulative
+    sizes, which add in walk order too, and a row with room for a later size
+    finishes on :func:`_walk`; with equal sizes none has."""
+    if _walk_rows_c is not None and _in_doubles(sizes, orders, capacity, total):
+        kept, totals = np.empty(orders.shape, bool), np.empty(len(orders))
+        _walk_rows_c(sizes, orders, capacity, total, kept, totals)
+        return kept, totals
     s = sizes[orders]
     trials, k = s.shape
     running = _running(s, total)
@@ -300,9 +321,22 @@ def _softmax_walk(sizes: np.ndarray, scaled_bids: np.ndarray, gumbel: np.ndarray
 
 
 def _softmax_rows(sizes: np.ndarray, scaled_bids: np.ndarray, gumbel: np.ndarray, capacity):
-    """:func:`_softmax_walk` over each row of `gumbel`: orders, kept positions, totals."""
+    """:func:`_softmax_walk` over each row of `gumbel`: orders, kept positions, totals.
+
+    Rows at least ``_SIMD_SORT_WIDTH`` wide sort with numpy's default argsort,
+    and only a row whose sorted keys do not strictly rise (two equal keys, or a
+    NaN) sorts again with the stable sort; every order is the stable one."""
     keys = gumbel + scaled_bids
-    orders = np.negative(keys, out=keys).argsort(axis=1, kind="stable")
+    np.negative(keys, out=keys)
+    trials, width = keys.shape
+    if width < _SIMD_SORT_WIDTH:
+        orders = keys.argsort(axis=1, kind="stable")
+    else:
+        orders = keys.argsort(axis=1)
+        ranked = keys.ravel()[orders + np.arange(0, trials * width, width)[:, None]]
+        tied = ~(ranked[:, 1:] > ranked[:, :-1]).all(axis=1)
+        if tied.any():
+            orders[tied] = keys[tied].argsort(axis=1, kind="stable")
     return (orders, *_walk_rows(sizes, orders, capacity))
 
 

@@ -189,9 +189,10 @@ def estimate_zti(spec: MechanismSpec, m: Mempool, capacity, trials: int, seed: i
         return np.ones(len(blocks.total), int)
 
     if spec.allocation is AllocationKind.UNIFORM:
-        # one run_mechanism a trial: bench/test_bench.py counts them and reads their fills
-        tallies, drew = _replay(lambda rng: tally(m.rows_of(
-            run_mechanism(spec, m, capacity, seed=rng).allocation.selected)), streams)
+        # one run_mechanism a trial, which reuses the arm it prepared first:
+        # bench/test_bench.py counts the calls and reads their fills
+        tallies, drew = _replay(lambda rng: tally(
+            run_mechanism(spec, m, capacity, seed=rng)._priced.rows), streams)
         tallies = list(tallies)
     else:
         (tallies, drew), = _step_arms([_arm(spec, m, capacity)], streams,

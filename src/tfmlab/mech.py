@@ -32,7 +32,8 @@ the fakes); only the wrap turns them into ids.  The audits, the cost of
 fairness and the sweeps step arms and read the block's arrays; only the
 zero-fee inclusion audit's uniform arm calls :func:`run_mechanism`, once
 per trial, because the benchmark's tracing test counts those calls and reads
-the fills of :func:`~.alloc.uniform_allocate`.  The audits step every other
+the fills of :func:`~.alloc.uniform_allocate`; a call on the very objects of
+the call before reuses its prepared arm.  The audits step every other
 arm whose rule draws over many trials at once (:mod:`._trials`), on draws
 made a slice of trials at a time that the arms of a call share.  The softmax
 sweep steps a softmax arm in two parts, noise and block
@@ -434,6 +435,11 @@ def _prepare(arm: _Arm):
     return _RULES[arm.spec.allocation](arm)
 
 
+# the inputs of the last arm run_mechanism prepared, held so that no other object takes
+# their identities, and its one-trial draw
+_last_prepared: Tuple[tuple, Optional[Callable]] = ((), None)
+
+
 def run_mechanism(
     spec: MechanismSpec,
     m: Mempool,
@@ -449,10 +455,21 @@ def run_mechanism(
     the miner, and only their burn is a real cost.  For the randomized
     two-set rule, `rtfm_toss` can pin the branch (0 = zero-pay uniform set,
     1 = optimal set) instead of drawing it from the seed.
+
+    A call given the very objects of the previous call's spec, pool, capacity
+    and fakes reuses that call's prepared arm.  Equal objects do not: 2, 2.0
+    and Fraction(2) compare equal, but each computes in its own number type.
     """
+    global _last_prepared
     if rtfm_toss not in (None, 0, 1):
         raise ParameterError(f"rtfm_toss must be 0, 1 or None, got {rtfm_toss!r}")
-    block = _prepare(_arm(spec, m, capacity, fakes))(resolve_rng(seed), rtfm_toss)
+    fakes = tuple(fakes)
+    inputs = (spec, m, capacity) + fakes
+    held, draw = _last_prepared
+    if len(held) != len(inputs) or any(a is not b for a, b in zip(held, inputs)):
+        draw = _prepare(_arm(spec, m, capacity, fakes))
+        _last_prepared = inputs, draw
+    block = draw(resolve_rng(seed), rtfm_toss)
     selected = tuple(block.columns.ids[block.rows].tolist())
     sections = _sections(selected, block.reserved, block.toss)
     return MechanismOutcome(AllocationResult(selected, block.total, capacity, sections),

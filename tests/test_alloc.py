@@ -29,7 +29,7 @@ from tfmlab import (
     stfm_first_draw_distribution,
     uniform_allocate,
 )
-from tfmlab.alloc import _optimal_rows, _walk
+from tfmlab.alloc import _optimal_rows, _walk, _walk_rows
 from tfmlab.txpool import _column
 
 
@@ -584,11 +584,44 @@ def test_c_walk_rejects_an_order_row_outside_the_sizes(row):
         alloc._walk_c(np.ones(3), np.arange(3), 10.0, 0, out)
 
 
+needs_c_row_walk = pytest.mark.skipif(alloc._walk_rows_c is None,
+                                      reason="the C helper is not available")
+ORDERS = np.array([[0, 1], [2, 1]], dtype=np.intp)
+
+
+@needs_c_row_walk
+@pytest.mark.parametrize("row", [3, -1, 2**62])
+def test_c_row_walk_rejects_an_order_row_outside_the_sizes(row):
+    orders = np.array([[0, 1], [0, row]], dtype=np.intp)
+    with pytest.raises(IndexError, match="outside the 3 sizes"):
+        alloc._walk_rows_c(np.ones(3), orders, 10.0, 0, np.empty((2, 2), bool), np.empty(2))
+
+
+@needs_c_row_walk
+@pytest.mark.parametrize("sizes, orders, kept, totals", [
+    (np.ones(3, np.float32), ORDERS, np.empty((2, 2), bool), np.empty(2)),
+    (np.ones(3), ORDERS.astype(np.int32), np.empty((2, 2), bool), np.empty(2)),
+    (np.ones(3), ORDERS.astype(np.uint64), np.empty((2, 2), bool), np.empty(2)),
+    (np.ones(3), ORDERS, np.empty((2, 2), np.uint8), np.empty(2)),
+    (np.ones(3), ORDERS, np.empty((2, 2), bool), np.empty(2, np.float32)),
+    (np.ones((3, 1)), ORDERS, np.empty((2, 2), bool), np.empty(2)),  # 2-D sizes
+    (np.ones(3), ORDERS[0], np.empty(2, bool), np.empty(1)),  # a 1-D order
+    (np.ones(3), ORDERS, np.empty((2, 1), bool), np.empty(2)),  # no room in kept
+    (np.ones(3), ORDERS, np.empty((2, 2), bool), np.empty(1)),  # no room in totals
+    (np.ones(3), ORDERS, np.empty((2, 2), bool), np.empty(3)),
+], ids=["float32_sizes", "int32_orders", "uint64_orders", "uint8_kept", "float32_totals",
+        "2d_sizes", "1d_orders", "small_kept", "short_totals", "long_totals"])
+def test_c_row_walk_rejects_a_wrong_dtype_shape_or_room(sizes, orders, kept, totals):
+    with pytest.raises(ValueError, match="walk_rows needs"):
+        alloc._walk_rows_c(sizes, orders, 10.0, 0, kept, totals)
+
+
 def test_walks_a_double_cannot_hold_stay_off_the_c_loop(monkeypatch):
     def no_c_walk(*args):
         raise AssertionError("the C walk must not run here")
 
     monkeypatch.setattr(alloc, "_walk_c", no_c_walk)
+    monkeypatch.setattr(alloc, "_walk_rows_c", no_c_walk)
     sizes, order = np.array([0.5, 1.5, 2.5, 0.25]), np.arange(4)
     cases = [(sizes, order, Fraction(7, 3), 0),  # a Fraction capacity
              (sizes, order, 2.0, Fraction(1, 3)),  # a Fraction start
@@ -601,6 +634,31 @@ def test_walks_a_double_cannot_hold_stay_off_the_c_loop(monkeypatch):
         kept, expected = _walk_by_loop(s.tolist(), o.tolist(), capacity, start)
         assert rows.tolist() == kept
         assert repr(total) == repr(expected)
+    # the row walk of the cases whose rest of a row, past the cut, cannot run in doubles
+    # either (over float sizes, a Fraction start is a float from the first size on); the
+    # order [1, 2, 3, 0] keeps 1.5, skips 2.5 and walks on past the cut to 0.25 and 0.5
+    for s, capacity, start in [(sizes, Fraction(7, 3), 0), (sizes, 2**60 + 1, 0),
+                               (_column([1, 2, 3, 1]), 4, 0), (_column([1, 2, 3, 1]), 4,
+                                                                Fraction(1, 3))]:
+        orders = np.array([[1, 2, 3, 0], [0, 1, 2, 3]])
+        kept, totals = _walk_rows(s, orders, capacity, start)
+        for o, row_kept, total in zip(orders, kept, totals):
+            rows, expected = _walk_by_loop(s.tolist(), o.tolist(), capacity, start)
+            assert o[row_kept].tolist() == rows
+            assert total == expected
+
+
+def test_the_row_walk_walks_on_past_the_prefix_cut(monkeypatch):
+    """A row whose cut leaves room for a later size: the same rows on the C loop and on
+    its Python twin, which walks the rest of the row after the cut."""
+    sizes, orders = np.array([2.0, 3.0, 1.0, 0.5]), np.array([[0, 1, 2, 3], [1, 0, 3, 2]])
+    got = []
+    for c_walk in (alloc._walk_rows_c, None):
+        monkeypatch.setattr(alloc, "_walk_rows_c", c_walk)
+        kept, totals = _walk_rows(sizes, orders, 3.5, 0.25)
+        got.append((kept.tolist(), totals.tolist()))
+    assert got[0] == got[1] == ([[True, False, True, False], [True, False, False, False]],
+                                [3.25, 3.25])
 
 
 @needs_c_walk

@@ -54,6 +54,25 @@ def draw_backend(request, monkeypatch):
     return request.param
 
 
+_ORACLES = {}  # the oracle reports made, by test and parameters, the draw backend left out
+
+
+@pytest.fixture
+def oracle(request):
+    """``oracle(make)``: the report ``make()`` gives, made once for the test's parameters
+    other than the draw backend.  The oracles make one ``run_mechanism`` call per trial and
+    never read the batched draws, so both backends compare with the one report."""
+    key = (request.node.originalname,) + tuple(
+        (name, type(value), value) for name, value in sorted(request.node.callspec.params.items())
+        if name != "draw_backend")
+
+    def report(make):
+        if key not in _ORACLES:
+            _ORACLES[key] = make()
+        return _ORACLES[key]
+    return report
+
+
 # ---------------------------------------------------------------------------
 # zero-fee inclusion
 
@@ -181,9 +200,9 @@ ZTI_INTS = Mempool([Transaction(i, math.ceil(s), b, b + 1)  # sizes rounded up
 @pytest.mark.parametrize("trials", [1, 5, 500])
 @pytest.mark.parametrize("seed", [0, 2**40 + 3])
 def test_zti_reports_what_one_whole_run_per_trial_gives(spec, m, capacity, trials, seed,
-                                                        draw_backend):
+                                                        draw_backend, oracle):
     assert estimate_zti(spec, m, capacity, trials, seed).to_text() == \
-        _zti_by_whole_runs(spec, m, capacity, trials, seed)
+        oracle(lambda: _zti_by_whole_runs(spec, m, capacity, trials, seed))
 
 
 def test_two_set_zti_solves_the_paying_knapsack_at_most_once(monkeypatch):
@@ -298,17 +317,17 @@ def _monotonicity_by_whole_runs(spec, m, target, epsilons, trials, seed, capacit
                           "differences inside the two-standard-error margin").to_text()
 
 
-def _reports_of(name, spec, m, capacity, trials, seed):
-    """The audit's report text on `spec` and its oracle's."""
+def _reports_of(name, spec, m, capacity, trials, seed, oracle):
+    """The audit's report text on `spec` and its oracle's, through the `oracle` fixture."""
     if name == "uic":
         args = (spec, m, capacity, 1, [type(m.get(1).bid)(b) for b in (0, 1, 2)], trials, seed)
-        return check_uic(*args).to_text(), _uic_by_whole_runs(*args)
+        return check_uic(*args).to_text(), oracle(lambda: _uic_by_whole_runs(*args))
     if name == "mic":
         args = (spec, m, capacity, 2, [0.0, 2.0], seed, trials)
-        return search_mic_deviation(*args).to_text(), _mic_by_whole_runs(*args)
+        return search_mic_deviation(*args).to_text(), oracle(lambda: _mic_by_whole_runs(*args))
     args = (spec, m, 0, [1, 3], trials, seed, capacity)
     return (estimate_monotonicity(*args, use_certificates=False).to_text(),
-            _monotonicity_by_whole_runs(*args))
+            oracle(lambda: _monotonicity_by_whole_runs(*args)))
 
 
 MULTI_ARM_POOLS = pytest.mark.parametrize(
@@ -321,12 +340,13 @@ MULTI_ARM_POOLS = pytest.mark.parametrize(
 @pytest.mark.parametrize("trials", [1, 5, 300])
 @pytest.mark.parametrize("seed", [2, 5])
 def test_multi_arm_audits_report_what_one_whole_run_per_trial_gives(name, m, capacity, trials,
-                                                                    seed, draw_backend):
+                                                                    seed, draw_backend,
+                                                                    oracle):
     # softmax arms, which step every trial at once; under the posted fee the arms of one
     # call differ in width, since a bid below the fee leaves its row out of the candidates
     posted = MechanismSpec.stfm(1.5, PaymentKind.POSTED_PRICE, 0.5)
     spec = MechanismSpec.stfm(1.0) if name == "mic" else posted
-    report, by_whole_runs = _reports_of(name, spec, m, capacity, trials, seed)
+    report, by_whole_runs = _reports_of(name, spec, m, capacity, trials, seed, oracle)
     assert report == by_whole_runs
 
 
@@ -357,8 +377,9 @@ NO_DRAW = ("split_block_none_posted", "split_block_one_posted", "uniform_one_can
 @pytest.mark.parametrize("trials", [1, 5, 300])
 @pytest.mark.parametrize("seed", [2, 5])
 def test_replayed_audits_report_what_one_whole_run_per_trial_gives(name, rule, m, capacity,
-                                                                   trials, seed, draw_backend):
-    report, by_whole_runs = _reports_of(name, REPLAYED[rule], m, capacity, trials, seed)
+                                                                   trials, seed, draw_backend,
+                                                                   oracle):
+    report, by_whole_runs = _reports_of(name, REPLAYED[rule], m, capacity, trials, seed, oracle)
     assert report == by_whole_runs
     if rule in NO_DRAW:
         assert "trials=1\n" in report
@@ -379,10 +400,11 @@ def _cof_by_whole_runs(spec, m, capacity, trials, seed):
                                   "uniform", "split_block_none_posted"])
 @MULTI_ARM_POOLS
 @pytest.mark.parametrize("trials", [1, 5, 300])
-def test_cof_reports_what_one_whole_run_per_trial_gives(rule, m, capacity, trials, draw_backend):
+def test_cof_reports_what_one_whole_run_per_trial_gives(rule, m, capacity, trials, draw_backend,
+                                                        oracle):
     report = empirical_cof(REPLAYED[rule], m, capacity, trials, 5)
     assert repr((report.cof, report.mech_utility_mean, report.cov)) == \
-        repr(_cof_by_whole_runs(REPLAYED[rule], m, capacity, trials, 5))
+        oracle(lambda: repr(_cof_by_whole_runs(REPLAYED[rule], m, capacity, trials, 5)))
 
 
 MEMORY_POOL = unit_pool([i % 5 for i in range(200)])

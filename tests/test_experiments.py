@@ -632,10 +632,17 @@ def test_cli_info_names_version_backend_and_machine(capsys):
                             "walk_backend", "draw_backend", "hash_rate_mhs", "python", "numpy",
                             "nproc"]
     assert fields["merkle_backend"] in ("C (sha-ni-x2)", "hashlib")
-    assert fields["walk_backend"] == ("python" if alloc._walk_c is None else "C")
+    c_walks = alloc._walk_c is not None and alloc._walk_rows_c is not None
+    assert fields["walk_backend"] == ("C" if c_walks else "python")
     assert fields["draw_backend"] == ("python" if _streams._draws_c is None else "C")
     assert fields["hash_backend"] == "hashlib" or fields["hash_backend"].endswith(")")
     assert float(fields["hash_rate_mhs"]) > 0 and int(fields["nproc"]) >= 1
+
+
+def test_cli_info_names_the_python_walk_backend_without_the_row_walk(capsys, monkeypatch):
+    monkeypatch.setattr(alloc, "_walk_rows_c", None)
+    assert cli_main(["info"]) == 0
+    assert "walk_backend=python" in capsys.readouterr().out.splitlines()
 
 
 def test_cli_info_names_the_python_draw_backend_without_the_c_entry(capsys, monkeypatch):

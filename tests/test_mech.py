@@ -25,6 +25,7 @@ from tfmlab import (
     uniform_allocate,
     update_base_fee,
 )
+from tfmlab import mech
 from tfmlab.mech import _arm, _prepare
 
 
@@ -335,3 +336,89 @@ def test_the_two_set_paying_branch_is_one_block_whatever_the_generator(number, p
         assert step(paid, 1) is paying
         # both branches make the same generator calls
         assert zero_pay.bit_generator.state == paid.bit_generator.state
+
+
+# run_mechanism reuses the arm it prepared last when it gets the very same inputs
+
+
+def _everything(out):
+    """All an outcome tells, each number by its repr, so that types and signs count."""
+    a = out.allocation
+    return (a.selected, repr(a.total_size), repr(a.capacity), sorted(a.sections.items()),
+            repr(out.miner_utility), out.coin_toss, repr(out.payment_per_unit),
+            repr(out.burn_per_unit), repr(out.user_utilities))
+
+
+def _fresh(*args, **kwargs):
+    """run_mechanism on an arm prepared for this call alone."""
+    mech._last_prepared = ((), None)
+    return run_mechanism(*args, **kwargs)
+
+
+@pytest.fixture
+def prepared(monkeypatch):
+    """The arms run_mechanism prepares from here on."""
+    arms, prepare = [], mech._prepare
+    monkeypatch.setattr(mech, "_prepare", lambda arm: arms.append(arm) or prepare(arm))
+    monkeypatch.setattr(mech, "_last_prepared", ((), None))
+    return arms
+
+
+@pytest.mark.parametrize("spec", [
+    MechanismSpec.first_price(), MechanismSpec.second_price(), MechanismSpec.eip1559(1.0),
+    MechanismSpec.uniform(), MechanismSpec.stfm(1.0), MechanismSpec.rtfm(0.4),
+    MechanismSpec.split_block(0.5, delta=1.0), MechanismSpec.split_block(0.5, 1.0, 0.5),
+], ids=["first_price", "second_price", "eip1559", "uniform", "softmax", "rtfm", "split_block",
+        "split_block_posted"])
+def test_a_reused_arm_gives_what_a_fresh_call_gives(prepared, spec):
+    m = Mempool([Transaction(i, s, b, b + 1) for i, (s, b) in
+                 enumerate([(1.0, 0.0), (0.5, 1.0), (1.5, 2.0), (1.0, 3.0), (2.0, 1.0)])])
+    fakes = [Transaction(9, 1.0, 1.0, 1.0, fake=True)]
+    tosses = (None, 0, 1) if spec.allocation is AllocationKind.RTFM else (None,)
+    calls = [(seed, tosses[seed % len(tosses)]) for seed in range(9)]
+    reused = [run_mechanism(spec, m, 4.0, fakes, seed=seed, rtfm_toss=toss)
+              for seed, toss in calls]
+    assert len(prepared) == 1
+    for (seed, toss), out in zip(calls, reused):
+        assert _everything(out) == _everything(
+            _fresh(spec, m, 4.0, fakes, seed=seed, rtfm_toss=toss))
+
+
+def test_equal_but_distinct_inputs_prepare_their_own_arm(prepared):
+    m = Mempool([Transaction(i, 1 + i % 2, b, b) for i, b in enumerate([3, 0, 2, 1])])
+    calls = [(spec, capacity, ())
+             for spec in (MechanismSpec.uniform(), MechanismSpec.split_block(0.5, delta=1))
+             for capacity in (2, 2.0, Fraction(2))]
+    # equal fakes, one with int and one with float numbers
+    fakes = [(Transaction(9, 1, 1, 1, fake=True),), (Transaction(9, 1.0, 1.0, 1.0, fake=True),)]
+    assert fakes[0] == fakes[1]
+    calls += [(MechanismSpec.uniform(), 3, f) for f in fakes]
+    for seed in range(6):
+        for spec, capacity, f in calls:
+            out = run_mechanism(spec, m, capacity, f, seed=seed)
+            assert _everything(out) == _everything(_fresh(spec, m, capacity, f, seed=seed))
+    assert len(prepared) == 2 * len(calls) * 6
+    # the float fake turns the total into a float whenever it is taken
+    totals = {type(run_mechanism(MechanismSpec.uniform(), m, 3, f, seed=seed).allocation
+                   .total_size) for f in fakes for seed in range(6)}
+    assert totals == {int, float}
+
+
+def test_a_nan_capacity_raises_on_every_call():
+    m, nan = unit_pool([1, 2]), float("nan")
+    for spec in (MechanismSpec.first_price(), MechanismSpec.uniform()):
+        run_mechanism(spec, m, 2.0)
+        for _ in range(3):
+            with pytest.raises(ParameterError, match="capacity"):
+                run_mechanism(spec, m, nan)
+
+
+def test_a_reused_uniform_arm_looks_up_the_allocator_at_call_time(prepared, monkeypatch):
+    spec, m = MechanismSpec.uniform(), unit_pool([0, 1, 2])
+    first = run_mechanism(spec, m, 2.0, seed=1)
+    calls = []
+    monkeypatch.setattr(mech, "uniform_allocate",
+                        lambda *args: calls.append(args) or uniform_allocate(*args))
+    second = run_mechanism(spec, m, 2.0, seed=1)
+    assert len(prepared) == 1 and len(calls) == 1
+    assert second.allocation.selected == first.allocation.selected

@@ -32,8 +32,9 @@ from tfmlab import (
     splitblock_allocate,
     tune_gamma,
 )
-from tfmlab import _streams
-from tfmlab.alloc import EXHAUSTIVE_LIMIT, SECTION_ONE_MINUS_ALPHA, SECTION_RAND, _walk, _walk_rows
+from tfmlab import _streams, alloc
+from tfmlab.alloc import (
+    EXHAUSTIVE_LIMIT, SECTION_ONE_MINUS_ALPHA, SECTION_RAND, _softmax_rows, _walk, _walk_rows)
 from tfmlab._streams import (
     _BATCH, _CHUNK, GUMBEL, PERMUTATION, TOSS, _TrialSeed, _TrialStreams, _trial_words)
 from tfmlab.audit import _replay, _step_arms
@@ -401,19 +402,68 @@ def test_draw_slices_are_each_trials_draws(monkeypatch, backend, kind, n):
     assert [rows[i] for i in BOUNDARY_TRIALS] == _generator_rows(kind, seed, BOUNDARY_TRIALS, n)
 
 
+@pytest.mark.parametrize("backend", ["C", "python"])
 @PROPERTY_SETTINGS
 @given(st.lists(st.one_of(sizes, st.floats(0.01, 4.0)), max_size=70),
        st.integers(1, 4), st.one_of(st.integers(0, 60).map(lambda k: k / 2), st.just(math.inf)),
-       st.booleans(), st.integers(0, 2**32 - 1))
-def test_the_row_walk_is_the_walk_of_each_row(row_sizes, trials, capacity, unit, seed):
+       st.sampled_from([0, 0.75, 3, 2.5]), st.booleans(), st.integers(0, 2**32 - 1),
+       st.one_of(st.none(), st.integers(1, 70)))
+def test_the_row_walk_is_the_walk_of_each_row(backend, row_sizes, trials, capacity, start, unit,
+                                              seed, exact):
+    """The C loop's rows, and its Python twin's, which cuts each row's prefix that fits and
+    walks the rest of a row with room left past the cut; an `exact` capacity is the total
+    of the first row's first sizes, which that row meets with equality."""
+    if backend == "C" and alloc._walk_rows_c is None:
+        pytest.skip("the C helper is not available")
     column = np.ones(len(row_sizes)) if unit else np.array(row_sizes, dtype=float)
     rng = np.random.default_rng(seed)
     orders = np.array([rng.permutation(len(column)) for _ in range(trials)]).reshape(trials, -1)
-    kept, totals = _walk_rows(column, orders, capacity)
+    if exact is not None and len(column):
+        capacity = start
+        for size in column[orders[0, :exact]].tolist():
+            capacity += size
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        c_walk = alloc._walk_rows_c if backend == "C" else None
+        patch.setattr(alloc, "_walk_rows_c",
+                      c_walk and (lambda *args: calls.append(args) or c_walk(*args)))
+        kept, totals = _walk_rows(column, orders, capacity, start)
+    assert len(calls) == (backend == "C")
     for order, row_kept, total in zip(orders, kept, totals):
-        rows, expected = _walk(column, order, capacity)
+        rows, expected = _walk(column, order, capacity, start)
         assert order[row_kept].tolist() == rows.tolist()
         assert repr(float(total)) == repr(float(expected))
+
+
+@pytest.mark.parametrize("ties", ["distinct", "repeated", "signed_zeros", "infinite"])
+@PROPERTY_SETTINGS
+@given(st.integers(1, 80), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_the_softmax_rows_sort_each_row_stably(ties, width, trials, seed):
+    """Wide rows sort on numpy's default argsort and narrow ones on the stable sort; either
+    way each order is the stable sort of the row's negated keys, through equal keys: a
+    repeated Gumbel value on equal bids, keys of +0.0 and -0.0, or infinite keys from a
+    tiny temperature."""
+    rng = np.random.default_rng(seed)
+    bids = rng.choice([0.0, 1.0, 2.5], width)
+    gumbel = rng.gumbel(size=(trials, width))
+    gamma = 1.0
+    if ties == "repeated":
+        for i, j in rng.integers(0, width, (3, 2)).tolist():
+            bids[j], gumbel[:, j] = bids[i], gumbel[:, i]
+    elif ties == "signed_zeros":  # -0.0 + -0.0 is the only sum that keeps the sign
+        bids = np.where(rng.random(width) < 0.5, 0.0, -0.0)
+        zero = rng.random((trials, width)) < 0.7
+        gumbel[zero] = np.where(rng.random(np.count_nonzero(zero)) < 0.5, 0.0, -0.0)
+    elif ties == "infinite":
+        gamma = 1e-310  # a bid of 1.0 or more over it overflows to inf
+    with np.errstate(over="ignore"):
+        scaled = bids / gamma
+    sizes = rng.choice([0.5, 1.0, 2.0], width)
+    orders, kept, totals = _softmax_rows(sizes, scaled, gumbel, 3.0)
+    expected = np.negative(gumbel + scaled).argsort(axis=1, kind="stable")
+    assert orders.tolist() == expected.tolist()
+    walked, walked_totals = _walk_rows(sizes, expected, 3.0)
+    assert kept.tolist() == walked.tolist() and totals.tolist() == walked_totals.tolist()
 
 
 def _as(kind, value):
