@@ -27,7 +27,8 @@ is also the C loop's test oracle.  ``_walk_rows`` walks many orders at once,
 one a row.  Where ``_walk`` would take the C loop, one call of the helper's
 row form walks every row; otherwise numpy cuts each row's prefix that fits
 from its cumulative sizes, which add in the same order, and a row with room
-left finishes on ``_walk``.  The batched softmax step sorts rows of at least
+left finishes on ``_walk``.  Every softmax walk, of one trial or many, at one
+temperature or many, is a call of ``_softmax_rows``: it sorts rows of at least
 ``_SIMD_SORT_WIDTH`` keys with numpy's default (SIMD) argsort and re-sorts
 stably only the rows that hold equal keys, so its orders are the stable
 sort's.
@@ -308,22 +309,14 @@ def stfm_first_draw_distribution(m: Mempool, gamma: float) -> Dict[int, float]:
     return dict(zip(m.ids(), probs.tolist()))
 
 
-def _softmax_walk(sizes: np.ndarray, scaled_bids: np.ndarray, gumbel: np.ndarray, capacity):
-    """The rows a walk over the Gumbel-top-k order keeps, and their total.
-
-    The keys are ``scaled_bids + gumbel`` with ``scaled_bids = bid / gamma``
-    and `sizes` as floats.  The noise does not depend on gamma, so one draw
-    of it serves every temperature.
-    """
-    keys = gumbel + scaled_bids
-    order = np.negative(keys, out=keys).argsort(kind="stable")
-    return _walk(sizes, order, capacity)
-
-
 def _softmax_rows(sizes: np.ndarray, scaled_bids: np.ndarray, gumbel: np.ndarray, capacity):
-    """:func:`_softmax_walk` over each row of `gumbel`: orders, kept positions, totals.
+    """Walk the Gumbel-top-k order of the keys ``scaled_bids + gumbel`` of each row:
+    the orders, the kept positions of each and its total.
 
-    Rows at least ``_SIMD_SORT_WIDTH`` wide sort with numpy's default argsort,
+    The keys take ``scaled_bids = bid / gamma`` and `sizes` as floats; either
+    array may be one row that broadcasts against the other's rows.  The noise
+    does not depend on gamma, so one draw of it serves every temperature.  Rows
+    at least ``_SIMD_SORT_WIDTH`` wide sort with numpy's default argsort,
     and only a row whose sorted keys do not strictly rise (two equal keys, or a
     NaN) sorts again with the stable sort; every order is the stable one."""
     keys = gumbel + scaled_bids
@@ -354,11 +347,11 @@ def stfm_allocate(m: Mempool, capacity, gamma: float, seed: SeedLike) -> Allocat
     if n == 0:
         return AllocationResult((), 0, capacity)
     c = m.columns
-    # the walk runs in floats whatever the size column holds
-    rows, total = _softmax_walk(c.sizes.astype(float, copy=False),
-                                c.bids.astype(float, copy=False) / gamma, rng.gumbel(size=n),
-                                capacity)
-    return AllocationResult(tuple(c.ids[rows].tolist()), float(total), capacity)
+    # the walk runs in floats whatever the columns hold
+    (order,), (kept,), (total,) = _softmax_rows(
+        c.sizes.astype(float, copy=False), c.bids.astype(float, copy=False) / gamma,
+        rng.gumbel(size=(1, n)), capacity)
+    return AllocationResult(tuple(c.ids[order[kept]].tolist()), total.item(), capacity)
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import chain, combinations_with_replacement
+from itertools import combinations_with_replacement
 from operator import attrgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,23 +75,6 @@ class CofReport:
     cov: Optional[float] = None
 
 
-def _replay(run, streams: _TrialStreams) -> Tuple[Iterator, bool]:
-    """Results of ``run(rng)`` over up to ``streams.trials`` runs, each made as it is
-    read, and whether the rule drew.
-
-    Run i gets ``streams(i)``, trial i's generator, as its only source of
-    randomness.  So when run 0 leaves its generator's state unchanged, the
-    rule drew nothing, every seed gives the same outcome, and the replay
-    stops after that one run.
-    """
-    rng = streams(0)
-    state = rng.bit_generator.state
-    first = run(rng)
-    if rng.bit_generator.state == state:
-        return iter((first,)), False
-    return chain((first,), (run(streams(i)) for i in range(1, streams.trials))), True
-
-
 def _step_arms(arms: Iterable[_Arm], streams: _TrialStreams, read,
                read_all) -> List[list]:
     """For each arm, the values `read` takes of the block of each trial it runs, and
@@ -99,18 +82,18 @@ def _step_arms(arms: Iterable[_Arm], streams: _TrialStreams, read,
 
     An arm whose rule draws nothing (:func:`._trials._batched` gives it no
     step: the knapsack, or a rule over too few rows to draw) gives the same
-    block in every trial, so its one-trial step runs trial 0 alone, as
-    :func:`_replay` does.  Every other arm, whatever its rule, steps all its
-    trials at once into an array of `read_all` of each slice's blocks, on the
-    draws ``streams.slices`` makes: from the C helper's PCG64 lanes, or from
-    each trial's own generator without the helper.  Arms that read the same
-    draws share each slice and all step it before the next is made, so every
-    arm that draws is held, with its values, until the last slice.  The softmax arms share Gumbel rows at the widest of them: an arm
-    over k candidates reads the first k columns, its trials'
-    ``gumbel(size=k)``, since the Gumbel-top-k key takes the same noise at
-    every width.  The other arms share the tosses or permutations of one
-    length.  ``estimate_zti``'s uniform arm does not come here: it stays the
-    one path that calls ``run_mechanism`` once per trial, since the
+    block in every trial, so its one-trial step runs trial 0 alone.  Every
+    other arm, whatever its rule, steps all its trials at once into an array
+    of `read_all` of each slice's blocks, on the draws ``streams.slices``
+    makes: from the C helper's PCG64 lanes, or from each trial's own generator
+    without the helper.  Arms that read the same draws share each slice and
+    all step it before the next is made, so every arm that draws is held,
+    with its values, until the last slice.  The softmax arms share Gumbel rows
+    at the widest of them: an arm over k candidates reads the first k columns,
+    its trials' ``gumbel(size=k)``, since the Gumbel-top-k key takes the same
+    noise at every width.  The other arms share the tosses or permutations of
+    one length.  ``estimate_zti``'s uniform arm does not come here: it stays
+    the one path that calls ``run_mechanism`` once per trial, since the
     benchmark's tracing test counts those calls.
     """
     arms_values: List[list] = []  # [values, whether the rule drew] of each arm
@@ -189,11 +172,12 @@ def estimate_zti(spec: MechanismSpec, m: Mempool, capacity, trials: int, seed: i
         return np.ones(len(blocks.total), int)
 
     if spec.allocation is AllocationKind.UNIFORM:
-        # one run_mechanism a trial, which reuses the arm it prepared first:
-        # bench/test_bench.py counts the calls and reads their fills
-        tallies, drew = _replay(lambda rng: tally(
-            run_mechanism(spec, m, capacity, seed=rng)._priced.rows), streams)
-        tallies = list(tallies)
+        # one run_mechanism a trial, which reuses the arm it prepared first, and one run
+        # alone where the rule draws nothing: bench/test_bench.py counts the calls and
+        # reads their fills
+        drew = _batched(_arm(spec, m, capacity)) is not None
+        tallies = [tally(run_mechanism(spec, m, capacity, seed=streams(i))._priced.rows)
+                   for i in range(streams.trials if drew else 1)]
     else:
         (tallies, drew), = _step_arms([_arm(spec, m, capacity)], streams,
                                       lambda block: tally(block.rows), tally_all)

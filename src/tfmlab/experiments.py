@@ -3,18 +3,18 @@
 Sweeps share the mempool stream across grid points (common random numbers),
 so per-point estimates move smoothly along the grid.  Both sweeps loop over
 runs first: a run draws its pool and seeds its generator once and serves
-every grid value.  A softmax run also draws its Gumbel noise once, and every
-cell walks and prices from that one array.  For the randomized two-set
-mechanism the branch tosses are additionally stratified across runs by
-default: each grid value sees branch counts exactly proportional to its
-bias, an unbiased variance-reduction that leaves per-run mechanics
-untouched.
+every grid value.  A softmax run also draws its Gumbel noise once and walks
+that one array at every temperature of a capacity as rows of one walk.  For
+the randomized two-set mechanism the branch tosses are additionally
+stratified across runs by default: each grid value sees branch counts
+exactly proportional to its bias, an unbiased variance-reduction that leaves
+per-run mechanics untouched.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -31,7 +31,7 @@ from .mech import (
     _Block,
     _arm,
     _prepare,
-    _softmax_parts,
+    _softmax_blocks,
     config_value,
     parse_config_text,  # noqa: F401 (re-exported: the sweep configs' parser)
     spec_from_fields,
@@ -196,39 +196,41 @@ def run_stfm_sweep(cfg: ExperimentConfig) -> List[SweepRow]:
     comparator once per distinct size ratio, and draws its Gumbel noise once
     from its ``[seed, r, 1]`` generator, one value per candidate (none when a
     posted fee leaves no candidate).  The candidates are the same in every
-    cell, since a cell varies only γ or the capacity, so every cell walks the
-    softmax rule's order at its own temperature and capacity from that one
-    array and prices it as the rule's step does; nothing is redrawn or
-    restored between cells.  Capacity is total pool size over the ratio, and
-    the empirical cost of fairness is the greedy revenue over the softmax
-    revenue.  The zero-fee inclusion measure is the share of realized block
-    size occupied by zero-bid transactions.
+    cell, since a cell varies only γ or the capacity, so once per distinct
+    size ratio the softmax rule walks that one array at every γ of the ratio's
+    cells, one row each, and prices each block as its step does; nothing is
+    redrawn or restored between cells.  Capacity is total pool size over the
+    ratio, and the empirical cost of fairness is the greedy revenue over the
+    softmax revenue.  The zero-fee inclusion measure is the share of realized
+    block size occupied by zero-bid transactions.
     """
     if cfg.mechanism.allocation is not AllocationKind.SOFTMAX:
         raise ConfigError("run_stfm_sweep needs a softmax mechanism")
     if cfg.sweep_param not in ("gamma", "size_ratio"):
         raise ConfigError("run_stfm_sweep sweeps gamma or size_ratio")
 
-    cells = [(replace(cfg.mechanism, gamma=gamma), ratio)
-             for gamma, ratio in map(cfg._softmax_cell, cfg.sweep_values)]
-    ratios = {ratio for _, ratio in cells}
+    cells: Dict[float, List[Tuple[int, float]]] = {}  # size ratio -> each cell and its gamma
+    for i, (gamma, ratio) in enumerate(map(cfg._softmax_cell, cfg.sweep_values)):
+        cells.setdefault(ratio, []).append((i, gamma))
     # cost of fairness, normalized revenue, zero-fee fraction, zero-fee inclusion
     # and zero-payment fraction, by cell and run
-    stats = np.empty((5, len(cells), cfg.runs))
+    stats = np.empty((5, len(cfg.sweep_values), cfg.runs))
     for r in range(cfg.runs):
         m = sample_mempool(cfg.n, cfg.bid_dist, cfg.size_dist, seed=[cfg.seed, r])
         pool_size = m.total_size()
-        greedy = {ratio: _greedy_value(m, pool_size / ratio) for ratio in ratios}
         rng = resolve_rng([cfg.seed, r, 1])
-        for i, (spec, ratio) in enumerate(cells):
-            noise, step = _softmax_parts(_arm(spec, m, pool_size / ratio))
-            if not i:  # the candidates, and so the noise, are the same in every cell
-                gumbel = noise(rng)
-            block = step(gumbel)
-            util, greedy_value = block.miner_utility, greedy[ratio]
-            stats[:, i, r] = (greedy_value / util if util > 0 else math.inf,
-                              util / greedy_value if greedy_value > 0 else 0.0,
-                              *_block_stats(m, block))
+        gumbel = None
+        for ratio, at_ratio in cells.items():
+            arm = _arm(cfg.mechanism, m, pool_size / ratio)
+            if gumbel is None:  # the candidates, and so the noise, are the same at every ratio
+                gumbel = rng.gumbel(size=len(arm.kept))
+            greedy_value = _greedy_value(m, arm.capacity)
+            indices, gammas = zip(*at_ratio)
+            for i, block in zip(indices, _softmax_blocks(arm)(gammas, gumbel)):
+                util = block.miner_utility
+                stats[:, i, r] = (greedy_value / util if util > 0 else math.inf,
+                                  util / greedy_value if greedy_value > 0 else 0.0,
+                                  *_block_stats(m, block))
 
     rows: List[SweepRow] = []
     for i, value in enumerate(cfg.sweep_values):

@@ -36,9 +36,9 @@ the fills of :func:`~.alloc.uniform_allocate`; a call on the very objects of
 the call before reuses its prepared arm.  The audits step every other
 arm whose rule draws over many trials at once (:mod:`._trials`), on draws
 made a slice of trials at a time that the arms of a call share.  The softmax
-sweep steps a softmax arm in two parts, noise and block
-(:func:`_softmax_parts`), so that it draws a run's noise once for all its
-cells.
+rule walks one trial's noise at one or more temperatures
+(:func:`_softmax_blocks`), so the softmax sweep draws a run's noise once and
+walks it at every temperature of a capacity in one call.
 
 The flat ``key = value`` config format lives here too: one table of keys,
 :data:`CONFIG_KEYS`, and one parser serve :func:`spec_from_config`, the
@@ -62,7 +62,7 @@ from .alloc import (
     _SplitBlock,
     _optimal_rows,
     _sections,
-    _softmax_walk,
+    _softmax_rows,
     _walk,
     _with_fakes,
     uniform_allocate,
@@ -346,30 +346,30 @@ def _uniform_rule(arm: _Arm):
     return draw
 
 
-def _softmax_parts(arm: _Arm):
-    """The softmax rule's step in two parts: ``noise(rng)`` draws a trial's Gumbel
-    noise, one value per candidate, and ``block(gumbel)`` walks the Gumbel-top-k
-    order of the keys ``bid/gamma + gumbel`` and prices it.  The noise depends
-    only on the number of candidates, so one draw serves every temperature and
-    capacity over the same candidates."""
+def _softmax_blocks(arm: _Arm):
+    """``blocks(gammas, gumbel)``: the arm's priced block at each temperature of `gammas`
+    from one trial's Gumbel noise, a value per candidate, walked as the rows of one
+    :func:`~.alloc._softmax_rows` call; one draw serves every temperature and capacity
+    over the same candidates."""
     kept, c = arm.kept, arm.candidates()
-    # the walk runs in floats whatever the size column holds
-    sizes = c.sizes.astype(float, copy=False)
-    scaled = c.bids.astype(float, copy=False) / arm.spec.gamma
-    if not len(kept):  # nothing to sample, and no draw made
+    if not len(kept):  # nothing to sample, and no noise to read
         empty = arm.block(kept, 0)
-        return (lambda rng: None), (lambda gumbel: empty)
+        return lambda gammas, gumbel: [empty] * len(gammas)
+    # the walk runs in floats whatever the columns hold
+    sizes, bids = c.sizes.astype(float, copy=False), c.bids.astype(float, copy=False)
 
-    def block(gumbel):
-        rows, total = _softmax_walk(sizes, scaled, gumbel, arm.capacity)
-        return arm.block(kept[rows], float(total))
-    return (lambda rng: rng.gumbel(size=len(kept))), block
+    def blocks(gammas, gumbel):
+        scaled = bids / np.array(gammas, dtype=float)[:, None]
+        orders, taken, totals = _softmax_rows(sizes, scaled, gumbel[None], arm.capacity)
+        return [arm.block(kept[order[took]], total)
+                for order, took, total in zip(orders, taken, totals.tolist())]
+    return blocks
 
 
 def _softmax_rule(arm: _Arm):
     """The Gumbel-top-k order of the candidates' keys ``bid/gamma + Gumbel``, walked."""
-    noise, block = _softmax_parts(arm)
-    return lambda rng, toss=None: block(noise(rng))
+    blocks, gammas, n = _softmax_blocks(arm), [arm.spec.gamma], len(arm.kept)
+    return lambda rng, toss=None: blocks(gammas, rng.gumbel(size=n))[0]
 
 
 def _split_block(arm: _Arm) -> _SplitBlock:

@@ -662,10 +662,12 @@ def test_the_row_walk_walks_on_past_the_prefix_cut(monkeypatch):
 
 
 @needs_c_walk
+@needs_c_row_walk
 def test_stfm_sweep_csv_bytes_do_not_depend_on_the_walk(monkeypatch, tmp_path):
-    """Every caller of the walk gives the same bytes on the C loop and the Python loop:
-    the softmax sweep, the two-set sweep (greedy and uniform walks), the two-set rule's
-    roots, and split block with fakes, whose walk starts at the fakes' total."""
+    """Every caller of the walks gives the same bytes on the C loops and the Python loops:
+    the softmax sweep (the row walk), the two-set sweep (greedy and uniform walks), the
+    two-set rule's roots, and split block with fakes, whose walk starts at the fakes'
+    total."""
     exponential = BidDistribution.exponential(1)
     stfm = ExperimentConfig(
         mechanism=MechanismSpec.stfm(1.0), n=300, bid_dist=BidDistribution.uniform(0, 5),
@@ -681,10 +683,13 @@ def test_stfm_sweep_csv_bytes_do_not_depend_on_the_walk(monkeypatch, tmp_path):
     m = Mempool([Transaction(i, float(rng.exponential(1)), bid, bid)
                  for i, bid in enumerate(rng.choice([0.0, 1.0, 2.0, 3.0], 300).tolist())])
     fakes = [Transaction(1000 + j, 0.5 + j, 1.0, 1.0, fake=True) for j in range(3)]
-    c_walk, starts = alloc._walk_c, []
+    c_walk, c_row_walk, starts, row_walks = alloc._walk_c, alloc._walk_rows_c, [], []
     outputs = []
-    for walk in (lambda *args: starts.append(args[3]) or c_walk(*args), None):
+    for walk, row_walk in ((lambda *args: starts.append(args[3]) or c_walk(*args),
+                            lambda *args: row_walks.append(args[1].shape) or c_row_walk(*args)),
+                           (None, None)):
         monkeypatch.setattr(alloc, "_walk_c", walk)
+        monkeypatch.setattr(alloc, "_walk_rows_c", row_walk)
         got = []
         for run, cfg in ((run_stfm_sweep, stfm), (run_rtfm_sweep, rtfm)):
             path = tmp_path / f"{len(outputs)}_{len(got)}.csv"
@@ -699,6 +704,8 @@ def test_stfm_sweep_csv_bytes_do_not_depend_on_the_walk(monkeypatch, tmp_path):
         outputs.append(got)
     assert outputs[0] == outputs[1]
     assert any(start != 0 for start in starts)  # the C loop ran, from a non-zero total too
+    # the C row walk ran, one row a temperature over the sweep's 300 candidates
+    assert (3, 300) in row_walks
 
 
 @pytest.mark.parametrize("exact", [True, False])

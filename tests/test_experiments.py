@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from tfmlab import (
@@ -19,7 +20,7 @@ from tfmlab import (
     run_rtfm_sweep,
     run_stfm_sweep,
 )
-from tfmlab import _streams, alloc, chain, experiments
+from tfmlab import _streams, alloc, chain, experiments, mech
 from tfmlab.cli import main as cli_main
 from tfmlab.experiments import (
     CSV_HEADER,
@@ -176,37 +177,44 @@ def test_stfm_sweep_draws_each_pool_once_and_solves_each_ratio_once(
     assert len(solves) == runs * solves_per_run
 
 
-@pytest.mark.parametrize("base_fee, draws_per_run", [(None, 1), (6.0, 0)])
-def test_stfm_sweep_draws_each_runs_noise_once_for_every_cell(monkeypatch, base_fee,
-                                                               draws_per_run):
-    # a posted fee above every bid leaves no candidate, and then no noise is drawn
-    draws, blocks = [], []
-    parts = experiments._softmax_parts
+@pytest.mark.parametrize("base_fee, sweep_param, values, ratios", [
+    (None, "gamma", (0.1, 0.5, 2.0, 10.0, 50.0), 1),
+    (None, "size_ratio", (2.0, 5.0, 10.0, 5.0), 3),
+    (6.0, "gamma", (0.1, 0.5, 2.0, 10.0, 50.0), 1),
+])
+def test_stfm_sweep_draws_each_runs_noise_once_for_every_cell(monkeypatch, base_fee, sweep_param,
+                                                               values, ratios):
+    # a posted fee above every bid leaves no candidate: the row is empty and nothing is walked
+    calls, walks = [], []  # (noise, temperatures) of each blocks call; each _softmax_rows call
+    blocks_of, rows_of = experiments._softmax_blocks, mech._softmax_rows
 
     def counted(arm):
-        noise, block = parts(arm)
-
-        def counted_noise(rng):
-            draws.append(noise(rng))
-            return draws[-1]
-
-        def counted_block(gumbel):
-            blocks.append(gumbel)
-            return block(gumbel)
-        return counted_noise, counted_block
-    monkeypatch.setattr(experiments, "_softmax_parts", counted)
+        blocks = blocks_of(arm)
+        return lambda gammas, gumbel: calls.append((gumbel, gammas)) or blocks(gammas, gumbel)
+    monkeypatch.setattr(experiments, "_softmax_blocks", counted)
+    monkeypatch.setattr(mech, "_softmax_rows",
+                        lambda *args: walks.append(args) or rows_of(*args))
     payment = PaymentKind.FIRST_PRICE if base_fee is None else PaymentKind.POSTED_PRICE
-    runs, values = 6, (0.1, 0.5, 2.0, 10.0, 50.0)
+    runs, n = 6, 30
     cfg = ExperimentConfig(
-        mechanism=MechanismSpec.stfm(1.0, payment, base_fee), n=30,
+        mechanism=MechanismSpec.stfm(1.0, payment, base_fee), n=n,
         bid_dist=BidDistribution.uniform(0, 5), size_dist=BidDistribution.exponential(1),
-        sweep_param="gamma", sweep_values=values, runs=runs, seed=2,
+        sweep_param=sweep_param, sweep_values=values, runs=runs, seed=2,
     )
     assert len(run_stfm_sweep(cfg)) == len(values)
-    assert len(draws) == runs and len(blocks) == runs * len(values)
-    assert sum(gumbel is not None for gumbel in draws) == runs * draws_per_run
-    # every cell of a run reads its run's one array
-    assert all(blocks[i] is draws[i // len(values)] for i in range(len(blocks)))
+    assert len(calls) == runs * ratios
+    for r in range(runs):
+        at_run = calls[r * ratios:(r + 1) * ratios]
+        gumbel = at_run[0][0]  # the run's one row, one value per candidate
+        width = 0 if base_fee else n
+        assert gumbel.tobytes() == np.random.default_rng([2, r, 1]).gumbel(size=width).tobytes()
+        # every cell reads that row
+        assert all(noise is gumbel for noise, _ in at_run)
+        assert sum(len(gammas) for _, gammas in at_run) == len(values)
+    # one _softmax_rows call per run and size ratio, walking a row for each of its cells
+    assert len(walks) == (0 if base_fee else runs * ratios)
+    for (sizes, scaled, noise, capacity), (gumbel, gammas) in zip(walks, calls):
+        assert noise.base is gumbel and scaled.shape == (len(gammas), n)
 
 
 def test_stfm_zero_fee_share_rises_with_temperature_and_tracks_supply():

@@ -38,6 +38,7 @@ from tfmlab.alloc import (
     optimal_allocate,
     rtfm_sample,
     splitblock_allocate,
+    stfm_allocate,
     uniform_allocate,
 )
 from tfmlab.cli import main as cli_main
@@ -56,6 +57,7 @@ RTFM_ROOTS = "da477b7940092a68fad6df08d5859c5b0cfdcee179a400c3eac946cd035a7852"
 EIP1559_OUTCOME = "db4455f7eed6367c56c66dee2fa091826638560fd32e0f5ecf77afa13d56f831"
 SPLIT_BLOCK_OUTCOME = "c88db28e12666ba8aa61dc2812b7608ba134be0bb7a8109e50231b18097077ca"
 POSTED_SPLIT_BLOCK = "24bf5aa2b92c7945445efed16a3a0452218ee6cebefbbe82df55c97da1694b96"
+ONE_TRIAL_SOFTMAX = "b15552246a939160fbc014fd14b1627096c7418a0636d4425cc898687c73c11b"
 SMALL_RTFM_SWEEP_CSV = "516b6b9bf268d25345ca9d8a0c732e02acea5e9498dd3fc025c01d28dd85b17f"
 POSTED_RTFM_SWEEP_CSV = "575478fd3e1c0c9e43e057ce45f91449f85f963ef6c20a044eb58f4afdc153a5"
 UNSTRATIFIED_RTFM_SWEEP_CSV = "e83c61d6e557004491b3e807e8c0e047dbe914cc92215df055a5b308eacd8c84"
@@ -221,6 +223,40 @@ def test_split_block_under_a_posted_price_with_fakes():
                        sorted(out.allocation.sections.items()),
                        res.selected, res.total_size, sorted(res.sections.items())))
     assert _sha256_repr(pinned) == POSTED_SPLIT_BLOCK
+
+
+# 24 float rows of four bids and three sizes, so equal bids hold equal keys at
+# gamma 1e-17 (bid/gamma swallows the noise), and 20 rows of ints
+TIED_FLOAT_POOL = Mempool([Transaction(i, 0.5 * (1 + i % 3), float(i % 4), float(i % 4) + 1.0)
+                           for i in range(24)])
+INT_POOL = Mempool([Transaction(i, 1 + i % 3, i * 7 % 5, i * 7 % 5 + 1) for i in range(20)])
+
+
+def test_one_trial_softmax_outcomes():
+    # the selected order, the total's repr, the prices and the utilities of single
+    # softmax runs: wide and narrow rows, tied keys, Fraction and int columns, and a
+    # posted fee above every bid, which leaves no candidate and totals the int 0
+    fractions = Mempool([Transaction(i, Fraction(1 + i % 3, 2), Fraction(b, 2),
+                                     Fraction(b + 1, 2))
+                         for i, b in enumerate([6, 0, 3, 9, 2, 5, 1])])
+    arms = [(TIED_FLOAT_POOL, 8.0, 1.0, PaymentKind.FIRST_PRICE, None),
+            (TIED_FLOAT_POOL, 8.0, 1e-17, PaymentKind.FIRST_PRICE, None),
+            (TIED_FLOAT_POOL, 8.0, 0.5, PaymentKind.SECOND_PRICE, None),
+            (TIED_FLOAT_POOL, 8.0, 0.5, PaymentKind.POSTED_PRICE, 1.0),
+            (TIED_FLOAT_POOL, 8.0, 1.0, PaymentKind.POSTED_PRICE, 10.0),
+            (INT_POOL, 12, 1.0, PaymentKind.FIRST_PRICE, None),
+            (INT_POOL, 12, 1e-17, PaymentKind.SECOND_PRICE, None),
+            (fractions, Fraction(5, 2), 1.5, PaymentKind.FIRST_PRICE, None),
+            (fractions, Fraction(5, 2), 1.5, PaymentKind.POSTED_PRICE, Fraction(1, 2))]
+    pinned = []
+    for m, capacity, gamma, payment, base_fee in arms:
+        for seed in (0, 1, 2):
+            out = run_mechanism(MechanismSpec.stfm(gamma, payment, base_fee), m, capacity,
+                                seed=seed)
+            res = stfm_allocate(m, capacity, gamma, seed)
+            pinned.append((_outcome_repr(out), repr(out.allocation.total_size),
+                           res.selected, repr(res.total_size)))
+    assert _sha256_repr(pinned) == ONE_TRIAL_SOFTMAX
 
 
 def _unit(bids):

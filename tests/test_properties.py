@@ -37,7 +37,7 @@ from tfmlab.alloc import (
     EXHAUSTIVE_LIMIT, SECTION_ONE_MINUS_ALPHA, SECTION_RAND, _softmax_rows, _walk, _walk_rows)
 from tfmlab._streams import (
     _BATCH, _CHUNK, GUMBEL, PERMUTATION, TOSS, _TrialSeed, _TrialStreams, _trial_words)
-from tfmlab.audit import _replay, _step_arms
+from tfmlab.audit import _step_arms
 from tfmlab.mech import _arm, _prepare
 from tfmlab._trials import _batched
 
@@ -257,12 +257,21 @@ def test_trial_streams_check_the_budget_when_built(trials, error):
 
 
 @pytest.mark.parametrize("seed", [0, 2**40 + 3])
-def test_a_rule_that_draws_nothing_runs_and_seeds_one_trial(seed):
-    streams = _TrialStreams(seed, 500)
-    results, drew = _replay(lambda rng: "same", streams)
-    assert list(results) == ["same"] and not drew and sum(map(len, streams._blocks)) == 1
-    results, drew = _replay(lambda rng: rng.random(), streams)
-    assert len(list(results)) == 500 and drew and sum(map(len, streams._blocks)) == 500
+def test_a_rule_that_draws_nothing_runs_and_seeds_one_trial(monkeypatch, seed):
+    # estimate_zti's uniform arm, on one row (numpy permutes it without a draw) and on two
+    made, runs = [], []
+    monkeypatch.setattr(audit, "_TrialStreams",
+                        lambda *args: made.append(_TrialStreams(*args)) or made[-1])
+    run = audit.run_mechanism
+    monkeypatch.setattr(audit, "run_mechanism",
+                        lambda *args, **kwargs: runs.append(kwargs["seed"]) or run(*args, **kwargs))
+    for bids, trials in (([0], 1), ([0, 1], 500)):
+        runs.clear()
+        m = Mempool([Transaction(i, 1.0, float(b), float(b)) for i, b in enumerate(bids)])
+        report = audit.estimate_zti(MechanismSpec.uniform(), m, 1.0, 500, seed)
+        streams, = made[-1:]
+        assert report.trials == trials and len(runs) == trials
+        assert sum(map(len, streams._blocks)) == trials  # one trial's seeding words each
 
 
 # ---------------------------------------------------------------------------
