@@ -9,31 +9,41 @@
  * The SHA-256 compression (NIST FIPS 180-4) is implemented here, so the
  * module needs only a C compiler and Python.h.  Once per search, tail_init
  * computes the state after the prefix's whole 64-byte blocks (the
- * midstate), pre-pads the final one or two blocks, and runs the rounds of
- * the first final block that come before its first nonce word; every
- * kernel starts from there.  For a 104-byte block header the nonce is
- * words 10-11 of the final block, so only rounds 10-63 run per nonce.
+ * midstate) and pre-pads the final one or two blocks.
  *
- * A kernel hashes a group of consecutive nonces per call.  On loading, the
- * module picks the first kernel the CPU offers, in this order:
+ * Every search in the package hashes a 104-byte block header, whose nonce
+ * is words 10 (high) and 11 (low) of its single final block, as it is after
+ * any prefix of 40 mod 64 bytes.  The high word then stays fixed until the low
+ * word carries into it, and fold_init, run once per search and again after
+ * a carry, folds all that it fixes: the state after round 10, round 11 less
+ * the low word, K + W of rounds 12-17, 19, 21 and 23, and the terms of
+ * W16-W39 that do not read the low word (W16, W17, W19, W21 and W23 are
+ * constants).  A fold kernel hashes a group of consecutive nonces per call
+ * from there, rounds 12-63 with only the varying schedule terms, and keeps
+ * only word 0 of each digest.  On loading, the module picks the first
+ * kernel the CPU offers, in this order:
  *
  *   - "avx512-x16": 16 nonces per call, one per 32-bit lane of AVX-512F
  *     vectors (multi-buffer SHA-256, Guilford et al., Intel, 2012);
- *   - "sha-ni-x2": 2 nonces per call through the SHA extensions, the two
- *     dependency chains interleaved (Gulley et al., Intel, 2013); it starts
- *     at the 4-round group that holds the first nonce word;
- *   - "avx2-x8": the AVX-512 kernel's body on 8-lane AVX2 vectors;
+ *   - "sha-ni-x2": 2 whole digests per call through the SHA extensions, the
+ *     two dependency chains interleaved (Gulley et al., Intel, 2013), for a
+ *     nonce at any byte offset; it starts at the 4-round group that holds
+ *     the first nonce word;
+ *   - "avx2-x8": the fold body on 8-lane AVX2 vectors;
  *   - "portable": the same body on one uint32_t lane, in plain C.
  *
- * The round and schedule body is written once, over a lane type V and its
- * operations, and instantiated for 1, 8 and 16 lanes.  Every kernel feeds
- * the same search loop, which checks lanes in nonce order, ignores lanes
- * beyond `max_trials`, and reads a lane's full digest only when its first
- * word is at most the target's.  BACKEND names the kernel `search` uses;
- * _search_avx512_x16, _search_sha_ni_x2, _search_avx2_x8 and
- * _search_portable run search on one kernel, for tests, and exist only
- * where the CPU offers that kernel.  The GIL is released while scanning,
- * so callers may mine several blocks from one thread pool.
+ * The fold body is written once, over a lane type V and its operations,
+ * and instantiated for 1, 8 and 16 lanes.  Every kernel feeds the same
+ * search loop, which checks lanes in nonce order and ignores lanes beyond
+ * `max_trials`.  The scalar hash_one hashes whole what a fold kernel does
+ * not: nonces after a prefix of any other length, a group whose lanes
+ * straddle a carry of the low word (or the wrap past 2^64 - 1), and a lane
+ * whose word 0 is at most the target's, for its full digest.  BACKEND
+ * names the kernel `search` uses; _search_avx512_x16, _search_sha_ni_x2,
+ * _search_avx2_x8 and _search_portable run search on one kernel, for
+ * tests, and exist only where the CPU offers that kernel.  The GIL is
+ * released while scanning, so callers may mine several blocks from one
+ * thread pool.
  *
  * merkle_root(leaves) returns the 32-byte root of the binary SHA-256 tree
  * over a non-empty sequence of bytes-like leaves: every leaf is hashed, then
@@ -117,8 +127,6 @@ typedef struct {
     int nblocks;        /* 1 or 2 final blocks */
     int at;             /* byte offset of the nonce in the final blocks */
     int first;          /* first word holding nonce bytes: at / 4, below 16 */
-    uint32_t early[8];  /* state after rounds 0..first-1 of the first final
-                           block, rotated as the round macros keep it */
     uint32_t group_state[8]; /* state a..h after the 4-round groups before
                                 `first`, where the SHA-NI kernel starts */
 #ifdef HAVE_X86
@@ -128,9 +136,25 @@ typedef struct {
 #endif
 } Tail;
 
+/* What every nonce with one high word shares, when the nonce is words 10
+   (high) and 11 (low) of a single final block: a prefix of 40 mod 64 bytes. */
+typedef struct {
+    uint32_t hi;        /* the high word folded in */
+    uint32_t s[8];      /* state after round 11 for a low word of zero, rotated
+                           as the round macros keep it; a lane adds its low
+                           word to a and e */
+    uint32_t kw[40];    /* K + W of round i when W[i] is fixed, i = 12..39 */
+    uint32_t wf[40];    /* the fixed terms of W[i] when it varies, i = 16..39 */
+    uint32_t mid0;      /* word 0 of the midstate */
+} Fold;
+
 /* Digests of nonces n, n+1, ... (mod 2^64), one per lane: word k of lane
    l's digest goes to dig[k][l]. */
 typedef void (*hash_fn)(const Tail *t, uint64_t n, uint32_t dig[8][MAX_LANES]);
+
+/* Word 0 of the digests of nonces with low words lo, lo+1, ... (no carry)
+   and the high word folded into f, one per lane. */
+typedef void (*fold_fn)(const Fold *f, uint32_t lo, uint32_t dig0[MAX_LANES]);
 
 static uint32_t
 load_be32(const unsigned char *p)
@@ -140,12 +164,11 @@ load_be32(const unsigned char *p)
 
 /* ---- one round and schedule body for every lane width ----
  *
- * These macros use a lane type V and the operations V_SET1, V_ADD, V_OR,
- * V_XOR3, V_ROR, V_SHR, V_SLL, V_SRL (shift by a count below 32), V_CH,
- * V_MAJ, V_LOAD and V_STORE, which each instantiation defines.  The state
- * is an array s[8] kept rotated: after round i, word k (a..h) of the state
- * is s[(k - i) & 7], so a round moves no data, and after all 64 rounds
- * s[k] is word k again.  The message schedule is a ring w[16].
+ * These macros use a lane type V and the operations V_SET1, V_ADD, V_XOR3,
+ * V_ROR, V_SHR, V_CH, V_MAJ, V_LOAD and V_STORE, which each instantiation
+ * defines.  The state is an array s[8] kept rotated: before round i, word k
+ * (a..h) of the state is s[(k - i) & 7], so a round moves no data, and after
+ * all 64 rounds s[k] is word k again.  The message schedule is a ring w[16].
  */
 #define S_(s, k, i) (s)[((k) - (i)) & 7]
 #define BSIG0(x) V_XOR3(V_ROR(x, 2), V_ROR(x, 13), V_ROR(x, 22))
@@ -153,17 +176,19 @@ load_be32(const unsigned char *p)
 #define SSIG0(x) V_XOR3(V_ROR(x, 7), V_ROR(x, 18), V_SHR(x, 3))
 #define SSIG1(x) V_XOR3(V_ROR(x, 17), V_ROR(x, 19), V_SHR(x, 10))
 
-/* Round i, with schedule word w[i & 15]. */
-#define ROUND(s, w, i)                                                          \
+/* Round i, given K256[i] + W[i] as kw. */
+#define ROUND_KW(s, kw, i)                                                      \
     do {                                                                        \
         V a_ = S_(s, 0, i), e_ = S_(s, 4, i);                                   \
         V t1_ = V_ADD(V_ADD(S_(s, 7, i), BSIG1(e_)),                            \
-                      V_ADD(V_CH(e_, S_(s, 5, i), S_(s, 6, i)),                 \
-                            V_ADD(V_SET1(K256[i]), (w)[(i) & 15])));            \
+                      V_ADD(V_CH(e_, S_(s, 5, i), S_(s, 6, i)), (kw)));         \
         V t2_ = V_ADD(BSIG0(a_), V_MAJ(a_, S_(s, 1, i), S_(s, 2, i)));          \
         S_(s, 3, i) = V_ADD(S_(s, 3, i), t1_);                                  \
         S_(s, 7, i) = V_ADD(t1_, t2_);                                          \
     } while (0)
+
+/* Round i, with schedule word w[i & 15]. */
+#define ROUND(s, w, i) ROUND_KW(s, V_ADD(V_SET1(K256[i]), (w)[(i) & 15]), i)
 
 /* Schedule word i >= 16, in place of word i - 16. */
 #define SCHEDULE(w, i)                                                          \
@@ -173,71 +198,62 @@ load_be32(const unsigned char *p)
                               V_ADD((w)[((i) - 7) & 15], SSIG1(x2_)));          \
     } while (0)
 
-#define SROUND(s, w, i) do { SCHEDULE(w, i); ROUND(s, w, i); } while (0)
-#define SROUND4(s, w, i) \
-    do { SROUND(s, w, i); SROUND(s, w, (i) + 1); SROUND(s, w, (i) + 2); SROUND(s, w, (i) + 3); } while (0)
-#define SROUND16(s, w, i) \
-    do { SROUND4(s, w, i); SROUND4(s, w, (i) + 4); SROUND4(s, w, (i) + 8); SROUND4(s, w, (i) + 12); } while (0)
+/* Whether word j of a folded block depends on the low nonce word: word 11
+   itself and the schedule words that read it, directly or through others.
+   W16, W17, W19, W21 and W23 read only fixed words. */
+#define VARIES(j) ((j) == 11 || (j) == 18 || (j) == 20 || (j) == 22 || (j) >= 24)
 
-/* Rounds from..63 of one block, unrolled: a jump into the first sixteen. */
-#define ROUNDS_FROM(s, w, from)                                                 \
+/* Schedule word i, 16 <= i < 40, of a folded block: its fixed terms f->wf[i]
+   plus the terms of the words that vary. */
+#define FOLDED_SCHEDULE(f, w, i)                                                \
     do {                                                                        \
-        switch (from) {                                                         \
-        case 0: ROUND(s, w, 0);   case 1: ROUND(s, w, 1);                       \
-        case 2: ROUND(s, w, 2);   case 3: ROUND(s, w, 3);                       \
-        case 4: ROUND(s, w, 4);   case 5: ROUND(s, w, 5);                       \
-        case 6: ROUND(s, w, 6);   case 7: ROUND(s, w, 7);                       \
-        case 8: ROUND(s, w, 8);   case 9: ROUND(s, w, 9);                       \
-        case 10: ROUND(s, w, 10); case 11: ROUND(s, w, 11);                     \
-        case 12: ROUND(s, w, 12); case 13: ROUND(s, w, 13);                     \
-        case 14: ROUND(s, w, 14); case 15: ROUND(s, w, 15);                     \
-        }                                                                       \
-        SROUND16(s, w, 16); SROUND16(s, w, 32); SROUND16(s, w, 48);             \
+        V x_ = V_SET1((f)->wf[i]);                                              \
+        if (VARIES((i) - 2))                                                    \
+            x_ = V_ADD(x_, SSIG1((w)[((i) - 2) & 15]));                         \
+        if (VARIES((i) - 7))                                                    \
+            x_ = V_ADD(x_, (w)[((i) - 7) & 15]);                                \
+        if (VARIES((i) - 15))                                                   \
+            x_ = V_ADD(x_, SSIG0((w)[((i) - 15) & 15]));                        \
+        if (VARIES((i) - 16))                                                   \
+            x_ = V_ADD(x_, (w)[(i) & 15]);                                      \
+        (w)[(i) & 15] = x_;                                                     \
     } while (0)
 
-/* the small loops below index the state array; unrolled, every index is a
-   constant and the state stays in registers */
-#define UNROLL _Pragma("GCC unroll 16")
+/* the loops below index the state array; unrolled, every index is a constant,
+   VARIES is decided at compile time and the state stays in registers */
+#define UNROLL _Pragma("GCC unroll 64")
 
-/* A kernel hashing LANES consecutive nonces per call.  Lane l takes nonce
-   n + l; its nonce words are the lane's high and low 32 bits shifted to the
-   nonce's byte offset, ORed into words first..first+2 of the final blocks
-   (words 16 and 17 are the second block's 0 and 1). */
-#define DEFINE_LANES_KERNEL(name, target)                                       \
+/* A kernel hashing LANES nonces per call from a fold: lane l takes low word
+   lo + l, and rounds 12-63 run per lane, of which rounds 12-17, 19, 21 and
+   23 add a fixed K + W and rounds 16-39 schedule only their varying terms.
+   Only a, and so only word 0 of the digest, is kept past round 63. */
+#define DEFINE_FOLDED_KERNEL(name, target)                                      \
 static target void                                                              \
-name(const Tail *t, uint64_t n, uint32_t dig[8][MAX_LANES])                     \
+name(const Fold *f, uint32_t lo, uint32_t dig0[MAX_LANES])                      \
 {                                                                               \
-    uint32_t lo_[LANES], hi_[LANES];                                            \
-    V s[8], w[16], nw[3], base[8], lo, hi;                                      \
-    int i, b, sh = 8 * (t->at % 4), first = t->first;                           \
+    uint32_t lo_[LANES];                                                        \
+    V s[8], w[16];                                                              \
+    int i;                                                                      \
                                                                                 \
-    for (i = 0; i < LANES; i++) {                                               \
-        lo_[i] = (uint32_t)(n + (uint64_t)i);                                   \
-        hi_[i] = (uint32_t)((n + (uint64_t)i) >> 32);                           \
-    }                                                                           \
-    lo = V_LOAD(lo_);                                                           \
-    hi = V_LOAD(hi_);                                                           \
-    nw[0] = V_SRL(hi, sh);                                                      \
-    nw[1] = V_OR(V_SLL(V_SLL(hi, 31 - sh), 1), V_SRL(lo, sh));                  \
-    nw[2] = V_SLL(V_SLL(lo, 31 - sh), 1);                                       \
-    UNROLL for (i = 0; i < 8; i++) {                                            \
-        s[i] = V_SET1(t->early[i]);                                             \
-        base[i] = V_SET1(t->mid[i]);                                            \
-    }                                                                           \
-    for (b = 0; b < t->nblocks; b++) {                                          \
-        UNROLL for (i = 0; i < 16; i++)                                         \
-            w[i] = V_SET1(t->w[16 * b + i]);                                    \
-        for (i = 0; i < 3; i++) {                                               \
-            int k = first + i - 16 * b;                                         \
-            if (0 <= k && k < 16)                                               \
-                w[k] = V_OR(w[k], nw[i]);                                       \
-        }                                                                       \
-        ROUNDS_FROM(s, w, b ? 0 : first);                                       \
-        UNROLL for (i = 0; i < 8; i++)                                          \
-            s[i] = base[i] = V_ADD(s[i], base[i]);                              \
-    }                                                                           \
+    for (i = 0; i < LANES; i++)                                                 \
+        lo_[i] = lo + (uint32_t)i;                                              \
+    w[11] = V_LOAD(lo_);                                                        \
     UNROLL for (i = 0; i < 8; i++)                                              \
-        V_STORE(dig[i], base[i]);                                               \
+        s[i] = V_SET1(f->s[i]);                                                 \
+    S_(s, 0, 12) = V_ADD(S_(s, 0, 12), w[11]);                                  \
+    S_(s, 4, 12) = V_ADD(S_(s, 4, 12), w[11]);                                  \
+    UNROLL for (i = 12; i < 64; i++) {                                          \
+        if (i >= 40) {                                                          \
+            SCHEDULE(w, i);                                                     \
+            ROUND(s, w, i);                                                     \
+        } else if (VARIES(i)) {                                                 \
+            FOLDED_SCHEDULE(f, w, i);                                           \
+            ROUND(s, w, i);                                                     \
+        } else {                                                                \
+            ROUND_KW(s, V_SET1(f->kw[i]), i);                                   \
+        }                                                                       \
+    }                                                                           \
+    V_STORE(dig0, V_ADD(s[0], V_SET1(f->mid0)));                                \
 }
 
 #ifdef HAVE_X86
@@ -248,30 +264,24 @@ name(const Tail *t, uint64_t n, uint32_t dig[8][MAX_LANES])                     
 #define LANES 8
 #define V_SET1(x) _mm256_set1_epi32((int)(x))
 #define V_ADD(a, b) _mm256_add_epi32(a, b)
-#define V_OR(a, b) _mm256_or_si256(a, b)
 #define V_XOR3(a, b, c) _mm256_xor_si256(_mm256_xor_si256(a, b), c)
 #define V_ROR(x, c) _mm256_or_si256(_mm256_srli_epi32(x, c), _mm256_slli_epi32(x, 32 - (c)))
 #define V_SHR(x, c) _mm256_srli_epi32(x, c)
-#define V_SLL(x, c) _mm256_sll_epi32(x, _mm_cvtsi32_si128(c))
-#define V_SRL(x, c) _mm256_srl_epi32(x, _mm_cvtsi32_si128(c))
 #define V_CH(e, f, g) _mm256_xor_si256(g, _mm256_and_si256(e, _mm256_xor_si256(f, g)))
 #define V_MAJ(a, b, c) \
     _mm256_or_si256(_mm256_and_si256(a, b), _mm256_and_si256(c, _mm256_or_si256(a, b)))
 #define V_LOAD(p) _mm256_loadu_si256((const __m256i *)(p))
 #define V_STORE(p, x) _mm256_storeu_si256((__m256i *)(p), x)
 
-DEFINE_LANES_KERNEL(hash_avx2_x8, __attribute__((target("avx2"))))
+DEFINE_FOLDED_KERNEL(fold_avx2_x8, __attribute__((target("avx2"))))
 
 #undef V
 #undef LANES
 #undef V_SET1
 #undef V_ADD
-#undef V_OR
 #undef V_XOR3
 #undef V_ROR
 #undef V_SHR
-#undef V_SLL
-#undef V_SRL
 #undef V_CH
 #undef V_MAJ
 #undef V_LOAD
@@ -283,29 +293,23 @@ DEFINE_LANES_KERNEL(hash_avx2_x8, __attribute__((target("avx2"))))
 #define LANES 16
 #define V_SET1(x) _mm512_set1_epi32((int)(x))
 #define V_ADD(a, b) _mm512_add_epi32(a, b)
-#define V_OR(a, b) _mm512_or_si512(a, b)
 #define V_XOR3(a, b, c) _mm512_ternarylogic_epi32(a, b, c, 0x96)
 #define V_ROR(x, c) _mm512_ror_epi32(x, c)
 #define V_SHR(x, c) _mm512_srli_epi32(x, c)
-#define V_SLL(x, c) _mm512_sll_epi32(x, _mm_cvtsi32_si128(c))
-#define V_SRL(x, c) _mm512_srl_epi32(x, _mm_cvtsi32_si128(c))
 #define V_CH(e, f, g) _mm512_ternarylogic_epi32(e, f, g, 0xCA)
 #define V_MAJ(a, b, c) _mm512_ternarylogic_epi32(a, b, c, 0xE8)
 #define V_LOAD(p) _mm512_loadu_si512(p)
 #define V_STORE(p, x) _mm512_storeu_si512(p, x)
 
-DEFINE_LANES_KERNEL(hash_avx512_x16, __attribute__((target("avx512f"))))
+DEFINE_FOLDED_KERNEL(fold_avx512_x16, __attribute__((target("avx512f"))))
 
 #undef V
 #undef LANES
 #undef V_SET1
 #undef V_ADD
-#undef V_OR
 #undef V_XOR3
 #undef V_ROR
 #undef V_SHR
-#undef V_SLL
-#undef V_SRL
 #undef V_CH
 #undef V_MAJ
 #undef V_LOAD
@@ -583,18 +587,15 @@ static int cpu_sha_ni(void) { return __builtin_cpu_supports("sha") && __builtin_
 static int cpu_avx2(void) { return __builtin_cpu_supports("avx2"); }
 #endif /* HAVE_X86 */
 
-/* ---- scalar lanes: set-up compressions and the portable kernel ---- */
+/* ---- scalar lanes: set-up, whole digests and the portable kernel ---- */
 
 #define V uint32_t
 #define LANES 1
 #define V_SET1(x) (x)
 #define V_ADD(a, b) ((a) + (b))
-#define V_OR(a, b) ((a) | (b))
 #define V_XOR3(a, b, c) ((a) ^ (b) ^ (c))
 #define V_ROR(x, c) (((x) >> (c)) | ((x) << (32 - (c))))
 #define V_SHR(x, c) ((x) >> (c))
-#define V_SLL(x, c) ((x) << (c))
-#define V_SRL(x, c) ((x) >> (c))
 #define V_CH(e, f, g) ((g) ^ ((e) & ((f) ^ (g))))
 #define V_MAJ(a, b, c) (((a) & (b)) | ((c) & ((a) | (b))))
 #define V_LOAD(p) ((p)[0])
@@ -614,14 +615,59 @@ rounds(uint32_t s[8], uint32_t w[16], int from, int to)
     }
 }
 
-DEFINE_LANES_KERNEL(hash_portable, )
+DEFINE_FOLDED_KERNEL(fold_portable, )
+
+/* The whole digest of nonce n: its eight bytes at byte offset t->at of the
+   final blocks, then every round of each. */
+static void
+hash_one(const Tail *t, uint64_t n, uint32_t out[8])
+{
+    uint32_t w[32], s[8], hi = (uint32_t)(n >> 32), lo = (uint32_t)n;
+    int b, k, sh = 8 * (t->at % 4);
+
+    memcpy(w, t->w, sizeof(w));
+    w[t->first] |= hi >> sh;
+    w[t->first + 1] |= ((hi << (31 - sh)) << 1) | (lo >> sh);
+    w[t->first + 2] |= (lo << (31 - sh)) << 1;
+    memcpy(out, t->mid, sizeof(t->mid));
+    for (b = 0; b < t->nblocks; b++) {
+        memcpy(s, out, sizeof(s));
+        rounds(s, w + 16 * b, 0, 64);
+        for (k = 0; k < 8; k++)
+            out[k] += s[k];
+    }
+}
+
+/* The fold of high word hi, for a tail with the nonce at byte 40. */
+static void
+fold_init(Fold *f, const Tail *t, uint32_t hi)
+{
+    uint32_t w[40];
+    int i;
+
+    memcpy(w, t->w, 16 * sizeof(uint32_t));
+    w[10] = hi;
+    memcpy(f->s, t->mid, sizeof(f->s));
+    rounds(f->s, w, 0, 12); /* w[11] is zero: the low word comes in per lane */
+    for (i = 16; i < 40; i++) {
+        w[i] = (VARIES(i - 2) ? 0 : SSIG1(w[i - 2])) + (VARIES(i - 7) ? 0 : w[i - 7])
+             + (VARIES(i - 15) ? 0 : SSIG0(w[i - 15])) + (VARIES(i - 16) ? 0 : w[i - 16]);
+        f->wf[i] = w[i];
+    }
+    for (i = 12; i < 40; i++)
+        if (!VARIES(i))
+            f->kw[i] = K256[i] + w[i];
+    f->hi = hi;
+    f->mid0 = t->mid[0];
+}
 
 /* ---- kernels and the search ---- */
 
 typedef struct {
     const char *name;     /* BACKEND value */
     const char *method;   /* the module function that searches with it alone */
-    hash_fn hash;
+    fold_fn fold;         /* lanes from a fold, or NULL ... */
+    hash_fn hash;         /* ... lanes from the tail, whole digests */
     int lanes;            /* nonces per call */
     int (*offered)(void); /* whether this CPU runs it; NULL: always */
 } Kernel;
@@ -629,11 +675,11 @@ typedef struct {
 /* in the order PyInit prefers them */
 static const Kernel kernels[] = {
 #ifdef HAVE_X86
-    {"avx512-x16", "_search_avx512_x16", hash_avx512_x16, 16, cpu_avx512},
-    {"sha-ni-x2", "_search_sha_ni_x2", hash_sha_ni_x2, 2, cpu_sha_ni},
-    {"avx2-x8", "_search_avx2_x8", hash_avx2_x8, 8, cpu_avx2},
+    {"avx512-x16", "_search_avx512_x16", fold_avx512_x16, NULL, 16, cpu_avx512},
+    {"sha-ni-x2", "_search_sha_ni_x2", NULL, hash_sha_ni_x2, 2, cpu_sha_ni},
+    {"avx2-x8", "_search_avx2_x8", fold_avx2_x8, NULL, 8, cpu_avx2},
 #endif
-    {"portable", "_search_portable", hash_portable, 1, NULL},
+    {"portable", "_search_portable", fold_portable, NULL, 1, NULL},
 };
 #define NKERNELS ((int)(sizeof(kernels) / sizeof(kernels[0])))
 
@@ -645,13 +691,12 @@ tail_init(Tail *t, const unsigned char *prefix, Py_ssize_t len)
     Py_ssize_t head = (len / 64) * 64;
     uint64_t bits = (uint64_t)(len + 8) * 8;
     unsigned char block[128] = {0};
-    uint32_t words[16];
+    uint32_t words[16], s[8];
     Py_ssize_t off;
     int k;
 
     memcpy(t->mid, H0, sizeof(H0));
     for (off = 0; off < head; off += 64) {
-        uint32_t s[8];
         memcpy(s, t->mid, sizeof(s));
         for (k = 0; k < 16; k++)
             words[k] = load_be32(prefix + off + 4 * k);
@@ -670,14 +715,13 @@ tail_init(Tail *t, const unsigned char *prefix, Py_ssize_t len)
     for (k = 0; k < 16 * t->nblocks; k++)
         t->w[k] = load_be32(block + 4 * k);
 
-    /* the rounds before the first nonce word; words below `first` hold no
-       nonce byte, and rounds below 16 leave w as it is */
-    memcpy(t->early, t->mid, sizeof(t->mid));
+    /* the 4-round groups before the first nonce word, which hold no nonce
+       byte; rounds below 16 leave w as it is */
+    memcpy(s, t->mid, sizeof(s));
     memcpy(words, t->w, sizeof(words));
-    rounds(t->early, words, 0, t->first / 4 * 4);
+    rounds(s, words, 0, t->first / 4 * 4);
     for (k = 0; k < 8; k++)
-        t->group_state[k] = S_(t->early, k, t->first / 4 * 4);
-    rounds(t->early, words, t->first / 4 * 4, t->first);
+        t->group_state[k] = S_(s, k, t->first / 4 * 4);
 
 #ifdef HAVE_X86
     /* byte L of group j is byte 3 - L%4 of word 4j + L/4; the nonce's
@@ -700,7 +744,11 @@ below(const uint32_t dig[8], const uint32_t tgt[8])
     return 0;
 }
 
-/* First nonce from *nonce within max_trials whose digest is below tgt. */
+/* First nonce from *nonce within max_trials whose digest is below tgt.  A
+   fold kernel hashes a group only when its nonce sits at byte 40 and all
+   its lanes share one high word, refolding when that word changes; every
+   other group, and every lane whose word 0 is at most the target's, is
+   hashed whole by hash_one. */
 static int
 scan(const Tail *t, const Kernel *kernel, const uint32_t tgt[8], uint64_t *nonce,
      unsigned long long max_trials, uint32_t out[8])
@@ -708,16 +756,33 @@ scan(const Tail *t, const Kernel *kernel, const uint32_t tgt[8], uint64_t *nonce
     uint32_t dig[8][MAX_LANES];
     uint64_t n = *nonce;
     unsigned long long left = max_trials;
-    int lane, lanes, k;
+    /* the highest low word a group can start at without a carry */
+    uint32_t last = UINT32_MAX - (uint32_t)(kernel->lanes - 1);
+    Fold fold;
+    int lane, lanes, k, screened;
 
+    if (t->at == 40)
+        fold_init(&fold, t, (uint32_t)(n >> 32));
     while (left > 0) {
-        kernel->hash(t, n, dig);
         lanes = left < (unsigned long long)kernel->lanes ? (int)left : kernel->lanes;
+        screened = 1;
+        if (kernel->hash != NULL) {
+            kernel->hash(t, n, dig);
+        } else if (t->at == 40 && (uint32_t)n <= last) {
+            if (fold.hi != (uint32_t)(n >> 32)) /* the low word carried */
+                fold_init(&fold, t, (uint32_t)(n >> 32));
+            kernel->fold(&fold, (uint32_t)n, dig[0]);
+        } else {
+            screened = 0;
+        }
         for (lane = 0; lane < lanes; lane++) {
-            if (dig[0][lane] > tgt[0])
+            if (screened && dig[0][lane] > tgt[0])
                 continue;
-            for (k = 0; k < 8; k++)
-                out[k] = dig[k][lane];
+            if (kernel->hash != NULL)
+                for (k = 0; k < 8; k++)
+                    out[k] = dig[k][lane];
+            else
+                hash_one(t, n + (uint64_t)lane, out);
             if (below(out, tgt)) {
                 *nonce = n + (uint64_t)lane;
                 return 1;

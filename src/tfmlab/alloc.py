@@ -126,9 +126,11 @@ def _double(value) -> bool:
 
 def _in_doubles(sizes: np.ndarray, order: np.ndarray, capacity, total) -> bool:
     """Whether a walk runs in doubles as it would in the numbers given, so on the C loop:
-    float64 sizes, an intp order, and a capacity and start total that are doubles exactly."""
-    return sizes.dtype == float and order.dtype == np.intp and _double(capacity) \
-        and _double(total)
+    float64 sizes, an intp order, a capacity that is a double exactly or a numpy float64,
+    and a start total that is a double exactly.  A numpy start stays off the C loop: the
+    total a walk returns keeps the start's type there, where the C loop returns a float."""
+    return sizes.dtype == float and order.dtype == np.intp \
+        and (_double(capacity) or type(capacity) is np.float64) and _double(total)
 
 
 def _walk(sizes: np.ndarray, order: np.ndarray, capacity, total=0):
@@ -136,9 +138,10 @@ def _walk(sizes: np.ndarray, order: np.ndarray, capacity, total=0):
 
     Returns the kept rows, in walk order, and `total` plus their sizes added
     in that order; with nothing kept, `total` itself.  Float64 sizes, an
-    intp order, and a capacity and `total` that are doubles exactly run the
-    C helper's loop; everything else (no helper, object columns of ints or
-    Fractions) runs the same loop here.
+    intp order, and a capacity and `total` that are doubles exactly (the
+    capacity may be a numpy float64) run the C helper's loop; everything
+    else (no helper, object columns of ints or Fractions) runs the same loop
+    here.
     """
     if _walk_c is not None and _in_doubles(sizes, order, capacity, total):
         kept = np.empty(len(order), dtype=np.intp)

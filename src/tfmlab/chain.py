@@ -12,11 +12,11 @@ anything else confirms the optimal set (toss 1).
 Nonce scanning prefers the small C helper `_noncesearch.c`, which carries
 its own SHA-256 compression and releases the GIL, and falls back to pure
 hashlib with identical nonces and hashes.  The helper hashes a group of
-consecutive nonces per call, from the state after the rounds that come
-before the nonce, and picks its kernel when it loads, the first the CPU
-offers of ``avx512-x16`` (16 nonces per call), ``sha-ni-x2`` (2, through
-the SHA extensions), ``avx2-x8`` (8) and ``portable`` (1, plain C); its
-``BACKEND`` names which.  An installed package carries the helper as
+consecutive nonces per call, from the rounds and schedule terms that the
+header and the nonce's high word fix, and picks its kernel when it loads,
+the first the CPU offers of ``avx512-x16`` (16 nonces per call),
+``sha-ni-x2`` (2, through the SHA extensions), ``avx2-x8`` (8) and
+``portable`` (1, plain C); its ``BACKEND`` names which.  An installed package carries the helper as
 `tfmlab._noncesearch`.  Run from a source tree, the helper is compiled on
 first import with the system C compiler into a per-user cache,
 ``$XDG_CACHE_HOME/tfmlab/`` or ``~/.cache/tfmlab/``, in a subdirectory named

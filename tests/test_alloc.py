@@ -648,6 +648,30 @@ def test_walks_a_double_cannot_hold_stay_off_the_c_loop(monkeypatch):
             assert total == expected
 
 
+@needs_c_walk
+@needs_c_row_walk
+@pytest.mark.parametrize("start", [0, 0.25, 3])
+def test_a_numpy_float64_capacity_walks_on_the_c_loops(monkeypatch, start):
+    """np.float64(c) walks as float(c) does, and on the C loops: the same rows, totals and
+    total types, with a start total that nothing joins among them."""
+    calls = []
+    c_walk, c_row_walk = alloc._walk_c, alloc._walk_rows_c
+    monkeypatch.setattr(alloc, "_walk_c", lambda *args: calls.append("walk") or c_walk(*args))
+    monkeypatch.setattr(alloc, "_walk_rows_c",
+                        lambda *args: calls.append("rows") or c_row_walk(*args))
+    sizes = np.array([0.5, 1.5, 2.5, 0.25])
+    orders = np.array([[1, 2, 3, 0], [0, 1, 2, 3], [2, 0, 1, 3]])
+    for capacity in (4.0, 2.75, 0.1):  # at 0.1 nothing fits
+        got = []
+        for cap in (float(capacity), np.float64(capacity)):
+            rows, total = _walk(sizes, orders[0], cap, start)
+            kept, totals = _walk_rows(sizes, orders, cap, start)
+            got.append((rows.tolist(), repr(total), type(total), kept.tolist(),
+                        totals.tolist(), totals.dtype))
+        assert got[0] == got[1], capacity
+    assert calls == ["walk", "rows"] * 6
+
+
 def test_the_row_walk_walks_on_past_the_prefix_cut(monkeypatch):
     """A row whose cut leaves room for a later size: the same rows on the C loop and on
     its Python twin, which walks the rest of the row after the cut."""

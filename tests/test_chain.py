@@ -1,3 +1,5 @@
+import functools
+import itertools
 import logging
 import math
 import os
@@ -246,6 +248,16 @@ def _above(digest):
     return (int.from_bytes(digest, "big") + 1).to_bytes(32, "big")
 
 
+@functools.lru_cache(maxsize=None)
+def _record_prefix(start, k):
+    """A 104-byte prefix whose digest at nonce start + k is below those of start..start+k-1."""
+    for i in itertools.count():
+        prefix = i.to_bytes(8, "big") * 13
+        digests = _run_digests(prefix, start, k + 1)
+        if k == 0 or digests[k] < min(digests[:k]):
+            return prefix, digests[k]
+
+
 @needs_helper
 def test_backend_is_the_first_kernel_the_cpu_offers():
     offered = [name for name in KERNEL_NAMES
@@ -271,13 +283,26 @@ def test_every_kernel_agrees_with_hashlib_at_every_nonce_offset(name):
 def test_every_kernel_stops_exactly_at_each_budget(name):
     search = _kernel_search(name)
     prefix = bytes(range(104))
-    for budget in [*range(1, 18), 31, 32, 33]:
-        digests = _run_digests(prefix, 0, budget + 1)
-        # a target just above each digest, the one past the budget included
-        for digest in digests:
-            target = _above(digest)
-            assert search(prefix, 0, budget, target) == \
-                _first_hit(prefix, 0, digests[:budget], target), (budget, digest.hex())
+    # from zero, and from 20 nonces below a change of the high nonce word: a carry out of
+    # the low word, and the wrap past 2^64 - 1; a group of lanes then straddles the
+    # change, and the groups on either side hash with the old and the new high word
+    for start in (0, (1 << 32) - 20, (1 << 64) - 20):
+        for budget in [*range(1, 18), 31, 32, 33]:
+            digests = _run_digests(prefix, start, budget + 1)
+            # a target just above each digest, the one past the budget included
+            for digest in digests:
+                target = _above(digest)
+                assert search(prefix, start, budget, target) == \
+                    _first_hit(prefix, start, digests[:budget], target), \
+                    (start, budget, digest.hex())
+    # each of the 33 nonces around a change is the first hit on a prefix of its own, so every
+    # lane on both sides of it is screened once
+    for start in ((1 << 32) - 20, (1 << 64) - 20):
+        for k in range(33):
+            record, digest = _record_prefix(start, k)
+            assert search(record, start, k + 1, _above(digest)) == \
+                ((start + k) % (1 << 64), digest), (start, k)
+            assert search(record, start, k, _above(digest)) is None, (start, k)
 
 
 @pytest.mark.parametrize("name", KERNEL_NAMES)
