@@ -58,20 +58,15 @@
  * b"{id}|{size!r}|{bid!r}", the doubles written as float.__repr__ writes
  * them (PyOS_double_to_string with 'r' and Py_DTSF_ADD_DOT_0).
  *
- * walk(sizes, order, capacity, total, out) is the allocation walk: for each
- * row of `order` (intp), in that order, it keeps the row when
- * total + sizes[row] <= capacity and then adds that size to the total, all
- * in doubles over the float64 `sizes`.  It writes the kept rows into the
- * intp buffer `out`, which has room for all of `order`, and returns
- * (kept, total); with nothing kept, the total is the `total` object given.
- * A row outside `sizes` raises IndexError.
- *
- * walk_rows(sizes, orders, capacity, total, kept, totals) is walk over each
- * row of the 2-D intp `orders`, every row from the double `total`: it sets
- * the bool `kept[t, j]` when row t keeps its j-th entry, and writes row t's
- * total into the float64 `totals[t]`.  Every array is C-contiguous and
- * aligned, `kept` has the shape of `orders` and `totals` a value a row; any
- * other dtype, shape or room raises ValueError.
+ * walk_rows(sizes, orders, capacity, total, kept, totals) is the allocation
+ * walk, over each row t of the 2-D intp `orders`: from the double `total`, it
+ * keeps the row's j-th entry when total + sizes[orders[t, j]] <= capacity
+ * and then adds that size to the total, all in doubles over the float64
+ * `sizes`.  It sets the bool `kept[t, j]` to whether it kept that entry and
+ * writes row t's total into the float64 `totals[t]`.  Every array is
+ * C-contiguous and aligned, `kept` has the shape of `orders` and `totals` a
+ * value a row; any other dtype, shape or room raises ValueError, and an entry
+ * outside `sizes` raises IndexError.
  *
  * draws(kind, words, n, out, toss) makes the draws of many audit trials at
  * once, one lane of PCG64 state a trial (O'Neill, PCG, HMC-CS-2014-0905).
@@ -905,51 +900,6 @@ done:
     return list;
 }
 
-/* walk(sizes, order, capacity, total, out): see the header comment */
-static PyObject *
-walk(PyObject *self, PyObject *args)
-{
-    Py_buffer sizes, order, out;
-    PyObject *start, *result = NULL;
-    double capacity, total, size;
-    Py_ssize_t rows, n, i, row, kept = 0;
-
-    if (!PyArg_ParseTuple(args, "y*y*dOw*", &sizes, &order, &capacity, &start, &out))
-        return NULL;
-    rows = sizes.len / (Py_ssize_t)sizeof(double);
-    n = order.len / (Py_ssize_t)sizeof(Py_ssize_t);
-    if (sizes.len % sizeof(double) != 0 || order.len % sizeof(Py_ssize_t) != 0
-        || out.len < order.len) {
-        PyErr_SetString(PyExc_ValueError,
-                        "walk needs float64 sizes, an intp order and room in out for all of it");
-        goto done;
-    }
-    total = PyFloat_AsDouble(start);
-    if (total == -1.0 && PyErr_Occurred())
-        goto done;
-    for (i = 0; i < n; i++) {
-        memcpy(&row, (const char *)order.buf + i * sizeof(Py_ssize_t), sizeof(Py_ssize_t));
-        if (row < 0 || row >= rows) {
-            PyErr_Format(PyExc_IndexError, "row %zd of the order is outside the %zd sizes",
-                         row, rows);
-            goto done;
-        }
-        memcpy(&size, (const char *)sizes.buf + row * sizeof(double), sizeof(double));
-        if (total + size <= capacity) {
-            memcpy((char *)out.buf + kept * sizeof(Py_ssize_t), &row, sizeof(Py_ssize_t));
-            kept++;
-            total += size;
-        }
-    }
-    result = kept ? Py_BuildValue("nd", kept, total) : Py_BuildValue("nO", kept, start);
-
-done:
-    PyBuffer_Release(&sizes);
-    PyBuffer_Release(&order);
-    PyBuffer_Release(&out);
-    return result;
-}
-
 /* Fill `view` with the buffer of `obj`, an aligned C-contiguous array of `ndim`
    dimensions whose items are `code`: 'd' a float64, 'n' a signed integer of
    pointer size (intp), '?' a bool.  Returns 0, or -1 with an exception set. */
@@ -1006,6 +956,9 @@ walk_rows(PyObject *self, PyObject *args)
         order = (const Py_ssize_t *)orders.buf + t * k;
         keep = (char *)kept.buf + t * k;
         total = start;
+        /* zero the row and set only kept entries, in the branch: storing every comparison
+           compiles to a select chain, in which each entry waits on the running total */
+        memset(keep, 0, (size_t)k);
         for (j = 0; j < k; j++) {
             row = order[j];
             if (row < 0 || row >= rows) {
@@ -1014,9 +967,10 @@ walk_rows(PyObject *self, PyObject *args)
                 goto done;
             }
             size = ((const double *)sizes.buf)[row];
-            keep[j] = total + size <= capacity;
-            if (keep[j])
+            if (total + size <= capacity) {
+                keep[j] = 1;
                 total += size;
+            }
         }
         ((double *)totals.buf)[t] = total;
     }
@@ -1217,8 +1171,6 @@ static PyMethodDef methods[] = {
      "search(prefix, start_nonce, max_trials, target) -> (nonce, digest) | None"},
     {"float_leaves", float_leaves, METH_VARARGS,
      "float_leaves(ids, sizes, bids) -> [b'id|size!r|bid!r', ...]"},
-    {"walk", walk, METH_VARARGS,
-     "walk(sizes, order, capacity, total, out) -> (kept, total)"},
     {"walk_rows", walk_rows, METH_VARARGS,
      "walk_rows(sizes, orders, capacity, total, kept, totals) -> None: walk each row"},
     {"draws", draws, METH_VARARGS,

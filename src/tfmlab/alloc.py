@@ -21,17 +21,16 @@ fits.  Only the order differs:
 
 The walk is one ``total += size`` loop: a row is kept when it still fits at
 the running total, so the total adds sizes in walk order.  Where the C helper
-loaded, that loop runs in C for float64 sizes and a capacity and start that
-are doubles exactly; every other column runs the same loop in Python, which
-is also the C loop's test oracle.  ``_walk_rows`` walks many orders at once,
-one a row.  Where ``_walk`` would take the C loop, one call of the helper's
-row form walks every row; otherwise numpy cuts each row's prefix that fits
-from its cumulative sizes, which add in the same order, and a row with room
-left finishes on ``_walk``.  Every softmax walk, of one trial or many, at one
-temperature or many, is a call of ``_softmax_rows``: it sorts rows of at least
+loaded, its row walk runs that loop for float64 sizes and a capacity and start
+that are doubles exactly: ``_walk_rows`` walks many orders in one call, one a
+row, and ``_walk`` one order as a row of its own.  Every other column runs the
+same loop in Python, which is also the C loop's test oracle; there
+``_walk_rows`` cuts each row's prefix that fits from its cumulative sizes,
+which add in the same order, and a row with room left finishes on
+``_walk``.  Every softmax walk, of one trial or many, at one temperature or
+many, is a call of ``_softmax_rows``: it sorts rows of at least
 ``_SIMD_SORT_WIDTH`` keys with numpy's default (SIMD) argsort and re-sorts
-stably only the rows that hold equal keys, so its orders are the stable
-sort's.
+stably only the rows that hold equal keys, so its orders are the stable sort's.
 
 Inside the package the rules exchange rows of one pool, not ids.  Ids appear
 only where an :class:`AllocationResult` is built for a caller, and
@@ -42,6 +41,7 @@ the two-set rule's toss.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence
 
@@ -95,7 +95,10 @@ def _weights(c: PoolColumns, payment=None) -> np.ndarray:
     `payment` holds one per-unit value per row, in pool order, and defaults
     to the bid.
     """
-    p = c.bids if payment is None else _per_row(payment, c)
+    p = c.bids if payment is None else np.asarray(payment)
+    if p.shape != c.ids.shape:
+        raise ParameterError(f"payment needs one value per pool row ({len(c.ids)}), "
+                             f"got shape {p.shape}")
     w = c.sizes * p
     if np.count_nonzero(c.fake):
         # -size * 0 keeps the pool's number type: a Fraction zero, or the float -0.0
@@ -103,16 +106,7 @@ def _weights(c: PoolColumns, payment=None) -> np.ndarray:
     return w
 
 
-def _per_row(values, c: PoolColumns) -> np.ndarray:
-    values = np.asarray(values)
-    if values.shape != c.ids.shape:
-        raise ParameterError(f"payment needs one value per pool row ({len(c.ids)}), "
-                             f"got shape {values.shape}")
-    return values
-
-
-# the loops of _walk and _walk_rows over float64 sizes and intp orders, from the C helper
-_walk_c = getattr(chain._noncesearch, "walk", None)
+# the C helper's walk over rows of intp orders and float64 sizes, for _walk and _walk_rows
 _walk_rows_c = getattr(chain._noncesearch, "walk_rows", None)
 # the narrowest Gumbel rows _softmax_rows sorts with numpy's default (SIMD) argsort; on
 # narrower rows the stable sort is faster than the default one and its check for ties
@@ -139,14 +133,15 @@ def _walk(sizes: np.ndarray, order: np.ndarray, capacity, total=0):
     Returns the kept rows, in walk order, and `total` plus their sizes added
     in that order; with nothing kept, `total` itself.  Float64 sizes, an
     intp order, and a capacity and `total` that are doubles exactly (the
-    capacity may be a numpy float64) run the C helper's loop; everything
-    else (no helper, object columns of ints or Fractions) runs the same loop
-    here.
+    capacity may be a numpy float64) run the C helper's row walk on the one
+    row `order`; everything else (no helper, object columns of ints or
+    Fractions) runs the same loop here.
     """
-    if _walk_c is not None and _in_doubles(sizes, order, capacity, total):
-        kept = np.empty(len(order), dtype=np.intp)
-        count, total = _walk_c(sizes, order, capacity, total, kept)
-        return kept[:count], total
+    if _walk_rows_c is not None and _in_doubles(sizes, order, capacity, total):
+        kept, totals = np.empty((1, len(order)), bool), np.empty(1)
+        _walk_rows_c(sizes, order[None], capacity, total, kept, totals)
+        rows = order[kept[0]]
+        return rows, totals.item(0) if len(rows) else total
     kept = []
     for pos, size in enumerate(sizes[order].tolist()):
         if total + size <= capacity:
@@ -242,16 +237,21 @@ def optimal_allocate(
 ) -> AllocationResult:
     """Revenue-maximizing feasible selection (knapsack).
 
-    `payment_per_unit` gives one value per pool row, in pool order, and
-    defaults to each transaction's bid; a fake row weighs nothing.  Exact
-    mode solves the knapsack outright and is limited to
-    ``EXHAUSTIVE_LIMIT`` candidates; greedy mode ranks by payment per unit
-    size and walks that order, keeping what fits.  By default the
-    knapsack is exact for pools of at most ``EXHAUSTIVE_LIMIT`` transactions
-    and greedy above.  Transactions with non-positive objective weight are
-    never selected, and value ties resolve to the lowest-id set.
+    `payment_per_unit` gives one finite real value per pool row, in pool
+    order (any other value raises ParameterError), and defaults to each
+    transaction's bid; a fake row weighs nothing.  Exact mode solves the
+    knapsack outright and is limited to ``EXHAUSTIVE_LIMIT`` candidates;
+    greedy mode ranks by payment per unit size and walks that order, keeping
+    what fits.  By default the knapsack is exact for pools of at most
+    ``EXHAUSTIVE_LIMIT`` transactions and greedy above.  Transactions with
+    non-positive objective weight are never selected, and value ties resolve
+    to the lowest-id set.
     """
     _check_capacity(capacity)
+    if payment_per_unit is not None:
+        for v in np.asarray(payment_per_unit).ravel().tolist():
+            if not (isinstance(v, numbers.Real) and -math.inf < v < math.inf):
+                raise ParameterError(f"payment_per_unit must be finite numbers, got {v!r}")
     rows, total = _optimal_rows(m.columns, capacity, payment_per_unit, exact)
     return AllocationResult(tuple(m.columns.ids[rows].tolist()), total, capacity)
 

@@ -176,7 +176,7 @@ def _cmd_info(args) -> int:
     chain._search(prefix, 0, trials, 1)
     rate = trials / (time.perf_counter() - start) / 1e6
     merkle = "hashlib" if chain._merkle_root_c is None else "C (sha-ni-x2)"
-    walk = "python" if alloc._walk_c is None or alloc._walk_rows_c is None else "C"
+    walk = "python" if alloc._walk_rows_c is None else "C"
     draws = "python" if _streams._draws_c is None else "C"
     for key, value in (("version", __version__), ("hash_backend", backend),
                        ("hash_helper_path", path), ("merkle_backend", merkle),

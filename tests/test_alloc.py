@@ -406,6 +406,20 @@ def test_payment_arrays_need_one_value_per_row():
         optimal_allocate(m, 2.0, payment_per_unit=[1.0, 2.0])
 
 
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("payment", [
+    [1.0, math.nan, 2.0, 3.0], [math.inf] * 4, [1, 2, 3, -math.inf], ["a"] * 4, [None] * 4,
+    np.array([1.0, 2.0, math.nan, 3.0]), [Fraction(1, 2), Fraction(1, 3), 1, math.nan],
+], ids=["nan", "inf", "int_and_minus_inf", "str", "none", "nan_array", "fraction_and_nan"])
+def test_payments_that_are_not_finite_numbers_are_rejected(payment, exact):
+    m = pool([1, 1, 1, 1], sizes_equal=True)
+    with pytest.raises(ParameterError, match="payment_per_unit must be finite numbers"):
+        optimal_allocate(m, 2.0, payment_per_unit=payment, exact=exact)
+    # finite floats, ints and Fractions, negative ones too, are payments
+    for finite in ([1.0, -0.5, 2.0, 3.0], [1, -1, 2, 3], [Fraction(1, 3), -1, 2, 3.0]):
+        assert optimal_allocate(m, 2.0, payment_per_unit=finite, exact=exact).selected == (2, 3)
+
+
 def test_splitblock_underfilled_reserved_section_is_allowed():
     m = pool([5, 4], sizes_equal=True)  # no zero bids to reserve
     res = splitblock_allocate(m, 4.0, SplitBlockConfig(0.5), seed=3)
@@ -541,51 +555,58 @@ def test_long_walks_match_the_sequential_loop(shape, kind, start):
     assert repr(total) == repr(expected)
 
 
-needs_c_walk = pytest.mark.skipif(alloc._walk_c is None, reason="the C helper is not available")
+needs_c_row_walk = pytest.mark.skipif(alloc._walk_rows_c is None,
+                                      reason="the C helper is not available")
 
 
-@needs_c_walk
+def _recording(monkeypatch, calls):
+    """Patch the C row walk to note the shape of each call's orders in `calls`."""
+    c_walk = alloc._walk_rows_c
+    monkeypatch.setattr(alloc, "_walk_rows_c",
+                        lambda *args: calls.append(args[1].shape) or c_walk(*args))
+
+
+@needs_c_row_walk
 @pytest.mark.parametrize("start", [0, 0.75, 3])
 @pytest.mark.parametrize("shape", LONG_ORDERS)
 def test_c_walk_matches_the_python_walk(monkeypatch, shape, start):
+    """A one-order walk on the C path is one call of the row walk, on a one-row order."""
     sizes, order, capacity = _long_order(shape)
     sizes, capacity = np.asarray(sizes) / 1000, capacity / 1000  # float64 sizes
     calls = []
-    c_walk = alloc._walk_c
-    monkeypatch.setattr(alloc, "_walk_c", lambda *args: calls.append(args) or c_walk(*args))
+    _recording(monkeypatch, calls)
     for rows in (order, order[:20]):  # a long order and a short one
         got_rows, got_total = _walk(sizes, rows, capacity, start)
         with monkeypatch.context() as python_only:
-            python_only.setattr(alloc, "_walk_c", None)
+            python_only.setattr(alloc, "_walk_rows_c", None)
             rows_py, total_py = _walk(sizes, rows, capacity, start)
         assert got_rows.tolist() == rows_py.tolist()
         assert repr(got_total) == repr(total_py)
-    assert len(calls) == 2
+    assert calls == [(1, len(order)), (1, 20)]
 
 
 @pytest.mark.parametrize("c_walk", [True, False])
 def test_a_walk_that_keeps_nothing_returns_the_start_total_itself(monkeypatch, c_walk):
+    calls = []
     if not c_walk:
-        monkeypatch.setattr(alloc, "_walk_c", None)
-    elif alloc._walk_c is None:
+        monkeypatch.setattr(alloc, "_walk_rows_c", None)
+    elif alloc._walk_rows_c is None:
         pytest.skip("the C helper is not available")
-    for n in (3, 40):  # a short order and a long one
+    else:
+        _recording(monkeypatch, calls)
+    for n in (0, 3, 40):  # an empty order, a short one and a long one
         rows, total = _walk(np.full(n, 5.0), np.arange(n), 1.0)
         assert rows.tolist() == [] and type(total) is int and total == 0
+    assert calls == ([(1, 0), (1, 3), (1, 40)] if c_walk else [])
 
 
-@needs_c_walk
+@needs_c_row_walk
 @pytest.mark.parametrize("row", [3, -1, 2**62])
 def test_c_walk_rejects_an_order_row_outside_the_sizes(row):
-    out = np.empty(2, dtype=np.intp)
     with pytest.raises(IndexError, match="outside the 3 sizes"):
-        alloc._walk_c(np.ones(3), np.array([0, row], dtype=np.intp), 10.0, 0, out)
-    with pytest.raises(ValueError, match="room in out"):
-        alloc._walk_c(np.ones(3), np.arange(3), 10.0, 0, out)
+        _walk(np.ones(3), np.array([0, row], dtype=np.intp), 10.0)
 
 
-needs_c_row_walk = pytest.mark.skipif(alloc._walk_rows_c is None,
-                                      reason="the C helper is not available")
 ORDERS = np.array([[0, 1], [2, 1]], dtype=np.intp)
 
 
@@ -620,7 +641,6 @@ def test_walks_a_double_cannot_hold_stay_off_the_c_loop(monkeypatch):
     def no_c_walk(*args):
         raise AssertionError("the C walk must not run here")
 
-    monkeypatch.setattr(alloc, "_walk_c", no_c_walk)
     monkeypatch.setattr(alloc, "_walk_rows_c", no_c_walk)
     sizes, order = np.array([0.5, 1.5, 2.5, 0.25]), np.arange(4)
     cases = [(sizes, order, Fraction(7, 3), 0),  # a Fraction capacity
@@ -648,15 +668,13 @@ def test_walks_a_double_cannot_hold_stay_off_the_c_loop(monkeypatch):
             assert total == expected
 
 
-@needs_c_walk
 @needs_c_row_walk
 @pytest.mark.parametrize("start", [0, 0.25, 3])
 def test_a_numpy_float64_capacity_walks_on_the_c_loops(monkeypatch, start):
-    """np.float64(c) walks as float(c) does, and on the C loops: the same rows, totals and
+    """np.float64(c) walks as float(c) does, and on the C loop: the same rows, totals and
     total types, with a start total that nothing joins among them."""
     calls = []
-    c_walk, c_row_walk = alloc._walk_c, alloc._walk_rows_c
-    monkeypatch.setattr(alloc, "_walk_c", lambda *args: calls.append("walk") or c_walk(*args))
+    c_row_walk = alloc._walk_rows_c
     monkeypatch.setattr(alloc, "_walk_rows_c",
                         lambda *args: calls.append("rows") or c_row_walk(*args))
     sizes = np.array([0.5, 1.5, 2.5, 0.25])
@@ -669,7 +687,7 @@ def test_a_numpy_float64_capacity_walks_on_the_c_loops(monkeypatch, start):
             got.append((rows.tolist(), repr(total), type(total), kept.tolist(),
                         totals.tolist(), totals.dtype))
         assert got[0] == got[1], capacity
-    assert calls == ["walk", "rows"] * 6
+    assert calls == ["rows", "rows"] * 6
 
 
 def test_the_row_walk_walks_on_past_the_prefix_cut(monkeypatch):
@@ -685,10 +703,9 @@ def test_the_row_walk_walks_on_past_the_prefix_cut(monkeypatch):
                                 [3.25, 3.25])
 
 
-@needs_c_walk
 @needs_c_row_walk
 def test_stfm_sweep_csv_bytes_do_not_depend_on_the_walk(monkeypatch, tmp_path):
-    """Every caller of the walks gives the same bytes on the C loops and the Python loops:
+    """Every caller of the walks gives the same bytes on the C loop and the Python loops:
     the softmax sweep (the row walk), the two-set sweep (greedy and uniform walks), the
     two-set rule's roots, and split block with fakes, whose walk starts at the fakes'
     total."""
@@ -707,13 +724,16 @@ def test_stfm_sweep_csv_bytes_do_not_depend_on_the_walk(monkeypatch, tmp_path):
     m = Mempool([Transaction(i, float(rng.exponential(1)), bid, bid)
                  for i, bid in enumerate(rng.choice([0.0, 1.0, 2.0, 3.0], 300).tolist())])
     fakes = [Transaction(1000 + j, 0.5 + j, 1.0, 1.0, fake=True) for j in range(3)]
-    c_walk, c_row_walk, starts, row_walks = alloc._walk_c, alloc._walk_rows_c, [], []
+    c_row_walk, starts, row_walks = alloc._walk_rows_c, [], []
+
+    def row_walk(*args):
+        starts.append(args[3])
+        row_walks.append(args[1].shape)
+        return c_row_walk(*args)
+
     outputs = []
-    for walk, row_walk in ((lambda *args: starts.append(args[3]) or c_walk(*args),
-                            lambda *args: row_walks.append(args[1].shape) or c_row_walk(*args)),
-                           (None, None)):
-        monkeypatch.setattr(alloc, "_walk_c", walk)
-        monkeypatch.setattr(alloc, "_walk_rows_c", row_walk)
+    for walk in (row_walk, None):
+        monkeypatch.setattr(alloc, "_walk_rows_c", walk)
         got = []
         for run, cfg in ((run_stfm_sweep, stfm), (run_rtfm_sweep, rtfm)):
             path = tmp_path / f"{len(outputs)}_{len(got)}.csv"
