@@ -1,21 +1,19 @@
 """Audit trials stepped all at once.
 
-:func:`_batched` takes an arm of :mod:`.mech` whose rule draws and returns
-the draws its trials read, as :meth:`._streams._TrialStreams.slices` makes
-them, with the rule's step over a slice of trials' draws.  For each trial the
-step gives the block, total and utilities that the rule's one-trial step gives
-from that trial's stream, bit for bit, whatever number types the pool's
-columns and the posted fee hold.  Every step walks a slice's orders through
+:func:`_batched` takes an arm of :mod:`.mech` and returns the draws its
+trials read, as :meth:`._streams._TrialStreams.slices` makes them, with the
+rule's step over a slice of trials' draws.  For each trial the step gives the
+block, total and utilities that the rule's one-trial step gives from that
+trial's stream, bit for bit, whatever number types the pool's columns and the
+posted fee hold.  The steps walk a slice's orders through
 ``alloc._walk_rows``, in one call of the C helper's row walk where the sizes
-are float64, and prices its blocks through :func:`_priced`, the array form
-of ``mech._Arm.block``.
+are float64, and price its blocks through :func:`_priced`, which takes each
+price from ``mech._unit_prices`` as ``mech._Arm.block`` does.
 
-``audit._step_arms`` brings here every arm for which :func:`_batched`
-returns a step: every arm whose one-trial step moves its generator, as its
-draw kind and width tell (:func:`_draws`).  The one arm that draws and stays
-on the one-trial step, ``estimate_zti``'s uniform arm, calls
-``run_mechanism`` once per trial, because the benchmark's tracing test
-counts those calls; ``run_mechanism`` prepares that arm once and reuses it.
+An arm whose one-trial step does not move its generator (:func:`_draws`)
+gives the same block in every trial, so ``audit._step_arms`` steps it once,
+on one trial's empty draws.  The knapsack's step is such a one: it returns
+:func:`_paying`, the block that the two-set rule's paying branch takes.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .alloc import _running, _softmax_rows, _walk_rows
-from .mech import AllocationKind, PaymentKind, _Arm, _filled, _knapsack, _split_block
+from .mech import AllocationKind, _Arm, _knapsack, _split_block, _unit_prices
 from ._streams import GUMBEL, PERMUTATION, TOSS
 
 
@@ -38,44 +36,39 @@ class _Blocks(NamedTuple):
     user_utility: np.ndarray  # a column per real row, 0.0 where the row is left out
 
 
-def _fold(values: np.ndarray) -> np.ndarray:
-    """Each row summed in order from the float 0.0, as ``mech._block_income`` sums a block."""
-    return np.concatenate((np.zeros((len(values), 1)), values), axis=1).cumsum(axis=1)[:, -1]
-
-
 def _priced(arm: _Arm, rows: np.ndarray, taken: np.ndarray, total: np.ndarray,
             reserved: Optional[np.ndarray] = None, pays: bool = True) -> _Blocks:
     """The blocks made of the pool rows of `rows` where `taken`, in that order, one block
-    a row, priced as ``mech._Arm.block`` prices one block.
+    a row, priced by ``mech._unit_prices`` as ``mech._Arm.block`` prices one block.
 
     `reserved` marks split block's posted-fee section, and a two-set block whose
     toss was 0 `pays` nothing.  The income and the burn are each folded from 0.0
-    in block order, and every price keeps the number type the one-trial step
-    gives it.
+    in block order, as ``mech._block_income`` folds them.
     """
-    spec, c = arm.spec, arm.pool.columns
-    size, bids = c.sizes[rows], c.bids[rows]
-    p = q = 0.0  # payment and burn per unit
-    if pays and spec.payment is PaymentKind.SECOND_PRICE:  # the main section's lowest bid
-        main = taken if reserved is None else taken & ~reserved
-        p = np.where(main, bids, np.inf).min(axis=1, initial=np.inf, keepdims=True)
-        p[p == np.inf] = 0.0
-    elif pays and spec.payment is PaymentKind.POSTED_PRICE:
-        p, q = bids - spec.base_fee, _filled(spec.base_fee, bids.shape)
-    elif pays:
-        p = bids
-    if reserved is not None:
-        p = np.where(reserved, _filled(spec.split.delta, bids.shape), p)
-        q = np.where(reserved, 0.0, q)
+    c, trial = arm.pool.columns, np.arange(len(rows))[:, None]
+    size = c.sizes[rows]
+    p, q = _unit_prices(arm.spec, c.bids[rows], taken, reserved, pays)
     real, fake = taken & ~c.fake[rows], taken & c.fake[rows]
-    income = _fold(np.where(real, size * p, 0.0))
-    burn = _fold(np.where(fake, size * q, 0.0))
+    income = _running(np.where(real, size * p, 0.0), 0.0)[:, -1]
+    burn = _running(np.where(fake, size * q, 0.0), 0.0)[:, -1]
     included = np.zeros((len(rows), len(c.ids)), bool)
-    np.put_along_axis(included, rows, taken, axis=1)
+    included[trial, rows] = taken
     gain = np.where(real, (c.valuations[rows] - p - q) * size, 0.0)
     users = np.full(included.shape, 0.0, gain.dtype)
-    np.put_along_axis(users, rows, gain, axis=1)
+    users[trial, rows] = gain
     return _Blocks(included, total, income - burn, users[:, :len(arm.m)])
+
+
+def _paying(arm: _Arm) -> _Blocks:
+    """The arm's knapsack block, priced, as a batch of one trial."""
+    rows, total = _knapsack(arm)
+    return _priced(arm, rows[None], np.ones((1, len(rows)), bool), np.array([total]))
+
+
+def _optimal(arm: _Arm):
+    """The knapsack block, the same in every trial: the step of one trial reads no draws."""
+    paying = _paying(arm)
+    return PERMUTATION, 0, lambda perms: paying
 
 
 def _softmax(arm: _Arm):
@@ -95,9 +88,7 @@ def _softmax(arm: _Arm):
 def _two_set(arm: _Arm):
     """Walk each permutation whose toss is below phi, paying nothing; every other trial
     takes the arm's knapsack block, priced once."""
-    sizes = arm.pool.columns.sizes
-    rows, total = _knapsack(arm)
-    paying = _priced(arm, rows[None], np.ones((1, len(rows)), bool), np.array([total]))
+    sizes, paying = arm.pool.columns.sizes, _paying(arm)
 
     def step(draws) -> _Blocks:
         toss, perms = draws
@@ -151,8 +142,8 @@ def _uniform(arm: _Arm):
     return PERMUTATION, len(arm.kept), step
 
 
-# the knapsack rule draws nothing, so it has no batched step
 _BATCHED = {
+    AllocationKind.OPTIMAL: _optimal,
     AllocationKind.SOFTMAX: _softmax,
     AllocationKind.RTFM: _two_set,
     AllocationKind.SPLIT_BLOCK: _split_blocks,
@@ -169,10 +160,7 @@ def _draws(kind: int, width: int) -> bool:
 
 def _batched(arm: _Arm):
     """The draw kind the trials of the arm read, its width (values a trial), and the
-    rule's step over a slice of trials' draws; None where the rule draws nothing, so that
-    every trial gives the same block."""
-    rule = _BATCHED.get(arm.spec.allocation)
-    if rule is None:
-        return None
-    kind, width, step = rule(arm)
-    return (kind, width, step) if _draws(kind, width) else None
+    rule's step over a slice of trials' draws.  Where the kind and width draw nothing
+    (:func:`_draws`), every trial gives the same block: the step's over one trial's
+    empty draws."""
+    return _BATCHED[arm.spec.allocation](arm)

@@ -48,7 +48,8 @@ from typing import Dict, Mapping, Optional, Sequence
 import numpy as np
 
 from . import chain
-from .errors import DomainError, ParameterError, SolverLimitError, _check_capacity, _check_gamma
+from .errors import DomainError, ParameterError, SolverLimitError
+from .errors import _check_capacity, _check_gamma, _finite
 from .txpool import Mempool, PoolColumns, SeedLike, Transaction, resolve_rng
 
 EXHAUSTIVE_LIMIT = 24
@@ -237,10 +238,10 @@ def optimal_allocate(
 ) -> AllocationResult:
     """Revenue-maximizing feasible selection (knapsack).
 
-    `payment_per_unit` gives one finite real value per pool row, in pool
-    order (any other value raises ParameterError), and defaults to each
-    transaction's bid; a fake row weighs nothing.  Exact mode solves the
-    knapsack outright and is limited to ``EXHAUSTIVE_LIMIT`` candidates;
+    `payment_per_unit` gives one real value per pool row, in pool order, that
+    converts to a finite double (any other value raises ParameterError), and
+    defaults to each transaction's bid; a fake row weighs nothing.  Exact mode
+    solves the knapsack outright and is limited to ``EXHAUSTIVE_LIMIT`` candidates;
     greedy mode ranks by payment per unit size and walks that order, keeping
     what fits.  By default the knapsack is exact for pools of at most
     ``EXHAUSTIVE_LIMIT`` transactions and greedy above.  Transactions with
@@ -250,7 +251,7 @@ def optimal_allocate(
     _check_capacity(capacity)
     if payment_per_unit is not None:
         for v in np.asarray(payment_per_unit).ravel().tolist():
-            if not (isinstance(v, numbers.Real) and -math.inf < v < math.inf):
+            if not (isinstance(v, numbers.Real) and _finite(v)):
                 raise ParameterError(f"payment_per_unit must be finite numbers, got {v!r}")
     rows, total = _optimal_rows(m.columns, capacity, payment_per_unit, exact)
     return AllocationResult(tuple(m.columns.ids[rows].tolist()), total, capacity)

@@ -29,9 +29,9 @@ from .alloc import (
 from .errors import DomainError, ParameterError, SolverLimitError
 from .errors import _check_capacity, _check_gamma, _check_int
 from .experiments import _mean_se
-from .mech import AllocationKind, MechanismSpec, PaymentKind, _Arm, _arm, _prepare, run_mechanism
+from .mech import AllocationKind, MechanismSpec, PaymentKind, _Arm, _arm, run_mechanism
 from ._streams import GUMBEL, _TrialStreams
-from ._trials import _batched
+from ._trials import _batched, _draws, _paying
 from .txpool import Mempool, Transaction, resolve_rng, zero_fee_subset
 
 _TOL = 1e-9
@@ -75,35 +75,31 @@ class CofReport:
     cov: Optional[float] = None
 
 
-def _step_arms(arms: Iterable[_Arm], streams: _TrialStreams, read,
-               read_all) -> List[list]:
-    """For each arm, the values `read` takes of the block of each trial it runs, and
-    whether its rule drew.
+def _step_arms(arms: Iterable[_Arm], streams: _TrialStreams, read) -> List[list]:
+    """For each arm, the values `read` takes of the blocks of each slice of trials it
+    runs, and whether its rule drew.
 
-    An arm whose rule draws nothing (:func:`._trials._batched` gives it no
-    step: the knapsack, or a rule over too few rows to draw) gives the same
-    block in every trial, so its one-trial step runs trial 0 alone.  Every
-    other arm, whatever its rule, steps all its trials at once into an array
-    of `read_all` of each slice's blocks, on the draws ``streams.slices``
-    makes: from the C helper's PCG64 lanes, or from each trial's own generator
-    without the helper.  Arms that read the same draws share each slice and
-    all step it before the next is made, so every arm that draws is held,
-    with its values, until the last slice.  The softmax arms share Gumbel rows
-    at the widest of them: an arm over k candidates reads the first k columns,
-    its trials' ``gumbel(size=k)``, since the Gumbel-top-k key takes the same
-    noise at every width.  The other arms share the tosses or permutations of
-    one length.  ``estimate_zti``'s uniform arm does not come here: it stays
-    the one path that calls ``run_mechanism`` once per trial, since the
-    benchmark's tracing test counts those calls.
+    Every arm steps through its :func:`._trials._batched` step.  An arm whose
+    rule draws nothing (:func:`._trials._draws`) gives the same block in every
+    trial, so it runs one trial, stepped on that trial's empty draws.  Every
+    other arm steps all its trials, on the draws ``streams.slices`` makes: from
+    the C helper's PCG64 lanes, or from each trial's own generator without the
+    helper.  Arms that read the same draws share each slice and all step it
+    before the next is made, so every arm that draws is held, with its values,
+    until the last slice.  The softmax arms share Gumbel rows at the widest of
+    them: an arm over k candidates reads the first k columns, its trials'
+    ``gumbel(size=k)``, since the Gumbel-top-k key takes the same noise at
+    every width.  The other arms share the tosses or permutations of one
+    length.
     """
     arms_values: List[list] = []  # [values, whether the rule drew] of each arm
     batched: Dict[tuple, list] = {}  # the draws -> the place, width and step of each arm
     for arm in arms:
-        batch = _batched(arm)
-        if batch is None:
-            arms_values.append([[read(_prepare(arm)(streams(0)))], False])
+        kind, width, step = _batched(arm)
+        if not _draws(kind, width):
+            empty = np.zeros((1, width), float if kind == GUMBEL else np.intp)
+            arms_values.append([read(step(empty)), False])
             continue
-        kind, width, step = batch
         batched.setdefault((kind, width if kind != GUMBEL else None), []).append(
             (len(arms_values), width, step))
         arms_values.append([(), True])
@@ -111,7 +107,7 @@ def _step_arms(arms: Iterable[_Arm], streams: _TrialStreams, read,
         done = 0  # trials stepped
         for draws in streams.slices(kind, max(width for _, width, _ in steps)):
             for k, _, step in steps:
-                got = read_all(step(draws))
+                got = read(step(draws))
                 if not done:  # every slice of an arm reads values of one type
                     arms_values[k][0] = np.empty(streams.trials, got.dtype)
                 arms_values[k][0][done:done + len(got)] = got
@@ -119,7 +115,7 @@ def _step_arms(arms: Iterable[_Arm], streams: _TrialStreams, read,
     return arms_values
 
 
-_miner_utility = attrgetter("miner_utility")  # of one block, or of a slice's blocks
+_miner_utility = attrgetter("miner_utility")  # of a slice's blocks
 
 
 # ---------------------------------------------------------------------------
@@ -163,25 +159,20 @@ def estimate_zti(spec: MechanismSpec, m: Mempool, capacity, trials: int, seed: i
 
     hits = np.zeros(len(m), dtype=np.intp)  # the runs that included each row
 
-    def tally(rows) -> int:  # one run's block
-        hits[rows] += 1
-        return 1
-
-    def tally_all(blocks) -> np.ndarray:  # a slice of runs, a 1 each
+    def tally(blocks) -> np.ndarray:  # a slice of runs, a 1 each
         np.add(hits, blocks.included.sum(axis=0), out=hits)
         return np.ones(len(blocks.total), int)
 
     if spec.allocation is AllocationKind.UNIFORM:
-        # one run_mechanism a trial, which reuses the arm it prepared first, and one run
-        # alone where the rule draws nothing: bench/test_bench.py counts the calls and
-        # reads their fills
-        drew = _batched(_arm(spec, m, capacity)) is not None
-        tallies = [tally(run_mechanism(spec, m, capacity, seed=streams(i))._priced.rows)
-                   for i in range(streams.trials if drew else 1)]
+        # one reused run_mechanism a trial, or one run where the rule draws nothing:
+        # bench/test_bench.py counts the calls and reads their fills
+        drew = _draws(*_batched(_arm(spec, m, capacity))[:2])
+        runs = streams.trials if drew else 1
+        for i in range(runs):
+            hits[run_mechanism(spec, m, capacity, seed=streams(i))._priced.rows] += 1
     else:
-        (tallies, drew), = _step_arms([_arm(spec, m, capacity)], streams,
-                                      lambda block: tally(block.rows), tally_all)
-    runs = len(tallies)
+        (tallies, drew), = _step_arms([_arm(spec, m, capacity)], streams, tally)
+        runs = len(tallies)
     zero_hits = hits[m.rows_of(tx.id for tx in zeros)].tolist()
     excluded = [tx.id for tx, c in zip(zeros, zero_hits) if not c]
     if excluded and not drew:
@@ -259,8 +250,7 @@ def estimate_monotonicity(
     arms = [_arm(spec, m.with_bid(target_tx, bid), capacity)
             for bid in [base_bid] + [base_bid + eps for eps in epsilons]]
     rates = []  # inclusion rate, its standard error and the runs, at each bid
-    for hits, _ in _step_arms(arms, streams, lambda block: target_row in block.rows.tolist(),
-                              lambda blocks: blocks.included[:, target_row]):
+    for hits, _ in _step_arms(arms, streams, lambda blocks: blocks.included[:, target_row]):
         p = np.count_nonzero(hits) / len(hits)
         rates.append((p, math.sqrt(p * (1 - p) / len(hits)), len(hits)))
 
@@ -310,7 +300,6 @@ def check_uic(
     n_runs = 0
     arms = [_arm(spec, m.with_bid(user, b), capacity) for b in bid_grid]
     for b, (utils, _) in zip(bid_grid, _step_arms(arms, streams,
-                                                   lambda block: block.user_utilities()[user],
                                                    lambda blocks: blocks.user_utility[:, row])):
         means[b], ses[b] = _mean_se(utils)
         n_runs = max(n_runs, len(utils))
@@ -390,11 +379,11 @@ def search_mic_deviation(
             for _, run_spec, fakes in [({}, spec, ())] + candidates)
     # each arm's mean miner utility, its standard error and the runs made
     if spec.allocation is AllocationKind.RTFM:  # exact: the zero-pay branch earns nothing
-        utilities = [((1 - spec.phi) * _prepare(arm)(streams(0), 1).miner_utility, 0.0, 1)
+        utilities = [((1 - spec.phi) * _paying(arm).miner_utility.item(0), 0.0, 1)
                      for arm in arms]
     else:
         utilities = [(*_mean_se(utils), len(utils))
-                     for utils, _ in _step_arms(arms, streams, _miner_utility, _miner_utility)]
+                     for utils, _ in _step_arms(arms, streams, _miner_utility)]
     (honest, honest_se, n_runs), *played = utilities
 
     best = (honest, 0.0, None)
@@ -442,11 +431,10 @@ def empirical_cof(
 
     if spec.allocation is AllocationKind.RTFM:
         # the zero-pay branch earns nothing and no seed changes the paying branch
-        paying = _prepare(_arm(spec, m, capacity))(streams(0), 1).miner_utility
+        paying = _paying(_arm(spec, m, capacity)).miner_utility.item(0)
         utils = [0.0 if (i + 0.5) / trials < spec.phi else paying for i in range(trials)]
     else:
-        (utils, _), = _step_arms([_arm(spec, m, capacity)], streams, _miner_utility,
-                                 _miner_utility)
+        (utils, _), = _step_arms([_arm(spec, m, capacity)], streams, _miner_utility)
     utils = np.asarray(utils, dtype=float)
     mean = float(utils.mean())
     cov = float(utils.std(ddof=1) / mean) if len(utils) > 1 and mean > 0 else None

@@ -38,6 +38,14 @@ def _check_int(name: str, value, lo: int = 0, hi=None) -> int:
     return number
 
 
+def _finite(value) -> bool:
+    """Whether `value` converts to a finite double: an int or Fraction can overflow."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _check_capacity(capacity) -> None:
     if not capacity >= 0:  # NaN fails too; inf is an unbounded block
         raise ParameterError(f"capacity must be non-negative, got {capacity}")

@@ -17,7 +17,8 @@ Payment rules:
 The split-block rule prices its reserved section at the posted constant
 ``delta`` and the randomized two-set rule pays nothing on the uniformly
 sampled branch.  The burn follows the payment rule: only the posted price
-burns.
+burns.  ``_unit_prices`` gives these prices per unit, for one block and for
+a trials x rows batch of blocks alike.
 
 The allocation rules form one table, ``_RULES``, from
 :class:`AllocationKind` to a rule.  The spec alone describes an arm: a
@@ -28,17 +29,16 @@ the inputs, appends the fakes to the pool and picks the candidates;
 scaled bids) and returns its one-trial step, with exactly the generator
 calls of :func:`run_mechanism`, which is itself arm, prepare, step and
 wrap.  Every rule steps on rows of the arm's pool (the user's pool, then
-the fakes); only the wrap turns them into ids.  The audits, the cost of
-fairness and the sweeps step arms and read the block's arrays; only the
-zero-fee inclusion audit's uniform arm calls :func:`run_mechanism`, once
-per trial, because the benchmark's tracing test counts those calls and reads
-the fills of :func:`~.alloc.uniform_allocate`; a call on the very objects of
-the call before reuses its prepared arm.  The audits step every other
-arm whose rule draws over many trials at once (:mod:`._trials`), on draws
-made a slice of trials at a time that the arms of a call share.  The softmax
-rule walks one trial's noise at one or more temperatures
-(:func:`_softmax_blocks`), so the softmax sweep draws a run's noise once and
-walks it at every temperature of a capacity in one call.
+the fakes); only the wrap turns them into ids.  The sweeps step arms one
+trial at a time; the audits and the cost of fairness step every arm through
+:mod:`._trials`, all its trials at once on draws that the arms of a call
+share, or one trial where its rule draws nothing.  Only the zero-fee
+inclusion audit's uniform arm calls :func:`run_mechanism`, once per trial,
+as the benchmark's tracing test counts; a call on the very objects of the
+call before reuses its prepared arm.  The softmax rule walks one trial's
+noise at one or more temperatures (:func:`_softmax_blocks`), so the softmax
+sweep draws a run's noise once and walks it at every temperature of a
+capacity in one call.
 
 The flat ``key = value`` config format lives here too: one table of keys,
 :data:`CONFIG_KEYS`, and one parser serve :func:`spec_from_config`, the
@@ -155,7 +155,7 @@ class MechanismSpec:
 class _Block(NamedTuple):
     """One block of a prepared mechanism, with its prices as arrays.
 
-    Audits and sweeps read a trial's block directly; :func:`run_mechanism`
+    The sweeps read a trial's block directly; :func:`run_mechanism`
     wraps it in a :class:`MechanismOutcome`, which builds its dicts from it.
     """
 
@@ -263,27 +263,33 @@ def _block_income(sizes: np.ndarray, p: np.ndarray, q: np.ndarray, fake: np.ndar
     return income - burn
 
 
-def _filled(value, n: int) -> np.ndarray:
-    """`n` copies of `value`, which keeps its Python type unless it is a float."""
-    return np.full(n, value, dtype=float if type(value) is float else object)
+def _filled(value, shape) -> np.ndarray:
+    """Copies of `value` in `shape`, which keep its Python type unless it is a float."""
+    return np.full(shape, value, dtype=float if type(value) is float else object)
 
 
-def _price_included(spec: MechanismSpec, c: PoolColumns, rows: np.ndarray,
-                    reserved: Optional[np.ndarray]):
-    """Payment and burn per unit of the included `rows`, in that order;
-    `reserved` marks the rows in split block's posted-fee section."""
-    bids = c.bids[rows]
-    n = len(rows)
+def _unit_prices(spec: MechanismSpec, bids: np.ndarray, taken=True,
+                 reserved: Optional[np.ndarray] = None, pays: bool = True):
+    """Payment and burn per unit of `bids`: one block's included rows, or a trials x rows
+    batch of blocks, each made of its rows where `taken`.  Rows marked `reserved`
+    (split block's posted-fee section) pay ``delta`` and burn nothing; a two-set
+    block whose toss was 0 `pays` nothing.  Second price charges each block its
+    main section's lowest bid, 0.0 if that section is empty.  Every price keeps
+    the number type of the bid, fee or ``delta`` it comes from."""
+    zeros = np.zeros(bids.shape)
+    if not pays:
+        return zeros, zeros
     if spec.payment is PaymentKind.FIRST_PRICE:
-        p, q = bids, np.zeros(n)
+        p, q = bids, zeros
     elif spec.payment is PaymentKind.SECOND_PRICE:
-        main = (bids if reserved is None else bids[~reserved]).tolist()
-        p, q = _filled(min(main) if main else 0.0, n), np.zeros(n)
+        main = taken if reserved is None else taken & ~reserved
+        low = np.where(main, bids, np.inf).min(axis=-1, initial=np.inf, keepdims=True)
+        p, q = np.where(low == np.inf, zeros, low), zeros
     else:
-        p, q = bids - spec.base_fee, _filled(spec.base_fee, n)
+        p, q = bids - spec.base_fee, _filled(spec.base_fee, bids.shape)
     if reserved is None:
         return p, q
-    return np.where(reserved, _filled(spec.split.delta, n), p), np.where(reserved, 0.0, q)
+    return np.where(reserved, _filled(spec.split.delta, bids.shape), p), np.where(reserved, 0.0, q)
 
 
 class _Arm(NamedTuple):
@@ -304,10 +310,7 @@ class _Arm(NamedTuple):
               toss: Optional[int] = None) -> _Block:
         """The block of `rows`, priced; the two-set rule's zero-pay branch prices nothing."""
         c = self.pool.columns
-        if toss == 0:
-            p = q = np.zeros(len(rows))
-        else:
-            p, q = _price_included(self.spec, c, rows, reserved)
+        p, q = _unit_prices(self.spec, c.bids[rows], reserved=reserved, pays=toss != 0)
         return _Block(c, rows, total, p, q, reserved, len(self.m), toss,
                       _block_income(c.sizes[rows], p, q, c.fake[rows]))
 

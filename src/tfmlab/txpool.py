@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from . import chain
-from .errors import ParameterError, _check_int
+from .errors import ParameterError, _check_int, _finite
 
 SeedLike = Union[int, Sequence[int], np.random.Generator]
 
@@ -45,7 +45,7 @@ class Transaction:
     `bid` and `valuation` are per unit of `size`; the total offered fee is
     ``size * bid``.  `fake` marks miner-created entries used to model
     deviations.  `id` is an integer below 2**63, as the pool's int64 id
-    column holds it.
+    column holds it; `size`, `bid` and `valuation` convert to finite doubles.
     """
 
     id: int
@@ -56,11 +56,11 @@ class Transaction:
 
     def __post_init__(self) -> None:
         _check_int("transaction id", self.id, 0, 2**63 - 1)
-        if not 0 < self.size < math.inf:
+        if not (0 < self.size and _finite(self.size)):
             raise ParameterError(f"transaction size must be positive and finite, got {self.size}")
-        if not 0 <= self.bid < math.inf:
+        if not (0 <= self.bid and _finite(self.bid)):
             raise ParameterError(f"bid must be non-negative and finite, got {self.bid}")
-        if not 0 <= self.valuation < math.inf:
+        if not (0 <= self.valuation and _finite(self.valuation)):
             raise ParameterError(f"valuation must be non-negative and finite, got {self.valuation}")
 
     def canonical_bytes(self) -> bytes:

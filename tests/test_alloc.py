@@ -410,7 +410,9 @@ def test_payment_arrays_need_one_value_per_row():
 @pytest.mark.parametrize("payment", [
     [1.0, math.nan, 2.0, 3.0], [math.inf] * 4, [1, 2, 3, -math.inf], ["a"] * 4, [None] * 4,
     np.array([1.0, 2.0, math.nan, 3.0]), [Fraction(1, 2), Fraction(1, 3), 1, math.nan],
-], ids=["nan", "inf", "int_and_minus_inf", "str", "none", "nan_array", "fraction_and_nan"])
+    [10**400, 1, 2, 3], [1.0, Fraction(10**400), 2, 3],
+], ids=["nan", "inf", "int_and_minus_inf", "str", "none", "nan_array", "fraction_and_nan",
+        "int_no_double_holds", "fraction_no_double_holds"])
 def test_payments_that_are_not_finite_numbers_are_rejected(payment, exact):
     m = pool([1, 1, 1, 1], sizes_equal=True)
     with pytest.raises(ParameterError, match="payment_per_unit must be finite numbers"):

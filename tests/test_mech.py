@@ -27,6 +27,7 @@ from tfmlab import (
 )
 from tfmlab import mech
 from tfmlab.mech import _arm, _prepare
+from tfmlab._trials import _priced
 
 
 def unit_pool(bids):
@@ -256,6 +257,69 @@ def test_spec_config_accepts_inline_comments_like_the_sweep_parser():
     text = "allocation = rtfm  # two-set\nphi = 0.5\n"
     assert spec_from_config(text) == MechanismSpec.rtfm(0.5)
     assert spec_from_fields(parse_config_text(text)) == MechanismSpec.rtfm(0.5)
+
+
+F = Fraction
+FPA, SPA, POSTED = PaymentKind.FIRST_PRICE, PaymentKind.SECOND_PRICE, PaymentKind.POSTED_PRICE
+# By hand, for the block of rows 2, 0, the fake 3 and 1 (sizes 1, 1, 1 and 2, bids 2, 3, 2
+# and 1), with row 1 in the reserved section or not, at delta = base fee = 1/2: payment and
+# burn per unit in block order, the miner's utility and users 0, 1 and 2's, each as a
+# Fraction pool gives it; a float pool gives every one as a float.
+HAND_PRICES = {
+    (FPA, False): ([F(2), F(3), F(2), F(1)], [0.0] * 4, 7.0, [1.0, 1.0, 3.0]),
+    (FPA, True): ([F(2), F(3), F(2), F(1, 2)], [0.0] * 4, 6.0, [1.0, 2.0, 3.0]),
+    (SPA, False): ([F(1)] * 4, [0.0] * 4, 4.0, [3.0, 1.0, 4.0]),
+    (SPA, True): ([F(2), F(2), F(2), F(1, 2)], [0.0] * 4, 5.0, [2.0, 2.0, 3.0]),
+    (POSTED, False): ([F(3, 2), F(5, 2), F(3, 2), F(1, 2)], [F(1, 2)] * 4, 4.5,
+                      [F(1), F(1), F(3)]),
+    (POSTED, True): ([F(3, 2), F(5, 2), F(3, 2), F(1, 2)], [F(1, 2)] * 3 + [0.0], 4.5,
+                     [F(1), 2.0, F(3)]),
+}
+NO_PAY = ([0.0] * 4, [0.0] * 4, 0.0, [4.0, 3.0, 5.0])  # the two-set zero-pay branch
+# the miner's and the users' utilities when the block takes rows 2 and 0 alone, with or
+# without the reserved section (None: no pay)
+HAND_FIRST_TWO = {FPA: (5.0, [1.0, 0.0, 3.0]), SPA: (4.0, [2.0, 0.0, 3.0]),
+                  POSTED: (4.0, [F(1), 0.0, F(3)]), None: (0.0, [4.0, 0.0, 5.0])}
+
+
+@pytest.mark.parametrize("number", [float, Fraction])
+@pytest.mark.parametrize("pays", [True, False])
+@pytest.mark.parametrize("payment, reserved", list(HAND_PRICES))
+def test_prices_by_hand_in_one_block_and_in_a_batch(payment, reserved, pays, number):
+    half = number(1) / 2
+    m = Mempool([Transaction(i, number(size), number(bid), number(value))
+                 for i, (size, bid, value) in enumerate([(1, 3, 4), (2, 1, 3 * half), (1, 2, 5)])])
+    fake = Transaction(3, number(1), number(2), number(2), fake=True)
+    spec = MechanismSpec(AllocationKind.SPLIT_BLOCK, payment, split=SplitBlockConfig(0.5, half),
+                         base_fee=half if payment is POSTED else None)
+    arm = _arm(spec, m, number(5), [fake])
+    rows, total = np.array([2, 0, 3, 1]), number(5)
+    section = np.array([False, False, False, True]) if reserved else None
+    expected = (HAND_PRICES[payment, reserved] if pays else NO_PAY) \
+        + HAND_FIRST_TWO[payment if pays else None]
+    if number is float:
+        expected = tuple(float(v) if not isinstance(v, list) else [float(x) for x in v]
+                         for v in expected)
+    pay, burn, miner, users, first_two_miner, first_two_users = (repr(v) for v in expected)
+
+    block = arm.block(rows, total, section, toss=None if pays else 0)
+    assert (repr(block.payment.tolist()), repr(block.burn.tolist())) == (pay, burn)
+    assert repr(block.miner_utility) == miner
+    assert repr([block.user_utilities()[i] for i in range(3)]) == users
+
+    one = _priced(arm, rows[None], np.ones((1, 4), bool), np.array([total]),
+                  None if section is None else section[None], pays)
+    # the block reversed, then with rows 2 and 0 taken alone, then as it is
+    three = _priced(arm, np.stack([rows[::-1], rows, rows]),
+                    np.array([[True] * 4, [True, True, False, False], [True] * 4]),
+                    np.array([total] * 3),
+                    None if section is None else np.stack([section[::-1], section, section]),
+                    pays)
+    for blocks, t in ((one, 0), (three, 0), (three, 2)):
+        assert repr(blocks.miner_utility.tolist()[t]) == miner
+        assert repr(blocks.user_utility[t].tolist()) == users
+    assert repr(three.miner_utility.tolist()[1]) == first_two_miner
+    assert repr(three.user_utility[1].tolist()) == first_two_users
 
 
 def test_one_prepared_split_block_step_serves_every_trial():

@@ -39,7 +39,7 @@ from tfmlab._streams import (
     _BATCH, _CHUNK, GUMBEL, PERMUTATION, TOSS, _TrialSeed, _TrialStreams, _trial_words)
 from tfmlab.audit import _step_arms
 from tfmlab.mech import _arm, _prepare
-from tfmlab._trials import _batched
+from tfmlab._trials import _batched, _draws
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -528,24 +528,25 @@ def _numpy_draws(kind, seed, trials, width):
     return perms if toss is None else (toss, perms)
 
 
-@pytest.mark.parametrize("rule", DRAWING_KINDS, ids=lambda kind: kind.value)
+@pytest.mark.parametrize("rule", DRAWING_KINDS + [AllocationKind.OPTIMAL],
+                         ids=lambda kind: kind.value)
 @PROPERTY_SETTINGS
 @given(data=st.data())
 def test_the_batched_step_is_each_trials_draw(rule, data):
     m, fakes, capacity, seed, spec = data.draw(typed_arms([rule]))
     pool = m.extend(fakes)
     arm = _arm(spec, m, capacity, fakes)
-    step, batch = _prepare(arm), _batched(arm)
+    step, (kind, width, step_all) = _prepare(arm), _batched(arm)
     rng = np.random.default_rng([seed, 0])
     state = rng.bit_generator.state
     step(rng)
-    # no batched step exactly where the one-trial step draws nothing: the audits run it once
-    assert (batch is None) == (rng.bit_generator.state == state)
-    if batch is None:
-        return
-    trials = 5
-    kind, width, step_all = batch
-    blocks = step_all(_numpy_draws(kind, seed, trials, width))
+    drew = _draws(kind, width)
+    assert drew == (rng.bit_generator.state != state)
+    if drew:
+        trials, draws = 5, _numpy_draws(kind, seed, 5, width)
+    else:  # the audits step such an arm once, on one trial's empty draws
+        trials, draws = 1, np.zeros((1, width), float if kind == GUMBEL else np.intp)
+    blocks = step_all(draws)
     assert len(blocks.total) == trials
     for t in range(trials):
         block = step(np.random.default_rng([seed, t]))
@@ -567,12 +568,12 @@ def test_the_batched_step_is_each_trials_draw(rule, data):
 
 
 def _steps_every_trial_at_once(spec, m):
-    """Whether :func:`audit._step_arms` takes the arm's trials all at once, the runs it
-    makes, and whether the rule drew."""
-    batched = []
-    (runs, drew), = _step_arms([_arm(spec, m, 2.0)], _TrialStreams(0, 3), lambda block: 0,
-                               lambda blocks: batched.append(blocks) or blocks.total)
-    return bool(batched), len(runs), drew
+    """Whether :func:`audit._step_arms` asks the trial streams for the arm's draws, the
+    runs it makes, and whether the rule drew."""
+    streams, asked = _TrialStreams(0, 3), []
+    streams.slices = lambda kind, n: asked.append(kind) or _TrialStreams.slices(streams, kind, n)
+    (runs, drew), = _step_arms([_arm(spec, m, 2.0)], streams, lambda blocks: blocks.total)
+    return bool(asked), len(runs), drew
 
 
 def test_every_arm_that_draws_steps_its_trials_at_once():
@@ -587,8 +588,9 @@ def test_every_arm_that_draws_steps_its_trials_at_once():
                     (MechanismSpec.split_block(0.5), floats),  # two zero bids to sample from
                     (MechanismSpec.split_block(0.5, delta=1.0), floats.with_bid(0, 1.0))):
         assert _steps_every_trial_at_once(spec, m) == (True, 3, True), spec
-    # rules that draw nothing run once: the knapsack, softmax without candidates, split
-    # block with 0 or 1 posted-fee bidder and uniform sampling over one candidate
+    # rules that draw nothing run once, on no draws: the knapsack, softmax without
+    # candidates, split block with 0 or 1 posted-fee bidder and uniform sampling over one
+    # candidate
     for spec, m in ((MechanismSpec.first_price(), floats),
                     (MechanismSpec.stfm(1.0, PaymentKind.POSTED_PRICE, 10), fractions),
                     (MechanismSpec.split_block(0.5, delta=5.0), floats),
@@ -611,8 +613,7 @@ def test_the_arms_of_one_call_share_each_slice_of_draws(monkeypatch):
     arms += [_arm(MechanismSpec.uniform(), m.with_bid(0, bid), 2.0) for bid in (0.0, 5.0)]
     arms.append(_arm(MechanismSpec.uniform(), m, 2.0, fake))
     arms.append(_arm(MechanismSpec.rtfm(0.5), m, 2.0))
-    values = _step_arms(arms, _TrialStreams(0, 300), lambda block: block.miner_utility,
-                        lambda blocks: blocks.miner_utility)
+    values = _step_arms(arms, _TrialStreams(0, 300), lambda blocks: blocks.miner_utility)
     # the softmax arms at the widest, the uniform arms by width, the two-set arm alone
     assert asked == [(GUMBEL, 5), (PERMUTATION, 4), (PERMUTATION, 5), (TOSS, 4)]
     assert [(len(runs), drew) for runs, drew in values] == \

@@ -170,6 +170,18 @@ def test_transaction_invariants():
             Transaction(0, size, bid, valuation)
 
 
+@pytest.mark.parametrize("big", [10**400, Fraction(10**400)], ids=["int", "fraction"])
+def test_a_number_no_double_holds_is_refused(big):
+    # the pool's readers (bids(), the knapsack's ranking, the softmax keys) take doubles
+    for size, bid, valuation, name in [(big, 1, 1, "size"), (1, big, 1, "bid"),
+                                       (1, 1, big, "valuation")]:
+        with pytest.raises(ParameterError, match=name):
+            Transaction(0, size, bid, valuation)
+    largest = type(big)(int(sys.float_info.max))  # a double holds it
+    m = Mempool([Transaction(0, largest, largest, largest), Transaction(1, 1, 2, 2)])
+    assert m.bids().tolist() == [sys.float_info.max, 2.0]
+
+
 @pytest.mark.parametrize("tx_id, error", [
     (1.5, "transaction id must be an integer, got 1.5"),
     (1.0, "transaction id must be an integer, got 1.0"),
