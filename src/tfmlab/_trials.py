@@ -7,8 +7,9 @@ block, total and utilities that the rule's one-trial step gives from that
 trial's stream, bit for bit, whatever number types the pool's columns and the
 posted fee hold.  The steps walk a slice's orders through
 ``alloc._walk_rows``, in one call of the C helper's row walk where the sizes
-are float64, and price its blocks through :func:`_priced`, which takes each
-price from ``mech._unit_prices`` as ``mech._Arm.block`` does.
+are float64, and return the walked blocks as :class:`_Blocks`, which compute
+the included mask, the prices and the utilities when an audit first reads
+them; each price comes from ``mech._unit_prices`` as ``mech._Block`` takes it.
 
 An arm whose one-trial step does not move its generator (:func:`_draws`)
 gives the same block in every trial, so ``audit._step_arms`` steps it once,
@@ -18,7 +19,8 @@ on one trial's empty draws.  The knapsack's step is such a one: it returns
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -27,42 +29,84 @@ from .mech import AllocationKind, _Arm, _knapsack, _split_block, _unit_prices
 from ._streams import GUMBEL, PERMUTATION, TOSS
 
 
-class _Blocks(NamedTuple):
-    """The blocks of every trial of a prepared arm, one row of each array a trial."""
-
-    included: np.ndarray  # a column per pool row, the fakes last
-    total: np.ndarray
-    miner_utility: np.ndarray
-    user_utility: np.ndarray  # a column per real row, 0.0 where the row is left out
-
-
-def _priced(arm: _Arm, rows: np.ndarray, taken: np.ndarray, total: np.ndarray,
-            reserved: Optional[np.ndarray] = None, pays: bool = True) -> _Blocks:
-    """The blocks made of the pool rows of `rows` where `taken`, in that order, one block
-    a row, priced by ``mech._unit_prices`` as ``mech._Arm.block`` prices one block.
+class _Blocks:
+    """The blocks of a slice of trials of a prepared arm, one row of each array a trial:
+    the pool rows of `rows` where `taken`, in that order, and their `total` sizes.
 
     `reserved` marks split block's posted-fee section, and a two-set block whose
-    toss was 0 `pays` nothing.  The income and the burn are each folded from 0.0
-    in block order, as ``mech._block_income`` folds them.
+    toss was 0 `pays` nothing.  Every other field is computed on first read and
+    cached, since each audit reads one of them.  The prices come from
+    ``mech._unit_prices`` as ``mech._Block`` takes them for one block, and the
+    income and the burn are each folded from 0.0 in block order, as
+    ``mech._block_income`` folds them.
     """
-    c, trial = arm.pool.columns, np.arange(len(rows))[:, None]
-    size = c.sizes[rows]
-    p, q = _unit_prices(arm.spec, c.bids[rows], taken, reserved, pays)
-    real, fake = taken & ~c.fake[rows], taken & c.fake[rows]
-    income = _running(np.where(real, size * p, 0.0), 0.0)[:, -1]
-    burn = _running(np.where(fake, size * q, 0.0), 0.0)[:, -1]
-    included = np.zeros((len(rows), len(c.ids)), bool)
-    included[trial, rows] = taken
-    gain = np.where(real, (c.valuations[rows] - p - q) * size, 0.0)
-    users = np.full(included.shape, 0.0, gain.dtype)
-    users[trial, rows] = gain
-    return _Blocks(included, total, income - burn, users[:, :len(arm.m)])
+
+    def __init__(self, arm: _Arm, rows: np.ndarray, taken: np.ndarray, total: np.ndarray,
+                 reserved: Optional[np.ndarray] = None, pays: bool = True):
+        self.arm, self.rows, self.taken, self.total = arm, rows, taken, total
+        self.reserved, self.pays = reserved, pays
+
+    @cached_property
+    def included(self) -> np.ndarray:
+        """A column per pool row, the fakes last."""
+        included = np.zeros((len(self.rows), len(self.arm.pool)), bool)
+        included[np.arange(len(self.rows))[:, None], self.rows] = self.taken
+        return included
+
+    @cached_property
+    def _prices(self):
+        """The sizes of `rows`, their payment and burn per unit, and which are real and taken."""
+        c, rows, taken = self.arm.pool.columns, self.rows, self.taken
+        p, q = _unit_prices(self.arm.spec, c.bids[rows], taken, self.reserved, self.pays)
+        return c.sizes[rows], p, q, taken & ~c.fake[rows]
+
+    @cached_property
+    def miner_utility(self) -> np.ndarray:
+        size, p, q, real = self._prices
+        fake = self.taken & ~real
+        income = _running(np.where(real, size * p, 0.0), 0.0)[:, -1]
+        burn = _running(np.where(fake, size * q, 0.0), 0.0)[:, -1]
+        return income - burn
+
+    @cached_property
+    def user_utility(self) -> np.ndarray:
+        """A column per real pool row, 0.0 where the row is left out."""
+        size, p, q, real = self._prices
+        rows = self.rows
+        gain = np.where(real, (self.arm.pool.columns.valuations[rows] - p - q) * size, 0.0)
+        users = np.full((len(rows), len(self.arm.pool)), 0.0, gain.dtype)
+        users[np.arange(len(rows))[:, None], rows] = gain
+        return users[:, :len(self.arm.m)]
+
+
+def _mixed(name: str) -> cached_property:
+    """Field `name` of :class:`_TwoSet`'s blocks, mixed on first read."""
+    def mix(self: _TwoSet) -> np.ndarray:
+        some, knapsack = getattr(self.walked, name), getattr(self.paying, name)
+        both = np.empty((len(self.zero),) + knapsack.shape[1:], np.result_type(some, knapsack))
+        both[self.zero], both[~self.zero] = some, knapsack
+        return both
+    return cached_property(mix)
+
+
+class _TwoSet:
+    """The two-set rule's blocks of a slice of trials: the `walked` zero-pay blocks where
+    `zero`, and the one `paying` block at every other trial.  A field is mixed from
+    theirs on first read, so only the fields an audit reads are computed."""
+
+    def __init__(self, zero: np.ndarray, walked: _Blocks, paying: _Blocks):
+        self.zero, self.walked, self.paying = zero, walked, paying
+
+    included = _mixed("included")
+    total = _mixed("total")
+    miner_utility = _mixed("miner_utility")
+    user_utility = _mixed("user_utility")
 
 
 def _paying(arm: _Arm) -> _Blocks:
-    """The arm's knapsack block, priced, as a batch of one trial."""
+    """The arm's knapsack block as a batch of one trial, priced on first read."""
     rows, total = _knapsack(arm)
-    return _priced(arm, rows[None], np.ones((1, len(rows)), bool), np.array([total]))
+    return _Blocks(arm, rows[None], np.ones((1, len(rows)), bool), np.array([total]))
 
 
 def _optimal(arm: _Arm):
@@ -81,26 +125,21 @@ def _softmax(arm: _Arm):
 
     def step(gumbel: np.ndarray) -> _Blocks:
         orders, taken, total = _softmax_rows(sizes, scaled, gumbel[:, :len(kept)], arm.capacity)
-        return _priced(arm, kept[orders], taken, total)
+        return _Blocks(arm, kept[orders], taken, total)
     return GUMBEL, len(kept), step
 
 
 def _two_set(arm: _Arm):
     """Walk each permutation whose toss is below phi, paying nothing; every other trial
-    takes the arm's knapsack block, priced once."""
+    takes the arm's knapsack block, priced at most once."""
     sizes, paying = arm.pool.columns.sizes, _paying(arm)
 
-    def step(draws) -> _Blocks:
+    def step(draws) -> _TwoSet:
         toss, perms = draws
         zero = toss < arm.spec.phi
-        walked = _priced(arm, perms[zero], *_walk_rows(sizes, perms[zero], arm.capacity),
+        walked = _Blocks(arm, perms[zero], *_walk_rows(sizes, perms[zero], arm.capacity),
                          pays=False)
-        merged = []
-        for some, knapsack in zip(walked, paying):
-            both = np.empty((len(zero),) + knapsack.shape[1:], np.result_type(some, knapsack))
-            both[zero], both[~zero] = some, knapsack
-            merged.append(both)
-        return _Blocks(*merged)
+        return _TwoSet(zero, walked, paying)
     return TOSS, len(sizes), step
 
 
@@ -127,7 +166,7 @@ def _split_blocks(arm: _Arm):
             paid[t, split.paid(free[t])] = True
         taken = (reserved | paid[same])[:, by_id]
         total = _running(np.where(taken, c.sizes[by_id], 0))[:, -1]
-        return _priced(arm, np.broadcast_to(by_id, taken.shape), taken, total,
+        return _Blocks(arm, np.broadcast_to(by_id, taken.shape), taken, total,
                        reserved[:, by_id])
     return PERMUTATION, len(split.posted), step
 
@@ -138,7 +177,7 @@ def _uniform(arm: _Arm):
 
     def step(perms: np.ndarray) -> _Blocks:
         orders = arm.kept[perms]
-        return _priced(arm, orders, *_walk_rows(sizes, orders, arm.capacity))
+        return _Blocks(arm, orders, *_walk_rows(sizes, orders, arm.capacity))
     return PERMUTATION, len(arm.kept), step
 
 

@@ -384,6 +384,8 @@ class SplitBlockConfig:
         return self.alpha * capacity
 
     def one_minus_alpha_capacity(self, capacity):
+        if capacity == math.inf:  # where capacity - alpha * capacity is inf - inf
+            return math.inf if self.alpha < 1 else 0.0
         return capacity - self.alpha * capacity
 
 

@@ -168,8 +168,10 @@ def estimate_zti(spec: MechanismSpec, m: Mempool, capacity, trials: int, seed: i
         # bench/test_bench.py counts the calls and reads their fills
         drew = _draws(*_batched(_arm(spec, m, capacity))[:2])
         runs = streams.trials if drew else 1
+        taken = bytearray()  # the intp rows each run included, run after run, held as bytes
         for i in range(runs):
-            hits[run_mechanism(spec, m, capacity, seed=streams(i))._priced.rows] += 1
+            taken += run_mechanism(spec, m, capacity, seed=streams(i))._block.rows.tobytes()
+        hits = np.bincount(np.frombuffer(taken, np.intp), minlength=len(m))
     else:
         (tallies, drew), = _step_arms([_arm(spec, m, capacity)], streams, tally)
         runs = len(tallies)

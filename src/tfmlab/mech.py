@@ -18,7 +18,11 @@ The split-block rule prices its reserved section at the posted constant
 ``delta`` and the randomized two-set rule pays nothing on the uniformly
 sampled branch.  The burn follows the payment rule: only the posted price
 burns.  ``_unit_prices`` gives these prices per unit, for one block and for
-a trials x rows batch of blocks alike.
+a trials x rows batch of blocks alike.  A block is priced only when it is
+read: :class:`_Block` holds the rows, the total, the reserved mask and the
+toss, and computes its prices, the miner's utility and its
+:class:`~.alloc.AllocationResult` on first read, so a run read only for its
+allocation prices nothing.
 
 The allocation rules form one table, ``_RULES``, from
 :class:`AllocationKind` to a rule.  The spec alone describes an arm: a
@@ -29,13 +33,14 @@ the inputs, appends the fakes to the pool and picks the candidates;
 scaled bids) and returns its one-trial step, with exactly the generator
 calls of :func:`run_mechanism`, which is itself arm, prepare, step and
 wrap.  Every rule steps on rows of the arm's pool (the user's pool, then
-the fakes); only the wrap turns them into ids.  The sweeps step arms one
-trial at a time; the audits and the cost of fairness step every arm through
-:mod:`._trials`, all its trials at once on draws that the arms of a call
-share, or one trial where its rule draws nothing.  Only the zero-fee
-inclusion audit's uniform arm calls :func:`run_mechanism`, once per trial,
-as the benchmark's tracing test counts; a call on the very objects of the
-call before reuses its prepared arm.  The softmax rule walks one trial's
+the fakes); only the block's allocation turns them into ids, and the
+uniform rule's block takes the one its allocator returned.  The sweeps
+step arms one trial at a time; the audits and the cost of fairness step
+every arm through :mod:`._trials`, all its trials at once on draws that the
+arms of a call share, or one trial where its rule draws nothing.  Only the
+zero-fee inclusion audit's uniform arm calls :func:`run_mechanism`, once per
+trial, as the benchmark's tracing test counts; a call on the very objects of
+the call before reuses its prepared arm.  The softmax rule walks one trial's
 noise at one or more temperatures (:func:`_softmax_blocks`), so the softmax
 sweep draws a run's noise once and walks it at every temperature of a
 capacity in one call.
@@ -48,7 +53,7 @@ sweep experiments and every CLI subcommand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, reduce
 from operator import add
@@ -152,22 +157,43 @@ class MechanismSpec:
         return cls(AllocationKind.RTFM, payment, phi=phi, base_fee=base_fee)
 
 
-class _Block(NamedTuple):
-    """One block of a prepared mechanism, with its prices as arrays.
+class _Block:
+    """One block of a prepared arm: its rows of the arm's pool (the fakes last), in block
+    order, and their total size, summed as the allocation rule sums it; split block's
+    `reserved` mask of the rows in its posted-fee section, and the two-set rule's `toss`.
 
-    The sweeps read a trial's block directly; :func:`run_mechanism`
-    wraps it in a :class:`MechanismOutcome`, which builds its dicts from it.
+    The prices, the miner's utility and the allocation are computed on first read
+    and cached, since a run reads what its caller needs: the zero-fee inclusion
+    audit only the rows, a sweep the miner's utility and the payments.  The
+    sweeps read a trial's block directly; :func:`run_mechanism` wraps it in a
+    :class:`MechanismOutcome`.
     """
 
-    columns: PoolColumns  # of the pool with the miner's fakes appended
-    rows: np.ndarray  # the included rows, in block order
-    total: object  # their total size, summed as the allocation rule sums it
-    payment: np.ndarray  # per unit, for each included row
-    burn: np.ndarray
-    reserved: Optional[np.ndarray]  # split block's posted-fee section, for each included row
-    real: int  # the first `real` rows are the pool's own transactions
-    toss: Optional[int]  # the two-set rule's branch
-    miner_utility: float
+    def __init__(self, arm: _Arm, rows: np.ndarray, total,
+                 reserved: Optional[np.ndarray] = None, toss: Optional[int] = None):
+        self.columns, self.rows, self.total = arm.pool.columns, rows, total
+        self.reserved, self.toss, self.real = reserved, toss, len(arm.m)
+        self.spec, self.capacity = arm.spec, arm.capacity
+
+    @cached_property
+    def _prices(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Payment and burn per unit of each row; the two-set zero-pay branch prices nothing."""
+        return _unit_prices(self.spec, self.columns.bids[self.rows], reserved=self.reserved,
+                            pays=self.toss != 0)
+
+    payment = property(lambda self: self._prices[0])
+    burn = property(lambda self: self._prices[1])
+
+    @cached_property
+    def miner_utility(self) -> float:
+        c, rows = self.columns, self.rows
+        return _block_income(c.sizes[rows], *self._prices, c.fake[rows])
+
+    @cached_property
+    def allocation(self) -> AllocationResult:
+        selected = tuple(self.columns.ids[self.rows].tolist())
+        return AllocationResult(selected, self.total, self.capacity,
+                                _sections(selected, self.reserved, self.toss))
 
     def by_id(self, values: np.ndarray) -> Dict[int, float]:
         """`values` by included id, the main section first, then the reserved one."""
@@ -186,33 +212,41 @@ class _Block(NamedTuple):
         return users
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class MechanismOutcome:
     """One block of a mechanism.
 
     `payment_per_unit` and `burn_per_unit` map each included id to its price
     per unit (the main section first, then split block's reserved section),
     and `user_utilities` maps every real pool id to the user's utility.  The
-    three dicts are built from the block's price arrays on first read and
-    cached: most audit runs read only the block and the miner's utility.
+    block prices itself when one of these or `miner_utility` is first read,
+    and each dict is built on its first read and cached: the zero-fee
+    inclusion audit reads only the allocation, and prices nothing.
     """
 
     allocation: AllocationResult
-    miner_utility: float
     coin_toss: Optional[int]
-    _priced: _Block = field(repr=False)
+    _block: _Block
+
+    @property
+    def miner_utility(self) -> float:
+        return self._block.miner_utility
 
     @cached_property
     def payment_per_unit(self) -> Dict[int, float]:
-        return self._priced.by_id(self._priced.payment)
+        return self._block.by_id(self._block.payment)
 
     @cached_property
     def burn_per_unit(self) -> Dict[int, float]:
-        return self._priced.by_id(self._priced.burn)
+        return self._block.by_id(self._block.burn)
 
     @cached_property
     def user_utilities(self) -> Dict[int, float]:
-        return self._priced.user_utilities()
+        return self._block.user_utilities()
+
+    def __repr__(self) -> str:
+        return (f"MechanismOutcome(allocation={self.allocation!r}, "
+                f"miner_utility={self.miner_utility!r}, coin_toss={self.coin_toss!r})")
 
 
 @dataclass(frozen=True)
@@ -306,14 +340,6 @@ class _Arm(NamedTuple):
         c = self.pool.columns
         return c if len(self.kept) == len(c.ids) else PoolColumns(*(col[self.kept] for col in c))
 
-    def block(self, rows: np.ndarray, total, reserved: Optional[np.ndarray] = None,
-              toss: Optional[int] = None) -> _Block:
-        """The block of `rows`, priced; the two-set rule's zero-pay branch prices nothing."""
-        c = self.pool.columns
-        p, q = _unit_prices(self.spec, c.bids[rows], reserved=reserved, pays=toss != 0)
-        return _Block(c, rows, total, p, q, reserved, len(self.m), toss,
-                      _block_income(c.sizes[rows], p, q, c.fake[rows]))
-
 
 def _objective(spec: MechanismSpec, c: PoolColumns) -> Optional[np.ndarray]:
     """The knapsack's payment per unit: the bid less a posted base fee, else the bid."""
@@ -335,7 +361,7 @@ def _knapsack(arm: _Arm):
 
 def _knapsack_rule(arm: _Arm):
     """The revenue-optimal set of the candidates, the same in every trial."""
-    block = arm.block(*_knapsack(arm))
+    block = _Block(arm, *_knapsack(arm))
     return lambda rng, toss=None: block
 
 
@@ -345,7 +371,9 @@ def _uniform_rule(arm: _Arm):
 
     def draw(rng, toss=None):
         result = uniform_allocate(cand, arm.capacity, rng)
-        return arm.block(arm.pool.rows_of(result.selected), result.total_size)
+        block = _Block(arm, arm.pool.rows_of(result.selected), result.total_size)
+        block.allocation = result  # the allocator's own, so no second one is built
+        return block
     return draw
 
 
@@ -356,7 +384,7 @@ def _softmax_blocks(arm: _Arm):
     over the same candidates."""
     kept, c = arm.kept, arm.candidates()
     if not len(kept):  # nothing to sample, and no noise to read
-        empty = arm.block(kept, 0)
+        empty = _Block(arm, kept, 0)
         return lambda gammas, gumbel: [empty] * len(gammas)
     # the walk runs in floats whatever the columns hold
     sizes, bids = c.sizes.astype(float, copy=False), c.bids.astype(float, copy=False)
@@ -364,7 +392,7 @@ def _softmax_blocks(arm: _Arm):
     def blocks(gammas, gumbel):
         scaled = bids / np.array(gammas, dtype=float)[:, None]
         orders, taken, totals = _softmax_rows(sizes, scaled, gumbel[None], arm.capacity)
-        return [arm.block(kept[order[took]], total)
+        return [_Block(arm, kept[order[took]], total)
                 for order, took, total in zip(orders, taken, totals.tolist())]
     return blocks
 
@@ -389,7 +417,7 @@ def _split_block(arm: _Arm) -> _SplitBlock:
 def _split_block_rule(arm: _Arm):
     """The reserved section sampled from the posted-fee bids, then the paid knapsack."""
     split = _split_block(arm)
-    return lambda rng, toss=None: arm.block(*split.draw(rng))
+    return lambda rng, toss=None: _Block(arm, *split.draw(rng))
 
 
 def _two_set_rule(arm: _Arm):
@@ -407,9 +435,9 @@ def _two_set_rule(arm: _Arm):
             toss = 0 if rng.random() < arm.spec.phi else 1
         order = rng.permutation(len(sizes))
         if toss == 0:
-            return arm.block(*_walk(sizes, order, arm.capacity), toss=0)
+            return _Block(arm, *_walk(sizes, order, arm.capacity), toss=0)
         if not paying:
-            paying.append(arm.block(*_knapsack(arm), toss=1))
+            paying.append(_Block(arm, *_knapsack(arm), toss=1))
         return paying[0]
     return draw
 
@@ -473,10 +501,7 @@ def run_mechanism(
         draw = _prepare(_arm(spec, m, capacity, fakes))
         _last_prepared = inputs, draw
     block = draw(resolve_rng(seed), rtfm_toss)
-    selected = tuple(block.columns.ids[block.rows].tolist())
-    sections = _sections(selected, block.reserved, block.toss)
-    return MechanismOutcome(AllocationResult(selected, block.total, capacity, sections),
-                            block.miner_utility, block.toss, block)
+    return MechanismOutcome(block.allocation, block.toss, block)
 
 
 def spec_to_config(spec: MechanismSpec) -> str:

@@ -8,7 +8,7 @@ from typing import Tuple
 import numpy as np
 import pytest
 
-from tfmlab import _streams, audit, mech
+from tfmlab import _streams, _trials, audit, mech
 from tfmlab.alloc import allocation_value, optimal_allocate
 from tfmlab.audit import PropertyReport
 from tfmlab.experiments import _mean_se
@@ -212,6 +212,44 @@ def test_two_set_zti_solves_the_paying_knapsack_at_most_once(monkeypatch):
                         optimal_rows(*a, **kw))
     report = estimate_zti(MechanismSpec.rtfm(0.3), ZPOOL, 2.0, 3000, 42)
     assert report.trials == 3000 and len(solves) <= 1
+
+
+@pytest.mark.parametrize("spec", [MechanismSpec.stfm(1.0), MechanismSpec.rtfm(0.3),
+                                  MechanismSpec.split_block(0.5), MechanismSpec.uniform()],
+                         ids=["softmax", "rtfm", "split_block", "uniform"])
+def test_a_zti_tally_prices_no_block(spec, monkeypatch):
+    priced, stepped, unit_prices = [], [], mech._unit_prices
+    for module in (mech, _trials):
+        monkeypatch.setattr(module, "_unit_prices",
+                            lambda *args, **kw: priced.append(1) or unit_prices(*args, **kw))
+    step_arms = audit._step_arms
+    monkeypatch.setattr(audit, "_step_arms", lambda arms, streams, read: step_arms(
+        arms, streams, lambda blocks: stepped.append(blocks) or read(blocks)))
+    m = unit_pool([0, 0, 1, 2, 0])
+    assert estimate_zti(spec, m, 2.0, 500, 42).verdict is Verdict.SATISFIED
+    # the uniform arm runs run_mechanism once a trial, as the benchmark's tracing test counts
+    assert len(stepped) == (spec.allocation is not AllocationKind.UNIFORM)
+    assert priced == []
+    assert all("user_utility" not in vars(blocks) for blocks in stepped)
+
+
+def test_the_uniform_zti_arm_makes_one_run_and_one_allocation_a_trial(monkeypatch):
+    runs, allocations = [], []
+    run, allocate = audit.run_mechanism, mech.uniform_allocate
+    monkeypatch.setattr(audit, "run_mechanism", lambda *a, **kw: runs.append(1) or run(*a, **kw))
+    monkeypatch.setattr(mech, "uniform_allocate",
+                        lambda *args: allocations.append(1) or allocate(*args))
+    report = estimate_zti(MechanismSpec.uniform(), ZPOOL, 2.0, 37, 42)
+    assert report.trials == len(runs) == len(allocations) == 37
+
+
+@pytest.mark.parametrize("alpha, verdict", [(0.5, Verdict.SATISFIED), (1.0, Verdict.VIOLATED)])
+def test_zti_of_split_block_at_an_infinite_capacity(alpha, verdict):
+    m = Mempool([Transaction(0, 1.0, 0.0, 0.0), Transaction(1, 1.0, 3.0, 3.0)])
+    reports = [estimate_zti(MechanismSpec.split_block(alpha), m, capacity, 20, 1)
+               for capacity in (math.inf, 1e300)]
+    assert [r.verdict for r in reports] == [verdict, verdict]
+    assert reports[0].to_text() == reports[1].to_text()
 
 
 # ---------------------------------------------------------------------------

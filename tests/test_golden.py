@@ -15,6 +15,7 @@ import os
 import pytest
 
 from tfmlab import (
+    AllocationKind,
     BidDistribution,
     ExperimentConfig,
     MechanismSpec,
@@ -525,3 +526,66 @@ def _softmax_audit_text(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(SOFTMAX_AUDITS))
 def test_softmax_audit_bytes(name):
     assert hashlib.sha256(_softmax_audit_text(name).encode()).hexdigest() == SOFTMAX_DIGESTS[name]
+
+
+# Every rule's outcome of one run, on float, int and Fraction pools, with and without a
+# fake: repr(outcome) and its three dicts, so the values, their Python types and the
+# dicts' order are pinned whichever of them a run reads first.
+OUTCOME_BIDS = [3, 0, 1, 4, 0, 2, 5, 1]
+OUTCOME_POOLS = {
+    float: (Mempool([Transaction(i, 0.5 + 0.25 * (i % 3), float(b), b + 1.0)
+                     for i, b in enumerate(OUTCOME_BIDS)]), 4.0),
+    int: (Mempool([Transaction(i, 1 + i % 2, b, b + 1) for i, b in enumerate(OUTCOME_BIDS)]), 6),
+    Fraction: (Mempool([Transaction(i, Fraction(1 + i % 3, 2), Fraction(b), Fraction(b + 1))
+                        for i, b in enumerate(OUTCOME_BIDS)]), Fraction(7, 2)),
+}
+OUTCOME_RULES = {
+    "first_price": lambda number: MechanismSpec.first_price(),
+    "second_price": lambda number: MechanismSpec.second_price(),
+    "eip1559": lambda number: MechanismSpec.eip1559(number(1)),
+    "uniform": lambda number: MechanismSpec.uniform(),
+    "uniform_posted": lambda number: MechanismSpec(AllocationKind.UNIFORM, POSTED,
+                                                   base_fee=number(1)),
+    "softmax": lambda number: MechanismSpec.stfm(1.0),
+    "softmax_second_price": lambda number: MechanismSpec.stfm(1.0, SECOND_PRICE),
+    "rtfm": lambda number: MechanismSpec.rtfm(0.5),
+    "rtfm_posted": lambda number: MechanismSpec.rtfm(0.5, POSTED, number(1)),
+    "split_block": lambda number: MechanismSpec.split_block(0.5, delta=number(1)),
+    "split_block_posted": lambda number: MechanismSpec.split_block(0.5, delta=number(1),
+                                                                   base_fee=number(2)),
+}
+OUTCOME_DIGESTS = {
+    "eip1559": "95e15f3db0479d0630acce1a79f7052c9ad0be9bb1ba0284697eceff84cf0f2c",
+    "first_price": "5d2d9d275d1000a2fd90f475b15026483fdea73a484d43418e11c6c75447a531",
+    "rtfm": "4898362ad128950067aa11779e2c332fd61cf934abc64038546dc76a34c6fa9c",
+    "rtfm_posted": "95bee1016000f10e21983bd0dbb8e5b5613ac40df5dc8f590bea96ca9156e936",
+    "second_price": "c217b8d2bd8673045c3e8ccdc9336b5160e7d22a9132897b127907afd65b2db3",
+    "softmax": "cdd39c0dbc919d843b9fde2e5f8cd8c8a8392fe690dfccaa3ee524b739fc05a8",
+    "softmax_second_price": "b1705d3168ac545e9a93a905a3a107a032dfe51911490f1d2962f6caaa1e3c87",
+    "split_block": "68e15589882f0c6dbc38525c478c65872aa6059531cf1a54c2d5fb2d5942235c",
+    "split_block_posted": "7db60d4cb13c8fe9c6a54213da40b5e60235459fbc24371d8928f7fe27d13564",
+    "uniform": "d7fc6d54cd4ab1b6ec6a53faeda3f05a8fb5c9051a14a144bab79f182a551fe5",
+    "uniform_posted": "aeb813264f38d4bc38e2de188f63de921e456d2d5fa6818b426cfe51969552e9",
+}
+
+
+def _outcomes(rule: str, dicts_first: bool = False) -> list:
+    pinned = []
+    for number, (m, capacity) in OUTCOME_POOLS.items():
+        spec = OUTCOME_RULES[rule](number)
+        for fakes in ((), (Transaction(100, number(1), number(1), number(1), fake=True),)):
+            for seed in (0, 1, 2):
+                out = run_mechanism(spec, m, capacity, fakes=fakes, seed=seed)
+                # the dicts read before the miner's utility, then read again from the cache
+                first = (out.user_utilities, out.burn_per_unit) if dicts_first else ()
+                pinned.append((repr(out), repr(out.payment_per_unit), repr(out.burn_per_unit),
+                               repr(out.user_utilities)))
+                assert all(a is b for a, b in zip(first, (out.user_utilities, out.burn_per_unit)))
+    return pinned
+
+
+@pytest.mark.parametrize("rule", sorted(OUTCOME_RULES))
+def test_outcome_repr_and_dicts_of_every_rule(rule):
+    pinned = _outcomes(rule)
+    assert _sha256_repr(pinned) == OUTCOME_DIGESTS[rule]
+    assert _outcomes(rule, dicts_first=True) == pinned

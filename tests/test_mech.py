@@ -27,7 +27,7 @@ from tfmlab import (
 )
 from tfmlab import mech
 from tfmlab.mech import _arm, _prepare
-from tfmlab._trials import _priced
+from tfmlab._trials import _Blocks
 
 
 def unit_pool(bids):
@@ -302,15 +302,15 @@ def test_prices_by_hand_in_one_block_and_in_a_batch(payment, reserved, pays, num
                          for v in expected)
     pay, burn, miner, users, first_two_miner, first_two_users = (repr(v) for v in expected)
 
-    block = arm.block(rows, total, section, toss=None if pays else 0)
+    block = mech._Block(arm, rows, total, section, toss=None if pays else 0)
     assert (repr(block.payment.tolist()), repr(block.burn.tolist())) == (pay, burn)
     assert repr(block.miner_utility) == miner
     assert repr([block.user_utilities()[i] for i in range(3)]) == users
 
-    one = _priced(arm, rows[None], np.ones((1, 4), bool), np.array([total]),
+    one = _Blocks(arm, rows[None], np.ones((1, 4), bool), np.array([total]),
                   None if section is None else section[None], pays)
     # the block reversed, then with rows 2 and 0 taken alone, then as it is
-    three = _priced(arm, np.stack([rows[::-1], rows, rows]),
+    three = _Blocks(arm, np.stack([rows[::-1], rows, rows]),
                     np.array([[True] * 4, [True, True, False, False], [True] * 4]),
                     np.array([total] * 3),
                     None if section is None else np.stack([section[::-1], section, section]),
@@ -486,3 +486,58 @@ def test_a_reused_uniform_arm_looks_up_the_allocator_at_call_time(prepared, monk
     second = run_mechanism(spec, m, 2.0, seed=1)
     assert len(prepared) == 1 and len(calls) == 1
     assert second.allocation.selected == first.allocation.selected
+
+
+def _counting_prices(monkeypatch) -> list:
+    """The calls of ``mech._unit_prices`` from here on."""
+    calls, unit_prices = [], mech._unit_prices
+    monkeypatch.setattr(mech, "_unit_prices",
+                        lambda *args, **kw: calls.append(1) or unit_prices(*args, **kw))
+    return calls
+
+
+def test_a_reused_uniform_run_read_for_its_allocation_prices_nothing(prepared, monkeypatch):
+    spec, m = MechanismSpec.uniform(), unit_pool([0, 0, 1, 2])
+    run_mechanism(spec, m, 2.0, seed=1)
+    calls = _counting_prices(monkeypatch)
+    out = run_mechanism(spec, m, 2.0, seed=2)
+    assert len(out.allocation.selected) == 2 and out.allocation.total_size == 2.0
+    assert len(prepared) == 1 and calls == []
+
+
+@pytest.mark.parametrize("spec", [MechanismSpec.uniform(), MechanismSpec.second_price(),
+                                  MechanismSpec.split_block(0.5, delta=1.0)],
+                         ids=["uniform", "second_price", "split_block"])
+def test_the_miner_utility_and_the_payments_share_one_pricing(spec, monkeypatch):
+    m = unit_pool([1, 0, 1, 2, 3])
+    calls = _counting_prices(monkeypatch)
+    out = run_mechanism(spec, m, 3.0, seed=4)
+    read = [len(calls)]
+    for field in ("miner_utility", "payment_per_unit", "burn_per_unit", "user_utilities"):
+        getattr(out, field)
+        read.append(len(calls))
+    assert read == [0, 1, 1, 1, 1]
+    assert out.miner_utility == sum(out.payment_per_unit.values())
+
+
+def test_a_uniform_outcome_holds_the_allocators_own_result(prepared, monkeypatch):
+    spec, m = MechanismSpec.uniform(), unit_pool([0, 1, 2, 3])
+    returned = []
+    monkeypatch.setattr(mech, "uniform_allocate",
+                        lambda *args: returned.append(uniform_allocate(*args)) or returned[-1])
+    outs = [run_mechanism(spec, m, 2.0, seed=seed) for seed in range(3)]
+    assert len(prepared) == 1 and len(returned) == 3
+    assert all(out.allocation is result for out, result in zip(outs, returned))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_split_block_at_an_infinite_capacity_is_split_block_at_a_huge_one(alpha):
+    # the reserved section is capacity - alpha * capacity, which must not be inf - inf here
+    cfg = SplitBlockConfig(alpha)
+    assert cfg.one_minus_alpha_capacity(math.inf) == (math.inf if alpha < 1 else 0.0)
+    m = Mempool([Transaction(0, 1.0, 0.0, 0.0), Transaction(1, 1.0, 3.0, 3.0)])
+    at_inf, at_huge = (run_mechanism(MechanismSpec.split_block(alpha), m, capacity)
+                       for capacity in (math.inf, 1e300))
+    assert at_inf.allocation.selected == at_huge.allocation.selected == \
+        ((0, 1) if alpha < 1 else (1,))
+    assert at_inf.allocation.sections == at_huge.allocation.sections
