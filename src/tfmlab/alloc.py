@@ -8,8 +8,10 @@ Sampling notes: the greedy knapsack, the uniform rule and the softmax rule
 are one walk over an order of the pool's rows, keeping every row that still
 fits.  Only the order differs:
 
-* greedy: a stable sort by objective weight per unit size, highest first,
-  lowest id first among ties;
+* greedy: by objective weight per unit size, highest first, lowest id first
+  among ties.  On float pools of more rows than the block can hold, a partition
+  (introselect) finds the last key the walk can reach, and only the rows up to
+  it are sorted; the rest are sorted and walked only if a row can still fit;
 * uniform: a random permutation.  By exchangeability, walking it is identical
   in distribution to repeatedly picking a uniformly random transaction among
   the ones that still fit;
@@ -257,14 +259,37 @@ def optimal_allocate(
     return AllocationResult(tuple(m.columns.ids[rows].tolist()), total, capacity)
 
 
+def _ranked(c: PoolColumns, w: np.ndarray, key: np.ndarray, capacity, among=None):
+    """The candidate rows, of every row or of those the mask `among` sets: positive weight
+    and a size within `capacity`, by `key` (minus weight per unit size), then lowest id."""
+    if among is None:
+        order = np.lexsort((c.ids, key))
+    else:
+        rows = np.flatnonzero(among)
+        order = rows[np.lexsort((c.ids[rows], key[rows]))]
+    return order[(w[order] > 0) & (c.sizes[order] <= capacity)]
+
+
 def _optimal_rows(c: PoolColumns, capacity, payment_per_unit=None, exact=None):
-    """:func:`optimal_allocate`'s selection as pool rows in ascending id, and their total size."""
+    """:func:`optimal_allocate`'s selection as pool rows in ascending id, and their total size.
+
+    A greedy walk over float keys, at a capacity that is a double, keeps at most
+    ``most = capacity / smallest size`` rows.  Below the pool's size, it ranks first only
+    the rows up to the key of rank ``int(most)``, ties included, which a partition finds;
+    it ranks and walks the rest only when the smallest size still fits at the head's
+    total.  Head then rest is the full order, so the walk keeps the same rows."""
     w = _weights(c, payment_per_unit)
-    # candidates by weight per unit size, highest first, then lowest id
-    order = np.lexsort((c.ids, -(w / c.sizes)))
-    order = order[(w[order] > 0) & (c.sizes[order] <= capacity)]
+    key = -(w / c.sizes)
     if exact is None:
         exact = len(c.ids) <= EXHAUSTIVE_LIMIT
+    head = None
+    if not exact and len(key) and key.dtype == float \
+            and (_double(capacity) or type(capacity) is np.float64):
+        smallest = c.sizes.min().item()
+        most = float(capacity) / smallest  # inf at an unbounded block
+        if most < len(key):
+            head = key <= np.partition(key, int(most))[int(most)]
+    order = _ranked(c, w, key, capacity, head)
     if exact and len(order) > EXHAUSTIVE_LIMIT:
         raise SolverLimitError(
             f"exact knapsack limited to {EXHAUSTIVE_LIMIT} candidates, got "
@@ -277,7 +302,12 @@ def _optimal_rows(c: PoolColumns, capacity, payment_per_unit=None, exact=None):
         row_of = dict(zip(ids, order.tolist()))
         rows = np.array([row_of[t] for t in chosen], dtype=order.dtype)
     else:
-        rows, _ = _walk(c.sizes, order, capacity)
+        rows, total = _walk(c.sizes, order, capacity)
+        # the walk's own test, on a size no larger than any left: float addition is
+        # monotone, so when it fails, no row of the rest fits
+        if head is not None and total + smallest <= capacity:
+            rest, _ = _walk(c.sizes, _ranked(c, w, key, capacity, ~head), capacity, total)
+            rows = np.concatenate((rows, rest))
         rows = rows[c.ids[rows].argsort()]
     return rows, sum(c.sizes[rows].tolist())
 

@@ -41,6 +41,13 @@ from .txpool import BidDistribution, Mempool, resolve_rng, sample_mempool
 CSV_HEADER = "sweep_value,normalized_revenue,revenue_stderr,zero_fee_fraction,zff_stderr,cof,zfi"
 
 
+def _check_sweep_values(sweep_values) -> None:
+    if not sweep_values:
+        raise ConfigError("sweep_values must be non-empty")
+    if any(not math.isfinite(v) for v in sweep_values):
+        raise ConfigError("sweep_values must be finite")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     mechanism: MechanismSpec
@@ -57,10 +64,7 @@ class ExperimentConfig:
     stratified_toss: bool = CONFIG_KEYS["stratified_toss"].default
 
     def __post_init__(self) -> None:
-        if not self.sweep_values:
-            raise ConfigError("sweep_values must be non-empty")
-        if any(not math.isfinite(v) for v in self.sweep_values):
-            raise ConfigError("sweep_values must be finite")
+        _check_sweep_values(self.sweep_values)
         try:
             _check_int("runs", self.runs, 1)
             _check_int("n", self.n, 1)
@@ -268,11 +272,13 @@ _ATTRIBUTES = {"bids": "bid_dist", "sizes": "size_dist", "out": "output_path"}
 def experiment_from_fields(fields: Dict[str, object]) -> ExperimentConfig:
     """ExperimentConfig from parsed config fields; omitted keys keep their defaults."""
     sweep_values = config_value(fields, "sweep_values")
+    # the grid is checked before it seeds the mechanism, so its errors name sweep_values
+    _check_sweep_values(sweep_values)
     mech_fields = dict(fields)
     # when the swept parameter defines the mechanism, seed it from the grid
     swept = {AllocationKind.RTFM: "phi", AllocationKind.SOFTMAX: "gamma"}.get(
         fields.get("allocation"))
-    if swept == config_value(fields, "sweep_param") and sweep_values:
+    if swept == config_value(fields, "sweep_param"):
         mech_fields.setdefault(swept, sweep_values[0])
     settings = {_ATTRIBUTES.get(k, k): v for k, v in fields.items()
                 if CONFIG_KEYS[k].section in (POOL, SWEEP)}

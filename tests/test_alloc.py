@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 from itertools import combinations
 
@@ -24,13 +25,14 @@ from tfmlab import (
     rtfm_sample,
     run_rtfm_sweep,
     run_stfm_sweep,
+    sample_mempool,
     splitblock_allocate,
     stfm_allocate,
     stfm_first_draw_distribution,
     uniform_allocate,
 )
 from tfmlab.alloc import _optimal_rows, _walk, _walk_rows
-from tfmlab.txpool import _column
+from tfmlab.txpool import PoolColumns, _column
 
 
 def pool(pairs, sizes_equal=None):
@@ -773,3 +775,140 @@ def test_optimal_allocate_selects_the_ids_of_the_row_core(exact, seed):
         assert list(result.selected) == sorted(result.selected)
         assert not c.fake[rows].any()
         assert repr(result.total_size) == repr(total)
+
+
+def _full_sort_rows(c, capacity, payment=None):
+    """The greedy knapsack over the full order: every candidate ranked by weight per unit
+    size, highest first, then lowest id, and walked."""
+    w = alloc._weights(c, payment)
+    order = np.lexsort((c.ids, -(w / c.sizes)))
+    order = order[(w[order] > 0) & (c.sizes[order] <= capacity)]
+    rows, _ = _walk(c.sizes, order, capacity)
+    rows = rows[c.ids[rows].argsort()]
+    return rows, sum(c.sizes[rows].tolist())
+
+
+GREEDY_SIZES = {
+    "equal": lambda rng, n: np.ones(n),
+    "tenths": lambda rng, n: np.full(n, 0.1),  # sums of 0.1 drift from capacity / 0.1
+    "few": lambda rng, n: rng.choice([0.1, 0.2, 0.3, 1.0], n),
+    "uniform": lambda rng, n: rng.uniform(0.5, 1.5, n),
+    "exponential": lambda rng, n: rng.exponential(1, n),
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(GREEDY_SIZES)), st.integers(0, 400), st.integers(0, 2),
+       st.sampled_from([0.0, 0.5]), st.sampled_from([0.0, 0.1]),
+       st.sampled_from([0.0, 0.1, 0.37, 0.6, 1.2, math.inf]), st.booleans(), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_greedy_rows_are_the_full_sorts(sizes, n, decimals, zeros, fakes, share, posted,
+                                        permuted, seed):
+    """Ranking only the rows the walk can reach keeps the full sort's rows and total, with
+    ties at the cut, zero bids, fakes, a posted fee, an empty pool and an unbounded block,
+    on both walks."""
+    rng = np.random.default_rng(seed)
+    bids = np.round(rng.normal(4, 3, n).clip(0), decimals)
+    bids[rng.random(n) < zeros] = 0.0
+    ids = (rng.permutation(3 * n)[:n] if permuted else np.arange(n)).astype(np.int64)
+    c = PoolColumns(ids, GREEDY_SIZES[sizes](rng, n), bids, bids, rng.random(n) < fakes)
+    capacity = share if share == math.inf else share * c.sizes.sum().item()
+    payment = bids - 1.5 if posted else None
+    for c_walk in {alloc._walk_rows_c, None}:
+        with pytest.MonkeyPatch.context() as walk:
+            walk.setattr(alloc, "_walk_rows_c", c_walk)
+            rows, total = _optimal_rows(c, capacity, payment, exact=False)
+            expected, expected_total = _full_sort_rows(c, capacity, payment)
+        assert rows.tolist() == expected.tolist()
+        assert repr(total) == repr(expected_total) and type(total) is type(expected_total)
+
+
+def _on_walk(monkeypatch, c_walk):
+    """Run the test on the C walk or, with the helper's walk patched away, on Python's."""
+    if not c_walk:
+        monkeypatch.setattr(alloc, "_walk_rows_c", None)
+    elif alloc._walk_rows_c is None:
+        pytest.skip("the C helper is not available")
+
+
+def _ranking_spy(monkeypatch):
+    """Patch the ranking to note, for each call, whether it ranked a subset of the rows."""
+    ranked, subsets = alloc._ranked, []
+
+    def spy(*args):
+        subsets.append(len(args) > 4 and args[4] is not None)
+        return ranked(*args)
+
+    monkeypatch.setattr(alloc, "_ranked", spy)
+    return subsets
+
+
+@pytest.mark.parametrize("c_walk", [True, False])
+def test_the_phi_sweep_knapsack_ranks_only_the_head(monkeypatch, c_walk):
+    """On the bias sweep's pools (a thousand unit sizes, room for a hundred) the knapsack
+    ranks the rows the walk can reach and no more: a fall-back to the full sort fails."""
+    _on_walk(monkeypatch, c_walk)
+    subsets = _ranking_spy(monkeypatch)
+    for seed in range(3):
+        c = sample_mempool(1000, BidDistribution.censored_gaussian(4, 3),
+                           BidDistribution.constant(1), seed=seed).columns
+        # the bids as drawn, and rounded to one decimal, so that ties straddle the cut: the
+        # head keeps them all, so it holds the block
+        for bids in (c.bids, np.round(c.bids, 1)):
+            c = c._replace(bids=bids)
+            rows, total = _optimal_rows(c, 100, exact=False)
+            expected, expected_total = _full_sort_rows(c, 100)
+            assert rows.tolist() == expected.tolist() and repr(total) == repr(expected_total)
+            assert len(rows) == 100
+    assert subsets == [True] * 6  # the head only: the full block leaves no room for the rest
+    # half the bids zero and room for 600: the head's candidates run out with room left, so
+    # the walk ranks the rest too and walks on from the head's total
+    subsets.clear()
+    for seed in range(3):
+        bids = BidDistribution.zero_inflated(0.5, BidDistribution.uniform(0, 3))
+        c = sample_mempool(1000, bids, BidDistribution.constant(1), seed=seed).columns
+        rows, total = _optimal_rows(c, 600, exact=False)
+        expected, expected_total = _full_sort_rows(c, 600)
+        assert rows.tolist() == expected.tolist() and repr(total) == repr(expected_total)
+    assert subsets == [True, True] * 3
+
+
+def test_greedy_knapsacks_that_rank_every_row(monkeypatch):
+    """An empty pool, an unbounded block (no warning), Fraction columns and a block with
+    room for every row rank all rows in one call, as the full sort does."""
+    subsets = _ranking_spy(monkeypatch)
+    floats = sample_mempool(300, BidDistribution.uniform(0, 5), BidDistribution.constant(1),
+                            seed=1).columns
+    fractions = Mempool([Transaction(i, Fraction(1 + i % 3, 2), Fraction(i % 7), Fraction(i % 7))
+                         for i in range(60)]).columns
+    cases = [(PoolColumns(*(column[:0] for column in floats)), 5.0),
+             (floats, math.inf), (floats, 300.0), (floats, np.float64(math.inf)),
+             (fractions, Fraction(7, 2)), (fractions, math.inf)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c, capacity in cases:
+            rows, total = _optimal_rows(c, capacity, exact=False)
+            expected, expected_total = _full_sort_rows(c, capacity)
+            assert rows.tolist() == expected.tolist()
+            assert repr(total) == repr(expected_total) and type(total) is type(expected_total)
+    assert subsets == [False] * len(cases)
+
+
+@pytest.mark.parametrize("c_walk", [True, False])
+def test_the_rest_is_walked_when_the_walk_would_keep_a_row_of_it(monkeypatch, c_walk):
+    """The test for walking on past the head is the walk's own ``total + size <= capacity``:
+    at 0.7 + 0.1 a row of 0.1 fits a block of 0.7 + 0.1, although the room left,
+    capacity - 0.7, is below 0.1 in floats."""
+    _on_walk(monkeypatch, c_walk)
+    capacity = 0.7 + 0.1
+    assert capacity - 0.7 < 0.1
+    # room for 7 rows of the smallest size; the head of 8 holds the 0.7 row and seven rows
+    # too large to fit, and the row of 0.1, ranked last, is the rest
+    sizes = np.array([0.7] + [1.0] * 7 + [0.1])
+    bids = np.array([9.0] + [8.0] * 7 + [1.0])
+    c = PoolColumns(np.arange(9, dtype=np.int64), sizes, bids, bids, np.zeros(9, bool))
+    subsets = _ranking_spy(monkeypatch)
+    rows, total = _optimal_rows(c, capacity, exact=False)
+    assert rows.tolist() == _full_sort_rows(c, capacity)[0].tolist() == [0, 8]
+    assert total == capacity
+    assert subsets == [True, True]

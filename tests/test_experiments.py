@@ -401,8 +401,18 @@ STFM_CFG = "allocation = softmax\nn = 60\nbids = uniform(0,5)\nsizes = exponenti
      "capacity must be positive and finite, got 0.0"),
     ("sweep-rtfm", RTFM_CFG.replace("capacity = 8", "capacity = inf"),
      "capacity must be positive and finite, got inf"),
+    # the grid seeds phi or gamma, so it is checked first and its error names sweep_values
+    ("sweep-rtfm", RTFM_CFG.replace("sweep_values = 0,0.5,1", "sweep_values ="),
+     "sweep_values must be non-empty"),
+    ("sweep-rtfm", RTFM_CFG.replace("sweep_values = 0,0.5,1", "sweep_values = nan,0.5"),
+     "sweep_values must be finite"),
+    ("sweep-stfm", STFM_CFG + "sweep_param = gamma\nsweep_values =\n",
+     "sweep_values must be non-empty"),
+    ("sweep-stfm", STFM_CFG + "sweep_param = gamma\nsweep_values = nan,0.5\n",
+     "sweep_values must be finite"),
 ], ids=["phi", "gamma", "size_ratio", "size_ratio_inf", "size_ratio_nan", "stfm_n_0", "rtfm_n_0",
-        "capacity_0", "capacity_inf"])
+        "capacity_0", "capacity_inf", "rtfm_empty_grid", "rtfm_nan_grid", "stfm_empty_grid",
+        "stfm_nan_grid"])
 def test_cli_rejects_a_bad_sweep_grid_before_any_run(tmp_path, capsys, monkeypatch, command,
                                                      grid, message):
     def no_run(*args, **kwargs):

@@ -22,6 +22,7 @@ from tfmlab import (
     Mempool,
     PaymentKind,
     Transaction,
+    alloc,
     check_uic,
     emit_csv,
     empirical_cof,
@@ -62,6 +63,8 @@ ONE_TRIAL_SOFTMAX = "b15552246a939160fbc014fd14b1627096c7418a0636d4425cc898687c7
 SMALL_RTFM_SWEEP_CSV = "516b6b9bf268d25345ca9d8a0c732e02acea5e9498dd3fc025c01d28dd85b17f"
 POSTED_RTFM_SWEEP_CSV = "575478fd3e1c0c9e43e057ce45f91449f85f963ef6c20a044eb58f4afdc153a5"
 UNSTRATIFIED_RTFM_SWEEP_CSV = "e83c61d6e557004491b3e807e8c0e047dbe914cc92215df055a5b308eacd8c84"
+EQUAL_SIZE_KNAPSACKS = "e0f595190701c556f900898d8b915bb4e91b4e5a45c6142ce8951707280a5cca"
+MINED_CHAIN_ROOTS = "8ed1ba7529f4a0257b6b76b9057f75ef4ee177bcdd3f69630e9c9b7e832229b9"
 TUNE_GAMMA_REPR = "12323955d6fc5c6f0f6514e3c96e8786afd89f74ee958e2c56e7fa9cad1eaf20"
 CLI_AUDIT_OUTPUT = "eb7665aef0456454cba2f2bb5c3993aa5c2b66aeadbb26e85fb659979f7b9b9e"
 AUDIT_DIGESTS = {
@@ -589,3 +592,53 @@ def test_outcome_repr_and_dicts_of_every_rule(rule):
     pinned = _outcomes(rule)
     assert _sha256_repr(pinned) == OUTCOME_DIGESTS[rule]
     assert _outcomes(rule, dicts_first=True) == pinned
+
+
+# Greedy knapsacks on equal-size float pools of a thousand rows, where a block holds about
+# a tenth of them: bids rounded to one decimal, so ties straddle the block's last kept key,
+# zero-inflated bids, miner fakes, a posted fee (bids less 1.5), and sizes of 0.1 at
+# capacity 1.0, where the walk keeps ten rows although 1.0 // 0.1 is 9.0.
+def _equal_size_pool(seed, bids, size=1.0, fakes=0):
+    m = sample_mempool(1000, bids, BidDistribution.constant(size), seed=seed)
+    txs = [Transaction(i, size, round(b, 1), round(b, 1))
+           for i, b in enumerate(m.columns.bids.tolist())]
+    txs += [Transaction(1000 + j, size, 9.0, 9.0, fake=True) for j in range(fakes)]
+    return Mempool(txs)
+
+
+def _equal_size_knapsacks():
+    gaussian = BidDistribution.censored_gaussian(4, 3)
+    zero_inflated = BidDistribution.zero_inflated(0.5, BidDistribution.uniform(0, 3))
+    pinned = []
+    for seed in (0, 1, 2):
+        cases = [(_equal_size_pool(seed, gaussian), 100.0, None),
+                 (_equal_size_pool(seed, zero_inflated), 100.0, None),
+                 (_equal_size_pool(seed, zero_inflated), 600.0, None),
+                 (_equal_size_pool(seed, gaussian, fakes=40), 100.0, None),
+                 (_equal_size_pool(seed, gaussian, size=0.1), 1.0, None),
+                 (_equal_size_pool(seed, gaussian, size=0.1), 10.0, None)]
+        cases += [(m, capacity, m.columns.bids - 1.5) for m, capacity, _ in cases[:4]]
+        for m, capacity, payment in cases:
+            r = optimal_allocate(m, capacity, payment_per_unit=payment, exact=False)
+            pinned.append((r.selected, repr(r.total_size), type(r.total_size)))
+    return pinned
+
+
+@pytest.mark.parametrize("walk", ["c", "python"])
+def test_greedy_knapsacks_on_equal_size_pools(monkeypatch, walk):
+    if walk == "python":
+        monkeypatch.setattr(alloc, "_walk_rows_c", None)
+    elif alloc._walk_rows_c is None:
+        pytest.skip("the C helper is not available")
+    assert _sha256_repr(_equal_size_knapsacks()) == EQUAL_SIZE_KNAPSACKS
+
+
+def test_rtfm_sample_roots_on_the_mined_chain_shape():
+    roots = []
+    for seed in (0, 1, 2):
+        m = sample_mempool(1000, BidDistribution.censored_gaussian(4, 3),
+                           BidDistribution.constant(1), seed=seed)
+        sample = rtfm_sample(m, 100, seed)
+        roots.append((sample.rand_root.hex(), sample.opt_root.hex(),
+                      sample.opt_set.selected, repr(sample.opt_set.total_size)))
+    assert _sha256_repr(roots) == MINED_CHAIN_ROOTS
