@@ -134,7 +134,11 @@ class _TrialStreams:
         return rows[lo - offset:hi - offset]
 
     def __call__(self, i: int) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(_TrialSeed(self._words(i, i + 1)[0])))
+        k = (i + _BATCH - 1) // _BATCH  # the block of trial i, read without a slice
+        if k >= len(self._blocks):
+            self._words(i, i + 1)  # makes the blocks up to it
+        words = self._blocks[k][i - 1 - (k - 1) * _BATCH if k else 0]
+        return np.random.Generator(np.random.PCG64(_TrialSeed(words)))
 
     def slices(self, kind: int, n: int):
         """The trials' draws of `kind` as arrays, made as read in slices of at most

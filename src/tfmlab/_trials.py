@@ -19,13 +19,12 @@ on one trial's empty draws.  The knapsack's step is such a one: it returns
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .alloc import _running, _softmax_rows, _walk_rows
-from .mech import AllocationKind, _Arm, _knapsack, _split_block, _unit_prices
+from .mech import AllocationKind, _Arm, _cached, _knapsack, _split_block, _unit_prices
 from ._streams import GUMBEL, PERMUTATION, TOSS
 
 
@@ -46,21 +45,21 @@ class _Blocks:
         self.arm, self.rows, self.taken, self.total = arm, rows, taken, total
         self.reserved, self.pays = reserved, pays
 
-    @cached_property
+    @_cached
     def included(self) -> np.ndarray:
         """A column per pool row, the fakes last."""
         included = np.zeros((len(self.rows), len(self.arm.pool)), bool)
         included[np.arange(len(self.rows))[:, None], self.rows] = self.taken
         return included
 
-    @cached_property
+    @_cached
     def _prices(self):
         """The sizes of `rows`, their payment and burn per unit, and which are real and taken."""
         c, rows, taken = self.arm.pool.columns, self.rows, self.taken
         p, q = _unit_prices(self.arm.spec, c.bids[rows], taken, self.reserved, self.pays)
         return c.sizes[rows], p, q, taken & ~c.fake[rows]
 
-    @cached_property
+    @_cached
     def miner_utility(self) -> np.ndarray:
         size, p, q, real = self._prices
         fake = self.taken & ~real
@@ -68,7 +67,7 @@ class _Blocks:
         burn = _running(np.where(fake, size * q, 0.0), 0.0)[:, -1]
         return income - burn
 
-    @cached_property
+    @_cached
     def user_utility(self) -> np.ndarray:
         """A column per real pool row, 0.0 where the row is left out."""
         size, p, q, real = self._prices
@@ -79,14 +78,14 @@ class _Blocks:
         return users[:, :len(self.arm.m)]
 
 
-def _mixed(name: str) -> cached_property:
+def _mixed(name: str) -> _cached:
     """Field `name` of :class:`_TwoSet`'s blocks, mixed on first read."""
     def mix(self: _TwoSet) -> np.ndarray:
         some, knapsack = getattr(self.walked, name), getattr(self.paying, name)
         both = np.empty((len(self.zero),) + knapsack.shape[1:], np.result_type(some, knapsack))
         both[self.zero], both[~self.zero] = some, knapsack
         return both
-    return cached_property(mix)
+    return _cached(mix)
 
 
 class _TwoSet:

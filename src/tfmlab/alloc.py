@@ -63,19 +63,28 @@ SECTION_RAND = "rand"
 SECTION_OPT = "opt"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AllocationResult:
     """A feasible selection of transactions.
 
     `selected` preserves inclusion order for sampled rules and ascending id
     for deterministic ones.  `sections` maps each selected id to the block
-    section it landed in.
+    section it landed in, and is empty when not given.
     """
 
     selected: tuple
     total_size: float
     capacity: float
     sections: Mapping[int, str] = field(default_factory=dict)
+
+    def __init__(self, selected: tuple, total_size, capacity,
+                 sections: Optional[Mapping[int, str]] = None):
+        # a uniform run makes one a trial: the fields go straight into __dict__, past the
+        # frozen __setattr__ that the generated __init__ calls once a field
+        fields = self.__dict__
+        fields["selected"], fields["total_size"], fields["capacity"] = selected, total_size, capacity
+        fields["sections"] = {} if sections is None else sections
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if len(set(self.selected)) != len(self.selected):
@@ -321,9 +330,9 @@ def allocation_value(m: Mempool, result: AllocationResult):
 def uniform_allocate(m: Mempool, capacity, seed: SeedLike) -> AllocationResult:
     """Uniformly sample transactions until nothing left fits."""
     _check_capacity(capacity)
-    rng = resolve_rng(seed)
-    rows, total = _walk(m.columns.sizes, rng.permutation(len(m)), capacity)
-    return AllocationResult(tuple(m.columns.ids[rows].tolist()), total, capacity)
+    c = m.columns
+    rows, total = _walk(c.sizes, resolve_rng(seed).permutation(len(c.ids)), capacity)
+    return AllocationResult(tuple(c.ids[rows].tolist()), total, capacity)
 
 
 def stfm_first_draw_distribution(m: Mempool, gamma: float) -> Dict[int, float]:

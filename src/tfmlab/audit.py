@@ -122,6 +122,34 @@ _miner_utility = attrgetter("miner_utility")  # of a slice's blocks
 # Zero-fee inclusion
 
 
+def _zti_hits(spec: MechanismSpec, m: Mempool, capacity,
+              streams: _TrialStreams) -> Tuple[np.ndarray, int, bool]:
+    """How many runs included each row of `m`, how many runs were made, and whether the
+    rule drew (one run where it draws nothing, else one a trial).
+
+    A uniform arm calls :func:`run_mechanism` once a run, since the benchmark's tracing
+    test (``bench/test_bench.py``) counts those calls and reads the fills of their
+    ``uniform_allocate``; :func:`_step_arms`, which steps every other arm, gives the
+    same counts, but taking it waits for a change to that test.
+    """
+    arm = _arm(spec, m, capacity)
+    if spec.allocation is AllocationKind.UNIFORM:
+        drew = _draws(*_batched(arm)[:2])
+        runs = streams.trials if drew else 1
+        taken = []  # the ids each run selected, run after run
+        for i in range(runs):
+            taken += run_mechanism(spec, m, capacity, seed=streams(i)).allocation.selected
+        return np.bincount(m.rows_of(taken), minlength=len(m)), runs, drew
+    hits = np.zeros(len(m), dtype=np.intp)
+
+    def tally(blocks) -> np.ndarray:  # a slice of runs, a 1 each
+        np.add(hits, blocks.included.sum(axis=0), out=hits)
+        return np.ones(len(blocks.total), int)
+
+    (tallies, drew), = _step_arms([arm], streams, tally)
+    return hits, len(tallies), drew
+
+
 def estimate_zti(spec: MechanismSpec, m: Mempool, capacity, trials: int, seed: int) -> PropertyReport:
     """Can a zero-bid transaction ever enter the block?
 
@@ -157,24 +185,7 @@ def estimate_zti(spec: MechanismSpec, m: Mempool, capacity, trials: int, seed: i
                 0, "analytic certificate",
             )
 
-    hits = np.zeros(len(m), dtype=np.intp)  # the runs that included each row
-
-    def tally(blocks) -> np.ndarray:  # a slice of runs, a 1 each
-        np.add(hits, blocks.included.sum(axis=0), out=hits)
-        return np.ones(len(blocks.total), int)
-
-    if spec.allocation is AllocationKind.UNIFORM:
-        # one reused run_mechanism a trial, or one run where the rule draws nothing:
-        # bench/test_bench.py counts the calls and reads their fills
-        drew = _draws(*_batched(_arm(spec, m, capacity))[:2])
-        runs = streams.trials if drew else 1
-        taken = bytearray()  # the intp rows each run included, run after run, held as bytes
-        for i in range(runs):
-            taken += run_mechanism(spec, m, capacity, seed=streams(i))._block.rows.tobytes()
-        hits = np.bincount(np.frombuffer(taken, np.intp), minlength=len(m))
-    else:
-        (tallies, drew), = _step_arms([_arm(spec, m, capacity)], streams, tally)
-        runs = len(tallies)
+    hits, runs, drew = _zti_hits(spec, m, capacity, streams)
     zero_hits = hits[m.rows_of(tx.id for tx in zeros)].tolist()
     excluded = [tx.id for tx, c in zip(zeros, zero_hits) if not c]
     if excluded and not drew:

@@ -47,8 +47,16 @@ def _finite(value) -> bool:
 
 
 def _check_capacity(capacity) -> None:
-    if not capacity >= 0:  # NaN fails too; inf is an unbounded block
+    """A capacity is a number at least 0 (NaN is not) that converts to a double: a float
+    passes on one comparison, and float inf is an unbounded block, but an int or
+    Fraction no double holds is refused, since the walks and the knapsack read doubles."""
+    if not capacity >= 0:
         raise ParameterError(f"capacity must be non-negative, got {capacity}")
+    if type(capacity) is not float:
+        try:
+            float(capacity)
+        except OverflowError:
+            raise ParameterError(f"capacity must convert to a double, got {capacity}") from None
 
 
 def _check_gamma(gamma) -> None:

@@ -30,6 +30,7 @@ from .mech import (
     PaymentKind,
     _Block,
     _arm,
+    _knapsack,
     _prepare,
     _softmax_blocks,
     config_value,
@@ -143,12 +144,12 @@ def _greedy_value(m: Mempool, capacity) -> float:
 def run_rtfm_sweep(cfg: ExperimentConfig) -> List[SweepRow]:
     """Sweep the branch bias of the randomized two-set mechanism.
 
-    Each run draws a fresh mempool, prepares the mechanism over it once and
-    steps both branches from the run's seed; a grid value then mixes the
-    per-run branch outcomes according to its toss pattern.  Normalized
-    revenue is miner utility over the exact optimum for that run's pool; the
-    zero-fee fraction counts confirmed zero-bid transactions against the
-    mempool size.
+    Each run draws a fresh mempool, steps the zero-pay branch from the run's
+    seed and takes the paying branch's knapsack block, which needs no draw; a
+    grid value then mixes the per-run branch outcomes according to its toss
+    pattern.  Normalized revenue is miner utility over the exact optimum for
+    that run's pool; the zero-fee fraction counts confirmed zero-bid
+    transactions against the mempool size.
     """
     if cfg.mechanism.allocation is not AllocationKind.RTFM:
         raise ConfigError("run_rtfm_sweep needs a randomized two-set mechanism")
@@ -163,10 +164,11 @@ def run_rtfm_sweep(cfg: ExperimentConfig) -> List[SweepRow]:
         rng = resolve_rng([cfg.seed, r])
         start = rng.bit_generator.state
         m = sample_mempool(cfg.n, cfg.bid_dist, cfg.size_dist, seed=rng)
-        step = _prepare(_arm(cfg.mechanism, m, cfg.capacity))
+        arm = _arm(cfg.mechanism, m, cfg.capacity)
         rng.bit_generator.state = start
-        # no generator state changes the paying branch's block, so one restore serves both
-        blocks = [step(rng, 0), step(rng, 1)]
+        # the paying branch's block is the knapsack's whatever the generator holds, and
+        # nothing reads the generator after it, so its unread permutation is not drawn
+        blocks = [_prepare(arm)(rng, 0), _Block(arm, *_knapsack(arm), toss=1)]
         # the paying branch's knapsack is the greedy optimum unless it is exact (a
         # small pool) or weighs bids less the posted fee
         if len(m) > EXHAUSTIVE_LIMIT and cfg.mechanism.payment is not PaymentKind.POSTED_PRICE:

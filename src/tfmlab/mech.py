@@ -55,8 +55,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, reduce
-from operator import add
+from functools import reduce
+from operator import add, is_
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -157,6 +157,24 @@ class MechanismSpec:
         return cls(AllocationKind.RTFM, payment, phi=phi, base_fee=base_fee)
 
 
+class _cached:
+    """``functools.cached_property`` without the lock it takes on each first read (Python
+    3.11): the value goes into the instance's ``__dict__``, past a frozen dataclass's
+    ``__setattr__``, which still refuses assignment."""
+
+    def __init__(self, compute: Callable):
+        self.compute, self.__doc__ = compute, compute.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
 class _Block:
     """One block of a prepared arm: its rows of the arm's pool (the fakes last), in block
     order, and their total size, summed as the allocation rule sums it; split block's
@@ -164,35 +182,33 @@ class _Block:
 
     The prices, the miner's utility and the allocation are computed on first read
     and cached, since a run reads what its caller needs: the zero-fee inclusion
-    audit only the rows, a sweep the miner's utility and the payments.  The
-    sweeps read a trial's block directly; :func:`run_mechanism` wraps it in a
-    :class:`MechanismOutcome`.
+    audit only the allocation, a sweep the rows, the miner's utility and the
+    payments.  The sweeps read a trial's block directly; :func:`run_mechanism`
+    wraps it in a :class:`MechanismOutcome`.
     """
 
     def __init__(self, arm: _Arm, rows: np.ndarray, total,
                  reserved: Optional[np.ndarray] = None, toss: Optional[int] = None):
-        self.columns, self.rows, self.total = arm.pool.columns, rows, total
-        self.reserved, self.toss, self.real = reserved, toss, len(arm.m)
-        self.spec, self.capacity = arm.spec, arm.capacity
+        self.arm, self.rows, self.total, self.reserved, self.toss = arm, rows, total, reserved, toss
 
-    @cached_property
+    @_cached
     def _prices(self) -> Tuple[np.ndarray, np.ndarray]:
         """Payment and burn per unit of each row; the two-set zero-pay branch prices nothing."""
-        return _unit_prices(self.spec, self.columns.bids[self.rows], reserved=self.reserved,
-                            pays=self.toss != 0)
+        return _unit_prices(self.arm.spec, self.arm.pool.columns.bids[self.rows],
+                            reserved=self.reserved, pays=self.toss != 0)
 
     payment = property(lambda self: self._prices[0])
     burn = property(lambda self: self._prices[1])
 
-    @cached_property
+    @_cached
     def miner_utility(self) -> float:
-        c, rows = self.columns, self.rows
+        c, rows = self.arm.pool.columns, self.rows
         return _block_income(c.sizes[rows], *self._prices, c.fake[rows])
 
-    @cached_property
+    @_cached
     def allocation(self) -> AllocationResult:
-        selected = tuple(self.columns.ids[self.rows].tolist())
-        return AllocationResult(selected, self.total, self.capacity,
+        selected = tuple(self.arm.pool.columns.ids[self.rows].tolist())
+        return AllocationResult(selected, self.total, self.arm.capacity,
                                 _sections(selected, self.reserved, self.toss))
 
     def by_id(self, values: np.ndarray) -> Dict[int, float]:
@@ -201,18 +217,33 @@ class _Block:
         if self.reserved is not None:
             listed = self.reserved.argsort(kind="stable")
             rows, values = rows[listed], values[listed]
-        return dict(zip(self.columns.ids[rows].tolist(), values.tolist()))
+        return dict(zip(self.arm.pool.columns.ids[rows].tolist(), values.tolist()))
 
     def user_utilities(self) -> Dict[int, float]:
-        c, rows = self.columns, self.rows
+        c, rows, n = self.arm.pool.columns, self.rows, len(self.arm.m)
         gain = (c.valuations[rows] - self.payment - self.burn) * c.sizes[rows]
-        real = rows < self.real
-        users = dict.fromkeys(c.ids[:self.real].tolist(), 0.0)
+        real = rows < n
+        users = dict.fromkeys(c.ids[:n].tolist(), 0.0)
         users.update(zip(c.ids[rows[real]].tolist(), gain[real].tolist()))
         return users
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+class _Allocated(_Block):
+    """A block as its allocator returned it, in `allocation`: its rows are looked up from
+    the selected ids when first read, so a run read only for its allocation maps no id."""
+
+    reserved = toss = None  # the uniform rule has no reserved section and no toss
+    total = property(lambda self: self.allocation.total_size)
+
+    def __init__(self, arm: _Arm, allocation: AllocationResult):
+        self.arm, self.allocation = arm, allocation
+
+    @_cached
+    def rows(self) -> np.ndarray:
+        return self.arm.pool.rows_of(self.allocation.selected)
+
+
+@dataclass(frozen=True, eq=False, repr=False, init=False)
 class MechanismOutcome:
     """One block of a mechanism.
 
@@ -228,19 +259,25 @@ class MechanismOutcome:
     coin_toss: Optional[int]
     _block: _Block
 
+    def __init__(self, allocation: AllocationResult, coin_toss: Optional[int], _block: _Block):
+        # each run makes one: its fields go straight into __dict__, as the cached ones
+        # do, past the frozen __setattr__ the generated __init__ would call a field
+        fields = self.__dict__
+        fields["allocation"], fields["coin_toss"], fields["_block"] = allocation, coin_toss, _block
+
     @property
     def miner_utility(self) -> float:
         return self._block.miner_utility
 
-    @cached_property
+    @_cached
     def payment_per_unit(self) -> Dict[int, float]:
         return self._block.by_id(self._block.payment)
 
-    @cached_property
+    @_cached
     def burn_per_unit(self) -> Dict[int, float]:
         return self._block.by_id(self._block.burn)
 
-    @cached_property
+    @_cached
     def user_utilities(self) -> Dict[int, float]:
         return self._block.user_utilities()
 
@@ -369,12 +406,8 @@ def _uniform_rule(arm: _Arm):
     """The uniform allocator over the candidates."""
     cand = arm.pool if len(arm.kept) == len(arm.pool) else arm.pool.take(arm.kept)
 
-    def draw(rng, toss=None):
-        result = uniform_allocate(cand, arm.capacity, rng)
-        block = _Block(arm, arm.pool.rows_of(result.selected), result.total_size)
-        block.allocation = result  # the allocator's own, so no second one is built
-        return block
-    return draw
+    # the allocator's own result is the block's allocation, so no second one is built
+    return lambda rng, toss=None: _Allocated(arm, uniform_allocate(cand, arm.capacity, rng))
 
 
 def _softmax_blocks(arm: _Arm):
@@ -494,11 +527,10 @@ def run_mechanism(
     global _last_prepared
     if rtfm_toss not in (None, 0, 1):
         raise ParameterError(f"rtfm_toss must be 0, 1 or None, got {rtfm_toss!r}")
-    fakes = tuple(fakes)
-    inputs = (spec, m, capacity) + fakes
+    inputs = (spec, m, capacity, *fakes)
     held, draw = _last_prepared
-    if len(held) != len(inputs) or any(a is not b for a, b in zip(held, inputs)):
-        draw = _prepare(_arm(spec, m, capacity, fakes))
+    if len(held) != len(inputs) or not all(map(is_, held, inputs)):
+        draw = _prepare(_arm(spec, m, capacity, inputs[3:]))
         _last_prepared = inputs, draw
     block = draw(resolve_rng(seed), rtfm_toss)
     return MechanismOutcome(block.allocation, block.toss, block)

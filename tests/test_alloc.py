@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from fractions import Fraction
 from itertools import combinations
@@ -23,6 +24,7 @@ from tfmlab import (
     emit_csv,
     optimal_allocate,
     rtfm_sample,
+    run_mechanism,
     run_rtfm_sweep,
     run_stfm_sweep,
     sample_mempool,
@@ -133,17 +135,45 @@ def test_default_knapsack_is_exact_up_to_the_limit_and_greedy_above():
         optimal_allocate(big, 30.0, exact=True)
 
 
-@pytest.mark.parametrize("allocate", [
-    lambda m, c: optimal_allocate(m, c),
-    lambda m, c: uniform_allocate(m, c, seed=0),
-    lambda m, c: stfm_allocate(m, c, 1.0, seed=0),
-    lambda m, c: splitblock_allocate(m, c, SplitBlockConfig(0.5), seed=0),
-], ids=["optimal", "uniform", "softmax", "splitblock"])
+ALLOCATORS = {
+    "optimal": lambda m, c: optimal_allocate(m, c),
+    "uniform": lambda m, c: uniform_allocate(m, c, seed=0),
+    "softmax": lambda m, c: stfm_allocate(m, c, 1.0, seed=0),
+    "splitblock": lambda m, c: splitblock_allocate(m, c, SplitBlockConfig(0.5), seed=0),
+}
+
+
+@pytest.mark.parametrize("allocate", list(ALLOCATORS.values()), ids=list(ALLOCATORS))
 def test_allocators_reject_a_nan_or_negative_capacity(allocate):
     m = pool([3, 0, 1], sizes_equal=True)
     for capacity in (math.nan, -1.0):
         with pytest.raises(ParameterError):
             allocate(m, capacity)
+
+
+# every public allocator and run_mechanism, each returning its allocation
+ALLOCATIONS = {
+    **ALLOCATORS,
+    "rtfm_sample": lambda m, c: rtfm_sample(m, c, seed=0).opt_set,
+    **{f"run_mechanism_{name}": lambda m, c, spec=spec: run_mechanism(spec, m, c).allocation
+       for name, spec in [("first_price", MechanismSpec.first_price()),
+                          ("uniform", MechanismSpec.uniform()),
+                          ("softmax", MechanismSpec.stfm(1.0)),
+                          ("rtfm", MechanismSpec.rtfm(0.5)),
+                          ("split_block", MechanismSpec.split_block(0.5))]},
+}
+
+
+@pytest.mark.parametrize("big", [10**400, Fraction(10**400)], ids=["int", "fraction"])
+@pytest.mark.parametrize("allocate", list(ALLOCATIONS.values()), ids=list(ALLOCATIONS))
+def test_allocators_refuse_a_capacity_no_double_holds(allocate, big):
+    # as a transaction's numbers are refused (test_txpool); a double holds the largest
+    # one below, and float inf stays the unbounded block
+    m = pool([3, 0, 1], sizes_equal=True)
+    with pytest.raises(ParameterError, match="capacity"):
+        allocate(m, big)
+    at_largest = allocate(m, type(big)(int(sys.float_info.max)))
+    assert at_largest.selected == allocate(m, math.inf).selected
 
 
 @pytest.mark.parametrize("gamma", [math.inf, math.nan, 0.0, -1.0, None])

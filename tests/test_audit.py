@@ -7,6 +7,8 @@ from typing import Tuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfmlab import _streams, _trials, audit, mech
 from tfmlab.alloc import allocation_value, optimal_allocate
@@ -241,6 +243,49 @@ def test_the_uniform_zti_arm_makes_one_run_and_one_allocation_a_trial(monkeypatc
                         lambda *args: allocations.append(1) or allocate(*args))
     report = estimate_zti(MechanismSpec.uniform(), ZPOOL, 2.0, 37, 42)
     assert report.trials == len(runs) == len(allocations) == 37
+
+
+UNIFORM_ARMS = {
+    "first_price": MechanismSpec.uniform(),
+    "posted_zero_fee": MechanismSpec(AllocationKind.UNIFORM, PaymentKind.POSTED_PRICE,
+                                     base_fee=0.0),
+    "posted_fee": MechanismSpec(AllocationKind.UNIFORM, PaymentKind.POSTED_PRICE, base_fee=1.0),
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.sampled_from([0.5, 1.0, 1.5, 2, Fraction(3, 2)]),
+                          st.sampled_from([0.0, 0.5, 1.0, 2.0])), max_size=7),
+       st.randoms(use_true_random=False), st.sampled_from([0.0, 1, 1.5, 3.0, 100.0, math.inf]),
+       st.sampled_from(sorted(UNIFORM_ARMS)), st.integers(0, 2**40), st.integers(1, 40))
+def test_the_uniform_zti_counts_are_a_tally_of_each_trials_run(pairs, shuffle, capacity, arm,
+                                                               seed, trials):
+    # ids that are not the rows' positions, so a count kept by id would land on the wrong row
+    ids = list(range(3, 3 + 5 * len(pairs), 5))
+    shuffle.shuffle(ids)
+    m = Mempool([Transaction(i, size, bid, bid) for i, (size, bid) in zip(ids, pairs)])
+    spec, row_of = UNIFORM_ARMS[arm], {tx_id: row for row, tx_id in enumerate(ids)}
+    hits, runs, drew = audit._zti_hits(spec, m, capacity, _streams._TrialStreams(seed, trials))
+
+    reference = [0] * len(m)  # the rows of each trial's block, one run_mechanism call a trial
+    for trial in range(trials if drew else 1):
+        out = run_mechanism(spec, m, capacity, seed=np.random.default_rng([seed, trial]))
+        rows = out._block.rows.tolist()
+        assert rows == [row_of[tx_id] for tx_id in out.allocation.selected]
+        for row in rows:
+            reference[row] += 1
+    assert hits.tolist() == reference and hits.dtype == np.intp
+    assert runs == (trials if drew else 1)
+    assert drew == (len(mech._arm(spec, m, capacity).kept) > 1)
+    # the batched uniform step, which every other arm's tally takes, counts the same
+    stepped = []
+
+    def read(blocks):
+        stepped.append(blocks.included.sum(axis=0))
+        return blocks.total
+
+    audit._step_arms([mech._arm(spec, m, capacity)], _streams._TrialStreams(seed, trials), read)
+    assert np.sum(stepped, axis=0).tolist() == reference
 
 
 @pytest.mark.parametrize("alpha, verdict", [(0.5, Verdict.SATISFIED), (1.0, Verdict.VIOLATED)])

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import numpy as np
@@ -334,7 +334,7 @@ def test_one_prepared_split_block_step_serves_every_trial():
     for seed in range(12):
         block = step(np.random.default_rng(seed))
         out = run_mechanism(spec, m, 8.0, seed=seed)
-        assert tuple(block.columns.ids[block.rows].tolist()) == out.allocation.selected
+        assert tuple(block.arm.pool.columns.ids[block.rows].tolist()) == out.allocation.selected
         assert block.miner_utility == out.miner_utility
         blocks.add(out.allocation.selected)
     assert len(blocks) > 1
@@ -528,6 +528,36 @@ def test_a_uniform_outcome_holds_the_allocators_own_result(prepared, monkeypatch
     outs = [run_mechanism(spec, m, 2.0, seed=seed) for seed in range(3)]
     assert len(prepared) == 1 and len(returned) == 3
     assert all(out.allocation is result for out, result in zip(outs, returned))
+
+
+OUTCOME_FIELDS = ("payment_per_unit", "burn_per_unit", "user_utilities", "miner_utility",
+                  "__repr__")
+
+
+@pytest.mark.parametrize("first", OUTCOME_FIELDS)
+@pytest.mark.parametrize("spec", [
+    MechanismSpec.uniform(),
+    MechanismSpec(AllocationKind.UNIFORM, PaymentKind.POSTED_PRICE, base_fee=0.5),
+], ids=["first_price", "posted"])
+def test_a_uniform_outcome_reads_the_same_whichever_field_comes_first(spec, first):
+    # ids out of row order and a fake: the block looks up its rows on the first read
+    m = Mempool([Transaction(i, s, b, b + 1) for i, s, b in
+                 [(40, 1.0, 0.0), (7, 0.5, 1.0), (23, 1.5, 2.0), (5, 1.0, 3.0), (11, 2.0, 1.0)]])
+    fakes = [Transaction(2, 1.0, 1.0, 1.0, fake=True)]
+
+    def read(out, name):
+        return repr(out) if name == "__repr__" else repr(getattr(out, name))
+
+    for seed in range(6):
+        reference = _fresh(spec, m, 4.0, fakes, seed=seed)
+        expected = {name: read(reference, name) for name in OUTCOME_FIELDS}
+        out = run_mechanism(spec, m, 4.0, fakes, seed=seed)
+        got = {first: read(out, first)}
+        got.update((name, read(out, name)) for name in OUTCOME_FIELDS if name != first)
+        assert got == expected
+    for name in ("allocation", "coin_toss", "payment_per_unit", "miner_utility"):
+        with pytest.raises(FrozenInstanceError):  # cached or not, a field stays read-only
+            setattr(out, name, None)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0])

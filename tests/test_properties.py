@@ -151,7 +151,7 @@ def test_a_prepared_step_replays_run_mechanism(case):
         stepped, ran = np.random.default_rng([seed, trial]), np.random.default_rng([seed, trial])
         block = step(stepped, toss)
         out = run_mechanism(spec, m, capacity, fakes=fakes, seed=ran, rtfm_toss=toss)
-        assert tuple(block.columns.ids[block.rows].tolist()) == out.allocation.selected
+        assert tuple(block.arm.pool.columns.ids[block.rows].tolist()) == out.allocation.selected
         assert repr(block.miner_utility) == repr(out.miner_utility)
         assert block.toss == out.coin_toss
         assert stepped.bit_generator.state == ran.bit_generator.state
