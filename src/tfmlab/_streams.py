@@ -5,11 +5,11 @@ builds.  numpy seeds each such stream through its SeedSequence hash, which
 costs more than the trial's draws.  This module hashes the words of many
 trials at once, reproducing the SeedSequence hash in vectorized integer
 arithmetic.  From those words numpy's own PCG64 seeds a trial's generator,
-for the one-trial steps, and the C helper's ``draws`` entry makes the draws
-of a slice of trials as arrays, for the batched steps: Gumbel rows, tosses
-and permutations, one lane of PCG64 state a trial.  Without the helper the
-same arrays are stacked from each trial's generator.  numpy's own seeding and
-Generator are the oracle the tests check both against.
+and the C helper's ``draws`` entry makes the draws of a slice of trials as
+arrays: Gumbel rows, tosses and permutations, one lane of PCG64 state a
+trial.  Without the helper :func:`_draw_trial` draws each trial's from its
+generator, as it draws a sweep run's and :func:`.mech.run_mechanism`'s.
+numpy's own seeding and Generator are the oracle the tests check both against.
 """
 
 from __future__ import annotations
@@ -34,6 +34,19 @@ _CHUNK = 4096  # most values a slice of draws holds, which keeps the batched ste
 GUMBEL, TOSS, PERMUTATION = 0, 1, 2
 # the draws of many trials from their words, from the C helper
 _draws_c = getattr(chain._noncesearch, "draws", None)
+
+
+def _draw_trial(rng: np.random.Generator, kind: int, n: int, toss=None):
+    """One trial's draws of `kind` from its generator `rng`, as a slice of one trial
+    (see :meth:`_TrialStreams.slices`).  A `toss` of 0 or 1 pins the two-set rule's
+    branch: no toss is drawn, and the slice holds -1.0 or 1.0, which fall on that
+    branch at every phi in [0, 1]."""
+    if kind == GUMBEL:
+        return rng.gumbel(size=(1, n))
+    if kind == PERMUTATION:
+        return rng.permutation(n)[None]
+    tossed = rng.random() if toss is None else (-1.0, 1.0)[toss]
+    return np.array([tossed]), rng.permutation(n)[None]
 
 
 def _hashmix(value, const: int, mult: int):
@@ -150,24 +163,20 @@ class _TrialStreams:
           of the tosses and the permutation rows;
         - ``PERMUTATION``: ``permutation(n)``, an intp row.
 
-        The C helper's lanes make them from the trials' words; without it, each
-        trial's own generator does.  numpy draws a Gumbel value per double, in
-        order, so a Gumbel slice's first k columns are its ``gumbel(size=k)``.
+        The C helper's lanes make them from the trials' words; without it,
+        :func:`_draw_trial` draws each trial's from its own generator.  numpy
+        draws a Gumbel value per double, in order, so a Gumbel slice's first k
+        columns are its ``gumbel(size=k)``.
         """
         step = max(1, _CHUNK // max(1, n))
         for lo in range(0, self.trials, step):
             hi = min(lo + step, self.trials)
+            if _draws_c is None:
+                trials = [_draw_trial(self(i), kind, n) for i in range(lo, hi)]
+                yield tuple(map(np.concatenate, zip(*trials))) if kind == TOSS \
+                    else np.concatenate(trials)
+                continue
             out = np.empty((hi - lo, n), float if kind == GUMBEL else np.intp)
             toss = np.empty(hi - lo) if kind == TOSS else None
-            if _draws_c is not None:
-                _draws_c(kind, self._words(lo, hi), n, out, toss)
-            else:
-                for row, i in enumerate(range(lo, hi)):
-                    rng = self(i)
-                    if kind == GUMBEL:
-                        out[row] = rng.gumbel(size=n)
-                        continue
-                    if kind == TOSS:
-                        toss[row] = rng.random()
-                    out[row] = rng.permutation(n)
+            _draws_c(kind, self._words(lo, hi), n, out, toss)
             yield out if toss is None else (toss, out)

@@ -1,19 +1,17 @@
-"""Audit trials stepped all at once.
+"""The blocks of a mechanism's trials, and the one step of each allocation rule.
 
 :func:`_batched` takes an arm of :mod:`.mech` and returns the draws its
 trials read, as :meth:`._streams._TrialStreams.slices` makes them, with the
-rule's step over a slice of trials' draws.  For each trial the step gives the
-block, total and utilities that the rule's one-trial step gives from that
-trial's stream, bit for bit, whatever number types the pool's columns and the
-posted fee hold.  The steps walk a slice's orders through
-``alloc._walk_rows``, in one call of the C helper's row walk where the sizes
-are float64, and return the walked blocks as :class:`_Blocks`, which compute
-the included mask, the prices and the utilities when an audit first reads
-them; each price comes from ``mech._unit_prices`` as ``mech._Block`` takes it.
+rule's step over a slice of trials' draws.  The audits step all their
+trials at once, :func:`.mech.run_mechanism` one trial on the draws
+:func:`._streams._draw_trial` makes, and the sweeps a run's blocks.  The
+steps walk a slice's orders through ``alloc._walk_rows`` and return
+:class:`_Blocks`, which compute the included mask, the prices (from
+``mech._unit_prices``) and the utilities (:func:`_added`) when first read.
 
-An arm whose one-trial step does not move its generator (:func:`_draws`)
-gives the same block in every trial, so ``audit._step_arms`` steps it once,
-on one trial's empty draws.  The knapsack's step is such a one: it returns
+An arm whose trials do not move their generator (:func:`_draws`) gives the
+same block in every trial, so it is stepped once, on one trial's empty draws
+(:func:`_fixed`).  The knapsack's step is such a one: it returns
 :func:`_paying`, the block that the two-set rule's paying branch takes.
 """
 
@@ -23,27 +21,52 @@ from typing import Optional
 
 import numpy as np
 
-from .alloc import _running, _softmax_rows, _walk_rows
+from .alloc import AllocationResult, _running, _sections, _softmax_rows, _walk_rows
 from .mech import AllocationKind, _Arm, _cached, _knapsack, _split_block, _unit_prices
 from ._streams import GUMBEL, PERMUTATION, TOSS
 
+_SMALL = 64  # the most values of a slice that _added adds in a loop
+
+
+def _added(size: np.ndarray, price: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Each trial's ``size * price`` over the rows it keeps, added from 0.0 in block
+    order: in a loop where the slice holds at most ``_SMALL`` values, else as running
+    sums, where a row left out adds 0.0, which leaves a sum from 0.0 as it is."""
+    if keep.size > _SMALL:
+        return _running(np.where(keep, size * price, 0.0), 0.0)[:, -1]
+    sums = []
+    for sizes, prices, kept in zip(size.tolist(), price.tolist(), keep.tolist()):
+        total = 0.0
+        for s, pay, k in zip(sizes, prices, kept):
+            if k:
+                total += s * pay
+        sums.append(total)
+    return np.array(sums)
+
 
 class _Blocks:
-    """The blocks of a slice of trials of a prepared arm, one row of each array a trial:
-    the pool rows of `rows` where `taken`, in that order, and their `total` sizes.
+    """The blocks of a slice of trials of an arm, one row of each array a trial: the
+    pool rows of `rows` where `taken`, in that order, and their `total` sizes.
 
-    `reserved` marks split block's posted-fee section, and a two-set block whose
-    toss was 0 `pays` nothing.  Every other field is computed on first read and
-    cached, since each audit reads one of them.  The prices come from
-    ``mech._unit_prices`` as ``mech._Block`` takes them for one block, and the
-    income and the burn are each folded from 0.0 in block order, as
-    ``mech._block_income`` folds them.
+    `reserved` marks split block's posted-fee section, and `toss` is the two-set
+    rule's branch: a block whose toss was 0 pays nothing.  Every other field is
+    computed on first read and cached, since each caller reads what it needs.
+    `empty` is the total a trial that takes no row reads as one block: 0, as a sum
+    over no rows gives it, or the float walk total of the softmax rule.
     """
 
     def __init__(self, arm: _Arm, rows: np.ndarray, taken: np.ndarray, total: np.ndarray,
-                 reserved: Optional[np.ndarray] = None, pays: bool = True):
+                 reserved: Optional[np.ndarray] = None, toss: Optional[int] = None, empty=0):
         self.arm, self.rows, self.taken, self.total = arm, rows, taken, total
-        self.reserved, self.pays = reserved, pays
+        self.reserved, self.toss, self.empty = reserved, toss, empty
+
+    @_cached
+    def one(self) -> _Blocks:
+        """The block of a slice of one trial, as a slice of the rows it takes."""
+        taken = self.taken[0]
+        return _Blocks(self.arm, self.rows[0][taken][None], self.taken[:, taken], self.total,
+                       None if self.reserved is None else self.reserved[0][taken][None],
+                       self.toss, self.empty)
 
     @_cached
     def included(self) -> np.ndarray:
@@ -54,28 +77,48 @@ class _Blocks:
 
     @_cached
     def _prices(self):
-        """The sizes of `rows`, their payment and burn per unit, and which are real and taken."""
-        c, rows, taken = self.arm.pool.columns, self.rows, self.taken
-        p, q = _unit_prices(self.arm.spec, c.bids[rows], taken, self.reserved, self.pays)
-        return c.sizes[rows], p, q, taken & ~c.fake[rows]
+        """The sizes of `rows`, their payment and burn per unit, and which are fakes (None
+        where the pool holds none)."""
+        arm, rows = self.arm, self.rows
+        c = arm.pool.columns
+        p, q = _unit_prices(arm.spec, c.bids[rows], self.taken, self.reserved, self.toss != 0)
+        return c.sizes[rows], p, q, None if arm.pool is arm.m else c.fake[rows]
+
+    payment = property(lambda self: self._prices[1])
+    burn = property(lambda self: self._prices[2])
 
     @_cached
     def miner_utility(self) -> np.ndarray:
-        size, p, q, real = self._prices
-        fake = self.taken & ~real
-        income = _running(np.where(real, size * p, 0.0), 0.0)[:, -1]
-        burn = _running(np.where(fake, size * q, 0.0), 0.0)[:, -1]
-        return income - burn
+        """Each trial's fee income ``size * p`` over the real rows it takes, less its burn
+        ``size * q`` over the fakes it takes."""
+        if self.toss == 0:  # a block that pays nothing earns and burns nothing
+            return np.zeros(len(self.rows))
+        size, p, q, fake = self._prices
+        if fake is None:
+            return _added(size, p, self.taken)
+        return _added(size, p, self.taken & ~fake) - _added(size, q, self.taken & fake)
 
     @_cached
     def user_utility(self) -> np.ndarray:
         """A column per real pool row, 0.0 where the row is left out."""
-        size, p, q, real = self._prices
+        size, p, q, fake = self._prices
         rows = self.rows
+        real = self.taken if fake is None else self.taken & ~fake
         gain = np.where(real, (self.arm.pool.columns.valuations[rows] - p - q) * size, 0.0)
         users = np.full((len(rows), len(self.arm.pool)), 0.0, gain.dtype)
         users[np.arange(len(rows))[:, None], rows] = gain
         return users[:, :len(self.arm.m)]
+
+    @_cached
+    def allocation(self) -> AllocationResult:
+        """The first trial's block: its ids in block order and its total size, with split
+        block's sections or the two-set rule's."""
+        taken = self.taken[0]
+        rows = self.rows[0][taken]
+        selected = tuple(self.arm.pool.columns.ids[rows].tolist())
+        reserved = None if self.reserved is None else self.reserved[0][taken]
+        return AllocationResult(selected, self.total.item(0) if len(rows) else self.empty,
+                                self.arm.capacity, _sections(selected, reserved, self.toss))
 
 
 def _mixed(name: str) -> _cached:
@@ -96,16 +139,21 @@ class _TwoSet:
     def __init__(self, zero: np.ndarray, walked: _Blocks, paying: _Blocks):
         self.zero, self.walked, self.paying = zero, walked, paying
 
+    @property
+    def one(self) -> _Blocks:
+        """The block of a slice of one trial: the branch its toss took."""
+        return (self.walked if self.zero[0] else self.paying).one
+
     included = _mixed("included")
     total = _mixed("total")
     miner_utility = _mixed("miner_utility")
     user_utility = _mixed("user_utility")
 
 
-def _paying(arm: _Arm) -> _Blocks:
-    """The arm's knapsack block as a batch of one trial, priced on first read."""
+def _paying(arm: _Arm, toss: Optional[int] = None) -> _Blocks:
+    """The arm's knapsack block as a slice of one trial, priced on first read."""
     rows, total = _knapsack(arm)
-    return _Blocks(arm, rows[None], np.ones((1, len(rows)), bool), np.array([total]))
+    return _Blocks(arm, rows[None], np.ones((1, len(rows)), bool), np.array([total]), toss=toss)
 
 
 def _optimal(arm: _Arm):
@@ -114,59 +162,48 @@ def _optimal(arm: _Arm):
     return PERMUTATION, 0, lambda perms: paying
 
 
-def _softmax(arm: _Arm):
-    """Walk the Gumbel-top-k order of the keys ``bid/gamma + gumbel`` of each trial, in
-    floats; an arm over k candidates reads the first k columns of the Gumbel rows."""
+def _softmax(arm: _Arm, gammas=None):
+    """Walk the Gumbel-top-k order of the keys ``bid/gamma + gumbel``, in floats, at the
+    arm's gamma for each trial's Gumbel row, or at each of `gammas` for one row; an arm
+    over k candidates reads the first k columns of the Gumbel rows."""
     kept, c = arm.kept, arm.pool.columns
-    # the walk runs in floats whatever the columns hold, as the one-trial step's does
+    # the walk runs in floats whatever the columns hold
     sizes = c.sizes[kept].astype(float)
-    scaled = c.bids[kept].astype(float) / arm.spec.gamma
+    gammas = np.array([arm.spec.gamma] if gammas is None else gammas, dtype=float)
+    scaled = c.bids[kept].astype(float) / gammas[:, None]
 
     def step(gumbel: np.ndarray) -> _Blocks:
         orders, taken, total = _softmax_rows(sizes, scaled, gumbel[:, :len(kept)], arm.capacity)
-        return _Blocks(arm, kept[orders], taken, total)
+        return _Blocks(arm, kept[orders], taken, total, empty=0.0 if len(kept) else 0)
     return GUMBEL, len(kept), step
+
+
+def _zero_pay(arm: _Arm, perms: np.ndarray) -> _Blocks:
+    """The two-set rule's zero-pay blocks: each permutation of the pool walked."""
+    return _Blocks(arm, perms, *_walk_rows(arm.pool.columns.sizes, perms, arm.capacity), toss=0)
 
 
 def _two_set(arm: _Arm):
     """Walk each permutation whose toss is below phi, paying nothing; every other trial
     takes the arm's knapsack block, priced at most once."""
-    sizes, paying = arm.pool.columns.sizes, _paying(arm)
+    paying = _paying(arm, toss=1)
 
     def step(draws) -> _TwoSet:
         toss, perms = draws
         zero = toss < arm.spec.phi
-        walked = _Blocks(arm, perms[zero], *_walk_rows(sizes, perms[zero], arm.capacity),
-                         pays=False)
-        return _TwoSet(zero, walked, paying)
-    return TOSS, len(sizes), step
+        return _TwoSet(zero, _zero_pay(arm, perms[zero]), paying)
+    return TOSS, len(arm.pool), step
 
 
 def _split_blocks(arm: _Arm):
     """Walk each permutation of the posted-fee rows, then the demoted rows, into the
     reserved section from the fakes' total; then take the paid knapsack, solved once per
     set of rows the reserved section leaves open."""
-    split, c = _split_block(arm), arm.pool.columns
-    by_id = np.argsort(c.ids)  # the block's order
+    split = _split_block(arm)
 
     def step(perms: np.ndarray) -> _Blocks:
-        trials = len(perms)
-        orders = np.concatenate((split.posted[perms], np.broadcast_to(
-            split.demoted, (trials, len(split.demoted)))), axis=1)
-        walked, _ = _walk_rows(c.sizes, orders, split.cap_posted, split.fake_total)
-        reserved = np.zeros((trials, len(c.ids)), bool)
-        reserved[:, split.fake_rows] = True
-        np.put_along_axis(reserved, orders, walked, axis=1)
-        free = split.payable & ~reserved
-        first = {}  # the open rows, as bytes -> the first trial that left them open
-        same = [first.setdefault(open_rows.tobytes(), t) for t, open_rows in enumerate(free)]
-        paid = np.zeros(free.shape, bool)
-        for t in first.values():
-            paid[t, split.paid(free[t])] = True
-        taken = (reserved | paid[same])[:, by_id]
-        total = _running(np.where(taken, c.sizes[by_id], 0))[:, -1]
-        return _Blocks(arm, np.broadcast_to(by_id, taken.shape), taken, total,
-                       reserved[:, by_id])
+        by_id, taken, total, reserved = split.blocks(perms)
+        return _Blocks(arm, np.broadcast_to(by_id, taken.shape), taken, total, reserved)
     return PERMUTATION, len(split.posted), step
 
 
@@ -190,15 +227,21 @@ _BATCHED = {
 
 
 def _draws(kind: int, width: int) -> bool:
-    """Whether a trial's one-trial step moves its generator, when it reads `width`
-    values of the draw `kind`: a toss always does, a Gumbel row of any values, and a
-    permutation of at least two (numpy shuffles fewer values without a draw)."""
+    """Whether a trial's draws move its generator, when it reads `width` values of the
+    draw `kind`: a toss always does, a Gumbel row of any values, and a permutation of at
+    least two (numpy shuffles fewer values without a draw)."""
     return kind == TOSS or width > (1 if kind == PERMUTATION else 0)
 
 
 def _batched(arm: _Arm):
     """The draw kind the trials of the arm read, its width (values a trial), and the
-    rule's step over a slice of trials' draws.  Where the kind and width draw nothing
-    (:func:`_draws`), every trial gives the same block: the step's over one trial's
-    empty draws."""
+    rule's step over a slice of trials' draws."""
     return _BATCHED[arm.spec.allocation](arm)
+
+
+def _fixed(kind: int, width: int, step):
+    """The block of every trial, where the draws `kind` and `width` draw nothing
+    (:func:`_draws`): the step's over one trial's empty draws.  None where they draw."""
+    if _draws(kind, width):
+        return None
+    return step(np.zeros((1, width), float if kind == GUMBEL else np.intp))

@@ -33,6 +33,8 @@ which add in the same order, and a row with room left finishes on
 many, is a call of ``_softmax_rows``: it sorts rows of at least
 ``_SIMD_SORT_WIDTH`` keys with numpy's default (SIMD) argsort and re-sorts
 stably only the rows that hold equal keys, so its orders are the stable sort's.
+Split block walks a slice of trials' permutations at once, one trial's as a
+slice of one (``_SplitBlock.blocks``).
 
 Inside the package the rules exchange rows of one pool, not ids.  Ids appear
 only where an :class:`AllocationResult` is built for a caller, and
@@ -51,7 +53,7 @@ import numpy as np
 
 from . import chain
 from .errors import DomainError, ParameterError, SolverLimitError
-from .errors import _check_capacity, _check_gamma, _finite
+from .errors import _check_capacity, _check_gamma, _check_real, _finite
 from .txpool import Mempool, PoolColumns, SeedLike, Transaction, resolve_rng
 
 EXHAUSTIVE_LIMIT = 24
@@ -412,9 +414,9 @@ class SplitBlockConfig:
     demote: Optional[bool] = None
 
     def __post_init__(self) -> None:
-        if not 0 < self.alpha <= 1:
+        if not 0 < _check_real("alpha", self.alpha) <= 1:
             raise ParameterError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not 0 <= self.delta < math.inf:
+        if not 0 <= _check_real("delta", self.delta) < math.inf:
             raise ParameterError(f"delta must be non-negative and finite, got {self.delta}")
         if self.demote not in (None, False, True):
             raise ParameterError(f"demote must be None, False or True, got {self.demote!r}")
@@ -430,7 +432,7 @@ class SplitBlockConfig:
 
 class _SplitBlock:
     """The split-block rule over the pool of columns `c`: its candidate `real` rows and
-    the miner's `fakes` rows, each in pool order, with the work its draws share done once.
+    the miner's `fakes` rows, each in pool order, with the work its trials share done once.
 
     The reserved section takes the fakes at the posted fee, then walks a random
     order of the `posted` rows (the real rows at the fee), then the `demoted`
@@ -472,18 +474,27 @@ class _SplitBlock:
                 exact=np.count_nonzero(free) <= EXHAUSTIVE_LIMIT)
         return self._paid_rows_of[key]
 
-    def draw(self, rng: np.random.Generator):
-        """One block: its rows of `c` in ascending id, their total size and a mask of the
-        rows in the reserved section."""
-        c = self.c
-        order = np.concatenate((self.posted[rng.permutation(len(self.posted))], self.demoted))
-        rows, _ = _walk(c.sizes, order, self.cap_posted, self.fake_total)
-        free = self.payable.copy()
-        free[rows] = False
-        chosen = np.concatenate((self.fake_rows, rows, self.paid(free)))
-        by_id = c.ids[chosen].argsort()
-        chosen = chosen[by_id]
-        return chosen, sum(c.sizes[chosen].tolist()), by_id < len(self.fake_rows) + len(rows)
+    def blocks(self, perms: np.ndarray):
+        """The blocks of a batch of trials, one a row of `perms`, permutations of the
+        posted-fee rows: the rows of `c` in ascending id, and for each trial a mask of
+        the rows it takes, their total size, and a mask of those in the reserved section."""
+        c, trials = self.c, len(perms)
+        orders = np.concatenate((self.posted[perms], np.broadcast_to(
+            self.demoted, (trials, len(self.demoted)))), axis=1)
+        walked, _ = _walk_rows(c.sizes, orders, self.cap_posted, self.fake_total)
+        reserved = np.zeros((trials, len(c.ids)), bool)
+        reserved[:, self.fake_rows] = True
+        np.put_along_axis(reserved, orders, walked, axis=1)
+        free = self.payable & ~reserved
+        first = {}  # the open rows, as bytes -> the first trial that left them open
+        same = [first.setdefault(open_rows.tobytes(), t) for t, open_rows in enumerate(free)]
+        paid = np.zeros(free.shape, bool)
+        for t in first.values():
+            paid[t, self.paid(free[t])] = True
+        by_id = np.argsort(c.ids)  # the block's order
+        taken = (reserved | paid[same])[:, by_id]
+        total = _running(np.where(taken, c.sizes[by_id], 0))[:, -1]
+        return by_id, taken, total, reserved[:, by_id]
 
 
 def _with_fakes(m: Mempool, fakes: Sequence[Transaction]) -> Mempool:
@@ -531,9 +542,13 @@ def splitblock_allocate(
     _check_capacity(capacity)
     c, n = _with_fakes(m, fake_fill or ()).columns, len(m)
     split = _SplitBlock(c, np.arange(n), np.arange(n, len(c.ids)), capacity, cfg)
-    rows, total, reserved = split.draw(resolve_rng(seed))
+    by_id, taken, total, reserved = split.blocks(
+        resolve_rng(seed).permutation(len(split.posted))[None])
+    rows = by_id[taken[0]]
     selected = tuple(c.ids[rows].tolist())
-    return AllocationResult(selected, total, capacity, _sections(selected, reserved))
+    # a block of no rows totals 0, as a sum over none does
+    return AllocationResult(selected, total.item(0) if len(rows) else 0, capacity,
+                            _sections(selected, reserved[0][taken[0]]))
 
 
 @dataclass(frozen=True)

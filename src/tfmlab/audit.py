@@ -27,11 +27,11 @@ from .alloc import (
     stfm_first_draw_distribution,
 )
 from .errors import DomainError, ParameterError, SolverLimitError
-from .errors import _check_capacity, _check_gamma, _check_int
+from .errors import _check_capacity, _check_gamma, _check_int, _check_real
 from .experiments import _mean_se
 from .mech import AllocationKind, MechanismSpec, PaymentKind, _Arm, _arm, run_mechanism
 from ._streams import GUMBEL, _TrialStreams
-from ._trials import _batched, _draws, _paying
+from ._trials import _batched, _draws, _fixed, _paying
 from .txpool import Mempool, Transaction, resolve_rng, zero_fee_subset
 
 _TOL = 1e-9
@@ -81,7 +81,8 @@ def _step_arms(arms: Iterable[_Arm], streams: _TrialStreams, read) -> List[list]
 
     Every arm steps through its :func:`._trials._batched` step.  An arm whose
     rule draws nothing (:func:`._trials._draws`) gives the same block in every
-    trial, so it runs one trial, stepped on that trial's empty draws.  Every
+    trial, so it runs one trial, stepped on that trial's empty draws
+    (:func:`._trials._fixed`).  Every
     other arm steps all its trials, on the draws ``streams.slices`` makes: from
     the C helper's PCG64 lanes, or from each trial's own generator without the
     helper.  Arms that read the same draws share each slice and all step it
@@ -96,9 +97,9 @@ def _step_arms(arms: Iterable[_Arm], streams: _TrialStreams, read) -> List[list]
     batched: Dict[tuple, list] = {}  # the draws -> the place, width and step of each arm
     for arm in arms:
         kind, width, step = _batched(arm)
-        if not _draws(kind, width):
-            empty = np.zeros((1, width), float if kind == GUMBEL else np.intp)
-            arms_values.append([read(step(empty)), False])
+        fixed = _fixed(kind, width, step)
+        if fixed is not None:
+            arms_values.append([read(fixed), False])
             continue
         batched.setdefault((kind, width if kind != GUMBEL else None), []).append(
             (len(arms_values), width, step))
@@ -249,7 +250,7 @@ def estimate_monotonicity(
     if target_tx not in m:
         raise ParameterError(f"target transaction {target_tx} not in mempool")
     streams = _TrialStreams(seed, trials)
-    if not epsilons or not all(0 < e < math.inf for e in epsilons):
+    if not epsilons or not all(0 < _check_real("epsilons", e) < math.inf for e in epsilons):
         raise ParameterError(f"epsilons must be non-empty, positive and finite, got {list(epsilons)}")
     _check_capacity(capacity)
 
@@ -551,11 +552,11 @@ def tune_gamma(
     ``[gamma_lo, gamma_hi]`` with ``pr_cof / pr_zf <= phi_ratio``, to a
     relative tolerance of 1e-3.
     """
-    if not 0 <= alpha_target <= 1:
+    if not 0 <= _check_real("alpha_target", alpha_target) <= 1:
         raise ParameterError("alpha_target must lie in [0, 1]")
-    if not 0 < gamma_lo < gamma_hi < math.inf:
+    if not 0 < _check_real("gamma_lo", gamma_lo) < _check_real("gamma_hi", gamma_hi) < math.inf:
         raise ParameterError("need 0 < gamma_lo < gamma_hi < inf")
-    if math.isnan(phi_ratio):
+    if math.isnan(_check_real("phi_ratio", phi_ratio)):
         raise ParameterError("phi_ratio must be a number, got nan")
     streams = _TrialStreams(seed, trials)
     if math.isinf(phi_ratio):

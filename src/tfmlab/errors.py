@@ -1,6 +1,7 @@
 """Exception types shared across the lab, and the input checks every layer makes."""
 
 import math
+import numbers
 import operator
 
 
@@ -38,6 +39,14 @@ def _check_int(name: str, value, lo: int = 0, hi=None) -> int:
     return number
 
 
+def _check_real(name: str, value):
+    """`value` itself, when it is a real number: an int, float, Fraction or numpy scalar.
+    Anything else, "2" and None included, raises ParameterError naming `name`."""
+    if type(value) is not float and not isinstance(value, numbers.Real):
+        raise ParameterError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 def _finite(value) -> bool:
     """Whether `value` converts to a finite double: an int or Fraction can overflow."""
     try:
@@ -50,7 +59,7 @@ def _check_capacity(capacity) -> None:
     """A capacity is a number at least 0 (NaN is not) that converts to a double: a float
     passes on one comparison, and float inf is an unbounded block, but an int or
     Fraction no double holds is refused, since the walks and the knapsack read doubles."""
-    if not capacity >= 0:
+    if not _check_real("capacity", capacity) >= 0:
         raise ParameterError(f"capacity must be non-negative, got {capacity}")
     if type(capacity) is not float:
         try:
@@ -60,5 +69,5 @@ def _check_capacity(capacity) -> None:
 
 
 def _check_gamma(gamma) -> None:
-    if gamma is None or not 0 < gamma < math.inf:
+    if gamma is None or not 0 < _check_real("gamma", gamma) < math.inf:
         raise ParameterError(f"gamma must be finite and above 0, got {gamma}")

@@ -3,8 +3,10 @@
 Sweeps share the mempool stream across grid points (common random numbers),
 so per-point estimates move smoothly along the grid.  Both sweeps loop over
 runs first: a run draws its pool and seeds its generator once and serves
-every grid value.  A softmax run also draws its Gumbel noise once and walks
-that one array at every temperature of a capacity as rows of one walk.  For
+every grid value.  A run steps the rules of :mod:`._trials` as the audits
+do: the two-set run reads each branch's block as a slice of one trial, and
+a softmax run walks its one row of Gumbel noise at every temperature of a
+capacity, as the rows of one slice.  For
 the randomized two-set mechanism the branch tosses are additionally
 stratified across runs by default: each grid value sees branch counts
 exactly proportional to its bias, an unbiased variance-reduction that leaves
@@ -28,15 +30,13 @@ from .mech import (
     AllocationKind,
     MechanismSpec,
     PaymentKind,
-    _Block,
     _arm,
-    _knapsack,
-    _prepare,
-    _softmax_blocks,
     config_value,
     parse_config_text,  # noqa: F401 (re-exported: the sweep configs' parser)
     spec_from_fields,
 )
+from ._streams import PERMUTATION, _draw_trial
+from ._trials import _Blocks, _paying, _softmax, _zero_pay
 from .txpool import BidDistribution, Mempool, resolve_rng, sample_mempool
 
 CSV_HEADER = "sweep_value,normalized_revenue,revenue_stderr,zero_fee_fraction,zff_stderr,cof,zfi"
@@ -118,16 +118,18 @@ def _mean_se(values) -> Tuple[float, float]:
     return mean, se
 
 
-def _block_stats(m: Mempool, block: _Block) -> Tuple[float, float, float]:
-    """Zero-bid inclusions over the pool size, zero-bid share of the block's
-    size, and zero-payment inclusions over the pool size."""
-    c, rows, total = m.columns, block.rows, block.total
-    zero = np.sort(rows[c.bids[rows] == 0])  # pool order
-    zero_size = sum(c.sizes[zero].tolist())
-    zero_pay = block.payment.tolist().count(0)
-    n = len(m)
-    return (len(zero) / n if n else 0.0, zero_size / total if total > 0 else 0.0,
-            zero_pay / n if n else 0.0)
+def _block_stats(m: Mempool, blocks: _Blocks) -> List[Tuple[float, float, float]]:
+    """Of each block of a fake-free slice: zero-bid inclusions over the pool size, the
+    zero-bid share of the block's size, and zero-payment inclusions over the pool size."""
+    c, n, stats = m.columns, len(m), []
+    for rows, taken, pay, total in zip(blocks.rows, blocks.taken, blocks.payment,
+                                       blocks.total.tolist()):
+        rows = rows[taken]
+        zero = np.sort(rows[c.bids[rows] == 0])  # pool order
+        zero_size = sum(c.sizes[zero].tolist())
+        stats.append((len(zero) / n, zero_size / total if total > 0 else 0.0,
+                      np.count_nonzero(pay[taken] == 0) / n))
+    return stats
 
 
 def _revenue(m: Mempool, rows: np.ndarray) -> float:
@@ -144,12 +146,12 @@ def _greedy_value(m: Mempool, capacity) -> float:
 def run_rtfm_sweep(cfg: ExperimentConfig) -> List[SweepRow]:
     """Sweep the branch bias of the randomized two-set mechanism.
 
-    Each run draws a fresh mempool, steps the zero-pay branch from the run's
-    seed and takes the paying branch's knapsack block, which needs no draw; a
-    grid value then mixes the per-run branch outcomes according to its toss
-    pattern.  Normalized revenue is miner utility over the exact optimum for
-    that run's pool; the zero-fee fraction counts confirmed zero-bid
-    transactions against the mempool size.
+    Each run draws a fresh mempool, walks the zero-pay branch on one
+    permutation from the run's seed and takes the paying branch's knapsack
+    block, which needs no draw, each a slice of one trial; a grid value mixes
+    the per-run branch outcomes by its toss pattern.  Normalized revenue is
+    miner utility over the exact optimum for that run's pool; the zero-fee
+    fraction counts confirmed zero-bid transactions against the mempool size.
     """
     if cfg.mechanism.allocation is not AllocationKind.RTFM:
         raise ConfigError("run_rtfm_sweep needs a randomized two-set mechanism")
@@ -166,18 +168,17 @@ def run_rtfm_sweep(cfg: ExperimentConfig) -> List[SweepRow]:
         m = sample_mempool(cfg.n, cfg.bid_dist, cfg.size_dist, seed=rng)
         arm = _arm(cfg.mechanism, m, cfg.capacity)
         rng.bit_generator.state = start
-        # the paying branch's block is the knapsack's whatever the generator holds, and
-        # nothing reads the generator after it, so its unread permutation is not drawn
-        blocks = [_prepare(arm)(rng, 0), _Block(arm, *_knapsack(arm), toss=1)]
+        # the toss is pinned, so the run draws only the zero-pay branch's permutation
+        blocks = (_zero_pay(arm, _draw_trial(rng, PERMUTATION, len(m))), _paying(arm, toss=1))
         # the paying branch's knapsack is the greedy optimum unless it is exact (a
         # small pool) or weighs bids less the posted fee
         if len(m) > EXHAUSTIVE_LIMIT and cfg.mechanism.payment is not PaymentKind.POSTED_PRICE:
-            opt_value = _revenue(m, blocks[1].rows)
+            opt_value = _revenue(m, blocks[1].rows[0])
         else:
             opt_value = _greedy_value(m, cfg.capacity)
         for branch, block in enumerate(blocks):
-            norm = block.miner_utility / opt_value if opt_value > 0 else 0.0
-            stats[:, branch, r] = (norm, *_block_stats(m, block))
+            norm = block.miner_utility.item(0) / opt_value if opt_value > 0 else 0.0
+            stats[:, branch, r] = (norm, *_block_stats(m, block)[0])
 
     toss_rng = np.random.default_rng([cfg.seed, 7])
     rows: List[SweepRow] = []
@@ -203,9 +204,9 @@ def run_stfm_sweep(cfg: ExperimentConfig) -> List[SweepRow]:
     from its ``[seed, r, 1]`` generator, one value per candidate (none when a
     posted fee leaves no candidate).  The candidates are the same in every
     cell, since a cell varies only γ or the capacity, so once per distinct
-    size ratio the softmax rule walks that one array at every γ of the ratio's
-    cells, one row each, and prices each block as its step does; nothing is
-    redrawn or restored between cells.  Capacity is total pool size over the
+    size ratio the softmax step walks that one row at every γ of the ratio's
+    cells, as the rows of one slice; nothing is redrawn or restored between
+    cells.  Capacity is total pool size over the
     ratio, and the empirical cost of fairness is the greedy revenue over the
     softmax revenue.  The zero-fee inclusion measure is the share of realized
     block size occupied by zero-bid transactions.
@@ -228,15 +229,16 @@ def run_stfm_sweep(cfg: ExperimentConfig) -> List[SweepRow]:
         gumbel = None
         for ratio, at_ratio in cells.items():
             arm = _arm(cfg.mechanism, m, pool_size / ratio)
-            if gumbel is None:  # the candidates, and so the noise, are the same at every ratio
-                gumbel = rng.gumbel(size=len(arm.kept))
-            greedy_value = _greedy_value(m, arm.capacity)
             indices, gammas = zip(*at_ratio)
-            for i, block in zip(indices, _softmax_blocks(arm)(gammas, gumbel)):
-                util = block.miner_utility
-                stats[:, i, r] = (greedy_value / util if util > 0 else math.inf,
-                                  util / greedy_value if greedy_value > 0 else 0.0,
-                                  *_block_stats(m, block))
+            kind, width, step = _softmax(arm, gammas)
+            if gumbel is None:  # the candidates, and so the noise, are the same at every ratio
+                gumbel = _draw_trial(rng, kind, width)
+            greedy_value = _greedy_value(m, arm.capacity)
+            blocks = step(gumbel)
+            util = blocks.miner_utility
+            cof = np.divide(greedy_value, util, out=np.full(len(util), math.inf), where=util > 0)
+            norm = util / greedy_value if greedy_value > 0 else np.zeros(len(util))
+            stats[:, list(indices), r] = (cof, norm, *zip(*_block_stats(m, blocks)))
 
     rows: List[SweepRow] = []
     for i, value in enumerate(cfg.sweep_values):

@@ -17,33 +17,21 @@ Payment rules:
 The split-block rule prices its reserved section at the posted constant
 ``delta`` and the randomized two-set rule pays nothing on the uniformly
 sampled branch.  The burn follows the payment rule: only the posted price
-burns.  ``_unit_prices`` gives these prices per unit, for one block and for
-a trials x rows batch of blocks alike.  A block is priced only when it is
-read: :class:`_Block` holds the rows, the total, the reserved mask and the
-toss, and computes its prices, the miner's utility and its
-:class:`~.alloc.AllocationResult` on first read, so a run read only for its
-allocation prices nothing.
+burns.  ``_unit_prices`` gives these prices per unit for a trials x rows
+slice of blocks.
 
-The allocation rules form one table, ``_RULES``, from
-:class:`AllocationKind` to a rule.  The spec alone describes an arm: a
-rule-level deviation such as split block's demotion is a field of the spec
-(:attr:`SplitBlockConfig.demote`), not an extra argument.  ``_arm`` checks
-the inputs, appends the fakes to the pool and picks the candidates;
-``_prepare`` does the rule's per-arm work once (the knapsack solve, the
-scaled bids) and returns its one-trial step, with exactly the generator
-calls of :func:`run_mechanism`, which is itself arm, prepare, step and
-wrap.  Every rule steps on rows of the arm's pool (the user's pool, then
-the fakes); only the block's allocation turns them into ids, and the
-uniform rule's block takes the one its allocator returned.  The sweeps
-step arms one trial at a time; the audits and the cost of fairness step
-every arm through :mod:`._trials`, all its trials at once on draws that the
-arms of a call share, or one trial where its rule draws nothing.  Only the
-zero-fee inclusion audit's uniform arm calls :func:`run_mechanism`, once per
-trial, as the benchmark's tracing test counts; a call on the very objects of
-the call before reuses its prepared arm.  The softmax rule walks one trial's
-noise at one or more temperatures (:func:`_softmax_blocks`), so the softmax
-sweep draws a run's noise once and walks it at every temperature of a
-capacity in one call.
+The spec alone describes an arm: a rule-level deviation such as split
+block's demotion is a field of the spec (:attr:`SplitBlockConfig.demote`),
+not an extra argument.  ``_arm`` checks the inputs, appends the fakes to the
+pool and picks the candidates.  Each allocation rule is one step in
+:mod:`._trials`, over a slice of trials: :func:`run_mechanism` arms, draws
+one trial's values from its generator, steps, and wraps that slice of one
+trial in a :class:`MechanismOutcome`, which prices it only when read.  The
+uniform rule's block is the :class:`~.alloc.AllocationResult` that
+:func:`~.alloc.uniform_allocate` returns, since the zero-fee inclusion
+audit calls :func:`run_mechanism` once a trial on it, as the benchmark's
+tracing test counts.  A call on the very objects of the call before reuses
+its arm.
 
 The flat ``key = value`` config format lives here too: one table of keys,
 :data:`CONFIG_KEYS`, and one parser serve :func:`spec_from_config`, the
@@ -55,8 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
-from operator import add, is_
+from operator import is_
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,13 +53,12 @@ from .alloc import (
     SplitBlockConfig,
     _SplitBlock,
     _optimal_rows,
-    _sections,
-    _softmax_rows,
-    _walk,
     _with_fakes,
     uniform_allocate,
 )
 from .errors import ConfigError, ParameterError, _check_capacity, _check_gamma, _check_int
+from .errors import _check_real
+from ._streams import _draw_trial
 from .txpool import (
     BidDistribution,
     Mempool,
@@ -113,12 +99,12 @@ class MechanismSpec:
         if self.allocation is AllocationKind.SOFTMAX:
             _check_gamma(self.gamma)
         if self.allocation is AllocationKind.RTFM:
-            if self.phi is None or not 0 <= self.phi <= 1:
+            if self.phi is None or not 0 <= _check_real("phi", self.phi) <= 1:
                 raise ParameterError("randomized two-set allocation needs phi in [0, 1]")
         if self.allocation is AllocationKind.SPLIT_BLOCK and self.split is None:
             raise ParameterError("split-block allocation needs a SplitBlockConfig")
         if self.payment is PaymentKind.POSTED_PRICE:
-            if self.base_fee is None or not 0 <= self.base_fee < math.inf:
+            if self.base_fee is None or not 0 <= _check_real("base_fee", self.base_fee) < math.inf:
                 raise ParameterError(f"posted price needs finite lambda >= 0, got {self.base_fee}")
 
     # Common mechanisms, by their usual names.
@@ -175,74 +161,6 @@ class _cached:
         return value
 
 
-class _Block:
-    """One block of a prepared arm: its rows of the arm's pool (the fakes last), in block
-    order, and their total size, summed as the allocation rule sums it; split block's
-    `reserved` mask of the rows in its posted-fee section, and the two-set rule's `toss`.
-
-    The prices, the miner's utility and the allocation are computed on first read
-    and cached, since a run reads what its caller needs: the zero-fee inclusion
-    audit only the allocation, a sweep the rows, the miner's utility and the
-    payments.  The sweeps read a trial's block directly; :func:`run_mechanism`
-    wraps it in a :class:`MechanismOutcome`.
-    """
-
-    def __init__(self, arm: _Arm, rows: np.ndarray, total,
-                 reserved: Optional[np.ndarray] = None, toss: Optional[int] = None):
-        self.arm, self.rows, self.total, self.reserved, self.toss = arm, rows, total, reserved, toss
-
-    @_cached
-    def _prices(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Payment and burn per unit of each row; the two-set zero-pay branch prices nothing."""
-        return _unit_prices(self.arm.spec, self.arm.pool.columns.bids[self.rows],
-                            reserved=self.reserved, pays=self.toss != 0)
-
-    payment = property(lambda self: self._prices[0])
-    burn = property(lambda self: self._prices[1])
-
-    @_cached
-    def miner_utility(self) -> float:
-        c, rows = self.arm.pool.columns, self.rows
-        return _block_income(c.sizes[rows], *self._prices, c.fake[rows])
-
-    @_cached
-    def allocation(self) -> AllocationResult:
-        selected = tuple(self.arm.pool.columns.ids[self.rows].tolist())
-        return AllocationResult(selected, self.total, self.arm.capacity,
-                                _sections(selected, self.reserved, self.toss))
-
-    def by_id(self, values: np.ndarray) -> Dict[int, float]:
-        """`values` by included id, the main section first, then the reserved one."""
-        rows = self.rows
-        if self.reserved is not None:
-            listed = self.reserved.argsort(kind="stable")
-            rows, values = rows[listed], values[listed]
-        return dict(zip(self.arm.pool.columns.ids[rows].tolist(), values.tolist()))
-
-    def user_utilities(self) -> Dict[int, float]:
-        c, rows, n = self.arm.pool.columns, self.rows, len(self.arm.m)
-        gain = (c.valuations[rows] - self.payment - self.burn) * c.sizes[rows]
-        real = rows < n
-        users = dict.fromkeys(c.ids[:n].tolist(), 0.0)
-        users.update(zip(c.ids[rows[real]].tolist(), gain[real].tolist()))
-        return users
-
-
-class _Allocated(_Block):
-    """A block as its allocator returned it, in `allocation`: its rows are looked up from
-    the selected ids when first read, so a run read only for its allocation maps no id."""
-
-    reserved = toss = None  # the uniform rule has no reserved section and no toss
-    total = property(lambda self: self.allocation.total_size)
-
-    def __init__(self, arm: _Arm, allocation: AllocationResult):
-        self.arm, self.allocation = arm, allocation
-
-    @_cached
-    def rows(self) -> np.ndarray:
-        return self.arm.pool.rows_of(self.allocation.selected)
-
-
 @dataclass(frozen=True, eq=False, repr=False, init=False)
 class MechanismOutcome:
     """One block of a mechanism.
@@ -250,36 +168,58 @@ class MechanismOutcome:
     `payment_per_unit` and `burn_per_unit` map each included id to its price
     per unit (the main section first, then split block's reserved section),
     and `user_utilities` maps every real pool id to the user's utility.  The
-    block prices itself when one of these or `miner_utility` is first read,
-    and each dict is built on its first read and cached: the zero-fee
-    inclusion audit reads only the allocation, and prices nothing.
+    block, a :class:`._trials._Blocks` slice of one trial, prices itself when
+    one of these or `miner_utility` is first read, and each dict is built on
+    its first read and cached: the zero-fee inclusion audit reads only the
+    allocation, and prices nothing.
     """
 
     allocation: AllocationResult
     coin_toss: Optional[int]
-    _block: _Block
 
-    def __init__(self, allocation: AllocationResult, coin_toss: Optional[int], _block: _Block):
+    def __init__(self, allocation: AllocationResult, coin_toss: Optional[int], arm: _Arm,
+                 block: Optional[_Blocks] = None):
         # each run makes one: its fields go straight into __dict__, as the cached ones
         # do, past the frozen __setattr__ the generated __init__ would call a field
         fields = self.__dict__
-        fields["allocation"], fields["coin_toss"], fields["_block"] = allocation, coin_toss, _block
+        fields["allocation"], fields["coin_toss"], fields["_arm"] = allocation, coin_toss, arm
+        if block is not None:
+            fields["_block"] = block
+
+    @_cached
+    def _block(self) -> _Blocks:
+        """An allocator's block, its rows looked up from the selected ids on first read."""
+        rows = self._arm.pool.rows_of(self.allocation.selected)
+        return _Blocks(self._arm, rows[None], np.ones((1, len(rows)), bool),
+                       np.array([self.allocation.total_size]))
 
     @property
     def miner_utility(self) -> float:
-        return self._block.miner_utility
+        return self._block.miner_utility.item(0)
+
+    def _by_id(self, values: np.ndarray) -> Dict[int, float]:
+        """The block's `values` by included id, the main section first, then the reserved
+        one."""
+        block = self._block
+        taken = block.taken[0]
+        rows, values = block.rows[0][taken], values[0][taken]
+        if block.reserved is not None:
+            listed = block.reserved[0][taken].argsort(kind="stable")
+            rows, values = rows[listed], values[listed]
+        return dict(zip(self._arm.pool.columns.ids[rows].tolist(), values.tolist()))
 
     @_cached
     def payment_per_unit(self) -> Dict[int, float]:
-        return self._block.by_id(self._block.payment)
+        return self._by_id(self._block.payment)
 
     @_cached
     def burn_per_unit(self) -> Dict[int, float]:
-        return self._block.by_id(self._block.burn)
+        return self._by_id(self._block.burn)
 
     @_cached
     def user_utilities(self) -> Dict[int, float]:
-        return self._block.user_utilities()
+        ids = self._arm.pool.columns.ids[:len(self._arm.m)]
+        return dict(zip(ids.tolist(), self._block.user_utility[0].tolist()))
 
     def __repr__(self) -> str:
         return (f"MechanismOutcome(allocation={self.allocation!r}, "
@@ -294,9 +234,9 @@ class BaseFeeState:
     step: float = 0.125
 
     def __post_init__(self) -> None:
-        if not 0 <= self.lam < math.inf:
+        if not 0 <= _check_real("lam", self.lam) < math.inf:
             raise ParameterError(f"base fee must be non-negative and finite, got {self.lam}")
-        if not 0 < self.step < 1:
+        if not 0 < _check_real("step", self.step) < 1:
             raise ParameterError("step must lie in (0, 1)")
 
 
@@ -318,35 +258,19 @@ def is_excessively_low(lam: float, m: Mempool, capacity) -> bool:
     return sum(c.sizes[c.valuations > lam].tolist()) <= capacity
 
 
-def _block_income(sizes: np.ndarray, p: np.ndarray, q: np.ndarray, fake: np.ndarray) -> float:
-    """Fee income ``size * p`` of the real rows minus burn ``size * q`` of the
-    fake rows, each summed in block order from 0.0."""
-    if not np.count_nonzero(fake):
-        return reduce(add, (sizes * p).tolist(), 0.0)
-    # blocks with fakes are the miner-deviation audits' small ones, where one
-    # loop beats three masked numpy passes
-    income = burn = 0.0
-    for size, pay, cost, is_fake in zip(sizes.tolist(), p.tolist(), q.tolist(), fake.tolist()):
-        if is_fake:
-            burn += size * cost
-        else:
-            income += size * pay
-    return income - burn
-
-
 def _filled(value, shape) -> np.ndarray:
     """Copies of `value` in `shape`, which keep its Python type unless it is a float."""
     return np.full(shape, value, dtype=float if type(value) is float else object)
 
 
-def _unit_prices(spec: MechanismSpec, bids: np.ndarray, taken=True,
+def _unit_prices(spec: MechanismSpec, bids: np.ndarray, taken: np.ndarray,
                  reserved: Optional[np.ndarray] = None, pays: bool = True):
-    """Payment and burn per unit of `bids`: one block's included rows, or a trials x rows
-    batch of blocks, each made of its rows where `taken`.  Rows marked `reserved`
-    (split block's posted-fee section) pay ``delta`` and burn nothing; a two-set
-    block whose toss was 0 `pays` nothing.  Second price charges each block its
-    main section's lowest bid, 0.0 if that section is empty.  Every price keeps
-    the number type of the bid, fee or ``delta`` it comes from."""
+    """Payment and burn per unit of `bids`, a trials x rows slice of blocks, each made of
+    its rows where `taken`.  Rows marked `reserved` (split block's posted-fee section)
+    pay ``delta`` and burn nothing; a two-set block whose toss was 0 `pays` nothing.
+    Second price charges each block its main section's lowest bid, 0.0 if that section
+    is empty.  Every price keeps the number type of the bid, fee or ``delta`` it comes
+    from."""
     zeros = np.zeros(bids.shape)
     if not pays:
         return zeros, zeros
@@ -383,57 +307,11 @@ def _objective(spec: MechanismSpec, c: PoolColumns) -> Optional[np.ndarray]:
     return c.bids - spec.base_fee if spec.payment is PaymentKind.POSTED_PRICE else None
 
 
-# The allocation rules.  A rule does the work its arm's trials share once and
-# returns the draw of one trial, ``draw(rng, toss=None) -> _Block``, which makes
-# only the rule's generator calls; `toss` pins the two-set rule's branch and
-# every other rule ignores it.
-
-
 def _knapsack(arm: _Arm):
     """The revenue-optimal set of the candidates, as pool rows, and its total size."""
     c = arm.candidates()
     rows, total = _optimal_rows(c, arm.capacity, _objective(arm.spec, c))
     return arm.kept[rows], total
-
-
-def _knapsack_rule(arm: _Arm):
-    """The revenue-optimal set of the candidates, the same in every trial."""
-    block = _Block(arm, *_knapsack(arm))
-    return lambda rng, toss=None: block
-
-
-def _uniform_rule(arm: _Arm):
-    """The uniform allocator over the candidates."""
-    cand = arm.pool if len(arm.kept) == len(arm.pool) else arm.pool.take(arm.kept)
-
-    # the allocator's own result is the block's allocation, so no second one is built
-    return lambda rng, toss=None: _Allocated(arm, uniform_allocate(cand, arm.capacity, rng))
-
-
-def _softmax_blocks(arm: _Arm):
-    """``blocks(gammas, gumbel)``: the arm's priced block at each temperature of `gammas`
-    from one trial's Gumbel noise, a value per candidate, walked as the rows of one
-    :func:`~.alloc._softmax_rows` call; one draw serves every temperature and capacity
-    over the same candidates."""
-    kept, c = arm.kept, arm.candidates()
-    if not len(kept):  # nothing to sample, and no noise to read
-        empty = _Block(arm, kept, 0)
-        return lambda gammas, gumbel: [empty] * len(gammas)
-    # the walk runs in floats whatever the columns hold
-    sizes, bids = c.sizes.astype(float, copy=False), c.bids.astype(float, copy=False)
-
-    def blocks(gammas, gumbel):
-        scaled = bids / np.array(gammas, dtype=float)[:, None]
-        orders, taken, totals = _softmax_rows(sizes, scaled, gumbel[None], arm.capacity)
-        return [_Block(arm, kept[order[took]], total)
-                for order, took, total in zip(orders, taken, totals.tolist())]
-    return blocks
-
-
-def _softmax_rule(arm: _Arm):
-    """The Gumbel-top-k order of the candidates' keys ``bid/gamma + Gumbel``, walked."""
-    blocks, gammas, n = _softmax_blocks(arm), [arm.spec.gamma], len(arm.kept)
-    return lambda rng, toss=None: blocks(gammas, rng.gumbel(size=n))[0]
 
 
 def _split_block(arm: _Arm) -> _SplitBlock:
@@ -447,43 +325,6 @@ def _split_block(arm: _Arm) -> _SplitBlock:
                        _objective(spec, c))
 
 
-def _split_block_rule(arm: _Arm):
-    """The reserved section sampled from the posted-fee bids, then the paid knapsack."""
-    split = _split_block(arm)
-    return lambda rng, toss=None: _Block(arm, *split.draw(rng))
-
-
-def _two_set_rule(arm: _Arm):
-    """A biased toss between the zero-pay uniform set (0) and the optimal set (1).
-
-    Both branches draw a permutation of the whole pool after the toss, which
-    keeps the generator stream aligned across branches; the zero-pay branch
-    walks it, and the paying branch's knapsack is solved the first time the
-    branch is taken.
-    """
-    sizes, paying = arm.pool.columns.sizes, []
-
-    def draw(rng, toss=None):
-        if toss is None:
-            toss = 0 if rng.random() < arm.spec.phi else 1
-        order = rng.permutation(len(sizes))
-        if toss == 0:
-            return _Block(arm, *_walk(sizes, order, arm.capacity), toss=0)
-        if not paying:
-            paying.append(_Block(arm, *_knapsack(arm), toss=1))
-        return paying[0]
-    return draw
-
-
-_RULES = {
-    AllocationKind.OPTIMAL: _knapsack_rule,
-    AllocationKind.UNIFORM: _uniform_rule,
-    AllocationKind.SOFTMAX: _softmax_rule,
-    AllocationKind.SPLIT_BLOCK: _split_block_rule,
-    AllocationKind.RTFM: _two_set_rule,
-}
-
-
 def _arm(spec: MechanismSpec, m: Mempool, capacity, fakes: Sequence[Transaction] = ()) -> _Arm:
     """The arm of the mechanism over the pool plus miner fakes, its inputs checked."""
     pool = _with_fakes(m, fakes)
@@ -494,14 +335,29 @@ def _arm(spec: MechanismSpec, m: Mempool, capacity, fakes: Sequence[Transaction]
     return _Arm(spec, m, pool, capacity, kept)
 
 
-def _prepare(arm: _Arm):
-    """The arm's one-trial draw (see the rules above), its rule's shared work done once."""
-    return _RULES[arm.spec.allocation](arm)
+# the inputs of the last arm run_mechanism ran, held so that no other object takes
+# their identities, and its one-trial run
+_last_run: Tuple[tuple, Optional[Callable]] = ((), None)
 
 
-# the inputs of the last arm run_mechanism prepared, held so that no other object takes
-# their identities, and its one-trial draw
-_last_prepared: Tuple[tuple, Optional[Callable]] = ((), None)
+def _one_trial(arm: _Arm) -> Callable:
+    """``run(rng, toss)``: one trial of the arm, as a :class:`MechanismOutcome`; a rule
+    that draws nothing gives its one block in every trial.  `toss` pins the two-set
+    rule's branch, and every other rule ignores it."""
+    if arm.spec.allocation is AllocationKind.UNIFORM:
+        cand = arm.pool if len(arm.kept) == len(arm.pool) else arm.pool.take(arm.kept)
+        return lambda rng, toss: MechanismOutcome(uniform_allocate(cand, arm.capacity, rng),
+                                                  None, arm)
+    kind, width, step = _batched(arm)
+    fixed = _fixed(kind, width, step)
+    if fixed is not None:
+        block = fixed.one
+        return lambda rng, toss: MechanismOutcome(block.allocation, block.toss, arm, block)
+
+    def run(rng, toss) -> MechanismOutcome:
+        block = step(_draw_trial(rng, kind, width, toss)).one
+        return MechanismOutcome(block.allocation, block.toss, arm, block)
+    return run
 
 
 def run_mechanism(
@@ -521,19 +377,18 @@ def run_mechanism(
     1 = optimal set) instead of drawing it from the seed.
 
     A call given the very objects of the previous call's spec, pool, capacity
-    and fakes reuses that call's prepared arm.  Equal objects do not: 2, 2.0
+    and fakes reuses that call's arm.  Equal objects do not: 2, 2.0
     and Fraction(2) compare equal, but each computes in its own number type.
     """
-    global _last_prepared
+    global _last_run
     if rtfm_toss not in (None, 0, 1):
         raise ParameterError(f"rtfm_toss must be 0, 1 or None, got {rtfm_toss!r}")
     inputs = (spec, m, capacity, *fakes)
-    held, draw = _last_prepared
+    held, run = _last_run
     if len(held) != len(inputs) or not all(map(is_, held, inputs)):
-        draw = _prepare(_arm(spec, m, capacity, inputs[3:]))
-        _last_prepared = inputs, draw
-    block = draw(resolve_rng(seed), rtfm_toss)
-    return MechanismOutcome(block.allocation, block.toss, block)
+        run = _one_trial(_arm(spec, m, capacity, inputs[3:]))
+        _last_run = inputs, run
+    return run(resolve_rng(seed), rtfm_toss)
 
 
 def spec_to_config(spec: MechanismSpec) -> str:
@@ -670,3 +525,7 @@ def spec_from_config(text: str) -> MechanismSpec:
     if other:
         raise ConfigError(f"not mechanism config keys: {other}")
     return spec_from_fields(fields)
+
+
+# imported last: the steps build on this module's arms
+from ._trials import _Blocks, _batched, _fixed  # noqa: E402

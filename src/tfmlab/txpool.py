@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from . import chain
-from .errors import ParameterError, _check_int, _finite
+from .errors import ParameterError, _check_int, _check_real, _finite
 
 SeedLike = Union[int, Sequence[int], np.random.Generator]
 
@@ -56,11 +56,11 @@ class Transaction:
 
     def __post_init__(self) -> None:
         _check_int("transaction id", self.id, 0, 2**63 - 1)
-        if not (0 < self.size and _finite(self.size)):
+        if not (0 < _check_real("transaction size", self.size) and _finite(self.size)):
             raise ParameterError(f"transaction size must be positive and finite, got {self.size}")
-        if not (0 <= self.bid and _finite(self.bid)):
+        if not (0 <= _check_real("bid", self.bid) and _finite(self.bid)):
             raise ParameterError(f"bid must be non-negative and finite, got {self.bid}")
-        if not (0 <= self.valuation and _finite(self.valuation)):
+        if not (0 <= _check_real("valuation", self.valuation) and _finite(self.valuation)):
             raise ParameterError(f"valuation must be non-negative and finite, got {self.valuation}")
 
     def canonical_bytes(self) -> bytes:

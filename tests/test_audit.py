@@ -270,7 +270,7 @@ def test_the_uniform_zti_counts_are_a_tally_of_each_trials_run(pairs, shuffle, c
     reference = [0] * len(m)  # the rows of each trial's block, one run_mechanism call a trial
     for trial in range(trials if drew else 1):
         out = run_mechanism(spec, m, capacity, seed=np.random.default_rng([seed, trial]))
-        rows = out._block.rows.tolist()
+        rows = out._block.rows[0].tolist()
         assert rows == [row_of[tx_id] for tx_id in out.allocation.selected]
         for row in rows:
             reference[row] += 1

@@ -20,7 +20,7 @@ from tfmlab import (
     run_rtfm_sweep,
     run_stfm_sweep,
 )
-from tfmlab import _streams, alloc, chain, experiments, mech
+from tfmlab import _streams, _trials, alloc, chain, experiments
 from tfmlab.cli import main as cli_main
 from tfmlab.experiments import (
     CSV_HEADER,
@@ -184,15 +184,15 @@ def test_stfm_sweep_draws_each_pool_once_and_solves_each_ratio_once(
 ])
 def test_stfm_sweep_draws_each_runs_noise_once_for_every_cell(monkeypatch, base_fee, sweep_param,
                                                                values, ratios):
-    # a posted fee above every bid leaves no candidate: the row is empty and nothing is walked
-    calls, walks = [], []  # (noise, temperatures) of each blocks call; each _softmax_rows call
-    blocks_of, rows_of = experiments._softmax_blocks, mech._softmax_rows
+    # a posted fee above every bid leaves no candidate: the row is empty, and walked as such
+    calls, walks = [], []  # (noise, temperatures) of each step call; each _softmax_rows call
+    softmax, rows_of = experiments._softmax, _trials._softmax_rows
 
-    def counted(arm):
-        blocks = blocks_of(arm)
-        return lambda gammas, gumbel: calls.append((gumbel, gammas)) or blocks(gammas, gumbel)
-    monkeypatch.setattr(experiments, "_softmax_blocks", counted)
-    monkeypatch.setattr(mech, "_softmax_rows",
+    def counted(arm, gammas):
+        kind, width, step = softmax(arm, gammas)
+        return kind, width, lambda gumbel: calls.append((gumbel, gammas)) or step(gumbel)
+    monkeypatch.setattr(experiments, "_softmax", counted)
+    monkeypatch.setattr(_trials, "_softmax_rows",
                         lambda *args: walks.append(args) or rows_of(*args))
     payment = PaymentKind.FIRST_PRICE if base_fee is None else PaymentKind.POSTED_PRICE
     runs, n = 6, 30
@@ -207,14 +207,15 @@ def test_stfm_sweep_draws_each_runs_noise_once_for_every_cell(monkeypatch, base_
         at_run = calls[r * ratios:(r + 1) * ratios]
         gumbel = at_run[0][0]  # the run's one row, one value per candidate
         width = 0 if base_fee else n
+        assert gumbel.shape == (1, width)
         assert gumbel.tobytes() == np.random.default_rng([2, r, 1]).gumbel(size=width).tobytes()
         # every cell reads that row
         assert all(noise is gumbel for noise, _ in at_run)
         assert sum(len(gammas) for _, gammas in at_run) == len(values)
     # one _softmax_rows call per run and size ratio, walking a row for each of its cells
-    assert len(walks) == (0 if base_fee else runs * ratios)
+    assert len(walks) == runs * ratios
     for (sizes, scaled, noise, capacity), (gumbel, gammas) in zip(walks, calls):
-        assert noise.base is gumbel and scaled.shape == (len(gammas), n)
+        assert noise.base is gumbel and scaled.shape == (len(gammas), 0 if base_fee else n)
 
 
 def test_stfm_zero_fee_share_rises_with_temperature_and_tracks_supply():

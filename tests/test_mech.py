@@ -16,18 +16,20 @@ from tfmlab import (
     PaymentKind,
     SplitBlockConfig,
     Transaction,
+    estimate_monotonicity,
     is_excessively_low,
     run_mechanism,
     sample_mempool,
     spec_from_config,
     spec_from_fields,
     spec_to_config,
+    tune_gamma,
     uniform_allocate,
     update_base_fee,
 )
-from tfmlab import mech
-from tfmlab.mech import _arm, _prepare
-from tfmlab._trials import _Blocks
+from tfmlab import _trials, mech
+from tfmlab.mech import MechanismOutcome, _arm
+from tfmlab._trials import _Blocks, _batched
 
 
 def unit_pool(bids):
@@ -302,19 +304,23 @@ def test_prices_by_hand_in_one_block_and_in_a_batch(payment, reserved, pays, num
                          for v in expected)
     pay, burn, miner, users, first_two_miner, first_two_users = (repr(v) for v in expected)
 
-    block = mech._Block(arm, rows, total, section, toss=None if pays else 0)
-    assert (repr(block.payment.tolist()), repr(block.burn.tolist())) == (pay, burn)
-    assert repr(block.miner_utility) == miner
-    assert repr([block.user_utilities()[i] for i in range(3)]) == users
+    toss = None if pays else 0
+    one = _Blocks(arm, rows[None], np.ones((1, 4), bool), np.array([total]),
+                  None if section is None else section[None], toss)
+    out = MechanismOutcome(one.allocation, toss, arm, one)  # the reserved row is last already
+    assert (repr(list(out.payment_per_unit.values())),
+            repr(list(out.burn_per_unit.values()))) == (pay, burn)
+    assert repr(out.miner_utility) == miner
+    assert repr([out.user_utilities[i] for i in range(3)]) == users
 
     one = _Blocks(arm, rows[None], np.ones((1, 4), bool), np.array([total]),
-                  None if section is None else section[None], pays)
+                  None if section is None else section[None], toss)
     # the block reversed, then with rows 2 and 0 taken alone, then as it is
     three = _Blocks(arm, np.stack([rows[::-1], rows, rows]),
                     np.array([[True] * 4, [True, True, False, False], [True] * 4]),
                     np.array([total] * 3),
                     None if section is None else np.stack([section[::-1], section, section]),
-                    pays)
+                    toss)
     for blocks, t in ((one, 0), (three, 0), (three, 2)):
         assert repr(blocks.miner_utility.tolist()[t]) == miner
         assert repr(blocks.user_utility[t].tolist()) == users
@@ -322,87 +328,91 @@ def test_prices_by_hand_in_one_block_and_in_a_batch(payment, reserved, pays, num
     assert repr(three.user_utility[1].tolist()) == first_two_users
 
 
-def test_one_prepared_split_block_step_serves_every_trial():
+def test_one_split_block_step_serves_every_trial():
     # the posted-fee rows' order decides whether the demoted bids 2 and 3 still
     # fit the reserved section, and with them what is left for the paid knapsack
     m = Mempool([Transaction(0, 2.5, 1.0, 1.0), Transaction(1, 1.0, 1.0, 1.0),
                  Transaction(2, 1.0, 1.0, 1.0), Transaction(3, 1.0, 2.0, 2.0),
                  Transaction(4, 1.0, 3.0, 3.0), Transaction(5, 2.0, 4.0, 4.0)])
     spec = MechanismSpec.split_block(0.5, delta=1.0)
-    step = _prepare(_arm(spec, m, 8.0))
-    blocks = set()
+    arm = _arm(spec, m, 8.0)
+    kind, width, step = _batched(arm)
+    blocks = step(np.array([np.random.default_rng(seed).permutation(width) for seed in range(12)]))
+    selected = set()
     for seed in range(12):
-        block = step(np.random.default_rng(seed))
         out = run_mechanism(spec, m, 8.0, seed=seed)
-        assert tuple(block.arm.pool.columns.ids[block.rows].tolist()) == out.allocation.selected
-        assert block.miner_utility == out.miner_utility
-        blocks.add(out.allocation.selected)
-    assert len(blocks) > 1
+        rows = blocks.rows[seed][blocks.taken[seed]]
+        assert tuple(arm.pool.columns.ids[rows].tolist()) == out.allocation.selected
+        assert blocks.miner_utility[seed] == out.miner_utility
+        selected.add(out.allocation.selected)
+    assert len(selected) > 1
 
 
 # the two-set rule's step, against the uniform allocator and the knapsack rule it replaces
 TWO_SET_NUMBERS = {"float": float, "int": int, "fraction": lambda v: Fraction(v, 2)}
 
 
-def _two_set_arm(number, posted: bool):
-    """A two-set arm with a fake, over a pool of `number` values, under first or posted price."""
+def _two_set_case(number, posted: bool):
+    """A two-set spec, pool, capacity and fake, of `number` values, under first or posted
+    price."""
     m = Mempool([Transaction(i, number(1 + i % 3), number(b), number(b))
                  for i, b in enumerate([4, 0, 3, 5, 1, 0, 2, 6])])
     fakes = (Transaction(8, number(1), number(2), number(2), fake=True),)
     spec = MechanismSpec.rtfm(0.5, PaymentKind.POSTED_PRICE, number(2)) if posted \
         else MechanismSpec.rtfm(0.5)
-    return _arm(spec, m, number(7), fakes)
+    return spec, m, number(7), fakes
 
 
 @pytest.mark.parametrize("posted", [False, True], ids=["first_price", "posted"])
 @pytest.mark.parametrize("number", sorted(TWO_SET_NUMBERS))
 def test_the_two_set_zero_pay_branch_is_the_uniform_allocator_over_the_pool(number, posted):
-    arm = _two_set_arm(TWO_SET_NUMBERS[number], posted)
-    step, ids = _prepare(arm), arm.pool.columns.ids
+    spec, m, capacity, fakes = _two_set_case(TWO_SET_NUMBERS[number], posted)
+    pool = m.extend(fakes)
     for seed in range(20):
         stepped, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-        block = step(stepped, 0)
-        expected = uniform_allocate(arm.pool, arm.capacity, oracle)
-        assert tuple(ids[block.rows].tolist()) == expected.selected
-        assert block.total == expected.total_size
-        assert type(block.total) is type(expected.total_size)
-        assert block.toss == 0 and not block.payment.any() and not block.burn.any()
+        out = run_mechanism(spec, m, capacity, fakes, seed=stepped, rtfm_toss=0)
+        expected = uniform_allocate(pool, capacity, oracle)
+        assert out.allocation.selected == expected.selected
+        assert out.allocation.total_size == expected.total_size
+        assert type(out.allocation.total_size) is type(expected.total_size)
+        assert out.coin_toss == 0 and out.miner_utility == 0.0
+        assert not any(out.payment_per_unit.values()) and not any(out.burn_per_unit.values())
         assert stepped.bit_generator.state == oracle.bit_generator.state
         # a drawn toss comes first, then the same permutation on either branch
         stepped, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-        block = step(stepped)
-        if oracle.random() < arm.spec.phi:
-            assert block.toss == 0
-            assert tuple(ids[block.rows].tolist()) == \
-                uniform_allocate(arm.pool, arm.capacity, oracle).selected
+        out = run_mechanism(spec, m, capacity, fakes, seed=stepped)
+        if oracle.random() < spec.phi:
+            assert out.coin_toss == 0
+            assert out.allocation.selected == uniform_allocate(pool, capacity, oracle).selected
         else:
-            assert block.toss == 1
-            oracle.permutation(len(arm.pool))
+            assert out.coin_toss == 1
+            oracle.permutation(len(pool))
         assert stepped.bit_generator.state == oracle.bit_generator.state
 
 
 @pytest.mark.parametrize("posted", [False, True], ids=["first_price", "posted"])
 @pytest.mark.parametrize("number", sorted(TWO_SET_NUMBERS))
 def test_the_two_set_paying_branch_is_one_block_whatever_the_generator(number, posted):
-    arm = _two_set_arm(TWO_SET_NUMBERS[number], posted)
-    step = _prepare(arm)
-    paying = step(np.random.default_rng(0), 1)
-    knapsack = _prepare(arm._replace(spec=replace(arm.spec, allocation=AllocationKind.OPTIMAL,
-                                                  phi=None)))(None)
-    assert paying.toss == 1 and knapsack.toss is None
-    assert paying.rows.tolist() == knapsack.rows.tolist() and paying.total == knapsack.total
-    assert paying.payment.tolist() == knapsack.payment.tolist()
-    assert paying.burn.tolist() == knapsack.burn.tolist()
+    spec, m, capacity, fakes = _two_set_case(TWO_SET_NUMBERS[number], posted)
+    knapsack = run_mechanism(replace(spec, allocation=AllocationKind.OPTIMAL, phi=None), m,
+                             capacity, fakes)
+    paying = run_mechanism(spec, m, capacity, fakes, seed=0, rtfm_toss=1)
+    assert paying.coin_toss == 1 and knapsack.coin_toss is None
+    assert paying.allocation.selected == knapsack.allocation.selected
+    assert repr(paying.allocation.total_size) == repr(knapsack.allocation.total_size)
+    assert repr(paying.payment_per_unit) == repr(knapsack.payment_per_unit)
+    assert repr(paying.burn_per_unit) == repr(knapsack.burn_per_unit)
     assert repr(paying.miner_utility) == repr(knapsack.miner_utility)
     for seed in range(1, 10):
         zero_pay, paid = np.random.default_rng(seed), np.random.default_rng(seed)
-        step(zero_pay, 0)
-        assert step(paid, 1) is paying
+        run_mechanism(spec, m, capacity, fakes, seed=zero_pay, rtfm_toss=0)
+        assert run_mechanism(spec, m, capacity, fakes, seed=paid,
+                             rtfm_toss=1)._block is paying._block
         # both branches make the same generator calls
         assert zero_pay.bit_generator.state == paid.bit_generator.state
 
 
-# run_mechanism reuses the arm it prepared last when it gets the very same inputs
+# run_mechanism reuses the arm it ran last when it gets the very same inputs
 
 
 def _everything(out):
@@ -414,17 +424,17 @@ def _everything(out):
 
 
 def _fresh(*args, **kwargs):
-    """run_mechanism on an arm prepared for this call alone."""
-    mech._last_prepared = ((), None)
+    """run_mechanism on an arm armed for this call alone."""
+    mech._last_run = ((), None)
     return run_mechanism(*args, **kwargs)
 
 
 @pytest.fixture
 def prepared(monkeypatch):
-    """The arms run_mechanism prepares from here on."""
-    arms, prepare = [], mech._prepare
-    monkeypatch.setattr(mech, "_prepare", lambda arm: arms.append(arm) or prepare(arm))
-    monkeypatch.setattr(mech, "_last_prepared", ((), None))
+    """The arms run_mechanism arms from here on."""
+    arms, one_trial = [], mech._one_trial
+    monkeypatch.setattr(mech, "_one_trial", lambda arm: arms.append(arm) or one_trial(arm))
+    monkeypatch.setattr(mech, "_last_run", ((), None))
     return arms
 
 
@@ -489,9 +499,9 @@ def test_a_reused_uniform_arm_looks_up_the_allocator_at_call_time(prepared, monk
 
 
 def _counting_prices(monkeypatch) -> list:
-    """The calls of ``mech._unit_prices`` from here on."""
-    calls, unit_prices = [], mech._unit_prices
-    monkeypatch.setattr(mech, "_unit_prices",
+    """The calls of ``_unit_prices`` that blocks make from here on."""
+    calls, unit_prices = [], _trials._unit_prices
+    monkeypatch.setattr(_trials, "_unit_prices",
                         lambda *args, **kw: calls.append(1) or unit_prices(*args, **kw))
     return calls
 
@@ -571,3 +581,32 @@ def test_split_block_at_an_infinite_capacity_is_split_block_at_a_huge_one(alpha)
     assert at_inf.allocation.selected == at_huge.allocation.selected == \
         ((0, 1) if alpha < 1 else (1,))
     assert at_inf.allocation.sections == at_huge.allocation.sections
+
+
+# a parameter that is no number, which used to raise a bare TypeError
+NOT_NUMBERS = {
+    "capacity": lambda: run_mechanism(MechanismSpec.first_price(), unit_pool([1, 2]), "2"),
+    "capacity_none": lambda: run_mechanism(MechanismSpec.first_price(), unit_pool([1, 2]), None),
+    "gamma": lambda: MechanismSpec.stfm("1"),
+    "phi": lambda: MechanismSpec.rtfm("0.5"),
+    "base_fee": lambda: MechanismSpec.eip1559("1"),
+    "alpha": lambda: SplitBlockConfig("0.5"),
+    "delta": lambda: SplitBlockConfig(0.5, "1"),
+    "lam": lambda: BaseFeeState("1"),
+    "step": lambda: BaseFeeState(1.0, "0.1"),
+    "transaction size": lambda: Transaction(0, "1", 1.0, 1.0),
+    "bid": lambda: Transaction(0, 1.0, "1", 1.0),
+    "valuation": lambda: Transaction(0, 1.0, 1.0, None),
+    "epsilons": lambda: estimate_monotonicity(MechanismSpec.uniform(), unit_pool([0, 1]), 0,
+                                              ["1"], 10, 0, 2.0, use_certificates=False),
+    "alpha_target": lambda: tune_gamma(unit_pool([0, 1, 2]), 2.0, "0.2", 2.0, 0.1, 50.0, 10, 0),
+    "phi_ratio": lambda: tune_gamma(unit_pool([0, 1, 2]), 2.0, 0.2, "2", 0.1, 50.0, 10, 0),
+    "gamma_lo": lambda: tune_gamma(unit_pool([0, 1, 2]), 2.0, 0.2, 2.0, "0.1", 50.0, 10, 0),
+    "gamma_hi": lambda: tune_gamma(unit_pool([0, 1, 2]), 2.0, 0.2, 2.0, 0.1, "50", 10, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_NUMBERS))
+def test_a_parameter_that_is_no_number_raises_parameter_error_naming_it(case):
+    with pytest.raises(ParameterError, match=f"^{case.split('_none')[0]} must be a real number"):
+        NOT_NUMBERS[case]()

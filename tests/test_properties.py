@@ -9,7 +9,7 @@ exactly and a truthful user's zero utility cannot round below zero.
 import math
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
@@ -32,14 +32,16 @@ from tfmlab import (
     splitblock_allocate,
     tune_gamma,
 )
-from tfmlab import _streams, alloc
+from tfmlab import _streams, _trials, alloc
 from tfmlab.alloc import (
     EXHAUSTIVE_LIMIT, SECTION_ONE_MINUS_ALPHA, SECTION_RAND, _softmax_rows, _walk, _walk_rows)
 from tfmlab._streams import (
     _BATCH, _CHUNK, GUMBEL, PERMUTATION, TOSS, _TrialSeed, _TrialStreams, _trial_words)
 from tfmlab.audit import _step_arms
-from tfmlab.mech import _arm, _prepare
-from tfmlab._trials import _batched, _draws
+from tfmlab.mech import _arm
+from tfmlab._trials import _Blocks, _batched, _draws
+
+import sequential
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -124,37 +126,6 @@ def test_truthful_users_gain_nothing_negative_under_the_posted_price(case):
     out = run_mechanism(spec, m, capacity, fakes=fakes, seed=seed)
     assert set(out.user_utilities) == {tx.id for tx in m}
     assert all(u >= 0 for u in out.user_utilities.values())
-
-
-@st.composite
-def prepared_cases(draw):
-    """Every allocation kind under every payment rule, a pinned toss and demotion."""
-    m, fakes, capacity, seed, _ = draw(instances())
-    kind = draw(st.sampled_from(list(AllocationKind)))
-    payment = draw(st.sampled_from(list(PaymentKind)))
-    fee = draw(st.integers(0, 12).map(lambda k: k / 4)) if payment is PaymentKind.POSTED_PRICE \
-        else None
-    split = SplitBlockConfig(0.5, draw(st.sampled_from([0.0, 1.0])),
-                             draw(st.sampled_from([None, False, True])))
-    spec = MechanismSpec(kind, payment, gamma=1.5, phi=0.5, split=split, base_fee=fee)
-    toss = draw(st.sampled_from([None, 0, 1]))
-    return m, fakes, capacity, seed, spec, toss
-
-
-@PROPERTY_SETTINGS
-@given(prepared_cases())
-def test_a_prepared_step_replays_run_mechanism(case):
-    # audits prepare an arm once and step it once per trial
-    m, fakes, capacity, seed, spec, toss = case
-    step = _prepare(_arm(spec, m, capacity, fakes))
-    for trial in range(3):
-        stepped, ran = np.random.default_rng([seed, trial]), np.random.default_rng([seed, trial])
-        block = step(stepped, toss)
-        out = run_mechanism(spec, m, capacity, fakes=fakes, seed=ran, rtfm_toss=toss)
-        assert tuple(block.arm.pool.columns.ids[block.rows].tolist()) == out.allocation.selected
-        assert repr(block.miner_utility) == repr(out.miner_utility)
-        assert block.toss == out.coin_toss
-        assert stepped.bit_generator.state == ran.bit_generator.state
 
 
 fraction_bids = st.builds(Fraction, st.integers(0, 12), st.integers(1, 4))
@@ -536,7 +507,10 @@ def test_the_batched_step_is_each_trials_draw(rule, data):
     m, fakes, capacity, seed, spec = data.draw(typed_arms([rule]))
     pool = m.extend(fakes)
     arm = _arm(spec, m, capacity, fakes)
-    step, (kind, width, step_all) = _prepare(arm), _batched(arm)
+    kind, width, step_all = _batched(arm)
+
+    def step(rng):  # the sequential reference
+        return sequential.one_trial(arm, rng)
     rng = np.random.default_rng([seed, 0])
     state = rng.bit_generator.state
     step(rng)
@@ -565,6 +539,83 @@ def test_the_batched_step_is_each_trials_draw(rule, data):
         users = block.user_utilities()
         assert [repr(u) for u in blocks.user_utility[t].tolist()] == \
             [repr(users[tx_id]) for tx_id in m.ids()]
+
+
+def _everything(out):
+    """All an outcome tells, as :meth:`sequential.Block.outcome` lists it."""
+    a = out.allocation
+    return (a.selected, repr(a.total_size), repr(a.capacity), sorted(a.sections.items()),
+            repr(out.miner_utility), out.coin_toss, repr(out.payment_per_unit),
+            repr(out.burn_per_unit), repr(out.user_utilities))
+
+
+@pytest.mark.parametrize("rule", list(AllocationKind), ids=lambda kind: kind.value)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_run_mechanism_is_the_sequential_reference(rule, data):
+    # every payment rule on float, int and Fraction pools with fakes: every field of the
+    # outcome by its repr, and the state of the caller's generator after the call
+    m, fakes, capacity, seed, spec = data.draw(typed_arms([rule]))
+    toss = data.draw(st.sampled_from([None, 0, 1]))
+    arm = _arm(spec, m, capacity, fakes)
+    for trial in range(3):
+        ran, stepped = np.random.default_rng([seed, trial]), np.random.default_rng([seed, trial])
+        out = run_mechanism(spec, m, capacity, fakes, seed=ran, rtfm_toss=toss)
+        assert _everything(out) == sequential.one_trial(arm, stepped, toss).outcome()
+        assert ran.bit_generator.state == stepped.bit_generator.state
+
+
+# pools of no candidate and of one: one with none, one of one row, and two where a posted
+# fee of 2 (split block: the posted fee 1) leaves a single candidate
+FEW_CANDIDATES = {
+    "empty": (Mempool([]), None),
+    "one_row": (Mempool([Transaction(0, 1.0, 1.0, 2.0)]), None),
+    "one_at_the_fee": (Mempool([Transaction(i, 1.0, b, b) for i, b in enumerate([0.0, 3.0, 1.5])]),
+                       2.0),
+    "none_at_the_fee": (Mempool([Transaction(i, 1.0, b, b) for i, b in enumerate([0.0, 0.5])]),
+                        2.0),
+}
+
+
+@pytest.mark.parametrize("toss", [None, 0, 1])
+@pytest.mark.parametrize("pool", sorted(FEW_CANDIDATES))
+@pytest.mark.parametrize("rule", list(AllocationKind), ids=lambda kind: kind.value)
+def test_a_run_over_no_or_one_candidate_is_the_sequential_reference(rule, pool, toss):
+    # where a rule walks fewer than two rows its permutation draws nothing, and a softmax
+    # run over no candidate draws no noise
+    m, fee = FEW_CANDIDATES[pool]
+    payment = PaymentKind.FIRST_PRICE if fee is None else PaymentKind.POSTED_PRICE
+    spec = MechanismSpec(rule, payment, gamma=1.0, phi=0.5, split=SplitBlockConfig(0.5, 1.0),
+                         base_fee=fee)
+    arm = _arm(spec, m, 2.0)
+    for seed in range(3):
+        ran, stepped = np.random.default_rng(seed), np.random.default_rng(seed)
+        out = run_mechanism(spec, m, 2.0, seed=ran, rtfm_toss=toss)
+        assert _everything(out) == sequential.one_trial(arm, stepped, toss).outcome()
+        assert ran.bit_generator.state == stepped.bit_generator.state
+
+
+@pytest.mark.parametrize("reserved", [False, True], ids=["no_section", "reserved_section"])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_a_slice_folds_its_miner_utility_as_its_one_trial_slices(reserved, data):
+    # 40 random blocks of a pool with fakes: the slice is wider than _SMALL values, so it
+    # folds as running sums, and each one-trial slice, no wider, folds in the loop
+    m, fakes, capacity, seed, spec = data.draw(typed_arms(list(AllocationKind)))
+    assume(fakes and len(m) > 0)
+    arm = _arm(spec, m, capacity, fakes)
+    rng, width = np.random.default_rng(seed), len(arm.pool)
+    rows = np.array([rng.permutation(width) for _ in range(40)])
+    taken = rng.random(rows.shape) < 0.6
+    sections = rng.random(rows.shape) < 0.3 if reserved else None
+    assert taken.size > _trials._SMALL >= width
+
+    def unread(trials):
+        return _Blocks(arm, rows[trials], taken[trials], np.zeros(40)[trials],
+                       None if sections is None else sections[trials])
+    whole = unread(slice(None)).miner_utility.tolist()
+    joined = [unread(slice(t, t + 1)).miner_utility.tolist()[0] for t in range(40)]
+    assert [(type(u), repr(u)) for u in whole] == [(type(u), repr(u)) for u in joined]
 
 
 def _steps_every_trial_at_once(spec, m):
