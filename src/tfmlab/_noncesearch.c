@@ -6,29 +6,27 @@
  * (32 bytes, big-endian).  Returns (nonce, digest) for the first such
  * nonce, or None if `max_trials` nonces miss.
  *
- * The SHA-256 compression (NIST FIPS 180-4) is implemented here, so the
- * module needs only a C compiler and Python.h.  Once per search, tail_init
- * computes the state after the prefix's whole 64-byte blocks (the
- * midstate) and pre-pads the final one or two blocks.
+ * The prefix is the 104-byte block header before its nonce, the one header
+ * the package mines; a prefix of any other length raises ValueError.  The
+ * SHA-256 compression (NIST FIPS 180-4) is implemented here, so the module
+ * needs only a C compiler and Python.h.  Once per search, tail_init hashes
+ * the header's first 64 bytes (the midstate) and pre-pads the final block,
+ * whose words 10 (high) and 11 (low) are the nonce.
  *
- * Every search in the package hashes a 104-byte block header, whose nonce
- * is words 10 (high) and 11 (low) of its single final block, as it is after
- * any prefix of 40 mod 64 bytes.  The high word then stays fixed until the low
- * word carries into it, and fold_init, run once per search and again after
- * a carry, folds all that it fixes: the state after round 10, round 11 less
- * the low word, K + W of rounds 12-17, 19, 21 and 23, and the terms of
- * W16-W39 that do not read the low word (W16, W17, W19, W21 and W23 are
- * constants).  A fold kernel hashes a group of consecutive nonces per call
- * from there, rounds 12-63 with only the varying schedule terms, and keeps
- * only word 0 of each digest.  On loading, the module picks the first
- * kernel the CPU offers, in this order:
+ * The high word stays fixed until the low word carries into it, and
+ * fold_init, run once per search and again after a carry, folds all that it
+ * fixes: the state after round 10, round 11 less the low word, K + W of
+ * rounds 12-17, 19, 21 and 23, and the terms of W16-W39 that do not read the
+ * low word (W16, W17, W19, W21 and W23 are constants).  A fold kernel hashes
+ * a group of consecutive nonces per call from there, rounds 12-63 with only
+ * the varying schedule terms, and keeps only word 0 of each digest.  On
+ * loading, the module picks the first kernel the CPU offers, in this order:
  *
  *   - "avx512-x16": 16 nonces per call, one per 32-bit lane of AVX-512F
  *     vectors (multi-buffer SHA-256, Guilford et al., Intel, 2012);
  *   - "sha-ni-x2": 2 whole digests per call through the SHA extensions, the
- *     two dependency chains interleaved (Gulley et al., Intel, 2013), for a
- *     nonce at any byte offset; it starts at the 4-round group that holds
- *     the first nonce word;
+ *     two dependency chains interleaved (Gulley et al., Intel, 2013), from
+ *     the state after rounds 0-7, which read no nonce word;
  *   - "avx2-x8": the fold body on 8-lane AVX2 vectors;
  *   - "portable": the same body on one uint32_t lane, in plain C.
  *
@@ -36,14 +34,13 @@
  * and instantiated for 1, 8 and 16 lanes.  Every kernel feeds the same
  * search loop, which checks lanes in nonce order and ignores lanes beyond
  * `max_trials`.  The scalar hash_one hashes whole what a fold kernel does
- * not: nonces after a prefix of any other length, a group whose lanes
- * straddle a carry of the low word (or the wrap past 2^64 - 1), and a lane
- * whose word 0 is at most the target's, for its full digest.  BACKEND
- * names the kernel `search` uses; _search_avx512_x16, _search_sha_ni_x2,
- * _search_avx2_x8 and _search_portable run search on one kernel, for
- * tests, and exist only where the CPU offers that kernel.  The GIL is
- * released while scanning, so callers may mine several blocks from one
- * thread pool.
+ * not: a group whose lanes straddle a carry of the low word (or the wrap
+ * past 2^64 - 1), and a lane whose word 0 is at most the target's, for its
+ * full digest.  BACKEND names the kernel `search` uses; _search_avx512_x16,
+ * _search_sha_ni_x2, _search_avx2_x8 and _search_portable run search on one
+ * kernel, for tests, and exist only where the CPU offers that kernel.  The
+ * GIL is released while scanning, so callers may mine several blocks from
+ * one thread pool.
  *
  * merkle_root(leaves) returns the 32-byte root of the binary SHA-256 tree
  * over a non-empty sequence of bytes-like leaves: every leaf is hashed, then
@@ -115,24 +112,17 @@ static const uint32_t H0[8] = {
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 };
 
+#define PREFIX_BYTES 104 /* the block header before its nonce */
+
 /* What every trial of one search shares. */
 typedef struct {
-    uint32_t mid[8];    /* state after the prefix's whole 64-byte blocks */
-    uint32_t w[32];     /* final block(s) as big-endian words, nonce bytes zero */
-    int nblocks;        /* 1 or 2 final blocks */
-    int at;             /* byte offset of the nonce in the final blocks */
-    int first;          /* first word holding nonce bytes: at / 4, below 16 */
-    uint32_t group_state[8]; /* state a..h after the 4-round groups before
-                                `first`, where the SHA-NI kernel starts */
-#ifdef HAVE_X86
-    /* pshufb masks placing the nonce's bytes, from a little-endian 64-bit
-       lane, into each group of four words; 0x80 leaves a byte zero */
-    unsigned char nonce_mask[8][16];
-#endif
+    uint32_t mid[8];    /* state after the header's first 64 bytes */
+    uint32_t w[16];     /* final block as big-endian words, nonce words zero */
+    uint32_t group_state[8]; /* state a..h after rounds 0-7, where the SHA-NI
+                                kernel starts */
 } Tail;
 
-/* What every nonce with one high word shares, when the nonce is words 10
-   (high) and 11 (low) of a single final block: a prefix of 40 mod 64 bytes. */
+/* What every nonce with one high word shares. */
 typedef struct {
     uint32_t hi;        /* the high word folded in */
     uint32_t s[8];      /* state after round 11 for a low word of zero, rotated
@@ -386,36 +376,29 @@ from_abef_cdgh(uint32_t v[8], const __m128i st[2])
     _mm_storeu_si128((__m128i *)(v + 4), _mm_alignr_epi8(dchg, feba, 8));
 }
 
+/* Nonces n and n+1 as words 10 and 11 of the final block, from group 2, the
+   first that reads them. */
 static SHA_NI void
 hash_sha_ni_x2(const Tail *t, uint64_t n, uint32_t dig[8][MAX_LANES])
 {
-    __m128i st[2][2], base[2][2], msg[2][4];
+    __m128i st[2][2], mid[2], msg[2][4];
     uint32_t out[8];
-    int lane, j, b, k;
+    int lane, j, k;
 
-    to_abef_cdgh(st[0], t->group_state);
-    to_abef_cdgh(base[0], t->mid);
-    st[1][0] = st[0][0];
-    st[1][1] = st[0][1];
-    base[1][0] = base[0][0];
-    base[1][1] = base[0][1];
-
-    for (b = 0; b < t->nblocks; b++) {
-        for (lane = 0; lane < 2; lane++) {
-            __m128i nonce = _mm_set_epi64x(0, (long long)(n + (uint64_t)lane));
-            for (j = 0; j < 4; j++)
-                msg[lane][j] = _mm_or_si128(
-                    _mm_loadu_si128((const __m128i *)(t->w + 16 * b + 4 * j)),
-                    _mm_shuffle_epi8(nonce, _mm_loadu_si128((const __m128i *)t->nonce_mask[4 * b + j])));
-        }
-        rounds_sha_ni_x2(st, msg, b ? 0 : t->first / 4);
-        for (lane = 0; lane < 2; lane++)
-            for (j = 0; j < 2; j++)
-                st[lane][j] = base[lane][j] = _mm_add_epi32(st[lane][j], base[lane][j]);
-    }
-
+    to_abef_cdgh(mid, t->mid);
     for (lane = 0; lane < 2; lane++) {
-        from_abef_cdgh(out, base[lane]);
+        uint64_t nonce = n + (uint64_t)lane;
+        to_abef_cdgh(st[lane], t->group_state);
+        for (j = 0; j < 4; j++)
+            msg[lane][j] = _mm_loadu_si128((const __m128i *)(t->w + 4 * j));
+        msg[lane][2] = _mm_set_epi32((int)(uint32_t)nonce, (int)(uint32_t)(nonce >> 32),
+                                     (int)t->w[9], (int)t->w[8]);
+    }
+    rounds_sha_ni_x2(st, msg, 2);
+    for (lane = 0; lane < 2; lane++) {
+        for (j = 0; j < 2; j++)
+            st[lane][j] = _mm_add_epi32(st[lane][j], mid[j]);
+        from_abef_cdgh(out, st[lane]);
         for (k = 0; k < 8; k++)
             dig[k][lane] = out[k];
     }
@@ -612,28 +595,23 @@ rounds(uint32_t s[8], uint32_t w[16], int from, int to)
 
 DEFINE_FOLDED_KERNEL(fold_portable, )
 
-/* The whole digest of nonce n: its eight bytes at byte offset t->at of the
-   final blocks, then every round of each. */
+/* The whole digest of nonce n: its words in the final block, then every round. */
 static void
 hash_one(const Tail *t, uint64_t n, uint32_t out[8])
 {
-    uint32_t w[32], s[8], hi = (uint32_t)(n >> 32), lo = (uint32_t)n;
-    int b, k, sh = 8 * (t->at % 4);
+    uint32_t w[16], s[8];
+    int k;
 
     memcpy(w, t->w, sizeof(w));
-    w[t->first] |= hi >> sh;
-    w[t->first + 1] |= ((hi << (31 - sh)) << 1) | (lo >> sh);
-    w[t->first + 2] |= (lo << (31 - sh)) << 1;
-    memcpy(out, t->mid, sizeof(t->mid));
-    for (b = 0; b < t->nblocks; b++) {
-        memcpy(s, out, sizeof(s));
-        rounds(s, w + 16 * b, 0, 64);
-        for (k = 0; k < 8; k++)
-            out[k] += s[k];
-    }
+    w[10] = (uint32_t)(n >> 32);
+    w[11] = (uint32_t)n;
+    memcpy(s, t->mid, sizeof(s));
+    rounds(s, w, 0, 64);
+    for (k = 0; k < 8; k++)
+        out[k] = t->mid[k] + s[k];
 }
 
-/* The fold of high word hi, for a tail with the nonce at byte 40. */
+/* The fold of high word hi. */
 static void
 fold_init(Fold *f, const Tail *t, uint32_t hi)
 {
@@ -680,53 +658,32 @@ static const Kernel kernels[] = {
 
 static const Kernel *best; /* set by PyInit, the first kernel offered */
 
+/* The tail of a PREFIX_BYTES header: its first block hashed, and the final
+   block of the rest, the nonce's words 10 and 11, the 0x80 byte (word 12)
+   and the message's length in bits (word 15). */
 static void
-tail_init(Tail *t, const unsigned char *prefix, Py_ssize_t len)
+tail_init(Tail *t, const unsigned char *prefix)
 {
-    Py_ssize_t head = (len / 64) * 64;
-    uint64_t bits = (uint64_t)(len + 8) * 8;
-    unsigned char block[128] = {0};
-    uint32_t words[16], s[8];
-    Py_ssize_t off;
+    uint32_t words[16];
     int k;
 
+    for (k = 0; k < 16; k++)
+        words[k] = load_be32(prefix + 4 * k);
     memcpy(t->mid, H0, sizeof(H0));
-    for (off = 0; off < head; off += 64) {
-        memcpy(s, t->mid, sizeof(s));
-        for (k = 0; k < 16; k++)
-            words[k] = load_be32(prefix + off + 4 * k);
-        rounds(s, words, 0, 64);
-        for (k = 0; k < 8; k++)
-            t->mid[k] += s[k];
-    }
-
-    t->at = (int)(len - head);
-    t->first = t->at / 4;
-    t->nblocks = t->at + 8 + 1 + 8 <= 64 ? 1 : 2;
-    memcpy(block, prefix + head, (size_t)t->at);
-    block[t->at + 8] = 0x80;
+    rounds(t->mid, words, 0, 64);
     for (k = 0; k < 8; k++)
-        block[64 * t->nblocks - 1 - k] = (unsigned char)(bits >> (8 * k));
-    for (k = 0; k < 16 * t->nblocks; k++)
-        t->w[k] = load_be32(block + 4 * k);
+        t->mid[k] += H0[k];
 
-    /* the 4-round groups before the first nonce word, which hold no nonce
-       byte; rounds below 16 leave w as it is */
-    memcpy(s, t->mid, sizeof(s));
-    memcpy(words, t->w, sizeof(words));
-    rounds(s, words, 0, t->first / 4 * 4);
-    for (k = 0; k < 8; k++)
-        t->group_state[k] = S_(s, k, t->first / 4 * 4);
+    memset(t->w, 0, sizeof(t->w));
+    for (k = 0; k < 10; k++)
+        t->w[k] = load_be32(prefix + 64 + 4 * k);
+    t->w[12] = 0x80000000u;
+    t->w[15] = 8 * (PREFIX_BYTES + 8);
 
-#ifdef HAVE_X86
-    /* byte L of group j is byte 3 - L%4 of word 4j + L/4; the nonce's
-       big-endian byte i sits at offset at + i and is byte 7 - i of its lane */
-    for (int j = 0; j < 8; j++)
-        for (k = 0; k < 16; k++) {
-            int i = 16 * j + 4 * (k / 4) + 3 - k % 4 - t->at;
-            t->nonce_mask[j][k] = (0 <= i && i < 8) ? (unsigned char)(7 - i) : 0x80;
-        }
-#endif
+    /* rounds 0-7 read no nonce word; rounds below 16 leave w as it is, and
+       eight rounds leave the rotated state in place */
+    memcpy(t->group_state, t->mid, sizeof(t->mid));
+    rounds(t->group_state, t->w, 0, 8);
 }
 
 static int
@@ -740,10 +697,9 @@ below(const uint32_t dig[8], const uint32_t tgt[8])
 }
 
 /* First nonce from *nonce within max_trials whose digest is below tgt.  A
-   fold kernel hashes a group only when its nonce sits at byte 40 and all
-   its lanes share one high word, refolding when that word changes; every
-   other group, and every lane whose word 0 is at most the target's, is
-   hashed whole by hash_one. */
+   fold kernel hashes a group only when all its lanes share one high word,
+   refolding when that word changes; every other group, and every lane whose
+   word 0 is at most the target's, is hashed whole by hash_one. */
 static int
 scan(const Tail *t, const Kernel *kernel, const uint32_t tgt[8], uint64_t *nonce,
      unsigned long long max_trials, uint32_t out[8])
@@ -756,14 +712,13 @@ scan(const Tail *t, const Kernel *kernel, const uint32_t tgt[8], uint64_t *nonce
     Fold fold;
     int lane, lanes, k, screened;
 
-    if (t->at == 40)
-        fold_init(&fold, t, (uint32_t)(n >> 32));
+    fold_init(&fold, t, (uint32_t)(n >> 32));
     while (left > 0) {
         lanes = left < (unsigned long long)kernel->lanes ? (int)left : kernel->lanes;
         screened = 1;
         if (kernel->hash != NULL) {
             kernel->hash(t, n, dig);
-        } else if (t->at == 40 && (uint32_t)n <= last) {
+        } else if ((uint32_t)n <= last) {
             if (fold.hi != (uint32_t)(n >> 32)) /* the low word carried */
                 fold_init(&fold, t, (uint32_t)(n >> 32));
             kernel->fold(&fold, (uint32_t)n, dig[0]);
@@ -802,10 +757,11 @@ search_with(PyObject *args, const Kernel *kernel)
 
     if (!PyArg_ParseTuple(args, "y*KKy*", &prefix, &start, &max_trials, &target))
         return NULL;
-    if (target.len != 32) {
+    if (prefix.len != PREFIX_BYTES || target.len != 32) {
         PyBuffer_Release(&prefix);
         PyBuffer_Release(&target);
-        PyErr_SetString(PyExc_ValueError, "target must be 32 bytes");
+        PyErr_SetString(PyExc_ValueError, target.len != 32 ? "target must be 32 bytes"
+                        : "prefix must be the 104-byte block header before its nonce");
         return NULL;
     }
     for (k = 0; k < 8; k++)
@@ -813,7 +769,7 @@ search_with(PyObject *args, const Kernel *kernel)
     nonce = (uint64_t)start;
 
     Py_BEGIN_ALLOW_THREADS
-    tail_init(&tail, (const unsigned char *)prefix.buf, prefix.len);
+    tail_init(&tail, (const unsigned char *)prefix.buf);
     found = scan(&tail, kernel, tgt, &nonce, max_trials, dig);
     Py_END_ALLOW_THREADS
 

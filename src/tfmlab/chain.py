@@ -11,7 +11,8 @@ anything else confirms the optimal set (toss 1).
 
 Nonce scanning prefers the small C helper `_noncesearch.c`, which carries
 its own SHA-256 compression and releases the GIL, and falls back to pure
-hashlib with identical nonces and hashes.  The helper hashes a group of
+hashlib with identical nonces and hashes.  The helper takes only the
+104-byte header prefix, the one `mine_block` scans, and hashes a group of
 consecutive nonces per call, from the rounds and schedule terms that the
 header and the nonce's high word fix, and picks its kernel when it loads,
 the first the CPU offers of ``avx512-x16`` (16 nonces per call),

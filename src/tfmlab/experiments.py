@@ -120,15 +120,17 @@ def _mean_se(values) -> Tuple[float, float]:
 
 def _block_stats(m: Mempool, blocks: _Blocks) -> List[Tuple[float, float, float]]:
     """Of each block of a fake-free slice: zero-bid inclusions over the pool size, the
-    zero-bid share of the block's size, and zero-payment inclusions over the pool size."""
+    zero-bid share of the block's size, and zero-payment inclusions over the pool size.
+    A block whose toss was 0 pays nothing for any row it takes, so it is not priced."""
     c, n, stats = m.columns, len(m), []
-    for rows, taken, pay, total in zip(blocks.rows, blocks.taken, blocks.payment,
+    payments = [None] * len(blocks.rows) if blocks.toss == 0 else blocks.payment
+    for rows, taken, pay, total in zip(blocks.rows, blocks.taken, payments,
                                        blocks.total.tolist()):
         rows = rows[taken]
         zero = np.sort(rows[c.bids[rows] == 0])  # pool order
         zero_size = sum(c.sizes[zero].tolist())
-        stats.append((len(zero) / n, zero_size / total if total > 0 else 0.0,
-                      np.count_nonzero(pay[taken] == 0) / n))
+        free = len(rows) if pay is None else np.count_nonzero(pay[taken] == 0)
+        stats.append((len(zero) / n, zero_size / total if total > 0 else 0.0, free / n))
     return stats
 
 

@@ -242,7 +242,7 @@ class BaseFeeState:
 
 def update_base_fee(state: BaseFeeState, block_total_size, capacity_target) -> BaseFeeState:
     """Raise the base fee by `step` on an over-target block, lower it otherwise."""
-    if not block_total_size >= 0:
+    if not _check_real("block size", block_total_size) >= 0:
         raise ParameterError(f"block size must be non-negative, got {block_total_size}")
     _check_capacity(capacity_target)
     factor = 1 + state.step if block_total_size > capacity_target else 1 - state.step
@@ -251,7 +251,7 @@ def update_base_fee(state: BaseFeeState, block_total_size, capacity_target) -> B
 
 def is_excessively_low(lam: float, m: Mempool, capacity) -> bool:
     """True when all demand valued above the base fee already fits the block."""
-    if math.isnan(lam):
+    if math.isnan(_check_real("base fee lambda", lam)):
         raise ParameterError("base fee lambda must be a number, got nan")
     _check_capacity(capacity)
     c = m.columns

@@ -157,19 +157,6 @@ def test_helper_names_its_backend():
 
 @needs_helper
 @pytest.mark.parametrize("kernel", KERNELS)
-@pytest.mark.parametrize("length", [0, 40, 47, 48, 55, 56, 60, 63, 64, 104, 120])
-def test_kernel_agrees_with_hashlib_for_one_and_two_final_blocks(kernel, length):
-    search = getattr(chain_mod._noncesearch, kernel)
-    prefix = bytes((7 * i + length) % 256 for i in range(length))
-    for start in (0, 9, (1 << 64) - 1):
-        for bits, trials in ((256, 3), (250, 2000), (1, 101)):
-            target32 = ((1 << bits) - 1).to_bytes(32, "big")
-            assert search(prefix, start, trials, target32) == \
-                chain_mod._search_python(prefix, start, trials, target32)
-
-
-@needs_helper
-@pytest.mark.parametrize("kernel", KERNELS)
 def test_kernel_returns_the_first_hit_of_a_pair(kernel):
     search = getattr(chain_mod._noncesearch, kernel)
     prefix = next(p for p in (bytes([i]) * 104 for i in range(256))
@@ -267,16 +254,20 @@ def test_backend_is_the_first_kernel_the_cpu_offers():
 
 
 @pytest.mark.parametrize("name", KERNEL_NAMES)
-def test_every_kernel_agrees_with_hashlib_at_every_nonce_offset(name):
-    # prefix lengths 0-127 put the nonce at every byte offset of one and of two final blocks
+def test_every_kernel_hashes_only_the_header_prefix_and_agrees_with_hashlib(name):
     search = _kernel_search(name)
-    for length in range(128):
-        prefix = bytes((7 * i + length) % 256 for i in range(length))
+    # the helper hashes the one header the lab mines: any other prefix is refused
+    for length in (0, 40, 103, 105, 120):
+        for entry in (chain_mod._noncesearch.search, search):
+            with pytest.raises(ValueError, match="104-byte block header"):
+                entry(bytes(length), 0, 1, bytes(32))
+    for i in range(8):
+        prefix = hash_bytes(bytes([i])) * 3 + hash_bytes(bytes([i, i]))[:8]
         for start in (0, (1 << 32) - 3, (1 << 64) - 5):
             for bits, trials in ((256, 1), (251, 33), (1, 17)):
                 target32 = ((1 << bits) - 1).to_bytes(32, "big")
                 assert search(prefix, start, trials, target32) == \
-                    chain_mod._search_python(prefix, start, trials, target32), (length, start, bits)
+                    chain_mod._search_python(prefix, start, trials, target32), (i, start, bits)
 
 
 @pytest.mark.parametrize("name", KERNEL_NAMES)

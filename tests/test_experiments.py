@@ -20,7 +20,7 @@ from tfmlab import (
     run_rtfm_sweep,
     run_stfm_sweep,
 )
-from tfmlab import _streams, _trials, alloc, chain, experiments
+from tfmlab import _streams, _trials, alloc, chain, experiments, mech
 from tfmlab.cli import main as cli_main
 from tfmlab.experiments import (
     CSV_HEADER,
@@ -59,6 +59,22 @@ def test_rtfm_sweep_endpoints_and_midpoint():
     assert by_phi[0.5].normalized_miner_revenue == pytest.approx(0.5, abs=0.03)
     zffs = [row.zero_fee_fraction for row in rows]
     assert all(b >= a - 1e-12 for a, b in zip(zffs, zffs[1:]))
+
+
+def test_a_zero_pay_blocks_stats_count_its_taken_rows_without_pricing_it():
+    m = sample_mempool(1000, BidDistribution.censored_gaussian(4, 3),
+                       BidDistribution.constant(1), seed=3)
+    arm = mech._arm(MechanismSpec.rtfm(0.5), m, 100.0)
+    block = _trials._zero_pay(arm, np.random.default_rng(3).permutation(len(m))[None])
+    stats = experiments._block_stats(m, block)
+    assert "_prices" not in vars(block)
+    # the priced computation: the block's zero payments among the rows it takes
+    taken, c = block.taken[0], m.columns
+    rows = block.rows[0][taken]
+    zero = np.sort(rows[c.bids[rows] == 0])
+    assert len(zero) > 0
+    assert stats == [(len(zero) / len(m), sum(c.sizes[zero].tolist()) / block.total.item(0),
+                      np.count_nonzero(block.payment[0][taken] == 0) / len(m))]
 
 
 def test_rtfm_sweep_rejects_wrong_mechanism():

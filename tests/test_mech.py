@@ -594,6 +594,8 @@ NOT_NUMBERS = {
     "delta": lambda: SplitBlockConfig(0.5, "1"),
     "lam": lambda: BaseFeeState("1"),
     "step": lambda: BaseFeeState(1.0, "0.1"),
+    "block size": lambda: update_base_fee(BaseFeeState(1.0), "2", 1.0),
+    "base fee lambda": lambda: is_excessively_low("1", Mempool([]), 1.0),
     "transaction size": lambda: Transaction(0, "1", 1.0, 1.0),
     "bid": lambda: Transaction(0, 1.0, "1", 1.0),
     "valuation": lambda: Transaction(0, 1.0, 1.0, None),
