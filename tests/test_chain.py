@@ -157,6 +157,21 @@ def test_helper_names_its_backend():
 
 @needs_helper
 @pytest.mark.parametrize("kernel", KERNELS)
+# one and two final blocks, either side of each padding edge, and either side of the header
+@pytest.mark.parametrize("length", [0, 40, 47, 48, 55, 56, 60, 63, 64, 103, 105, 120])
+def test_kernel_refuses_a_prefix_that_is_not_the_header(kernel, length):
+    search = getattr(chain_mod._noncesearch, kernel)
+    prefix = bytes((7 * i + length) % 256 for i in range(length))
+    target32 = bytes([255] * 32)
+    with pytest.raises(ValueError, match="104-byte block header"):
+        search(prefix, 9, 1, target32)
+    # the hashlib fallback still hashes any prefix
+    assert chain_mod._search_python(prefix, 9, 1, target32) == \
+        (9, hash_bytes(prefix + (9).to_bytes(8, "big")))
+
+
+@needs_helper
+@pytest.mark.parametrize("kernel", KERNELS)
 def test_kernel_returns_the_first_hit_of_a_pair(kernel):
     search = getattr(chain_mod._noncesearch, kernel)
     prefix = next(p for p in (bytes([i]) * 104 for i in range(256))
@@ -258,9 +273,8 @@ def test_every_kernel_hashes_only_the_header_prefix_and_agrees_with_hashlib(name
     search = _kernel_search(name)
     # the helper hashes the one header the lab mines: any other prefix is refused
     for length in (0, 40, 103, 105, 120):
-        for entry in (chain_mod._noncesearch.search, search):
-            with pytest.raises(ValueError, match="104-byte block header"):
-                entry(bytes(length), 0, 1, bytes(32))
+        with pytest.raises(ValueError, match="104-byte block header"):
+            search(bytes(length), 0, 1, bytes(32))
     for i in range(8):
         prefix = hash_bytes(bytes([i])) * 3 + hash_bytes(bytes([i, i]))[:8]
         for start in (0, (1 << 32) - 3, (1 << 64) - 5):
