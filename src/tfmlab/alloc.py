@@ -27,12 +27,11 @@ loaded, its row walk runs that loop for float64 sizes and a capacity and start
 that are doubles exactly: ``_walk_rows`` walks many orders in one call, one a
 row, and ``_walk`` one order as a row of its own.  Every other column runs the
 same loop in Python, which is also the C loop's test oracle; there
-``_walk_rows`` cuts each row's prefix that fits from its cumulative sizes,
-which add in the same order, and a row with room left finishes on
-``_walk``.  Every softmax walk, of one trial or many, at one temperature or
-many, is a call of ``_softmax_rows``: it sorts rows of at least
-``_SIMD_SORT_WIDTH`` keys with numpy's default (SIMD) argsort and re-sorts
-stably only the rows that hold equal keys, so its orders are the stable sort's.
+``_walk_rows`` walks each order on ``_walk``.  Every softmax walk, of one
+trial or many, at one temperature or many, is a call of ``_softmax_rows``: it
+sorts rows of at least ``_SIMD_SORT_WIDTH`` keys with numpy's default (SIMD)
+argsort and re-sorts stably only the rows that hold equal keys, so its orders
+are the stable sort's.
 Split block walks a slice of trials' permutations at once, one trial's as a
 slice of one (``_SplitBlock.blocks``).
 
@@ -156,11 +155,14 @@ def _walk(sizes: np.ndarray, order: np.ndarray, capacity, total=0):
         _walk_rows_c(sizes, order[None], capacity, total, kept, totals)
         rows = order[kept[0]]
         return rows, totals.item(0) if len(rows) else total
-    kept = []
-    for pos, size in enumerate(sizes[order].tolist()):
+    kept, walked = [], sizes[order].tolist()
+    smallest = min(walked, default=0)
+    for pos, size in enumerate(walked):
         if total + size <= capacity:
             kept.append(pos)
             total += size
+        elif total + smallest > capacity:
+            break  # the total stays, so no later size fits
     return order[kept], total
 
 
@@ -173,28 +175,19 @@ def _running(values: np.ndarray, start=0) -> np.ndarray:
 
 def _walk_rows(sizes: np.ndarray, orders: np.ndarray, capacity, total=0):
     """:func:`_walk` over each row of `orders` from `total`: the kept positions of each,
-    and its total.
-
-    Where :func:`_walk` runs the C loop, the C helper walks every row in one
-    call.  Otherwise each row's prefix that fits is cut from its cumulative
-    sizes, which add in walk order too, and a row with room for a later size
-    finishes on :func:`_walk`; with equal sizes none has."""
+    and its total, in the sizes' type.  Where :func:`_walk` runs the C loop, the C helper
+    walks every row in one call; otherwise each row walks on :func:`_walk`."""
     if _walk_rows_c is not None and _in_doubles(sizes, orders, capacity, total):
         kept, totals = np.empty(orders.shape, bool), np.empty(len(orders))
         _walk_rows_c(sizes, orders, capacity, total, kept, totals)
         return kept, totals
-    s = sizes[orders]
-    trials, k = s.shape
-    running = _running(s, total)
-    kept = running[:, 1:] <= capacity  # sizes are positive: a prefix of each row
-    cut = np.count_nonzero(kept, axis=1)
-    total = running[np.arange(trials), cut]
-    # the row at `cut` did not fit; the smallest size after it
-    smallest = np.where(np.arange(k) > cut[:, None], s, np.inf).min(axis=1, initial=np.inf)
-    for t in np.flatnonzero((total + smallest <= capacity) & (cut < k)):
-        rest, total[t] = _walk(s[t], np.arange(cut[t] + 1, k), capacity, total.item(t))
-        kept[t, rest] = True
-    return kept, total
+    kept, totals = np.zeros(orders.shape, bool), []
+    positions = np.arange(orders.shape[1])
+    for row, walked in zip(kept, sizes[orders]):
+        rows, end = _walk(walked, positions, capacity, total)
+        row[rows] = True
+        totals.append(end)
+    return kept, np.array(totals, sizes.dtype)
 
 
 def _exact_knapsack(items, capacity):

@@ -17,17 +17,19 @@ consecutive nonces per call, from the rounds and schedule terms that the
 header and the nonce's high word fix, and picks its kernel when it loads,
 the first the CPU offers of ``avx512-x16`` (16 nonces per call),
 ``sha-ni-x2`` (2, through the SHA extensions), ``avx2-x8`` (8) and
-``portable`` (1, plain C); its ``BACKEND`` names which.  An installed package carries the helper as
-`tfmlab._noncesearch`.  Run from a source tree, the helper is compiled on
-first import with the system C compiler into a per-user cache,
-``$XDG_CACHE_HOME/tfmlab/`` or ``~/.cache/tfmlab/``, in a subdirectory named
-by the SHA-256 of the C source, and later imports load it from there.  When
-no helper can be built (no compiler or Python header, a failed compile, an
-unwritable cache) one warning goes to the ``tfmlab`` logger and mining uses
-hashlib, which is much slower and holds the GIL, so `mine_many` workers do
-not help it.  A failed compile leaves a ``build-failed`` file with the
-reason in that subdirectory; later imports repeat the warning from it
-without running the compiler again, until the file is deleted.
+``portable`` (1, plain C); its ``BACKEND`` names which.  The helper has one
+build: the package ships its C source, and the first import, installed or
+from a source tree, compiles it with the system C compiler
+(``cc -shared -fPIC -O2``) into a per-user cache, ``$XDG_CACHE_HOME/tfmlab/``
+or ``~/.cache/tfmlab/``, in a subdirectory named by the SHA-256 of the C
+source, and later imports load it from there, so an edited source never
+loads an older build.  When no helper can be built (no compiler or Python
+header, a failed compile or link, an unwritable cache) one warning goes to
+the ``tfmlab`` logger and mining uses hashlib, which is much slower and
+holds the GIL, so `mine_many` workers do not help it.  A failed compile
+leaves a ``build-failed`` file with the reason in that subdirectory; later
+imports repeat the warning from it without running the compiler again,
+until the file is deleted.
 
 `merkle_root` hashes the whole tree in one call to the helper's
 ``merkle_root`` where the CPU has the SHA extensions (the helper defines it
@@ -164,16 +166,7 @@ def _cached_noncesearch() -> Optional[ModuleType]:
     return None
 
 
-def _load_noncesearch() -> Optional[ModuleType]:
-    """The packaged C nonce search, else the cached one; None means hashlib."""
-    try:
-        from . import _noncesearch as packaged
-    except ImportError:
-        return _cached_noncesearch()
-    return packaged
-
-
-_noncesearch = _load_noncesearch()
+_noncesearch = _cached_noncesearch()
 
 HASH_BYTES = 32
 DEFAULT_TARGET = 1 << 240  # about 2**16 expected trials per block
@@ -314,6 +307,11 @@ def _search_python(prefix: bytes, start: int, max_trials: int, target32: bytes):
 
 
 def _search(prefix: bytes, start: int, max_trials: int, target: int):
+    # the C helper takes only BlockHeader.prefix_bytes(); both paths refuse any other prefix,
+    # and _search_python, the oracle, hashes any
+    if len(prefix) != 104:
+        raise ParameterError(f"the nonce search takes the 104-byte block header prefix, "
+                             f"got {len(prefix)} bytes")
     if target >= 1 << 256:
         # every digest clears the target; the first nonce mines
         digest = hashlib.sha256(prefix + start.to_bytes(8, "big")).digest()

@@ -13,7 +13,6 @@ import sys
 import time
 from fractions import Fraction
 from functools import partial
-from pathlib import Path
 from typing import Optional, Sequence
 
 from . import _streams, alloc, chain
@@ -168,8 +167,7 @@ def _cmd_info(args) -> int:
     backend, path, trials = "hashlib", "", 1 << 16
     if helper is not None:
         path, trials = helper.__file__, 1 << 20
-        where = "packaged" if Path(path).parent == Path(chain.__file__).parent else "cached"
-        backend = f"{where} C ({helper.BACKEND})"
+        backend = f"C ({helper.BACKEND})"
     # `trials` nonces of one header, against a target no digest meets
     prefix = chain.BlockHeader(bytes(32), bytes(32), bytes(32), 0, 0).prefix_bytes()
     start = time.perf_counter()

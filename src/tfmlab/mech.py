@@ -392,19 +392,19 @@ def run_mechanism(
 
 
 def spec_to_config(spec: MechanismSpec) -> str:
-    """Flat ``key=value`` text for a mechanism spec."""
-    lines = [f"allocation={spec.allocation.value}", f"payment={spec.payment.value}"]
-    if spec.gamma is not None:
-        lines.append(f"gamma={spec.gamma:g}")
-    if spec.phi is not None:
-        lines.append(f"phi={spec.phi:g}")
-    if spec.base_fee is not None:
-        lines.append(f"lambda={spec.base_fee:g}")
+    """Flat ``key=value`` text for a mechanism spec.  Each number is spelled as ``:g``
+    spells its double (``gamma=2``) where ``float()`` reads that back, else as its
+    ``repr``."""
+    numbers = {"gamma": spec.gamma, "phi": spec.phi, "lambda": spec.base_fee}
     if spec.split is not None:
         if spec.split.demote is not None:
             raise ParameterError("the config format has no key for split-block demotion")
-        lines.append(f"alpha={spec.split.alpha:g}")
-        lines.append(f"delta={spec.split.delta:g}")
+        numbers.update(alpha=spec.split.alpha, delta=spec.split.delta)
+    lines = [f"allocation={spec.allocation.value}", f"payment={spec.payment.value}"]
+    for key, value in numbers.items():
+        if value is not None:
+            short = f"{float(value):g}"
+            lines.append(f"{key}={short if float(short) == float(value) else repr(float(value))}")
     return "\n".join(lines) + "\n"
 
 

@@ -389,7 +389,11 @@ def parse_distribution(text: str) -> BidDistribution:
         comma = body.find(",")
         if comma < 0:
             raise ParameterError(f"malformed distribution spec {text!r}")
-        return BidDistribution.zero_inflated(float(body[:comma]), parse_distribution(body[comma + 1 :]))
+        try:
+            weight = float(body[:comma])
+        except ValueError as exc:
+            raise ParameterError(f"malformed distribution spec {text!r}") from exc
+        return BidDistribution.zero_inflated(weight, parse_distribution(body[comma + 1 :]))
     if kind not in makers:
         raise ParameterError(f"unknown distribution kind {kind!r}")
     try:

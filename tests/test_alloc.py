@@ -688,9 +688,9 @@ def test_walks_a_double_cannot_hold_stay_off_the_c_loop(monkeypatch):
         kept, expected = _walk_by_loop(s.tolist(), o.tolist(), capacity, start)
         assert rows.tolist() == kept
         assert repr(total) == repr(expected)
-    # the row walk of the cases whose rest of a row, past the cut, cannot run in doubles
-    # either (over float sizes, a Fraction start is a float from the first size on); the
-    # order [1, 2, 3, 0] keeps 1.5, skips 2.5 and walks on past the cut to 0.25 and 0.5
+    # the row walk of the cases that cannot run in doubles either (over float sizes, a
+    # Fraction start is a float from the first size on); the order [1, 2, 3, 0] keeps 1.5,
+    # skips 2.5 and walks on past it to 0.25 and 0.5
     for s, capacity, start in [(sizes, Fraction(7, 3), 0), (sizes, 2**60 + 1, 0),
                                (_column([1, 2, 3, 1]), 4, 0), (_column([1, 2, 3, 1]), 4,
                                                                 Fraction(1, 3))]:
@@ -725,8 +725,8 @@ def test_a_numpy_float64_capacity_walks_on_the_c_loops(monkeypatch, start):
 
 
 def test_the_row_walk_walks_on_past_the_prefix_cut(monkeypatch):
-    """A row whose cut leaves room for a later size: the same rows on the C loop and on
-    its Python twin, which walks the rest of the row after the cut."""
+    """A row with room for a later size after one that does not fit: the same rows on the
+    C loop and on its Python twin, which walks on past that size."""
     sizes, orders = np.array([2.0, 3.0, 1.0, 0.5]), np.array([[0, 1, 2, 3], [1, 0, 3, 2]])
     got = []
     for c_walk in (alloc._walk_rows_c, None):

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import logging
 import math
@@ -153,6 +154,32 @@ def test_helper_names_its_backend():
     if chain_mod._noncesearch is not None:
         assert chain_mod._noncesearch.BACKEND in ("avx512-x16", "sha-ni-x2", "avx2-x8",
                                                   "portable")
+
+
+@needs_helper
+def test_loaded_helper_is_the_build_of_the_current_source():
+    # the helper has one build, in the cache directory named by its source's hash, so an
+    # edited source never runs an older build
+    digest = hashlib.sha256(chain_mod._NONCESEARCH_SOURCE.read_bytes()).hexdigest()
+    loaded = os.path.dirname(os.path.realpath(chain_mod._noncesearch.__file__))
+    assert loaded == os.path.realpath(chain_mod._cache_dir() / digest)
+
+
+@pytest.mark.parametrize("path", ["helper", "hashlib"])
+@pytest.mark.parametrize("length", [0, 40, 103, 105])
+def test_search_refuses_a_prefix_that_is_not_the_header_on_both_paths(path, length,
+                                                                       monkeypatch):
+    if path == "hashlib":
+        monkeypatch.setattr(chain_mod, "_noncesearch", None)
+    elif chain_mod._noncesearch is None:
+        pytest.skip("the C nonce search is not available")
+    prefix = bytes(range(length))
+    for target in (1 << 255, 1 << 256):  # a target every digest clears is checked too
+        with pytest.raises(ParameterError, match=f"104-byte block header prefix, got {length}"):
+            chain_mod._search(prefix, 0, 10, target)
+    header = bytes(range(104))
+    assert chain_mod._search(header, 0, 10, 1 << 255) == \
+        chain_mod._search_python(header, 0, 10, (1 << 255).to_bytes(32, "big"))
 
 
 @needs_helper

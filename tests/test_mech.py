@@ -197,11 +197,17 @@ def test_spec_config_round_trip():
         MechanismSpec.stfm(2.0),
         MechanismSpec.rtfm(0.3),
         MechanismSpec.split_block(0.75, delta=1.0),
+        # each number reads back as its double, past the 6 digits of :g
+        MechanismSpec.rtfm(1 / 3),
+        MechanismSpec.stfm(0.1234567),
+        MechanismSpec.eip1559(1e-07),
+        MechanismSpec.split_block(1 / 3, delta=0.1234567, base_fee=1e-07),
     ]
     for spec in specs:
         assert spec_from_config(spec_to_config(spec)) == spec
     text = spec_to_config(MechanismSpec.stfm(2.0))
-    assert "allocation=softmax" in text and "gamma=2" in text
+    assert "allocation=softmax" in text and "gamma=2\n" in text
+    assert "phi=0.3333333333333333\n" in spec_to_config(MechanismSpec.rtfm(Fraction(1, 3)))
 
 
 def test_split_block_keeps_a_zero_posted_fee():

@@ -155,6 +155,9 @@ def test_parse_distribution_round_trip():
         parse_distribution("gaussian(1,2)")
     with pytest.raises(ParameterError):
         parse_distribution("uniform(0,5")
+    for text in ("zero_inflated(x,constant(1))", "zero_inflated(0.5,x)", "uniform(0,x)"):
+        with pytest.raises(ParameterError, match="malformed distribution spec"):
+            parse_distribution(text)
 
 
 def test_transaction_invariants():
